@@ -9,13 +9,21 @@
 //! fused epilogues add a few percent more real work, so their reported
 //! rate is slightly conservative.
 //!
+//! Every kernel cycles through [`FRESH_OPERANDS`] distinct left
+//! operands, as the engine does (each client and each evaluation chunk
+//! brings new activations). Timing one repeated operand lets the
+//! branch predictor learn its zero pattern and hides any data-dependent
+//! branch in the kernel. Each rate is the fastest of [`PASSES`] timed
+//! passes, interleaved across kernels.
+//!
 //! Results go to stdout and `results/BENCH_kernels.json`
 //! (`helcfl-trace gate` diffs two such reports on per-kernel GFLOP/s).
 //!
-//! Usage: `bench_kernels [--smoke] [--seed N]`
+//! Usage: `bench_kernels [--smoke] [--seed N] [--operands N]`
 //!
 //! `--smoke` cuts the per-kernel FLOP budget ~16× for CI: rates get
 //! noisier but stay within the loose default gate tolerance.
+//! `--operands 1` times one repeated operand per kernel instead.
 
 use std::path::Path;
 use std::time::Instant;
@@ -31,6 +39,9 @@ use tinynn::tensor::Matrix;
 /// engine exercises it.
 const ACTIVATION_SPARSITY: f64 = 0.5;
 
+/// Distinct left operands each kernel cycles through by default.
+const FRESH_OPERANDS: usize = 16;
+
 /// Per-kernel FLOP budget for the full run (`--smoke` divides by 16).
 const FLOP_BUDGET: f64 = 2.0e9;
 
@@ -41,6 +52,11 @@ const FLOP_BUDGET: f64 = 2.0e9;
 /// until at least this much wall clock is sampled.
 const MIN_BENCH_SECS: f64 = 0.25;
 
+/// Timed passes per kernel. The passes of all kernels interleave and
+/// each kernel reports its fastest pass, so a slow phase of a shared
+/// host must cover every pass of a kernel to move its figure.
+const PASSES: usize = 5;
+
 /// Clients per grouped dispatch in the cohort section — one pool
 /// worker's share of a 64-client round on an 8-way host.
 const COHORT_CLIENTS: usize = 8;
@@ -48,10 +64,15 @@ const COHORT_CLIENTS: usize = 8;
 struct Args {
     smoke: bool,
     seed: u64,
+    operands: usize,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { smoke: false, seed: 2022 };
+    let usage = || -> ! {
+        eprintln!("usage: bench_kernels [--smoke] [--seed N] [--operands N]");
+        std::process::exit(2);
+    };
+    let mut args = Args { smoke: false, seed: 2022, operands: FRESH_OPERANDS };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -60,10 +81,13 @@ fn parse_args() -> Args {
                 let v = it.next().expect("--seed requires a value");
                 args.seed = v.parse().expect("--seed must be an integer");
             }
+            "--operands" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => args.operands = n,
+                _ => usage(),
+            },
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_kernels [--smoke] [--seed N]");
-                std::process::exit(2);
+                usage();
             }
         }
     }
@@ -77,7 +101,7 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
 
 /// A matrix with roughly [`ACTIVATION_SPARSITY`] of its entries zeroed
 /// and the rest positive — the value profile of a post-ReLU
-/// activation, which drives the kernels' zero-skip branch.
+/// activation, the input the kernels' zero-skip is built for.
 fn sparse_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)
         .map(|_| {
@@ -86,6 +110,27 @@ fn sparse_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
         })
         .collect();
     Matrix::from_vec(rows, cols, data).expect("from_vec")
+}
+
+/// `count` matrices from `make`, for a kernel to cycle through.
+fn operands(
+    count: usize,
+    rng: &mut Rng,
+    make: fn(usize, usize, &mut Rng) -> Matrix,
+    rows: usize,
+    cols: usize,
+) -> Vec<Matrix> {
+    (0..count).map(|_| make(rows, cols, rng)).collect()
+}
+
+/// Hands out the matrices of `pool` round-robin, one per call.
+fn cycle<'a>(pool: &'a [Matrix]) -> impl FnMut() -> &'a Matrix + 'a {
+    let mut next = 0;
+    move || {
+        let m = &pool[next];
+        next = (next + 1) % pool.len();
+        m
+    }
 }
 
 /// One benchmarked kernel invocation: `(m, k, n)` are the product
@@ -98,10 +143,10 @@ struct Bench<'a> {
     run: Box<dyn FnMut() + 'a>,
 }
 
-fn time_bench(b: &mut Bench<'_>, budget: f64, min_secs: f64) -> (usize, f64, f64) {
-    let flops = 2.0 * b.m as f64 * b.k as f64 * b.n as f64;
-    let (iters, secs) = time_closure(&mut b.run, budget / flops, min_secs);
-    (iters, secs, flops / secs / 1e9)
+impl Bench<'_> {
+    fn flops(&self) -> f64 {
+        2.0 * self.m as f64 * self.k as f64 * self.n as f64
+    }
 }
 
 /// Iteration count for a kernel: the FLOP budget's schedule, raised
@@ -117,19 +162,32 @@ fn calibrated_iters(run: &mut (dyn FnMut() + '_), budget_iters: f64, min_secs: f
     (budget_iters as usize).max(from_time).max(4)
 }
 
-/// Times `run` over a calibrated iteration count and returns
-/// `(iters, mean seconds per iteration)`.
-fn time_closure(
-    run: &mut (dyn FnMut() + '_),
-    budget_iters: f64,
+/// Times each closure of `runs` in [`PASSES`] passes, the passes of all
+/// closures interleaved, and returns per closure `(iters, seconds per
+/// iteration in its fastest pass)`. `budget_iters[i]` and `min_secs`
+/// size all passes of closure `i` together.
+fn time_passes(
+    runs: &mut [&mut (dyn FnMut() + '_)],
+    budget_iters: &[f64],
     min_secs: f64,
-) -> (usize, f64) {
-    let iters = calibrated_iters(run, budget_iters, min_secs);
-    let started = Instant::now();
-    for _ in 0..iters {
-        run();
+) -> Vec<(usize, f64)> {
+    let per_pass = PASSES as f64;
+    let iters: Vec<usize> = runs
+        .iter_mut()
+        .zip(budget_iters)
+        .map(|(run, &budget)| calibrated_iters(*run, budget / per_pass, min_secs / per_pass))
+        .collect();
+    let mut best = vec![f64::INFINITY; runs.len()];
+    for _ in 0..PASSES {
+        for ((run, &n), best) in runs.iter_mut().zip(&iters).zip(&mut best) {
+            let started = Instant::now();
+            for _ in 0..n {
+                run();
+            }
+            *best = best.min(started.elapsed().as_secs_f64() / n as f64);
+        }
     }
-    (iters, started.elapsed().as_secs_f64() / iters as f64)
+    iters.iter().map(|n| n * PASSES).zip(best).collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -139,24 +197,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from_u64(args.seed);
 
     // Engine shapes: shard batch 200 (20 000 samples / 100 devices),
-    // model [64, 64, 10], eval chunk 256 rows.
-    let x = random_matrix(200, 64, &mut rng); // dense input batch
-    let act = sparse_matrix(200, 64, &mut rng); // post-ReLU activation
+    // model [64, 64, 10], eval chunk 256 rows. Left operands come in
+    // pools of `args.operands`; weights and the right operands of the
+    // transposed products stay fixed, as they do within a round.
+    let n_ops = args.operands;
+    let xs = operands(n_ops, &mut rng, random_matrix, 200, 64); // dense input batches
+    let acts = operands(n_ops, &mut rng, sparse_matrix, 200, 64); // post-ReLU activations
+    let dzs = operands(n_ops, &mut rng, random_matrix, 200, 10); // head gradients
+    let chunks = operands(n_ops, &mut rng, random_matrix, 256, 64); // eval chunks
+    let chunk_acts = operands(n_ops, &mut rng, sparse_matrix, 256, 64); // eval activations
+    let sqs = operands(n_ops, &mut rng, random_matrix, 256, 256);
+    let x = random_matrix(200, 64, &mut rng);
+    let dz = random_matrix(200, 10, &mut rng);
     let w1 = random_matrix(64, 64, &mut rng); // hidden weights
     let w2 = random_matrix(64, 10, &mut rng); // head weights
     let b1: Vec<f32> = (0..64).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
     let b2: Vec<f32> = (0..10).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
-    let dz = random_matrix(200, 10, &mut rng); // head gradient
-    let chunk = random_matrix(256, 64, &mut rng); // eval chunk
-    let sq = random_matrix(256, 256, &mut rng);
     let sq_b = random_matrix(256, 256, &mut rng);
 
     // Each closure owns its output buffer (the `*_into` kernels resize
-    // it on first use, then reuse it allocation-free) and captures the
-    // operands by shared reference.
+    // it on first use, then reuse it allocation-free) and its operand
+    // cursor, and captures the operands by shared reference.
     let mk_out = || Matrix::zeros(1, 1).expect("zeros");
-    let (x, act, w1, w2, dz, chunk, sq, sq_b) = (&x, &act, &w1, &w2, &dz, &chunk, &sq, &sq_b);
-    let (b1, b2) = (&b1, &b2);
+    let (x, dz, w1, w2, sq_b, b1, b2) = (&x, &dz, &w1, &w2, &sq_b, &b1, &b2);
     let mut benches: Vec<Bench<'_>> = vec![
         Bench {
             name: "matmul 200x64x64",
@@ -164,8 +227,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 64,
             n: 64,
             run: {
-                let mut out = mk_out();
-                Box::new(move || x.matmul_into(w1, &mut out).expect("matmul"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&xs));
+                Box::new(move || lhs().matmul_into(w1, &mut out).expect("matmul"))
             },
         },
         Bench {
@@ -174,8 +237,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 64,
             n: 64,
             run: {
-                let mut out = mk_out();
-                Box::new(move || x.matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&xs));
+                Box::new(move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
             },
         },
         Bench {
@@ -184,8 +247,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 64,
             n: 10,
             run: {
-                let mut out = mk_out();
-                Box::new(move || act.matmul_bias_into(w2, b2, &mut out).expect("fused"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+                Box::new(move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused"))
             },
         },
         Bench {
@@ -194,8 +257,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 200,
             n: 64,
             run: {
-                let mut out = mk_out();
-                Box::new(move || act.matmul_tn_into(x, &mut out).expect("tn"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+                Box::new(move || lhs().matmul_tn_into(x, &mut out).expect("tn"))
             },
         },
         Bench {
@@ -204,8 +267,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 200,
             n: 10,
             run: {
-                let mut out = mk_out();
-                Box::new(move || act.matmul_tn_into(dz, &mut out).expect("tn"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+                Box::new(move || lhs().matmul_tn_into(dz, &mut out).expect("tn"))
             },
         },
         Bench {
@@ -214,8 +277,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 10,
             n: 64,
             run: {
-                let mut out = mk_out();
-                Box::new(move || dz.matmul_nt_into(w2, &mut out).expect("nt"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&dzs));
+                Box::new(move || lhs().matmul_nt_into(w2, &mut out).expect("nt"))
             },
         },
         Bench {
@@ -224,8 +287,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 64,
             n: 64,
             run: {
-                let mut out = mk_out();
-                Box::new(move || chunk.matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&chunks));
+                Box::new(move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
+            },
+        },
+        Bench {
+            name: "matmul_bias 256x64x10",
+            m: 256,
+            k: 64,
+            n: 10,
+            run: {
+                let (mut out, mut lhs) = (mk_out(), cycle(&chunk_acts));
+                Box::new(move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused"))
             },
         },
         Bench {
@@ -234,20 +307,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             k: 256,
             n: 256,
             run: {
-                let mut out = mk_out();
-                Box::new(move || sq.matmul_into(sq_b, &mut out).expect("matmul"))
+                let (mut out, mut lhs) = (mk_out(), cycle(&sqs));
+                Box::new(move || lhs().matmul_into(sq_b, &mut out).expect("matmul"))
             },
         },
     ];
 
     println!(
-        "Kernel bench — paper MLP shapes, {} FLOP budget/kernel{}",
+        "Kernel bench — paper MLP shapes, {} FLOP budget/kernel, {} left operand(s) each{}",
         budget,
+        n_ops,
         if args.smoke { " (smoke)" } else { "" }
     );
+    let budget_iters: Vec<f64> = benches.iter().map(|b| budget / b.flops()).collect();
+    let mut runs: Vec<&mut (dyn FnMut() + '_)> =
+        benches.iter_mut().map(|b| &mut *b.run as &mut (dyn FnMut() + '_)).collect();
+    let timings = time_passes(&mut runs, &budget_iters, min_secs);
     let mut kernels = Vec::new();
-    for b in &mut benches {
-        let (iters, secs, gflops) = time_bench(b, budget, min_secs);
+    for (b, (iters, secs)) in benches.iter().zip(timings) {
+        let gflops = b.flops() / secs / 1e9;
         println!("  {:<28} {gflops:7.2} GFLOP/s ({:.1} µs/iter)", b.name, secs * 1e6);
         let mut k = JsonObject::new();
         k.field("name", b.name)
@@ -288,9 +366,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::hint::black_box(solo_model.parameters());
         }
     };
-    // Calibrate on time alone (budget 0): one iteration is K full
-    // local steps, far more work than a single kernel call.
-    let (solo_iters, solo_secs) = time_closure(&mut solo, 0.0, min_secs);
     let mut arena = CohortArena::new(&dims).expect("arena");
     let jobs: Vec<CohortJob<'_>> = client_data
         .iter()
@@ -299,7 +374,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cohort = || {
         std::hint::black_box(arena.train(&jobs, &global, 0.05, 1).expect("cohort"));
     };
-    let (cohort_iters, cohort_secs) = time_closure(&mut cohort, 0.0, min_secs);
+    // Calibrate on time alone (budget 0): one iteration is K full
+    // local steps, far more work than a single kernel call.
+    let timings = time_passes(&mut [&mut solo, &mut cohort], &[0.0, 0.0], min_secs);
+    let [(solo_iters, solo_secs), (cohort_iters, cohort_secs)] = timings[..] else {
+        unreachable!("two closures timed")
+    };
     let solo_us = solo_secs * 1e6 / COHORT_CLIENTS as f64;
     let cohort_us = cohort_secs * 1e6 / COHORT_CLIENTS as f64;
     println!(
@@ -328,6 +408,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field("bench", "kernels")
         .field("smoke", args.smoke)
         .field("seed", args.seed)
+        .field("operands", n_ops)
         .object("host", host)
         .field("kernels", kernels)
         .object("cohort", cohort_section);

@@ -26,6 +26,15 @@
 //! on stderr and fall back to `auto`, mirroring `threads_from_env` in
 //! `fl-sim`.
 //!
+//! The NN and TN kernels skip an addend whose left scalar is `±0.0`,
+//! like the scalar kernels: a skipped addend leaves the accumulator
+//! untouched. The vector paths implement the skip without a branch —
+//! the product is always computed and added under a lane mask (AVX-512
+//! `mask_add`, AVX2 `blendv`, a select in `Portable8`) that is empty
+//! for a zero scalar. On ReLU activations about half the scalars are
+//! zero in no learnable pattern, so a branch there is mispredicted
+//! about half the time.
+//!
 //! Why no FMA anywhere: a fused multiply-add rounds once where the
 //! scalar contract rounds twice, so `mul`+`add` stay separate in every
 //! kernel — the cost is a ~1.5× lower ceiling than the hardware's FMA
@@ -299,6 +308,18 @@ mod portable {
         }
     }
 
+    /// `acc += a·b` lane by lane, except that a zero `a` (with `SKIP`)
+    /// leaves `acc` untouched. The sum is always computed and the old
+    /// accumulator selected back, so there is no branch on the data.
+    #[inline]
+    fn accumulate<const SKIP: bool>(acc: &mut [f32], a: f32, brow: &[f32]) {
+        let skip = SKIP && a == 0.0;
+        for (s, &b) in acc.iter_mut().zip(brow) {
+            let sum = *s + a * b;
+            *s = if skip { *s } else { sum };
+        }
+    }
+
     /// One output row in 8-wide column chunks plus one narrower tail
     /// chunk. The reduction operand is `lhs[base + kk*stride]`
     /// (`stride == 1` for NN, `stride == m` for TN), exactly like the
@@ -319,14 +340,8 @@ mod portable {
         while j + 8 <= n {
             let mut acc = [0.0f32; 8];
             for kk in 0..len {
-                let a = lhs[base + kk * stride];
-                if SKIP && a == 0.0 {
-                    continue;
-                }
                 let brow = &rhs[kk * n + j..kk * n + j + 8];
-                for (s, &b) in acc.iter_mut().zip(brow) {
-                    *s += a * b;
-                }
+                accumulate::<SKIP>(&mut acc, lhs[base + kk * stride], brow);
             }
             store(&mut orow[j..j + 8], &acc, bias, j, relu);
             j += 8;
@@ -335,14 +350,8 @@ mod portable {
             let rem = n - j;
             let mut acc = [0.0f32; 8];
             for kk in 0..len {
-                let a = lhs[base + kk * stride];
-                if SKIP && a == 0.0 {
-                    continue;
-                }
                 let brow = &rhs[kk * n + j..kk * n + j + rem];
-                for (s, &b) in acc[..rem].iter_mut().zip(brow) {
-                    *s += a * b;
-                }
+                accumulate::<SKIP>(&mut acc[..rem], lhs[base + kk * stride], brow);
             }
             store(&mut orow[j..], &acc[..rem], bias, j, relu);
         }
@@ -398,6 +407,28 @@ mod avx512 {
         v
     }
 
+    /// Lanes that take the addend `av·bv`: all of them without `SKIP`,
+    /// none when the broadcast scalar `av` is `±0.0` with it. `NEQ_UQ`
+    /// is true for NaN, so a NaN scalar is accumulated, as in the
+    /// scalar kernel.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn live<const SKIP: bool>(av: __m512) -> __mmask16 {
+        if SKIP {
+            _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, _mm512_setzero_ps())
+        } else {
+            !0
+        }
+    }
+
+    /// `acc + av·bv` in the `live` lanes, `acc` untouched elsewhere: the
+    /// zero-skip as a masked add instead of a branch on the data.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn accumulate(acc: __m512, live: __mmask16, av: __m512, bv: __m512) -> __m512 {
+        _mm512_mask_add_ps(acc, live, acc, _mm512_mul_ps(av, bv))
+    }
+
     /// [`epilogue`] for a masked tail vector (`mask` = active lanes).
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -421,8 +452,8 @@ mod avx512 {
 
     /// One strip of `NV` full vectors (16·NV columns at `j0`), all
     /// rows. Per row: NV zmm accumulators live across the whole
-    /// ascending-`k` reduction; the zero test runs on the broadcast
-    /// scalar before any load, like the scalar kernel.
+    /// ascending-`k` reduction; one zero test on the broadcast scalar
+    /// masks all NV adds.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn nn_strip<const NV: usize, const SKIP: bool>(
@@ -440,15 +471,12 @@ mod avx512 {
             let mut acc = [_mm512_setzero_ps(); NV];
             let arow = lhs.as_ptr().add(i * k);
             for kk in 0..k {
-                let s = *arow.add(kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
-                let av = _mm512_set1_ps(s);
+                let av = _mm512_set1_ps(*arow.add(kk));
+                let live = live::<SKIP>(av);
                 let brow = rhs.as_ptr().add(kk * n + j0);
                 for v in 0..NV {
                     let bv = _mm512_loadu_ps(brow.add(v * 16));
-                    acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(av, bv));
+                    acc[v] = accumulate(acc[v], live, av, bv);
                 }
             }
             let orow = out.as_mut_ptr().add(i * n + j0);
@@ -485,11 +513,8 @@ mod avx512 {
             for kk in 0..k {
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(kk * n + j0));
                 for r in 0..4 {
-                    let s = *lhs.as_ptr().add((i + r) * k + kk);
-                    if SKIP && s == 0.0 {
-                        continue;
-                    }
-                    acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                    let av = _mm512_set1_ps(*lhs.as_ptr().add((i + r) * k + kk));
+                    acc[r] = accumulate(acc[r], live::<SKIP>(av), av, bv);
                 }
             }
             for r in 0..4 {
@@ -501,12 +526,9 @@ mod avx512 {
         while i < m {
             let mut acc = _mm512_setzero_ps();
             for kk in 0..k {
-                let s = *lhs.as_ptr().add(i * k + kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
+                let av = _mm512_set1_ps(*lhs.as_ptr().add(i * k + kk));
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(kk * n + j0));
-                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                acc = accumulate(acc, live::<SKIP>(av), av, bv);
             }
             let cv = epilogue_masked(acc, bias, j0, mask, relu);
             _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + j0), mask, cv);
@@ -546,9 +568,7 @@ mod avx512 {
     /// Row `r` of `lhs` holds the `MI` reduction scalars for output
     /// rows `i0..i0+MI` *contiguously* (`lhs[r*m + i0 + t]`) — that
     /// contiguity is why TN blocks over output rows instead of walking
-    /// one strided column per row like the scalar kernel. The `rhs`
-    /// loads sit inside the skip branch: with ReLU-sparse left
-    /// operands, a skipped scalar costs one test, no loads.
+    /// one strided column per row like the scalar kernel.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn tn_block<const MI: usize, const NV: usize>(
@@ -566,14 +586,11 @@ mod avx512 {
             let arow = lhs.as_ptr().add(r * m + i0);
             let brow = rhs.as_ptr().add(r * n + j0);
             for t in 0..MI {
-                let s = *arow.add(t);
-                if s == 0.0 {
-                    continue;
-                }
-                let av = _mm512_set1_ps(s);
+                let av = _mm512_set1_ps(*arow.add(t));
+                let live = live::<true>(av);
                 for v in 0..NV {
                     let bv = _mm512_loadu_ps(brow.add(v * 16));
-                    acc[t][v] = _mm512_add_ps(acc[t][v], _mm512_mul_ps(av, bv));
+                    acc[t][v] = accumulate(acc[t][v], live, av, bv);
                 }
             }
         }
@@ -599,11 +616,8 @@ mod avx512 {
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
                 let arow = lhs.as_ptr().add(r * m + i);
                 for t in 0..4 {
-                    let s = *arow.add(t);
-                    if s == 0.0 {
-                        continue;
-                    }
-                    acc[t] = _mm512_add_ps(acc[t], _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                    let av = _mm512_set1_ps(*arow.add(t));
+                    acc[t] = accumulate(acc[t], live::<true>(av), av, bv);
                 }
             }
             for t in 0..4 {
@@ -614,12 +628,9 @@ mod avx512 {
         while i < m {
             let mut acc = _mm512_setzero_ps();
             for r in 0..k {
-                let s = *lhs.as_ptr().add(r * m + i);
-                if s == 0.0 {
-                    continue;
-                }
+                let av = _mm512_set1_ps(*lhs.as_ptr().add(r * m + i));
                 let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
-                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(s), bv));
+                acc = accumulate(acc, live::<true>(av), av, bv);
             }
             _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + j0), mask, acc);
             i += 1;
@@ -680,6 +691,22 @@ mod avx2 {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(rem as i32), idx)
     }
 
+    /// `acc + av·bv`, except that with `SKIP` every lane keeps `acc`
+    /// when the broadcast scalar `av` is `±0.0`: the zero-skip as a
+    /// blend instead of a branch on the data. `NEQ_UQ` is true for NaN,
+    /// so a NaN scalar is accumulated, as in the scalar kernel.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate<const SKIP: bool>(acc: __m256, av: __m256, bv: __m256) -> __m256 {
+        let sum = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
+        if SKIP {
+            let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, _mm256_setzero_ps());
+            _mm256_blendv_ps(acc, sum, live)
+        } else {
+            sum
+        }
+    }
+
     /// Bias/ReLU epilogue: ordered `< 0.0` compare + `andnot`, so NaN
     /// and `-0.0` pass through exactly like the scalar `if v < 0.0`.
     #[inline]
@@ -713,15 +740,11 @@ mod avx2 {
             let mut acc = [_mm256_setzero_ps(); NV];
             let arow = lhs.as_ptr().add(i * k);
             for kk in 0..k {
-                let s = *arow.add(kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
-                let av = _mm256_set1_ps(s);
+                let av = _mm256_set1_ps(*arow.add(kk));
                 let brow = rhs.as_ptr().add(kk * n + j0);
                 for v in 0..NV {
                     let bv = _mm256_loadu_ps(brow.add(v * 8));
-                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av, bv));
+                    acc[v] = accumulate::<SKIP>(acc[v], av, bv);
                 }
             }
             let orow = out.as_mut_ptr().add(i * n + j0);
@@ -757,11 +780,8 @@ mod avx2 {
             for kk in 0..k {
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(kk * n + j0), mask);
                 for r in 0..4 {
-                    let s = *lhs.as_ptr().add((i + r) * k + kk);
-                    if SKIP && s == 0.0 {
-                        continue;
-                    }
-                    acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                    let av = _mm256_set1_ps(*lhs.as_ptr().add((i + r) * k + kk));
+                    acc[r] = accumulate::<SKIP>(acc[r], av, bv);
                 }
             }
             for r in 0..4 {
@@ -773,12 +793,9 @@ mod avx2 {
         while i < m {
             let mut acc = _mm256_setzero_ps();
             for kk in 0..k {
-                let s = *lhs.as_ptr().add(i * k + kk);
-                if SKIP && s == 0.0 {
-                    continue;
-                }
+                let av = _mm256_set1_ps(*lhs.as_ptr().add(i * k + kk));
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(kk * n + j0), mask);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                acc = accumulate::<SKIP>(acc, av, bv);
             }
             let cv = epilogue(acc, bias_v, relu);
             _mm256_maskstore_ps(out.as_mut_ptr().add(i * n + j0), mask, cv);
@@ -833,11 +850,7 @@ mod avx2 {
             let bv = _mm256_loadu_ps(rhs.as_ptr().add(r * n + j0));
             let arow = lhs.as_ptr().add(r * m + i0);
             for t in 0..MI {
-                let s = *arow.add(t);
-                if s == 0.0 {
-                    continue;
-                }
-                acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                acc[t] = accumulate::<true>(acc[t], _mm256_set1_ps(*arow.add(t)), bv);
             }
         }
         for t in 0..MI {
@@ -858,11 +871,7 @@ mod avx2 {
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(r * n + j0), mask);
                 let arow = lhs.as_ptr().add(r * m + i);
                 for t in 0..4 {
-                    let s = *arow.add(t);
-                    if s == 0.0 {
-                        continue;
-                    }
-                    acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                    acc[t] = accumulate::<true>(acc[t], _mm256_set1_ps(*arow.add(t)), bv);
                 }
             }
             for t in 0..4 {
@@ -873,12 +882,9 @@ mod avx2 {
         while i < m {
             let mut acc = _mm256_setzero_ps();
             for r in 0..k {
-                let s = *lhs.as_ptr().add(r * m + i);
-                if s == 0.0 {
-                    continue;
-                }
+                let av = _mm256_set1_ps(*lhs.as_ptr().add(r * m + i));
                 let bv = _mm256_maskload_ps(rhs.as_ptr().add(r * n + j0), mask);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(s), bv));
+                acc = accumulate::<true>(acc, av, bv);
             }
             _mm256_maskstore_ps(out.as_mut_ptr().add(i * n + j0), mask, acc);
             i += 1;

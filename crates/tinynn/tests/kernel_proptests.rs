@@ -403,6 +403,120 @@ fn special_values_behave_identically_on_every_path() {
     }
 }
 
+/// A left/right operand pair built to tell "skip the addend" apart
+/// from "add the product", for a reduction of length `k`.
+///
+/// Reduction indices `kk % 4 == 1` are *dead*: every left scalar there
+/// is `±0.0`, and the matching right row holds `±inf` and NaN, so an
+/// addend that is computed and added instead of skipped turns the
+/// output into NaN (`0·inf`, `0·NaN`). The other indices mix `+0.0`,
+/// `-0.0`, NaN and finite left scalars against finite right rows.
+/// Index 0 is `1e-30 × -1e-30`, a product that underflows to `-0.0`,
+/// so a zero accumulator meets the skipped zero at index 1. (That
+/// accumulator is `+0.0`: every accumulator starts at `+0.0`, and a
+/// round-to-nearest sum is `-0.0` only when both addends are, so
+/// adding a literal `+0.0` for a skipped addend would go unseen. The
+/// products `0·inf` and `0·NaN` are what tell a computed addend from a
+/// skipped one.) Row 0 always has a NaN left scalar. `at(kk, t)`
+/// places left scalar `kk` of output row `t` in the layout the kernel
+/// under test reads.
+fn adversarial_pair(
+    rng: &mut Rng,
+    m: usize,
+    k: usize,
+    n: usize,
+    at: impl Fn(usize, usize) -> usize,
+) -> (Vec<f32>, Vec<f32>) {
+    const SPECIALS: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let dead = |kk: usize| kk % 4 == 1;
+    let mut lhs = vec![0.0f32; m * k];
+    let mut rhs = vec![0.0f32; k * n];
+    for kk in 0..k {
+        for t in 0..m {
+            lhs[at(kk, t)] = match (kk, rng.below(8)) {
+                (0, _) => 1e-30,
+                (2, _) if t == 0 => f32::NAN,
+                (kk, r) if dead(kk) => [0.0, -0.0][r % 2],
+                (_, 0 | 1) => 0.0,
+                (_, 2 | 3) => -0.0,
+                (_, 4) if t % 3 == 0 => f32::NAN,
+                _ => rng.uniform_f32(-4.0, 4.0),
+            };
+        }
+        for b in &mut rhs[kk * n..(kk + 1) * n] {
+            *b = match kk {
+                0 => -1e-30,
+                kk if dead(kk) && rng.below(2) == 0 => SPECIALS[rng.below(3)],
+                _ => rng.uniform_f32(-4.0, 4.0),
+            };
+        }
+    }
+    (lhs, rhs)
+}
+
+/// The zero-skip is a contract, not an optimization: a skipped addend
+/// leaves the accumulator untouched. Shapes reach every skip site of
+/// every vector path — `m` covers the 4-row and 8-row blocks and their
+/// single-row remainders, `n` the full-vector strips (16 and 64 wide on
+/// AVX-512, 8 and 32 on AVX2/portable) and the masked tails — and the
+/// values are the ones where adding a computed zero product would
+/// differ from skipping it. Every path must match the scalar oracle bit
+/// for bit, and no output row without a NaN left scalar may be NaN.
+#[test]
+fn zero_skip_is_exact_on_adversarial_values_at_every_skip_site() {
+    let paths = available_paths();
+    let mut rng = Rng::seed_from_u64(0x4e4e_0024);
+    let mut case = 0;
+    for m in [9, 14] {
+        for n in [10, 16, 74] {
+            let k = 11;
+            let bias: Vec<f32> = (0..n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
+            let (a, b) = adversarial_pair(&mut rng, m, k, n, |kk, i| i * k + kk);
+            let a = Matrix::from_vec(m, k, a).unwrap();
+            let b = Matrix::from_vec(k, n, b).unwrap();
+            let (at, bt) = adversarial_pair(&mut rng, m, k, n, |kk, i| kk * m + i);
+            let at = Matrix::from_vec(k, m, at).unwrap();
+            let bt = Matrix::from_vec(k, n, bt).unwrap();
+            for name in ["matmul", "matmul_bias", "matmul_bias_relu", "matmul_tn"] {
+                let run = |out: &mut Matrix| {
+                    match name {
+                        "matmul" => a.matmul_into(&b, out),
+                        "matmul_bias" => a.matmul_bias_into(&b, &bias, out),
+                        "matmul_bias_relu" => a.matmul_bias_relu_into(&b, &bias, out),
+                        _ => at.matmul_tn_into(&bt, out),
+                    }
+                    .unwrap()
+                };
+                let nan_row = |i: usize| match name {
+                    "matmul_tn" => (0..k).any(|kk| at.at(kk, i).is_nan()),
+                    _ => a.row(i).iter().any(|v| v.is_nan()),
+                };
+                let mut want = Matrix::zeros(1, 1).unwrap();
+                {
+                    let _guard = PathGuard::force(SimdPath::Scalar);
+                    run(&mut want);
+                }
+                for i in 0..m {
+                    if !nan_row(i) {
+                        assert!(
+                            want.row(i).iter().all(|v| v.is_finite()),
+                            "case {case}: {name} {m}x{k}x{n} oracle row {i} is not finite"
+                        );
+                    }
+                }
+                let mut got = Matrix::zeros(1, 1).unwrap();
+                for &path in &paths {
+                    let _guard = PathGuard::force(path);
+                    run(&mut got);
+                    let what = format!("{name} {m}x{k}x{n} adversarial[{}]", path.name());
+                    assert_bits_eq(&got, &want, &what, case);
+                }
+            }
+            case += 1;
+        }
+    }
+}
+
 #[test]
 fn zero_dimension_constructors_are_rejected() {
     // "Empty" matrices cannot exist: every constructor refuses a zero
