@@ -29,7 +29,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use detrand::Rng;
-use helcfl_bench::json::JsonObject;
+use helcfl_telemetry::json::JsonObject;
 use tinynn::batch::{CohortArena, CohortJob};
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;

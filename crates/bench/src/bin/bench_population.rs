@@ -55,7 +55,7 @@ use fl_sim::frequency::FrequencyPolicy;
 use fl_sim::selection::{ClientSelector, SelectionContext};
 use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::gate::percentile_nearest_rank;
-use helcfl_bench::json::JsonObject;
+use helcfl_telemetry::json::JsonObject;
 use helcfl_telemetry::Telemetry;
 use mec_sim::population::PopulationBuilder;
 use mec_sim::timeline::{DigestConfig, RoundTimeline};

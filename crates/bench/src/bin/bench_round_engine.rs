@@ -38,7 +38,7 @@ use fl_sim::runner::run_federated_traced;
 use fl_sim::seeds::{derive, SeedDomain};
 use fl_baselines::classic::RandomSelector;
 use helcfl_bench::gate::percentile_nearest_rank;
-use helcfl_bench::json::JsonObject;
+use helcfl_telemetry::json::JsonObject;
 use helcfl_bench::{CommonArgs, PaperScenario, Setting};
 use helcfl_telemetry::analyze::Trace;
 use helcfl_telemetry::{MemorySink, Telemetry};

@@ -18,8 +18,8 @@
 //! Performance benchmarks use no external harness: the
 //! `bench_round_engine` binary times the round engine and the matmul
 //! kernels with [`std::time::Instant`] and writes
-//! `results/BENCH_round_engine.json` through the hand-rolled [`json`]
-//! emitter (rounds/sec serial vs parallel, speedup, matmul GFLOP/s,
+//! `results/BENCH_round_engine.json` through the hand-rolled
+//! [`helcfl_telemetry::json`] emitter (rounds/sec serial vs parallel, speedup, matmul GFLOP/s,
 //! per-round latency percentiles from a traced run).
 //!
 //! The `helcfl-trace` binary is the read side: `tree`/`phases` render
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod gate;
-pub mod json;
 pub mod report;
 pub mod scenario;
 pub mod schemes;

@@ -15,8 +15,6 @@
 use detrand::Rng;
 use mec_sim::device::DeviceId;
 use tinynn::batch::{CohortArena, CohortJob};
-use tinynn::loss::softmax_cross_entropy_loss_sum;
-use tinynn::metrics::count_correct;
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;
 
@@ -24,8 +22,9 @@ use crate::dataset::LabeledSet;
 use crate::error::{FlError, Result};
 
 /// Row-block size used when streaming a dataset through a trainer for
-/// evaluation. Fixed (never derived from the worker count) so chunked
-/// reductions are bit-identical for every thread count.
+/// evaluation. It bounds the activation scratch an evaluation needs and
+/// is the unit the pool splits an eval set into; the result is an
+/// integer count, so it does not depend on the block size either.
 pub const EVAL_CHUNK_ROWS: usize = 256;
 
 /// One user's local data: the immutable half of a simulated client.
@@ -93,7 +92,7 @@ pub struct LocalUpdateSpec {
 pub struct ClientTrainer {
     model: Mlp,
     scratch: TrainScratch,
-    /// Gathered minibatch features / evaluation row block.
+    /// Gathered minibatch features.
     input: Matrix,
     /// Gathered minibatch labels.
     batch_labels: Vec<usize>,
@@ -225,58 +224,42 @@ impl ClientTrainer {
         Ok((self.model.parameters(), first_loss))
     }
 
-    /// Scores one fixed row block `[start, start + len)` of `set`
-    /// under `model`, returning the block's summed cross-entropy loss
-    /// and its correct-prediction count. Summing block results in
-    /// block order reproduces the full-set statistics exactly,
-    /// independent of how blocks were distributed over workers.
+    /// Loads `params` into the trainer's model, for the counting calls
+    /// that follow ([`ClientTrainer::count_correct_rows`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a parameter-count error for a foreign vector.
+    pub(crate) fn load_parameters(&mut self, params: &[f32]) -> Result<()> {
+        self.model.set_parameters(params).map_err(FlError::from)
+    }
+
+    /// Correct predictions of the loaded parameters on rows
+    /// `start..start + len` of `set`, scored in place (see
+    /// [`Mlp::count_correct_rows`]).
     ///
     /// # Errors
     ///
     /// Propagates shape errors (e.g. an out-of-range block).
-    pub fn eval_chunk(
+    pub(crate) fn count_correct_rows(
         &mut self,
-        model: &Mlp,
         set: &LabeledSet,
         start: usize,
         len: usize,
-    ) -> Result<(f64, usize)> {
-        let Self { scratch, input, .. } = self;
-        eval_chunk_inner(model, scratch, input, set, start, len)
+    ) -> Result<usize> {
+        self.model
+            .count_correct_rows(set.features(), start, len, set.labels(), &mut self.scratch)
+            .map_err(FlError::from)
     }
 
-    /// [`ClientTrainer::eval_chunk`] for a flat parameter vector: loads
-    /// `params` into the trainer's own model, then scores the block.
-    /// The persistent pool ships parameters to workers as owned flat
-    /// vectors, and the ~`num_parameters()`-float copy is noise next
-    /// to the forward pass. Results are bit-identical to
-    /// [`ClientTrainer::eval_chunk`] on a model holding `params`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-shape errors (e.g. an out-of-range block).
-    pub fn eval_chunk_params(
-        &mut self,
-        params: &[f32],
-        set: &LabeledSet,
-        start: usize,
-        len: usize,
-    ) -> Result<(f64, usize)> {
-        self.model.set_parameters(params).map_err(FlError::from)?;
-        let Self { model, scratch, input, .. } = self;
-        eval_chunk_inner(model, scratch, input, set, start, len)
-    }
-
-    /// Evaluates an arbitrary parameter vector on `set`, returning
-    /// `(mean loss, accuracy)` — used by the separated-learning
-    /// baseline and diagnostics. Streams the set through the trainer's
-    /// buffers in [`EVAL_CHUNK_ROWS`]-row blocks.
+    /// Correct predictions of `params` on the whole of `set`: loads the
+    /// parameters once, then counts [`EVAL_CHUNK_ROWS`]-row blocks in
+    /// place.
     ///
     /// # Errors
     ///
     /// Propagates parameter-shape errors and rejects an empty set.
-    pub fn evaluate_params(&mut self, params: &[f32], set: &LabeledSet) -> Result<(f32, f64)> {
-        self.model.set_parameters(params).map_err(FlError::from)?;
+    pub(crate) fn count_correct(&mut self, params: &[f32], set: &LabeledSet) -> Result<usize> {
         let n = set.len();
         if n == 0 {
             return Err(FlError::InvalidConfig {
@@ -284,35 +267,24 @@ impl ClientTrainer {
                 reason: "cannot evaluate on an empty set".into(),
             });
         }
-        let Self { model, scratch, input, .. } = self;
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        let mut start = 0;
-        while start < n {
-            let len = EVAL_CHUNK_ROWS.min(n - start);
-            let (l, c) = eval_chunk_inner(model, scratch, input, set, start, len)?;
-            loss_sum += l;
-            correct += c;
-            start += len;
+        self.load_parameters(params)?;
+        let mut correct = 0;
+        for start in (0..n).step_by(EVAL_CHUNK_ROWS) {
+            correct += self.count_correct_rows(set, start, EVAL_CHUNK_ROWS.min(n - start))?;
         }
-        Ok(((loss_sum / n as f64) as f32, correct as f64 / n as f64))
+        Ok(correct)
     }
-}
 
-fn eval_chunk_inner(
-    model: &Mlp,
-    scratch: &mut TrainScratch,
-    input: &mut Matrix,
-    set: &LabeledSet,
-    start: usize,
-    len: usize,
-) -> Result<(f64, usize)> {
-    set.features().copy_rows_into(start, len, input).map_err(FlError::from)?;
-    let labels = &set.labels()[start..start + len];
-    let logits = model.forward_with(input, scratch).map_err(FlError::from)?;
-    let loss = softmax_cross_entropy_loss_sum(logits, labels).map_err(FlError::from)?;
-    let correct = count_correct(logits, labels).map_err(FlError::from)?;
-    Ok((loss, correct))
+    /// Test accuracy of an arbitrary parameter vector on `set` — used
+    /// by the separated-learning baseline, which scores each user's
+    /// own model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter-shape errors and rejects an empty set.
+    pub fn evaluate_params(&mut self, params: &[f32], set: &LabeledSet) -> Result<f64> {
+        Ok(self.count_correct(params, set)? as f64 / set.len() as f64)
+    }
 }
 
 /// Builds one [`Client`] per partition user from the shared training
@@ -507,8 +479,7 @@ mod tests {
         let _clients = build_clients(t.train(), p.assignments()).unwrap();
         let mut trainer = ClientTrainer::new(&[8, 8, 3]).unwrap();
         let params = Mlp::new(&[8, 8, 3], 42).unwrap().parameters();
-        let (loss, acc) = trainer.evaluate_params(&params, t.test()).unwrap();
-        assert!(loss > 0.0);
+        let acc = trainer.evaluate_params(&params, t.test()).unwrap();
         assert!((0.0..=1.0).contains(&acc));
         // Chunked streaming matches the model's own whole-set scoring.
         let mut model = Mlp::new(&[8, 8, 3], 0).unwrap();

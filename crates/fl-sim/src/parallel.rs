@@ -18,21 +18,19 @@
 //! ([`with_trainer_pool`]): worker threads are spawned once per run
 //! and parked on a condvar between jobs, so the thousands of
 //! train/eval dispatches of a full simulation cost two mutex hops
-//! each instead of an OS thread spawn. The scoped-thread one-shots
-//! ([`parallel_map_pooled`], [`evaluate_chunked`]) remain as
-//! general-purpose utilities and as the reference implementation the
-//! pool is tested against.
+//! each instead of an OS thread spawn. This module's tests keep
+//! scoped-thread one-shot fan-outs as the reference the pool is
+//! checked against; they are not part of the public API.
 //!
 //! The worker count comes from [`worker_threads`]: an explicit config
 //! value, else the `HELCFL_THREADS` environment variable, else
 //! [`std::thread::available_parallelism`].
 
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_telemetry::{Class, MetricsRegistry, Telemetry};
-use tinynn::model::Mlp;
 
 use crate::client::{Client, ClientTrainer, LocalUpdateSpec, EVAL_CHUNK_ROWS};
 use crate::dataset::LabeledSet;
@@ -67,170 +65,6 @@ pub fn worker_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Maps `f` over `0..num_items`, fanning the indices out over one
-/// worker per `pool` slot (strided assignment) and returning the
-/// results in index order. Each worker exclusively owns one `&mut S`
-/// scratch slot for its whole stride; with a single slot (or a single
-/// item) everything runs on the calling thread.
-///
-/// # Errors
-///
-/// If any items fail, returns the error of the lowest-indexed failing
-/// item (deterministic regardless of completion order).
-///
-/// # Panics
-///
-/// Panics if `pool` is empty.
-pub fn parallel_map_pooled<S, R, F>(pool: &mut [S], num_items: usize, f: F) -> Result<Vec<R>>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> Result<R> + Sync,
-{
-    assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
-    if num_items == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = pool.len().min(num_items);
-    if workers == 1 {
-        let state = &mut pool[0];
-        return (0..num_items).map(|i| f(state, i)).collect();
-    }
-    let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
-    slots.resize_with(num_items, || None);
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        for (wid, state) in pool.iter_mut().take(workers).enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for i in (wid..num_items).step_by(workers) {
-                    let out = f(state, i);
-                    if tx.send((i, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, out) in rx {
-            slots[i] = Some(out);
-        }
-    });
-    let mut results = Vec::with_capacity(num_items);
-    for slot in slots {
-        results.push(slot.expect("every index is assigned to exactly one worker")?);
-    }
-    Ok(results)
-}
-
-/// [`parallel_map_pooled`] with per-worker utilization telemetry.
-///
-/// With a disabled handle this delegates straight to the untraced
-/// fan-out (zero overhead). Otherwise each worker accumulates its own
-/// [`MetricsRegistry`] — no shared lock on the hot path — and the
-/// calling thread merges them **in worker-index order** after the
-/// scope closes, so the merged registry is a pure function of the item
-/// partition. All pool metrics are [`Class::Runtime`] (they measure
-/// wall clocks), so they never enter determinism comparisons. Names,
-/// under the given `label`:
-///
-/// * `{label}.worker{w}.items` / `.busy_ns` / `.idle_ns` (counters) —
-///   per-worker load split; idle is wall time minus busy time;
-/// * `{label}.item_us` (histogram) — per-item latency across all
-///   workers;
-/// * `{label}.workers` (gauge) — resolved fan-out width this call.
-///
-/// # Errors
-///
-/// Same conditions as [`parallel_map_pooled`].
-///
-/// # Panics
-///
-/// Panics if `pool` is empty.
-pub fn parallel_map_pooled_traced<S, R, F>(
-    pool: &mut [S],
-    num_items: usize,
-    f: F,
-    tele: &Telemetry,
-    label: &str,
-) -> Result<Vec<R>>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> Result<R> + Sync,
-{
-    if !tele.is_enabled() {
-        return parallel_map_pooled(pool, num_items, f);
-    }
-    assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
-    if num_items == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = pool.len().min(num_items);
-    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), workers as f64);
-    let wall_start = Instant::now();
-    if workers == 1 {
-        let mut local = MetricsRegistry::new();
-        let state = &mut pool[0];
-        let results: Result<Vec<R>> = (0..num_items)
-            .map(|i| {
-                let t0 = Instant::now();
-                let out = f(state, i);
-                record_item(&mut local, label, 0, t0.elapsed());
-                out
-            })
-            .collect();
-        record_idle(&mut local, label, 1, wall_start.elapsed());
-        tele.merge_registry(&local);
-        return results;
-    }
-    let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
-    slots.resize_with(num_items, || None);
-    let mut worker_metrics: Vec<MetricsRegistry> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(workers);
-        for (wid, state) in pool.iter_mut().take(workers).enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local = MetricsRegistry::new();
-                for i in (wid..num_items).step_by(workers) {
-                    let t0 = Instant::now();
-                    let out = f(state, i);
-                    record_item(&mut local, label, wid, t0.elapsed());
-                    if tx.send((i, out)).is_err() {
-                        break;
-                    }
-                }
-                local
-            }));
-        }
-        drop(tx);
-        for (i, out) in rx {
-            slots[i] = Some(out);
-        }
-        // Join in spawn (worker-index) order: the merge sequence —
-        // and therefore the merged registry — is fixed.
-        for handle in handles {
-            worker_metrics.push(handle.join().expect("worker panicked"));
-        }
-    });
-    let wall = wall_start.elapsed();
-    let mut merged = MetricsRegistry::new();
-    for local in &worker_metrics {
-        merged.merge_from(local);
-    }
-    record_idle(&mut merged, label, workers, wall);
-    tele.merge_registry(&merged);
-    let mut results = Vec::with_capacity(num_items);
-    for slot in slots {
-        results.push(slot.expect("every index is assigned to exactly one worker")?);
-    }
-    Ok(results)
-}
-
 fn record_item(
     local: &mut MetricsRegistry,
     label: &str,
@@ -262,42 +96,6 @@ fn record_idle(
     }
 }
 
-/// Evaluates `model` on `set` — `(mean loss, accuracy)` — by scoring
-/// fixed [`EVAL_CHUNK_ROWS`]-row blocks across the worker pool and
-/// reducing per-block sums in block order. The block size is a
-/// constant (never derived from the pool size), so the result is
-/// bit-identical for every worker count, including 1.
-///
-/// # Errors
-///
-/// Propagates shape errors and rejects an empty set.
-pub fn evaluate_chunked(
-    model: &Mlp,
-    set: &LabeledSet,
-    pool: &mut [ClientTrainer],
-) -> Result<(f32, f64)> {
-    let n = set.len();
-    if n == 0 {
-        return Err(FlError::InvalidConfig {
-            field: "eval_set",
-            reason: "cannot evaluate on an empty set".into(),
-        });
-    }
-    let chunks = n.div_ceil(EVAL_CHUNK_ROWS);
-    let partials = parallel_map_pooled(pool, chunks, |trainer, c| {
-        let start = c * EVAL_CHUNK_ROWS;
-        let len = EVAL_CHUNK_ROWS.min(n - start);
-        trainer.eval_chunk(model, set, start, len)
-    })?;
-    let mut loss_sum = 0.0f64;
-    let mut correct = 0usize;
-    for (l, c) in partials {
-        loss_sum += l;
-        correct += c;
-    }
-    Ok(((loss_sum / n as f64) as f32, correct as f64 / n as f64))
-}
-
 /// Locks a pool mutex, ignoring poisoning: a panicked worker leaves
 /// consistent state behind (slot writes are all-or-nothing per job),
 /// and the dispatcher turns the missing slot into its own panic — on
@@ -324,8 +122,10 @@ enum Job {
         label: String,
         traced: bool,
     },
-    /// Whole-eval-set scoring of a parameter vector: item `c` scores
-    /// the fixed [`EVAL_CHUNK_ROWS`]-row block `c` of the eval set.
+    /// Whole-eval-set scoring of a parameter vector: item `c` counts
+    /// the correct predictions in the fixed [`EVAL_CHUNK_ROWS`]-row
+    /// block `c` of the eval set. Each worker loads `params` once per
+    /// job ([`load_job`]), not once per block.
     Eval { params: Vec<f32>, set_len: usize },
 }
 
@@ -342,8 +142,8 @@ impl Job {
 enum JobOut {
     /// `(updated parameters, aggregation weight |D_q|, pre-step loss)`.
     Train(Vec<f32>, f64, f32),
-    /// `(summed block loss, correct predictions in block)`.
-    Eval(f64, usize),
+    /// Correct predictions in the block.
+    Eval(usize),
 }
 
 /// Whether a job may take the grouped cohort path: only full-batch
@@ -384,10 +184,20 @@ fn run_train_cohort(
         .collect())
 }
 
-/// Runs one item of `job` on a worker's trainer — the reference
-/// execution every mode reduces to: the inline path, the worker
-/// threads, and the error-attribution fallback of the cohort path all
-/// call it, so the modes cannot drift.
+/// Prepares a worker's trainer for `job` before its items run: an
+/// eval job's parameters are loaded once, and every block of the
+/// worker's stride is then scored against them. Train items load their
+/// own starting parameters.
+fn load_job(job: &Job, trainer: &mut ClientTrainer) -> Result<()> {
+    match job {
+        Job::Eval { params, .. } => trainer.load_parameters(params),
+        Job::Train { .. } => Ok(()),
+    }
+}
+
+/// Runs one item of `job` on a worker's trainer, which [`load_job`]
+/// has prepared — the per-item execution the worker threads and the
+/// error-attribution fallback of the cohort path share.
 fn run_item(
     job: &Job,
     item: usize,
@@ -403,11 +213,10 @@ fn run_item(
             let (params, loss) = trainer.local_update(client, global, spec, &mut rng)?;
             Ok(JobOut::Train(params, client.num_samples() as f64, loss))
         }
-        Job::Eval { params, set_len } => {
+        Job::Eval { set_len, .. } => {
             let start = item * EVAL_CHUNK_ROWS;
             let len = EVAL_CHUNK_ROWS.min(set_len - start);
-            let (loss, correct) = trainer.eval_chunk_params(params, eval_set, start, len)?;
-            Ok(JobOut::Eval(loss, correct))
+            Ok(JobOut::Eval(trainer.count_correct_rows(eval_set, start, len)?))
         }
     }
 }
@@ -537,9 +346,12 @@ fn worker_loop(
             // and the failing item reports its own error.
         }
         if solo {
+            let loaded = load_job(&job, &mut trainer);
             for &item in &stride {
                 let started = Instant::now();
-                let out = run_item(&job, item, &mut trainer, clients, eval_set);
+                let out = loaded
+                    .clone()
+                    .and_then(|()| run_item(&job, item, &mut trainer, clients, eval_set));
                 if let Some(metrics) = &mut local {
                     record_item(metrics, label, wid, started.elapsed());
                 }
@@ -759,11 +571,11 @@ impl TrainerPool<'_> {
         }
     }
 
-    /// Evaluates a parameter vector on the run's eval set —
-    /// `(mean loss, accuracy)` — by scoring fixed
-    /// [`EVAL_CHUNK_ROWS`]-row blocks across the pool and reducing
-    /// per-block sums in block order, bit-identical to
-    /// [`evaluate_chunked`] for every worker count.
+    /// Evaluates a parameter vector on the run's eval set, returning
+    /// `(correct predictions, accuracy)`. Each worker loads `params`
+    /// once and counts its stride of fixed [`EVAL_CHUNK_ROWS`]-row
+    /// blocks in place; the counts are integers, so their sum — and
+    /// the accuracy — is the same for every worker count.
     ///
     /// # Errors
     ///
@@ -772,48 +584,35 @@ impl TrainerPool<'_> {
     /// # Panics
     ///
     /// Panics if a worker thread panicked while evaluating.
-    pub fn evaluate(&mut self, params: &[f32], tele: &Telemetry) -> Result<(f32, f64)> {
+    pub fn evaluate(&mut self, params: &[f32], tele: &Telemetry) -> Result<(usize, f64)> {
         let Self { clients: _, eval_set, workers, mode } = self;
         let n = eval_set.len();
-        if n == 0 {
-            return Err(FlError::InvalidConfig {
-                field: "eval_set",
-                reason: "cannot evaluate on an empty set".into(),
-            });
-        }
-        let chunks = n.div_ceil(EVAL_CHUNK_ROWS);
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        match mode {
-            PoolMode::Inline(trainer) => {
-                for chunk in 0..chunks {
-                    let start = chunk * EVAL_CHUNK_ROWS;
-                    let len = EVAL_CHUNK_ROWS.min(n - start);
-                    let (loss, hits) =
-                        trainer.eval_chunk_params(params, eval_set, start, len)?;
-                    loss_sum += loss;
-                    correct += hits;
-                }
-            }
+        let correct = match mode {
+            PoolMode::Inline(trainer) => trainer.count_correct(params, eval_set)?,
             PoolMode::Pooled(shared) => {
-                let eff = (*workers).min(chunks);
+                if n == 0 {
+                    return Err(FlError::InvalidConfig {
+                        field: "eval_set",
+                        reason: "cannot evaluate on an empty set".into(),
+                    });
+                }
+                let eff = (*workers).min(n.div_ceil(EVAL_CHUNK_ROWS));
                 let job = Job::Eval { params: params.to_vec(), set_len: n };
                 let slots = dispatch(shared, job, eff);
                 tele.with_metrics(|m| {
                     m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
                 });
+                let mut correct = 0;
                 for slot in slots {
                     match slot.expect("pool worker panicked")? {
-                        JobOut::Eval(loss, hits) => {
-                            loss_sum += loss;
-                            correct += hits;
-                        }
+                        JobOut::Eval(hits) => correct += hits,
                         JobOut::Train(..) => unreachable!("eval job yielded train output"),
                     }
                 }
+                correct
             }
-        }
-        Ok(((loss_sum / n as f64) as f32, correct as f64 / n as f64))
+        };
+        Ok((correct, correct as f64 / n as f64))
     }
 }
 
@@ -878,6 +677,192 @@ pub fn with_trainer_pool<R>(
 mod tests {
     use super::*;
     use crate::dataset::{DatasetConfig, SyntheticTask};
+    use std::sync::mpsc;
+    use tinynn::model::Mlp;
+
+    /// Maps `f` over `0..num_items`, fanning the indices out over one
+    /// worker per `pool` slot (strided assignment) and returning the
+    /// results in index order. Each worker exclusively owns one `&mut S`
+    /// scratch slot for its whole stride; with a single slot (or a single
+    /// item) everything runs on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// If any items fail, returns the error of the lowest-indexed failing
+    /// item (deterministic regardless of completion order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is empty.
+    fn parallel_map_pooled<S, R, F>(pool: &mut [S], num_items: usize, f: F) -> Result<Vec<R>>
+    where
+        S: Send,
+        R: Send,
+        F: Fn(&mut S, usize) -> Result<R> + Sync,
+    {
+        assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
+        if num_items == 0 {
+            return Ok(Vec::new());
+        }
+        let workers = pool.len().min(num_items);
+        if workers == 1 {
+            let state = &mut pool[0];
+            return (0..num_items).map(|i| f(state, i)).collect();
+        }
+        let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
+        slots.resize_with(num_items, || None);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            for (wid, state) in pool.iter_mut().take(workers).enumerate() {
+                let tx = tx.clone();
+                let f = &f;
+                scope.spawn(move || {
+                    for i in (wid..num_items).step_by(workers) {
+                        let out = f(state, i);
+                        if tx.send((i, out)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (i, out) in rx {
+                slots[i] = Some(out);
+            }
+        });
+        let mut results = Vec::with_capacity(num_items);
+        for slot in slots {
+            results.push(slot.expect("every index is assigned to exactly one worker")?);
+        }
+        Ok(results)
+    }
+
+    /// [`parallel_map_pooled`] with per-worker utilization telemetry.
+    ///
+    /// With a disabled handle this delegates straight to the untraced
+    /// fan-out (zero overhead). Otherwise each worker accumulates its own
+    /// [`MetricsRegistry`] — no shared lock on the hot path — and the
+    /// calling thread merges them **in worker-index order** after the
+    /// scope closes, so the merged registry is a pure function of the item
+    /// partition. All pool metrics are [`Class::Runtime`] (they measure
+    /// wall clocks), so they never enter determinism comparisons. Names,
+    /// under the given `label`:
+    ///
+    /// * `{label}.worker{w}.items` / `.busy_ns` / `.idle_ns` (counters) —
+    ///   per-worker load split; idle is wall time minus busy time;
+    /// * `{label}.item_us` (histogram) — per-item latency across all
+    ///   workers;
+    /// * `{label}.workers` (gauge) — resolved fan-out width this call.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`parallel_map_pooled`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is empty.
+    fn parallel_map_pooled_traced<S, R, F>(
+        pool: &mut [S],
+        num_items: usize,
+        f: F,
+        tele: &Telemetry,
+        label: &str,
+    ) -> Result<Vec<R>>
+    where
+        S: Send,
+        R: Send,
+        F: Fn(&mut S, usize) -> Result<R> + Sync,
+    {
+        if !tele.is_enabled() {
+            return parallel_map_pooled(pool, num_items, f);
+        }
+        assert!(!pool.is_empty(), "worker pool must have at least one scratch slot");
+        if num_items == 0 {
+            return Ok(Vec::new());
+        }
+        let workers = pool.len().min(num_items);
+        tele.gauge_set(Class::Runtime, &format!("{label}.workers"), workers as f64);
+        let wall_start = Instant::now();
+        if workers == 1 {
+            let mut local = MetricsRegistry::new();
+            let state = &mut pool[0];
+            let results: Result<Vec<R>> = (0..num_items)
+                .map(|i| {
+                    let t0 = Instant::now();
+                    let out = f(state, i);
+                    record_item(&mut local, label, 0, t0.elapsed());
+                    out
+                })
+                .collect();
+            record_idle(&mut local, label, 1, wall_start.elapsed());
+            tele.merge_registry(&local);
+            return results;
+        }
+        let mut slots: Vec<Option<Result<R>>> = Vec::with_capacity(num_items);
+        slots.resize_with(num_items, || None);
+        let mut worker_metrics: Vec<MetricsRegistry> = Vec::with_capacity(workers);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let mut handles = Vec::with_capacity(workers);
+            for (wid, state) in pool.iter_mut().take(workers).enumerate() {
+                let tx = tx.clone();
+                let f = &f;
+                handles.push(scope.spawn(move || {
+                    let mut local = MetricsRegistry::new();
+                    for i in (wid..num_items).step_by(workers) {
+                        let t0 = Instant::now();
+                        let out = f(state, i);
+                        record_item(&mut local, label, wid, t0.elapsed());
+                        if tx.send((i, out)).is_err() {
+                            break;
+                        }
+                    }
+                    local
+                }));
+            }
+            drop(tx);
+            for (i, out) in rx {
+                slots[i] = Some(out);
+            }
+            // Join in spawn (worker-index) order: the merge sequence —
+            // and therefore the merged registry — is fixed.
+            for handle in handles {
+                worker_metrics.push(handle.join().expect("worker panicked"));
+            }
+        });
+        let wall = wall_start.elapsed();
+        let mut merged = MetricsRegistry::new();
+        for local in &worker_metrics {
+            merged.merge_from(local);
+        }
+        record_idle(&mut merged, label, workers, wall);
+        tele.merge_registry(&merged);
+        let mut results = Vec::with_capacity(num_items);
+        for slot in slots {
+            results.push(slot.expect("every index is assigned to exactly one worker")?);
+        }
+        Ok(results)
+    }
+
+    /// Scoped-thread reference for [`TrainerPool::evaluate`]: counts the
+    /// correct predictions of `model` on `set` block by block across
+    /// `pool`, loading the parameters for every block, and sums the
+    /// counts in block order.
+    fn evaluate_chunked(
+        model: &Mlp,
+        set: &LabeledSet,
+        pool: &mut [ClientTrainer],
+    ) -> Result<(usize, f64)> {
+        let n = set.len();
+        let params = model.parameters();
+        let counts = parallel_map_pooled(pool, n.div_ceil(EVAL_CHUNK_ROWS), |trainer, c| {
+            let start = c * EVAL_CHUNK_ROWS;
+            trainer.load_parameters(&params)?;
+            trainer.count_correct_rows(set, start, EVAL_CHUNK_ROWS.min(n - start))
+        })?;
+        let correct: usize = counts.into_iter().sum();
+        Ok((correct, correct as f64 / n as f64))
+    }
 
     #[test]
     fn explicit_thread_request_wins() {
@@ -996,7 +981,7 @@ mod tests {
         assert_eq!(serial, parallel);
         // And both agree with the model's own whole-set accuracy.
         let direct = model.accuracy(task.test().features(), task.test().labels()).unwrap();
-        assert_eq!(serial.1, direct);
+        assert_eq!(serial.1.to_bits(), direct.to_bits());
     }
 
     #[test]
@@ -1091,13 +1076,17 @@ mod tests {
         model.set_parameters(&global).unwrap();
         let mut scratch = vec![ClientTrainer::new(&[6, 8, 4]).unwrap()];
         let reference = evaluate_chunked(&model, task.test(), &mut scratch).unwrap();
+        // The whole-set oracle: one allocating forward pass, no blocks.
+        let direct = model.accuracy(task.test().features(), task.test().labels()).unwrap();
+        assert_eq!(reference.1.to_bits(), direct.to_bits());
         let disabled = Telemetry::disabled();
-        for workers in [1, 2, 5] {
+        for workers in [1, 2, 3, 4, 5, 8] {
             let got = with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
                 pool.evaluate(&global, &disabled)
             })
             .unwrap();
-            assert_eq!(got, reference, "divergence at {workers} workers");
+            assert_eq!(got.0, reference.0, "count diverges at {workers} workers");
+            assert_eq!(got.1.to_bits(), direct.to_bits(), "accuracy diverges at {workers} workers");
         }
     }
 

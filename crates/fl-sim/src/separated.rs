@@ -135,7 +135,7 @@ pub fn run_separated(
             for (slot, &u) in trained.iter().enumerate() {
                 let client = &setup.clients()[u];
                 let w = client.num_samples() as f64;
-                let (_, acc) = trainer.evaluate_params(&models[slot], &eval_set)?;
+                let acc = trainer.evaluate_params(&models[slot], &eval_set)?;
                 weighted += acc * w;
                 weight_total += w;
             }

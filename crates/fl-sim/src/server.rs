@@ -4,7 +4,6 @@
 
 use tinynn::model::Mlp;
 
-use crate::dataset::LabeledSet;
 use crate::error::{FlError, Result};
 
 /// The FL central controller: a base station + edge server holding the
@@ -87,25 +86,11 @@ impl Flcc {
         let merged: Vec<f32> = acc.into_iter().map(|v| v as f32).collect();
         self.global.set_parameters(&merged).map_err(FlError::from)
     }
-
-    /// Evaluates the global model: `(loss, accuracy)` on `set`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors (e.g. empty set).
-    pub fn evaluate(&self, set: &LabeledSet) -> Result<(f32, f64)> {
-        let loss =
-            self.global.loss(set.features(), set.labels()).map_err(FlError::from)?;
-        let acc =
-            self.global.accuracy(set.features(), set.labels()).map_err(FlError::from)?;
-        Ok((loss, acc))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tinynn::tensor::Matrix;
 
     fn flcc() -> Flcc {
         Flcc::new(&[4, 6, 3], 7).unwrap()
@@ -170,15 +155,5 @@ mod tests {
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
         // Wrong length is a shape error, not a silent truncation.
         assert!(fresh.restore_parameters(&[0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn evaluate_reports_loss_and_accuracy() {
-        let s = flcc();
-        let x = Matrix::zeros(6, 4).unwrap();
-        let set = LabeledSet::new(x, vec![0, 1, 2, 0, 1, 2]).unwrap();
-        let (loss, acc) = s.evaluate(&set).unwrap();
-        assert!(loss > 0.0);
-        assert!((0.0..=1.0).contains(&acc));
     }
 }

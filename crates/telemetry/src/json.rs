@@ -7,9 +7,9 @@
 //! parser half ([`parse`], [`validate`]) exists so the trace checker
 //! can verify that every emitted JSONL line round-trips.
 //!
-//! (This module originated as `helcfl_bench::json`, which now
-//! re-exports it; the telemetry crate sits at the bottom of the
-//! dependency graph so every crate can emit structured events.)
+//! (It lives in the telemetry crate because that crate sits at the
+//! bottom of the dependency graph, so every crate can emit structured
+//! events.)
 
 use std::fmt::Write as _;
 

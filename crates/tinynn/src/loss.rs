@@ -136,44 +136,6 @@ pub fn softmax_cross_entropy_into(
     Ok((loss / n as f64) as f32)
 }
 
-/// Summed (not mean) cross-entropy over a batch, computed streaming
-/// with no intermediate matrix.
-///
-/// Returned as `f64` so callers can combine per-chunk sums exactly:
-/// the chunked parallel evaluator accumulates these in fixed chunk
-/// order, making the total independent of the worker count. Divide by
-/// the total row count for the mean.
-///
-/// # Errors
-///
-/// Same conditions as [`softmax_cross_entropy_loss`].
-pub fn softmax_cross_entropy_loss_sum(logits: &Matrix, labels: &[usize]) -> Result<f64> {
-    let n = logits.rows();
-    let k = logits.cols();
-    if n == 0 {
-        return Err(NnError::EmptyBatch);
-    }
-    if labels.len() != n {
-        return Err(NnError::ShapeMismatch {
-            left: (n, k),
-            right: (labels.len(), 1),
-            op: "softmax_cross_entropy_loss_sum",
-        });
-    }
-    if let Some(&bad) = labels.iter().find(|&&l| l >= k) {
-        return Err(NnError::LabelOutOfRange { label: bad, classes: k });
-    }
-    let mut loss = 0.0f64;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = logits.row(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let sum_exp: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-        let p = ((row[label] - max).exp() / sum_exp).max(1e-12);
-        loss -= f64::from(p.ln());
-    }
-    Ok(loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,35 +24,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> Result<f64> {
     Ok(correct as f64 / labels.len() as f64)
 }
 
-/// Number of rows of `logits` whose argmax (ties → first, matching
-/// [`crate::tensor::Matrix::argmax_rows`]) equals the label —
-/// allocation-free, exact, and order-independent, which is what lets
-/// the chunked parallel evaluator produce bit-identical accuracy at
-/// any worker count.
-///
-/// # Errors
-///
-/// Returns [`NnError::EmptyBatch`] for empty or mismatched inputs.
-pub fn count_correct(logits: &crate::tensor::Matrix, labels: &[usize]) -> Result<usize> {
-    if labels.is_empty() || logits.rows() != labels.len() {
-        return Err(NnError::EmptyBatch);
-    }
-    let mut correct = 0;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = logits.row(r);
-        let mut best = 0;
-        for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = i;
-            }
-        }
-        if best == label {
-            correct += 1;
-        }
-    }
-    Ok(correct)
-}
-
 /// A `k × k` confusion matrix; `counts[t][p]` counts samples of true
 /// class `t` predicted as `p`.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,7 +15,7 @@ use crate::layer::{Dense, DenseGrad};
 use crate::loss::{
     softmax_cross_entropy, softmax_cross_entropy_into, softmax_cross_entropy_loss,
 };
-use crate::tensor::Matrix;
+use crate::tensor::{argmax_row, matmul_bias_rows_into, Matrix};
 
 /// Gradients of all layers of an [`Mlp`], ordered input → output.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,22 +267,45 @@ impl Mlp {
         Ok((loss, Gradients { layers: grads }))
     }
 
-    /// Fused forward pass into `scratch`: each hidden activation via
-    /// [`Dense::forward_relu_into`], the logits via
+    /// Fused forward pass into `scratch` for the row-major
+    /// `rows × cols` input block `x`: the first layer's fused GEMM
+    /// reads `x` in place (it may be a row range of a larger matrix),
+    /// each later hidden activation comes from
+    /// [`Dense::forward_relu_into`], and the logits from
     /// [`Dense::forward_into`] — one output sweep per layer, no
-    /// pre-activation buffers.
-    fn forward_scratch(&self, x: &Matrix, scratch: &mut TrainScratch) -> Result<()> {
+    /// pre-activation buffers. A one-layer model writes the logits
+    /// straight from `x`.
+    fn forward_scratch(
+        &self,
+        x: &[f32],
+        rows: usize,
+        cols: usize,
+        scratch: &mut TrainScratch,
+    ) -> Result<()> {
         let n = self.layers.len();
-        for i in 0..n - 1 {
-            if i == 0 {
-                self.layers[0].forward_relu_into(x, &mut scratch.acts[0])?;
-            } else {
-                let (done, rest) = scratch.acts.split_at_mut(i);
-                self.layers[i].forward_relu_into(&done[i - 1], &mut rest[0])?;
-            }
+        let TrainScratch { acts, logits, .. } = scratch;
+        let first = &self.layers[0];
+        let first_out = if n == 1 { &mut *logits } else { &mut acts[0] };
+        matmul_bias_rows_into(x, rows, cols, first.weights(), first.bias(), n > 1, first_out)?;
+        for i in 1..n - 1 {
+            let (done, rest) = acts.split_at_mut(i);
+            self.layers[i].forward_relu_into(&done[i - 1], &mut rest[0])?;
         }
-        let last_input = if n == 1 { x } else { &scratch.acts[n - 2] };
-        self.layers[n - 1].forward_into(last_input, &mut scratch.logits)
+        if n > 1 {
+            self.layers[n - 1].forward_into(&acts[n - 2], logits)?;
+        }
+        Ok(())
+    }
+
+    /// Rejects a scratch built for a model of different depth.
+    fn check_scratch(&self, scratch: &TrainScratch) -> Result<()> {
+        if scratch.acts.len() + 1 != self.layers.len() {
+            return Err(NnError::ParameterCountMismatch {
+                expected: self.layers.len(),
+                actual: scratch.acts.len() + 1,
+            });
+        }
+        Ok(())
     }
 
     /// [`Mlp::gradients`] without allocation: the loss is returned and
@@ -310,7 +333,7 @@ impl Mlp {
                 actual: scratch.grads.layers.len(),
             });
         }
-        self.forward_scratch(x, scratch)?;
+        self.forward_scratch(x.as_slice(), x.rows(), x.cols(), scratch)?;
         let loss = softmax_cross_entropy_into(&scratch.logits, labels, &mut scratch.dz)?;
 
         // Backward through layers, alternating the dz/dx buffers and
@@ -384,14 +407,60 @@ impl Mlp {
         x: &Matrix,
         scratch: &'s mut TrainScratch,
     ) -> Result<&'s Matrix> {
-        if scratch.acts.len() + 1 != self.layers.len() {
-            return Err(NnError::ParameterCountMismatch {
-                expected: self.layers.len(),
-                actual: scratch.acts.len() + 1,
-            });
-        }
-        self.forward_scratch(x, scratch)?;
+        self.check_scratch(scratch)?;
+        self.forward_scratch(x.as_slice(), x.rows(), x.cols(), scratch)?;
         Ok(&scratch.logits)
+    }
+
+    /// Number of rows in `start..start + len` of `x` whose predicted
+    /// class equals their label — the accuracy-only evaluation path.
+    /// `labels` holds one label per row of `x` (the whole set, not just
+    /// the range).
+    ///
+    /// The first layer reads the row range of `x` in place, through
+    /// the same fused kernels as [`Mlp::forward_with`]; no softmax or
+    /// loss is formed, and each logits row goes through a branch-free
+    /// argmax with [`Matrix::argmax_rows`] semantics. The count equals
+    /// what [`Mlp::accuracy`] would find on a copy of the range, and,
+    /// being an integer, sums exactly over any split of a set into
+    /// ranges.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::EmptyBatch`] for `len == 0`,
+    /// [`NnError::ShapeMismatch`] if `labels.len() != x.rows()`, the
+    /// range runs past the last row, or `x.cols()` differs from the
+    /// input width, and [`NnError::ParameterCountMismatch`] if
+    /// `scratch` was built for a differently-shaped model.
+    pub fn count_correct_rows(
+        &self,
+        x: &Matrix,
+        start: usize,
+        len: usize,
+        labels: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<usize> {
+        self.check_scratch(scratch)?;
+        if len == 0 {
+            return Err(NnError::EmptyBatch);
+        }
+        let end = start.checked_add(len).filter(|&end| end <= x.rows() && labels.len() == x.rows());
+        let Some(end) = end else {
+            return Err(NnError::ShapeMismatch {
+                left: x.shape(),
+                right: (start.saturating_add(len), labels.len()),
+                op: "count_correct_rows",
+            });
+        };
+        let cols = x.cols();
+        self.forward_scratch(&x.as_slice()[start * cols..end * cols], len, cols, scratch)?;
+        let logits = &scratch.logits;
+        Ok(logits
+            .as_slice()
+            .chunks_exact(logits.cols())
+            .zip(&labels[start..end])
+            .map(|(row, &label)| usize::from(argmax_row(row) == label))
+            .sum())
     }
 
     /// Applies precomputed gradients with learning rate `lr`.

@@ -213,6 +213,74 @@ impl NtPanel {
     }
 }
 
+/// `lhs · rhs + bias` (with an optional ReLU epilogue) for a left
+/// operand given as a row-major `rows × cols` slice — the one entry
+/// behind [`Matrix::matmul_bias_into`] and
+/// [`Matrix::matmul_bias_relu_into`]. Taking a slice lets a caller run
+/// a contiguous row range of a larger matrix through the fused kernels
+/// in place, with no copy into a staging matrix; the arithmetic is the
+/// same per output row whatever the range.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] unless `cols == rhs.rows` and
+/// `bias.len() == rhs.cols`, and [`NnError::ZeroDimension`] for
+/// `rows == 0`.
+pub(crate) fn matmul_bias_rows_into(
+    lhs: &[f32],
+    rows: usize,
+    cols: usize,
+    rhs: &Matrix,
+    bias: &[f32],
+    relu: bool,
+    out: &mut Matrix,
+) -> Result<()> {
+    debug_assert_eq!(lhs.len(), rows * cols);
+    if cols != rhs.rows {
+        return Err(NnError::ShapeMismatch {
+            left: (rows, cols),
+            right: rhs.shape(),
+            op: "matmul_bias",
+        });
+    }
+    if bias.len() != rhs.cols {
+        return Err(NnError::ShapeMismatch {
+            left: (1, bias.len()),
+            right: (1, rhs.cols),
+            op: "matmul_bias",
+        });
+    }
+    out.resize_for_kernel(rows, rhs.cols)?;
+    match simd::active_path() {
+        SimdPath::Scalar => {
+            for (lhs_row, out_row) in
+                lhs.chunks_exact(cols).zip(out.data.chunks_exact_mut(rhs.cols))
+            {
+                gemm_row::<true>(lhs_row, 1, cols, &rhs.data, rhs.cols, out_row, Some(bias), relu);
+            }
+        }
+        path => simd::gemm_nn(path, lhs, rows, cols, &rhs.data, rhs.cols, &mut out.data, Some(bias), relu),
+    }
+    Ok(())
+}
+
+/// Index of the largest element of a non-empty row: strict `>`, so
+/// ties go to the first index, a NaN never wins a comparison, and a NaN
+/// at index 0 is never displaced. The running best is kept as a value
+/// and both updates are selects, not a branch, so a data-dependent
+/// winner costs no mispredicts.
+#[inline]
+pub(crate) fn argmax_row(row: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = row[0];
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        let take = v > best_v;
+        best = if take { i } else { best };
+        best_v = if take { v } else { best_v };
+    }
+    best
+}
+
 /// A dense row-major matrix of `f32`.
 ///
 /// # Examples
@@ -506,7 +574,7 @@ impl Matrix {
     /// Returns [`NnError::ShapeMismatch`] unless `self.cols == rhs.rows`
     /// and `bias.len() == rhs.cols`.
     pub fn matmul_bias_into(&self, rhs: &Self, bias: &[f32], out: &mut Self) -> Result<()> {
-        self.matmul_bias_fused(rhs, bias, false, out)
+        matmul_bias_rows_into(&self.data, self.rows, self.cols, rhs, bias, false, out)
     }
 
     /// [`Matrix::matmul_bias_into`] with a fused ReLU epilogue:
@@ -524,61 +592,7 @@ impl Matrix {
         bias: &[f32],
         out: &mut Self,
     ) -> Result<()> {
-        self.matmul_bias_fused(rhs, bias, true, out)
-    }
-
-    fn matmul_bias_fused(
-        &self,
-        rhs: &Self,
-        bias: &[f32],
-        relu: bool,
-        out: &mut Self,
-    ) -> Result<()> {
-        if self.cols != rhs.rows {
-            return Err(NnError::ShapeMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul_bias",
-            });
-        }
-        if bias.len() != rhs.cols {
-            return Err(NnError::ShapeMismatch {
-                left: (1, bias.len()),
-                right: (1, rhs.cols),
-                op: "matmul_bias",
-            });
-        }
-        out.resize_for_kernel(self.rows, rhs.cols)?;
-        match simd::active_path() {
-            SimdPath::Scalar => {
-                for i in 0..self.rows {
-                    let lhs_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    gemm_row::<true>(
-                        lhs_row,
-                        1,
-                        self.cols,
-                        &rhs.data,
-                        rhs.cols,
-                        out_row,
-                        Some(bias),
-                        relu,
-                    );
-                }
-            }
-            path => simd::gemm_nn(
-                path,
-                &self.data,
-                self.rows,
-                self.cols,
-                &rhs.data,
-                rhs.cols,
-                &mut out.data,
-                Some(bias),
-                relu,
-            ),
-        }
-        Ok(())
+        matmul_bias_rows_into(&self.data, self.rows, self.cols, rhs, bias, true, out)
     }
 
     /// Transposed-left product `selfᵀ · rhs` without materializing the
@@ -875,30 +889,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Copies the contiguous row range `start..start + len` into a
-    /// caller-owned matrix (resized as needed; zero allocation at
-    /// steady state). The block-extraction primitive behind chunked
-    /// parallel evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ZeroDimension`] if `len == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    pub fn copy_rows_into(&self, start: usize, len: usize, out: &mut Self) -> Result<()> {
-        if len == 0 {
-            return Err(NnError::ZeroDimension { context: "Matrix::copy_rows_into" });
-        }
-        assert!(start + len <= self.rows, "row range out of bounds");
-        out.rows = len;
-        out.cols = self.cols;
-        out.data.clear();
-        out.data.extend_from_slice(&self.data[start * self.cols..(start + len) * self.cols]);
-        Ok(())
-    }
-
     /// Element-wise in-place addition of `rhs * scale`.
     ///
     /// # Errors
@@ -925,20 +915,10 @@ impl Matrix {
         }
     }
 
-    /// Index of the maximum element in each row (ties → first).
+    /// Index of the maximum element in each row (ties → first; a NaN
+    /// is never picked unless it sits at index 0, where it stays).
     pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        self.data.chunks_exact(self.cols).map(argmax_row).collect()
     }
 
     /// Frobenius norm.
@@ -1069,6 +1049,54 @@ mod tests {
     fn argmax_rows_picks_first_maximum() {
         let m = Matrix::from_rows(&[&[1.0, 3.0, 2.0], &[5.0, 5.0, 4.0]]).unwrap();
         assert_eq!(m.argmax_rows(), vec![1, 0]);
+    }
+
+    /// The branchy argmax [`argmax_row`] replaced, kept as the oracle
+    /// for its tie, NaN, and infinity semantics.
+    fn argmax_branchy(row: &[f32]) -> usize {
+        let mut best = 0;
+        for (i, &v) in row.iter().enumerate() {
+            if v > row[best] {
+                best = i;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn argmax_row_matches_the_branchy_oracle_on_adversarial_rows() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let cases: [(&[f32], usize); 13] = [
+            (&[7.0], 0),
+            (&[1.0, 1.0, 0.5], 0),
+            (&[0.5, 1.0, 2.0, 2.0], 2),
+            (&[3.0, 1.0, 2.0, 3.0], 0),
+            (&[0.5, 1.0, 2.0, 9.0], 3),
+            (&[nan, 5.0, inf], 0),
+            (&[1.0, nan, 0.5], 0),
+            (&[1.0, nan, 2.0], 2),
+            (&[0.5, 1.0, nan], 1),
+            (&[-inf, -inf, -inf], 0),
+            (&[-inf, -1.0, inf, inf], 2),
+            (&[-1.0, -inf], 0),
+            (&[-0.0, 0.0], 0),
+        ];
+        for (row, want) in cases {
+            assert_eq!(argmax_branchy(row), want, "oracle on {row:?}");
+            assert_eq!(argmax_row(row), want, "{row:?}");
+        }
+        // Random rows over a small alphabet, so ties, NaNs, and
+        // infinities land at every position, including the first and
+        // the last.
+        let alphabet = [nan, -inf, inf, -1.0, -0.0, 0.0, 1.0, 2.0];
+        let mut rng = detrand::Rng::seed_from_u64(17);
+        for case in 0..2000 {
+            let len = 1 + rng.below(12);
+            let row: Vec<f32> = (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect();
+            assert_eq!(argmax_row(&row), argmax_branchy(&row), "case {case}: {row:?}");
+        }
+        let m = Matrix::from_rows(&[&[nan, 1.0], &[1.0, nan], &[inf, inf]]).unwrap();
+        assert_eq!(m.argmax_rows(), vec![0, 0, 0]);
     }
 
     #[test]

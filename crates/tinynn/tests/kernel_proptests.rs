@@ -17,6 +17,7 @@
 //! the zero-skip path, which must be a pure no-op on the result.
 
 use detrand::Rng;
+use tinynn::model::{Mlp, TrainScratch};
 use tinynn::simd::{available_paths, force_path_for_tests, SimdPath};
 use tinynn::tensor::{Matrix, NtPanel};
 
@@ -525,4 +526,135 @@ fn zero_dimension_constructors_are_rejected() {
     assert!(Matrix::zeros(3, 0).is_err());
     assert!(Matrix::from_vec(0, 0, Vec::new()).is_err());
     assert!(Matrix::from_rows(&[]).is_err());
+}
+
+/// Correct predictions among `labels` on a copy of the row block
+/// `start..start + len` of `x`, through the allocating forward pass and
+/// [`Matrix::argmax_rows`], cross-checked against [`Mlp::accuracy`] —
+/// the oracle the in-place counting path must reproduce.
+fn count_on_copy(model: &Mlp, x: &Matrix, start: usize, len: usize, labels: &[usize]) -> usize {
+    let cols = x.cols();
+    let block =
+        Matrix::from_vec(len, cols, x.as_slice()[start * cols..(start + len) * cols].to_vec())
+            .unwrap();
+    let block_labels = &labels[start..start + len];
+    let preds = model.forward(&block).unwrap().argmax_rows();
+    let correct = preds.iter().zip(block_labels).filter(|(p, l)| p == l).count();
+    assert_eq!(
+        correct as f64 / len as f64,
+        model.accuracy(&block, block_labels).unwrap(),
+        "oracle disagrees with Mlp::accuracy"
+    );
+    correct
+}
+
+/// `Mlp::count_correct_rows` reads row ranges of the eval matrix in
+/// place; on every kernel path it must count exactly what the
+/// allocating forward pass finds on a copied block. Ranges cover a
+/// full 256-row chunk, the 208-row tail of a 2 000-row set, single
+/// rows, non-zero offsets, and a set smaller than one chunk; models
+/// cover the paper's `[64, 64, 10]`, a deeper net, and one layer.
+#[test]
+fn count_correct_rows_matches_the_copied_block_oracle_on_every_path() {
+    let mut rng = Rng::seed_from_u64(0x4e4e_0031);
+    let big = gen_matrix(&mut rng, 2000, 64);
+    let big_labels: Vec<usize> = (0..2000).map(|_| rng.below(10)).collect();
+    let small = gen_matrix(&mut rng, 100, 64);
+    let small_labels: Vec<usize> = (0..100).map(|_| rng.below(10)).collect();
+    let ranges: [(&Matrix, &[usize], usize, usize); 8] = [
+        (&big, &big_labels, 0, 256),
+        (&big, &big_labels, 1792, 208),
+        (&big, &big_labels, 0, 1),
+        (&big, &big_labels, 1999, 1),
+        (&big, &big_labels, 37, 100),
+        (&big, &big_labels, 512, 256),
+        (&big, &big_labels, 0, 2000),
+        (&small, &small_labels, 0, 100),
+    ];
+    for dims in [&[64, 64, 10][..], &[64, 24, 16, 10], &[64, 10]] {
+        let model = Mlp::new(dims, 7).unwrap();
+        let want: Vec<usize> =
+            ranges.iter().map(|&(x, l, s, n)| count_on_copy(&model, x, s, n, l)).collect();
+        // Chunked counts over the whole set sum to the whole-set count.
+        let chunked: usize = (0..2000)
+            .step_by(256)
+            .map(|s| count_on_copy(&model, &big, s, 256.min(2000 - s), &big_labels))
+            .sum();
+        assert_eq!(chunked, want[6], "{dims:?}: chunked oracle");
+        for &path in &available_paths() {
+            let _guard = PathGuard::force(path);
+            // One scratch across every range, so buffers shrink and
+            // regrow between calls.
+            let mut scratch = TrainScratch::for_model(&model).unwrap();
+            for (&(x, labels, start, len), &want) in ranges.iter().zip(&want) {
+                let got = model.count_correct_rows(x, start, len, labels, &mut scratch).unwrap();
+                assert_eq!(got, want, "{dims:?} rows {start}+{len} [{}]", path.name());
+            }
+        }
+    }
+}
+
+/// Adversarial logits through the whole counting path. A one-layer
+/// model computes `[2f0 − 2f1 + 1, 2f4, 2f2 − 2f3, 2f4 + 1]`; with
+/// `B = 2e38`, `2B` overflows to `inf` and `2B − 2B` gives NaN, so
+/// chosen features put exact ties at the first and the last index, NaN
+/// at index 0 and mid-row, and ±inf into the logits.
+#[test]
+fn count_correct_rows_keeps_argmax_semantics_on_adversarial_logits() {
+    const B: f32 = 2e38;
+    let mut model = Mlp::new(&[5, 4], 0).unwrap();
+    #[rustfmt::skip]
+    let params = [
+        2.0, 0.0, 0.0, 0.0,
+        -2.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 2.0, 0.0,
+        0.0, 0.0, -2.0, 0.0,
+        0.0, 2.0, 0.0, 2.0,
+        1.0, 0.0, 0.0, 1.0, // bias
+    ];
+    model.set_parameters(&params).unwrap();
+    let rows: [([f32; 5], usize); 8] = [
+        ([0.0, 0.0, 0.0, 0.0, 0.0], 0),  // [1, 0, 0, 1]: tie first/last
+        ([B, B, 0.0, 0.0, 0.0], 0),      // [NaN, 0, 0, 1]: NaN at 0 sticks
+        ([0.0, 0.0, B, B, 0.25], 3),     // [1, 0.5, NaN, 1.5]: NaN mid-row
+        ([0.0, 0.0, B, 0.0, -1.0], 2),   // [1, -2, inf, -1]
+        ([B, 0.0, 0.0, 0.0, B], 0),      // [inf, inf, 0, inf]
+        ([0.0, B, 0.0, 0.0, 0.0], 3),    // [-inf, 0, 0, 1]
+        ([0.0, B, 0.0, B, -B], 0),       // all -inf
+        ([-1.0, 0.0, 1.0, 0.0, 0.5], 2), // [-1, 1, 2, 2]: tie at the last
+    ];
+    let x = Matrix::from_vec(8, 5, rows.iter().flat_map(|(f, _)| *f).collect()).unwrap();
+    let expected: Vec<usize> = rows.iter().map(|&(_, class)| class).collect();
+    assert_eq!(model.forward(&x).unwrap().argmax_rows(), expected);
+    for &path in &available_paths() {
+        let _guard = PathGuard::force(path);
+        let mut scratch = TrainScratch::for_model(&model).unwrap();
+        for class in 0..4 {
+            let labels = vec![class; 8];
+            let want = expected.iter().filter(|&&p| p == class).count();
+            let got = model.count_correct_rows(&x, 0, 8, &labels, &mut scratch).unwrap();
+            assert_eq!(got, want, "class {class} [{}]", path.name());
+        }
+        for start in 0..8 {
+            let got = model.count_correct_rows(&x, start, 1, &expected, &mut scratch).unwrap();
+            assert_eq!(got, 1, "row {start} [{}]", path.name());
+        }
+    }
+}
+
+#[test]
+fn count_correct_rows_rejects_bad_ranges_and_shapes() {
+    let model = Mlp::new(&[3, 4, 2], 0).unwrap();
+    let mut scratch = TrainScratch::for_model(&model).unwrap();
+    let x = Matrix::zeros(5, 3).unwrap();
+    let labels = [0usize; 5];
+    assert!(model.count_correct_rows(&x, 0, 0, &labels, &mut scratch).is_err());
+    assert!(model.count_correct_rows(&x, 4, 2, &labels, &mut scratch).is_err());
+    assert!(model.count_correct_rows(&x, usize::MAX, 2, &labels, &mut scratch).is_err());
+    assert!(model.count_correct_rows(&x, 0, 5, &labels[..4], &mut scratch).is_err());
+    let wide = Matrix::zeros(5, 4).unwrap();
+    assert!(model.count_correct_rows(&wide, 0, 5, &labels, &mut scratch).is_err());
+    let mut other = TrainScratch::for_model(&Mlp::new(&[3, 2], 0).unwrap()).unwrap();
+    assert!(model.count_correct_rows(&x, 0, 5, &labels, &mut other).is_err());
+    assert_eq!(model.count_correct_rows(&x, 0, 5, &labels, &mut scratch).unwrap(), 5);
 }
