@@ -1,13 +1,16 @@
-//! Population-scaling benchmark: selection + frequency determination
-//! at fleet sizes the paper never reaches.
+//! Population-scaling benchmark: the per-round control plane —
+//! selection, frequency determination and the TDMA timeline — at fleet
+//! sizes the paper never reaches.
 //!
 //! For each population size `Q` the harness builds a struct-of-arrays
 //! [`Fleet`](mec_sim::fleet::Fleet) (no `Vec<Device>` is ever
-//! materialized), runs the indexed HELCFL selector plus the Alg.-3
-//! slack DVFS policy over a fleet-backed context, and reports
-//! per-round latency percentiles and resident bytes per device. The
-//! first warmup round absorbs the one-time index build; measured
-//! rounds reflect the steady state a long training run lives in.
+//! materialized for the whole fleet), runs the indexed HELCFL selector
+//! over a fleet-backed context, gathers the cohort, assigns Alg.-3
+//! slack DVFS frequencies and resolves the round's TDMA timeline. It
+//! reports per-round latency percentiles, the p50 of each of those
+//! four phases, and resident bytes per device. The first warmup round
+//! absorbs the one-time index build; measured rounds reflect the
+//! steady state a long training run lives in.
 //!
 //! The selection target scales as `min(max(Q/1000, 10), 10 000)` —
 //! the paper's `C = 0.1` would select 100 000 devices at `Q = 10^6`,
@@ -133,9 +136,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(args.seed)
             .build_fleet()?;
         let mut selector = IndexedDecaySelector::default();
-        // Warmup: round 1 pays the one-time index build; later warmup
-        // rounds settle counters into their steady-state spread.
-        for round in 1..=warmup {
+        // One measured control-plane round: Alg. 2 selection, the
+        // cohort gather, Alg. 3 DVFS and the TDMA timeline, returning
+        // each phase's nanoseconds in that order.
+        let mut control_round = |round: usize| -> Result<[u64; 4], Box<dyn std::error::Error>> {
+            let started = Instant::now();
             let ctx = SelectionContext {
                 round,
                 devices: (&fleet).into(),
@@ -143,37 +148,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 target,
             };
             let selected = selector.select(&ctx)?;
-            let _ = SlackFrequencyPolicy.frequencies(&fleet.gather(&selected), payload)?;
+            let selected_at = started.elapsed();
+            let cohort = fleet.gather(&selected);
+            let gathered_at = started.elapsed();
+            let freqs = SlackFrequencyPolicy.frequencies(&cohort, payload)?;
+            let dvfs_at = started.elapsed();
+            let timeline = RoundTimeline::simulate(&cohort, &freqs, payload)?;
+            let timeline_at = started.elapsed();
+            assert_eq!(timeline.activities().len(), target, "timeline must cover the cohort");
+            let ns = |d: std::time::Duration| d.as_nanos() as u64;
+            Ok([
+                ns(selected_at),
+                ns(gathered_at - selected_at),
+                ns(dvfs_at - gathered_at),
+                ns(timeline_at - dvfs_at),
+            ])
+        };
+        // Warmup: round 1 pays the one-time index build; later warmup
+        // rounds settle counters into their steady-state spread.
+        for round in 1..=warmup {
+            control_round(round)?;
         }
         let build_us = built.elapsed().as_micros() as u64;
 
-        let mut select_us: Vec<u64> = Vec::with_capacity(rounds);
-        let mut round_us: Vec<u64> = Vec::with_capacity(rounds);
+        // Per-phase and whole-round nanoseconds.
+        let mut phase_ns: [Vec<u64>; 4] = Default::default();
+        let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
         for round in 1..=rounds {
-            let started = Instant::now();
-            let ctx = SelectionContext {
-                round: warmup + round,
-                devices: (&fleet).into(),
-                payload,
-                target,
-            };
-            let selected = selector.select(&ctx)?;
-            select_us.push(started.elapsed().as_micros() as u64);
-            let freqs =
-                SlackFrequencyPolicy.frequencies(&fleet.gather(&selected), payload)?;
-            round_us.push(started.elapsed().as_micros() as u64);
-            assert_eq!(freqs.len(), target, "policy must cover the whole cohort");
+            let phases = control_round(warmup + round)?;
+            for (samples, ns) in phase_ns.iter_mut().zip(phases) {
+                samples.push(ns);
+            }
+            round_ns.push(phases.iter().sum());
         }
-        select_us.sort_unstable();
-        round_us.sort_unstable();
+        let p50_us = |samples: &mut Vec<u64>| {
+            samples.sort_unstable();
+            percentile_nearest_rank(samples, 0.5) as f64 / 1e3
+        };
+        let [select_p50, gather_p50, dvfs_p50, timeline_p50] = phase_ns.each_mut().map(p50_us);
+        round_ns.sort_unstable();
         let bytes = fleet.memory_bytes() + selector.memory_bytes();
         let bytes_per_device = bytes as f64 / q as f64;
-        let p50 = percentile_nearest_rank(&round_us, 0.5);
-        let p99 = percentile_nearest_rank(&round_us, 0.99);
+        let p50 = percentile_nearest_rank(&round_ns, 0.5) as f64 / 1e3;
+        let p99 = percentile_nearest_rank(&round_ns, 0.99) as f64 / 1e3;
         println!(
-            "  Q={q:>9}  target {target:>6}  round p50 {p50:>8} µs  p99 {p99:>8} µs  \
+            "  Q={q:>9}  target {target:>6}  round p50 {p50:>9.1} µs  p99 {p99:>9.1} µs  \
              {bytes_per_device:7.1} B/device  (setup+warmup {:.2} s)",
             build_us as f64 / 1e6
+        );
+        println!(
+            "             p50 select {select_p50:.1} µs  gather {gather_p50:.1} µs  \
+             dvfs {dvfs_p50:.1} µs  timeline {timeline_p50:.1} µs"
         );
 
         // Telemetry overhead: the full selection + DVFS + TDMA round
@@ -276,7 +301,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .field("target", target)
             .field("rounds", rounds)
             .field("build_us", build_us)
-            .field("select_p50_us", percentile_nearest_rank(&select_us, 0.5))
+            .field("select_p50_us", select_p50)
+            .field("gather_p50_us", gather_p50)
+            .field("dvfs_p50_us", dvfs_p50)
+            .field("timeline_p50_us", timeline_p50)
             .field("round_p50_us", p50)
             .field("round_p99_us", p99)
             .field("resident_bytes", bytes)

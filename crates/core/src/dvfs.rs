@@ -20,7 +20,7 @@
 use fl_sim::error::Result;
 use fl_sim::frequency::FrequencyPolicy;
 use helcfl_telemetry::{Class, Telemetry};
-use mec_sim::device::Device;
+use mec_sim::device::{Device, DeviceId};
 use mec_sim::units::{Bits, Hertz, Seconds};
 
 /// The HELCFL frequency policy (Alg. 3).
@@ -64,21 +64,23 @@ impl SlackFrequencyPolicy {
         payload: Bits,
         tele: &Telemetry,
     ) -> Result<Vec<(usize, Hertz)>> {
-        // Line 1: ascending by model-update delay at f_max.
-        let mut order: Vec<usize> = (0..selected.len()).collect();
-        order.sort_by(|&a, &b| {
-            selected[a]
-                .compute_delay_at_max()
-                .partial_cmp(&selected[b].compute_delay_at_max())
-                .expect("delays are finite")
-                .then_with(|| selected[a].id().cmp(&selected[b].id()))
+        // Line 1: ascending by model-update delay at f_max, ties by id,
+        // on keys computed once per device. The stable sort keeps full
+        // ties in input order.
+        let mut order: Vec<(Seconds, DeviceId, usize)> = selected
+            .iter()
+            .enumerate()
+            .map(|(idx, d)| (d.compute_delay_at_max(), d.id(), idx))
+            .collect();
+        order.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("delays are finite").then_with(|| a.1.cmp(&b.1))
         });
 
         let mut assignment = Vec::with_capacity(selected.len());
         let mut channel_free = Seconds::ZERO;
         let mut clamped_min = 0u64;
         let mut clamped_max = 0u64;
-        for (pos, &idx) in order.iter().enumerate() {
+        for (pos, &(_, _, idx)) in order.iter().enumerate() {
             let device = &selected[idx];
             let range = device.cpu().range();
             let f = if pos == 0 {
@@ -151,7 +153,6 @@ mod tests {
     use super::*;
     use mec_sim::comm::Uplink;
     use mec_sim::cpu::DvfsCpu;
-    use mec_sim::device::DeviceId;
     use mec_sim::timeline::RoundTimeline;
     use mec_sim::units::{BitsPerSecond, Watts};
 

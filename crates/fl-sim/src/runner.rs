@@ -883,14 +883,24 @@ pub fn run_federated_traced(
         }
 
         // 2b. Delivery resolution + quorum. Indices into
-        //     `selected_ids` whose update reached the aggregator; the
-        //     fault-free engine delivers everyone by construction.
-        let delivered_idx: Vec<usize> = match &sim {
-            RoundSim::Plain(_) => (0..selected_ids.len()).collect(),
-            RoundSim::Faulted(fr) => (0..selected_ids.len())
-                .filter(|&i| fr.outcome(selected_ids[i]).is_some_and(|o| o.delivered))
-                .collect(),
-        };
+        //     `selected_ids` whose update reached the aggregator, and
+        //     the ids that did not, in one pass over the delivery
+        //     flags; the fault-free engine delivers everyone by
+        //     construction.
+        let mut delivered_idx: Vec<usize> = Vec::with_capacity(selected_ids.len());
+        let mut failed: Vec<DeviceId> = Vec::new();
+        match &sim {
+            RoundSim::Plain(_) => delivered_idx.extend(0..selected_ids.len()),
+            RoundSim::Faulted(fr) => {
+                for (i, delivered) in fr.delivery_by_input().into_iter().enumerate() {
+                    if delivered {
+                        delivered_idx.push(i);
+                    } else {
+                        failed.push(selected_ids[i]);
+                    }
+                }
+            }
+        }
         let quorum_met = delivered_idx.len() >= config.degradation.min_quorum;
         if faulted_engine && tele.events_enabled() {
             round_span
@@ -938,17 +948,11 @@ pub fn run_federated_traced(
             server.aggregate(&updates)?;
         }
         span_phase.end();
-        if faulted_engine && !config.degradation.charge_failed_selections {
+        if !config.degradation.charge_failed_selections && !failed.is_empty() {
             // Refund semantics: a selected-but-failed user gets its
             // Eq. 20 appearance charge α_q rolled back, restoring its
             // long-run selection priority.
-            let failed: Vec<DeviceId> = (0..selected_ids.len())
-                .filter(|i| !delivered_idx.contains(i))
-                .map(|i| selected_ids[i])
-                .collect();
-            if !failed.is_empty() {
-                selector.on_delivery_failure(&failed);
-            }
+            selector.on_delivery_failure(&failed);
         }
 
         // 5. Bookkeeping + evaluation.

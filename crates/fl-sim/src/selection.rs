@@ -304,30 +304,33 @@ pub trait ClientSelector {
 }
 
 /// Validates a selector's output: non-empty, no duplicates, and every
-/// id present in the context's device set. O(selected) when the set
-/// has O(1) membership (masked or fleet-backed).
+/// id present in the context's device set. O(selected · log selected)
+/// when the set has O(1) membership (masked or fleet-backed).
 ///
 /// # Errors
 ///
-/// Returns [`FlError::InvalidSelection`] describing the violation.
+/// Returns [`FlError::InvalidSelection`] naming the first violation in
+/// selection order; at one position, a repeat is reported before a
+/// missing id.
 pub fn validate_selection(ctx: &SelectionContext<'_>, selected: &[DeviceId]) -> Result<()> {
     if selected.is_empty() {
         return Err(FlError::InvalidSelection { reason: "selector returned no users".into() });
     }
-    let mut seen = std::collections::BTreeSet::new();
-    for id in selected {
-        if !seen.insert(*id) {
-            return Err(FlError::InvalidSelection {
-                reason: format!("device {id} selected twice"),
-            });
-        }
-        if !ctx.devices.contains(*id) {
-            return Err(FlError::InvalidSelection {
-                reason: format!("device {id} is not in the population"),
-            });
-        }
+    // Sorting (id, position) pairs makes equal ids neighbours; the later
+    // position of each neighbouring pair is a repeat.
+    let mut by_id: Vec<(DeviceId, usize)> = selected.iter().copied().zip(0..).collect();
+    by_id.sort_unstable();
+    let first_repeat = by_id.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
+    let first_foreign = selected.iter().position(|&id| !ctx.devices.contains(id));
+    match (first_repeat, first_foreign) {
+        (Some(r), f) if f.is_none_or(|f| r <= f) => Err(FlError::InvalidSelection {
+            reason: format!("device {} selected twice", selected[r]),
+        }),
+        (_, Some(f)) => Err(FlError::InvalidSelection {
+            reason: format!("device {} is not in the population", selected[f]),
+        }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// The paper's selection size rule: `N = max(⌊Q·C⌋, 1)` (Alg. 2,
@@ -379,6 +382,57 @@ mod tests {
         assert!(validate_selection(&c, &[DeviceId(0), DeviceId(0)]).is_err());
         assert!(validate_selection(&c, &[DeviceId(9)]).is_err());
         assert!(validate_selection(&c, &[DeviceId(0), DeviceId(4)]).is_ok());
+    }
+
+    /// The in-order scan `validate_selection` replaced: the reference
+    /// for which defect, and which id, a rejection names.
+    fn ordered_scan(ctx: &SelectionContext<'_>, selected: &[DeviceId]) -> Result<()> {
+        if selected.is_empty() {
+            return Err(FlError::InvalidSelection { reason: "selector returned no users".into() });
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for id in selected {
+            if !seen.insert(*id) {
+                return Err(FlError::InvalidSelection {
+                    reason: format!("device {id} selected twice"),
+                });
+            }
+            if !ctx.devices.contains(*id) {
+                return Err(FlError::InvalidSelection {
+                    reason: format!("device {id} is not in the population"),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn validate_selection_names_the_first_defect_in_selection_order() {
+        let pop = PopulationBuilder::paper_default().num_devices(8).build().unwrap();
+        let c = ctx(pop.devices());
+        let ids = |raw: &[usize]| raw.iter().map(|&i| DeviceId(i)).collect::<Vec<_>>();
+        let reason = |raw: &[usize]| validate_selection(&c, &ids(raw)).unwrap_err().to_string();
+        // Two duplicate pairs and an id outside the population: the
+        // first repeat in selection order (v5, not the smaller v2) wins.
+        let multi = [5, 2, 5, 9, 2];
+        assert!(reason(&multi).contains("device v5 selected twice"), "{}", reason(&multi));
+        // The foreign id comes first here.
+        assert!(reason(&[3, 9, 3, 1, 1]).contains("device v9 is not in the population"));
+        // A foreign id repeated is named as missing at its first
+        // occurrence, before its repeat.
+        assert!(reason(&[9, 4, 9]).contains("device v9 is not in the population"));
+        // Seeded sweep against the in-order scan.
+        let mut rng = detrand::Rng::seed_from_u64(0x5e1e_c7ed);
+        for case in 0..2_000 {
+            let n = rng.range_usize(1, 12);
+            let raw: Vec<usize> = (0..n).map(|_| rng.below(11)).collect();
+            let (fast, slow) = (validate_selection(&c, &ids(&raw)), ordered_scan(&c, &ids(&raw)));
+            assert_eq!(
+                fast.map_err(|e| e.to_string()),
+                slow.map_err(|e| e.to_string()),
+                "case {case}: {raw:?}"
+            );
+        }
     }
 
     #[test]

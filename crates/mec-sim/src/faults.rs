@@ -22,9 +22,9 @@ use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
 
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
-use crate::tdma::{TdmaSchedule, UploadRequest};
+use crate::tdma::{TdmaSchedule, UploadRequest, UploadSlot};
 use crate::timeline::{sample_exemplars, DigestConfig};
-use crate::units::{Bits, Hertz, Joules, Seconds};
+use crate::units::{Bits, Hertz, Joules, Seconds, Watts};
 
 /// One fault event afflicting one device for one round.
 ///
@@ -157,6 +157,9 @@ impl AbortReason {
 pub struct DeviceOutcome {
     /// The device.
     pub device: DeviceId,
+    /// Its position in the `devices` slice the round was simulated
+    /// from.
+    pub input: usize,
     /// The fault that fired, if any.
     pub fault: Option<DeviceFault>,
     /// Why delivery failed, when it did.
@@ -231,15 +234,195 @@ impl DeviceOutcome {
 }
 
 /// Per-device channel-occupation profile before TDMA placement.
-struct UploadProfile {
+pub(crate) struct UploadProfile {
     /// Total channel occupation (transmissions + back-off idles).
     occupation: Seconds,
     /// Active transmission segments as `(offset, duration)` relative
     /// to the occupation start.
-    segments: Vec<(f64, f64)>,
+    pub(crate) segments: Vec<(f64, f64)>,
     delivered: bool,
     retries: u32,
     abort: Option<AbortReason>,
+}
+
+/// One input device resolved before TDMA placement: its effective
+/// compute span and energy, and its channel-occupation profile
+/// (`None` when it crashes mid-compute and never reaches the channel).
+pub(crate) struct Resolved {
+    frequency: Hertz,
+    planned_compute_finish: Seconds,
+    planned_upload: Seconds,
+    compute_finish: Seconds,
+    compute_energy: Joules,
+    pub(crate) profile: Option<UploadProfile>,
+}
+
+impl Resolved {
+    /// Resolves `dev` at planned frequency `f` under `fault`.
+    pub(crate) fn new(
+        dev: &Device,
+        f: Hertz,
+        payload: Bits,
+        fault: Option<&DeviceFault>,
+    ) -> Result<Self> {
+        let planned_compute_finish = dev.compute_delay(f)?;
+        let planned_upload = dev.upload_delay(payload);
+        let d = planned_upload.get();
+        let (frequency, compute_finish) = match fault {
+            Some(DeviceFault::Straggler { slowdown }) => {
+                let eff = f * *slowdown;
+                (eff, dev.work() / eff)
+            }
+            Some(DeviceFault::CrashCompute { at }) => (f, planned_compute_finish * *at),
+            _ => (f, planned_compute_finish),
+        };
+        let compute_energy = if frequency == f {
+            match fault {
+                Some(DeviceFault::CrashCompute { at }) => dev.compute_energy(f)? * *at,
+                _ => dev.compute_energy(f)?,
+            }
+        } else {
+            // Straggler: Eq. 5 priced at the (possibly out-of-range)
+            // effective frequency.
+            dev.cpu().compute_energy_unchecked(dev.work(), frequency)
+        };
+        let profile = match fault {
+            Some(DeviceFault::CrashCompute { .. }) => None,
+            Some(DeviceFault::CrashUpload { at }) => Some(UploadProfile {
+                occupation: planned_upload * *at,
+                segments: vec![(0.0, at * d)],
+                delivered: false,
+                retries: 0,
+                abort: Some(AbortReason::CrashUpload),
+            }),
+            Some(DeviceFault::UploadRetry { failed_attempts, backoff, exhausted }) => {
+                let n = *failed_attempts as f64;
+                let b = backoff.get();
+                let (occupation, attempts) = if *exhausted {
+                    // n failures with back-off between them; the device
+                    // gives up after the last failure.
+                    (n * d + (n - 1.0) * b, *failed_attempts)
+                } else {
+                    // n failures, each followed by back-off, then one
+                    // successful transmission.
+                    (n * (d + b) + d, *failed_attempts + 1)
+                };
+                let segments = (0..attempts).map(|k| (k as f64 * (d + b), d)).collect();
+                Some(UploadProfile {
+                    occupation: Seconds::new(occupation),
+                    segments,
+                    delivered: !*exhausted,
+                    retries: *failed_attempts,
+                    abort: exhausted.then_some(AbortReason::RetriesExhausted),
+                })
+            }
+            Some(DeviceFault::ChannelDegradation { gain }) => Some(UploadProfile {
+                occupation: planned_upload / *gain,
+                segments: vec![(0.0, d / gain)],
+                delivered: true,
+                retries: 0,
+                abort: None,
+            }),
+            Some(DeviceFault::Straggler { .. }) | None => Some(UploadProfile {
+                occupation: planned_upload,
+                segments: vec![(0.0, d)],
+                delivered: true,
+                retries: 0,
+                abort: None,
+            }),
+        };
+        Ok(Self {
+            frequency,
+            planned_compute_finish,
+            planned_upload,
+            compute_finish,
+            compute_energy,
+            profile,
+        })
+    }
+
+    /// The channel request of a device that reaches the channel.
+    pub(crate) fn request(&self, dev: &Device) -> Option<UploadRequest> {
+        self.profile.as_ref().map(|p| UploadRequest {
+            device: dev.id(),
+            compute_finish: self.compute_finish,
+            upload_duration: p.occupation,
+        })
+    }
+
+    /// The outcome before the deadline cut: placed in `slot` when the
+    /// device reached the channel, crashed mid-compute otherwise.
+    /// Wasted energy is left at zero for the caller to settle.
+    pub(crate) fn outcome(
+        &self,
+        input: usize,
+        dev: &Device,
+        planned_frequency: Hertz,
+        fault: Option<DeviceFault>,
+        slot: Option<&UploadSlot>,
+    ) -> Result<DeviceOutcome> {
+        let f_max = dev.cpu().range().max();
+        let mut o = DeviceOutcome {
+            device: dev.id(),
+            input,
+            fault,
+            abort: Some(AbortReason::CrashCompute),
+            delivered: false,
+            uploaded: false,
+            frequency: self.frequency,
+            planned_frequency,
+            f_max,
+            planned_compute_finish: self.planned_compute_finish,
+            planned_upload: self.planned_upload,
+            compute_finish: self.compute_finish,
+            upload_start: self.compute_finish,
+            upload_end: self.compute_finish,
+            compute_energy: self.compute_energy,
+            compute_energy_at_max: dev.compute_energy(f_max)?,
+            upload_energy: Joules::ZERO,
+            wasted_energy: Joules::ZERO,
+            retries: 0,
+        };
+        if let (Some(slot), Some(p)) = (slot, &self.profile) {
+            let transmit: f64 = p.segments.iter().map(|&(_, len)| len).sum();
+            o.abort = p.abort;
+            o.delivered = p.delivered;
+            o.uploaded = true;
+            o.upload_start = slot.upload_start;
+            o.upload_end = slot.upload_end;
+            o.upload_energy = dev.uplink().power() * Seconds::new(transmit);
+            o.retries = p.retries;
+        }
+        Ok(o)
+    }
+}
+
+/// Cuts `o` at the fired deadline `t`: a delivery landing after it is
+/// dropped, and energy accrues only for work performed before the
+/// cut — compute pro-rated over its span, upload over the transmit
+/// `segments` that overlap `[0, t]`.
+pub(crate) fn cut_at_deadline(
+    o: &mut DeviceOutcome,
+    t: f64,
+    segments: &[(f64, f64)],
+    power: Watts,
+) {
+    if o.delivered && o.upload_end.get() > t {
+        o.delivered = false;
+        o.abort = Some(AbortReason::DeadlineExceeded);
+    }
+    if o.compute_finish.get() > t {
+        let scale = t / o.compute_finish.get();
+        o.compute_energy = o.compute_energy * scale;
+    }
+    if o.uploaded && o.upload_end.get() > t {
+        let start = o.upload_start.get();
+        let transmit_before: f64 = segments
+            .iter()
+            .map(|&(off, len)| (t.min(start + off + len) - (start + off)).max(0.0))
+            .sum();
+        o.upload_energy = power * Seconds::new(transmit_before);
+    }
 }
 
 /// The resolved timeline of one fault-afflicted synchronous round.
@@ -308,164 +491,39 @@ impl FaultedRound {
         }
 
         // Phase 1: resolve each device's effective compute span and
-        // channel-occupation profile.
-        let mut requests = Vec::with_capacity(devices.len());
-        let mut profiles: Vec<Option<UploadProfile>> = Vec::with_capacity(devices.len());
+        // channel-occupation profile, by input position.
         let mut resolved = Vec::with_capacity(devices.len());
         for ((dev, &f), fault) in devices.iter().zip(frequencies).zip(faults) {
-            let planned_compute_finish = dev.compute_delay(f)?;
-            let planned_upload = dev.upload_delay(payload);
-            let d = planned_upload.get();
-            let (frequency, compute_finish) = match fault {
-                Some(DeviceFault::Straggler { slowdown }) => {
-                    let eff = f * *slowdown;
-                    (eff, dev.work() / eff)
-                }
-                Some(DeviceFault::CrashCompute { at }) => {
-                    (f, planned_compute_finish * *at)
-                }
-                _ => (f, planned_compute_finish),
-            };
-            let compute_energy = if frequency == f {
-                match fault {
-                    Some(DeviceFault::CrashCompute { at }) => dev.compute_energy(f)? * *at,
-                    _ => dev.compute_energy(f)?,
-                }
-            } else {
-                // Straggler: Eq. 5 priced at the (possibly
-                // out-of-range) effective frequency.
-                dev.cpu().compute_energy_unchecked(dev.work(), frequency)
-            };
-            let profile = match fault {
-                Some(DeviceFault::CrashCompute { .. }) => None,
-                Some(DeviceFault::CrashUpload { at }) => Some(UploadProfile {
-                    occupation: planned_upload * *at,
-                    segments: vec![(0.0, at * d)],
-                    delivered: false,
-                    retries: 0,
-                    abort: Some(AbortReason::CrashUpload),
-                }),
-                Some(DeviceFault::UploadRetry { failed_attempts, backoff, exhausted }) => {
-                    let n = *failed_attempts as f64;
-                    let b = backoff.get();
-                    let (occupation, attempts) = if *exhausted {
-                        // n failures with back-off between them; the
-                        // device gives up after the last failure.
-                        (n * d + (n - 1.0) * b, *failed_attempts)
-                    } else {
-                        // n failures, each followed by back-off, then
-                        // one successful transmission.
-                        (n * (d + b) + d, *failed_attempts + 1)
-                    };
-                    let segments = (0..attempts)
-                        .map(|k| (k as f64 * (d + b), d))
-                        .collect();
-                    Some(UploadProfile {
-                        occupation: Seconds::new(occupation),
-                        segments,
-                        delivered: !*exhausted,
-                        retries: *failed_attempts,
-                        abort: exhausted.then_some(AbortReason::RetriesExhausted),
-                    })
-                }
-                Some(DeviceFault::ChannelDegradation { gain }) => Some(UploadProfile {
-                    occupation: planned_upload / *gain,
-                    segments: vec![(0.0, d / gain)],
-                    delivered: true,
-                    retries: 0,
-                    abort: None,
-                }),
-                Some(DeviceFault::Straggler { .. }) | None => Some(UploadProfile {
-                    occupation: planned_upload,
-                    segments: vec![(0.0, d)],
-                    delivered: true,
-                    retries: 0,
-                    abort: None,
-                }),
-            };
-            if let Some(p) = &profile {
-                requests.push(UploadRequest {
-                    device: dev.id(),
-                    compute_finish,
-                    upload_duration: p.occupation,
-                });
-            }
-            profiles.push(profile);
-            resolved.push((
-                dev,
-                f,
-                frequency,
-                planned_compute_finish,
-                planned_upload,
-                compute_finish,
-                compute_energy,
-            ));
+            resolved.push(Resolved::new(dev, f, payload, fault.as_ref())?);
         }
 
         // Phase 2: serialize channel users with the standard TDMA
         // discipline (retry windows occupy one contiguous slot).
-        let schedule = TdmaSchedule::new(requests);
+        // `users[k]` is the input position behind request `k`.
+        let mut users = Vec::with_capacity(devices.len());
+        let mut requests = Vec::with_capacity(devices.len());
+        for (i, (dev, r)) in devices.iter().zip(&resolved).enumerate() {
+            if let Some(request) = r.request(dev) {
+                users.push(i);
+                requests.push(request);
+            }
+        }
+        let schedule = TdmaSchedule::new(&requests);
 
         // Phase 3: assemble outcomes — channel order first (exactly
         // like the healthy timeline), crashed-in-compute devices after,
-        // by id.
+        // by id. Every slot resolves through its request's position.
         let mut outcomes = Vec::with_capacity(devices.len());
-        let index_of = |id: DeviceId| {
-            devices.iter().position(|d| d.id() == id).expect("scheduled ids come from input")
-        };
         for slot in schedule.slots() {
-            let i = index_of(slot.device);
-            let (dev, f, frequency, planned_compute_finish, planned_upload, compute_finish, compute_energy) =
-                resolved[i];
-            let profile = profiles[i].as_ref().expect("scheduled devices have profiles");
-            let power = dev.uplink().power();
-            let transmit: f64 = profile.segments.iter().map(|&(_, len)| len).sum();
-            outcomes.push(DeviceOutcome {
-                device: dev.id(),
-                fault: faults[i],
-                abort: profile.abort,
-                delivered: profile.delivered,
-                uploaded: true,
-                frequency,
-                planned_frequency: f,
-                f_max: dev.cpu().range().max(),
-                planned_compute_finish,
-                planned_upload,
-                compute_finish,
-                upload_start: slot.upload_start,
-                upload_end: slot.upload_end,
-                compute_energy,
-                compute_energy_at_max: dev.compute_energy(dev.cpu().range().max())?,
-                upload_energy: power * Seconds::new(transmit),
-                wasted_energy: Joules::ZERO, // finalized below
-                retries: profile.retries,
-            });
+            let i = users[slot.request];
+            let dev = &devices[i];
+            outcomes.push(resolved[i].outcome(i, dev, frequencies[i], faults[i], Some(slot))?);
         }
-        let mut crashed: Vec<usize> = (0..devices.len()).filter(|&i| profiles[i].is_none()).collect();
+        let mut crashed: Vec<usize> =
+            (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
         crashed.sort_by_key(|&i| devices[i].id());
         for i in crashed {
-            let (dev, f, frequency, planned_compute_finish, planned_upload, compute_finish, compute_energy) =
-                resolved[i];
-            outcomes.push(DeviceOutcome {
-                device: dev.id(),
-                fault: faults[i],
-                abort: Some(AbortReason::CrashCompute),
-                delivered: false,
-                uploaded: false,
-                frequency,
-                planned_frequency: f,
-                f_max: dev.cpu().range().max(),
-                planned_compute_finish,
-                planned_upload,
-                compute_finish,
-                upload_start: compute_finish,
-                upload_end: compute_finish,
-                compute_energy,
-                compute_energy_at_max: dev.compute_energy(dev.cpu().range().max())?,
-                upload_energy: Joules::ZERO,
-                wasted_energy: Joules::ZERO, // finalized below
-                retries: 0,
-            });
+            outcomes.push(resolved[i].outcome(i, &devices[i], frequencies[i], faults[i], None)?);
         }
 
         // Phase 4: apply the round deadline, then finalize waste.
@@ -476,33 +534,11 @@ impl FaultedRound {
         let deadline_fired = deadline.is_some_and(|t| natural > t);
         let round_time = if deadline_fired { deadline.expect("fired") } else { natural };
         if deadline_fired {
-            let t = round_time.get();
             for o in &mut outcomes {
-                let i = devices
-                    .iter()
-                    .position(|d| d.id() == o.device)
-                    .expect("outcome ids come from the input set");
-                if o.delivered && o.upload_end.get() > t {
-                    o.delivered = false;
-                    o.abort = Some(AbortReason::DeadlineExceeded);
-                }
-                // Energy accrues only for work performed before the
-                // cut: compute pro-rated over its span, upload over
-                // the transmit segments that overlap [0, T_max].
-                if o.compute_finish.get() > t {
-                    let scale = t / o.compute_finish.get();
-                    o.compute_energy = o.compute_energy * scale;
-                }
-                if o.uploaded && o.upload_end.get() > t {
-                    let segments =
-                        profiles[i].as_ref().map_or(&[][..], |p| p.segments.as_slice());
-                    let start = o.upload_start.get();
-                    let transmit_before: f64 = segments
-                        .iter()
-                        .map(|&(off, len)| (t.min(start + off + len) - (start + off)).max(0.0))
-                        .sum();
-                    o.upload_energy = devices[i].uplink().power() * Seconds::new(transmit_before);
-                }
+                let i = o.input;
+                let segments =
+                    resolved[i].profile.as_ref().map_or(&[][..], |p| p.segments.as_slice());
+                cut_at_deadline(o, round_time.get(), segments, devices[i].uplink().power());
             }
         }
         for o in &mut outcomes {
@@ -511,8 +547,7 @@ impl FaultedRound {
             } else if o.retries > 0 {
                 // Failed attempts bought nothing; the final successful
                 // transmission did.
-                let dev = devices.iter().find(|d| d.id() == o.device).expect("from input");
-                o.upload_energy - dev.upload_energy(payload)
+                o.upload_energy - devices[o.input].upload_energy(payload)
             } else {
                 Joules::ZERO
             };
@@ -528,9 +563,21 @@ impl FaultedRound {
         &self.outcomes
     }
 
-    /// The outcome of a specific device, if it participated.
+    /// The outcome of a specific device, if it participated. A linear
+    /// search: to resolve a whole cohort, use
+    /// [`FaultedRound::delivery_by_input`] or [`DeviceOutcome::input`].
     pub fn outcome(&self, device: DeviceId) -> Option<&DeviceOutcome> {
         self.outcomes.iter().find(|o| o.device == device)
+    }
+
+    /// Whether each input device's update reached the aggregator,
+    /// indexed like the `devices` slice the round was simulated from.
+    pub fn delivery_by_input(&self) -> Vec<bool> {
+        let mut delivered = vec![false; self.outcomes.len()];
+        for o in &self.outcomes {
+            delivered[o.input] = o.delivered;
+        }
+        delivered
     }
 
     /// The model payload size used for uploads.
@@ -951,6 +998,28 @@ mod tests {
         let fast = r.outcome(DeviceId(0)).unwrap();
         assert!(fast.delivered);
         assert_eq!(fast.wasted_energy, Joules::ZERO);
+    }
+
+    #[test]
+    fn repeated_id_resolves_each_entry_to_itself() {
+        // One id twice: a crash-upload at 1 GHz and a healthy entry at
+        // 2 GHz. Each outcome carries its own entry's fault, frequency
+        // and delivery.
+        let devs = [device(3, 2.0, 500, 8.0), device(3, 2.0, 500, 8.0)];
+        let freqs = [Hertz::from_ghz(1.0), Hertz::from_ghz(2.0)];
+        let faults = [Some(DeviceFault::CrashUpload { at: 0.5 }), None];
+        let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
+        let [healthy, crashed] = r.outcomes() else { panic!("two outcomes") };
+        assert_eq!((healthy.input, crashed.input), (1, 0));
+        assert_eq!(healthy.frequency, Hertz::from_ghz(2.0));
+        assert!(healthy.delivered && healthy.fault.is_none());
+        assert_eq!(crashed.frequency, Hertz::from_ghz(1.0));
+        assert_eq!(crashed.abort, Some(AbortReason::CrashUpload));
+        for o in r.outcomes() {
+            assert_eq!(o.compute_finish, devs[0].compute_delay(o.frequency).unwrap());
+            assert_eq!(o.compute_energy, devs[0].compute_energy(o.frequency).unwrap());
+        }
+        assert_eq!(r.delivery_by_input(), vec![false, true]);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub mod device;
 pub mod error;
 pub mod faults;
 pub mod fleet;
+#[cfg(test)]
+mod oracle;
 pub mod population;
 pub mod tdma;
 pub mod timeline;

@@ -29,6 +29,10 @@ pub struct UploadRequest {
 pub struct UploadSlot {
     /// The uploading device.
     pub device: DeviceId,
+    /// Position of this slot's request in the slice handed to
+    /// [`TdmaSchedule::new`], so callers resolve a slot back to their
+    /// own per-device data by index rather than by searching for the id.
+    pub request: usize,
     /// When its local computation finished.
     pub compute_finish: Seconds,
     /// When its upload actually starts (≥ `compute_finish`).
@@ -60,9 +64,14 @@ impl TdmaSchedule {
     /// in §VI-A: a device "must stop and wait for the previous user to
     /// finish uploading before starting to convey its model".
     ///
+    /// The sort is stable, so requests that tie on both keys (a
+    /// repeated id) keep their input order.
+    ///
     /// An empty request set yields an empty schedule.
-    pub fn new(mut requests: Vec<UploadRequest>) -> Self {
-        requests.sort_by(|a, b| {
+    pub fn new(requests: &[UploadRequest]) -> Self {
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&requests[a], &requests[b]);
             a.compute_finish
                 .partial_cmp(&b.compute_finish)
                 .expect("compute-finish times must not be NaN")
@@ -70,12 +79,14 @@ impl TdmaSchedule {
         });
         let mut slots = Vec::with_capacity(requests.len());
         let mut channel_free = Seconds::ZERO;
-        for req in requests {
+        for request in order {
+            let req = &requests[request];
             let upload_start = req.compute_finish.max(channel_free);
             let upload_end = upload_start + req.upload_duration;
             channel_free = upload_end;
             slots.push(UploadSlot {
                 device: req.device,
+                request,
                 compute_finish: req.compute_finish,
                 upload_start,
                 upload_end,
@@ -131,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_has_zero_makespan() {
-        let s = TdmaSchedule::new(Vec::new());
+        let s = TdmaSchedule::new(&[]);
         assert!(s.slots().is_empty());
         assert_eq!(s.makespan(), Seconds::ZERO);
         assert_eq!(s.total_slack(), Seconds::ZERO);
@@ -140,7 +151,7 @@ mod tests {
 
     #[test]
     fn single_upload_starts_immediately_after_compute() {
-        let s = TdmaSchedule::new(vec![req(0, 2.0, 5.0)]);
+        let s = TdmaSchedule::new(&[req(0, 2.0, 5.0)]);
         let slot = &s.slots()[0];
         assert_eq!(slot.upload_start, Seconds::new(2.0));
         assert_eq!(slot.upload_end, Seconds::new(7.0));
@@ -154,7 +165,7 @@ mod tests {
     fn fig1_scenario_second_device_waits_for_first_upload() {
         // Fig. 1: user 1 finishes computing first, uploads; user 2
         // finishes during user 1's upload and must wait.
-        let s = TdmaSchedule::new(vec![req(1, 2.0, 6.0), req(2, 4.0, 6.0)]);
+        let s = TdmaSchedule::new(&[req(1, 2.0, 6.0), req(2, 4.0, 6.0)]);
         let first = s.slot(DeviceId(1)).unwrap();
         let second = s.slot(DeviceId(2)).unwrap();
         assert_eq!(first.upload_start, Seconds::new(2.0));
@@ -167,7 +178,7 @@ mod tests {
 
     #[test]
     fn service_order_follows_compute_finish_not_insertion() {
-        let s = TdmaSchedule::new(vec![req(0, 10.0, 1.0), req(1, 1.0, 1.0)]);
+        let s = TdmaSchedule::new(&[req(0, 10.0, 1.0), req(1, 1.0, 1.0)]);
         assert_eq!(s.slots()[0].device, DeviceId(1));
         assert_eq!(s.slots()[1].device, DeviceId(0));
         // Device 0 finds the channel free at t = 10.
@@ -176,15 +187,28 @@ mod tests {
 
     #[test]
     fn ties_break_by_device_id() {
-        let s = TdmaSchedule::new(vec![req(5, 3.0, 1.0), req(2, 3.0, 1.0)]);
+        let s = TdmaSchedule::new(&[req(5, 3.0, 1.0), req(2, 3.0, 1.0)]);
         assert_eq!(s.slots()[0].device, DeviceId(2));
         assert_eq!(s.slots()[1].device, DeviceId(5));
     }
 
     #[test]
+    fn slots_record_their_request_position() {
+        let reqs = [req(7, 4.0, 1.0), req(3, 1.0, 1.0), req(7, 2.0, 1.0), req(7, 2.0, 0.5)];
+        let s = TdmaSchedule::new(&reqs);
+        let order: Vec<usize> = s.slots().iter().map(|slot| slot.request).collect();
+        // Finish order, then id; the two full ties keep input order.
+        assert_eq!(order, vec![1, 2, 3, 0]);
+        for slot in s.slots() {
+            assert_eq!(slot.device, reqs[slot.request].device);
+            assert_eq!(slot.compute_finish, reqs[slot.request].compute_finish);
+        }
+    }
+
+    #[test]
     fn cascading_waits_accumulate() {
         // Three devices finish at t=0,1,2 but each upload takes 10.
-        let s = TdmaSchedule::new(vec![req(0, 0.0, 10.0), req(1, 1.0, 10.0), req(2, 2.0, 10.0)]);
+        let s = TdmaSchedule::new(&[req(0, 0.0, 10.0), req(1, 1.0, 10.0), req(2, 2.0, 10.0)]);
         assert_eq!(s.slot(DeviceId(1)).unwrap().slack(), Seconds::new(9.0));
         assert_eq!(s.slot(DeviceId(2)).unwrap().slack(), Seconds::new(18.0));
         assert_eq!(s.makespan(), Seconds::new(30.0));
@@ -195,7 +219,7 @@ mod tests {
     #[test]
     fn makespan_never_below_any_single_device_span() {
         let reqs = vec![req(0, 3.0, 2.0), req(1, 0.5, 4.0), req(2, 6.0, 1.0)];
-        let s = TdmaSchedule::new(reqs.clone());
+        let s = TdmaSchedule::new(&reqs);
         for r in &reqs {
             assert!(s.makespan() >= r.compute_finish + r.upload_duration);
         }

@@ -105,7 +105,10 @@ impl RoundTimeline {
     /// frequencies `frequencies`, each uploading `payload` bits.
     ///
     /// Computation runs in parallel across devices from t = 0; uploads
-    /// serialize on the TDMA channel in compute-finish order.
+    /// serialize on the TDMA channel in compute-finish order. Each
+    /// channel slot resolves to its own input position, so the cost is
+    /// the schedule's sort, and a repeated id stays two separate
+    /// entries.
     ///
     /// # Errors
     ///
@@ -131,24 +134,24 @@ impl RoundTimeline {
                 upload_duration: dev.upload_delay(payload),
             });
         }
-        let schedule = TdmaSchedule::new(requests);
+        let schedule = TdmaSchedule::new(&requests);
         let mut activities = Vec::with_capacity(devices.len());
         for slot in schedule.slots() {
-            let (dev, &f) = devices
-                .iter()
-                .zip(frequencies)
-                .find(|(d, _)| d.id() == slot.device)
-                .expect("slot devices come from the input set");
+            let i = slot.request;
+            let (dev, f) = (&devices[i], frequencies[i]);
+            let f_max = dev.cpu().range().max();
             activities.push(DeviceActivity {
                 device: slot.device,
                 frequency: f,
-                f_max: dev.cpu().range().max(),
+                f_max,
                 compute_finish: slot.compute_finish,
                 upload_start: slot.upload_start,
                 upload_end: slot.upload_end,
                 compute_energy: dev.compute_energy(f)?,
-                compute_energy_at_max: dev.compute_energy(dev.cpu().range().max())?,
-                upload_energy: dev.upload_energy(payload),
+                compute_energy_at_max: dev.compute_energy(f_max)?,
+                // Eq. 8, `p_q · T^com`, over the delay already computed
+                // for the request.
+                upload_energy: dev.uplink().power() * requests[i].upload_duration,
             });
         }
         Ok(Self { activities, payload })
@@ -471,6 +474,25 @@ mod tests {
         assert_eq!(tuned.makespan(), at_max.makespan());
         assert!(tuned.total_energy() < at_max.total_energy());
         assert_eq!(tuned.activity(DeviceId(1)).unwrap().slack(), Seconds::ZERO);
+    }
+
+    #[test]
+    fn repeated_id_resolves_each_entry_to_itself() {
+        // One id twice, at two frequencies: each slot reports its own
+        // entry's frequency and energy, consistent with the compute
+        // finish that placed it on the channel.
+        let devs = [device(3, 2.0, 500, 8.0), device(3, 2.0, 500, 8.0)];
+        let freqs = [Hertz::from_ghz(1.0), Hertz::from_ghz(2.0)];
+        let tl = RoundTimeline::simulate(&devs, &freqs, payload()).unwrap();
+        let [first, second] = tl.activities() else { panic!("two activities") };
+        assert_eq!(first.frequency, Hertz::from_ghz(2.0));
+        assert_eq!(first.compute_finish, Seconds::new(2.5));
+        assert_eq!(second.frequency, Hertz::from_ghz(1.0));
+        assert_eq!(second.compute_finish, Seconds::new(5.0));
+        for a in tl.activities() {
+            assert_eq!(a.compute_finish, devs[0].compute_delay(a.frequency).unwrap());
+            assert_eq!(a.compute_energy, devs[0].compute_energy(a.frequency).unwrap());
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn gen_device(rng: &mut Rng) -> Device {
 fn tdma_slots_never_overlap() {
     let mut rng = Rng::seed_from_u64(0x7d7a_0001);
     for case in 0..CASES {
-        let schedule = TdmaSchedule::new(gen_requests(&mut rng, 0, 32));
+        let schedule = TdmaSchedule::new(&gen_requests(&mut rng, 0, 32));
         for pair in schedule.slots().windows(2) {
             assert!(
                 pair[0].upload_end <= pair[1].upload_start,
@@ -62,7 +62,7 @@ fn tdma_respects_compute_finish_and_spans() {
     let mut rng = Rng::seed_from_u64(0x7d7a_0002);
     for case in 0..CASES {
         let reqs = gen_requests(&mut rng, 1, 32);
-        let schedule = TdmaSchedule::new(reqs.clone());
+        let schedule = TdmaSchedule::new(&reqs);
         for slot in schedule.slots() {
             assert!(slot.upload_start >= slot.compute_finish, "case {case}");
             assert!(slot.slack() >= Seconds::ZERO, "case {case}");
@@ -81,7 +81,7 @@ fn tdma_respects_compute_finish_and_spans() {
 fn tdma_busy_idle_partition() {
     let mut rng = Rng::seed_from_u64(0x7d7a_0003);
     for case in 0..CASES {
-        let schedule = TdmaSchedule::new(gen_requests(&mut rng, 0, 32));
+        let schedule = TdmaSchedule::new(&gen_requests(&mut rng, 0, 32));
         let total = schedule.channel_busy() + schedule.channel_idle();
         assert!(
             (total.get() - schedule.makespan().get()).abs() < 1e-9,
