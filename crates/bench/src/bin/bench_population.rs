@@ -19,18 +19,19 @@
 //!
 //! Each size also measures the cost of *watching* a round at scale:
 //! the same selection + DVFS + TDMA pipeline runs with telemetry
-//! disabled and under digest-mode tracing, alternating, and the
-//! per-round medians of the two arms are compared (one `cohort_digest`
-//! aggregate plus [`TRACE_EXEMPLARS`] sampled `device_activity` spans
-//! per round, instead of `target` per-device spans). Digest tracing
-//! costs a *fixed amount per round* — the trace grows with rounds,
-//! not with the cohort — so the report records both forms:
-//! `trace_cost_us_per_round` (absolute, roughly flat across sizes)
-//! and `trace_overhead_pct` (relative, melting toward zero as rounds
-//! get heavier; at `Q = 10^3` a ~3 µs round cannot absorb a ~40 µs
-//! trace write, at `Q = 10^6` the same write disappears into a
-//! millisecond round). `helcfl-trace gate` accordingly bounds the
-//! per-round cost at every size and holds the relative overhead under
+//! disabled and under digest-mode tracing, alternating round by
+//! round, and the median of the per-pair differences is the cost (one
+//! `cohort_digest` aggregate plus [`TRACE_EXEMPLARS`] sampled
+//! `device_activity` spans per round, instead of `target` per-device
+//! spans). The trace's *volume* is fixed per round; only the digest's
+//! aggregates and the metrics histograms walk the cohort, so the cost
+//! grows far slower than the round. The report records both forms:
+//! `trace_cost_us_per_round` (absolute) and `trace_overhead_pct`
+//! (relative, melting toward zero as rounds get heavier; at `Q = 10^3`
+//! a ~5 µs round cannot absorb a ~30 µs trace write, at `Q = 10^6`
+//! the write disappears into a millisecond round). `helcfl-trace
+//! gate` accordingly bounds the per-round cost at every size and holds
+//! the relative overhead under
 //! [`PopulationGateConfig::max_trace_overhead_pct`] only at sizes
 //! where the round is heavy enough for the ratio to mean anything
 //! (`Q ≥ min_trace_overhead_q`). Both clamp at zero; the raw signed
@@ -136,11 +137,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(args.seed)
             .build_fleet()?;
         let mut selector = IndexedDecaySelector::default();
-        // One measured control-plane round: Alg. 2 selection, the
-        // cohort gather, Alg. 3 DVFS and the TDMA timeline, returning
-        // each phase's nanoseconds in that order.
-        let mut control_round = |round: usize| -> Result<[u64; 4], Box<dyn std::error::Error>> {
+        // One control-plane round: Alg. 2 selection, the cohort
+        // gather, Alg. 3 DVFS and the TDMA timeline, returning each
+        // phase's nanoseconds in that order. Under `tele_off` the
+        // spans are inert and the round is exactly what the latency
+        // figures time; under `tele_traced` the phase children mirror
+        // the federated runner's round structure (selection →
+        // frequency → timeline) so the emitted trace satisfies the
+        // same ≥ 80 % span-coverage rule: at heavy sizes the round's
+        // wall-clock lives in those phases, and a round span whose
+        // only child wrapped the digest write would be almost
+        // entirely uncovered.
+        let sim_round = |selector: &mut IndexedDecaySelector,
+                         round: usize,
+                         tele: &Telemetry,
+                         trace_round: u64|
+         -> Result<[u64; 4], Box<dyn std::error::Error>> {
             let started = Instant::now();
+            let mut round_span = tele.span("round");
+            round_span.set("index", trace_round);
+            let span_sel = round_span.child("selection");
             let ctx = SelectionContext {
                 round,
                 devices: (&fleet).into(),
@@ -151,11 +167,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let selected_at = started.elapsed();
             let cohort = fleet.gather(&selected);
             let gathered_at = started.elapsed();
+            span_sel.end();
+            let span_freq = round_span.child("frequency");
             let freqs = SlackFrequencyPolicy.frequencies(&cohort, payload)?;
             let dvfs_at = started.elapsed();
+            span_freq.end();
+            let mut span_tl = round_span.child("timeline");
             let timeline = RoundTimeline::simulate(&cohort, &freqs, payload)?;
             let timeline_at = started.elapsed();
             assert_eq!(timeline.activities().len(), target, "timeline must cover the cohort");
+            if tele.events_enabled() {
+                span_tl.set("policy", SlackFrequencyPolicy.name());
+                span_tl.set("delay_neutral", SlackFrequencyPolicy.delay_neutral());
+                timeline.trace_digest_into(
+                    &mut span_tl,
+                    DigestConfig {
+                        exemplars: TRACE_EXEMPLARS,
+                        seed: splitmix64(args.seed ^ trace_round),
+                    },
+                );
+            }
+            tele.with_metrics(|m| timeline.record_metrics(m));
+            span_tl.end();
+            round_span.end();
             let ns = |d: std::time::Duration| d.as_nanos() as u64;
             Ok([
                 ns(selected_at),
@@ -167,7 +201,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Warmup: round 1 pays the one-time index build; later warmup
         // rounds settle counters into their steady-state spread.
         for round in 1..=warmup {
-            control_round(round)?;
+            sim_round(&mut selector, round, &tele_off, 0)?;
         }
         let build_us = built.elapsed().as_micros() as u64;
 
@@ -175,7 +209,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut phase_ns: [Vec<u64>; 4] = Default::default();
         let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
         for round in 1..=rounds {
-            let phases = control_round(warmup + round)?;
+            let phases = sim_round(&mut selector, warmup + round, &tele_off, 0)?;
             for (samples, ns) in phase_ns.iter_mut().zip(phases) {
                 samples.push(ns);
             }
@@ -201,94 +235,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              dvfs {dvfs_p50:.1} µs  timeline {timeline_p50:.1} µs"
         );
 
-        // Telemetry overhead: the full selection + DVFS + TDMA round
-        // pipeline, untraced vs digest-traced. Same selector, same
-        // fleet — the round counter just keeps advancing, so both
-        // loops run in the selector's steady state.
+        // Telemetry overhead: the same round, untraced vs
+        // digest-traced. Same selector, same fleet — the round counter
+        // just keeps advancing, so both loops run in the selector's
+        // steady state.
         let mut next_round = warmup + rounds;
-        // Phase children mirror the federated runner's round structure
-        // (selection → frequency → timeline) so the emitted trace
-        // satisfies the same ≥ 80 % span-coverage rule: at heavy sizes
-        // the round's wall-clock lives in those phases, and a round
-        // span whose only child wrapped the digest write would be
-        // almost entirely uncovered.
-        let mut sim_round = |round: usize, tele: &Telemetry, trace_round: u64| {
-            let mut round_span = tele.span("round");
-            round_span.set("index", trace_round);
-            let span_sel = round_span.child("selection");
-            let ctx = SelectionContext {
-                round,
-                devices: (&fleet).into(),
-                payload,
-                target,
-            };
-            let selected = selector.select(&ctx)?;
-            let cohort = fleet.gather(&selected);
-            span_sel.end();
-            let span_freq = round_span.child("frequency");
-            let freqs = SlackFrequencyPolicy.frequencies(&cohort, payload)?;
-            span_freq.end();
-            let mut span_tl = round_span.child("timeline");
-            let timeline = RoundTimeline::simulate(&cohort, &freqs, payload)?;
-            if tele.events_enabled() {
-                span_tl.set("policy", SlackFrequencyPolicy.name());
-                span_tl.set("delay_neutral", SlackFrequencyPolicy.delay_neutral());
-                timeline.trace_digest_into(
-                    &mut span_tl,
-                    DigestConfig {
-                        exemplars: TRACE_EXEMPLARS,
-                        seed: splitmix64(args.seed ^ trace_round),
-                    },
-                );
-            }
-            tele.with_metrics(|m| timeline.record_metrics(m));
-            span_tl.end();
-            round_span.end();
-            Ok::<(), Box<dyn std::error::Error>>(())
-        };
         // The overhead is a difference of two per-round timings on a
         // shared host, where a single scheduler hiccup can cost more
         // than the entire effect being measured (observed: 3 ms
-        // outlier rounds against a ~50 µs tracing cost). So: time
-        // every round individually, alternate plain/traced passes,
-        // and compare the *medians* of the two per-round populations
-        // — outlier rounds land in the tails and never touch the
-        // estimate.
+        // outlier rounds against a ~50 µs tracing cost), and where the
+        // round time itself drifts by tens of percent over a second.
+        // So: alternate plain and traced rounds one by one, and take
+        // the *median of the per-pair differences* — drift moves both
+        // rounds of a pair alike and cancels, and outlier rounds land
+        // in the tails and never touch the estimate.
         const OVERHEAD_REPS: usize = 3;
-        let mut plain_ns: Vec<u64> = Vec::with_capacity(OVERHEAD_REPS * rounds);
-        let mut traced_ns: Vec<u64> = Vec::with_capacity(OVERHEAD_REPS * rounds);
-        for _ in 0..OVERHEAD_REPS {
-            for _ in 0..rounds {
-                next_round += 1;
-                let t = Instant::now();
-                sim_round(next_round, &tele_off, 0)?;
-                plain_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            for _ in 0..rounds {
-                next_round += 1;
-                trace_round += 1;
-                let t = Instant::now();
-                sim_round(next_round, &tele_traced, trace_round)?;
-                traced_ns.push(t.elapsed().as_nanos() as u64);
-            }
+        let pairs = OVERHEAD_REPS * rounds;
+        let mut plain_ns: Vec<u64> = Vec::with_capacity(pairs);
+        let mut diff_ns: Vec<i64> = Vec::with_capacity(pairs);
+        for _ in 0..pairs {
+            next_round += 1;
+            let t = Instant::now();
+            sim_round(&mut selector, next_round, &tele_off, 0)?;
+            let plain = t.elapsed().as_nanos() as u64;
+            next_round += 1;
+            trace_round += 1;
+            let t = Instant::now();
+            sim_round(&mut selector, next_round, &tele_traced, trace_round)?;
+            let traced = t.elapsed().as_nanos() as u64;
+            plain_ns.push(plain);
+            diff_ns.push(traced as i64 - plain as i64);
         }
         // The round-barrier drain happens once per size here, outside
         // the timed loops — a tailing `watch` still sees whole sizes.
         tele_traced.flush();
         plain_ns.sort_unstable();
-        traced_ns.sort_unstable();
+        diff_ns.sort_unstable();
         let plain_p50_ns = percentile_nearest_rank(&plain_ns, 0.5) as f64;
-        let traced_p50_ns = percentile_nearest_rank(&traced_ns, 0.5) as f64;
-        // Clamp at zero for gating — a traced median that happens to
-        // beat the untraced one is host noise, not negative cost. The
-        // raw signed value stays in the report for honesty.
-        let raw_trace_overhead_pct = (traced_p50_ns / plain_p50_ns - 1.0) * 100.0;
+        let diff_p50_ns = diff_ns[(diff_ns.len() - 1) / 2] as f64;
+        // Clamp at zero for gating — a traced round that happens to
+        // beat its untraced partner is host noise, not negative cost.
+        // The raw signed value stays in the report for honesty.
+        let raw_trace_overhead_pct = diff_p50_ns / plain_p50_ns * 100.0;
         let trace_overhead_pct = raw_trace_overhead_pct.max(0.0);
         // The absolute form of the same measurement: digest tracing
         // costs a fixed amount per round (the trace grows with rounds,
         // not devices), so this is the number that stays flat with Q
         // while the relative overhead above melts toward zero.
-        let trace_cost_us_per_round = (traced_p50_ns - plain_p50_ns).max(0.0) / 1e3;
+        let trace_cost_us_per_round = diff_p50_ns.max(0.0) / 1e3;
         println!(
             "             digest trace {trace_cost_us_per_round:7.1} µs/round \
              ({trace_overhead_pct:.2} % of the round, raw {raw_trace_overhead_pct:+.2} %, \

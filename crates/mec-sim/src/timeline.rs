@@ -93,6 +93,15 @@ pub(crate) fn sample_exemplars(n: usize, cfg: DigestConfig) -> Vec<usize> {
     indices
 }
 
+/// Cohort-wide sums a traced round reports twice (summary attributes
+/// and digest), computed once.
+#[derive(Debug, Default)]
+struct Totals {
+    energy: Joules,
+    compute_energy: Joules,
+    slack: Seconds,
+}
+
 /// The resolved timeline of one synchronous round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundTimeline {
@@ -149,9 +158,7 @@ impl RoundTimeline {
                 upload_end: slot.upload_end,
                 compute_energy: dev.compute_energy(f)?,
                 compute_energy_at_max: dev.compute_energy(f_max)?,
-                // Eq. 8, `p_q · T^com`, over the delay already computed
-                // for the request.
-                upload_energy: dev.uplink().power() * requests[i].upload_duration,
+                upload_energy: dev.upload_energy(payload),
             });
         }
         Ok(Self { activities, payload })
@@ -265,7 +272,7 @@ impl RoundTimeline {
     /// All attribute values are pure simulation state; the emission is
     /// a read-only projection and cannot perturb determinism.
     pub fn trace_into(&self, span: &mut Span) {
-        self.set_summary_attrs(span);
+        self.set_summary_attrs(span, &self.totals());
         for a in &self.activities {
             Self::emit_activity(span, a, false);
         }
@@ -283,7 +290,8 @@ impl RoundTimeline {
     /// exactly the same state `trace_into` reads — so switching modes
     /// can never perturb the simulation.
     pub fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
-        self.set_summary_attrs(span);
+        let totals = self.totals();
+        self.set_summary_attrs(span, &totals);
         span.set("digest", true);
         let exemplars = sample_exemplars(self.activities.len(), cfg);
         {
@@ -300,11 +308,11 @@ impl RoundTimeline {
                 .with("devices", self.activities.len())
                 .with("exemplars", exemplars.len())
                 .with("uploads", self.activities.len())
-                .with("energy_sum_j", self.total_energy().get())
+                .with("energy_sum_j", totals.energy.get())
                 .with("energy_min_j", energy_hist.min)
                 .with("energy_max_j", energy_hist.max)
-                .with("compute_energy_sum_j", self.compute_energy().get())
-                .with("slack_sum_s", self.total_slack().get())
+                .with("compute_energy_sum_j", totals.compute_energy.get())
+                .with("slack_sum_s", totals.slack.get())
                 .with("slack_min_s", slack_hist.min)
                 .with("slack_max_s", slack_hist.max)
                 .with("release_max_s", self.makespan().get())
@@ -317,12 +325,23 @@ impl RoundTimeline {
         }
     }
 
-    fn set_summary_attrs(&self, span: &mut Span) {
+    /// [`Self::total_energy`], [`Self::compute_energy`] and
+    /// [`Self::total_slack`] in one pass, each summed in channel order
+    /// from zero exactly as those methods sum it, so the bits match.
+    fn totals(&self) -> Totals {
+        self.activities.iter().fold(Totals::default(), |t, a| Totals {
+            energy: t.energy + a.total_energy(),
+            compute_energy: t.compute_energy + a.compute_energy,
+            slack: t.slack + a.slack(),
+        })
+    }
+
+    fn set_summary_attrs(&self, span: &mut Span, totals: &Totals) {
         span.set("uploads", self.activities.len());
         span.set("makespan_s", self.makespan().get());
-        span.set("slack_total_s", self.total_slack().get());
-        span.set("energy_j", self.total_energy().get());
-        span.set("compute_energy_j", self.compute_energy().get());
+        span.set("slack_total_s", totals.slack.get());
+        span.set("energy_j", totals.energy.get());
+        span.set("compute_energy_j", totals.compute_energy.get());
     }
 
     fn emit_activity(span: &mut Span, a: &DeviceActivity, exemplar: bool) {

@@ -111,6 +111,12 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
+    // Keys and most values need no escaping: copy them whole.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -151,8 +151,11 @@ impl Histogram {
     /// registry lookup) was the dominant telemetry cost at scale.
     pub fn record_batch(&mut self, samples: impl IntoIterator<Item = f64>) {
         // Exponent fields 1..=2046 are the positive normals; 16 KiB of
-        // zeroed stack is ~µs-scale, amortized over the whole batch.
+        // zeroed stack is sub-µs. Only the touched window `lo..=hi` is
+        // folded back: a cohort's samples span a handful of binades,
+        // and a full 2046-entry scan per batch was most of its cost.
         let mut scratch = [0u64; 2046];
+        let (mut lo, mut hi) = (scratch.len(), 0);
         for sample in samples {
             self.count += 1;
             if sample.is_nan() {
@@ -172,10 +175,16 @@ impl Histogram {
             } else if bits >> 63 == 1 {
                 self.negative += 1;
             } else {
-                scratch[exp_bits as usize - 1] += 1;
+                let i = exp_bits as usize - 1;
+                scratch[i] += 1;
+                lo = lo.min(i);
+                hi = hi.max(i);
             }
         }
-        for (i, &n) in scratch.iter().enumerate() {
+        if lo > hi {
+            return;
+        }
+        for (i, &n) in (lo..=hi).zip(&scratch[lo..=hi]) {
             if n > 0 {
                 let exponent = (i + 1) as i16 - 1023;
                 *self.buckets.entry(exponent).or_insert(0) += n;
@@ -575,6 +584,7 @@ mod tests {
             1.9,
             2.0,
             0.75,
+            f64::MIN_POSITIVE,
             f64::MAX,
         ];
         let mut one_by_one = Histogram::new();
@@ -586,6 +596,12 @@ mod tests {
         assert_eq!(batched, one_by_one);
         assert_eq!(batched.min.to_bits(), one_by_one.min.to_bits());
         assert_eq!(batched.max.to_bits(), one_by_one.max.to_bits());
+
+        // A batch with no positive normal folds no bucket at all.
+        let mut unbucketed = Histogram::new();
+        unbucketed.record_batch([-1.0, 0.0, f64::NAN]);
+        assert!(unbucketed.buckets.is_empty());
+        assert_eq!((unbucketed.count, unbucketed.negative, unbucketed.underflow), (3, 1, 1));
 
         // record_iter resolves the registry name once and folds into
         // the same histogram the per-sample API would.

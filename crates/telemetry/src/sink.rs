@@ -10,7 +10,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, ToJson};
 use crate::manifest::RunManifest;
 use crate::metrics::MetricsRegistry;
 use crate::span::Value;
@@ -46,27 +46,42 @@ pub struct Event<'a> {
 impl Event<'_> {
     /// Renders the event as one JSONL object.
     pub fn to_json_line(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field(
-            "type",
-            match self.kind {
-                EventKind::Span => "span",
-                EventKind::Point => "event",
-            },
-        )
-        .field("name", self.name)
-        .field("id", self.id)
-        .field("parent", self.parent)
-        .field("t_us", self.t_us)
-        .field("dur_us", self.dur_us);
+        let mut out = String::new();
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Appends the event's JSONL object to `out`, member by member, so
+    /// a sink can render every line into one reused buffer. The digest
+    /// trace of a large cohort renders each round inside the timed
+    /// round loop, where per-line allocations were most of its cost.
+    pub fn write_json_line(&self, out: &mut String) {
+        out.push_str(match self.kind {
+            EventKind::Span => r#"{"type":"span","name":"#,
+            EventKind::Point => r#"{"type":"event","name":"#,
+        });
+        self.name.write_json(out);
+        out.push_str(r#","id":"#);
+        self.id.write_json(out);
+        out.push_str(r#","parent":"#);
+        self.parent.write_json(out);
+        out.push_str(r#","t_us":"#);
+        self.t_us.write_json(out);
+        out.push_str(r#","dur_us":"#);
+        self.dur_us.write_json(out);
         if !self.attrs.is_empty() {
-            let mut attrs = JsonObject::new();
-            for (key, value) in self.attrs {
-                value.write_field(&mut attrs, key);
+            out.push_str(r#","attrs":{"#);
+            for (i, (key, value)) in self.attrs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                key.write_json(out);
+                out.push(':');
+                value.write_json(out);
             }
-            o.object("attrs", attrs);
+            out.push('}');
         }
-        o.finish()
+        out.push('}');
     }
 
     /// Renders the event as a one-line human-readable string.
@@ -139,7 +154,14 @@ impl Sink for NullSink {
 /// [`Sink::flush`] and on drop.
 pub struct JsonlSink {
     path: PathBuf,
-    out: Mutex<BufWriter<File>>,
+    out: Mutex<JsonlOut>,
+}
+
+/// The trace file and the buffer each event line is rendered into,
+/// reused so emitting a line allocates nothing once warm.
+struct JsonlOut {
+    file: BufWriter<File>,
+    line: String,
 }
 
 impl JsonlSink {
@@ -161,7 +183,8 @@ impl JsonlSink {
         // default 8 KiB buffer would syscall every couple of rounds
         // from inside the traced hot loop. Round barriers still make
         // whole rounds visible to tailing readers via `flush`.
-        Ok(Self { path, out: Mutex::new(BufWriter::with_capacity(64 * 1024, file)) })
+        let file = BufWriter::with_capacity(64 * 1024, file);
+        Ok(Self { path, out: Mutex::new(JsonlOut { file, line: String::new() }) })
     }
 
     /// The file this sink writes to.
@@ -172,13 +195,18 @@ impl JsonlSink {
     fn write_line(&self, line: &str) {
         let mut out = self.out.lock().expect("trace file lock poisoned");
         // A full disk should not kill a simulation; drop the line.
-        let _ = writeln!(out, "{line}");
+        let _ = writeln!(out.file, "{line}");
     }
 }
 
 impl Sink for JsonlSink {
     fn emit(&self, event: &Event<'_>) {
-        self.write_line(&event.to_json_line());
+        let mut out = self.out.lock().expect("trace file lock poisoned");
+        let JsonlOut { file, line } = &mut *out;
+        line.clear();
+        event.write_json_line(line);
+        line.push('\n');
+        let _ = file.write_all(line.as_bytes());
     }
 
     fn emit_manifest(&self, manifest: &RunManifest) {
@@ -192,15 +220,15 @@ impl Sink for JsonlSink {
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().expect("trace file lock poisoned").flush();
+        let _ = self.out.lock().expect("trace file lock poisoned").file.flush();
     }
 
     fn flush_sync(&self) {
         let mut out = self.out.lock().expect("trace file lock poisoned");
         // Same error posture as write_line: a sick disk degrades the
         // trace, it does not kill the simulation.
-        let _ = out.flush();
-        let _ = out.get_ref().sync_data();
+        let _ = out.file.flush();
+        let _ = out.file.get_ref().sync_data();
     }
 }
 
@@ -421,6 +449,38 @@ mod tests {
         assert_eq!(
             parsed.get("attrs").and_then(|a| a.get("scheme")).and_then(|v| v.as_str()),
             Some("helcfl")
+        );
+    }
+
+    #[test]
+    fn json_lines_render_every_value_kind_byte_for_byte() {
+        let attrs = [
+            ("n", Value::U64(3)),
+            ("d", Value::I64(-2)),
+            ("x", Value::F64(0.1)),
+            ("inf", Value::F64(f64::INFINITY)),
+            ("ok", Value::Bool(true)),
+            ("s", Value::Str("a\"b\\c\n".into())),
+        ];
+        let span = Event {
+            kind: EventKind::Span,
+            name: "round",
+            id: 7,
+            parent: Some(1),
+            t_us: 1500,
+            dur_us: Some(250),
+            attrs: &attrs,
+        };
+        assert_eq!(
+            span.to_json_line(),
+            r#"{"type":"span","name":"round","id":7,"parent":1,"t_us":1500,"dur_us":250,"#
+                .to_string()
+                + r#""attrs":{"n":3,"d":-2,"x":0.1,"inf":null,"ok":true,"s":"a\"b\\c\n"}}"#
+        );
+        let point = Event { kind: EventKind::Point, parent: None, dur_us: None, attrs: &[], ..span };
+        assert_eq!(
+            point.to_json_line(),
+            r#"{"type":"event","name":"round","id":7,"parent":null,"t_us":1500,"dur_us":null}"#
         );
     }
 

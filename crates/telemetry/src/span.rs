@@ -32,16 +32,15 @@ pub enum Value {
     Str(String),
 }
 
-impl Value {
-    /// Writes this value as `key: value` into a JSON object builder.
-    pub(crate) fn write_field(&self, o: &mut crate::json::JsonObject, key: &str) {
+impl crate::json::ToJson for Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => o.field(key, *v),
-            Value::I64(v) => o.field(key, *v),
-            Value::F64(v) => o.field(key, *v),
-            Value::Bool(v) => o.field(key, *v),
-            Value::Str(v) => o.field(key, v.as_str()),
-        };
+            Value::U64(v) => v.write_json(out),
+            Value::I64(v) => v.write_json(out),
+            Value::F64(v) => v.write_json(out),
+            Value::Bool(v) => v.write_json(out),
+            Value::Str(v) => v.write_json(out),
+        }
     }
 }
 
