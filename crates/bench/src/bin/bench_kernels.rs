@@ -30,8 +30,6 @@ use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_telemetry::json::JsonObject;
-use tinynn::batch::{CohortArena, CohortJob};
-use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;
 
 /// ReLU-like sparsity applied to the left operand of the kernels that
@@ -56,10 +54,6 @@ const MIN_BENCH_SECS: f64 = 0.25;
 /// each kernel reports its fastest pass, so a slow phase of a shared
 /// host must cover every pass of a kernel to move its figure.
 const PASSES: usize = 5;
-
-/// Clients per grouped dispatch in the cohort section — one pool
-/// worker's share of a 64-client round on an 8-way host.
-const COHORT_CLIENTS: usize = 8;
 
 struct Args {
     smoke: bool,
@@ -338,65 +332,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kernels.push(k);
     }
 
-    // Cohort batching: one pool worker's stride of a full-batch round —
-    // K identical-architecture clients trained solo (per-client
-    // dispatch) vs through one grouped `CohortArena` call. Both paths
-    // produce bit-identical parameters (pinned in tinynn's and
-    // fl-sim's tests); the delta is pure dispatch/packing amortization.
-    let dims = [64usize, 64, 10];
-    let client_data: Vec<(Matrix, Vec<usize>)> = (0..COHORT_CLIENTS)
-        .map(|_| {
-            let features = random_matrix(200, 64, &mut rng);
-            let labels: Vec<usize> =
-                (0..200).map(|_| rng.below(10)).collect();
-            (features, labels)
-        })
-        .collect();
-    let global = Mlp::new(&dims, 7).expect("mlp").parameters();
-    let mut solo_model = Mlp::new(&dims, 0).expect("mlp");
-    let mut solo_scratch = TrainScratch::for_model(&solo_model).expect("scratch");
-    let mut solo = || {
-        for (features, labels) in &client_data {
-            solo_model.set_parameters(&global).expect("params");
-            solo_model
-                .train_step_with(features, labels, 0.05, &mut solo_scratch)
-                .expect("step");
-            // The engine's solo path uploads each client's updated
-            // parameters; charge the same flat-vector extraction here.
-            std::hint::black_box(solo_model.parameters());
-        }
-    };
-    let mut arena = CohortArena::new(&dims).expect("arena");
-    let jobs: Vec<CohortJob<'_>> = client_data
-        .iter()
-        .map(|(features, labels)| CohortJob { features, labels })
-        .collect();
-    let mut cohort = || {
-        std::hint::black_box(arena.train(&jobs, &global, 0.05, 1).expect("cohort"));
-    };
-    // Calibrate on time alone (budget 0): one iteration is K full
-    // local steps, far more work than a single kernel call.
-    let timings = time_passes(&mut [&mut solo, &mut cohort], &[0.0, 0.0], min_secs);
-    let [(solo_iters, solo_secs), (cohort_iters, cohort_secs)] = timings[..] else {
-        unreachable!("two closures timed")
-    };
-    let solo_us = solo_secs * 1e6 / COHORT_CLIENTS as f64;
-    let cohort_us = cohort_secs * 1e6 / COHORT_CLIENTS as f64;
-    println!(
-        "  cohort x{COHORT_CLIENTS} [64,64,10]:      solo {solo_us:7.1} µs/client, \
-         grouped {cohort_us:7.1} µs/client ({:.2}x)",
-        solo_us / cohort_us
-    );
-    let mut cohort_section = JsonObject::new();
-    cohort_section
-        .field("clients", COHORT_CLIENTS)
-        .field("batch_rows", 200usize)
-        .field("solo_iters", solo_iters)
-        .field("cohort_iters", cohort_iters)
-        .field("solo_us_per_client", solo_us)
-        .field("cohort_us_per_client", cohort_us)
-        .field("speedup", solo_us / cohort_us);
-
     let mut host = JsonObject::new();
     host.field(
         "available_parallelism",
@@ -410,8 +345,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field("seed", args.seed)
         .field("operands", n_ops)
         .object("host", host)
-        .field("kernels", kernels)
-        .object("cohort", cohort_section);
+        .field("kernels", kernels);
 
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;

@@ -42,9 +42,11 @@
 //!
 //! Usage: `bench_population [--smoke] [--seed N] [--trace PATH]`
 //!
-//! `--smoke` stops the size sweep at `Q = 10^5` and trims rounds for
-//! CI; the per-Q numbers stay comparable to the full report under the
-//! loose gate tolerances. `--trace PATH` keeps the digest-mode JSONL
+//! `--smoke` stops the size sweep at `Q = 10^5` for CI, times 10 000
+//! measured rounds per size (the full sweep times 30, at sizes where a
+//! round costs up to milliseconds) and 30 overhead pairs (full: 90); the
+//! per-Q numbers stay comparable to the full report under the loose
+//! gate tolerances. `--trace PATH` keeps the digest-mode JSONL
 //! trace (all sizes, one stream) for `helcfl-trace check`/`audit`;
 //! without it the trace goes to a temp file that is deleted on exit.
 //!
@@ -112,7 +114,14 @@ fn target_for(q: usize) -> usize {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     let sizes = if args.smoke { &SIZES[..SMOKE_SIZES] } else { &SIZES[..] };
-    let (warmup, rounds) = if args.smoke { (2, 10) } else { (3, 30) };
+    // Measured rounds and untraced/traced overhead pairs per size. A
+    // smoke round costs at most ~100 µs (Q ≤ 10^5), so the smoke run
+    // can afford enough rounds for a real p99: its nearest rank has a
+    // hundred samples above it, so neither one scheduler hiccup (which
+    // was the whole figure when p99 was the maximum of 10 rounds) nor
+    // a burst of slow rounds shorter than a percent of the block moves
+    // it.
+    let (warmup, rounds, pairs) = if args.smoke { (2, 10_000, 30) } else { (3, 30, 90) };
     let payload = Bits::from_megabits(40.0);
 
     println!(
@@ -249,8 +258,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // the *median of the per-pair differences* — drift moves both
         // rounds of a pair alike and cancels, and outlier rounds land
         // in the tails and never touch the estimate.
-        const OVERHEAD_REPS: usize = 3;
-        let pairs = OVERHEAD_REPS * rounds;
         let mut plain_ns: Vec<u64> = Vec::with_capacity(pairs);
         let mut diff_ns: Vec<i64> = Vec::with_capacity(pairs);
         for _ in 0..pairs {

@@ -8,10 +8,11 @@
 //! looser ones (the committed baseline was produced on different
 //! hardware at full scale).
 //!
-//! Also home to [`percentile_nearest_rank`], the exact (not
-//! histogram-approximated) percentile the bench harness uses to derive
-//! per-round p50/p99 from a traced run.
+//! Also re-exports [`percentile_nearest_rank`] from telemetry, the
+//! exact (not histogram-approximated) percentile the bench harness uses
+//! to derive per-round p50/p99 from a traced run.
 
+pub use helcfl_telemetry::percentile_nearest_rank;
 use helcfl_telemetry::json::{parse, JsonValue};
 
 /// Tolerances for [`gate`]. All are "how much worse may the candidate
@@ -486,23 +487,6 @@ pub fn gate_population(
     Ok(report)
 }
 
-/// Exact nearest-rank percentile of an ascending-sorted slice: the
-/// smallest element such that at least `q·n` samples are ≤ it.
-///
-/// Unlike `Histogram::approx_quantile` this operates on the raw
-/// samples, so the bench report records true percentiles, not
-/// bucket midpoints.
-///
-/// # Panics
-///
-/// Panics on an empty slice — percentiles of nothing are a caller bug.
-pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    assert!(!sorted.is_empty(), "percentile of an empty sample set");
-    let n = sorted.len();
-    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,15 +841,5 @@ mod tests {
         assert!(gate_population(&engine, &pop, &PopulationGateConfig::default()).is_err());
         assert!(gate_population(&pop, &engine, &PopulationGateConfig::default()).is_err());
         assert!(gate_population("not json", &pop, &PopulationGateConfig::default()).is_err());
-    }
-
-    #[test]
-    fn nearest_rank_percentiles_are_exact() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_nearest_rank(&samples, 0.5), 50);
-        assert_eq!(percentile_nearest_rank(&samples, 0.99), 99);
-        assert_eq!(percentile_nearest_rank(&samples, 0.0), 1);
-        assert_eq!(percentile_nearest_rank(&samples, 1.0), 100);
-        assert_eq!(percentile_nearest_rank(&[7], 0.5), 7);
     }
 }

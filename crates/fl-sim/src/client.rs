@@ -14,7 +14,6 @@
 
 use detrand::Rng;
 use mec_sim::device::DeviceId;
-use tinynn::batch::{CohortArena, CohortJob};
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;
 
@@ -98,10 +97,6 @@ pub struct ClientTrainer {
     batch_labels: Vec<usize>,
     /// Shuffled sample permutation (minibatch mode).
     perm: Vec<usize>,
-    /// Grouped full-batch trainer for cohort dispatch
-    /// ([`ClientTrainer::local_update_cohort`]); its member slots grow
-    /// on first use and are reused across rounds.
-    cohort: CohortArena,
 }
 
 impl ClientTrainer {
@@ -121,42 +116,7 @@ impl ClientTrainer {
             input: Matrix::zeros(1, 1).map_err(FlError::from)?,
             batch_labels: Vec::new(),
             perm: Vec::new(),
-            cohort: CohortArena::new(model_dims).map_err(FlError::from)?,
         })
-    }
-
-    /// Runs the full-batch local update (Eq. 3) for a whole cohort of
-    /// clients in one grouped dispatch: every client loads
-    /// `global_params` and takes `spec.local_epochs` full-batch GD
-    /// passes over its own shard, exactly as `spec.batch_size == 0`
-    /// [`ClientTrainer::local_update`] would solo — the results are
-    /// bit-identical per client (pinned by [`tinynn::batch`]'s tests
-    /// and this module's). Grouping amortizes kernel dispatch and
-    /// shares the transposed weight panel of the backward pass across
-    /// the cohort. Returns `(updated_params, first-epoch pre-update
-    /// loss)` per client, in input order.
-    ///
-    /// Callers gate on `spec.batch_size == 0`: minibatch updates
-    /// consume the per-client RNG stream and cannot be grouped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-shape and training errors. The error does
-    /// not identify which client failed — callers needing per-client
-    /// attribution re-run solo.
-    pub fn local_update_cohort(
-        &mut self,
-        clients: &[&Client],
-        global_params: &[f32],
-        spec: &LocalUpdateSpec,
-    ) -> Result<Vec<(Vec<f32>, f32)>> {
-        let jobs: Vec<CohortJob<'_>> = clients
-            .iter()
-            .map(|c| CohortJob { features: c.data().features(), labels: c.data().labels() })
-            .collect();
-        self.cohort
-            .train(&jobs, global_params, spec.learning_rate, spec.local_epochs)
-            .map_err(FlError::from)
     }
 
     /// Runs one client's local model update (Eq. 3): loads
@@ -201,7 +161,7 @@ impl ClientTrainer {
                 }
             }
         } else {
-            let Self { model, scratch, input, batch_labels, perm, .. } = self;
+            let Self { model, scratch, input, batch_labels, perm } = self;
             perm.clear();
             perm.extend(0..n);
             for epoch in 0..spec.local_epochs.max(1) {
@@ -424,52 +384,6 @@ mod tests {
         let (other, _) =
             reused.local_update(&clients[0], &params, &spec, &mut other_rng).unwrap();
         assert_ne!(other, run(&mut fresh).0);
-    }
-
-    #[test]
-    fn cohort_update_is_bit_identical_to_solo_full_batch() {
-        let t = task();
-        let p = Partition::iid(90, 5, 0).unwrap();
-        let clients = build_clients(t.train(), p.assignments()).unwrap();
-        let params = Mlp::new(&[8, 8, 3], 42).unwrap().parameters();
-        for epochs in [1, 3] {
-            let spec = full_batch(0.2, epochs);
-            let mut solo_trainer = ClientTrainer::new(&[8, 8, 3]).unwrap();
-            let mut rng = Rng::seed_from_u64(0);
-            let solo: Vec<(Vec<f32>, f32)> = clients
-                .iter()
-                .map(|c| solo_trainer.local_update(c, &params, &spec, &mut rng).unwrap())
-                .collect();
-            let mut cohort_trainer = ClientTrainer::new(&[8, 8, 3]).unwrap();
-            let refs: Vec<&Client> = clients.iter().collect();
-            let cohort = cohort_trainer.local_update_cohort(&refs, &params, &spec).unwrap();
-            assert_eq!(cohort.len(), solo.len());
-            for (q, ((sp, sl), (cp, cl))) in solo.iter().zip(&cohort).enumerate() {
-                let solo_bits: Vec<u32> = sp.iter().map(|v| v.to_bits()).collect();
-                let cohort_bits: Vec<u32> = cp.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(solo_bits, cohort_bits, "params diverge for client {q}");
-                assert_eq!(sl.to_bits(), cl.to_bits(), "loss diverges for client {q}");
-            }
-        }
-        // Reusing the same arena for a differently-sized cohort must
-        // not leak state from the previous call.
-        let mut reused = ClientTrainer::new(&[8, 8, 3]).unwrap();
-        let spec = full_batch(0.2, 2);
-        let all: Vec<&Client> = clients.iter().collect();
-        let _warm = reused.local_update_cohort(&all, &params, &spec).unwrap();
-        let pair = reused.local_update_cohort(&all[..2], &params, &spec).unwrap();
-        let mut fresh = ClientTrainer::new(&[8, 8, 3]).unwrap();
-        assert_eq!(pair, fresh.local_update_cohort(&all[..2], &params, &spec).unwrap());
-    }
-
-    #[test]
-    fn cohort_update_rejects_foreign_parameter_vectors() {
-        let t = task();
-        let p = Partition::iid(90, 3, 0).unwrap();
-        let clients = build_clients(t.train(), p.assignments()).unwrap();
-        let mut trainer = ClientTrainer::new(&[8, 8, 3]).unwrap();
-        let refs: Vec<&Client> = clients.iter().collect();
-        assert!(trainer.local_update_cohort(&refs, &[0.0; 7], &full_batch(0.1, 1)).is_err());
     }
 
     #[test]

@@ -146,44 +146,6 @@ enum JobOut {
     Eval(usize),
 }
 
-/// Whether a job may take the grouped cohort path: only full-batch
-/// train jobs qualify. Minibatch updates consume the per-client RNG
-/// stream, which grouping cannot reproduce.
-fn cohort_eligible(job: &Job) -> bool {
-    matches!(job, Job::Train { spec, .. } if spec.batch_size == 0)
-}
-
-/// Runs a worker's whole item stride of a full-batch train job as one
-/// grouped cohort dispatch ([`ClientTrainer::local_update_cohort`]),
-/// returning each item's output in stride order. Per-item results are
-/// bit-identical to [`run_item`] on the same items; only the kernel
-/// grouping differs.
-///
-/// # Errors
-///
-/// Propagates training errors without per-item attribution — the
-/// caller falls back to solo [`run_item`] execution so the reported
-/// error is still the lowest-indexed failing item's.
-fn run_train_cohort(
-    job: &Job,
-    items: &[usize],
-    trainer: &mut ClientTrainer,
-    clients: &[Client],
-) -> Result<Vec<JobOut>> {
-    let Job::Train { spec, global, client_indices, .. } = job else {
-        unreachable!("cohort dispatch is only for train jobs");
-    };
-    let cohort: Vec<&Client> = items.iter().map(|&i| &clients[client_indices[i]]).collect();
-    let outs = trainer.local_update_cohort(&cohort, global, spec)?;
-    Ok(outs
-        .into_iter()
-        .zip(&cohort)
-        .map(|((params, loss), client)| {
-            JobOut::Train(params, client.num_samples() as f64, loss)
-        })
-        .collect())
-}
-
 /// Prepares a worker's trainer for `job` before its items run: an
 /// eval job's parameters are loaded once, and every block of the
 /// worker's stride is then scored against them. Train items load their
@@ -195,9 +157,8 @@ fn load_job(job: &Job, trainer: &mut ClientTrainer) -> Result<()> {
     }
 }
 
-/// Runs one item of `job` on a worker's trainer, which [`load_job`]
-/// has prepared — the per-item execution the worker threads and the
-/// error-attribution fallback of the cohort path share.
+/// Runs one item of `job` on a trainer that [`load_job`] has
+/// prepared.
 fn run_item(
     job: &Job,
     item: usize,
@@ -219,6 +180,37 @@ fn run_item(
             Ok(JobOut::Eval(trainer.count_correct_rows(eval_set, start, len)?))
         }
     }
+}
+
+/// Runs `items` of `job` in order on one trainer — a pool worker's
+/// stride, or the whole job in inline mode — returning each item's
+/// output tagged with its index. With `local`, each item's wall time
+/// is recorded under worker `wid`.
+fn run_items(
+    job: &Job,
+    items: impl Iterator<Item = usize>,
+    trainer: &mut ClientTrainer,
+    clients: &[Client],
+    eval_set: &LabeledSet,
+    wid: usize,
+    mut local: Option<&mut MetricsRegistry>,
+) -> Vec<(usize, Result<JobOut>)> {
+    let label = match job {
+        Job::Train { label, .. } => label.as_str(),
+        Job::Eval { .. } => "",
+    };
+    let loaded = load_job(job, trainer);
+    items
+        .map(|item| {
+            let started = Instant::now();
+            let out =
+                loaded.clone().and_then(|()| run_item(job, item, trainer, clients, eval_set));
+            if let Some(metrics) = local.as_deref_mut() {
+                record_item(metrics, label, wid, started.elapsed());
+            }
+            (item, out)
+        })
+        .collect()
 }
 
 /// Dispatcher ⇄ worker handshake state, guarded by one mutex.
@@ -319,45 +311,17 @@ fn worker_loop(
             continue; // `remaining` only counts participants
         }
         let _done = DoneGuard { shared };
-        let (label, traced) = match &*job {
-            Job::Train { label, traced, .. } => (label.as_str(), *traced),
-            Job::Eval { .. } => ("", false),
-        };
+        let traced = matches!(&*job, Job::Train { traced: true, .. });
         let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-        let stride: Vec<usize> = (wid..num_items).step_by(eff).collect();
-        let mut produced: Vec<(usize, Result<JobOut>)> = Vec::with_capacity(stride.len());
-        let mut solo = true;
-        if cohort_eligible(&job) && stride.len() > 1 {
-            let started = Instant::now();
-            if let Ok(outs) = run_train_cohort(&job, &stride, &mut trainer, clients) {
-                // One grouped dispatch covered the whole stride:
-                // telemetry attributes the elapsed time evenly so the
-                // item histogram still counts one entry per item.
-                let per_item = started.elapsed() / stride.len() as u32;
-                for (&item, out) in stride.iter().zip(outs) {
-                    if let Some(metrics) = &mut local {
-                        record_item(metrics, label, wid, per_item);
-                    }
-                    produced.push((item, Ok(out)));
-                }
-                solo = false;
-            }
-            // On error, fall back to solo runs: bit-identical work,
-            // and the failing item reports its own error.
-        }
-        if solo {
-            let loaded = load_job(&job, &mut trainer);
-            for &item in &stride {
-                let started = Instant::now();
-                let out = loaded
-                    .clone()
-                    .and_then(|()| run_item(&job, item, &mut trainer, clients, eval_set));
-                if let Some(metrics) = &mut local {
-                    record_item(metrics, label, wid, started.elapsed());
-                }
-                produced.push((item, out));
-            }
-        }
+        let produced = run_items(
+            &job,
+            (wid..num_items).step_by(eff),
+            &mut trainer,
+            clients,
+            eval_set,
+            wid,
+            local.as_mut(),
+        );
         {
             let mut slots = lock(&shared.slots);
             for (item, out) in produced {
@@ -461,88 +425,42 @@ impl TrainerPool<'_> {
         if num_items == 0 {
             return Ok(Vec::new());
         }
-        let Self { clients, eval_set: _, workers, mode } = self;
-        let clients: &[Client] = clients;
+        let Self { clients, eval_set, workers, mode } = self;
         let traced = tele.is_enabled();
-        match mode {
+        let eff = match mode {
+            PoolMode::Inline(_) => 1,
+            PoolMode::Pooled(_) => (*workers).min(num_items),
+        };
+        if traced {
+            tele.gauge_set(Class::Runtime, &format!("{label}.workers"), eff as f64);
+        }
+        let job = Job::Train {
+            round,
+            train_seed,
+            spec: *spec,
+            global: global.to_vec(),
+            client_indices: client_indices.to_vec(),
+            label: label.to_string(),
+            traced,
+        };
+        let wall_start = Instant::now();
+        let slots = match mode {
             PoolMode::Inline(trainer) => {
-                if traced {
-                    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), 1.0);
-                }
-                let wall_start = Instant::now();
                 let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-                if spec.batch_size == 0 && num_items > 1 {
-                    let cohort: Vec<&Client> =
-                        client_indices.iter().map(|&ci| &clients[ci]).collect();
-                    let started = Instant::now();
-                    if let Ok(outs) = trainer.local_update_cohort(&cohort, global, spec) {
-                        let per_item = started.elapsed() / num_items as u32;
-                        let mut results = Vec::with_capacity(num_items);
-                        for ((params, loss), client) in outs.into_iter().zip(&cohort) {
-                            if let Some(metrics) = &mut local {
-                                record_item(metrics, label, 0, per_item);
-                            }
-                            results.push((params, client.num_samples() as f64, loss));
-                        }
-                        if let Some(mut metrics) = local {
-                            record_idle(&mut metrics, label, 1, wall_start.elapsed());
-                            tele.merge_registry(&metrics);
-                        }
-                        return Ok(results);
-                    }
-                    // Cohort failed: re-run solo below so the error
-                    // names the lowest-indexed failing client.
-                }
-                let mut results = Vec::with_capacity(num_items);
-                let mut first_err: Option<FlError> = None;
-                for &client_index in client_indices {
-                    let client = &clients[client_index];
-                    let mut rng = Rng::stream(
-                        train_seed,
-                        ((round as u64) << 32) | client.id().0 as u64,
-                    );
-                    let started = Instant::now();
-                    let out = trainer.local_update(client, global, spec, &mut rng);
-                    if let Some(metrics) = &mut local {
-                        record_item(metrics, label, 0, started.elapsed());
-                    }
-                    match out {
-                        Ok((params, loss)) => {
-                            results.push((params, client.num_samples() as f64, loss));
-                        }
-                        Err(err) => {
-                            first_err = Some(err);
-                            break;
-                        }
-                    }
-                }
+                let outs =
+                    run_items(&job, 0..num_items, trainer, clients, eval_set, 0, local.as_mut());
                 if let Some(mut metrics) = local {
                     record_idle(&mut metrics, label, 1, wall_start.elapsed());
                     tele.merge_registry(&metrics);
                 }
-                match first_err {
-                    Some(err) => Err(err),
-                    None => Ok(results),
-                }
+                outs.into_iter().map(|(_, out)| Some(out)).collect()
             }
             PoolMode::Pooled(shared) => {
-                let eff = (*workers).min(num_items);
                 if traced {
-                    tele.gauge_set(Class::Runtime, &format!("{label}.workers"), eff as f64);
                     for slot in lock(&shared.metrics).iter_mut() {
                         *slot = None;
                     }
                 }
-                let wall_start = Instant::now();
-                let job = Job::Train {
-                    round,
-                    train_seed,
-                    spec: *spec,
-                    global: global.to_vec(),
-                    client_indices: client_indices.to_vec(),
-                    label: label.to_string(),
-                    traced,
-                };
                 let slots = dispatch(shared, job, eff);
                 tele.with_metrics(|m| {
                     m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
@@ -557,18 +475,17 @@ impl TrainerPool<'_> {
                     record_idle(&mut merged, label, eff, wall_start.elapsed());
                     tele.merge_registry(&merged);
                 }
-                let mut results = Vec::with_capacity(num_items);
-                for slot in slots {
-                    match slot.expect("pool worker panicked")? {
-                        JobOut::Train(params, weight, loss) => {
-                            results.push((params, weight, loss));
-                        }
-                        JobOut::Eval(..) => unreachable!("train job yielded eval output"),
-                    }
-                }
-                Ok(results)
+                slots
+            }
+        };
+        let mut results = Vec::with_capacity(num_items);
+        for slot in slots {
+            match slot.expect("pool worker panicked")? {
+                JobOut::Train(params, weight, loss) => results.push((params, weight, loss)),
+                JobOut::Eval(..) => unreachable!("train job yielded eval output"),
             }
         }
+        Ok(results)
     }
 
     /// Evaluates a parameter vector on the run's eval set, returning
@@ -1019,7 +936,8 @@ mod tests {
     }
 
     /// Fixture for the persistent-pool tests: a small task, its
-    /// clients, a trained-from global parameter vector, and a spec.
+    /// clients, a trained-from global parameter vector, and a
+    /// minibatch spec.
     fn pool_fixture() -> (SyntheticTask, Vec<Client>, Vec<f32>, LocalUpdateSpec) {
         let task = SyntheticTask::generate(DatasetConfig {
             num_classes: 4,
@@ -1038,35 +956,86 @@ mod tests {
         (task, clients, global, spec)
     }
 
+    /// The two local-update modes the train tests cover: the fixture's
+    /// minibatch spec, which draws on the per-client RNG stream, and
+    /// full batch (`batch_size == 0`, the paper's Eq. 3), which does
+    /// not.
+    fn both_modes(spec: LocalUpdateSpec) -> [LocalUpdateSpec; 2] {
+        [spec, LocalUpdateSpec { batch_size: 0, ..spec }]
+    }
+
     fn pool_train(
         workers: usize,
+        spec: &LocalUpdateSpec,
         rounds: &[usize],
         tele: &Telemetry,
     ) -> Vec<Vec<(Vec<f32>, f64, f32)>> {
-        let (task, clients, global, spec) = pool_fixture();
+        let (task, clients, global, _) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
             rounds
                 .iter()
                 .map(|&round| {
-                    pool.train(round, 42, &spec, &global, &indices, tele, "local_update")
+                    pool.train(round, 42, spec, &global, &indices, tele, "local_update")
                 })
                 .collect()
         })
         .unwrap()
     }
 
+    /// Every result bit of a train run, so `-0.0`/`+0.0` and NaN
+    /// payloads count as differences.
+    fn result_bits(runs: &[Vec<(Vec<f32>, f64, f32)>]) -> Vec<Vec<(Vec<u32>, u64, u32)>> {
+        runs.iter()
+            .map(|run| {
+                run.iter()
+                    .map(|(p, w, l)| {
+                        (p.iter().map(|v| v.to_bits()).collect(), w.to_bits(), l.to_bits())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn pooled_train_is_bit_identical_to_inline() {
+        let (task, clients, global, spec) = pool_fixture();
         let disabled = Telemetry::disabled();
-        let inline = pool_train(1, &[1, 2, 3], &disabled);
-        for workers in [2, 3, 8, 16] {
-            let pooled = pool_train(workers, &[1, 2, 3], &disabled);
-            assert_eq!(inline, pooled, "divergence at {workers} workers");
+        for spec in both_modes(spec) {
+            let inline = result_bits(&pool_train(1, &spec, &[1, 2, 3], &disabled));
+            // The reference runs each client as its own single-item job,
+            // so no item shares a trainer pass with another.
+            let single_items: Vec<_> =
+                with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
+                    [1, 2, 3]
+                        .iter()
+                        .map(|&round| {
+                            let mut out = Vec::new();
+                            for i in 0..clients.len() {
+                                out.extend(pool.train(
+                                    round,
+                                    42,
+                                    &spec,
+                                    &global,
+                                    &[i],
+                                    &disabled,
+                                    "local_update",
+                                )?);
+                            }
+                            Ok(out)
+                        })
+                        .collect()
+                })
+                .unwrap();
+            assert_eq!(inline, result_bits(&single_items), "{spec:?}");
+            for workers in [2, 3, 4, 8, 16] {
+                let pooled = result_bits(&pool_train(workers, &spec, &[1, 2, 3], &disabled));
+                assert_eq!(inline, pooled, "divergence at {workers} workers, {spec:?}");
+            }
+            // Tracing must not perturb results either.
+            let tele = Telemetry::metrics_only();
+            assert_eq!(inline, result_bits(&pool_train(4, &spec, &[1, 2, 3], &tele)));
         }
-        // Tracing must not perturb results either.
-        let tele = Telemetry::metrics_only();
-        assert_eq!(inline, pool_train(4, &[1, 2, 3], &tele));
     }
 
     #[test]
@@ -1098,7 +1067,7 @@ mod tests {
         let (task, clients, global, spec) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         let disabled = Telemetry::disabled();
-        let inline = pool_train(1, &[1, 2], &disabled);
+        let inline = pool_train(1, &spec, &[1, 2], &disabled);
         let (first, evaled, second) =
             with_trainer_pool(3, &[6, 8, 4], &clients, task.test(), |pool| {
                 let first =
@@ -1126,19 +1095,21 @@ mod tests {
         let indices: Vec<usize> = (0..clients.len()).collect();
         let disabled = Telemetry::disabled();
         let bad = vec![0.0f32; 3];
-        for workers in [1, 3] {
-            with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                assert!(pool
-                    .train(1, 42, &spec, &bad, &indices, &disabled, "local_update")
-                    .is_err());
-                assert!(pool.evaluate(&bad, &disabled).is_err());
-                // Still healthy: a good job right after the failures.
-                let ok =
-                    pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update")?;
-                assert_eq!(ok.len(), indices.len());
-                Ok(())
-            })
-            .unwrap();
+        for spec in both_modes(spec) {
+            for workers in [1, 3, 4] {
+                with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
+                    assert!(pool
+                        .train(1, 42, &spec, &bad, &indices, &disabled, "local_update")
+                        .is_err());
+                    assert!(pool.evaluate(&bad, &disabled).is_err());
+                    // Still healthy: a good job right after the failures.
+                    let ok =
+                        pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update")?;
+                    assert_eq!(ok.len(), indices.len());
+                    Ok(())
+                })
+                .unwrap();
+            }
         }
     }
 
@@ -1167,128 +1138,36 @@ mod tests {
         assert_eq!(inline, pooled);
     }
 
-    /// Like [`pool_fixture`] but full-batch (`batch_size == 0`), the
-    /// configuration that takes the grouped cohort dispatch path.
-    fn cohort_fixture() -> (SyntheticTask, Vec<Client>, Vec<f32>, LocalUpdateSpec) {
-        let (task, clients, global, mut spec) = pool_fixture();
-        spec.batch_size = 0;
-        (task, clients, global, spec)
-    }
-
-    #[test]
-    fn full_batch_cohort_train_is_bit_identical_across_worker_counts() {
-        // batch_size == 0 routes through CohortArena grouping; the
-        // reference is the per-item path, forced by running each
-        // client as its own single-item job.
-        let (task, clients, global, spec) = cohort_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        let disabled = Telemetry::disabled();
-        let reference: Vec<(Vec<f32>, f64, f32)> =
-            with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
-                let mut out = Vec::new();
-                for &i in &indices {
-                    out.extend(pool.train(
-                        2,
-                        42,
-                        &spec,
-                        &global,
-                        &[i],
-                        &disabled,
-                        "local_update",
-                    )?);
-                }
-                Ok(out)
-            })
-            .unwrap();
-        for workers in [1, 2, 4, 8] {
-            let got = with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                pool.train(2, 42, &spec, &global, &indices, &disabled, "local_update")
-            })
-            .unwrap();
-            assert_eq!(got.len(), reference.len());
-            for (q, ((gp, gw, gl), (rp, rw, rl))) in got.iter().zip(&reference).enumerate() {
-                let gb: Vec<u32> = gp.iter().map(|v| v.to_bits()).collect();
-                let rb: Vec<u32> = rp.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(gb, rb, "params diverge: client {q}, {workers} workers");
-                assert_eq!(gw, rw, "weight diverges: client {q}, {workers} workers");
-                assert_eq!(
-                    gl.to_bits(),
-                    rl.to_bits(),
-                    "loss diverges: client {q}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cohort_train_keeps_the_telemetry_shape() {
-        // Grouped dispatch must still produce one item_us entry per
-        // client and per-worker item counts summing to the job size.
-        let (task, clients, global, spec) = cohort_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        for workers in [1, 3] {
-            let tele = Telemetry::metrics_only();
-            with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                pool.train(1, 42, &spec, &global, &indices, &tele, "local_update")?;
-                Ok(())
-            })
-            .unwrap();
-            let snap = tele.snapshot();
-            let items: u64 = (0..workers)
-                .map(|w| snap.counter(&format!("local_update.worker{w}.items")))
-                .sum();
-            assert_eq!(items, indices.len() as u64, "items at {workers} workers");
-            assert_eq!(
-                snap.histogram("local_update.item_us").unwrap().count,
-                indices.len() as u64,
-                "histogram at {workers} workers"
-            );
-            assert!(snap.deterministic().is_empty());
-        }
-    }
-
-    #[test]
-    fn cohort_train_failure_falls_back_with_attribution() {
-        // A bad global vector fails the grouped dispatch; the solo
-        // fallback must surface a client-level error (not a panic) and
-        // leave the pool healthy.
-        let (task, clients, global, spec) = cohort_fixture();
-        let indices: Vec<usize> = (0..clients.len()).collect();
-        let disabled = Telemetry::disabled();
-        let bad = vec![0.0f32; 3];
-        for workers in [1, 4] {
-            with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
-                assert!(pool
-                    .train(1, 42, &spec, &bad, &indices, &disabled, "local_update")
-                    .is_err());
-                let ok =
-                    pool.train(1, 42, &spec, &global, &indices, &disabled, "local_update")?;
-                assert_eq!(ok.len(), indices.len());
-                Ok(())
-            })
-            .unwrap();
-        }
-    }
-
     #[test]
     fn pool_telemetry_accounts_for_amortized_spawns() {
         let (task, clients, global, spec) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
-        let tele = Telemetry::metrics_only();
-        with_trainer_pool(3, &[6, 8, 4], &clients, task.test(), |pool| {
-            pool.train(1, 42, &spec, &global, &indices, &tele, "local_update")?;
-            pool.evaluate(&global, &tele)?;
-            Ok(())
-        })
-        .unwrap();
-        let snap = tele.snapshot();
-        // Train dispatched over 3 workers; eval over min(3, ceil(700/256)) = 3.
-        assert_eq!(snap.counter("pool.spawn_amortized"), 6);
-        let items: u64 =
-            (0..3).map(|w| snap.counter(&format!("local_update.worker{w}.items"))).sum();
-        assert_eq!(items, indices.len() as u64);
-        assert_eq!(snap.histogram("local_update.item_us").unwrap().count, indices.len() as u64);
-        // Pool metrics are runtime-class: the deterministic view is empty.
-        assert!(snap.deterministic().is_empty());
+        for spec in both_modes(spec) {
+            for workers in [1, 3] {
+                let tele = Telemetry::metrics_only();
+                with_trainer_pool(workers, &[6, 8, 4], &clients, task.test(), |pool| {
+                    pool.train(1, 42, &spec, &global, &indices, &tele, "local_update")?;
+                    pool.evaluate(&global, &tele)?;
+                    Ok(())
+                })
+                .unwrap();
+                let snap = tele.snapshot();
+                // Inline mode spawns nothing. Three workers: train over 3,
+                // eval over min(3, ceil(700/256)) = 3.
+                let spawns = if workers == 1 { 0 } else { 6 };
+                assert_eq!(snap.counter("pool.spawn_amortized"), spawns);
+                let items: u64 = (0..workers)
+                    .map(|w| snap.counter(&format!("local_update.worker{w}.items")))
+                    .sum();
+                assert_eq!(items, indices.len() as u64, "{workers} workers, {spec:?}");
+                assert_eq!(
+                    snap.histogram("local_update.item_us").unwrap().count,
+                    indices.len() as u64,
+                    "{workers} workers, {spec:?}"
+                );
+                // Pool metrics are runtime-class: the deterministic view is empty.
+                assert!(snap.deterministic().is_empty());
+            }
+        }
     }
 }

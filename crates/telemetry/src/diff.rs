@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use crate::analyze::{SpanTree, Trace};
 use crate::audit::{audit, AuditConfig};
 use crate::json::{JsonObject, JsonValue};
-use crate::metrics::Histogram;
+use crate::metrics::{percentile_nearest_rank, Histogram};
 
 /// Thresholds and switches for [`diff_traces`].
 ///
@@ -405,16 +405,6 @@ impl DiffReport {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample set.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
 /// Per-round phase samples: name → one in-round summed duration per
 /// round, plus the `"round"` pseudo-phase.
 fn phase_samples(trace: &Trace, tree: &SpanTree<'_>) -> BTreeMap<String, Vec<f64>> {
@@ -435,8 +425,11 @@ fn phase_samples(trace: &Trace, tree: &SpanTree<'_>) -> BTreeMap<String, Vec<f64
 fn phase_delta(name: &str, base: &[f64], cand: &[f64]) -> PhaseDelta {
     let stat = |xs: &[f64]| {
         let mut a = xs.to_vec();
-        let p50 = percentile(&mut a, 0.50);
-        let p99 = percentile(&mut a, 0.99);
+        a.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        // A phase absent on one side has no samples there: it reads 0.
+        let pct = |q| if a.is_empty() { 0.0 } else { percentile_nearest_rank(&a, q) };
+        let p50 = pct(0.50);
+        let p99 = pct(0.99);
         let total = xs.iter().sum::<f64>() as u64;
         (p50, p99, total)
     };
@@ -928,12 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank() {
-        let mut xs = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&mut xs, 0.50), 3.0);
-        assert_eq!(percentile(&mut xs, 0.99), 5.0);
-        assert_eq!(percentile(&mut xs, 0.0), 1.0);
-        assert_eq!(percentile(&mut [], 0.5), 0.0);
+    fn phase_stats_sort_their_samples_and_read_zero_when_absent() {
+        let d = phase_delta("x", &[], &[5.0, 1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((d.base_count, d.base_p50_us, d.base_p99_us, d.base_total_us), (0, 0.0, 0.0, 0));
+        assert_eq!((d.cand_p50_us, d.cand_p99_us, d.cand_total_us), (3.0, 5.0, 15));
     }
 
     #[test]

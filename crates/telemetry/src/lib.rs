@@ -52,7 +52,7 @@ mod sink;
 mod span;
 
 pub use manifest::{fnv1a_hex, RunManifest, MANIFEST_SCHEMA_VERSION};
-pub use metrics::{Class, Histogram, Metric, MetricsRegistry};
+pub use metrics::{percentile_nearest_rank, Class, Histogram, Metric, MetricsRegistry};
 pub use progress::{ProgressSink, ProgressTarget, RoundSnapshot, PROGRESS_ENV};
 pub use report::TelemetryReport;
 pub use sink::{

@@ -536,9 +536,41 @@ impl MetricsRegistry {
     }
 }
 
+/// Exact nearest-rank percentile of an ascending-sorted slice: the
+/// smallest element such that at least `q·n` samples are ≤ it (`q` is
+/// clamped to `[0, 1]`).
+///
+/// Unlike [`Histogram::approx_quantile`] this operates on the raw
+/// samples, so it yields true percentiles, not bucket midpoints.
+///
+/// # Panics
+///
+/// Panics on an empty slice — percentiles of nothing are a caller bug.
+pub fn percentile_nearest_rank<T: Copy>(sorted: &[T], q: f64) -> T {
+    assert!(!sorted.is_empty(), "percentile of an empty sample set");
+    let n = sorted.len();
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+    sorted[rank - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_percentiles_are_exact() {
+        let samples: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_nearest_rank(&samples, 0.5), 50);
+        assert_eq!(percentile_nearest_rank(&samples, 0.99), 99);
+        assert_eq!(percentile_nearest_rank(&samples, 0.0), 1);
+        assert_eq!(percentile_nearest_rank(&samples, 1.0), 100);
+        assert_eq!(percentile_nearest_rank(&[7u64], 0.5), 7);
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile_nearest_rank(&xs, 0.50), 3.0);
+        assert_eq!(percentile_nearest_rank(&xs, 0.99), 5.0);
+        assert_eq!(percentile_nearest_rank(&xs, 1.5), 5.0);
+        assert_eq!(percentile_nearest_rank(&xs, -1.0), 1.0);
+    }
 
     #[test]
     fn counters_and_gauges_accumulate() {

@@ -3,7 +3,7 @@
 
 use crate::error::{NnError, Result};
 use crate::init::Init;
-use crate::tensor::{Matrix, NtPanel};
+use crate::tensor::Matrix;
 use detrand::Rng;
 
 /// A dense (fully-connected) layer `y = x·W + b`.
@@ -158,39 +158,6 @@ impl Dense {
         x.matmul_tn_into(dz, &mut grad.weights)?;
         dz.col_sums_into(&mut grad.bias);
         dz.matmul_nt_into(&self.weights, dx)
-    }
-
-    /// [`Dense::backward_into`] with the `dz·Wᵀ` product taken against
-    /// a pre-packed copy of this layer's weights — the cohort-batching
-    /// form, where one packed panel of the round's shared global
-    /// weights serves every client in a dispatch instead of being
-    /// re-staged per client per layer. Bit-identical to
-    /// [`Dense::backward_into`] (see
-    /// [`Matrix::matmul_nt_packed_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `panel` was not packed
-    /// from a matrix of this layer's weight shape, or on inconsistent
-    /// input shapes.
-    pub fn backward_into_packed(
-        &self,
-        x: &Matrix,
-        dz: &Matrix,
-        grad: &mut DenseGrad,
-        dx: &mut Matrix,
-        panel: &NtPanel,
-    ) -> Result<()> {
-        if panel.src_shape() != self.weights.shape() {
-            return Err(NnError::ShapeMismatch {
-                left: self.weights.shape(),
-                right: panel.src_shape(),
-                op: "Dense::backward_into_packed",
-            });
-        }
-        x.matmul_tn_into(dz, &mut grad.weights)?;
-        dz.col_sums_into(&mut grad.bias);
-        dz.matmul_nt_packed_into(panel, dx)
     }
 
     /// [`Dense::backward_into`] without the input gradient `dz·Wᵀ` —

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod batch;
 pub mod error;
 pub mod init;
 pub mod layer;

@@ -20,7 +20,7 @@ use crate::tensor::{argmax_row, matmul_bias_rows_into, Matrix};
 /// Gradients of all layers of an [`Mlp`], ordered input → output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gradients {
-    pub(crate) layers: Vec<DenseGrad>,
+    layers: Vec<DenseGrad>,
 }
 
 impl Gradients {
@@ -59,14 +59,14 @@ impl Gradients {
 pub struct TrainScratch {
     /// Post-ReLU activation of each hidden layer
     /// (`relu(x·W + b)`, produced by the fused forward kernel).
-    pub(crate) acts: Vec<Matrix>,
+    acts: Vec<Matrix>,
     /// The last layer's affine output (`n × classes` logits).
-    pub(crate) logits: Matrix,
+    logits: Matrix,
     /// Upstream gradient buffers, swapped while walking backward.
-    pub(crate) dz: Matrix,
-    pub(crate) dx: Matrix,
+    dz: Matrix,
+    dx: Matrix,
     /// Parameter-gradient storage.
-    pub(crate) grads: Gradients,
+    grads: Gradients,
 }
 
 impl TrainScratch {
@@ -121,7 +121,7 @@ impl TrainScratch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     dims: Vec<usize>,
-    pub(crate) layers: Vec<Dense>,
+    layers: Vec<Dense>,
 }
 
 impl Mlp {

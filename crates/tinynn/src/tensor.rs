@@ -40,13 +40,9 @@ const NT_BLOCK: usize = 8;
 /// sequence of the naive kernel starting from `0.0`, so the stored
 /// block is bit-identical to the unblocked result while the per-`k`
 /// read-modify-write of the output row is gone.
-///
-/// `SKIP` selects the zero-skip contract: `true` for the NN/TN family
-/// (ReLU-sparse left operands), `false` for the packed-transpose
-/// `matmul_nt` form, whose documented contract computes every addend.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gemm_block<const W: usize, const SKIP: bool>(
+fn gemm_block<const W: usize>(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -60,7 +56,7 @@ fn gemm_block<const W: usize, const SKIP: bool>(
     let mut acc = [0.0f32; W];
     for k in 0..len {
         let a = lhs[k * stride];
-        if SKIP && a == 0.0 {
+        if a == 0.0 {
             continue;
         }
         let row = &rhs[k * cols + j..k * cols + j + W];
@@ -94,7 +90,7 @@ fn gemm_block<const W: usize, const SKIP: bool>(
 /// accumulator array is simply used partially.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tail<const SKIP: bool>(
+fn gemm_tail(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -111,7 +107,7 @@ fn gemm_tail<const SKIP: bool>(
     let acc = &mut acc[..width];
     for k in 0..len {
         let a = lhs[k * stride];
-        if SKIP && a == 0.0 {
+        if a == 0.0 {
             continue;
         }
         let row = &rhs[k * cols + j..k * cols + j + width];
@@ -138,7 +134,7 @@ fn gemm_tail<const SKIP: bool>(
 /// runtime-width [`gemm_tail`] for whatever is left, all sharing the
 /// one reduction operand described by `(lhs, stride, len)`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_row<const SKIP: bool>(
+fn gemm_row(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -151,12 +147,12 @@ fn gemm_row<const SKIP: bool>(
     let mut j = 0;
     let mut wide = out_row.chunks_exact_mut(WIDE);
     for chunk in wide.by_ref() {
-        gemm_block::<WIDE, SKIP>(lhs, stride, len, rhs, cols, j, chunk, bias, relu);
+        gemm_block::<WIDE>(lhs, stride, len, rhs, cols, j, chunk, bias, relu);
         j += WIDE;
     }
     let rem = wide.into_remainder();
     if !rem.is_empty() {
-        gemm_tail::<SKIP>(lhs, stride, len, rhs, cols, j, rem, bias, relu);
+        gemm_tail(lhs, stride, len, rhs, cols, j, rem, bias, relu);
     }
 }
 
@@ -165,52 +161,7 @@ thread_local! {
     /// the transposed right operand is staged here so the product can
     /// run through the contiguous no-skip NN kernel. Reused across
     /// calls, so steady-state training stays allocation-free.
-    static NT_PANEL: std::cell::RefCell<NtPanel> = std::cell::RefCell::new(NtPanel::new());
-}
-
-/// A right operand packed in transposed (`k × n`) layout for
-/// [`Matrix::matmul_nt_packed_into`].
-///
-/// `matmul_nt` computes `self · rhsᵀ` with `rhs` stored `n × k`;
-/// packing stages `panel[kk·n + j] = rhs[j][kk]` once so every product
-/// against the same `rhs` walks contiguous rows — the form the SIMD
-/// lanes want, and the piece cohort batching shares across a round's
-/// clients (all of whom multiply by the same just-loaded global
-/// weights). The packed product is bit-identical to the direct kernel:
-/// element `(i, j)` still sums `self[i][kk] · rhs[j][kk]` in ascending
-/// `kk` into one accumulator, with no zero-skip on either side.
-#[derive(Debug, Clone, Default)]
-pub struct NtPanel {
-    data: Vec<f32>,
-    k: usize,
-    n: usize,
-}
-
-impl NtPanel {
-    /// An empty panel; [`NtPanel::pack`] gives it a shape.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stages `rhs` (stored `n × k`) in transposed `k × n` layout,
-    /// reusing the existing allocation when capacity allows.
-    pub fn pack(&mut self, rhs: &Matrix) {
-        self.n = rhs.rows;
-        self.k = rhs.cols;
-        self.data.clear();
-        self.data.resize(self.k * self.n, 0.0);
-        for (j, row) in rhs.data.chunks_exact(self.k).enumerate() {
-            for (kk, &v) in row.iter().enumerate() {
-                self.data[kk * self.n + j] = v;
-            }
-        }
-    }
-
-    /// Shape of the packed operand as `(n, k)` — the shape of the
-    /// `rhs` matrix it was packed from.
-    pub fn src_shape(&self) -> (usize, usize) {
-        (self.n, self.k)
-    }
+    static NT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `lhs · rhs + bias` (with an optional ReLU epilogue) for a left
@@ -256,7 +207,7 @@ pub(crate) fn matmul_bias_rows_into(
             for (lhs_row, out_row) in
                 lhs.chunks_exact(cols).zip(out.data.chunks_exact_mut(rhs.cols))
             {
-                gemm_row::<true>(lhs_row, 1, cols, &rhs.data, rhs.cols, out_row, Some(bias), relu);
+                gemm_row(lhs_row, 1, cols, &rhs.data, rhs.cols, out_row, Some(bias), relu);
             }
         }
         path => simd::gemm_nn(path, lhs, rows, cols, &rhs.data, rhs.cols, &mut out.data, Some(bias), relu),
@@ -543,7 +494,7 @@ impl Matrix {
                 for i in 0..self.rows {
                     let lhs_row = &self.data[i * self.cols..(i + 1) * self.cols];
                     let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    gemm_row::<true>(lhs_row, 1, self.cols, &rhs.data, rhs.cols, out_row, None, false);
+                    gemm_row(lhs_row, 1, self.cols, &rhs.data, rhs.cols, out_row, None, false);
                 }
             }
             path => simd::gemm_nn(
@@ -637,7 +588,7 @@ impl Matrix {
                     // column `i` of left row `r`: `self.data[i + r * cols]`.
                     let lhs_col = &self.data[i..];
                     let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    gemm_row::<true>(
+                    gemm_row(
                         lhs_col,
                         self.cols,
                         self.rows,
@@ -710,14 +661,21 @@ impl Matrix {
                 // the result is bit-for-bit the direct kernel's.
                 NT_PANEL.with(|panel| {
                     let mut panel = panel.borrow_mut();
-                    panel.pack(rhs);
+                    let (n, k) = rhs.shape();
+                    panel.clear();
+                    panel.resize(k * n, 0.0);
+                    for (j, row) in rhs.data.chunks_exact(k).enumerate() {
+                        for (kk, &v) in row.iter().enumerate() {
+                            panel[kk * n + j] = v;
+                        }
+                    }
                     simd::gemm_nn_noskip(
                         path,
                         &self.data,
                         self.rows,
                         self.cols,
-                        &panel.data,
-                        rhs.rows,
+                        &panel,
+                        n,
                         &mut out.data,
                     );
                 });
@@ -768,58 +726,6 @@ impl Matrix {
                 j += 1;
             }
         }
-    }
-
-    /// `self · rhsᵀ` against a pre-packed right operand — the form
-    /// cohort batching uses to pack a round's shared global weights
-    /// once and reuse the panel across every client in the dispatch.
-    ///
-    /// Bit-identical to [`Matrix::matmul_nt_into`] on the matrix the
-    /// panel was packed from: each output element is the same
-    /// ascending-`k`, one-accumulator, no-skip dot product; packing
-    /// only changes the memory layout the addends are read from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] unless `self.cols` matches
-    /// the packed operand's `k`.
-    pub fn matmul_nt_packed_into(&self, panel: &NtPanel, out: &mut Self) -> Result<()> {
-        if self.cols != panel.k {
-            return Err(NnError::ShapeMismatch {
-                left: self.shape(),
-                right: (panel.n, panel.k),
-                op: "matmul_nt_packed",
-            });
-        }
-        out.resize_for_kernel(self.rows, panel.n)?;
-        match simd::active_path() {
-            SimdPath::Scalar => {
-                for i in 0..self.rows {
-                    let lhs_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * panel.n..(i + 1) * panel.n];
-                    gemm_row::<false>(
-                        lhs_row,
-                        1,
-                        self.cols,
-                        &panel.data,
-                        panel.n,
-                        out_row,
-                        None,
-                        false,
-                    );
-                }
-            }
-            path => simd::gemm_nn_noskip(
-                path,
-                &self.data,
-                self.rows,
-                self.cols,
-                &panel.data,
-                panel.n,
-                &mut out.data,
-            ),
-        }
-        Ok(())
     }
 
     /// Adds `row` to every row of `self` in place (bias broadcast).

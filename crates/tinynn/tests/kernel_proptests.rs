@@ -19,7 +19,7 @@
 use detrand::Rng;
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::simd::{available_paths, force_path_for_tests, SimdPath};
-use tinynn::tensor::{Matrix, NtPanel};
+use tinynn::tensor::Matrix;
 
 const CASES: usize = 200;
 
@@ -301,33 +301,6 @@ fn every_simd_path_is_bit_identical_to_the_oracle() {
             assert_bits_eq(&out, &want_tn, &what("matmul_tn"), case);
             a.matmul_nt_into(&bt, &mut out).unwrap();
             assert_bits_eq(&out, &want_nt, &what("matmul_nt"), case);
-        }
-    }
-}
-
-/// The packed-transpose `matmul_nt` form must match both the oracle
-/// and the direct kernel on every path — this is the equivalence the
-/// cohort arena's shared weight panel rides on.
-#[test]
-fn packed_nt_is_bit_identical_to_direct_nt_on_every_path() {
-    let paths = available_paths();
-    for case in 0..PATH_CASES {
-        let mut rng = Rng::seed_from_u64(0x4e4e_0022 ^ case as u64);
-        let (m, k, n) = gen_shape(&mut rng);
-        let a = gen_matrix(&mut rng, m, k);
-        let bt = gen_matrix(&mut rng, n, k);
-        let want = naive_matmul_nt(&a, &bt);
-        let mut panel = NtPanel::new();
-        panel.pack(&bt);
-        let mut direct = Matrix::zeros(1, 1).unwrap();
-        let mut packed = Matrix::zeros(1, 1).unwrap();
-        for &path in &paths {
-            let _guard = PathGuard::force(path);
-            let what = format!("matmul_nt_packed[{}]", path.name());
-            a.matmul_nt_into(&bt, &mut direct).unwrap();
-            a.matmul_nt_packed_into(&panel, &mut packed).unwrap();
-            assert_bits_eq(&packed, &want, &what, case);
-            assert_bits_eq(&packed, &direct, &what, case);
         }
     }
 }
