@@ -3,11 +3,19 @@
 //! Times each tinynn matmul kernel — plain, fused bias, fused
 //! bias+ReLU, transposed-left (`tn`), transposed-right (`nt`) — on the
 //! exact shapes one local update of the §VII-A scenario runs them at
-//! (shard batch 200, model `[64, 64, 10]`, eval chunk 256), plus one
-//! square reference size for cross-report comparability with
+//! (shard batch 200, model `[64, 64, 10]`, eval chunk 256), the
+//! 20-row minibatch shapes of the `noniid-faults` benchmark workload,
+//! and one square reference size for cross-report comparability with
 //! `bench_round_engine`. GFLOP/s counts `2·m·k·n` per product; the
 //! fused epilogues add a few percent more real work, so their reported
-//! rate is slightly conservative.
+//! rate is slightly conservative. `relu_backward 200x64`, the
+//! backward ReLU mask, counts one op per element (a compare and a
+//! select), so it reports in the same unit and the same gate covers
+//! it.
+//!
+//! On an AVX-512 host the report also carries `peak_gflops`, the
+//! no-FMA ceiling measured by a register-only loop of independent
+//! 16-lane multiplies and adds, and each kernel's `pct_of_peak`.
 //!
 //! Every kernel cycles through [`FRESH_OPERANDS`] distinct left
 //! operands, as the engine does (each client and each evaluation chunk
@@ -30,6 +38,8 @@ use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_telemetry::json::JsonObject;
+use tinynn::activation::relu_backward_inplace;
+use tinynn::simd;
 use tinynn::tensor::Matrix;
 
 /// ReLU-like sparsity applied to the left operand of the kernels that
@@ -127,20 +137,28 @@ fn cycle<'a>(pool: &'a [Matrix]) -> impl FnMut() -> &'a Matrix + 'a {
     }
 }
 
-/// One benchmarked kernel invocation: `(m, k, n)` are the product
-/// dimensions used for the `2·m·k·n` FLOP count.
+/// One benchmarked kernel invocation: `(m, k, n)` name the shape and
+/// `flops` is the work one call counts for its GFLOP/s.
 struct Bench<'a> {
     name: &'static str,
     m: usize,
     k: usize,
     n: usize,
+    flops: f64,
     run: Box<dyn FnMut() + 'a>,
 }
 
-impl Bench<'_> {
-    fn flops(&self) -> f64 {
-        2.0 * self.m as f64 * self.k as f64 * self.n as f64
-    }
+/// A GEMM `(m×k)·(k×n)`, counted as `2·m·k·n` FLOPs (one multiply and
+/// one add per product).
+fn gemm<'a>(
+    name: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    run: impl FnMut() + 'a,
+) -> Bench<'a> {
+    let flops = 2.0 * m as f64 * k as f64 * n as f64;
+    Bench { name, m, k, n, flops, run: Box::new(run) }
 }
 
 /// Iteration count for a kernel: the FLOP budget's schedule, raised
@@ -184,6 +202,19 @@ fn time_passes(
     iters.iter().map(|n| n * PASSES).zip(best).collect()
 }
 
+/// The host's no-FMA ceiling in GFLOP/s: the register-only loop of
+/// [`simd::mul_add_peak_flops`], timed like a kernel (fastest of
+/// [`PASSES`] passes). `None` without AVX-512.
+fn measure_peak_gflops(budget: f64, min_secs: f64) -> Option<f64> {
+    const ITERS_PER_CALL: usize = 4096;
+    let flops_per_call = simd::mul_add_peak_flops(ITERS_PER_CALL)?;
+    let mut run = || {
+        simd::mul_add_peak_flops(ITERS_PER_CALL);
+    };
+    let timings = time_passes(&mut [&mut run], &[budget / flops_per_call], min_secs);
+    Some(flops_per_call / timings[0].1 / 1e9)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     let budget = if args.smoke { FLOP_BUDGET / 16.0 } else { FLOP_BUDGET };
@@ -208,101 +239,77 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b1: Vec<f32> = (0..64).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
     let b2: Vec<f32> = (0..10).map(|_| rng.uniform_f32(-0.5, 0.5)).collect();
     let sq_b = random_matrix(256, 256, &mut rng);
+    // `noniid-faults` minibatches: 20 rows.
+    let mini_acts = operands(n_ops, &mut rng, sparse_matrix, 20, 64);
+    let mini_x = random_matrix(20, 64, &mut rng);
+    let mini_dz = random_matrix(20, 10, &mut rng);
 
     // Each closure owns its output buffer (the `*_into` kernels resize
     // it on first use, then reuse it allocation-free) and its operand
     // cursor, and captures the operands by shared reference.
     let mk_out = || Matrix::zeros(1, 1).expect("zeros");
     let (x, dz, w1, w2, sq_b, b1, b2) = (&x, &dz, &w1, &w2, &sq_b, &b1, &b2);
+    let (mini_x, mini_dz) = (&mini_x, &mini_dz);
     let mut benches: Vec<Bench<'_>> = vec![
+        gemm("matmul 200x64x64", 200, 64, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&xs));
+            move || lhs().matmul_into(w1, &mut out).expect("matmul")
+        }),
+        gemm("matmul_bias_relu 200x64x64", 200, 64, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&xs));
+            move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused")
+        }),
+        gemm("matmul_bias 200x64x10", 200, 64, 10, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+            move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused")
+        }),
+        gemm("matmul_tn 64x200x64", 64, 200, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+            move || lhs().matmul_tn_into(x, &mut out).expect("tn")
+        }),
+        gemm("matmul_tn 64x200x10", 64, 200, 10, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&acts));
+            move || lhs().matmul_tn_into(dz, &mut out).expect("tn")
+        }),
+        gemm("matmul_nt 200x10x64", 200, 10, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&dzs));
+            move || lhs().matmul_nt_into(w2, &mut out).expect("nt")
+        }),
+        gemm("matmul_bias_relu 256x64x64", 256, 64, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&chunks));
+            move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused")
+        }),
+        gemm("matmul_bias 256x64x10", 256, 64, 10, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&chunk_acts));
+            move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused")
+        }),
+        gemm("matmul_bias 20x64x10", 20, 64, 10, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&mini_acts));
+            move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused")
+        }),
+        gemm("matmul_tn 64x20x64", 64, 20, 64, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&mini_acts));
+            move || lhs().matmul_tn_into(mini_x, &mut out).expect("tn")
+        }),
+        gemm("matmul_tn 64x20x10", 64, 20, 10, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&mini_acts));
+            move || lhs().matmul_tn_into(mini_dz, &mut out).expect("tn")
+        }),
+        gemm("matmul 256x256x256", 256, 256, 256, {
+            let (mut out, mut lhs) = (mk_out(), cycle(&sqs));
+            move || lhs().matmul_into(sq_b, &mut out).expect("matmul")
+        }),
+        // One op per element (a compare and select), so the rate is in
+        // the same GFLOP/s unit the gate reads.
         Bench {
-            name: "matmul 200x64x64",
+            name: "relu_backward 200x64",
             m: 200,
-            k: 64,
+            k: 1,
             n: 64,
+            flops: 200.0 * 64.0,
             run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&xs));
-                Box::new(move || lhs().matmul_into(w1, &mut out).expect("matmul"))
-            },
-        },
-        Bench {
-            name: "matmul_bias_relu 200x64x64",
-            m: 200,
-            k: 64,
-            n: 64,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&xs));
-                Box::new(move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
-            },
-        },
-        Bench {
-            name: "matmul_bias 200x64x10",
-            m: 200,
-            k: 64,
-            n: 10,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
-                Box::new(move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused"))
-            },
-        },
-        Bench {
-            name: "matmul_tn 64x200x64",
-            m: 64,
-            k: 200,
-            n: 64,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
-                Box::new(move || lhs().matmul_tn_into(x, &mut out).expect("tn"))
-            },
-        },
-        Bench {
-            name: "matmul_tn 64x200x10",
-            m: 64,
-            k: 200,
-            n: 10,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&acts));
-                Box::new(move || lhs().matmul_tn_into(dz, &mut out).expect("tn"))
-            },
-        },
-        Bench {
-            name: "matmul_nt 200x10x64",
-            m: 200,
-            k: 10,
-            n: 64,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&dzs));
-                Box::new(move || lhs().matmul_nt_into(w2, &mut out).expect("nt"))
-            },
-        },
-        Bench {
-            name: "matmul_bias_relu 256x64x64",
-            m: 256,
-            k: 64,
-            n: 64,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&chunks));
-                Box::new(move || lhs().matmul_bias_relu_into(w1, b1, &mut out).expect("fused"))
-            },
-        },
-        Bench {
-            name: "matmul_bias 256x64x10",
-            m: 256,
-            k: 64,
-            n: 10,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&chunk_acts));
-                Box::new(move || lhs().matmul_bias_into(w2, b2, &mut out).expect("fused"))
-            },
-        },
-        Bench {
-            name: "matmul 256x256x256",
-            m: 256,
-            k: 256,
-            n: 256,
-            run: {
-                let (mut out, mut lhs) = (mk_out(), cycle(&sqs));
-                Box::new(move || lhs().matmul_into(sq_b, &mut out).expect("matmul"))
+                let (mut grad, mut z) = (random_matrix(200, 64, &mut rng), cycle(&acts));
+                Box::new(move || relu_backward_inplace(&mut grad, z()))
             },
         },
     ];
@@ -313,14 +320,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         n_ops,
         if args.smoke { " (smoke)" } else { "" }
     );
-    let budget_iters: Vec<f64> = benches.iter().map(|b| budget / b.flops()).collect();
+    let budget_iters: Vec<f64> = benches.iter().map(|b| budget / b.flops).collect();
     let mut runs: Vec<&mut (dyn FnMut() + '_)> =
         benches.iter_mut().map(|b| &mut *b.run as &mut (dyn FnMut() + '_)).collect();
     let timings = time_passes(&mut runs, &budget_iters, min_secs);
+    let peak_gflops = measure_peak_gflops(budget, min_secs);
+    match peak_gflops {
+        Some(p) => println!("  {:<28} {p:7.2} GFLOP/s (no-FMA mul + add ceiling)", "peak"),
+        None => println!("  peak: no AVX-512 on this host, no ceiling measured"),
+    }
     let mut kernels = Vec::new();
     for (b, (iters, secs)) in benches.iter().zip(timings) {
-        let gflops = b.flops() / secs / 1e9;
-        println!("  {:<28} {gflops:7.2} GFLOP/s ({:.1} µs/iter)", b.name, secs * 1e6);
+        let gflops = b.flops / secs / 1e9;
+        let pct = peak_gflops.map(|p| gflops / p * 100.0);
+        let pct_s = pct.map_or(String::new(), |p| format!(", {p:.0}% of peak"));
+        println!("  {:<28} {gflops:7.2} GFLOP/s ({:.1} µs/iter{pct_s})", b.name, secs * 1e6);
         let mut k = JsonObject::new();
         k.field("name", b.name)
             .field("m", b.m)
@@ -329,6 +343,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .field("iters", iters)
             .field("secs_per_iter", secs)
             .field("gflops", gflops);
+        if let Some(pct) = pct {
+            k.field("pct_of_peak", pct);
+        }
         kernels.push(k);
     }
 
@@ -344,8 +361,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field("smoke", args.smoke)
         .field("seed", args.seed)
         .field("operands", n_ops)
-        .object("host", host)
-        .field("kernels", kernels);
+        .object("host", host);
+    if let Some(p) = peak_gflops {
+        report.field("peak_gflops", p);
+    }
+    report.field("kernels", kernels);
 
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;

@@ -8,6 +8,10 @@
 //! same accuracy curve: the *only* difference is energy, exactly the
 //! comparison Fig. 3 makes.
 //!
+//! Histories go to `results/fig3_<setting>_dvfs_helcfl.{csv,jsonl}`
+//! (Alg. 3) and `results/fig3_<setting>_fmax_helcfl.{csv,jsonl}` (every
+//! device at `f_max`).
+//!
 //! Usage: `fig3_energy [--fast] [--seed N] [--setting iid|noniid]
 //! [--trace-out PATH]` — set `HELCFL_TRACE=jsonl|stderr` (or
 //! `--trace-out`) for per-round spans and a post-run metrics summary.
@@ -88,11 +92,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (1.0 - compute_with / compute_without) * 100.0
         );
 
-        write_histories(
-            Path::new("results"),
-            &format!("fig3_{}", setting.label()),
-            &[with_dvfs, without_dvfs],
-        )?;
+        // Both arms carry the scheme label `helcfl`, so each gets its
+        // own prefix: one shared prefix would let the second overwrite
+        // the first.
+        for (arm, history) in [("dvfs", &with_dvfs), ("fmax", &without_dvfs)] {
+            let prefix = format!("fig3_{}_{arm}", setting.label());
+            write_histories(Path::new("results"), &prefix, std::slice::from_ref(history))?;
+        }
     }
     if tele.is_enabled() {
         eprintln!("\n{}", tele.report());

@@ -3,18 +3,21 @@
 //! The scalar kernels in [`crate::tensor`] define the numeric contract:
 //! one `f32` accumulator per output element, walked in ascending
 //! reduction index, with separate multiply and add (no FMA
-//! contraction). The vector kernels here widen that recipe across the
-//! output-column dimension — each SIMD lane *is* one output element's
+//! contraction). The vector kernels here widen that recipe across
+//! output elements — each SIMD lane *is* one output element's
 //! accumulator, fed the identical ascending-`k` addend sequence — so
-//! every path produces bit-identical results. `kernel_proptests.rs`
-//! pins that equivalence against the naive oracle for every path the
-//! host supports.
+//! every path produces bit-identical results. Most kernels put output
+//! columns in the lanes; the AVX-512 row kernel puts 16 output rows in
+//! them, for the transposed-left product and for NN column tails
+//! narrower than a vector (DESIGN.md §17). `kernel_proptests.rs` pins
+//! that equivalence against the naive oracle for every path the host
+//! supports.
 //!
 //! Three vector implementations exist behind one dispatch point:
 //!
 //! | path        | width | mechanism |
 //! |-------------|-------|-----------|
-//! | `Avx512`    | 16    | `std::arch` zmm intrinsics, masked tails |
+//! | `Avx512`    | 16    | `std::arch` zmm intrinsics, row kernel for TN and narrow NN |
 //! | `Avx2`      | 8     | `std::arch` ymm intrinsics, `maskload` tails |
 //! | `Portable8` | 8     | safe 8-wide chunked Rust (any arch) |
 //!
@@ -289,6 +292,23 @@ pub(crate) fn gemm_tn(
     }
 }
 
+/// Runs `iters` passes of a register-only loop of 16 independent
+/// 16-lane AVX-512 operations — 8 multiply chains and 8 add chains, no
+/// FMA — and returns the FLOPs it executed (16 per instruction), or
+/// `None` on a host without AVX-512. Timing it measures the no-FMA
+/// ceiling the kernels' GFLOP/s are read against: every kernel product
+/// is one such multiply and one such add.
+pub fn mul_add_peak_flops(iters: usize) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the feature was just detected.
+        std::hint::black_box(unsafe { avx512::mul_add_peak(iters) });
+        return Some(iters as f64 * 16.0 * 16.0);
+    }
+    let _ = iters;
+    None
+}
+
 // ---------------------------------------------------------------------
 // Portable 8-wide chunked fallback (safe Rust, any architecture).
 // ---------------------------------------------------------------------
@@ -381,7 +401,8 @@ mod portable {
 }
 
 // ---------------------------------------------------------------------
-// AVX-512F kernels (16-lane zmm, masked column tails).
+// AVX-512F kernels (16-lane zmm: column strips for wide NN, a row
+// kernel with 16 output rows per vector for TN and narrow NN).
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -408,9 +429,9 @@ mod avx512 {
     }
 
     /// Lanes that take the addend `av·bv`: all of them without `SKIP`,
-    /// none when the broadcast scalar `av` is `±0.0` with it. `NEQ_UQ`
-    /// is true for NaN, so a NaN scalar is accumulated, as in the
-    /// scalar kernel.
+    /// and with it every lane whose left scalar in `av` is not `±0.0`.
+    /// `NEQ_UQ` is true for NaN, so a NaN scalar is accumulated, as in
+    /// the scalar kernel.
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn live<const SKIP: bool>(av: __m512) -> __mmask16 {
@@ -427,6 +448,13 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     unsafe fn accumulate(acc: __m512, live: __mmask16, av: __m512, bv: __m512) -> __m512 {
         _mm512_mask_add_ps(acc, live, acc, _mm512_mul_ps(av, bv))
+    }
+
+    /// The low `len` lanes (`len` ≤ 16).
+    #[inline]
+    fn low_lanes(len: usize) -> __mmask16 {
+        debug_assert!(len <= 16);
+        (((1u32 << len) - 1) & 0xFFFF) as __mmask16
     }
 
     /// [`epilogue`] for a masked tail vector (`mask` = active lanes).
@@ -448,6 +476,149 @@ mod avx512 {
             v = _mm512_mask_mov_ps(v, neg, zero);
         }
         v
+    }
+
+    /// In-register 16×16 transpose: lane `j` of `r[i]` moves to lane
+    /// `i` of `r[j]`. Three rounds of 16 shuffles regroup pairs, then
+    /// quads, then 128-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16(r: &mut [__m512; 16]) {
+        // Pairs: t[2p] holds rows 2p and 2p+1 interleaved over columns
+        // 4L, 4L+1 of each 128-bit lane L; t[2p+1] over 4L+2, 4L+3.
+        let mut t = [_mm512_setzero_ps(); 16];
+        for p in 0..8 {
+            t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
+        }
+        // Quads: u[4q + c] lane L holds column 4L + c of rows 4q..4q+4.
+        let mut u = [_mm512_setzero_ps(); 16];
+        for q in 0..4 {
+            let pd = |v: __m512| _mm512_castps_pd(v);
+            let (a, b) = (pd(t[4 * q]), pd(t[4 * q + 2]));
+            let (c, d) = (pd(t[4 * q + 1]), pd(t[4 * q + 3]));
+            u[4 * q] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+            u[4 * q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+            u[4 * q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(c, d));
+            u[4 * q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(c, d));
+        }
+        // Lanes: column 4L + c gathers lane L of u[c], u[4+c], u[8+c],
+        // u[12+c] — a 4×4 transpose of 128-bit lanes.
+        for c in 0..4 {
+            let v0 = _mm512_shuffle_f32x4::<0x44>(u[c], u[4 + c]);
+            let v1 = _mm512_shuffle_f32x4::<0xEE>(u[c], u[4 + c]);
+            let v2 = _mm512_shuffle_f32x4::<0x44>(u[8 + c], u[12 + c]);
+            let v3 = _mm512_shuffle_f32x4::<0xEE>(u[8 + c], u[12 + c]);
+            r[c] = _mm512_shuffle_f32x4::<0x88>(v0, v2);
+            r[4 + c] = _mm512_shuffle_f32x4::<0xDD>(v0, v2);
+            r[8 + c] = _mm512_shuffle_f32x4::<0x88>(v1, v3);
+            r[12 + c] = _mm512_shuffle_f32x4::<0xDD>(v1, v3);
+        }
+    }
+
+    /// The row kernel: lanes are 16 output rows, `acc[j]` is output
+    /// column `j` of the tile. Step `s` loads the rows' 16 left scalars
+    /// `a[s*a_stride..]` (lanes outside `amask` read as `0.0`), tests
+    /// them against zero once, and adds `av·b[s*n + j]` into every
+    /// column's accumulator under that one mask.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F. For every `s < steps`, the `amask`
+    /// lanes of `a + s*a_stride` and the `NC` floats at `b + s*n` are
+    /// readable.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rows<const NC: usize, const SKIP: bool>(
+        acc: &mut [__m512; NC],
+        a: *const f32,
+        a_stride: usize,
+        amask: __mmask16,
+        steps: usize,
+        b: *const f32,
+        n: usize,
+    ) {
+        for s in 0..steps {
+            let av = _mm512_maskz_loadu_ps(amask, a.add(s * a_stride));
+            let live = live::<SKIP>(av);
+            let brow = b.add(s * n);
+            for j in 0..NC {
+                acc[j] = accumulate(acc[j], live, av, _mm512_set1_ps(*brow.add(j)));
+            }
+        }
+    }
+
+    /// Stores a row-kernel tile: transposes the `NC` column
+    /// accumulators back to row vectors and writes the first `mr` rows
+    /// of columns `j0..j0+NC` through the bias/ReLU epilogue.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F, `out` holds rows `i0..i0+mr` of an
+    /// `n`-column matrix, `j0 + NC <= n`, and `bias` (if any) has `n`
+    /// entries.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_rows<const NC: usize>(
+        acc: &[__m512; NC],
+        out: &mut [f32],
+        n: usize,
+        i0: usize,
+        mr: usize,
+        j0: usize,
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) {
+        let mut r = [_mm512_setzero_ps(); 16];
+        r[..NC].copy_from_slice(acc);
+        transpose16(&mut r);
+        let mask = low_lanes(NC);
+        for t in 0..mr {
+            let cv = epilogue_masked(r[t], bias, j0, mask, relu);
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add((i0 + t) * n + j0), mask, cv);
+        }
+    }
+
+    /// One 16-row × `NC`-column NN tile at `(i0, j0)`. Each 16×16 block
+    /// of `lhs` rows `i0..i0+16` is transposed in registers, so that
+    /// vector `q` holds reduction index `kk0 + q` of all 16 rows, and
+    /// fed to [`rows`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F, `lhs` is `m×k` with `i0 + 16 <= m`,
+    /// `rhs` is `k×n`, `out` is `m×n`, `j0 + NC <= n`, and `bias` (if
+    /// any) has `n` entries.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn nn_rows<const NC: usize, const SKIP: bool>(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        i0: usize,
+        j0: usize,
+        out: &mut [f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) {
+        let mut acc = [_mm512_setzero_ps(); NC];
+        let mut kk0 = 0;
+        while kk0 < k {
+            let kc = (k - kk0).min(16);
+            let kmask = low_lanes(kc);
+            let mut block = [_mm512_setzero_ps(); 16];
+            for t in 0..16 {
+                block[t] = _mm512_maskz_loadu_ps(kmask, lhs.as_ptr().add((i0 + t) * k + kk0));
+            }
+            transpose16(&mut block);
+            let b = rhs.as_ptr().add(kk0 * n + j0);
+            rows::<NC, SKIP>(&mut acc, block.as_ptr().cast(), 16, !0, kc, b, n);
+            kk0 += 16;
+        }
+        store_rows::<NC>(&acc, out, n, i0, 16, j0, bias, relu);
     }
 
     /// One strip of `NV` full vectors (16·NV columns at `j0`), all
@@ -487,14 +658,15 @@ mod avx512 {
         }
     }
 
-    /// The sub-16-column tail (`rem = n - j0` lanes under `__mmask16`),
-    /// four rows at a time so the masked `rhs` load is amortized across
-    /// row accumulators — this is the whole kernel for the n=10 logit
-    /// shapes, not a slow path.
+    /// The sub-16-column tail (`rem = n - j0` lanes under `__mmask16`)
+    /// for rows `i0..m`, four rows at a time so the masked `rhs` load
+    /// is amortized across row accumulators. It serves the fewer than
+    /// 16 rows that [`nn_rows`] leaves over.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn nn_tail<const SKIP: bool>(
         lhs: &[f32],
+        i0: usize,
         m: usize,
         k: usize,
         rhs: &[f32],
@@ -506,8 +678,8 @@ mod avx512 {
     ) {
         let rem = n - j0;
         debug_assert!((1..16).contains(&rem));
-        let mask: __mmask16 = (1u16 << rem) - 1;
-        let mut i = 0;
+        let mask = low_lanes(rem);
+        let mut i = i0;
         while i + 4 <= m {
             let mut acc = [_mm512_setzero_ps(); 4];
             for kk in 0..k {
@@ -536,8 +708,37 @@ mod avx512 {
         }
     }
 
+    /// Calls `$f::<NC, ..>($args)` with the tile width `NC` equal to the
+    /// runtime column count `$nc` (1..16), so every narrow tile keeps
+    /// its accumulators in registers.
+    macro_rules! with_tile_width {
+        ($nc:expr, $f:ident::<_ $(, $g:tt)*>($($arg:expr),* $(,)?)) => {
+            match $nc {
+                1 => $f::<1 $(, $g)*>($($arg),*),
+                2 => $f::<2 $(, $g)*>($($arg),*),
+                3 => $f::<3 $(, $g)*>($($arg),*),
+                4 => $f::<4 $(, $g)*>($($arg),*),
+                5 => $f::<5 $(, $g)*>($($arg),*),
+                6 => $f::<6 $(, $g)*>($($arg),*),
+                7 => $f::<7 $(, $g)*>($($arg),*),
+                8 => $f::<8 $(, $g)*>($($arg),*),
+                9 => $f::<9 $(, $g)*>($($arg),*),
+                10 => $f::<10 $(, $g)*>($($arg),*),
+                11 => $f::<11 $(, $g)*>($($arg),*),
+                12 => $f::<12 $(, $g)*>($($arg),*),
+                13 => $f::<13 $(, $g)*>($($arg),*),
+                14 => $f::<14 $(, $g)*>($($arg),*),
+                15 => $f::<15 $(, $g)*>($($arg),*),
+                nc => unreachable!("tile width {nc} is not in 1..16"),
+            }
+        };
+    }
+
     /// NN driver: 64-column strips (4 zmm/row), then 16-column strips,
-    /// then one masked tail.
+    /// then the sub-16-column tail — through the row kernel on each
+    /// full 16-row block, and the 4-row [`nn_tail`] on the rows left
+    /// over (a part-empty 16-row block measured slower than it at 20
+    /// rows).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn nn<const SKIP: bool>(
@@ -560,115 +761,84 @@ mod avx512 {
             j += 16;
         }
         if j < n {
-            nn_tail::<SKIP>(lhs, m, k, rhs, n, j, out, bias, relu);
+            let full = m - m % 16;
+            for i0 in (0..full).step_by(16) {
+                with_tile_width!(
+                    n - j,
+                    nn_rows::<_, SKIP>(lhs, k, rhs, n, i0, j, out, bias, relu)
+                );
+            }
+            if full < m {
+                nn_tail::<SKIP>(lhs, full, m, k, rhs, n, j, out, bias, relu);
+            }
         }
     }
 
-    /// One `MI`-row × `NV`-vector block of the transposed-left product.
-    /// Row `r` of `lhs` holds the `MI` reduction scalars for output
-    /// rows `i0..i0+MI` *contiguously* (`lhs[r*m + i0 + t]`) — that
-    /// contiguity is why TN blocks over output rows instead of walking
-    /// one strided column per row like the scalar kernel.
+    /// One TN tile: output rows `i0..i0+mr` × columns `j0..j0+NC`. Row
+    /// `r` of `lhs` already holds the tile's 16 left scalars
+    /// contiguously (`lhs[r*m + i0..]`), so [`rows`] reads them in
+    /// place, masked to `mr` lanes at the bottom edge.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F, `lhs` is `k×m` with `i0 + mr <= m`
+    /// and `mr <= 16`, `rhs` is `k×n`, `out` is `m×n`, and
+    /// `j0 + NC <= n`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tn_block<const MI: usize, const NV: usize>(
+    unsafe fn tn_tile<const NC: usize>(
         lhs: &[f32],
         k: usize,
         m: usize,
         rhs: &[f32],
         n: usize,
         i0: usize,
+        mr: usize,
         j0: usize,
         out: &mut [f32],
     ) {
-        let mut acc = [[_mm512_setzero_ps(); NV]; MI];
-        for r in 0..k {
-            let arow = lhs.as_ptr().add(r * m + i0);
-            let brow = rhs.as_ptr().add(r * n + j0);
-            for t in 0..MI {
-                let av = _mm512_set1_ps(*arow.add(t));
-                let live = live::<true>(av);
-                for v in 0..NV {
-                    let bv = _mm512_loadu_ps(brow.add(v * 16));
-                    acc[t][v] = accumulate(acc[t][v], live, av, bv);
-                }
-            }
-        }
-        for t in 0..MI {
-            let orow = out.as_mut_ptr().add((i0 + t) * n + j0);
-            for v in 0..NV {
-                _mm512_storeu_ps(orow.add(v * 16), acc[t][v]);
-            }
-        }
+        let mut acc = [_mm512_setzero_ps(); NC];
+        let (a, b) = (lhs.as_ptr().add(i0), rhs.as_ptr().add(j0));
+        rows::<NC, true>(&mut acc, a, m, low_lanes(mr), k, b, n);
+        store_rows::<NC>(&acc, out, n, i0, mr, j0, None, false);
     }
 
-    /// Masked-tail TN columns: `rem` lanes, four output rows per pass
-    /// with the masked `rhs` load hoisted across them.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn tn_tail(lhs: &[f32], k: usize, m: usize, rhs: &[f32], n: usize, j0: usize, out: &mut [f32]) {
-        let rem = n - j0;
-        debug_assert!((1..16).contains(&rem));
-        let mask: __mmask16 = (1u16 << rem) - 1;
-        let mut i = 0;
-        while i + 4 <= m {
-            let mut acc = [_mm512_setzero_ps(); 4];
-            for r in 0..k {
-                let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
-                let arow = lhs.as_ptr().add(r * m + i);
-                for t in 0..4 {
-                    let av = _mm512_set1_ps(*arow.add(t));
-                    acc[t] = accumulate(acc[t], live::<true>(av), av, bv);
-                }
-            }
-            for t in 0..4 {
-                _mm512_mask_storeu_ps(out.as_mut_ptr().add((i + t) * n + j0), mask, acc[t]);
-            }
-            i += 4;
-        }
-        while i < m {
-            let mut acc = _mm512_setzero_ps();
-            for r in 0..k {
-                let av = _mm512_set1_ps(*lhs.as_ptr().add(r * m + i));
-                let bv = _mm512_maskz_loadu_ps(mask, rhs.as_ptr().add(r * n + j0));
-                acc = accumulate(acc, live::<true>(av), av, bv);
-            }
-            _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + j0), mask, acc);
-            i += 1;
-        }
-    }
-
-    /// TN driver: 64-column strips in 8-row blocks (plus single-row
-    /// remainder blocks), then 16-column strips, then one masked tail.
+    /// TN driver: 16-row blocks (the last one masked), each in 16-column
+    /// tiles and one narrower tile, all through the row kernel.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn tn(lhs: &[f32], k: usize, m: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
-        let mut j = 0;
-        while j + 64 <= n {
-            let mut i = 0;
-            while i + 8 <= m {
-                tn_block::<8, 4>(lhs, k, m, rhs, n, i, j, out);
-                i += 8;
+        for i0 in (0..m).step_by(16) {
+            let mr = (m - i0).min(16);
+            let mut j = 0;
+            while j + 16 <= n {
+                tn_tile::<16>(lhs, k, m, rhs, n, i0, mr, j, out);
+                j += 16;
             }
-            while i < m {
-                tn_block::<1, 4>(lhs, k, m, rhs, n, i, j, out);
-                i += 1;
+            if j < n {
+                with_tile_width!(n - j, tn_tile::<_>(lhs, k, m, rhs, n, i0, mr, j, out));
             }
-            j += 64;
         }
-        while j + 16 <= n {
-            let mut i = 0;
-            while i + 8 <= m {
-                tn_block::<8, 1>(lhs, k, m, rhs, n, i, j, out);
-                i += 8;
+    }
+    /// The register-only loop behind [`super::mul_add_peak_flops`]. The
+    /// operands pass through `black_box`, so the compiler can neither
+    /// fold `x·1` and `x+0` away nor hoist the loop; the lane sum it
+    /// returns keeps the chains live.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn mul_add_peak(iters: usize) -> f32 {
+        let bb = std::hint::black_box;
+        let (one, zero) = (bb(_mm512_set1_ps(1.0)), bb(_mm512_setzero_ps()));
+        let mut chains = [bb(_mm512_set1_ps(0.5)); 16];
+        for _ in 0..iters {
+            for c in 0..8 {
+                chains[c] = _mm512_mul_ps(chains[c], one);
+                chains[8 + c] = _mm512_add_ps(chains[8 + c], zero);
             }
-            while i < m {
-                tn_block::<1, 1>(lhs, k, m, rhs, n, i, j, out);
-                i += 1;
-            }
-            j += 16;
         }
-        if j < n {
-            tn_tail(lhs, k, m, rhs, n, j, out);
+        let mut sum = zero;
+        for c in chains {
+            sum = _mm512_add_ps(sum, c);
         }
+        _mm512_reduce_add_ps(sum)
     }
 }
 

@@ -17,6 +17,7 @@
 //! the zero-skip path, which must be a pure no-op on the result.
 
 use detrand::Rng;
+use tinynn::activation::relu_backward_inplace;
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::simd::{available_paths, force_path_for_tests, SimdPath};
 use tinynn::tensor::Matrix;
@@ -341,6 +342,52 @@ fn paper_laggard_shapes_are_exact_on_every_path() {
     }
 }
 
+/// The AVX-512 row kernel's blocking boundaries, swept exhaustively:
+/// every narrow width `n` (one accumulator per column, 1..16 columns
+/// per tile), the 16-column tiles and their tails (17, 26, 64, 74), row
+/// counts on both sides of the 16-row block and its leftover-row split
+/// (15, 16, 17, 20, 33), and reduction lengths on both sides of the
+/// 16-deep in-register transpose (10, 17, 20). NN plain, bias and
+/// bias + ReLU and TN run on every path against the naive oracle, with
+/// ReLU-sparse left operands so the zero-skip mask is live.
+#[test]
+fn row_kernel_shapes_are_exact_on_every_path() {
+    let ns = (1..=17).chain([26, 64, 74]);
+    let paths = available_paths();
+    let mut rng = Rng::seed_from_u64(0x4e4e_0025);
+    let mut out = Matrix::zeros(1, 1).unwrap();
+    let mut case = 0;
+    for n in ns {
+        for m in [1, 4, 15, 16, 17, 20, 33, 200, 256] {
+            for k in [1, 10, 17, 20, 64, 200] {
+                let a = gen_sparse(&mut rng, m, k, 0.5);
+                let at = gen_sparse(&mut rng, k, m, 0.5);
+                let b = gen_matrix(&mut rng, k, n);
+                let bias: Vec<f32> = (0..n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
+                let want_nn = naive_matmul(&a, &b);
+                let mut want_bias = want_nn.clone();
+                naive_bias_epilogue(&mut want_bias, &bias, false);
+                let mut want_relu = want_nn.clone();
+                naive_bias_epilogue(&mut want_relu, &bias, true);
+                let want_tn = naive_matmul_tn(&at, &b);
+                for &path in &paths {
+                    let _guard = PathGuard::force(path);
+                    let what = |kernel: &str| format!("{kernel} {m}x{k}x{n}[{}]", path.name());
+                    a.matmul_into(&b, &mut out).unwrap();
+                    assert_bits_eq(&out, &want_nn, &what("matmul"), case);
+                    a.matmul_bias_into(&b, &bias, &mut out).unwrap();
+                    assert_bits_eq(&out, &want_bias, &what("matmul_bias"), case);
+                    a.matmul_bias_relu_into(&b, &bias, &mut out).unwrap();
+                    assert_bits_eq(&out, &want_relu, &what("matmul_bias_relu"), case);
+                    at.matmul_tn_into(&b, &mut out).unwrap();
+                    assert_bits_eq(&out, &want_tn, &what("matmul_tn"), case);
+                }
+                case += 1;
+            }
+        }
+    }
+}
+
 /// Special values must survive every path identically: the ReLU
 /// epilogue's `v < 0.0` passes NaN and `-0.0` through, and the
 /// zero-skip only ever skips exact `+0.0`/`-0.0` multiplicands.
@@ -430,9 +477,13 @@ fn adversarial_pair(
 
 /// The zero-skip is a contract, not an optimization: a skipped addend
 /// leaves the accumulator untouched. Shapes reach every skip site of
-/// every vector path — `m` covers the 4-row and 8-row blocks and their
-/// single-row remainders, `n` the full-vector strips (16 and 64 wide on
-/// AVX-512, 8 and 32 on AVX2/portable) and the masked tails — and the
+/// every vector path. `m` covers the 4-row and 8-row blocks and their
+/// single-row remainders, and both sides of the AVX-512 row kernel's
+/// 16-row block: 15 rows are all left over, 17 and 20 split into one
+/// block plus leftovers. `n` covers every narrow width (the row kernel
+/// keeps one accumulator per column), the full-vector strips (16 and 64
+/// wide on AVX-512, 8 and 32 on AVX2/portable) and the masked tails.
+/// `k` lies inside one 16-deep transpose block or straddles two. The
 /// values are the ones where adding a computed zero product would
 /// differ from skipping it. Every path must match the scalar oracle bit
 /// for bit, and no output row without a NaN left scalar may be NaN.
@@ -441,9 +492,10 @@ fn zero_skip_is_exact_on_adversarial_values_at_every_skip_site() {
     let paths = available_paths();
     let mut rng = Rng::seed_from_u64(0x4e4e_0024);
     let mut case = 0;
-    for m in [9, 14] {
-        for n in [10, 16, 74] {
-            let k = 11;
+    let widths = || (1..=16).chain([74]);
+    let shapes = [9, 14, 15, 17, 20].into_iter().flat_map(|m| widths().map(move |n| (m, n)));
+    for (m, n) in shapes {
+        for k in [11, 20] {
             let bias: Vec<f32> = (0..n).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
             let (a, b) = adversarial_pair(&mut rng, m, k, n, |kk, i| i * k + kk);
             let a = Matrix::from_vec(m, k, a).unwrap();
@@ -489,6 +541,37 @@ fn zero_skip_is_exact_on_adversarial_values_at_every_skip_site() {
             case += 1;
         }
     }
+}
+
+/// The branchy ReLU mask that `relu_backward_inplace` replaced, kept as
+/// its oracle: zero the gradient wherever the pre-activation is `<= 0`.
+fn relu_backward_branchy(grad: &mut [f32], z: &[f32]) {
+    for (g, &zv) in grad.iter_mut().zip(z) {
+        if zv <= 0.0 {
+            *g = 0.0;
+        }
+    }
+}
+
+/// The branch-free ReLU mask matches the branchy form bit for bit on
+/// every pairing of special values: NaN (kept, as `NaN <= 0` is false),
+/// both zeros (masked), subnormals, infinities and ±1. The 81 elements
+/// cover a vectorised loop body and its remainder.
+#[test]
+fn relu_backward_matches_the_branchy_oracle_on_special_values() {
+    let tiny = f32::MIN_POSITIVE / 4.0; // subnormal
+    let specials =
+        [f32::NAN, 0.0, -0.0, tiny, -tiny, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0];
+    let len = specials.len();
+    let z: Vec<f32> = (0..len * len).map(|i| specials[i / len]).collect();
+    let g: Vec<f32> = (0..len * len).map(|i| specials[i % len]).collect();
+    let mut want = g.clone();
+    relu_backward_branchy(&mut want, &z);
+    let z = Matrix::from_vec(len, len, z).unwrap();
+    let mut got = Matrix::from_vec(len, len, g).unwrap();
+    relu_backward_inplace(&mut got, &z);
+    let want = Matrix::from_vec(len, len, want).unwrap();
+    assert_bits_eq(&got, &want, "relu_backward_inplace", 0);
 }
 
 #[test]
