@@ -79,8 +79,8 @@ echo "==> fault smoke: seeded injection run + trace validation + audit"
 )
 
 echo "==> fault golden check: zero-fault engine equivalence"
-# The fault-aware engine with an inert fault plan must reproduce the
-# committed fault-free HELCFL history byte-for-byte.
+# An armed round deadline that never fires, with an inert fault plan,
+# must leave the committed HELCFL golden history byte-identical.
 "$repo_root/target/release/fault_sweep" --golden-check \
   "$repo_root/results/golden/history_fast_iid_helcfl.csv"
 

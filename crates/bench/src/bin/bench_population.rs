@@ -6,7 +6,9 @@
 //! [`Fleet`](mec_sim::fleet::Fleet) (no `Vec<Device>` is ever
 //! materialized for the whole fleet), runs the indexed HELCFL selector
 //! over a fleet-backed context, gathers the cohort, assigns Alg.-3
-//! slack DVFS frequencies and resolves the round's TDMA timeline. It
+//! slack DVFS frequencies and resolves the round's TDMA timeline
+//! through [`FaultedRound`] — the engine every federated round runs —
+//! with no fault and no round deadline. It
 //! reports per-round latency percentiles, the p50 of each of those
 //! four phases, and resident bytes per device. The first warmup round
 //! absorbs the one-time index build; measured rounds reflect the
@@ -63,8 +65,8 @@ use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::gate::percentile_nearest_rank;
 use helcfl_telemetry::json::JsonObject;
 use helcfl_telemetry::Telemetry;
+use mec_sim::faults::{DigestConfig, FaultedRound};
 use mec_sim::population::PopulationBuilder;
-use mec_sim::timeline::{DigestConfig, RoundTimeline};
 use mec_sim::units::Bits;
 
 /// Population sizes of the full sweep (`--smoke` keeps the first 3).
@@ -146,6 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(args.seed)
             .build_fleet()?;
         let mut selector = IndexedDecaySelector::default();
+        let no_faults = vec![None; target];
         // One control-plane round: Alg. 2 selection, the cohort
         // gather, Alg. 3 DVFS and the TDMA timeline, returning each
         // phase's nanoseconds in that order. Under `tele_off` the
@@ -182,9 +185,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let dvfs_at = started.elapsed();
             span_freq.end();
             let mut span_tl = round_span.child("timeline");
-            let timeline = RoundTimeline::simulate(&cohort, &freqs, payload)?;
+            let timeline = FaultedRound::simulate(&cohort, &freqs, payload, &no_faults, None)?;
             let timeline_at = started.elapsed();
-            assert_eq!(timeline.activities().len(), target, "timeline must cover the cohort");
+            assert_eq!(timeline.outcomes().len(), target, "timeline must cover the cohort");
             if tele.events_enabled() {
                 span_tl.set("policy", SlackFrequencyPolicy.name());
                 span_tl.set("delay_neutral", SlackFrequencyPolicy.delay_neutral());

@@ -23,13 +23,13 @@
 //!   `results/trace_fault_sweep.jsonl` for `helcfl-trace check`/
 //!   `audit`.
 //! * `fault_sweep --golden-write PATH` — runs HELCFL on the fast IID
-//!   scenario with the default (fault-free) engine and writes its
-//!   history CSV to `PATH`.
+//!   scenario with the default config (no fault, no round deadline)
+//!   and writes its history CSV to `PATH`.
 //! * `fault_sweep --golden-check PATH` — reruns the same scenario with
-//!   the fault-aware engine forced (an astronomically large round
-//!   deadline activates it; the zero-rate fault plan never fires) and
-//!   asserts the produced CSV is byte-identical to `PATH`. Any drift
-//!   between the two engines on healthy rounds fails the build.
+//!   an astronomically large round deadline (the zero-rate fault plan
+//!   never fires) and asserts the produced CSV is byte-identical to
+//!   `PATH`. A deadline that never binds must leave the committed
+//!   golden history untouched, so any drift fails the build.
 
 use std::fs;
 use std::path::Path;
@@ -43,13 +43,13 @@ const RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.3];
 
 /// The reference run both golden modes reproduce: HELCFL, fast
 /// scenario, IID, default seed.
-fn golden_history(force_faulted_engine: bool) -> Result<TrainingHistory, Box<dyn std::error::Error>> {
+fn golden_history(never_binding_deadline: bool) -> Result<TrainingHistory, Box<dyn std::error::Error>> {
     let scenario = PaperScenario::fast();
     let mut config = scenario.training_config();
-    if force_faulted_engine {
-        // A never-binding deadline switches the runner onto the
-        // fault-aware engine while the zero-rate fault plan stays
-        // inert; the histories must still match bit for bit.
+    if never_binding_deadline {
+        // The deadline is armed every round but never fires, and the
+        // zero-rate fault plan stays inert; the history must still
+        // match bit for bit.
         config.degradation = DegradationPolicy {
             round_deadline: Some(Seconds::new(1.0e12)),
             ..DegradationPolicy::default()
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let actual = golden_history(true)?.to_csv();
         if actual == golden {
             println!(
-                "golden check OK: fault-aware engine reproduces {path} byte-for-byte"
+                "golden check OK: a never-binding deadline reproduces {path} byte-for-byte"
             );
             return Ok(());
         }
@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         return Err(format!(
-            "fault-aware engine with zero faults diverged from the committed \
-             golden history {path} — the two engines are no longer bit-identical"
+            "a never-binding round deadline with zero faults diverged from the \
+             committed golden history {path}"
         )
         .into());
     }

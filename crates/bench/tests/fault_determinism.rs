@@ -1,21 +1,26 @@
 //! Pins the fault layer's central compatibility promise: with
 //! `FaultPlan::none()` (the default `TrainingConfig`), every scheme's
-//! round history and Sim-class metrics registry are bit-identical to
-//! the pre-fault-layer engine. The fingerprints below were captured
-//! from the engine *before* the fault subsystem existed; the faulted
-//! runner must keep reproducing them exactly.
+//! round history is bit-identical to the pre-fault-layer engine, and
+//! so is its Sim-class metrics registry once the three fault series
+//! every round reports are set aside. The fingerprints below were
+//! captured from the engine *before* the fault subsystem existed;
+//! every round now resolves through the fault-aware `FaultedRound`,
+//! which must keep reproducing them exactly. The three fault series
+//! (`faults.fired`, `round.delivered`, `faults.wasted_energy_j`) are
+//! asserted exactly instead: no fault fires, every selected update is
+//! delivered, and every round wastes zero joules.
 //!
 //! Beyond the pin, this suite checks the two determinism properties
-//! the fault layer itself must uphold: the fault-aware engine with
-//! zero faults reproduces the fault-free histories bit-for-bit (the
-//! engines are interchangeable, not merely similar), and
+//! the fault layer itself must uphold: an armed round deadline that
+//! never fires reproduces the same pins bit for bit, and
 //! fault-afflicted histories are bit-identical across worker-thread
 //! counts.
 
 use fl_sim::faults::{DegradationPolicy, FaultConfig};
 use helcfl_bench::scenario::{PaperScenario, Setting};
 use helcfl_bench::schemes::Scheme;
-use helcfl_telemetry::Telemetry;
+use fl_sim::history::TrainingHistory;
+use helcfl_telemetry::{Histogram, Metric, MetricsRegistry, Telemetry};
 use mec_sim::units::Seconds;
 
 /// FNV-1a 64-bit over a byte stream.
@@ -75,27 +80,70 @@ fn scenario() -> PaperScenario {
     s
 }
 
+/// The Sim series every round reports that the pre-fault engine did
+/// not. They are left out of the pinned registry hash and asserted
+/// exactly by [`assert_fault_free_series`].
+const FAULT_SERIES: [&str; 3] = ["faults.fired", "round.delivered", "faults.wasted_energy_j"];
+
 /// Runs `scheme` on the reference scenario (optionally customizing the
-/// training config) and returns
-/// `(history fingerprint, Sim-registry JSON fingerprint)`.
-fn fingerprints_with(
+/// training config) and returns its history and deterministic
+/// (Sim-class) metrics registry.
+fn run_with(
     scheme: &Scheme,
     tweak: impl FnOnce(&mut fl_sim::runner::TrainingConfig),
-) -> (u64, u64) {
+) -> (TrainingHistory, MetricsRegistry) {
     let s = scenario();
     let mut config = s.training_config();
     tweak(&mut config);
     let mut setup = s.setup(Setting::Iid).unwrap();
     let tele = Telemetry::metrics_only();
     let history = scheme.run_traced(&mut setup, &config, &tele).unwrap();
-    let registry_json = tele.snapshot().deterministic().to_json().finish();
-    let mut h = Fnv::new();
-    h.update(registry_json.as_bytes());
-    (history_fingerprint(&history), h.0)
+    (history, tele.snapshot().deterministic())
 }
 
-fn fingerprints(scheme: &Scheme) -> (u64, u64) {
-    fingerprints_with(scheme, |_| {})
+/// FNV-1a over the registry's JSON with exactly [`FAULT_SERIES`]
+/// removed: the registry the pre-fault engine recorded.
+fn pre_fault_registry_fingerprint(registry: &MetricsRegistry) -> u64 {
+    let mut pre_fault = MetricsRegistry::new();
+    for (name, class, metric) in registry.iter() {
+        if !FAULT_SERIES.contains(&name) {
+            pre_fault.insert(class, name, metric.clone());
+        }
+    }
+    let mut h = Fnv::new();
+    h.update(pre_fault.to_json().finish().as_bytes());
+    h.0
+}
+
+/// `(history fingerprint, pre-fault registry fingerprint)`.
+fn fingerprints_with(
+    scheme: &Scheme,
+    tweak: impl FnOnce(&mut fl_sim::runner::TrainingConfig),
+) -> (u64, u64) {
+    let (history, registry) = run_with(scheme, tweak);
+    (history_fingerprint(&history), pre_fault_registry_fingerprint(&registry))
+}
+
+/// The fault series of a run in which nothing can fail: zero faults
+/// fired, every selected update delivered, and one zero-joule wasted
+/// energy sample per round.
+fn assert_fault_free_series(label: &str, history: &TrainingHistory, registry: &MetricsRegistry) {
+    assert_eq!(registry.get("faults.fired"), Some(&Metric::Counter(0)), "{label}: faults.fired");
+    assert_eq!(
+        registry.counter("round.delivered"),
+        registry.counter("round.selected"),
+        "{label}: round.delivered must equal round.selected"
+    );
+    assert!(registry.counter("round.selected") > 0, "{label}: nothing selected");
+    let mut zeros = Histogram::new();
+    for _ in history.records() {
+        zeros.record(0.0);
+    }
+    assert_eq!(
+        registry.histogram("faults.wasted_energy_j"),
+        Some(&zeros),
+        "{label}: faults.wasted_energy_j must hold one zero per round"
+    );
 }
 
 /// Reference fingerprints captured from the engine as of the commit
@@ -109,46 +157,45 @@ const PINNED: [(Scheme, u64, u64); 4] = [
     (Scheme::Fedl { kappa: 1.0 }, 0xd3da3bc18b874121, 0x6effdd8f5bf2ac9d),
 ];
 
-#[test]
-fn default_config_reproduces_pre_fault_fingerprints() {
+/// Runs every pinned scheme under `tweak` and holds it to its pins
+/// and to the fault-free fault series.
+fn assert_reproduces_pins(what: &str, tweak: impl Fn(&mut fl_sim::runner::TrainingConfig)) {
     for (scheme, hist, reg) in PINNED {
-        let (h, r) = fingerprints(&scheme);
+        let label = scheme.label();
+        let (history, registry) = run_with(&scheme, &tweak);
+        let h = history_fingerprint(&history);
+        let r = pre_fault_registry_fingerprint(&registry);
         assert_eq!(
             h,
             hist,
-            "{}: history diverged from the pre-fault engine (got {h:#018x})",
-            scheme.label()
+            "{label} ({what}): history diverged from the pre-fault engine (got {h:#018x})"
         );
         assert_eq!(
             r,
             reg,
-            "{}: Sim-metrics registry diverged from the pre-fault engine (got {r:#018x})",
-            scheme.label()
+            "{label} ({what}): Sim-metrics registry diverged from the pre-fault engine \
+             (got {r:#018x})"
         );
+        assert_fault_free_series(label, &history, &registry);
     }
 }
 
 #[test]
-fn faulted_engine_with_zero_faults_matches_the_fault_free_histories() {
-    // A never-binding round deadline forces the fault-aware engine
-    // while keeping the fault plan inert: every history value must
-    // still come out bit-identical to the pinned fault-free run. (The
-    // registry is excluded: the faulted engine legitimately adds its
-    // own fault-series metrics.)
-    for (scheme, hist, _) in PINNED {
-        let (h, _) = fingerprints_with(&scheme, |config| {
-            config.degradation = DegradationPolicy {
-                round_deadline: Some(Seconds::new(1.0e12)),
-                ..DegradationPolicy::default()
-            };
-        });
-        assert_eq!(
-            h,
-            hist,
-            "{}: zero-fault faulted engine diverged from the fault-free path (got {h:#018x})",
-            scheme.label()
-        );
-    }
+fn default_config_reproduces_pre_fault_fingerprints() {
+    assert_reproduces_pins("default config", |_| {});
+}
+
+#[test]
+fn never_binding_deadline_reproduces_pre_fault_fingerprints() {
+    // A round deadline is armed every round but never fires, and the
+    // fault plan stays inert: history and registry must still come out
+    // bit-identical to the pins.
+    assert_reproduces_pins("never-binding deadline", |config| {
+        config.degradation = DegradationPolicy {
+            round_deadline: Some(Seconds::new(1.0e12)),
+            ..DegradationPolicy::default()
+        };
+    });
 }
 
 #[test]

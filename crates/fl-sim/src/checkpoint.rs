@@ -54,7 +54,13 @@ use crate::history::RoundRecord;
 use crate::selection::SelectorSnapshot;
 
 /// Schema version written into (and demanded from) checkpoint files.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
+///
+/// Version 2: every round records the fault series (`faults.fired`,
+/// `round.delivered`, `faults.wasted_energy_j`) into the Sim metrics.
+/// A fault-free version-1 checkpoint carries none of them in its
+/// `sim_metrics`, so resuming it would undercount `round.delivered`;
+/// it is refused instead.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
 
 /// Environment variable enabling checkpointing: `dir` or
 /// `dir:interval` (checkpoint every `interval` rounds, default 1).
@@ -1023,22 +1029,23 @@ mod tests {
         assert!(err.contains("checksum mismatch"), "unexpected refusal: {err}");
 
         // Wrong schema version with a *valid* checksum: refused for
-        // the version, not the hash.
-        let future = good.replacen(
-            "\"schema_version\":1",
-            "\"schema_version\":999",
-            1,
-        );
-        let payload = future.lines().next().unwrap();
-        let retrailed = format!(
-            "{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{}\"}}\n",
-            fnv1a_hex(payload.as_bytes())
-        );
-        let err = parse_checkpoint_file(&retrailed).unwrap_err();
-        assert!(
-            err.contains("unsupported checkpoint schema version 999"),
-            "unexpected refusal: {err}"
-        );
+        // the version, not the hash — a stale version-1 file as much
+        // as one from the future.
+        let current = format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}");
+        assert!(good.contains(&current));
+        for version in [1, 999] {
+            let other = good.replacen(&current, &format!("\"schema_version\":{version}"), 1);
+            let payload = other.lines().next().unwrap();
+            let retrailed = format!(
+                "{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{}\"}}\n",
+                fnv1a_hex(payload.as_bytes())
+            );
+            let err = parse_checkpoint_file(&retrailed).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported checkpoint schema version {version}")),
+                "unexpected refusal: {err}"
+            );
+        }
 
         // Wrong document type entirely.
         let err = parse_checkpoint_file(

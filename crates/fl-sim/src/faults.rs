@@ -26,8 +26,8 @@ use crate::seeds::{derive, SeedDomain};
 /// Per-class fault rates and shape parameters.
 ///
 /// All rates are per-round, per-selected-device probabilities. The
-/// default is the all-zero plan: no fault ever fires and the runner
-/// keeps its fault-free fast path.
+/// default is the all-zero plan: no fault ever fires, and the runner's
+/// rounds resolve to the fault-free TDMA timeline bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a selected device crashes this round (split evenly
@@ -86,9 +86,10 @@ impl FaultConfig {
         }
     }
 
-    /// Whether any fault class can fire at all. `false` keeps the
-    /// runner on its fault-free engine, whose output is pinned
-    /// bit-for-bit by the determinism suite.
+    /// Whether any fault class can fire at all. An inactive config
+    /// samples no fault for any device, so a run without a round
+    /// deadline reproduces the fault-free histories the determinism
+    /// suite pins bit for bit.
     pub fn is_active(&self) -> bool {
         self.crash_rate > 0.0
             || self.straggler_rate > 0.0
@@ -252,9 +253,9 @@ impl Default for DegradationPolicy {
 }
 
 impl DegradationPolicy {
-    /// Whether this policy forces the fault-aware round engine even
-    /// with an inert fault plan (a deadline can drop devices all by
-    /// itself).
+    /// Whether this policy can drop a device with an inert fault plan:
+    /// a round deadline strands late uploads all by itself. Every round
+    /// runs through the same engine either way.
     pub fn is_active(&self) -> bool {
         self.round_deadline.is_some()
     }

@@ -13,14 +13,12 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, Rng};
-use helcfl_telemetry::{
-    resource, span, Class, MetricsRegistry, ProgressSink, RoundSnapshot, Span, Telemetry,
-};
+use helcfl_telemetry::{resource, span, Class, ProgressSink, RoundSnapshot, Telemetry};
 use mec_sim::battery::Battery;
 use mec_sim::device::DeviceId;
+use mec_sim::faults::DigestConfig;
 use mec_sim::fleet::AliveMask;
 use mec_sim::population::Population;
-use mec_sim::timeline::{DigestConfig, RoundTimeline};
 use mec_sim::units::{Bits, Joules, Seconds};
 
 use crate::checkpoint::{
@@ -80,9 +78,8 @@ pub struct TrainingConfig {
     /// model converges … if so, the training exits").
     pub convergence: Option<ConvergencePolicy>,
     /// Per-round, per-device fault injection (see [`crate::faults`]).
-    /// The default all-zero config keeps the runner on its fault-free
-    /// engine, whose histories are pinned bit-for-bit by the
-    /// determinism suite.
+    /// The default all-zero config never fires a fault, and its
+    /// histories are pinned bit-for-bit by the determinism suite.
     pub faults: FaultConfig,
     /// What to do when selected devices fail to deliver: round
     /// deadline, minimum aggregation quorum, and the `α_q`
@@ -334,91 +331,6 @@ impl FederatedSetup {
     }
 }
 
-/// The two round engines behind one interface.
-///
-/// `Plain` is the original fault-free timeline, kept as its own arm
-/// (rather than running a zero-fault [`FaultedRound`]) so that
-/// default-config runs execute the exact code path whose histories and
-/// Sim-metric registries the determinism suite pins bit-for-bit. The
-/// faulted engine takes over only when a fault class can fire or a
-/// round deadline is set.
-enum RoundSim {
-    Plain(RoundTimeline),
-    Faulted(FaultedRound),
-}
-
-impl RoundSim {
-    fn round_time(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.makespan(),
-            Self::Faulted(f) => f.round_time(),
-        }
-    }
-
-    fn eq10_bound(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.eq10_bound(),
-            Self::Faulted(f) => f.eq10_bound(),
-        }
-    }
-
-    fn total_energy(&self) -> Joules {
-        match self {
-            Self::Plain(t) => t.total_energy(),
-            Self::Faulted(f) => f.total_energy(),
-        }
-    }
-
-    fn compute_energy(&self) -> Joules {
-        match self {
-            Self::Plain(t) => t.compute_energy(),
-            Self::Faulted(f) => f.compute_energy(),
-        }
-    }
-
-    fn total_slack(&self) -> Seconds {
-        match self {
-            Self::Plain(t) => t.total_slack(),
-            Self::Faulted(f) => f.total_slack(),
-        }
-    }
-
-    fn wasted_energy(&self) -> Joules {
-        match self {
-            Self::Plain(_) => Joules::ZERO,
-            Self::Faulted(f) => f.wasted_energy(),
-        }
-    }
-
-    fn faults_fired(&self) -> usize {
-        match self {
-            Self::Plain(_) => 0,
-            Self::Faulted(f) => f.faults_fired(),
-        }
-    }
-
-    fn record_metrics(&self, registry: &mut MetricsRegistry) {
-        match self {
-            Self::Plain(t) => t.record_metrics(registry),
-            Self::Faulted(f) => f.record_metrics(registry),
-        }
-    }
-
-    fn trace_into(&self, span: &mut Span) {
-        match self {
-            Self::Plain(t) => t.trace_into(span),
-            Self::Faulted(f) => f.trace_into(span),
-        }
-    }
-
-    fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
-        match self {
-            Self::Plain(t) => t.trace_digest_into(span, cfg),
-            Self::Faulted(f) => f.trace_digest_into(span, cfg),
-        }
-    }
-}
-
 /// Runs the full synchronous FL loop (Alg. 1) and returns its history.
 ///
 /// Per round: select users (strategy), assign frequencies (policy),
@@ -551,12 +463,13 @@ fn trace_mode_override(configured: Option<usize>) -> Option<usize> {
 /// Per round, when events are enabled, emits a `round` span with
 /// children covering every phase — `availability`, `selection`,
 /// `frequency`, `timeline`, `local_update`, `aggregate`, `evaluate`
-/// (on evaluation rounds), and `bookkeeping` — plus a one-shot
-/// `pool_resolved` point event describing the worker fan-out. The
-/// `timeline` phase additionally carries the resolved schedule — one
-/// `device_activity` child per selected device with frequency, TDMA
-/// window, and energy attributes (see `RoundTimeline::trace_into`) —
-/// which `helcfl-trace audit` replays against the paper's model. The
+/// (on evaluation rounds), `quorum`, and `bookkeeping` — plus a
+/// one-shot `pool_resolved` point event describing the worker fan-out.
+/// The `timeline` phase additionally carries the resolved schedule —
+/// one `device_activity` child per selected device with frequency,
+/// TDMA window, energy and delivery attributes, plus a marker per
+/// fault event (see `FaultedRound::trace_into`) — which
+/// `helcfl-trace audit` replays against the paper's model. The
 /// round span carries the per-round RNG-stream fingerprint
 /// (`rng_probe`), so two diverging runs can be bisected to the first
 /// round where random state disagrees.
@@ -592,9 +505,6 @@ pub fn run_federated_traced(
     config.validate()?;
     let target = selection_target(setup.population.len(), config.fraction)?;
     let fault_plan = FaultPlan::new(config.faults, config.seed)?;
-    // Engine selection: an inert plan AND no deadline keep the original
-    // fault-free path (a deadline can strand devices all by itself).
-    let faulted_engine = fault_plan.is_active() || config.degradation.is_active();
     let mut server = Flcc::new(&config.model_dims, derive(config.seed, SeedDomain::Model))?;
     let workers = worker_threads(config.threads);
     // Trace-shape-only knobs may come from the environment because
@@ -842,19 +752,18 @@ pub fn run_federated_traced(
         span_phase.end();
         let phase_t0 = timing.then(Instant::now);
         let mut span_phase = round_span.child("timeline");
-        let sim = if faulted_engine {
-            let faults: Vec<Option<DeviceFault>> =
-                selected.iter().map(|d| fault_plan.sample(round, d.id())).collect();
-            RoundSim::Faulted(FaultedRound::simulate(
-                &selected,
-                &freqs,
-                config.payload,
-                &faults,
-                config.degradation.round_deadline,
-            )?)
-        } else {
-            RoundSim::Plain(RoundTimeline::simulate(&selected, &freqs, config.payload)?)
-        };
+        // An inert plan samples `None` for every device, and with no
+        // round deadline the resolved round is the fault-free TDMA
+        // timeline bit for bit.
+        let faults: Vec<Option<DeviceFault>> =
+            selected.iter().map(|d| fault_plan.sample(round, d.id())).collect();
+        let sim = FaultedRound::simulate(
+            &selected,
+            &freqs,
+            config.payload,
+            &faults,
+            config.degradation.round_deadline,
+        )?;
         if tele.events_enabled() {
             // Per-device schedule attributes feed the trace auditor;
             // skip the string formatting entirely when no sink listens.
@@ -885,24 +794,18 @@ pub fn run_federated_traced(
         // 2b. Delivery resolution + quorum. Indices into
         //     `selected_ids` whose update reached the aggregator, and
         //     the ids that did not, in one pass over the delivery
-        //     flags; the fault-free engine delivers everyone by
-        //     construction.
+        //     flags.
         let mut delivered_idx: Vec<usize> = Vec::with_capacity(selected_ids.len());
         let mut failed: Vec<DeviceId> = Vec::new();
-        match &sim {
-            RoundSim::Plain(_) => delivered_idx.extend(0..selected_ids.len()),
-            RoundSim::Faulted(fr) => {
-                for (i, delivered) in fr.delivery_by_input().into_iter().enumerate() {
-                    if delivered {
-                        delivered_idx.push(i);
-                    } else {
-                        failed.push(selected_ids[i]);
-                    }
-                }
+        for (i, delivered) in sim.delivery_by_input().into_iter().enumerate() {
+            if delivered {
+                delivered_idx.push(i);
+            } else {
+                failed.push(selected_ids[i]);
             }
         }
         let quorum_met = delivered_idx.len() >= config.degradation.min_quorum;
-        if faulted_engine && tele.events_enabled() {
+        if tele.events_enabled() {
             round_span
                 .child("quorum")
                 .with("delivered", delivered_idx.len())
@@ -960,25 +863,13 @@ pub fn run_federated_traced(
         cumulative_time += sim.round_time();
         cumulative_energy += sim.total_energy();
         if let Some(batteries) = batteries.as_mut() {
-            match &sim {
-                RoundSim::Plain(timeline) => {
-                    for activity in timeline.activities() {
-                        batteries[activity.device.0].try_drain(activity.total_energy());
-                        if batteries[activity.device.0].is_depleted() {
-                            alive_mask.kill(activity.device.0);
-                        }
-                    }
-                }
-                RoundSim::Faulted(fr) => {
-                    // Each device drains exactly what it spent: a
-                    // crashed device is charged its partial joules
-                    // once, never the full-round cost.
-                    for outcome in fr.outcomes() {
-                        batteries[outcome.device.0].try_drain(outcome.total_energy());
-                        if batteries[outcome.device.0].is_depleted() {
-                            alive_mask.kill(outcome.device.0);
-                        }
-                    }
+            // Each device drains exactly what it spent: a crashed
+            // device is charged its partial joules once, never the
+            // full-round cost.
+            for outcome in sim.outcomes() {
+                batteries[outcome.device.0].try_drain(outcome.total_energy());
+                if batteries[outcome.device.0].is_depleted() {
+                    alive_mask.kill(outcome.device.0);
                 }
             }
         }
@@ -1010,7 +901,7 @@ pub fn run_federated_traced(
                 m.counter_add(Class::Sim, "eval.runs", 1);
                 m.gauge_set(Class::Sim, "eval.accuracy", accuracy);
             }
-            if faulted_engine && !aggregated {
+            if !aggregated {
                 m.counter_add(Class::Sim, "round.skipped", 1);
             }
             sim.record_metrics(m);

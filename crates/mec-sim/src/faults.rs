@@ -1,20 +1,21 @@
-//! Fault-afflicted round timelines: the MEC half of the fault layer.
+//! Fault-aware round timelines: the engine every federated round runs
+//! through.
 //!
-//! [`FaultedRound`] is [`crate::timeline::RoundTimeline`]'s sibling
-//! for rounds where devices misbehave. It resolves per-device
-//! [`DeviceFault`]s — crashes mid-compute or mid-upload, straggler
-//! slow-down below the DVFS-assigned frequency, transient upload
-//! failures with bounded retry-and-backoff, and channel-gain
-//! degradation — into the same TDMA discipline the healthy timeline
-//! uses, then applies an optional round deadline `T_max` after which
-//! stragglers are dropped. Every joule a device spends is accounted,
-//! including the *wasted* energy of failed work, so the energy story
-//! (Eq. 10/11) stays closed under faults.
+//! [`FaultedRound`] resolves per-device [`DeviceFault`]s — crashes
+//! mid-compute or mid-upload, straggler slow-down below the
+//! DVFS-assigned frequency, transient upload failures with bounded
+//! retry-and-backoff, and channel-gain degradation — into the TDMA
+//! discipline of [`TdmaSchedule`], then applies an optional round
+//! deadline `T_max` after which stragglers are dropped. Every joule a
+//! device spends is accounted, including the *wasted* energy of failed
+//! work, so the energy story (Eq. 10/11) stays closed under faults. It
+//! also owns the round's Sim metrics and its full and digest traces.
 //!
 //! With an all-`None` fault vector and no deadline, the resolved
-//! schedule is bit-identical to [`RoundTimeline::simulate`]: the same
-//! `compute_delay`/`upload_delay` calls feed the same
-//! [`TdmaSchedule`] arithmetic in the same order.
+//! schedule is bit-identical to [`RoundTimeline::simulate`], the
+//! fault-free reference the Fig. 1 and Alg. 3 analytics read: the same
+//! `compute_delay`/`upload_delay` calls feed the same [`TdmaSchedule`]
+//! arithmetic in the same order.
 //!
 //! [`RoundTimeline::simulate`]: crate::timeline::RoundTimeline::simulate
 
@@ -23,7 +24,6 @@ use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
 use crate::tdma::{TdmaSchedule, UploadRequest, UploadSlot};
-use crate::timeline::{sample_exemplars, DigestConfig};
 use crate::units::{Bits, Hertz, Joules, Seconds, Watts};
 
 /// One fault event afflicting one device for one round.
@@ -233,13 +233,49 @@ impl DeviceOutcome {
     }
 }
 
+/// The transmit windows inside one channel occupation: `count`
+/// transmissions of `len` seconds each, the `k`-th starting
+/// `k · period` after the occupation start. Retry sequences space
+/// their attempts by one transmission plus one back-off; every other
+/// profile is a single window at offset zero.
+#[derive(Clone, Copy)]
+pub(crate) struct TransmitWindows {
+    count: u32,
+    len: f64,
+    period: f64,
+}
+
+impl TransmitWindows {
+    /// No window: the device never reached the channel.
+    pub(crate) const NONE: Self = Self { count: 0, len: 0.0, period: 0.0 };
+
+    fn single(len: f64) -> Self {
+        Self { count: 1, len, period: 0.0 }
+    }
+
+    /// Total transmit time, summed window by window.
+    fn transmit(&self) -> f64 {
+        (0..self.count).map(|_| self.len).sum()
+    }
+
+    /// Transmit time that falls before `t` when the occupation starts
+    /// at `start`, summed window by window.
+    fn transmit_before(&self, start: f64, t: f64) -> f64 {
+        (0..self.count)
+            .map(|k| {
+                let off = f64::from(k) * self.period;
+                (t.min(start + off + self.len) - (start + off)).max(0.0)
+            })
+            .sum()
+    }
+}
+
 /// Per-device channel-occupation profile before TDMA placement.
 pub(crate) struct UploadProfile {
     /// Total channel occupation (transmissions + back-off idles).
     occupation: Seconds,
-    /// Active transmission segments as `(offset, duration)` relative
-    /// to the occupation start.
-    pub(crate) segments: Vec<(f64, f64)>,
+    /// Active transmissions within the occupation.
+    pub(crate) windows: TransmitWindows,
     delivered: bool,
     retries: u32,
     abort: Option<AbortReason>,
@@ -290,7 +326,7 @@ impl Resolved {
             Some(DeviceFault::CrashCompute { .. }) => None,
             Some(DeviceFault::CrashUpload { at }) => Some(UploadProfile {
                 occupation: planned_upload * *at,
-                segments: vec![(0.0, at * d)],
+                windows: TransmitWindows::single(at * d),
                 delivered: false,
                 retries: 0,
                 abort: Some(AbortReason::CrashUpload),
@@ -307,10 +343,9 @@ impl Resolved {
                     // successful transmission.
                     (n * (d + b) + d, *failed_attempts + 1)
                 };
-                let segments = (0..attempts).map(|k| (k as f64 * (d + b), d)).collect();
                 Some(UploadProfile {
                     occupation: Seconds::new(occupation),
-                    segments,
+                    windows: TransmitWindows { count: attempts, len: d, period: d + b },
                     delivered: !*exhausted,
                     retries: *failed_attempts,
                     abort: exhausted.then_some(AbortReason::RetriesExhausted),
@@ -318,14 +353,14 @@ impl Resolved {
             }
             Some(DeviceFault::ChannelDegradation { gain }) => Some(UploadProfile {
                 occupation: planned_upload / *gain,
-                segments: vec![(0.0, d / gain)],
+                windows: TransmitWindows::single(d / gain),
                 delivered: true,
                 retries: 0,
                 abort: None,
             }),
             Some(DeviceFault::Straggler { .. }) | None => Some(UploadProfile {
                 occupation: planned_upload,
-                segments: vec![(0.0, d)],
+                windows: TransmitWindows::single(d),
                 delivered: true,
                 retries: 0,
                 abort: None,
@@ -351,8 +386,8 @@ impl Resolved {
     }
 
     /// The outcome before the deadline cut: placed in `slot` when the
-    /// device reached the channel, crashed mid-compute otherwise.
-    /// Wasted energy is left at zero for the caller to settle.
+    /// device reached the channel, crashed mid-compute otherwise, with
+    /// its waste settled as if no deadline fired.
     pub(crate) fn outcome(
         &self,
         input: usize,
@@ -360,6 +395,7 @@ impl Resolved {
         planned_frequency: Hertz,
         fault: Option<DeviceFault>,
         slot: Option<&UploadSlot>,
+        payload: Bits,
     ) -> Result<DeviceOutcome> {
         let f_max = dev.cpu().range().max();
         let mut o = DeviceOutcome {
@@ -384,7 +420,7 @@ impl Resolved {
             retries: 0,
         };
         if let (Some(slot), Some(p)) = (slot, &self.profile) {
-            let transmit: f64 = p.segments.iter().map(|&(_, len)| len).sum();
+            let transmit = p.windows.transmit();
             o.abort = p.abort;
             o.delivered = p.delivered;
             o.uploaded = true;
@@ -393,18 +429,33 @@ impl Resolved {
             o.upload_energy = dev.uplink().power() * Seconds::new(transmit);
             o.retries = p.retries;
         }
+        settle_waste(&mut o, dev, payload);
         Ok(o)
     }
+}
+
+/// Settles the energy of `o` that bought nothing: all of it when its
+/// update never reached the aggregator, the failed attempts when it
+/// delivered after retries (the final successful transmission did
+/// buy something), none otherwise.
+fn settle_waste(o: &mut DeviceOutcome, dev: &Device, payload: Bits) {
+    o.wasted_energy = if !o.delivered {
+        o.total_energy()
+    } else if o.retries > 0 {
+        o.upload_energy - dev.upload_energy(payload)
+    } else {
+        Joules::ZERO
+    };
 }
 
 /// Cuts `o` at the fired deadline `t`: a delivery landing after it is
 /// dropped, and energy accrues only for work performed before the
 /// cut — compute pro-rated over its span, upload over the transmit
-/// `segments` that overlap `[0, t]`.
+/// `windows` that overlap `[0, t]`.
 pub(crate) fn cut_at_deadline(
     o: &mut DeviceOutcome,
     t: f64,
-    segments: &[(f64, f64)],
+    windows: TransmitWindows,
     power: Watts,
 ) {
     if o.delivered && o.upload_end.get() > t {
@@ -416,13 +467,54 @@ pub(crate) fn cut_at_deadline(
         o.compute_energy = o.compute_energy * scale;
     }
     if o.uploaded && o.upload_end.get() > t {
-        let start = o.upload_start.get();
-        let transmit_before: f64 = segments
-            .iter()
-            .map(|&(off, len)| (t.min(start + off + len) - (start + off)).max(0.0))
-            .sum();
+        let transmit_before = windows.transmit_before(o.upload_start.get(), t);
         o.upload_energy = power * Seconds::new(transmit_before);
     }
+}
+
+/// Configuration for digest-mode tracing
+/// ([`FaultedRound::trace_digest_into`]).
+///
+/// Digest mode replaces the per-device `device_activity` spans with one
+/// `cohort_digest` span carrying streaming aggregates, plus `exemplars`
+/// deterministically sampled devices that still emit full spans so the
+/// audit can replay representative schedules exactly. The sampler is a
+/// fresh [`detrand::Rng`] seeded with `seed` — callers derive it from a
+/// dedicated seed domain per round so digest tracing can never perturb
+/// selection, training, or fault draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigestConfig {
+    /// How many exemplar devices keep full `device_activity` spans.
+    /// Clamped to the cohort size.
+    pub exemplars: usize,
+    /// Per-round exemplar-sampler seed.
+    pub seed: u64,
+}
+
+/// Samples `cfg.exemplars` distinct indices from `0..n`, returned in
+/// ascending order so exemplar spans emit in channel order.
+pub(crate) fn sample_exemplars(n: usize, cfg: DigestConfig) -> Vec<usize> {
+    let k = cfg.exemplars.min(n);
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut indices = detrand::Rng::seed_from_u64(cfg.seed).sample_indices(n, k);
+    indices.sort_unstable();
+    indices
+}
+
+/// Cohort-wide sums and counts a traced round reports in its metrics,
+/// summary attributes and digest, computed once.
+#[derive(Debug, Default)]
+struct Totals {
+    energy: Joules,
+    compute_energy: Joules,
+    slack: Seconds,
+    wasted: Joules,
+    release_max: Seconds,
+    uploads: usize,
+    delivered: usize,
+    faults: usize,
 }
 
 /// The resolved timeline of one fault-afflicted synchronous round.
@@ -491,66 +583,61 @@ impl FaultedRound {
         }
 
         // Phase 1: resolve each device's effective compute span and
-        // channel-occupation profile, by input position.
+        // channel-occupation profile, by input position, and queue the
+        // channel users for the standard TDMA discipline (retry windows
+        // occupy one contiguous slot). `users[k]` is the input position
+        // behind request `k`.
         let mut resolved = Vec::with_capacity(devices.len());
-        for ((dev, &f), fault) in devices.iter().zip(frequencies).zip(faults) {
-            resolved.push(Resolved::new(dev, f, payload, fault.as_ref())?);
-        }
-
-        // Phase 2: serialize channel users with the standard TDMA
-        // discipline (retry windows occupy one contiguous slot).
-        // `users[k]` is the input position behind request `k`.
         let mut users = Vec::with_capacity(devices.len());
         let mut requests = Vec::with_capacity(devices.len());
-        for (i, (dev, r)) in devices.iter().zip(&resolved).enumerate() {
+        for (i, ((dev, &f), fault)) in devices.iter().zip(frequencies).zip(faults).enumerate() {
+            let r = Resolved::new(dev, f, payload, fault.as_ref())?;
             if let Some(request) = r.request(dev) {
                 users.push(i);
                 requests.push(request);
             }
+            resolved.push(r);
         }
+
+        // Phase 2: serialize the channel users.
         let schedule = TdmaSchedule::new(&requests);
 
         // Phase 3: assemble outcomes — channel order first (exactly
         // like the healthy timeline), crashed-in-compute devices after,
-        // by id. Every slot resolves through its request's position.
+        // by id — tracking the latest release. Every slot resolves
+        // through its request's position.
         let mut outcomes = Vec::with_capacity(devices.len());
+        let mut natural = Seconds::ZERO;
+        let mut push = |o: DeviceOutcome| {
+            natural = natural.max(o.release_time());
+            outcomes.push(o);
+        };
         for slot in schedule.slots() {
             let i = users[slot.request];
-            let dev = &devices[i];
-            outcomes.push(resolved[i].outcome(i, dev, frequencies[i], faults[i], Some(slot))?);
+            let r = &resolved[i];
+            push(r.outcome(i, &devices[i], frequencies[i], faults[i], Some(slot), payload)?);
         }
-        let mut crashed: Vec<usize> =
-            (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
-        crashed.sort_by_key(|&i| devices[i].id());
-        for i in crashed {
-            outcomes.push(resolved[i].outcome(i, &devices[i], frequencies[i], faults[i], None)?);
+        if users.len() < devices.len() {
+            let mut crashed: Vec<usize> =
+                (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
+            crashed.sort_by_key(|&i| devices[i].id());
+            for i in crashed {
+                let r = &resolved[i];
+                push(r.outcome(i, &devices[i], frequencies[i], faults[i], None, payload)?);
+            }
         }
 
-        // Phase 4: apply the round deadline, then finalize waste.
-        let natural = outcomes
-            .iter()
-            .map(DeviceOutcome::release_time)
-            .fold(Seconds::ZERO, Seconds::max);
+        // Phase 4: a fired deadline cuts every outcome at `T_max` and
+        // settles its waste again.
         let deadline_fired = deadline.is_some_and(|t| natural > t);
         let round_time = if deadline_fired { deadline.expect("fired") } else { natural };
         if deadline_fired {
             for o in &mut outcomes {
-                let i = o.input;
-                let segments =
-                    resolved[i].profile.as_ref().map_or(&[][..], |p| p.segments.as_slice());
-                cut_at_deadline(o, round_time.get(), segments, devices[i].uplink().power());
+                let (dev, profile) = (&devices[o.input], &resolved[o.input].profile);
+                let windows = profile.as_ref().map_or(TransmitWindows::NONE, |p| p.windows);
+                cut_at_deadline(o, round_time.get(), windows, dev.uplink().power());
+                settle_waste(o, dev, payload);
             }
-        }
-        for o in &mut outcomes {
-            o.wasted_energy = if !o.delivered {
-                o.total_energy()
-            } else if o.retries > 0 {
-                // Failed attempts bought nothing; the final successful
-                // transmission did.
-                o.upload_energy - devices[o.input].upload_energy(payload)
-            } else {
-                Joules::ZERO
-            };
         }
 
         Ok(Self { outcomes, payload, round_time, deadline, deadline_fired })
@@ -655,37 +742,67 @@ impl FaultedRound {
         self.outcomes.iter().map(|o| o.wasted_energy).sum()
     }
 
-    /// Records this round's profile into a metrics registry: the same
-    /// base series as the healthy timeline (`tdma.uploads`,
-    /// `tdma.queue_wait_s`, `device.energy_j`,
-    /// `device.compute_energy_j`, `round.makespan_s`,
-    /// `round.slack_total_s`) plus the fault series `faults.fired`
-    /// (counter), `faults.wasted_energy_j` (histogram, one sample per
-    /// round), and `round.delivered` (counter).
+    /// Records this round's profile into a metrics registry.
+    ///
+    /// All values are derived from the resolved round — pure
+    /// simulation state — so they carry [`Class::Sim`] and stay
+    /// bit-identical across thread counts. Names:
+    ///
+    /// * `tdma.uploads` (counter) — devices that occupied the channel;
+    /// * `tdma.queue_wait_s` (histogram) — per-upload wait between
+    ///   compute finish and channel acquisition (the slack Alg. 3
+    ///   harvests);
+    /// * `device.energy_j` / `device.compute_energy_j` (histograms) —
+    ///   per-device round energy split;
+    /// * `round.makespan_s` / `round.slack_total_s` (histograms) —
+    ///   one sample per round, distribution across the run;
+    /// * `faults.fired` and `round.delivered` (counters), and
+    ///   `faults.wasted_energy_j` (histogram, one sample per round).
     pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
-        registry.counter_add(Class::Sim, "tdma.uploads", self.uploaded_count() as u64);
-        for o in &self.outcomes {
-            if o.uploaded {
-                registry.record(Class::Sim, "tdma.queue_wait_s", o.slack().get());
-            }
-            registry.record(Class::Sim, "device.energy_j", o.total_energy().get());
-            registry.record(Class::Sim, "device.compute_energy_j", o.compute_energy.get());
+        let totals = self.totals();
+        registry.counter_add(Class::Sim, "tdma.uploads", totals.uploads as u64);
+        // Batched per metric: one registry walk per name, not three
+        // string-keyed walks per device — at population scale this
+        // loop runs over 10^4 devices every traced round. A round in
+        // which nobody reached the channel creates no wait histogram.
+        if totals.uploads > 0 {
+            registry.record_iter(
+                Class::Sim,
+                "tdma.queue_wait_s",
+                self.outcomes.iter().filter(|o| o.uploaded).map(|o| o.slack().get()),
+            );
         }
+        registry.record_iter(
+            Class::Sim,
+            "device.energy_j",
+            self.outcomes.iter().map(|o| o.total_energy().get()),
+        );
+        registry.record_iter(
+            Class::Sim,
+            "device.compute_energy_j",
+            self.outcomes.iter().map(|o| o.compute_energy.get()),
+        );
         registry.record(Class::Sim, "round.makespan_s", self.round_time.get());
-        registry.record(Class::Sim, "round.slack_total_s", self.total_slack().get());
-        registry.counter_add(Class::Sim, "faults.fired", self.faults_fired() as u64);
-        registry.counter_add(Class::Sim, "round.delivered", self.delivered_count() as u64);
-        registry.record(Class::Sim, "faults.wasted_energy_j", self.wasted_energy().get());
+        registry.record(Class::Sim, "round.slack_total_s", totals.slack.get());
+        registry.counter_add(Class::Sim, "faults.fired", totals.faults as u64);
+        registry.counter_add(Class::Sim, "round.delivered", totals.delivered as u64);
+        registry.record(Class::Sim, "faults.wasted_energy_j", totals.wasted.get());
     }
 
-    /// Attaches this round's resolved, fault-annotated schedule to an
-    /// open `timeline` span: summary totals and fault flags on the
-    /// span itself, one `device_activity` child per device (the
-    /// healthy attributes plus the planned-vs-effective pairs the
-    /// auditor replays), and one `fault` / `retry` / `abort` marker
-    /// child per event.
+    /// Attaches this round's resolved schedule to an open `timeline`
+    /// span: summary totals and fault flags as attributes on `span`
+    /// itself, one `device_activity` child per device carrying
+    /// everything the trace auditor needs to replay the round against
+    /// the analytic model (planned and effective frequency, `f_max`,
+    /// compute/upload window, energy split, delivery), and one
+    /// `fault` / `retry` / `abort` marker child per event. The children
+    /// are zero-duration markers ended immediately, so they never
+    /// distort the parent's wall-clock share.
+    ///
+    /// All attribute values are pure simulation state; the emission is
+    /// a read-only projection and cannot perturb determinism.
     pub fn trace_into(&self, span: &mut Span) {
-        self.set_summary_attrs(span);
+        self.set_summary_attrs(span, &self.totals());
         for o in &self.outcomes {
             Self::emit_outcome(span, o, false);
         }
@@ -698,45 +815,36 @@ impl FaultedRound {
     /// and extrema, compact histograms, the latest release time), and
     /// the full per-device children — `device_activity` plus its
     /// `fault` / `retry` / `abort` markers — only for the exemplar
-    /// devices picked by `cfg`.
+    /// devices picked by `cfg`, in outcome order.
     pub fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
-        self.set_summary_attrs(span);
+        let totals = self.totals();
+        self.set_summary_attrs(span, &totals);
         span.set("digest", true);
         let exemplars = sample_exemplars(self.outcomes.len(), cfg);
         {
+            // Batched aggregation (see `Histogram::record_batch`):
+            // per-device cost is an array increment, and the extrema
+            // fall out of the histograms' own finite min/max — all
+            // energies and slacks are finite by construction.
             let mut energy_hist = Histogram::new();
             let mut slack_hist = Histogram::new();
-            let mut energy_min = f64::INFINITY;
-            let mut energy_max = f64::NEG_INFINITY;
-            let mut slack_min = f64::INFINITY;
-            let mut slack_max = f64::NEG_INFINITY;
-            let mut release_max = Seconds::ZERO;
-            for o in &self.outcomes {
-                let energy = o.total_energy().get();
-                let slack = o.slack().get();
-                energy_hist.record(energy);
-                slack_hist.record(slack);
-                energy_min = energy_min.min(energy);
-                energy_max = energy_max.max(energy);
-                slack_min = slack_min.min(slack);
-                slack_max = slack_max.max(slack);
-                release_max = release_max.max(o.release_time());
-            }
+            energy_hist.record_batch(self.outcomes.iter().map(|o| o.total_energy().get()));
+            slack_hist.record_batch(self.outcomes.iter().map(|o| o.slack().get()));
             span.child("cohort_digest")
                 .with("devices", self.outcomes.len())
                 .with("exemplars", exemplars.len())
-                .with("uploads", self.uploaded_count())
-                .with("delivered", self.delivered_count())
-                .with("faults_fired", self.faults_fired())
-                .with("energy_sum_j", self.total_energy().get())
-                .with("energy_min_j", energy_min)
-                .with("energy_max_j", energy_max)
-                .with("compute_energy_sum_j", self.compute_energy().get())
-                .with("wasted_energy_sum_j", self.wasted_energy().get())
-                .with("slack_sum_s", self.total_slack().get())
-                .with("slack_min_s", slack_min)
-                .with("slack_max_s", slack_max)
-                .with("release_max_s", release_max.get())
+                .with("uploads", totals.uploads)
+                .with("delivered", totals.delivered)
+                .with("faults_fired", totals.faults)
+                .with("energy_sum_j", totals.energy.get())
+                .with("energy_min_j", energy_hist.min)
+                .with("energy_max_j", energy_hist.max)
+                .with("compute_energy_sum_j", totals.compute_energy.get())
+                .with("wasted_energy_sum_j", totals.wasted.get())
+                .with("slack_sum_s", totals.slack.get())
+                .with("slack_min_s", slack_hist.min)
+                .with("slack_max_s", slack_hist.max)
+                .with("release_max_s", totals.release_max.get())
                 .with("energy_hist", energy_hist.encode_compact())
                 .with("slack_hist", slack_hist.encode_compact())
                 .end();
@@ -746,16 +854,34 @@ impl FaultedRound {
         }
     }
 
-    fn set_summary_attrs(&self, span: &mut Span) {
-        span.set("uploads", self.uploaded_count());
+    /// Every cohort-wide sum and count the metrics and traces report,
+    /// in one pass. The sums run in outcome order from zero exactly as
+    /// [`Self::total_energy`], [`Self::compute_energy`],
+    /// [`Self::total_slack`] and [`Self::wasted_energy`] run them, so
+    /// the bits match.
+    fn totals(&self) -> Totals {
+        self.outcomes.iter().fold(Totals::default(), |t, o| Totals {
+            energy: t.energy + o.total_energy(),
+            compute_energy: t.compute_energy + o.compute_energy,
+            slack: t.slack + o.slack(),
+            wasted: t.wasted + o.wasted_energy,
+            release_max: t.release_max.max(o.release_time()),
+            uploads: t.uploads + usize::from(o.uploaded),
+            delivered: t.delivered + usize::from(o.delivered),
+            faults: t.faults + usize::from(o.fault.is_some()),
+        })
+    }
+
+    fn set_summary_attrs(&self, span: &mut Span, totals: &Totals) {
+        span.set("uploads", totals.uploads);
         span.set("makespan_s", self.round_time.get());
-        span.set("slack_total_s", self.total_slack().get());
-        span.set("energy_j", self.total_energy().get());
-        span.set("compute_energy_j", self.compute_energy().get());
-        span.set("wasted_energy_j", self.wasted_energy().get());
+        span.set("slack_total_s", totals.slack.get());
+        span.set("energy_j", totals.energy.get());
+        span.set("compute_energy_j", totals.compute_energy.get());
+        span.set("wasted_energy_j", totals.wasted.get());
         span.set("selected", self.outcomes.len());
-        span.set("delivered", self.delivered_count());
-        span.set("fault_fired", self.faults_fired() > 0 || self.deadline_fired);
+        span.set("delivered", totals.delivered);
+        span.set("fault_fired", totals.faults > 0 || self.deadline_fired);
         if let Some(t) = self.deadline {
             span.set("deadline_s", t.get());
         }
@@ -1045,11 +1171,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_and_trace_report_fault_series() {
-        use helcfl_telemetry::{analyze::Trace, MemorySink, Telemetry};
-        let (devs, freqs) = fleet();
-        let faults = [
+    /// The fault mix the metrics and trace tests run next to a healthy
+    /// round: a crash before the channel and a retried upload.
+    fn fault_mix() -> [Option<DeviceFault>; 3] {
+        [
             Some(DeviceFault::CrashCompute { at: 0.5 }),
             None,
             Some(DeviceFault::UploadRetry {
@@ -1057,28 +1182,153 @@ mod tests {
                 backoff: Seconds::new(0.5),
                 exhausted: false,
             }),
-        ];
-        let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
-        let mut registry = MetricsRegistry::new();
-        r.record_metrics(&mut registry);
-        assert_eq!(registry.counter("tdma.uploads"), 2);
-        assert_eq!(registry.counter("faults.fired"), 2);
-        assert_eq!(registry.counter("round.delivered"), 2);
+        ]
+    }
 
+    /// `fleet()` with no fault and with [`fault_mix`], as
+    /// `(faults, faults fired, deliveries)`.
+    fn metric_inputs() -> [([Option<DeviceFault>; 3], u64, u64); 2] {
+        [([None, None, None], 0, 3), (fault_mix(), 2, 2)]
+    }
+
+    fn trace_of(emit: impl FnOnce(&mut Span)) -> helcfl_telemetry::analyze::Trace {
+        use helcfl_telemetry::{MemorySink, Telemetry};
         let sink = MemorySink::new();
         let tele = Telemetry::with_sink(sink.clone());
         {
             let mut span = tele.span("timeline");
-            r.trace_into(&mut span);
+            emit(&mut span);
         }
-        let trace = Trace::parse(&sink.lines().join("\n")).unwrap();
-        let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
-        assert_eq!(timeline.attr_bool("fault_fired"), Some(true));
-        assert_eq!(timeline.attr_u64("delivered"), Some(2));
-        assert_eq!(timeline.attr_u64("selected"), Some(3));
-        assert_eq!(trace.spans.iter().filter(|s| s.name == "fault").count(), 2);
-        assert_eq!(trace.spans.iter().filter(|s| s.name == "retry").count(), 1);
-        assert_eq!(trace.spans.iter().filter(|s| s.name == "abort").count(), 1);
+        helcfl_telemetry::analyze::Trace::parse(&sink.lines().join("\n")).unwrap()
+    }
+
+    #[test]
+    fn metrics_tally_uploads_waits_energy_and_fault_series() {
+        let (devs, freqs) = fleet();
+        for (faults, fired, delivered) in metric_inputs() {
+            let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
+            let mut registry = MetricsRegistry::new();
+            r.record_metrics(&mut registry);
+            let uploaded: Vec<_> = r.outcomes().iter().filter(|o| o.uploaded).collect();
+            assert_eq!(registry.counter("tdma.uploads"), uploaded.len() as u64);
+            let waits = registry.histogram("tdma.queue_wait_s").unwrap();
+            assert_eq!(waits.count, uploaded.len() as u64);
+            // The first upload takes the free channel (zero wait →
+            // underflow tally); the others queue behind it.
+            assert_eq!(waits.underflow, 1);
+            let max_wait = uploaded.iter().map(|o| o.slack().get()).fold(0.0, f64::max);
+            assert_eq!(waits.max, max_wait);
+            assert_eq!(registry.histogram("device.energy_j").unwrap().count, 3);
+            assert_eq!(registry.histogram("device.compute_energy_j").unwrap().count, 3);
+            assert_eq!(
+                registry.histogram("round.makespan_s").unwrap().max,
+                r.round_time().get()
+            );
+            assert_eq!(
+                registry.histogram("round.slack_total_s").unwrap().max,
+                r.total_slack().get()
+            );
+            assert_eq!(registry.counter("faults.fired"), fired);
+            assert_eq!(registry.counter("round.delivered"), delivered);
+            let wasted = registry.histogram("faults.wasted_energy_j").unwrap();
+            assert_eq!((wasted.count, wasted.max), (1, r.wasted_energy().get()));
+        }
+        // Healthy: device 2 waits 7.5 − 3 = 4.5 s behind device 0's
+        // upload, device 1 waits 17.5 − 10 = 7.5 s behind device 2's.
+        let healthy = FaultedRound::simulate(&devs, &freqs, payload(), &[None, None, None], None)
+            .unwrap();
+        let mut registry = MetricsRegistry::new();
+        healthy.record_metrics(&mut registry);
+        assert_eq!(registry.histogram("tdma.queue_wait_s").unwrap().max, 7.5);
+        // A round in which nobody reaches the channel records no wait
+        // histogram at all.
+        let crash = Some(DeviceFault::CrashCompute { at: 0.5 });
+        let r = FaultedRound::simulate(&devs, &freqs, payload(), &[crash; 3], None).unwrap();
+        let mut registry = MetricsRegistry::new();
+        r.record_metrics(&mut registry);
+        assert_eq!(registry.counter("tdma.uploads"), 0);
+        assert!(registry.histogram("tdma.queue_wait_s").is_none());
+        assert_eq!(registry.histogram("device.energy_j").unwrap().count, 3);
+    }
+
+    #[test]
+    fn trace_into_emits_auditable_device_activity_and_fault_markers() {
+        let (devs, freqs) = fleet();
+        for (faults, _, _) in metric_inputs() {
+            let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
+            let trace = trace_of(|span| r.trace_into(span));
+            let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
+            assert_eq!(timeline.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            assert_eq!(timeline.attr_f64("makespan_s"), Some(r.round_time().get()));
+            assert_eq!(timeline.attr_f64("slack_total_s"), Some(r.total_slack().get()));
+            assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
+            assert_eq!(timeline.attr_f64("compute_energy_j"), Some(r.compute_energy().get()));
+            assert_eq!(timeline.attr_f64("wasted_energy_j"), Some(r.wasted_energy().get()));
+            assert_eq!(timeline.attr_u64("selected"), Some(3));
+            assert_eq!(timeline.attr_u64("delivered"), Some(r.delivered_count() as u64));
+            assert_eq!(timeline.attr_bool("fault_fired"), Some(r.faults_fired() > 0));
+            assert_eq!(timeline.attr_bool("deadline_fired"), Some(false));
+            assert_eq!(timeline.attr_bool("digest"), None);
+
+            // One device_activity child per outcome, each carrying the
+            // outcome's own values.
+            let activities: Vec<_> =
+                trace.spans.iter().filter(|s| s.name == "device_activity").collect();
+            assert_eq!(activities.len(), 3);
+            for a in &activities {
+                assert_eq!(a.parent, Some(timeline.id));
+                let id = a.attr_u64("device_id").unwrap() as usize;
+                let o = r.outcome(DeviceId(id)).unwrap();
+                assert_eq!(a.attr_str("device"), Some(o.device.to_string().as_str()));
+                assert_eq!(a.attr_f64("f_hz"), Some(o.frequency.get()));
+                assert_eq!(a.attr_f64("f_planned_hz"), Some(o.planned_frequency.get()));
+                assert_eq!(a.attr_f64("f_max_hz"), Some(o.f_max.get()));
+                assert_eq!(a.attr_f64("compute_finish_s"), Some(o.compute_finish.get()));
+                assert_eq!(a.attr_f64("upload_start_s"), Some(o.upload_start.get()));
+                assert_eq!(a.attr_f64("upload_end_s"), Some(o.upload_end.get()));
+                assert_eq!(a.attr_f64("compute_energy_j"), Some(o.compute_energy.get()));
+                assert_eq!(a.attr_f64("upload_energy_j"), Some(o.upload_energy.get()));
+                assert_eq!(a.attr_f64("wasted_energy_j"), Some(o.wasted_energy.get()));
+                assert_eq!(a.attr_bool("uploaded"), Some(o.uploaded));
+                assert_eq!(a.attr_bool("delivered"), Some(o.delivered));
+                assert_eq!(a.attr_str("fault"), o.fault.map(|f| f.kind()));
+                assert_eq!(a.attr_bool("exemplar"), None);
+                // Every device runs at f_max, where the scaled and
+                // reference compute energies coincide unless a crash
+                // cut the work short.
+                if o.fault.is_none() {
+                    assert_eq!(
+                        a.attr_f64("compute_energy_at_max_j"),
+                        a.attr_f64("compute_energy_j")
+                    );
+                }
+            }
+            let markers = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+            let outcomes = r.outcomes();
+            assert_eq!(markers("fault"), outcomes.iter().filter(|o| o.fault.is_some()).count());
+            assert_eq!(markers("retry"), outcomes.iter().filter(|o| o.retries > 0).count());
+            assert_eq!(markers("abort"), outcomes.iter().filter(|o| o.abort.is_some()).count());
+        }
+
+        // Healthy round: device 0 takes the free channel straight away.
+        let healthy = FaultedRound::simulate(&devs, &freqs, payload(), &[None, None, None], None)
+            .unwrap();
+        let trace = trace_of(|span| healthy.trace_into(span));
+        let a0 = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "device_activity" && s.attr_str("device") == Some("v0"))
+            .unwrap();
+        assert_eq!(a0.attr_f64("f_hz"), Some(2.0e9));
+        assert_eq!(a0.attr_f64("compute_finish_s"), Some(2.5));
+        assert_eq!(a0.attr_f64("upload_start_s"), Some(2.5));
+        assert_eq!(a0.attr_f64("upload_end_s"), Some(7.5));
+        assert!(a0.attr_f64("compute_energy_j").unwrap() > 0.0);
+        assert_eq!(trace.spans.iter().filter(|s| s.name == "abort").count(), 0);
+
+        // Fault mix: the crashed device never reached the channel.
+        let r = FaultedRound::simulate(&devs, &freqs, payload(), &fault_mix(), None).unwrap();
+        let trace = trace_of(|span| r.trace_into(span));
         let crashed = trace
             .spans
             .iter()
@@ -1089,69 +1339,114 @@ mod tests {
     }
 
     #[test]
+    fn exemplar_sampling_is_deterministic_sorted_and_clamped() {
+        let cfg = DigestConfig { exemplars: 3, seed: 99 };
+        let a = sample_exemplars(10, cfg);
+        let b = sample_exemplars(10, cfg);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 3);
+        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted distinct: {a:?}");
+        assert!(a.iter().all(|&i| i < 10));
+        // Different seed, different pick (with overwhelming probability
+        // for this pinned seed pair).
+        assert_ne!(a, sample_exemplars(10, DigestConfig { exemplars: 3, seed: 100 }));
+        // Clamped to the cohort; zero exemplars is allowed.
+        assert_eq!(sample_exemplars(2, cfg), vec![0, 1]);
+        assert!(sample_exemplars(5, DigestConfig { exemplars: 0, seed: 1 }).is_empty());
+    }
+
+    #[test]
     fn trace_digest_into_reconciles_with_the_full_trace() {
-        use helcfl_telemetry::{analyze::Trace, MemorySink, Telemetry};
         let (devs, freqs) = fleet();
-        let faults = [
-            Some(DeviceFault::CrashCompute { at: 0.5 }),
-            None,
-            Some(DeviceFault::UploadRetry {
-                failed_attempts: 1,
-                backoff: Seconds::new(0.5),
-                exhausted: false,
-            }),
-        ];
-        let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
-        let sink = MemorySink::new();
-        let tele = Telemetry::with_sink(sink.clone());
-        {
-            let mut span = tele.span("timeline");
-            r.trace_digest_into(&mut span, DigestConfig { exemplars: 1, seed: 11 });
+        let cfg = DigestConfig { exemplars: 2, seed: 11 };
+        for (faults, fired, delivered) in metric_inputs() {
+            let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
+            let trace = trace_of(|span| r.trace_digest_into(span, cfg));
+
+            // Summary attrs match the full-fidelity ones; digest flag set.
+            let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
+            assert_eq!(timeline.attr_bool("digest"), Some(true));
+            assert_eq!(timeline.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            assert_eq!(timeline.attr_u64("selected"), Some(3));
+            assert_eq!(timeline.attr_u64("delivered"), Some(delivered));
+            assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
+
+            // The digest carries totals that agree with the round itself.
+            let digest = trace.spans.iter().find(|s| s.name == "cohort_digest").unwrap();
+            assert_eq!(digest.parent, Some(timeline.id));
+            assert_eq!(digest.attr_u64("devices"), Some(3));
+            assert_eq!(digest.attr_u64("exemplars"), Some(2));
+            assert_eq!(digest.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            assert_eq!(digest.attr_u64("delivered"), Some(delivered));
+            assert_eq!(digest.attr_u64("faults_fired"), Some(fired));
+            assert_eq!(digest.attr_f64("energy_sum_j"), Some(r.total_energy().get()));
+            assert_eq!(
+                digest.attr_f64("compute_energy_sum_j"),
+                Some(r.compute_energy().get())
+            );
+            assert_eq!(
+                digest.attr_f64("wasted_energy_sum_j"),
+                Some(r.wasted_energy().get())
+            );
+            assert_eq!(digest.attr_f64("slack_sum_s"), Some(r.total_slack().get()));
+            let release_max = r
+                .outcomes()
+                .iter()
+                .map(|o| o.release_time())
+                .fold(Seconds::ZERO, Seconds::max);
+            assert_eq!(digest.attr_f64("release_max_s"), Some(release_max.get()));
+            let energy_hist =
+                Histogram::decode_compact(digest.attr_str("energy_hist").unwrap()).unwrap();
+            assert_eq!(energy_hist.count, 3);
+            let slack_hist =
+                Histogram::decode_compact(digest.attr_str("slack_hist").unwrap()).unwrap();
+            assert_eq!(slack_hist.count, 3);
+            let energies: Vec<f64> = r.outcomes().iter().map(|o| o.total_energy().get()).collect();
+            let slacks: Vec<f64> = r.outcomes().iter().map(|o| o.slack().get()).collect();
+            let lo = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(digest.attr_f64("energy_min_j"), Some(lo(&energies)));
+            assert_eq!(digest.attr_f64("energy_max_j"), Some(hi(&energies)));
+            assert_eq!(digest.attr_f64("slack_min_s"), Some(lo(&slacks)));
+            assert_eq!(digest.attr_f64("slack_max_s"), Some(hi(&slacks)));
+
+            // Exactly two exemplars, fully attributed and inside the
+            // digest extrema; their markers are the only fault / retry
+            // / abort children in the digest trace.
+            let activities: Vec<_> =
+                trace.spans.iter().filter(|s| s.name == "device_activity").collect();
+            assert_eq!(activities.len(), 2);
+            let emin = digest.attr_f64("energy_min_j").unwrap();
+            let emax = digest.attr_f64("energy_max_j").unwrap();
+            let mut exemplar_outcomes = Vec::new();
+            for a in &activities {
+                assert_eq!(a.attr_bool("exemplar"), Some(true));
+                let id = a.attr_u64("device_id").unwrap() as usize;
+                let o = r.outcome(DeviceId(id)).unwrap();
+                assert_eq!(a.attr_bool("delivered"), Some(o.delivered));
+                assert_eq!(a.attr_f64("upload_end_s"), Some(o.upload_end.get()));
+                assert_eq!(a.attr_f64("wasted_energy_j"), Some(o.wasted_energy.get()));
+                let e = o.total_energy().get();
+                assert!(e >= emin && e <= emax);
+                exemplar_outcomes.push(o);
+            }
+            let markers = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+            let count = |f: fn(&DeviceOutcome) -> bool| {
+                exemplar_outcomes.iter().filter(|o| f(o)).count()
+            };
+            assert_eq!(markers("fault"), count(|o| o.fault.is_some()));
+            assert_eq!(markers("retry"), count(|o| o.retries > 0));
+            assert_eq!(markers("abort"), count(|o| o.abort.is_some()));
+
+            // The same config replays the same exemplar set.
+            let ids = |t: &helcfl_telemetry::analyze::Trace| {
+                t.spans
+                    .iter()
+                    .filter(|sp| sp.name == "device_activity")
+                    .map(|sp| sp.attr_u64("device_id").unwrap())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(ids(&trace), ids(&trace_of(|span| r.trace_digest_into(span, cfg))));
         }
-        let trace = Trace::parse(&sink.lines().join("\n")).unwrap();
-
-        // Summary attrs match the full-fidelity ones; digest flag set.
-        let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
-        assert_eq!(timeline.attr_bool("digest"), Some(true));
-        assert_eq!(timeline.attr_u64("selected"), Some(3));
-        assert_eq!(timeline.attr_u64("delivered"), Some(2));
-
-        // The digest carries totals that agree with the round itself.
-        let digest = trace.spans.iter().find(|s| s.name == "cohort_digest").unwrap();
-        assert_eq!(digest.attr_u64("devices"), Some(3));
-        assert_eq!(digest.attr_u64("uploads"), Some(2));
-        assert_eq!(digest.attr_u64("delivered"), Some(2));
-        assert_eq!(digest.attr_u64("faults_fired"), Some(2));
-        assert_eq!(digest.attr_f64("energy_sum_j"), Some(r.total_energy().get()));
-        assert_eq!(
-            digest.attr_f64("wasted_energy_sum_j"),
-            Some(r.wasted_energy().get())
-        );
-        assert_eq!(digest.attr_f64("slack_sum_s"), Some(r.total_slack().get()));
-        let release_max = r
-            .outcomes()
-            .iter()
-            .map(|o| o.release_time())
-            .fold(Seconds::ZERO, Seconds::max);
-        assert_eq!(digest.attr_f64("release_max_s"), Some(release_max.get()));
-        let energy_hist =
-            Histogram::decode_compact(digest.attr_str("energy_hist").unwrap()).unwrap();
-        assert_eq!(energy_hist.count, 3);
-
-        // Exactly one exemplar, fully attributed; its markers (if any)
-        // are the only fault/retry/abort children in the digest trace.
-        let activities: Vec<_> =
-            trace.spans.iter().filter(|s| s.name == "device_activity").collect();
-        assert_eq!(activities.len(), 1);
-        let a = activities[0];
-        assert_eq!(a.attr_bool("exemplar"), Some(true));
-        let id = a.attr_u64("device_id").unwrap() as usize;
-        let o = r.outcome(DeviceId(id)).unwrap();
-        assert_eq!(a.attr_bool("delivered"), Some(o.delivered));
-        assert_eq!(a.attr_f64("wasted_energy_j"), Some(o.wasted_energy.get()));
-        let marker_count = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
-        assert_eq!(marker_count("fault"), usize::from(o.fault.is_some()));
-        assert_eq!(marker_count("retry"), usize::from(o.retries > 0));
-        assert_eq!(marker_count("abort"), usize::from(o.abort.is_some()));
     }
 }

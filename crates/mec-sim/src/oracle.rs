@@ -15,7 +15,9 @@ use detrand::Rng;
 use crate::comm::Uplink;
 use crate::cpu::DvfsCpu;
 use crate::device::{Device, DeviceId};
-use crate::faults::{cut_at_deadline, DeviceFault, DeviceOutcome, FaultedRound, Resolved};
+use crate::faults::{
+    cut_at_deadline, DeviceFault, DeviceOutcome, FaultedRound, Resolved, TransmitWindows,
+};
 use crate::tdma::{UploadRequest, UploadSlot};
 use crate::timeline::{DeviceActivity, RoundTimeline};
 use crate::units::{Bits, BitsPerSecond, Hertz, Joules, Seconds, Watts};
@@ -104,14 +106,16 @@ fn faulted_by_id(
     let mut outcomes = Vec::new();
     for slot in schedule_by_value(requests) {
         let i = index_of(slot.device);
-        let o = resolved[i].outcome(i, &devices[i], frequencies[i], faults[i], Some(&slot));
+        let r = &resolved[i];
+        let o = r.outcome(i, &devices[i], frequencies[i], faults[i], Some(&slot), payload);
         outcomes.push(o.unwrap());
     }
     let mut crashed: Vec<usize> =
         (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
     crashed.sort_by_key(|&i| devices[i].id());
     for i in crashed {
-        let o = resolved[i].outcome(i, &devices[i], frequencies[i], faults[i], None);
+        let r = &resolved[i];
+        let o = r.outcome(i, &devices[i], frequencies[i], faults[i], None, payload);
         outcomes.push(o.unwrap());
     }
     let natural =
@@ -121,8 +125,8 @@ fn faulted_by_id(
     if fired {
         for o in &mut outcomes {
             let i = index_of(o.device);
-            let segments = resolved[i].profile.as_ref().map_or(&[][..], |p| p.segments.as_slice());
-            cut_at_deadline(o, round_time.get(), segments, devices[i].uplink().power());
+            let windows = resolved[i].profile.as_ref().map_or(TransmitWindows::NONE, |p| p.windows);
+            cut_at_deadline(o, round_time.get(), windows, devices[i].uplink().power());
         }
     }
     for o in &mut outcomes {

@@ -6,9 +6,12 @@
 //! the paper's evaluation needs: round delay, per-round energy
 //! (Eq. 10–11), per-device slack, and an ASCII Gantt rendering of the
 //! Fig. 1 schedule.
-
-
-use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
+//!
+//! It is the fault-free analytic view of a round, for the Fig. 1 and
+//! Alg. 3 analyses and as a reference in tests. Federated rounds run
+//! through [`crate::faults::FaultedRound`], which resolves a round
+//! without faults or a deadline to the same schedule bit for bit and
+//! owns the round's metrics and traces.
 
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
@@ -59,47 +62,6 @@ impl DeviceActivity {
     pub fn total_delay(&self) -> Seconds {
         self.upload_end
     }
-}
-
-/// Configuration for digest-mode tracing
-/// ([`RoundTimeline::trace_digest_into`] and
-/// [`crate::faults::FaultedRound::trace_digest_into`]).
-///
-/// Digest mode replaces the per-device `device_activity` spans with one
-/// `cohort_digest` span carrying streaming aggregates, plus `exemplars`
-/// deterministically sampled devices that still emit full spans so the
-/// audit can replay representative schedules exactly. The sampler is a
-/// fresh [`detrand::Rng`] seeded with `seed` — callers derive it from a
-/// dedicated seed domain per round so digest tracing can never perturb
-/// selection, training, or fault draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestConfig {
-    /// How many exemplar devices keep full `device_activity` spans.
-    /// Clamped to the cohort size.
-    pub exemplars: usize,
-    /// Per-round exemplar-sampler seed.
-    pub seed: u64,
-}
-
-/// Samples `cfg.exemplars` distinct indices from `0..n`, returned in
-/// ascending order so exemplar spans emit in channel order.
-pub(crate) fn sample_exemplars(n: usize, cfg: DigestConfig) -> Vec<usize> {
-    let k = cfg.exemplars.min(n);
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut indices = detrand::Rng::seed_from_u64(cfg.seed).sample_indices(n, k);
-    indices.sort_unstable();
-    indices
-}
-
-/// Cohort-wide sums a traced round reports twice (summary attributes
-/// and digest), computed once.
-#[derive(Debug, Default)]
-struct Totals {
-    energy: Joules,
-    compute_energy: Joules,
-    slack: Seconds,
 }
 
 /// The resolved timeline of one synchronous round.
@@ -219,148 +181,6 @@ impl RoundTimeline {
     /// Activity of a specific device, if it participated.
     pub fn activity(&self, device: DeviceId) -> Option<&DeviceActivity> {
         self.activities.iter().find(|a| a.device == device)
-    }
-
-    /// Records this round's TDMA and energy profile into a metrics
-    /// registry.
-    ///
-    /// All values are derived from the resolved timeline — pure
-    /// simulation state — so they carry [`Class::Sim`] and stay
-    /// bit-identical across thread counts. Names:
-    ///
-    /// * `tdma.uploads` (counter) — uploads serialized this round;
-    /// * `tdma.queue_wait_s` (histogram) — per-device wait between
-    ///   compute finish and channel acquisition (the slack Alg. 3
-    ///   harvests);
-    /// * `device.energy_j` / `device.compute_energy_j` (histograms) —
-    ///   per-device round energy split;
-    /// * `round.makespan_s` / `round.slack_total_s` (histograms) —
-    ///   one sample per round, distribution across the run.
-    pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
-        registry.counter_add(Class::Sim, "tdma.uploads", self.activities.len() as u64);
-        // Batched per metric: one registry walk per name, not three
-        // string-keyed walks per device — at population scale this
-        // loop runs over 10^4 devices every traced round.
-        registry.record_iter(
-            Class::Sim,
-            "tdma.queue_wait_s",
-            self.activities.iter().map(|a| a.slack().get()),
-        );
-        registry.record_iter(
-            Class::Sim,
-            "device.energy_j",
-            self.activities.iter().map(|a| a.total_energy().get()),
-        );
-        registry.record_iter(
-            Class::Sim,
-            "device.compute_energy_j",
-            self.activities.iter().map(|a| a.compute_energy.get()),
-        );
-        registry.record(Class::Sim, "round.makespan_s", self.makespan().get());
-        registry.record(Class::Sim, "round.slack_total_s", self.total_slack().get());
-    }
-
-    /// Attaches this round's resolved schedule to an open `timeline`
-    /// span: summary totals as attributes on `span` itself, plus one
-    /// `device_activity` child span per device carrying everything the
-    /// trace auditor needs to replay the round against the analytic
-    /// model (frequency and `f_max`, compute/upload window, energy
-    /// split). The children are zero-duration markers ended
-    /// immediately, so they never distort the parent's wall-clock
-    /// share.
-    ///
-    /// All attribute values are pure simulation state; the emission is
-    /// a read-only projection and cannot perturb determinism.
-    pub fn trace_into(&self, span: &mut Span) {
-        self.set_summary_attrs(span, &self.totals());
-        for a in &self.activities {
-            Self::emit_activity(span, a, false);
-        }
-    }
-
-    /// Digest-mode variant of [`RoundTimeline::trace_into`]: summary
-    /// totals plus `digest: true` on `span` itself, one `cohort_digest`
-    /// child carrying streaming aggregates over the whole cohort
-    /// (counts, energy/slack sums and extrema, compact binary-exponent
-    /// histograms), and full `device_activity` spans only for the
-    /// exemplar devices picked by `cfg` (tagged `exemplar: true`,
-    /// emitted in channel order).
-    ///
-    /// The digest is a pure projection of the resolved timeline —
-    /// exactly the same state `trace_into` reads — so switching modes
-    /// can never perturb the simulation.
-    pub fn trace_digest_into(&self, span: &mut Span, cfg: DigestConfig) {
-        let totals = self.totals();
-        self.set_summary_attrs(span, &totals);
-        span.set("digest", true);
-        let exemplars = sample_exemplars(self.activities.len(), cfg);
-        {
-            // Batched aggregation (see `Histogram::record_batch`):
-            // per-device cost is an array increment, and the extrema
-            // fall out of the histograms' own finite min/max — all
-            // energies and slacks are finite by construction.
-            let mut energy_hist = Histogram::new();
-            let mut slack_hist = Histogram::new();
-            energy_hist
-                .record_batch(self.activities.iter().map(|a| a.total_energy().get()));
-            slack_hist.record_batch(self.activities.iter().map(|a| a.slack().get()));
-            span.child("cohort_digest")
-                .with("devices", self.activities.len())
-                .with("exemplars", exemplars.len())
-                .with("uploads", self.activities.len())
-                .with("energy_sum_j", totals.energy.get())
-                .with("energy_min_j", energy_hist.min)
-                .with("energy_max_j", energy_hist.max)
-                .with("compute_energy_sum_j", totals.compute_energy.get())
-                .with("slack_sum_s", totals.slack.get())
-                .with("slack_min_s", slack_hist.min)
-                .with("slack_max_s", slack_hist.max)
-                .with("release_max_s", self.makespan().get())
-                .with("energy_hist", energy_hist.encode_compact())
-                .with("slack_hist", slack_hist.encode_compact())
-                .end();
-        }
-        for &i in &exemplars {
-            Self::emit_activity(span, &self.activities[i], true);
-        }
-    }
-
-    /// [`Self::total_energy`], [`Self::compute_energy`] and
-    /// [`Self::total_slack`] in one pass, each summed in channel order
-    /// from zero exactly as those methods sum it, so the bits match.
-    fn totals(&self) -> Totals {
-        self.activities.iter().fold(Totals::default(), |t, a| Totals {
-            energy: t.energy + a.total_energy(),
-            compute_energy: t.compute_energy + a.compute_energy,
-            slack: t.slack + a.slack(),
-        })
-    }
-
-    fn set_summary_attrs(&self, span: &mut Span, totals: &Totals) {
-        span.set("uploads", self.activities.len());
-        span.set("makespan_s", self.makespan().get());
-        span.set("slack_total_s", totals.slack.get());
-        span.set("energy_j", totals.energy.get());
-        span.set("compute_energy_j", totals.compute_energy.get());
-    }
-
-    fn emit_activity(span: &mut Span, a: &DeviceActivity, exemplar: bool) {
-        let mut child = span
-            .child("device_activity")
-            .with("device", a.device.to_string())
-            .with("device_id", a.device.0)
-            .with("f_hz", a.frequency.get())
-            .with("f_max_hz", a.f_max.get())
-            .with("compute_finish_s", a.compute_finish.get())
-            .with("upload_start_s", a.upload_start.get())
-            .with("upload_end_s", a.upload_end.get())
-            .with("compute_energy_j", a.compute_energy.get())
-            .with("compute_energy_at_max_j", a.compute_energy_at_max.get())
-            .with("upload_energy_j", a.upload_energy.get());
-        if exemplar {
-            child = child.with("exemplar", true);
-        }
-        child.end();
     }
 
     /// Renders the round as an ASCII Gantt chart (one row per device;
@@ -523,153 +343,6 @@ mod tests {
         assert!(g.contains("v0"));
         assert!(g.contains("v1"));
         assert!(g.contains('#'));
-    }
-
-    #[test]
-    fn record_metrics_tallies_uploads_waits_and_energy() {
-        let devs = [device(0, 2.0, 500, 8.0), device(1, 2.0, 600, 8.0)];
-        let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();
-        let mut registry = MetricsRegistry::new();
-        tl.record_metrics(&mut registry);
-        assert_eq!(registry.counter("tdma.uploads"), 2);
-        let waits = registry.histogram("tdma.queue_wait_s").unwrap();
-        assert_eq!(waits.count, 2);
-        // Device 0 uploads immediately (zero wait → underflow tally);
-        // device 1 waits 4.5 s.
-        assert_eq!(waits.underflow, 1);
-        assert_eq!(waits.max, 4.5);
-        let energy = registry.histogram("device.energy_j").unwrap();
-        assert_eq!(energy.count, 2);
-        assert_eq!(
-            registry.histogram("round.makespan_s").unwrap().max,
-            tl.makespan().get()
-        );
-    }
-
-    #[test]
-    fn trace_into_emits_auditable_device_activity_spans() {
-        use helcfl_telemetry::{analyze::Trace, MemorySink, Telemetry};
-        let devs = [device(0, 2.0, 500, 8.0), device(1, 2.0, 600, 8.0)];
-        let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();
-        let sink = MemorySink::new();
-        let tele = Telemetry::with_sink(sink.clone());
-        {
-            let mut span = tele.span("timeline");
-            tl.trace_into(&mut span);
-        }
-        let text = sink.lines().join("\n");
-        let trace = Trace::parse(&text).unwrap();
-        let activities: Vec<_> =
-            trace.spans.iter().filter(|s| s.name == "device_activity").collect();
-        assert_eq!(activities.len(), 2);
-        let a0 = activities
-            .iter()
-            .find(|s| s.attr_str("device") == Some("v0"))
-            .expect("device 0 present");
-        assert_eq!(a0.attr_u64("device_id"), Some(0));
-        assert_eq!(a0.attr_f64("f_hz"), Some(2.0e9));
-        assert_eq!(a0.attr_f64("f_max_hz"), Some(2.0e9));
-        assert_eq!(a0.attr_f64("compute_finish_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_start_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_end_s"), Some(7.5));
-        assert!(a0.attr_f64("compute_energy_j").unwrap() > 0.0);
-        // At f_max the scaled and reference energies coincide.
-        assert_eq!(
-            a0.attr_f64("compute_energy_at_max_j"),
-            a0.attr_f64("compute_energy_j")
-        );
-        let parent = trace.span(a0.parent.unwrap()).unwrap();
-        assert_eq!(parent.name, "timeline");
-        assert_eq!(parent.attr_u64("uploads"), Some(2));
-        assert_eq!(parent.attr_f64("makespan_s"), Some(tl.makespan().get()));
-        assert_eq!(parent.attr_f64("energy_j"), Some(tl.total_energy().get()));
-    }
-
-    #[test]
-    fn exemplar_sampling_is_deterministic_sorted_and_clamped() {
-        let cfg = DigestConfig { exemplars: 3, seed: 99 };
-        let a = sample_exemplars(10, cfg);
-        let b = sample_exemplars(10, cfg);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted distinct: {a:?}");
-        assert!(a.iter().all(|&i| i < 10));
-        // Different seed, different pick (with overwhelming probability
-        // for this pinned seed pair).
-        assert_ne!(a, sample_exemplars(10, DigestConfig { exemplars: 3, seed: 100 }));
-        // Clamped to the cohort; zero exemplars is allowed.
-        assert_eq!(sample_exemplars(2, cfg), vec![0, 1]);
-        assert!(sample_exemplars(5, DigestConfig { exemplars: 0, seed: 1 }).is_empty());
-    }
-
-    #[test]
-    fn trace_digest_into_emits_cohort_digest_and_exemplars() {
-        use helcfl_telemetry::{analyze::Trace, MemorySink, Telemetry};
-        let devs = [
-            device(0, 2.0, 500, 8.0),
-            device(1, 2.0, 600, 8.0),
-            device(2, 0.5, 500, 8.0),
-            device(3, 1.0, 400, 4.0),
-        ];
-        let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();
-        let sink = MemorySink::new();
-        let tele = Telemetry::with_sink(sink.clone());
-        {
-            let mut span = tele.span("timeline");
-            tl.trace_digest_into(&mut span, DigestConfig { exemplars: 2, seed: 7 });
-        }
-        let text = sink.lines().join("\n");
-        let trace = Trace::parse(&text).unwrap();
-
-        let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
-        assert_eq!(timeline.attr_bool("digest"), Some(true));
-        assert_eq!(timeline.attr_u64("uploads"), Some(4));
-
-        let digest = trace.spans.iter().find(|s| s.name == "cohort_digest").unwrap();
-        assert_eq!(digest.parent, Some(timeline.id));
-        assert_eq!(digest.attr_u64("devices"), Some(4));
-        assert_eq!(digest.attr_u64("exemplars"), Some(2));
-        assert_eq!(digest.attr_f64("energy_sum_j"), Some(tl.total_energy().get()));
-        assert_eq!(digest.attr_f64("slack_sum_s"), Some(tl.total_slack().get()));
-        assert_eq!(digest.attr_f64("release_max_s"), Some(tl.makespan().get()));
-        let energy_hist =
-            Histogram::decode_compact(digest.attr_str("energy_hist").unwrap()).unwrap();
-        assert_eq!(energy_hist.count, 4);
-        let slack_hist =
-            Histogram::decode_compact(digest.attr_str("slack_hist").unwrap()).unwrap();
-        assert_eq!(slack_hist.count, 4);
-
-        // Exactly K exemplar device_activity spans, each fully attributed
-        // and tagged, values inside the digest extrema.
-        let activities: Vec<_> =
-            trace.spans.iter().filter(|s| s.name == "device_activity").collect();
-        assert_eq!(activities.len(), 2);
-        let emin = digest.attr_f64("energy_min_j").unwrap();
-        let emax = digest.attr_f64("energy_max_j").unwrap();
-        for a in &activities {
-            assert_eq!(a.attr_bool("exemplar"), Some(true));
-            let act = tl.activity(DeviceId(a.attr_u64("device_id").unwrap() as usize)).unwrap();
-            assert_eq!(a.attr_f64("upload_end_s"), Some(act.upload_end.get()));
-            let e = act.total_energy().get();
-            assert!(e >= emin && e <= emax);
-        }
-        // Same config replays the same exemplar set.
-        let sink2 = MemorySink::new();
-        let tele2 = Telemetry::with_sink(sink2.clone());
-        {
-            let mut span = tele2.span("timeline");
-            tl.trace_digest_into(&mut span, DigestConfig { exemplars: 2, seed: 7 });
-        }
-        let ids = |s: &MemorySink| {
-            let text = s.lines().join("\n");
-            let t = Trace::parse(&text).unwrap();
-            t.spans
-                .iter()
-                .filter(|sp| sp.name == "device_activity")
-                .map(|sp| sp.attr_u64("device_id").unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(ids(&sink), ids(&sink2));
     }
 
     #[test]

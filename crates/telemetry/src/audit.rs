@@ -10,7 +10,7 @@
 //! to the bound (FEDL's closed-form optimum deliberately trades round
 //! delay for energy). This module re-derives each guarantee from
 //! nothing but the emitted trace: the per-device attributes on `device_activity` spans
-//! (see `RoundTimeline::trace_into` in `mec-sim`) are replayed through
+//! (see `FaultedRound::trace_into` in `mec-sim`) are replayed through
 //! an independent reimplementation of the TDMA queue, and the final
 //! metrics line is cross-checked against the span stream. A violation
 //! therefore means either the simulator or its telemetry broke — the
@@ -18,8 +18,9 @@
 //!
 //! # Fault-era traces
 //!
-//! Traces from the fault-injection engine (`FaultedRound`) extend the
-//! device spans with planned-vs-effective attributes (`f_planned_hz`,
+//! Traces from the fault-aware round engine (`FaultedRound`, which
+//! traces every round) extend the device spans with
+//! planned-vs-effective attributes (`f_planned_hz`,
 //! `planned_compute_finish_s`, `planned_upload_s`), delivery flags
 //! (`uploaded`, `delivered`, `retries`), `wasted_energy_j`, and a
 //! `fault` kind; the timeline span gains `fault_fired`,
@@ -264,10 +265,10 @@ impl Activity {
 }
 
 /// The cohort aggregates of a digest-mode round, decoded from a
-/// `cohort_digest` span (see `RoundTimeline::trace_digest_into` /
-/// `FaultedRound::trace_digest_into` in `mec-sim`).
+/// `cohort_digest` span (see `FaultedRound::trace_digest_into` in
+/// `mec-sim`).
 ///
-/// Attributes the healthy timeline's digest does not emit fall back
+/// Attributes that traces from before the fault layer do not carry fall back
 /// like [`Activity`]'s fault-era ones: `delivered` defaults to the
 /// device count, `faults_fired` to zero, and the wasted-energy sum to
 /// absent (check skipped).
