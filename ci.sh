@@ -19,6 +19,11 @@ echo "==> benchmark smoke test: bench_suite checks and pinned histories"
 # workload at reduced scale and checks the history digests pinned in
 # bench_suite/pins.json and the committed golden CSV, so a kernel change
 # that shifts any pinned history fails CI here, not only the benchmark.
+# Its timings are not gated here. `helcfl-trace gate` reads bench_suite
+# reports at BENCHMARK.json's bounds, and results/BENCH_suite_smoke.json
+# is the per-metric median of 12 --smoke runs on the 2-vCPU host, but
+# a single smoke run failed that gate in 10 of 36 runs of an unchanged
+# tree (ROADMAP item 2), so the step stays out until it is reliable.
 cargo test --release --offline --manifest-path bench_suite/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"
@@ -84,28 +89,6 @@ echo "==> fault golden check: zero-fault engine equivalence"
 "$repo_root/target/release/fault_sweep" --golden-check \
   "$repo_root/results/golden/history_fast_iid_helcfl.csv"
 
-echo "==> perf gate: fresh --fast bench vs committed baseline"
-# The committed baseline is full-scale and this smoke bench is --fast
-# on whatever hardware CI lands on, so the gate still runs with loose
-# tolerances — but markedly tighter than before the committed baseline
-# was recorded on the CI host itself: a --fast candidate now has to
-# stay within single-digit multiples of the full-scale numbers instead
-# of merely within two orders of magnitude. The overhead budget is the
-# loosest of all: relative telemetry overhead is regime-dependent —
-# --fast rounds are ~12× shorter than full-scale ones, so the same
-# fixed tracing cost reads as tens of percent here and under 1 % in
-# the committed baseline. The self-gate against the identical file
-# (default tolerances, 5 pp overhead) is the exit-0 criterion.
-(
-  cd "$smoke_dir"
-  "$repo_root/target/release/bench_round_engine" --fast > /dev/null
-  "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_round_engine.json" results/BENCH_round_engine.json \
-    --max-rps-drop-pct 80 --max-latency-growth-pct 500 --max-overhead-pp 75
-  "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_round_engine.json" "$repo_root/results/BENCH_round_engine.json"
-)
-
 echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)"
 # Same-host, same-shape comparison (only the measurement budget
 # differs). The gate runs once per HELCFL_SIMD mode against that
@@ -113,27 +96,16 @@ echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)
 # BENCH_kernels.json, the scalar reference oracle against
 # BENCH_kernels_scalar.json — so a lost vectorization (auto-dispatch
 # silently landing on the scalar path would read as a 1.5-14× drop) and
-# a scalar-oracle regression are both caught. Tolerance is tightened
-# from the old ±50% default to ±40%: timed-warmup calibration now
-# gives sub-50µs kernels a real sample budget, so smoke-mode rates
-# are far less noisy than when the gate was introduced. Each rate is
-# the fastest of several interleaved passes, and each committed
-# baseline holds, per kernel, the slowest of five full runs: the CI
-# host has phases lasting seconds in which the dense kernels run at
-# about half speed, and a baseline recorded outside one failed the
-# gate on smoke runs inside one.
+# a scalar-oracle regression are both caught. Each record carries its
+# own bound (0.40 of the baseline GFLOP/s; see bench_kernels.rs).
 (
   cd "$smoke_dir"
   "$repo_root/target/release/bench_kernels" --smoke > /dev/null
   "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_kernels.json" results/BENCH_kernels.json \
-    --max-gflops-drop-pct 40
+    "$repo_root/results/BENCH_kernels.json" results/BENCH_kernels.json
   HELCFL_SIMD=off "$repo_root/target/release/bench_kernels" --smoke > /dev/null
   "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_kernels_scalar.json" results/BENCH_kernels.json \
-    --max-gflops-drop-pct 40
-  "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_kernels.json" "$repo_root/results/BENCH_kernels.json"
+    "$repo_root/results/BENCH_kernels_scalar.json" results/BENCH_kernels.json
 )
 
 echo "==> scalar determinism: fault golden check with SIMD forced off"
@@ -145,19 +117,15 @@ HELCFL_SIMD=off "$repo_root/target/release/fault_sweep" --golden-check \
 
 echo "==> population gate: traced --smoke sweep + digest audit vs committed baseline"
 # The committed baseline sweeps to Q = 10^7; the smoke candidate stops
-# at 10^5 (the extra sizes become notes, not failures). Latencies at
-# the shared sizes are single-digit to double-digit microseconds, so
-# the latency tolerance is loose — the gate exists to catch the
-# indexed selector losing its complexity class, not µs-level jitter.
-# Memory per device is deterministic and gets a tight budget. The
-# sweep runs in digest mode (--trace), and its cohort-digest trace
+# at 10^5 (the extra sizes become notes, not failures). Each record
+# carries its own bound: 4.0 on round p50/p99 (the gate catches the
+# indexed selector losing its complexity class, not µs-level jitter)
+# and 0.5 on the deterministic bytes per device. The sweep runs in
+# digest mode (--trace) and refuses itself when the digest trace costs
+# more than 89 µs per round at any Q ≤ 10^6; its cohort-digest trace
 # must satisfy the same schema check and analytic audit as a
 # full-fidelity federated trace; `watch` on the finished file proves
 # the tail-follower sees the rounds and exits on the metrics line.
-# Telemetry overhead is gated twice: the smoke candidate's absolute
-# per-round trace cost against the committed baseline (shared sizes),
-# and — via the self-gate — the committed report's relative overhead
-# at Q ≥ 10^6 against the absolute 10% ceiling.
 (
   cd "$smoke_dir"
   "$repo_root/target/release/bench_population" --smoke \
@@ -167,10 +135,7 @@ echo "==> population gate: traced --smoke sweep + digest audit vs committed base
   "$repo_root/target/release/helcfl-trace" watch results/trace_population.jsonl \
     --interval-ms 10
   "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_population.json" results/BENCH_population.json \
-    --max-latency-growth-pct 400 --max-bytes-growth-pct 50
-  "$repo_root/target/release/helcfl-trace" gate \
-    "$repo_root/results/BENCH_population.json" "$repo_root/results/BENCH_population.json"
+    "$repo_root/results/BENCH_population.json" results/BENCH_population.json
 )
 
 echo "==> chaos gate: kill/resume determinism + checkpoint integrity"

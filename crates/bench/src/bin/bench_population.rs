@@ -27,33 +27,24 @@
 //! `device_activity` spans per round, instead of `target` per-device
 //! spans). The trace's *volume* is fixed per round; only the digest's
 //! aggregates and the metrics histograms walk the cohort, so the cost
-//! grows far slower than the round. The report records both forms:
-//! `trace_cost_us_per_round` (absolute) and `trace_overhead_pct`
-//! (relative, melting toward zero as rounds get heavier; at `Q = 10^3`
-//! a ~5 µs round cannot absorb a ~30 µs trace write, at `Q = 10^6`
-//! the write disappears into a millisecond round). `helcfl-trace
-//! gate` accordingly bounds the per-round cost at every size and holds
-//! the relative overhead under
-//! [`PopulationGateConfig::max_trace_overhead_pct`] only at sizes
-//! where the round is heavy enough for the ratio to mean anything
-//! (`Q ≥ min_trace_overhead_q`). Both clamp at zero; the raw signed
-//! overhead is preserved alongside.
+//! grows far slower than the round. At every `Q ≤ 10^6` the run is
+//! refused, naming `Q`, when that cost exceeds the absolute ceiling
+//! [`TRACE_COST_CEILING_US`].
 //!
-//! Results go to stdout and `results/BENCH_population.json`
-//! (`helcfl-trace gate` diffs two such reports per population size).
+//! Results go to stdout and `results/BENCH_population.json`: per size
+//! `q<Q>.round_p50_us` and `q<Q>.round_p99_us` records with bound
+//! [`LATENCY_BOUND`] and a `q<Q>.bytes_per_device` record with bound
+//! [`BYTES_BOUND`] (`helcfl-trace gate` diffs two such reports).
 //!
 //! Usage: `bench_population [--smoke] [--seed N] [--trace PATH]`
 //!
 //! `--smoke` stops the size sweep at `Q = 10^5` for CI, times 10 000
 //! measured rounds per size (the full sweep times 30, at sizes where a
 //! round costs up to milliseconds) and 30 overhead pairs (full: 90); the
-//! per-Q numbers stay comparable to the full report under the loose
-//! gate tolerances. `--trace PATH` keeps the digest-mode JSONL
+//! per-Q numbers stay comparable to the full report within the
+//! records' bounds. `--trace PATH` keeps the digest-mode JSONL
 //! trace (all sizes, one stream) for `helcfl-trace check`/`audit`;
 //! without it the trace goes to a temp file that is deleted on exit.
-//!
-//! [`PopulationGateConfig::max_trace_overhead_pct`]:
-//! helcfl_bench::gate::PopulationGateConfig
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -62,7 +53,7 @@ use detrand::splitmix64;
 use fl_sim::frequency::FrequencyPolicy;
 use fl_sim::selection::{ClientSelector, SelectionContext};
 use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
-use helcfl_bench::gate::percentile_nearest_rank;
+use helcfl_bench::gate::{percentile_nearest_rank, Better, Record};
 use helcfl_telemetry::json::JsonObject;
 use helcfl_telemetry::Telemetry;
 use mec_sim::faults::{DigestConfig, FaultedRound};
@@ -72,6 +63,25 @@ use mec_sim::units::Bits;
 /// Population sizes of the full sweep (`--smoke` keeps the first 3).
 const SIZES: [usize; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 const SMOKE_SIZES: usize = 3;
+
+/// How far a size's round p50/p99 may grow over its baseline: 400 %.
+/// Latencies at the smoke sizes are single- to double-digit
+/// microseconds, so the bound catches the indexed selector losing its
+/// complexity class, not µs-level jitter.
+const LATENCY_BOUND: f64 = 4.0;
+
+/// How far resident bytes per device may grow: 50 %. The figure is
+/// deterministic; the bound leaves room for a deliberate layout change.
+const BYTES_BOUND: f64 = 0.5;
+
+/// Ceiling on the digest-trace cost of one round at `Q ≤ 10^6`, µs:
+/// 10 % of the committed `Q = 10^6` round p50 (891 µs).
+const TRACE_COST_CEILING_US: f64 = 89.0;
+
+/// Largest size the trace-cost ceiling applies to. Above it the digest
+/// aggregates walk cohorts of 10 000 devices and the round runs for
+/// milliseconds.
+const TRACE_CEILING_MAX_Q: usize = 1_000_000;
 
 /// Exemplar devices per digest round — enough to spot-check the
 /// aggregates, small enough that trace volume is round-bound.
@@ -107,6 +117,18 @@ fn parse_args() -> Args {
     args
 }
 
+/// Refuses a run whose digest trace costs more than
+/// [`TRACE_COST_CEILING_US`] per round at a size the ceiling covers.
+fn check_trace_cost(q: usize, cost_us: f64) -> Result<(), String> {
+    if q <= TRACE_CEILING_MAX_Q && cost_us > TRACE_COST_CEILING_US {
+        return Err(format!(
+            "Q = {q}: the digest trace costs {cost_us:.1} µs per round, \
+             above the {TRACE_COST_CEILING_US} µs ceiling"
+        ));
+    }
+    Ok(())
+}
+
 /// Realistic per-round cohort: sub-percent of the fleet, at least 10,
 /// capped at 10 000 (see module docs).
 fn target_for(q: usize) -> usize {
@@ -139,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tele_traced = Telemetry::to_file(&trace_path)?;
     let tele_off = Telemetry::disabled();
     let mut trace_round: u64 = 0;
-    let mut populations = Vec::new();
+    let mut records = Vec::new();
     for &q in sizes {
         let target = target_for(q);
         let built = Instant::now();
@@ -283,41 +305,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         diff_ns.sort_unstable();
         let plain_p50_ns = percentile_nearest_rank(&plain_ns, 0.5) as f64;
         let diff_p50_ns = diff_ns[(diff_ns.len() - 1) / 2] as f64;
-        // Clamp at zero for gating — a traced round that happens to
-        // beat its untraced partner is host noise, not negative cost.
-        // The raw signed value stays in the report for honesty.
-        let raw_trace_overhead_pct = diff_p50_ns / plain_p50_ns * 100.0;
-        let trace_overhead_pct = raw_trace_overhead_pct.max(0.0);
-        // The absolute form of the same measurement: digest tracing
-        // costs a fixed amount per round (the trace grows with rounds,
-        // not devices), so this is the number that stays flat with Q
-        // while the relative overhead above melts toward zero.
-        let trace_cost_us_per_round = diff_p50_ns.max(0.0) / 1e3;
+        // A traced round that happens to beat its untraced partner is
+        // host noise, not a negative cost.
+        let trace_cost_us = diff_p50_ns.max(0.0) / 1e3;
         println!(
-            "             digest trace {trace_cost_us_per_round:7.1} µs/round \
-             ({trace_overhead_pct:.2} % of the round, raw {raw_trace_overhead_pct:+.2} %, \
-             {TRACE_EXEMPLARS} exemplars)"
+            "             digest trace {trace_cost_us:7.1} µs/round \
+             ({:.2} % of the round, {TRACE_EXEMPLARS} exemplars)",
+            diff_p50_ns.max(0.0) / plain_p50_ns * 100.0
         );
+        check_trace_cost(q, trace_cost_us)?;
 
-        let mut entry = JsonObject::new();
-        entry
-            .field("q", q)
-            .field("target", target)
-            .field("rounds", rounds)
-            .field("build_us", build_us)
-            .field("select_p50_us", select_p50)
-            .field("gather_p50_us", gather_p50)
-            .field("dvfs_p50_us", dvfs_p50)
-            .field("timeline_p50_us", timeline_p50)
-            .field("round_p50_us", p50)
-            .field("round_p99_us", p99)
-            .field("resident_bytes", bytes)
-            .field("bytes_per_device", bytes_per_device)
-            .field("trace_exemplars", TRACE_EXEMPLARS)
-            .field("trace_overhead_pct", trace_overhead_pct)
-            .field("raw_trace_overhead_pct", raw_trace_overhead_pct)
-            .field("trace_cost_us_per_round", trace_cost_us_per_round);
-        populations.push(entry);
+        let mut record = |quantity: &str, unit: &str, bound: f64, value: f64| {
+            let metric = format!("q{q}.{quantity}");
+            let better = Better::Lower;
+            records.push(Record { metric, unit: unit.into(), better, bound, value }.to_json());
+        };
+        record("round_p50_us", "us", LATENCY_BOUND, p50);
+        record("round_p99_us", "us", LATENCY_BOUND, p99);
+        record("bytes_per_device", "B", BYTES_BOUND, bytes_per_device);
     }
     tele_traced.finish();
     if args.trace.is_some() {
@@ -338,7 +343,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field("smoke", args.smoke)
         .field("seed", args.seed)
         .object("host", host)
-        .field("populations", populations);
+        .field("records", records);
 
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;
@@ -346,4 +351,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&path, report.finish() + "\n")?;
     println!("  report written to {}", path.display());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trace_cost_above_the_ceiling_refuses_the_run_naming_q() {
+        // The committed costs, 27–65 µs at Q = 10^3–10^6, pass.
+        for (q, cost) in [(1_000, 35.1), (100_000, 27.5), (1_000_000, 65.1)] {
+            assert!(check_trace_cost(q, cost).is_ok(), "Q = {q}");
+        }
+        assert!(check_trace_cost(1_000, TRACE_COST_CEILING_US).is_ok());
+        for q in [1_000, 1_000_000] {
+            let err = check_trace_cost(q, 89.5).unwrap_err();
+            assert!(err.contains(&format!("Q = {q}:")), "{err}");
+        }
+        // Above 10^6 the ceiling does not apply: the committed Q = 10^7
+        // cost is 226 µs.
+        assert!(check_trace_cost(10_000_000, 225.9).is_ok());
+    }
 }

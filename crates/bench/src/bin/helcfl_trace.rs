@@ -16,24 +16,22 @@
 //!                     [--max-round-total-growth-pct X]
 //! helcfl-trace flame  [PATH] [--out FILE]
 //! helcfl-trace series [PATH] [--json] [--window N] [--mad-k X]
-//! helcfl-trace gate   BASELINE CANDIDATE [--max-rps-drop-pct X]
-//!                     [--max-latency-growth-pct X] [--max-overhead-pp X]
-//!                     [--max-gflops-drop-pct X] [--max-bytes-growth-pct X]
-//!                     [--max-trace-overhead-pct X]
+//! helcfl-trace gate   BASELINE CANDIDATE
 //! ```
 //!
-//! `PATH` defaults to `results/trace_table1_delay.jsonl`. Every
-//! subcommand exits non-zero on failure, so all of them can gate CI:
-//! `check` enforces the ≥ 80 % per-round span-coverage rule, `audit`
-//! replays the trace against the paper's analytic model (slack ≥ 0,
-//! TDMA serialization, Alg. 3 delay-neutrality, `E ∝ f²` consistency,
-//! metrics/span agreement), `diff` compares two *traces* (refusing
-//! cross-experiment comparisons via their `run_manifest` provenance
-//! lines, then reporting per-phase p50/p99/total deltas, a metrics
-//! diff, an audit diff, and a ranked attribution of the round-time
-//! delta), and `gate` diffs two scalar bench reports — round-engine,
-//! kernel, or population-scaling, told apart by their `"bench"` tag —
-//! against regression tolerances.
+//! `PATH` defaults to `results/trace_table1_delay.jsonl`. Each
+//! subcommand declares its flags, and any other flag is refused with
+//! its name. Every subcommand exits non-zero on failure, so all of
+//! them can gate CI: `check` enforces the ≥ 80 % per-round
+//! span-coverage rule, `audit` replays the trace against the paper's
+//! analytic model (slack ≥ 0, TDMA serialization, Alg. 3
+//! delay-neutrality, `E ∝ f²` consistency, metrics/span agreement),
+//! `diff` compares two *traces* (refusing cross-experiment
+//! comparisons via their `run_manifest` provenance lines, then
+//! reporting per-phase p50/p99/total deltas, a metrics diff, an audit
+//! diff, and a ranked attribution of the round-time delta), and `gate` diffs two bench reports — kernel,
+//! population-scaling or `bench_suite` — record by record, each
+//! record bounded by its own `bound` (see [`helcfl_bench::gate`]).
 //!
 //! `flame` exports folded stacks (`path;to;span self_µs`) consumable
 //! by flamegraph.pl / speedscope; `series` prints the per-round
@@ -51,9 +49,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use helcfl_bench::gate::{
-    gate, gate_kernels, gate_population, GateConfig, KernelGateConfig, PopulationGateConfig,
-};
+use helcfl_bench::gate::gate;
 use helcfl_telemetry::analyze::{
     check_coverage, folded_stacks, mad_flags, phase_breakdown, prune_orphan_spans,
     round_series, SpanTree, Trace,
@@ -79,16 +75,9 @@ const USAGE: &str =
   flame  [PATH] [--out FILE]                              folded-stack export
   series [PATH] [--json] [--window N] [--mad-k X]         per-round timeseries
               (rolling-median/MAD anomaly flags)
-  gate   BASELINE CANDIDATE [--max-rps-drop-pct X]
-         [--max-latency-growth-pct X] [--max-overhead-pp X]
-         [--max-gflops-drop-pct X] [--max-bytes-growth-pct X]
-         [--max-trace-overhead-pct X]
-                                                          bench regression gate
-              (round_engine, kernels, or population reports, by \"bench\" tag)
+  gate   BASELINE CANDIDATE                               bench regression gate
+              (kernels, population or bench_suite reports, per-record bounds)
 PATH defaults to results/trace_table1_delay.jsonl";
-
-/// Flags that take no value (presence-only switches).
-const SWITCHES: &[&str] = &["json", "ignore-manifest"];
 
 /// Positional arguments and `--flag value` pairs, untangled.
 struct Args {
@@ -97,14 +86,19 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Splits `raw` by a subcommand's declared flags: `values` take a
+    /// value, `switches` are presence-only. Any other `--flag` is an
+    /// error naming it.
+    fn parse(raw: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Self { positional: Vec::new(), flags: Vec::new() };
         let mut i = 0;
         while i < raw.len() {
             if let Some(name) = raw[i].strip_prefix("--") {
-                if SWITCHES.contains(&name) {
+                if switches.contains(&name) {
                     out.flags.push((name.to_string(), String::new()));
                     i += 1;
+                } else if !values.contains(&name) {
+                    return Err(format!("unknown flag --{name}\n{USAGE}"));
                 } else {
                     let value = raw
                         .get(i + 1)
@@ -416,45 +410,7 @@ fn cmd_gate(args: &Args) -> Result<(), String> {
     let read = |path: &str| {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
     };
-    let baseline_text = read(baseline)?;
-    let candidate_text = read(candidate)?;
-    // Dispatch on the report family: both `BENCH_round_engine.json`
-    // and `BENCH_kernels.json` carry a top-level `"bench"` tag.
-    let family = helcfl_telemetry::json::parse(&baseline_text)
-        .ok()
-        .and_then(|v| v.get("bench").and_then(|b| b.as_str().map(str::to_string)))
-        .unwrap_or_default();
-    let report = if family == "kernels" {
-        let mut cfg = KernelGateConfig::default();
-        if let Some(v) = args.flag_f64("max-gflops-drop-pct")? {
-            cfg.max_gflops_drop_pct = v;
-        }
-        gate_kernels(&baseline_text, &candidate_text, &cfg)?
-    } else if family == "population" {
-        let mut cfg = PopulationGateConfig::default();
-        if let Some(v) = args.flag_f64("max-latency-growth-pct")? {
-            cfg.max_latency_growth_pct = v;
-        }
-        if let Some(v) = args.flag_f64("max-bytes-growth-pct")? {
-            cfg.max_bytes_growth_pct = v;
-        }
-        if let Some(v) = args.flag_f64("max-trace-overhead-pct")? {
-            cfg.max_trace_overhead_pct = v;
-        }
-        gate_population(&baseline_text, &candidate_text, &cfg)?
-    } else {
-        let mut cfg = GateConfig::default();
-        if let Some(v) = args.flag_f64("max-rps-drop-pct")? {
-            cfg.max_rps_drop_pct = v;
-        }
-        if let Some(v) = args.flag_f64("max-latency-growth-pct")? {
-            cfg.max_latency_growth_pct = v;
-        }
-        if let Some(v) = args.flag_f64("max-overhead-pp")? {
-            cfg.max_overhead_pp = v;
-        }
-        gate(&baseline_text, &candidate_text, &cfg)?
-    };
+    let report = gate(&read(baseline)?, &read(candidate)?)?;
     print!("{}", report.render());
     if report.passed() {
         Ok(())
@@ -469,20 +425,31 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    type Cmd = fn(&Args) -> Result<(), String>;
     let run = || -> Result<(), String> {
-        let args = Args::parse(rest)?;
-        match cmd.as_str() {
-            "tree" => cmd_tree(&args),
-            "phases" => cmd_phases(&args),
-            "check" => cmd_check(&args),
-            "audit" => cmd_audit(&args),
-            "watch" => cmd_watch(&args),
-            "diff" => cmd_diff(&args),
-            "flame" => cmd_flame(&args),
-            "series" => cmd_series(&args),
-            "gate" => cmd_gate(&args),
-            other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
-        }
+        // Each subcommand: its function, the flags taking a value, and
+        // its presence-only switches.
+        let (cmd_fn, values, switches): (Cmd, &[&str], &[&str]) = match cmd.as_str() {
+            "tree" => (cmd_tree, &["round", "max-depth", "limit"], &[]),
+            "phases" => (cmd_phases, &[], &["json"]),
+            "check" => (cmd_check, &[], &[]),
+            "audit" => (cmd_audit, &[], &[]),
+            "watch" => (cmd_watch, &["interval-ms", "max-polls"], &[]),
+            "diff" => (
+                cmd_diff,
+                &[
+                    "max-phase-p50-growth-pct",
+                    "max-phase-total-growth-pct",
+                    "max-round-total-growth-pct",
+                ],
+                &["json", "ignore-manifest"],
+            ),
+            "flame" => (cmd_flame, &["out"], &[]),
+            "series" => (cmd_series, &["window", "mad-k"], &["json"]),
+            "gate" => (cmd_gate, &[], &[]),
+            other => return Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        };
+        cmd_fn(&Args::parse(rest, values, switches)?)
     };
     match run() {
         Ok(()) => ExitCode::SUCCESS,

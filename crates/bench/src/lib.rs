@@ -15,19 +15,18 @@
 //! Pass `--fast` to any binary for a reduced-scale smoke run; results
 //! land in `results/` as CSV plus console tables.
 //!
-//! Performance benchmarks use no external harness: the
-//! `bench_round_engine` binary times the round engine and the matmul
-//! kernels with [`std::time::Instant`] and writes
-//! `results/BENCH_round_engine.json` through the hand-rolled
-//! [`helcfl_telemetry::json`] emitter (rounds/sec serial vs parallel, speedup, matmul GFLOP/s,
-//! per-round latency percentiles from a traced run).
+//! Performance benchmarks use no external harness: `bench_kernels`
+//! (per-kernel GFLOP/s) and `bench_population` (the control plane at
+//! fleet scale) time with [`std::time::Instant`] and write
+//! `results/BENCH_*.json` through the hand-rolled
+//! [`helcfl_telemetry::json`] emitter, as flat [`gate::Record`]s. The
+//! experiment-level benchmark is the standalone `bench_suite` package.
 //!
 //! The `helcfl-trace` binary is the read side: `tree`/`phases` render
-//! a trace, `check` enforces span coverage (the old `check_trace`
-//! binary delegates to the same code), `audit` replays the trace
+//! a trace, `check` enforces span coverage, `audit` replays the trace
 //! against the paper's model invariants, and `gate` (backed by the
-//! [`gate`] module) diffs two bench reports against regression
-//! tolerances.
+//! [`gate`] module) holds a candidate bench report to a baseline's
+//! per-record bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,10 @@
 //! End-to-end checks of the `helcfl-trace` binary: `check` keeps the
 //! validation the retired `check_trace` shim enforced (strict schema,
 //! resolvable parents, coverage rule), `watch` tails a trace without
-//! hanging CI, and the cross-run tooling (`diff`, `flame`, `series`)
-//! honours run_manifest provenance end to end.
+//! hanging CI, the cross-run tooling (`diff`, `flame`, `series`)
+//! honours run_manifest provenance end to end, `gate` holds bench
+//! reports to their records' bounds, and every subcommand refuses a
+//! flag it does not declare.
 
 use std::fs;
 use std::path::PathBuf;
@@ -287,5 +289,128 @@ fn watch_tolerates_a_partial_trace_and_poll_budget() {
     assert!(stdout.contains("1 round(s)"), "orphan/torn lines leaked in: {stdout}");
     assert!(stdout.contains("2 pending line(s)"), "pending count wrong: {stdout}");
     assert!(stdout.contains("stopped after 2 poll(s)"), "budget exit missing: {stdout}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Every subcommand refuses a flag it does not declare, naming it —
+/// not silently running on defaults, and not swallowing the next
+/// argument as the flag's value.
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let dir = scratch("unknown_flag");
+    let path = dir.join("trace.jsonl");
+    fs::write(&path, TRACE).unwrap();
+    let path = path.to_str().unwrap();
+    let kernels = committed("BENCH_kernels.json");
+    let cases: [&[&str]; 4] = [
+        &["gate", &kernels, &kernels, "--max-gflop-drop-pct", "1"],
+        &["phases", "--jsn", path],
+        &["check", path, "--json"],
+        &["tree", path, "--max-depht", "2"],
+    ];
+    for args in cases {
+        let output = trace_cli().args(args).output().expect("run helcfl-trace");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must fail: {stderr}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Path of a committed report under `results/`.
+fn committed(name: &str) -> String {
+    format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Exit code, stdout and stderr of `helcfl-trace gate`.
+fn gate(baseline: &str, candidate: &str) -> (Option<i32>, String, String) {
+    let output =
+        trace_cli().args(["gate", baseline, candidate]).output().expect("run helcfl-trace");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// Each committed bench report gated against itself is the identity:
+/// exit 0, every check ok, no note.
+#[test]
+fn gate_passes_every_committed_report_against_itself() {
+    for name in [
+        "BENCH_kernels.json",
+        "BENCH_kernels_scalar.json",
+        "BENCH_population.json",
+        "BENCH_suite_smoke.json",
+    ] {
+        let path = committed(name);
+        let (code, stdout, stderr) = gate(&path, &path);
+        assert_eq!(code, Some(0), "{name}: {stdout}{stderr}");
+        assert!(stdout.starts_with("gate: PASS"), "{name}: {stdout}");
+        assert!(!stdout.contains("BAD") && !stdout.contains("note:"), "{name}: {stdout}");
+    }
+}
+
+/// A population report of `(metric, value)` records, all
+/// lower-is-better at a 0.25 bound.
+fn records_report(records: &[(&str, f64)]) -> String {
+    let records: Vec<String> = records
+        .iter()
+        .map(|(metric, value)| {
+            format!(
+                r#"{{"metric":"{metric}","unit":"us","better":"lower","bound":0.25,"value":{value}}}"#
+            )
+        })
+        .collect();
+    format!(r#"{{"bench":"population","smoke":true,"records":[{}]}}"#, records.join(","))
+}
+
+#[test]
+fn gate_fails_a_record_beyond_its_bound_and_notes_one_sided_metrics() {
+    let dir = scratch("gate_records");
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let base = write("base.json", records_report(&[("q1000.round_p50_us", 4.0)]));
+    let slow = write("slow.json", records_report(&[("q1000.round_p50_us", 5.1)]));
+    let (code, stdout, stderr) = gate(&base, &slow);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("[BAD] q1000.round_p50_us"), "{stdout}");
+    assert!(stderr.contains("regression"), "{stderr}");
+
+    let wider = write(
+        "wider.json",
+        records_report(&[("q1000.round_p50_us", 4.9), ("q500.round_p50_us", 1.0)]),
+    );
+    let (code, stdout, _) = gate(&base, &wider);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("note: q500.round_p50_us: absent from baseline"), "{stdout}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gate_refuses_non_reports_and_suite_runs_that_went_wrong() {
+    let dir = scratch("gate_refuse");
+    let suite = committed("BENCH_suite_smoke.json");
+    let text = fs::read_to_string(&suite).unwrap();
+    let trace = dir.join("trace.jsonl");
+    fs::write(&trace, TRACE).unwrap();
+    let incorrect = dir.join("incorrect.json");
+    fs::write(&incorrect, text.replacen(r#""correct":true"#, r#""correct":false"#, 1)).unwrap();
+    let failed = dir.join("failed.json");
+    fs::write(&failed, text.replacen(r#""failed":0"#, r#""failed":3"#, 1)).unwrap();
+    for (candidate, reason) in [
+        (trace.to_str().unwrap(), "candidate: invalid JSON"),
+        (&committed("BENCH_kernels.json"), "kernels report"),
+        (incorrect.to_str().unwrap(), "is not correct"),
+        (failed.to_str().unwrap(), "failed 3 operation(s)"),
+    ] {
+        let (code, stdout, stderr) = gate(&suite, candidate);
+        assert_eq!(code, Some(1), "{candidate}: {stdout}");
+        assert!(stderr.contains(reason), "{candidate}: {stderr}");
+    }
     fs::remove_dir_all(&dir).ok();
 }

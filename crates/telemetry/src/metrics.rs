@@ -232,8 +232,8 @@ impl Histogram {
     /// both worst cases. That is fine for a post-run summary — which
     /// is why [`crate::report::TelemetryReport`] prints these as
     /// `~p50` / `~p99` — but not for assertions; exact per-round
-    /// percentiles come from span durations in a traced run (see
-    /// `bench_round_engine`'s latency section).
+    /// percentiles come from span durations in a traced run, as
+    /// `bench_suite` reads them.
     pub fn approx_quantile(&self, q: f64) -> Option<f64> {
         let positive: u64 = self.buckets.values().sum();
         if positive == 0 {
