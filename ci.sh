@@ -29,7 +29,7 @@ cargo test --release --offline --manifest-path bench_suite/Cargo.toml
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> telemetry smoke: traced table1_delay + trace validation + audit"
+echo "==> telemetry smoke: traced reproduce + trace validation + audit"
 # Run from a scratch directory: the smoke run's reduced-scale CSVs and
 # trace must not clobber the full-scale artifacts tracked in results/.
 repo_root="$PWD"
@@ -37,11 +37,13 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 (
   cd "$smoke_dir"
-  HELCFL_TRACE=jsonl "$repo_root/target/release/table1_delay" --fast --setting iid
-  "$repo_root/target/release/helcfl-trace" check results/trace_table1_delay.jsonl
+  # Every federated run of the fast IID run set enters the trace: the
+  # lineup, HELCFL at f_max, and the η, C and battery sweeps.
+  HELCFL_TRACE=jsonl "$repo_root/target/release/reproduce" --fast --setting iid
+  "$repo_root/target/release/helcfl-trace" check results/trace_reproduce.jsonl
   # Replay the trace against the analytic model: slack ≥ 0, TDMA
   # serialization, E ∝ f², and delay-neutrality where claimed.
-  "$repo_root/target/release/helcfl-trace" audit results/trace_table1_delay.jsonl
+  "$repo_root/target/release/helcfl-trace" audit results/trace_reproduce.jsonl
 )
 
 echo "==> observability gates: self-diff, flame, series, manifest refusal"
@@ -53,7 +55,7 @@ echo "==> observability gates: self-diff, flame, series, manifest refusal"
 # field named.
 (
   cd "$smoke_dir"
-  trace=results/trace_table1_delay.jsonl
+  trace=results/trace_reproduce.jsonl
   "$repo_root/target/release/helcfl-trace" diff "$trace" "$trace" > diff_self.txt
   grep -q "zero deltas" diff_self.txt
   "$repo_root/target/release/helcfl-trace" flame "$trace" --out stacks.folded

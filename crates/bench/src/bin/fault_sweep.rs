@@ -96,9 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    if raw.iter().any(|a| a == "--smoke") {
-        let args = CommonArgs::parse(raw);
-        let tele = args.telemetry("fault_sweep");
+    if let Some(i) = raw.iter().position(|a| a == "--smoke") {
+        let mut rest = raw;
+        rest.remove(i);
+        let args = CommonArgs::parse(rest)?;
+        let tele = args.telemetry("fault_sweep")?;
         let scenario = PaperScenario::fast();
         let mut config = scenario.training_config();
         config.faults = FaultConfig::uniform(0.2);
@@ -126,9 +128,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let args = CommonArgs::parse(raw);
+    let args = CommonArgs::parse(raw)?;
     let scenario = args.scenario();
-    let tele = args.telemetry("fault_sweep");
+    let tele = args.telemetry("fault_sweep")?;
     println!(
         "Fault sweep — {} devices, {} rounds, rates {RATES:?}",
         scenario.num_devices, scenario.max_rounds

@@ -19,7 +19,7 @@
 //! helcfl-trace gate   BASELINE CANDIDATE
 //! ```
 //!
-//! `PATH` defaults to `results/trace_table1_delay.jsonl`. Each
+//! `PATH` defaults to `results/trace_reproduce.jsonl`. Each
 //! subcommand declares its flags, and any other flag is refused with
 //! its name. Every subcommand exits non-zero on failure, so all of
 //! them can gate CI: `check` enforces the ≥ 80 % per-round
@@ -58,7 +58,7 @@ use helcfl_telemetry::audit::{audit, AuditConfig};
 use helcfl_telemetry::diff::{diff_traces, DiffConfig};
 use helcfl_telemetry::json::JsonObject;
 
-const DEFAULT_TRACE: &str = "results/trace_table1_delay.jsonl";
+const DEFAULT_TRACE: &str = "results/trace_reproduce.jsonl";
 
 const USAGE: &str =
     "usage: helcfl-trace <tree|phases|check|audit|watch|diff|flame|series|gate> [args]
@@ -77,7 +77,7 @@ const USAGE: &str =
               (rolling-median/MAD anomaly flags)
   gate   BASELINE CANDIDATE                               bench regression gate
               (kernels, population or bench_suite reports, per-record bounds)
-PATH defaults to results/trace_table1_delay.jsonl";
+PATH defaults to results/trace_reproduce.jsonl";
 
 /// Positional arguments and `--flag value` pairs, untangled.
 struct Args {

@@ -1,19 +1,25 @@
 //! # helcfl-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the HELCFL paper's §VII:
+//! Regenerates every table and figure of the HELCFL paper's §VII, and
+//! this reproduction's ablations, from one binary, `reproduce`. It
+//! plans the distinct training runs, trains each once, writes each
+//! history to `results/<setting>_<run>.csv`, and prints every artifact
+//! as a view over the finished runs:
 //!
-//! | Artifact | Binary | What it prints |
-//! |---|---|---|
-//! | Fig. 1 | `fig1_slack` | the TDMA slack Gantt chart |
-//! | Fig. 2 | `fig2_accuracy` | accuracy-vs-iteration series, 5 schemes × {IID, Non-IID} |
-//! | Table I | `table1_delay` | training delay to desired accuracy |
-//! | Fig. 3 | `fig3_energy` | energy to desired accuracy, DVFS on vs off |
-//! | A1 | `ablation_eta` | decay-coefficient sweep |
-//! | A2 | `ablation_fraction` | selection-fraction sweep |
-//! | A3 | `ablation_slack` | slack utilization across rounds |
+//! | Artifact | What it prints |
+//! |---|---|
+//! | Fig. 1 | the TDMA slack Gantt chart (no training) |
+//! | Fig. 2 | best and final accuracy and accuracy curves, 5 schemes |
+//! | Table I | training delay to desired accuracy, HELCFL's speedups |
+//! | Fig. 3 | energy to desired accuracy, DVFS on vs off |
+//! | A1 | decay-coefficient η sweep |
+//! | A2 | selection-fraction C sweep |
+//! | A3 | slack utilization across rounds |
+//! | A4 | battery-constrained training, DVFS on vs off |
 //!
-//! Pass `--fast` to any binary for a reduced-scale smoke run; results
-//! land in `results/` as CSV plus console tables.
+//! `--fast` runs the reduced-scale scenario, `--setting iid|noniid`
+//! one data setting and `--seed N` another master seed (see
+//! [`CommonArgs`]).
 //!
 //! Performance benchmarks use no external harness: `bench_kernels`
 //! (per-kernel GFLOP/s) and `bench_population` (the control plane at
@@ -41,6 +47,23 @@ pub use schemes::Scheme;
 
 use helcfl_telemetry::Telemetry;
 
+/// A command-line flag [`CommonArgs::parse`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArgError {
+    /// The flag as given on the command line.
+    pub flag: String,
+    /// Why it was refused.
+    pub reason: String,
+}
+
+impl core::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{}: {}", self.flag, self.reason)
+    }
+}
+
+impl std::error::Error for ArgError {}
+
 /// Parses the shared `--fast` / `--seed N` / `--setting X` /
 /// `--trace-out PATH` CLI flags used by every experiment binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,42 +80,54 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses flags from an iterator of CLI arguments (excluding the
-    /// program name). Unknown flags are ignored so binaries can add
-    /// their own.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let args: Vec<String> = args.into_iter().collect();
+    /// program name).
+    ///
+    /// # Errors
+    ///
+    /// Refuses, naming the flag, an unknown flag, a flag whose value
+    /// is missing or malformed, and a `--trace-out` path that cannot
+    /// be created.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut out = Self { fast: false, seed: None, setting: None, trace_out: None };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let refuse = |reason: String| ArgError { flag: flag.clone(), reason };
+            let mut value = |what: &str| {
+                args.next().ok_or_else(|| refuse(format!("missing value (expected {what})")))
+            };
+            match flag.as_str() {
                 "--fast" => out.fast = true,
-                "--trace-out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        out.trace_out = Some(v.clone());
-                        i += 1;
-                    }
-                }
                 "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        out.seed = Some(v);
-                        i += 1;
-                    }
+                    let v = value("an unsigned integer")?;
+                    let seed =
+                        v.parse().map_err(|_| refuse(format!("'{v}' is not an unsigned integer")))?;
+                    out.seed = Some(seed);
                 }
                 "--setting" => {
-                    out.setting = match args.get(i + 1).map(String::as_str) {
-                        Some("iid") => Some(Setting::Iid),
-                        Some("noniid") => Some(Setting::NonIid),
-                        _ => None,
-                    };
-                    if out.setting.is_some() {
-                        i += 1;
-                    }
+                    out.setting = Some(match value("iid or noniid")?.as_str() {
+                        "iid" => Setting::Iid,
+                        "noniid" => Setting::NonIid,
+                        other => return Err(refuse(format!("'{other}' is not iid or noniid"))),
+                    });
                 }
-                _ => {}
+                "--trace-out" => {
+                    let path = value("a path")?;
+                    // Create the file now, so an unwritable path stops
+                    // the binary before it trains anything.
+                    Telemetry::to_file(&path)
+                        .map_err(|e| refuse(format!("cannot create '{path}': {e}")))?;
+                    out.trace_out = Some(path);
+                }
+                _ => {
+                    return Err(refuse(
+                        "unknown flag (expected --fast, --seed N, --setting iid|noniid, \
+                         --trace-out PATH)"
+                            .into(),
+                    ))
+                }
             }
-            i += 1;
         }
-        out
+        Ok(out)
     }
 
     /// The scenario implied by the flags.
@@ -116,15 +151,15 @@ impl CommonArgs {
     /// streams JSONL to `PATH`; otherwise the `HELCFL_TRACE`
     /// environment variable decides (see [`Telemetry::from_env`]),
     /// with `name` picking the default `results/trace_{name}.jsonl`
-    /// file. An unwritable path degrades to metrics-only with a
-    /// warning rather than aborting the experiment.
-    pub fn telemetry(&self, name: &str) -> Telemetry {
+    /// file.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the `--trace-out` file cannot be created.
+    pub fn telemetry(&self, name: &str) -> std::io::Result<Telemetry> {
         match &self.trace_out {
-            Some(path) => Telemetry::to_file(path).unwrap_or_else(|err| {
-                eprintln!("warning: cannot open trace file {path}: {err}; tracing disabled");
-                Telemetry::metrics_only()
-            }),
-            None => Telemetry::from_env(name),
+            Some(path) => Telemetry::to_file(path),
+            None => Ok(Telemetry::from_env(name)),
         }
     }
 }
@@ -133,8 +168,12 @@ impl CommonArgs {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> CommonArgs {
+    fn try_parse(args: &[&str]) -> Result<CommonArgs, ArgError> {
         CommonArgs::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> CommonArgs {
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -158,11 +197,25 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_flags_and_bad_values() {
-        let a = parse(&["--whatever", "--seed", "notanumber", "--setting", "weird"]);
-        assert_eq!(a.seed, None);
-        assert_eq!(a.setting, None);
-        assert_eq!(a.trace_out, None);
+    fn refuses_unknown_flags_and_bad_values_naming_the_flag() {
+        let refused = |args: &[&str], flag: &str| {
+            let err = try_parse(args).unwrap_err();
+            assert_eq!(err.flag, flag, "{args:?}: {err}");
+            assert!(err.to_string().starts_with(flag), "{err}");
+        };
+        refused(&["--whatever"], "--whatever");
+        refused(&["--fast", "--seeed", "7"], "--seeed");
+        refused(&["--seed", "notanumber"], "--seed");
+        refused(&["--seed", "-3"], "--seed");
+        refused(&["--seed"], "--seed");
+        refused(&["--setting", "weird"], "--setting");
+        refused(&["--setting"], "--setting");
+        refused(&["--trace-out"], "--trace-out");
+        // A path under a regular file can never be created.
+        let file = std::env::temp_dir().join("helcfl_bench_args_not_a_dir");
+        std::fs::write(&file, "").unwrap();
+        refused(&["--trace-out", file.join("trace.jsonl").to_str().unwrap()], "--trace-out");
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]
@@ -171,7 +224,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let a = parse(&["--trace-out", path.to_str().unwrap()]);
         assert_eq!(a.trace_out.as_deref(), path.to_str());
-        let tele = a.telemetry("test");
+        let tele = a.telemetry("test").unwrap();
         assert!(tele.is_enabled());
         assert!(tele.events_enabled());
         tele.span("probe").end();

@@ -22,9 +22,9 @@ use mec_sim::units::Seconds;
 /// assert!(t.contains("scheme"));
 /// assert!(t.contains("helcfl"));
 /// ```
-pub fn ascii_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub fn ascii_table<S: AsRef<str>>(header: &[S], rows: &[Vec<String>]) -> String {
     let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = header.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate().take(cols) {
             widths[i] = widths[i].max(cell.len());
@@ -39,7 +39,7 @@ pub fn ascii_table(header: &[&str], rows: &[Vec<String>]) -> String {
     };
     rule(&mut out);
     for (i, h) in header.iter().enumerate() {
-        let _ = write!(out, "| {:width$} ", h, width = widths[i]);
+        let _ = write!(out, "| {:width$} ", h.as_ref(), width = widths[i]);
     }
     out.push_str("|\n");
     rule(&mut out);
@@ -62,25 +62,17 @@ pub fn table1_cell(value: Option<Seconds>) -> String {
     }
 }
 
-/// Writes every history's per-round records into `dir`, two files per
-/// scheme: `<prefix>_<scheme>.csv` (spreadsheets) and
-/// `<prefix>_<scheme>.jsonl` (one machine-readable JSON object per
-/// round, concatenation-friendly with the telemetry trace files).
+/// Writes one history's per-round records into `dir` as `<name>.csv`
+/// (spreadsheets) and `<name>.jsonl` (one machine-readable JSON object
+/// per round, concatenation-friendly with the telemetry trace files).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_histories(
-    dir: &Path,
-    prefix: &str,
-    histories: &[TrainingHistory],
-) -> io::Result<()> {
+pub fn write_history(dir: &Path, name: &str, history: &TrainingHistory) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    for h in histories {
-        fs::write(dir.join(format!("{prefix}_{}.csv", h.scheme())), h.to_csv())?;
-        fs::write(dir.join(format!("{prefix}_{}.jsonl", h.scheme())), h.to_jsonl())?;
-    }
-    Ok(())
+    fs::write(dir.join(format!("{name}.csv")), history.to_csv())?;
+    fs::write(dir.join(format!("{name}.jsonl")), history.to_jsonl())
 }
 
 /// Downsamples an accuracy curve to at most `n` points for console
@@ -151,16 +143,12 @@ mod tests {
     }
 
     #[test]
-    fn write_histories_creates_one_file_per_scheme() {
+    fn write_history_creates_csv_and_jsonl() {
         let dir = std::env::temp_dir().join("helcfl_report_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let h1 = TrainingHistory::new("alpha");
-        let h2 = TrainingHistory::new("beta");
-        write_histories(&dir, "fig2_iid", &[h1, h2]).unwrap();
-        assert!(dir.join("fig2_iid_alpha.csv").exists());
-        assert!(dir.join("fig2_iid_beta.csv").exists());
-        assert!(dir.join("fig2_iid_alpha.jsonl").exists());
-        assert!(dir.join("fig2_iid_beta.jsonl").exists());
+        write_history(&dir, "iid_alpha", &TrainingHistory::new("alpha")).unwrap();
+        assert!(dir.join("iid_alpha.csv").exists());
+        assert!(dir.join("iid_alpha.jsonl").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

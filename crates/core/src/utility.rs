@@ -42,7 +42,7 @@ impl DecayCoefficient {
 
 impl Default for DecayCoefficient {
     /// The reproduction's default `η = 0.5` (the paper does not state
-    /// its value; the `ablation_eta` bench sweeps it).
+    /// its value; `reproduce`'s A1 ablation sweeps it).
     fn default() -> Self {
         Self(0.5)
     }

@@ -100,8 +100,8 @@ pub struct Trace {
     /// by `TrainingHistory::to_jsonl`).
     pub other_lines: usize,
     /// Run-provenance manifests, in file order. One per traced run; a
-    /// multi-run file (e.g. `table1_delay` sweeping several schemes
-    /// into one trace) holds several.
+    /// multi-run file (e.g. `reproduce` tracing its whole run set into
+    /// one file) holds several.
     pub manifests: Vec<RunManifest>,
 }
 
