@@ -75,7 +75,7 @@ const LATENCY_BOUND: f64 = 4.0;
 const BYTES_BOUND: f64 = 0.5;
 
 /// Ceiling on the digest-trace cost of one round at `Q ≤ 10^6`, µs:
-/// 10 % of the committed `Q = 10^6` round p50 (891 µs).
+/// 10 % of the `Q = 10^6` round p50 (891 µs) when it was set.
 const TRACE_COST_CEILING_US: f64 = 89.0;
 
 /// Largest size the trace-cost ceiling applies to. Above it the digest

@@ -7,13 +7,14 @@
 //! the paper's Q = 100 and ruinous at Q = 10^7. This module keeps the
 //! scoring *factored* instead: Eq. 20 is `u_q = η^{A_q} / T_q` where
 //! `T_q` (the Eq.-9 delay at `f_max`) is static for the whole run, so
-//! devices can be bucketed by their appearance counter `A_q`, each
-//! bucket ordered once by delay. Within a bucket the η^{A_q} factor is
-//! a shared constant, so the bucket's *head* (minimum delay) is its
-//! maximum-utility member — a round's top-N is a k-way merge across
+//! every known device is *ranked* once by `(T_q, id)` and devices are
+//! bucketed by their appearance counter `A_q`, each bucket a bitset
+//! over ranks. Within a bucket the η^{A_q} factor is a shared
+//! constant, so the bucket's *head* (first set rank, minimum delay) is
+//! its maximum-utility member — a round's top-N is a k-way merge across
 //! bucket heads with the lazy α_q = η^{A_q} decay applied on pop.
-//! Counter increments and `on_delivery_failure` refunds are O(log B)
-//! bucket moves; nothing is ever rescanned.
+//! Counter increments and `on_delivery_failure` refunds are O(1) bit
+//! moves between buckets; nothing is ever rescanned.
 //!
 //! ## Exactness
 //!
@@ -25,17 +26,20 @@
 //! - IEEE division is monotone in the divisor, so for a fixed bucket
 //!   the minimum-delay entry really is an arg-max of `u`;
 //! - equal utilities break ties by ascending id, exactly like the
-//!   reference sort: equal-`u` entries within a bucket form a
-//!   contiguous run of delay groups walked via `BTreeSet::range`
-//!   jumps, cross-bucket ties compare the per-bucket run minima, and
-//!   fully-underflowed utilities (`η^{A_q} == 0.0`) live in a
-//!   dedicated id-ordered set;
+//!   reference sort: ranks order equal delays by id, equal-`u` entries
+//!   within a bucket form a contiguous run of delay groups walked by
+//!   jumping from each group's end to the next set rank, cross-bucket
+//!   ties compare the per-bucket run minima, and fully-underflowed
+//!   utilities (`η^{A_q} == 0.0`) live in a dedicated id-ordered set;
 //! - a popped winner is *not* re-inserted until the round's merge
 //!   completes, mirroring the reference's frozen round-start
 //!   utilities.
 //!
 //! Like the reference (and Alg. 2's initialization phase), per-device
 //! delays are collected at first sight and assumed static thereafter.
+//! Ranks are rebuilt, with one sort of the newcomers and a linear
+//! merge, whenever the universe admits new ids; fleet- and mask-backed
+//! runs admit every id in round 1 and never again.
 //!
 //! Devices that disappear from the selectable set (battery depletion)
 //! are parked when popped and re-inserted if they ever return; their
@@ -43,10 +47,9 @@
 //! semantics under dropout and rejoin.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
 use fl_sim::error::{FlError, Result};
-use fl_sim::selection::{ClientSelector, SelectionContext, SelectorSnapshot};
+use fl_sim::selection::{ClientSelector, DeviceSet, SelectionContext, SelectorSnapshot};
 use helcfl_telemetry::{Class, Telemetry};
 use mec_sim::device::DeviceId;
 use mec_sim::units::{Bits, Seconds};
@@ -64,19 +67,156 @@ enum Slot {
     Parked,
 }
 
-/// The bucketed-utility index: buckets keyed by appearance counter,
-/// each an ordered set of `(delay_bits, id)` pairs. Positive-finite
-/// f64 delays compare identically to their bit patterns, so the
-/// `u64` keys give exact delay order without float keys in the tree.
+/// Every known device ranked by `(delay_bits, id)`. Positive-finite
+/// f64 delays compare identically to their bit patterns, so ranks give
+/// exact delay order with ties broken by ascending id. Ranks and group
+/// ends fit `u32` because admission refuses ids `>= u32::MAX`.
+#[derive(Debug, Clone, Default)]
+struct Ranks {
+    /// Rank by id; meaningful iff the id's slot is not Unknown.
+    rank: Vec<u32>,
+    /// Id at each rank.
+    id_at: Vec<u32>,
+    /// Cached Eq.-9 delay (seconds) at each rank, ascending.
+    delay_at: Vec<f64>,
+    /// First rank past the run of equal delays each rank belongs to.
+    group_end: Vec<u32>,
+}
+
+impl Ranks {
+    fn len(&self) -> usize {
+        self.id_at.len()
+    }
+
+    /// Merges `fresh` — `(delay_bits, id)` keys of newly seen ids,
+    /// sorted — into the existing rank order; `ids` is the length of
+    /// the by-id table.
+    fn merged(&self, fresh: &[(u64, u32)], ids: usize) -> Self {
+        let total = self.len() + fresh.len();
+        let mut id_at = Vec::with_capacity(total);
+        let mut delay_at = Vec::with_capacity(total);
+        let mut old =
+            self.delay_at.iter().zip(&self.id_at).map(|(d, &id)| (d.to_bits(), id)).peekable();
+        let mut new = fresh.iter().copied().peekable();
+        while let Some((bits, id)) = match (old.peek(), new.peek()) {
+            (Some(o), Some(f)) if f < o => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        } {
+            delay_at.push(f64::from_bits(bits));
+            id_at.push(id);
+        }
+        let mut rank = vec![0; ids];
+        for (r, &id) in id_at.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let mut group_end = vec![total as u32; total];
+        for r in (0..total.saturating_sub(1)).rev() {
+            if delay_at[r].to_bits() == delay_at[r + 1].to_bits() {
+                group_end[r] = group_end[r + 1];
+            } else {
+                group_end[r] = r as u32 + 1;
+            }
+        }
+        Self { rank, id_at, delay_at, group_end }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.rank.capacity() + self.id_at.capacity() + self.group_end.capacity())
+            * core::mem::size_of::<u32>()
+            + self.delay_at.capacity() * core::mem::size_of::<f64>()
+    }
+}
+
+/// A set of ranks as a two-level bitset: one bit per rank in `words`,
+/// and one bit per word in `summary`, set iff that word is non-zero.
+#[derive(Debug, Clone)]
+struct RankSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
+    /// No rank below this one is in the set.
+    floor: usize,
+}
+
+impl RankSet {
+    fn new(universe: usize) -> Self {
+        let words = universe.div_ceil(64);
+        Self {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+            floor: universe,
+        }
+    }
+
+    fn contains(&self, r: usize) -> bool {
+        self.words[r / 64] & (1 << (r % 64)) != 0
+    }
+
+    fn insert(&mut self, r: usize) {
+        debug_assert!(!self.contains(r), "rank {r} inserted twice");
+        let w = r / 64;
+        self.words[w] |= 1 << (r % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+        self.floor = self.floor.min(r);
+    }
+
+    fn remove(&mut self, r: usize) {
+        debug_assert!(self.contains(r), "rank {r} removed but absent");
+        let w = r / 64;
+        self.words[w] &= !(1 << (r % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+    }
+
+    /// The smallest rank `>= from` in the set.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let bits = self.words.get(w)? & (!0 << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        // The next non-empty word, found through the summary.
+        let w = w + 1;
+        let mut s = w / 64;
+        let mut bits = self.summary.get(s)? & (!0 << (w % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        let w = s * 64 + bits.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// The smallest rank in the set, found from the cached floor.
+    fn head(&mut self) -> Option<usize> {
+        let h = self.next_from(self.floor)?;
+        self.floor = h;
+        Some(h)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&r| self.next_from(r + 1))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        core::mem::size_of::<Self>()
+            + (self.words.capacity() + self.summary.capacity()) * core::mem::size_of::<u64>()
+    }
+}
+
+/// The bucketed-utility index: every known device ranked by delay, and
+/// one rank bitset per appearance counter.
 #[derive(Debug, Clone)]
 struct UtilityIndex {
     payload: Bits,
-    /// Cached Eq.-9 delay (seconds) by id; meaningful iff not Unknown.
-    delay: Vec<f64>,
     slot: Vec<Slot>,
-    /// Number of non-Unknown ids (= insertions so far).
-    known: usize,
-    buckets: BTreeMap<u32, BTreeSet<(u64, usize)>>,
+    ranks: Ranks,
+    buckets: BTreeMap<u32, RankSet>,
     /// Ids whose utility underflowed to exactly 0.0 — globally tied,
     /// ordered by id like the reference's tie-break.
     zero: BTreeSet<usize>,
@@ -88,82 +228,189 @@ impl UtilityIndex {
     fn new(payload: Bits) -> Self {
         Self {
             payload,
-            delay: Vec::new(),
             slot: Vec::new(),
-            known: 0,
+            ranks: Ranks::default(),
             buckets: BTreeMap::new(),
             zero: BTreeSet::new(),
             parked: Vec::new(),
         }
     }
 
-    fn ensure_id(&mut self, id: usize) {
-        if id >= self.slot.len() {
-            self.delay.resize(id + 1, f64::NAN);
-            self.slot.resize(id + 1, Slot::Unknown);
+    /// Number of known (ranked) ids.
+    fn known(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Admits every id of `devices`' universe not seen before: caches
+    /// its delay, re-ranks, and places it at its counter.
+    ///
+    /// # Errors
+    ///
+    /// Refuses an id that does not fit the `u32` rank space. The index
+    /// is then half-admitted and must be discarded.
+    fn admit(
+        &mut self,
+        devices: &DeviceSet<'_>,
+        counters: &mut AppearanceCounters,
+        eta: DecayCoefficient,
+    ) -> Result<()> {
+        let mut fresh = Vec::new();
+        for d in devices.iter_universe() {
+            let id = d.id().0;
+            let Some(id32) = u32::try_from(id).ok().filter(|&i| i < u32::MAX) else {
+                return Err(FlError::InvalidConfig {
+                    field: "devices",
+                    reason: format!(
+                        "device id {id} does not fit the utility index's u32 ranks \
+                         (ids must be below {})",
+                        u32::MAX
+                    ),
+                });
+            };
+            if id >= self.slot.len() {
+                self.slot.resize(id + 1, Slot::Unknown);
+            }
+            if self.slot[id] == Slot::Unknown {
+                // Marked now so a repeated id is admitted once; placed
+                // below, once it has a rank.
+                self.slot[id] = Slot::Placed;
+                counters.grow_to(id + 1);
+                fresh.push((d.total_delay_at_max(self.payload).get().to_bits(), id32));
+            }
+        }
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        fresh.sort_unstable();
+        let merged = self.ranks.merged(&fresh, self.slot.len());
+        let old = core::mem::replace(&mut self.ranks, merged);
+        // Existing members keep their buckets under their new ranks.
+        for set in self.buckets.values_mut() {
+            let mut moved = RankSet::new(self.ranks.len());
+            for r in set.iter() {
+                moved.insert(self.ranks.rank[old.id_at[r] as usize] as usize);
+            }
+            *set = moved;
+        }
+        for &(_, id) in &fresh {
+            let id = id as usize;
+            self.place(self.ranks.rank[id] as usize, counters.get(id), eta);
+        }
+        Ok(())
+    }
+
+    /// Inserts the id at rank `r` into the structure for appearance
+    /// count `a`, recomputing Eq. 20 to decide between a bucket and the
+    /// zero set (`powi` is not guaranteed monotone in the exponent, so
+    /// membership is always decided fresh). The id's slot must already
+    /// read `Placed`.
+    fn place(&mut self, r: usize, a: u32, eta: DecayCoefficient) {
+        if utility(eta, a, Seconds::new(self.ranks.delay_at[r])) == 0.0 {
+            self.zero.insert(self.ranks.id_at[r] as usize);
+        } else {
+            let universe = self.ranks.len();
+            self.buckets.entry(a).or_insert_with(|| RankSet::new(universe)).insert(r);
         }
     }
 
-    /// Inserts `id` into the structure for appearance count `a`,
-    /// recomputing Eq. 20 to decide between a bucket and the zero set
-    /// (`powi` is not guaranteed monotone in the exponent, so
-    /// membership is always decided fresh).
-    fn place(&mut self, id: usize, a: u32, eta: DecayCoefficient) {
-        let u = utility(eta, a, Seconds::new(self.delay[id]));
-        if u == 0.0 {
-            self.zero.insert(id);
-        } else {
-            self.buckets.entry(a).or_default().insert((self.delay[id].to_bits(), id));
+    /// Removes rank `r` from bucket `a`, dropping the bucket once empty.
+    fn pop(&mut self, a: u32, r: usize) {
+        let set = self.buckets.get_mut(&a).expect("placed id has a bucket");
+        set.remove(r);
+        if set.len == 0 {
+            self.buckets.remove(&a);
         }
-        self.slot[id] = Slot::Placed;
     }
 
     /// Removes a placed `id` known to sit at appearance count `a`.
     fn remove_placed(&mut self, id: usize, a: u32) {
         if !self.zero.remove(&id) {
-            let set = self.buckets.get_mut(&a).expect("placed id has a bucket");
-            let removed = set.remove(&(self.delay[id].to_bits(), id));
-            debug_assert!(removed, "placed id {id} missing from bucket {a}");
-            if set.is_empty() {
-                self.buckets.remove(&a);
-            }
+            self.pop(a, self.ranks.rank[id] as usize);
         }
     }
 
-    /// Minimum id among this bucket's entries whose utility equals the
-    /// head's (`max_u`), plus that entry's delay bits. Equal-utility
-    /// entries are a contiguous run of delay groups from the head;
-    /// each group's first entry already has the group-minimal id, so
-    /// the walk jumps group to group via `range`.
+    /// Rank of the minimum id among this bucket's entries whose
+    /// utility equals the head's (`max_u`). Equal-utility entries
+    /// are a contiguous run of delay groups from the head; each group's
+    /// first set rank already has the group-minimal id, so the walk
+    /// jumps group to group from `group_end`.
     fn run_min(
-        set: &BTreeSet<(u64, usize)>,
+        set: &RankSet,
+        ranks: &Ranks,
+        head: usize,
         a: u32,
         eta: DecayCoefficient,
         max_u: f64,
-    ) -> (usize, u64) {
-        let &(d0, id0) = set.iter().next().expect("bucket is never empty");
-        let (mut best_id, mut best_d) = (id0, d0);
-        let mut cur = d0;
-        while let Some(&(d, id)) =
-            set.range((Bound::Excluded((cur, usize::MAX)), Bound::Unbounded)).next()
-        {
-            if utility(eta, a, Seconds::new(f64::from_bits(d))) != max_u {
+    ) -> usize {
+        let mut best = head;
+        let mut cur = head;
+        while let Some(r) = set.next_from(ranks.group_end[cur] as usize) {
+            if utility(eta, a, Seconds::new(ranks.delay_at[r])) != max_u {
                 break;
             }
-            if id < best_id {
-                best_id = id;
-                best_d = d;
+            if ranks.id_at[r] < ranks.id_at[best] {
+                best = r;
             }
-            cur = d;
+            cur = r;
         }
-        (best_id, best_d)
+        best
+    }
+
+    /// Panics unless the buckets agree with the slots and counters:
+    /// each placed, non-zero id's rank is set in exactly the bucket of
+    /// its counter, bucket populations sum to placed minus zero-set
+    /// ids, and no bucket is empty. Holds between rounds.
+    fn assert_consistent(&self, counters: &AppearanceCounters) {
+        let mut placed = 0;
+        for (id, &slot) in self.slot.iter().enumerate() {
+            if slot != Slot::Placed {
+                assert!(!self.zero.contains(&id), "unplaced id {id} in the zero set");
+                continue;
+            }
+            placed += 1;
+            if self.zero.contains(&id) {
+                continue;
+            }
+            let r = self.ranks.rank[id] as usize;
+            assert_eq!(self.ranks.id_at[r] as usize, id, "rank {r} does not map back to id {id}");
+            for (&a, set) in &self.buckets {
+                assert_eq!(
+                    set.contains(r),
+                    a == counters.get(id),
+                    "id {id} (counter {}) vs bucket {a}",
+                    counters.get(id)
+                );
+            }
+        }
+        let mut members = 0;
+        for (&a, set) in &self.buckets {
+            assert!(set.len > 0, "bucket {a} is empty");
+            let ones: usize = set.words.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(ones, set.len, "bucket {a} miscounts its members");
+            for (w, &word) in set.words.iter().enumerate() {
+                let flagged = set.summary[w / 64] & (1 << (w % 64)) != 0;
+                assert_eq!(flagged, word != 0, "bucket {a} summary disagrees at word {w}");
+            }
+            assert!(set.next_from(0) >= Some(set.floor), "bucket {a} floor above its head");
+            members += set.len;
+        }
+        assert_eq!(members, placed - self.zero.len(), "bucket populations vs placed ids");
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.slot.capacity() * core::mem::size_of::<Slot>()
+            + self.ranks.memory_bytes()
+            + self.buckets.values().map(RankSet::memory_bytes).sum::<usize>()
+            + self.zero.len() * core::mem::size_of::<usize>()
+            + self.parked.capacity() * core::mem::size_of::<usize>()
     }
 }
 
 /// Drop-in replacement for
 /// [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
 /// backed by the bucketed-utility index: same name (`"helcfl"`), same
-/// picks, same telemetry, O(N log B) per round instead of O(Q log Q).
+/// picks, same telemetry, O(N · B) bit operations per round instead of
+/// O(Q log Q).
 ///
 /// # Examples
 ///
@@ -217,20 +464,25 @@ impl IndexedDecaySelector {
         &self.counters
     }
 
-    /// Approximate resident bytes of the selector: counters, cached
-    /// delays, slot map, and tree entries (tree nodes estimated at
-    /// 1.5× entry payload for allocator/branch overhead).
+    /// Resident bytes of the selector: the counters, the by-id slot and
+    /// rank tables, the by-rank id, delay and group-end tables, and one
+    /// rank bitset (Q/8 bytes, plus a summary word per 64 words) per
+    /// live appearance bucket. Zero-set and parked ids count at their
+    /// payload size.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = core::mem::size_of::<Self>() + self.counters.memory_bytes();
+        core::mem::size_of::<Self>()
+            + self.counters.memory_bytes()
+            + self.index.as_ref().map_or(0, UtilityIndex::memory_bytes)
+    }
+
+    /// Panics unless the utility index agrees with the appearance
+    /// counters (see `UtilityIndex::assert_consistent`). A test hook:
+    /// it holds between rounds and costs O(Q · buckets).
+    #[doc(hidden)]
+    pub fn assert_consistent(&self) {
         if let Some(ix) = &self.index {
-            total += ix.delay.capacity() * core::mem::size_of::<f64>();
-            total += ix.slot.capacity() * core::mem::size_of::<Slot>();
-            let entries =
-                ix.buckets.values().map(BTreeSet::len).sum::<usize>() + ix.zero.len();
-            total += entries * (core::mem::size_of::<(u64, usize)>() * 3 / 2);
-            total += ix.parked.capacity() * core::mem::size_of::<usize>();
+            ix.assert_consistent(&self.counters);
         }
-        total
     }
 
     fn select_inner(
@@ -251,16 +503,10 @@ impl IndexedDecaySelector {
         // backing positions (fleet- or mask-backed sets) and all of
         // them are known, no new id can appear and the scan is skipped
         // entirely — the steady-state rounds of a long run are O(N).
-        if !(ctx.devices.has_implicit_ids() && ix.known == ctx.devices.universe_len()) {
-            for d in ctx.devices.iter_universe() {
-                let id = d.id().0;
-                ix.ensure_id(id);
-                if ix.slot[id] == Slot::Unknown {
-                    self.counters.grow_to(id + 1);
-                    ix.delay[id] = d.total_delay_at_max(ctx.payload).get();
-                    ix.place(id, self.counters.get(id), self.eta);
-                    ix.known += 1;
-                }
+        if !(ctx.devices.has_implicit_ids() && ix.known() == ctx.devices.universe_len()) {
+            if let Err(e) = ix.admit(&ctx.devices, &mut self.counters, self.eta) {
+                self.index = None;
+                return Err(e);
             }
         }
         // Rejoin: parked devices that are selectable again re-enter
@@ -268,7 +514,8 @@ impl IndexedDecaySelector {
         let parked = core::mem::take(&mut ix.parked);
         for id in parked {
             if ctx.devices.contains(DeviceId(id)) {
-                ix.place(id, self.counters.get(id), self.eta);
+                ix.slot[id] = Slot::Placed;
+                ix.place(ix.ranks.rank[id] as usize, self.counters.get(id), self.eta);
             } else {
                 ix.parked.push(id);
             }
@@ -276,42 +523,36 @@ impl IndexedDecaySelector {
 
         let n = ctx.target.min(ctx.devices.len()).max(1);
         let mut selected = Vec::with_capacity(n);
+        let mut won = Vec::with_capacity(n); // ranks of `selected`
         let eta_f = self.eta.get();
         while selected.len() < n {
             // Arg-max over bucket heads; the id-ordered zero set only
             // matters once every positive-utility entry is gone.
-            let mut best: Option<(f64, u32, usize, u64)> = None; // (u, bucket, id, delay bits)
-            for (&a, set) in &ix.buckets {
-                let &(dbits, _) = set.iter().next().expect("bucket is never empty");
-                let u = utility(self.eta, a, Seconds::new(f64::from_bits(dbits)));
+            let mut best: Option<(f64, u32, usize)> = None; // (u, bucket, rank)
+            for (&a, set) in &mut ix.buckets {
+                let head = set.head().expect("bucket is never empty");
+                let u = utility(self.eta, a, Seconds::new(ix.ranks.delay_at[head]));
                 match best {
                     Some((bu, ..)) if u < bu => {}
-                    Some((bu, _, bid, _)) if u == bu => {
-                        let (id, d) = UtilityIndex::run_min(set, a, self.eta, u);
-                        if id < bid {
-                            best = Some((u, a, id, d));
+                    Some((bu, _, br)) if u == bu => {
+                        let r = UtilityIndex::run_min(set, &ix.ranks, head, a, self.eta, u);
+                        if ix.ranks.id_at[r] < ix.ranks.id_at[br] {
+                            best = Some((u, a, r));
                         }
                     }
                     _ => {
-                        let (id, d) = UtilityIndex::run_min(set, a, self.eta, u);
-                        best = Some((u, a, id, d));
+                        let r = UtilityIndex::run_min(set, &ix.ranks, head, a, self.eta, u);
+                        best = Some((u, a, r));
                     }
                 }
             }
-            let id = match best {
-                Some((_, a, id, dbits)) => {
-                    let set = ix.buckets.get_mut(&a).expect("winning bucket exists");
-                    set.remove(&(dbits, id));
-                    if set.is_empty() {
-                        ix.buckets.remove(&a);
-                    }
-                    id
+            let (id, r) = match best {
+                Some((_, a, r)) => {
+                    ix.pop(a, r);
+                    (ix.ranks.id_at[r] as usize, r)
                 }
-                None => match ix.zero.iter().next().copied() {
-                    Some(id) => {
-                        ix.zero.remove(&id);
-                        id
-                    }
+                None => match ix.zero.pop_first() {
+                    Some(id) => (id, ix.ranks.rank[id] as usize),
                     None => {
                         return Err(FlError::InvalidSelection {
                             reason: "utility index exhausted before reaching the target"
@@ -335,13 +576,14 @@ impl IndexedDecaySelector {
             }
             self.counters.increment(id);
             selected.push(DeviceId(id));
+            won.push(r);
         }
         // Deferred re-placement: winners move to bucket A_q + 1 only
         // after the merge, so this round's picks competed on utilities
         // frozen at round start — exactly like the reference's single
         // scored snapshot.
-        for d in &selected {
-            ix.place(d.0, self.counters.get(d.0), self.eta);
+        for (d, &r) in selected.iter().zip(&won) {
+            ix.place(r, self.counters.get(d.0), self.eta);
         }
         if tele.is_enabled() {
             tele.with_metrics(|m| {
@@ -381,7 +623,7 @@ impl ClientSelector for IndexedDecaySelector {
 
     fn on_delivery_failure(&mut self, failed: &[DeviceId]) {
         // Same refund semantics and out-of-range guard as the
-        // reference; additionally an O(log B) bucket move keeps the
+        // reference; additionally an O(1) bucket move keeps the
         // index synchronized with the decremented counter.
         for id in failed {
             let q = id.0;
@@ -399,7 +641,7 @@ impl ClientSelector for IndexedDecaySelector {
             if let Some(ix) = &mut self.index {
                 if q < ix.slot.len() && ix.slot[q] == Slot::Placed {
                     ix.remove_placed(q, before);
-                    ix.place(q, before - 1, self.eta);
+                    ix.place(ix.ranks.rank[q] as usize, before - 1, self.eta);
                 }
             }
         }
@@ -467,6 +709,7 @@ mod tests {
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
             validate_selection(&c, &a).unwrap();
+            indexed.assert_consistent();
         }
         for q in 0..40 {
             assert_eq!(indexed.counters().get(q), reference.counters().get(q), "device {q}");
@@ -489,6 +732,8 @@ mod tests {
                 target: 5,
             };
             assert_eq!(a.select(&slice_ctx).unwrap(), b.select(&fleet_ctx).unwrap());
+            a.assert_consistent();
+            b.assert_consistent();
         }
     }
 
@@ -516,6 +761,7 @@ mod tests {
                 target: 3,
             };
             assert_eq!(indexed.select(&c).unwrap(), reference.select(&c).unwrap(), "round {round}");
+            indexed.assert_consistent();
         }
     }
 
@@ -535,6 +781,7 @@ mod tests {
                 indexed.on_delivery_failure(&failed);
                 reference.on_delivery_failure(&failed);
             }
+            indexed.assert_consistent();
         }
         for q in 0..12 {
             assert_eq!(indexed.counters().get(q), reference.counters().get(q), "device {q}");
@@ -558,6 +805,7 @@ mod tests {
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
+            indexed.assert_consistent();
         }
         for q in 0..16 {
             assert_eq!(indexed.counters().get(q), reference.counters().get(q), "device {q}");
@@ -576,6 +824,7 @@ mod tests {
             let a = indexed.select_traced(&c, &tele_a).unwrap();
             let b = reference.select_traced(&c, &tele_b).unwrap();
             assert_eq!(a, b, "round {round}");
+            indexed.assert_consistent();
         }
         let snap_a = tele_a.snapshot();
         let snap_b = tele_b.snapshot();
@@ -603,6 +852,7 @@ mod tests {
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
+            indexed.assert_consistent();
         }
         // After everyone decayed to zero utility, picks are the first
         // N ids.
@@ -619,6 +869,7 @@ mod tests {
         for round in 1..=9 {
             let c = ctx(pop.devices(), round, 4);
             assert_eq!(live.select(&c).unwrap(), reference.select(&c).unwrap());
+            live.assert_consistent();
         }
         let snap = ClientSelector::snapshot(&live);
         // The snapshot interchanges with the reference selector's: both
@@ -634,6 +885,8 @@ mod tests {
             let r = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}: resumed index diverged");
             assert_eq!(a, r, "round {round}: index diverged from reference");
+            live.assert_consistent();
+            resumed.assert_consistent();
         }
         // RNG state in the image is refused.
         let mut bad = snap.clone();
@@ -648,5 +901,74 @@ mod tests {
         let baseline = sel.memory_bytes();
         sel.select(&ctx(pop.devices(), 1, 5)).unwrap();
         assert!(sel.memory_bytes() > baseline);
+    }
+
+    /// A bucket costs Q/8 bytes, so a leaked (empty but retained)
+    /// bucket would grow the index silently. After 200 rounds at
+    /// Q = 10^5 the index must stay within the 36 B per device the
+    /// tree-based index it replaced measured at Q = 10^6.
+    #[test]
+    fn memory_per_device_stays_bounded_over_many_rounds() {
+        const Q: usize = 100_000;
+        let fleet =
+            PopulationBuilder::paper_default().num_devices(Q).seed(21).build_fleet().unwrap();
+        let mut sel = IndexedDecaySelector::default();
+        for round in 1..=200 {
+            let c = SelectionContext {
+                round,
+                devices: (&fleet).into(),
+                payload: Bits::from_megabits(40.0),
+                target: 100,
+            };
+            sel.select(&c).unwrap();
+        }
+        sel.assert_consistent();
+        let per_device = sel.memory_bytes() as f64 / Q as f64;
+        assert!(per_device <= 36.0, "{per_device:.2} B per device");
+    }
+
+    #[test]
+    fn ids_past_the_u32_rank_space_are_refused() {
+        let pop = PopulationBuilder::paper_default().num_devices(2).seed(1).build().unwrap();
+        let d = pop.devices()[1];
+        let huge = mec_sim::device::Device::new(
+            DeviceId(u32::MAX as usize),
+            *d.cpu(),
+            d.cycles_per_sample(),
+            d.num_samples(),
+            *d.uplink(),
+        )
+        .unwrap();
+        let devices = [pop.devices()[0], huge];
+        let mut sel = IndexedDecaySelector::default();
+        match sel.select(&ctx(&devices, 1, 1)) {
+            Err(FlError::InvalidConfig { field, reason }) => {
+                assert_eq!(field, "devices");
+                assert!(reason.contains(&u32::MAX.to_string()), "{reason}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // The refusal leaves no half-built index behind: the valid
+        // device alone still selects.
+        assert_eq!(sel.select(&ctx(&devices[..1], 2, 1)).unwrap(), vec![DeviceId(0)]);
+        sel.assert_consistent();
+    }
+
+    #[test]
+    fn rank_set_finds_next_members_across_words_and_summaries() {
+        let mut set = RankSet::new(64 * 64 * 3 + 5);
+        let members = [0, 63, 64, 4095, 4096, 64 * 64 * 3 + 4];
+        for &r in members.iter().rev() {
+            set.insert(r);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        assert_eq!(set.head(), Some(0));
+        set.remove(0);
+        set.remove(4095);
+        assert_eq!(set.head(), Some(63));
+        assert_eq!(set.next_from(65), Some(4096));
+        assert_eq!(set.next_from(4097), Some(64 * 64 * 3 + 4));
+        assert_eq!(set.next_from(64 * 64 * 3 + 5), None);
+        assert_eq!(set.len, 4);
     }
 }

@@ -9,7 +9,7 @@
 //! each assertion message carries the case index for reproducibility.
 
 use detrand::Rng;
-use fl_sim::selection::{ClientSelector, SelectionContext, validate_selection};
+use fl_sim::selection::{ClientSelector, DeviceSet, SelectionContext, validate_selection};
 use helcfl::indexed::IndexedDecaySelector;
 use helcfl::selection::GreedyDecaySelector;
 use helcfl::utility::DecayCoefficient;
@@ -21,18 +21,54 @@ use mec_sim::units::{Bits, BitsPerSecond, Hertz, Watts};
 
 fn gen_devices(rng: &mut Rng, min: usize, max: usize) -> Vec<Device> {
     let n = rng.range_usize(min, max);
+    (0..n).map(|i| gen_device(rng, i)).collect()
+}
+
+fn gen_device(rng: &mut Rng, id: usize) -> Device {
+    let fmax = rng.uniform(0.3100001, 2.0);
+    let samples = rng.range_usize(50, 1500);
+    let mbps = rng.uniform(0.5, 15.0);
+    let cpu = DvfsCpu::with_paper_alpha(Hertz::from_ghz(0.3), Hertz::from_ghz(fmax)).unwrap();
+    let uplink = Uplink::new(Watts::new(0.2), BitsPerSecond::from_mbps(mbps)).unwrap();
+    Device::new(DeviceId(id), cpu, 1.0e7, samples, uplink).unwrap()
+}
+
+/// A population of `min..max` devices, each a copy of one of
+/// `templates`: at most that many distinct `T_q`, so delay ties (and
+/// with them equal utilities) are everywhere.
+fn gen_tied_devices(rng: &mut Rng, min: usize, max: usize, templates: &[Device]) -> Vec<Device> {
+    let n = rng.range_usize(min, max);
     (0..n)
         .map(|i| {
-            let fmax = rng.uniform(0.3100001, 2.0);
-            let samples = rng.range_usize(50, 1500);
-            let mbps = rng.uniform(0.5, 15.0);
-            let cpu =
-                DvfsCpu::with_paper_alpha(Hertz::from_ghz(0.3), Hertz::from_ghz(fmax)).unwrap();
-            let uplink =
-                Uplink::new(Watts::new(0.2), BitsPerSecond::from_mbps(mbps)).unwrap();
-            Device::new(DeviceId(i), cpu, 1.0e7, samples, uplink).unwrap()
+            let t = templates[rng.below(templates.len())];
+            Device::new(DeviceId(i), *t.cpu(), t.cycles_per_sample(), t.num_samples(), *t.uplink())
+                .unwrap()
         })
         .collect()
+}
+
+fn gen_templates(rng: &mut Rng, kinds: usize) -> Vec<Device> {
+    (0..kinds).map(|_| gen_device(rng, 0)).collect()
+}
+
+/// A copy of `d` whose `T_q` is exactly twice `d`'s: twice the work
+/// per sample and half the uplink rate. Scaling by two is exact in
+/// IEEE arithmetic, so the doubling holds bit for bit.
+fn doubled(d: &Device) -> Device {
+    let up = d.uplink();
+    let uplink = Uplink::new(up.power(), BitsPerSecond::new(up.rate().get() / 2.0)).unwrap();
+    Device::new(d.id(), *d.cpu(), 2.0 * d.cycles_per_sample(), d.num_samples(), uplink).unwrap()
+}
+
+/// How the selectable set is presented to the selectors.
+#[derive(Clone, Copy)]
+enum Universe {
+    /// The full population behind an alive mask.
+    Masked,
+    /// A plain slice of the alive devices among a prefix of the
+    /// population that grows during the run, so ids keep arriving
+    /// after round 1, in a shuffled order.
+    Growing,
 }
 
 /// Drives both selectors through identical masked contexts with churn
@@ -40,8 +76,23 @@ fn gen_devices(rng: &mut Rng, min: usize, max: usize) -> Vec<Device> {
 /// counters at the end.
 fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: usize) {
     let devices = gen_devices(rng, 5, 40);
+    drive(rng, case, eta, rounds, &devices, Universe::Masked);
+}
+
+/// The shared harness: churn, shifting targets and refunds over
+/// `devices`, presented as `universe` says, with the index's
+/// invariants checked after every round.
+fn drive(
+    rng: &mut Rng,
+    case: usize,
+    eta: DecayCoefficient,
+    rounds: usize,
+    devices: &[Device],
+    universe: Universe,
+) {
     let q = devices.len();
     let mut mask = AliveMask::all_alive(q);
+    let mut visible = q / 3 + 1;
     let mut indexed = IndexedDecaySelector::new(eta);
     let mut reference = GreedyDecaySelector::new(eta);
     for round in 1..=rounds {
@@ -59,12 +110,24 @@ fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: 
             }
         }
         let target = rng.range_usize(1, 9);
-        let ctx = SelectionContext {
-            round,
-            devices: DeviceSetOf(&devices).masked(&mask),
-            payload: Bits::from_megabits(40.0),
-            target,
+        let mut alive: Vec<Device> = Vec::new();
+        let devices = match universe {
+            Universe::Masked => DeviceSetOf(devices).masked(&mask),
+            Universe::Growing => {
+                if visible < q && rng.uniform(0.0, 1.0) < 0.2 {
+                    visible += rng.range_usize(1, 4).min(q - visible);
+                }
+                alive.extend(devices[..visible].iter().filter(|d| mask.is_alive(d.id().0)));
+                if alive.is_empty() {
+                    alive.push(devices[0]);
+                }
+                for i in (1..alive.len()).rev() {
+                    alive.swap(i, rng.below(i + 1));
+                }
+                DeviceSet::from_slice(&alive)
+            }
         };
+        let ctx = SelectionContext { round, devices, payload: Bits::from_megabits(40.0), target };
         let a = indexed.select(&ctx).unwrap();
         let b = reference.select(&ctx).unwrap();
         assert_eq!(a, b, "case {case} round {round} (η = {})", eta.get());
@@ -77,6 +140,7 @@ fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: 
             indexed.on_delivery_failure(&failed);
             reference.on_delivery_failure(&failed);
         }
+        indexed.assert_consistent();
     }
     for id in 0..q {
         assert_eq!(
@@ -91,8 +155,8 @@ fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: 
 struct DeviceSetOf<'a>(&'a [Device]);
 
 impl<'a> DeviceSetOf<'a> {
-    fn masked(self, mask: &'a AliveMask) -> fl_sim::selection::DeviceSet<'a> {
-        fl_sim::selection::DeviceSet::from_slice(self.0).with_mask(mask)
+    fn masked(self, mask: &'a AliveMask) -> DeviceSet<'a> {
+        DeviceSet::from_slice(self.0).with_mask(mask)
     }
 }
 
@@ -121,5 +185,78 @@ fn extreme_eta_never_panics_and_stays_equivalent() {
     {
         let eta = DecayCoefficient::new(eta).unwrap();
         drive_equivalence(&mut rng, case, eta, 200);
+    }
+}
+
+/// Every device identical: one delay group spans the whole universe,
+/// so every bucket's equal-utility run is the bucket itself and picks
+/// fall to pure id order within each appearance count.
+#[test]
+fn identical_devices_stay_equivalent() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0003);
+    for case in 0..8 {
+        let eta = DecayCoefficient::new(rng.uniform(0.05, 0.95)).unwrap();
+        let templates = gen_templates(&mut rng, 1);
+        let devices = gen_tied_devices(&mut rng, 5, 40, &templates);
+        drive(&mut rng, case, eta, 150, &devices, Universe::Masked);
+    }
+}
+
+/// At most three distinct delays: long delay groups and walks over
+/// several groups. With η = 1/2 and delays `T, 2T, 4T`, utilities also
+/// tie exactly *across* buckets (`η^a / 2^k T` depends on `a + k`
+/// only), so cross-bucket ties are broken by run minima every round.
+#[test]
+fn three_delay_populations_stay_equivalent() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0004);
+    for case in 0..12 {
+        let eta = DecayCoefficient::new(rng.uniform(0.05, 0.95)).unwrap();
+        let kinds = rng.range_usize(2, 4);
+        let templates = gen_templates(&mut rng, kinds);
+        let devices = gen_tied_devices(&mut rng, 5, 40, &templates);
+        drive(&mut rng, case, eta, 150, &devices, Universe::Masked);
+    }
+    let payload = Bits::from_megabits(40.0);
+    let half = DecayCoefficient::new(0.5).unwrap();
+    for case in 12..20 {
+        let t = gen_device(&mut rng, 0);
+        let templates = [t, doubled(&t), doubled(&doubled(&t))];
+        let delays: Vec<f64> =
+            templates.iter().map(|d| d.total_delay_at_max(payload).get()).collect();
+        assert_eq!(delays[1], 2.0 * delays[0], "case {case}: doubling is not exact");
+        assert_eq!(delays[2], 4.0 * delays[0], "case {case}: doubling is not exact");
+        let devices = gen_tied_devices(&mut rng, 5, 40, &templates);
+        drive(&mut rng, case, half, 150, &devices, Universe::Masked);
+    }
+}
+
+/// A slice-backed set whose universe grows mid-run: every newcomer
+/// forces a re-rank of the known ids while buckets, parked ids and
+/// refunded counters carry over.
+#[test]
+fn growing_slice_universe_stays_equivalent() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0006);
+    for case in 0..12 {
+        let eta = DecayCoefficient::new(rng.uniform(0.05, 0.95)).unwrap();
+        let devices = if case % 2 == 0 {
+            gen_devices(&mut rng, 5, 40)
+        } else {
+            let templates = gen_templates(&mut rng, 3);
+            gen_tied_devices(&mut rng, 5, 40, &templates)
+        };
+        drive(&mut rng, case, eta, 200, &devices, Universe::Growing);
+    }
+}
+
+/// η^2 subnormal: utilities of *distinct* delays collapse onto a few
+/// representable values, so equal-utility runs span several delay
+/// groups and the minimum id often sits past a bucket's head.
+#[test]
+fn subnormal_utilities_tie_across_delay_groups() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0007);
+    for (case, eta) in [1.0e-160, 3.0e-161, 1.0e-158].into_iter().enumerate() {
+        let eta = DecayCoefficient::new(eta).unwrap();
+        let devices = gen_devices(&mut rng, 20, 40);
+        drive(&mut rng, case, eta, 200, &devices, Universe::Masked);
     }
 }

@@ -125,14 +125,18 @@ impl<'a> DeviceSet<'a> {
         self.iter().map(|d| d.id())
     }
 
-    /// Whether `id` is selectable: O(1) for masked sets and fleets,
-    /// a linear scan for plain slices.
+    /// Whether `id` is selectable: O(1) for masked sets, fleets and
+    /// slices that hold `DeviceId(q)` at position `q`; otherwise a
+    /// linear scan of the slice.
     pub fn contains(&self, id: DeviceId) -> bool {
         if let Some(mask) = self.mask {
             return mask.is_alive(id.0);
         }
         match self.backing {
-            Backing::Slice(devices) => devices.iter().any(|d| d.id() == id),
+            Backing::Slice(devices) => {
+                devices.get(id.0).is_some_and(|d| d.id() == id)
+                    || devices.iter().any(|d| d.id() == id)
+            }
             Backing::Fleet(fleet) => id.0 < fleet.len(),
         }
     }
@@ -457,6 +461,27 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
         assert!(set.contains(DeviceId(5)));
         assert!(!set.contains(DeviceId(6)));
+    }
+
+    #[test]
+    fn slice_membership_holds_when_ids_are_not_positions() {
+        let pop = PopulationBuilder::paper_default().num_devices(4).build().unwrap();
+        let renumbered = |d: &Device, id: usize| {
+            Device::new(DeviceId(id), *d.cpu(), d.cycles_per_sample(), d.num_samples(), *d.uplink())
+                .unwrap()
+        };
+        // Position 1 holds id 0 and position 0 holds id 7: the
+        // positional shortcut misses both, the scan finds them. Id 2
+        // sits at its own position; ids 1 and 3 are absent although
+        // their positions exist.
+        let d = pop.devices();
+        let devices = [renumbered(&d[0], 7), renumbered(&d[1], 0), d[2], renumbered(&d[3], 9)];
+        let set = DeviceSet::from_slice(&devices);
+        for (id, expected) in
+            [(0, true), (1, false), (2, true), (3, false), (7, true), (9, true), (4, false)]
+        {
+            assert_eq!(set.contains(DeviceId(id)), expected, "id {id}");
+        }
     }
 
     #[test]
