@@ -96,10 +96,13 @@ echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)
 # differs). The gate runs once per HELCFL_SIMD mode against that
 # mode's own committed baseline — the vectorized kernels against
 # BENCH_kernels.json, the scalar reference oracle against
-# BENCH_kernels_scalar.json — so a lost vectorization (auto-dispatch
-# silently landing on the scalar path would read as a 1.5-14× drop) and
-# a scalar-oracle regression are both caught. Each record carries its
-# own bound (0.40 of the baseline GFLOP/s; see bench_kernels.rs).
+# BENCH_kernels_scalar.json — so a lost vectorization and a
+# scalar-oracle regression are both caught. Auto-dispatch silently
+# landing on the scalar path reads as a 4-26× drop on the narrow and
+# transposed shapes; the wide NN shapes (~1.4×) and matmul_nt (~1.1×,
+# the scalar path runs the same pack-then-NN route) cannot show it.
+# Each record carries its own bound (0.40 of the baseline GFLOP/s; see
+# bench_kernels.rs).
 (
   cd "$smoke_dir"
   "$repo_root/target/release/bench_kernels" --smoke > /dev/null

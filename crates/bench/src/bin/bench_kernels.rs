@@ -33,11 +33,13 @@
 //! noisier but stay within [`GFLOPS_BOUND`].
 //! `--operands 1` times one repeated operand per kernel instead.
 
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_bench::gate::{Better, Record};
+use helcfl_bench::{flag_value, ArgError};
 use helcfl_telemetry::json::JsonObject;
 use tinynn::activation::relu_backward_inplace;
 use tinynn::simd;
@@ -81,31 +83,26 @@ struct Args {
     operands: usize,
 }
 
-fn parse_args() -> Args {
-    let usage = || -> ! {
-        eprintln!("usage: bench_kernels [--smoke] [--seed N] [--operands N]");
-        std::process::exit(2);
-    };
+/// Parses the flags, refusing with the flag named an unknown flag and
+/// a missing or malformed value.
+fn parse_args() -> Result<Args, ArgError> {
     let mut args = Args { smoke: false, seed: 2022, operands: FRESH_OPERANDS };
     let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--smoke" => args.smoke = true,
-            "--seed" => {
-                let v = it.next().expect("--seed requires a value");
-                args.seed = v.parse().expect("--seed must be an integer");
+            "--seed" => args.seed = flag_value(&flag, it.next(), "an unsigned integer")?,
+            "--operands" => {
+                let n: NonZeroUsize = flag_value(&flag, it.next(), "a positive integer")?;
+                args.operands = n.get();
             }
-            "--operands" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => args.operands = n,
-                _ => usage(),
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
+            _ => {
+                let reason = "unknown flag (expected --smoke, --seed N, --operands N)".into();
+                return Err(ArgError { flag, reason });
             }
         }
     }
-    args
+    Ok(args)
 }
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
@@ -223,7 +220,7 @@ fn measure_peak_gflops(budget: f64, min_secs: f64) -> Option<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args();
+    let args = parse_args()?;
     let budget = if args.smoke { FLOP_BUDGET / 16.0 } else { FLOP_BUDGET };
     let min_secs = if args.smoke { MIN_BENCH_SECS / 16.0 } else { MIN_BENCH_SECS };
     let mut rng = Rng::seed_from_u64(args.seed);

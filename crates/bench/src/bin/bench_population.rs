@@ -54,6 +54,7 @@ use fl_sim::frequency::FrequencyPolicy;
 use fl_sim::selection::{ClientSelector, SelectionContext};
 use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::gate::{percentile_nearest_rank, Better, Record};
+use helcfl_bench::{flag_value, ArgError};
 use helcfl_telemetry::json::JsonObject;
 use helcfl_telemetry::Telemetry;
 use mec_sim::faults::{DigestConfig, FaultedRound};
@@ -93,28 +94,23 @@ struct Args {
     trace: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+/// Parses the flags, refusing with the flag named an unknown flag and
+/// a missing or malformed value.
+fn parse_args() -> Result<Args, ArgError> {
     let mut args = Args { smoke: false, seed: 2022, trace: None };
     let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--smoke" => args.smoke = true,
-            "--seed" => {
-                let v = it.next().expect("--seed requires a value");
-                args.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--trace" => {
-                let v = it.next().expect("--trace requires a path");
-                args.trace = Some(PathBuf::from(v));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_population [--smoke] [--seed N] [--trace PATH]");
-                std::process::exit(2);
+            "--seed" => args.seed = flag_value(&flag, it.next(), "an unsigned integer")?,
+            "--trace" => args.trace = Some(flag_value(&flag, it.next(), "a path")?),
+            _ => {
+                let reason = "unknown flag (expected --smoke, --seed N, --trace PATH)".into();
+                return Err(ArgError { flag, reason });
             }
         }
     }
-    args
+    Ok(args)
 }
 
 /// Refuses a run whose digest trace costs more than
@@ -136,7 +132,7 @@ fn target_for(q: usize) -> usize {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args();
+    let args = parse_args()?;
     let sizes = if args.smoke { &SIZES[..SMOKE_SIZES] } else { &SIZES[..] };
     // Measured rounds and untraced/traced overhead pairs per size. A
     // smoke round costs at most ~100 µs (Q ≤ 10^5), so the smoke run

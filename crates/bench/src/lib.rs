@@ -64,6 +64,22 @@ impl core::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// Parses the value that follows `flag` on the command line, refusing
+/// with the flag named when it is missing or does not parse as `what`.
+///
+/// # Errors
+///
+/// An [`ArgError`] for `flag` when `value` is `None` or malformed.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<String>,
+    what: &str,
+) -> Result<T, ArgError> {
+    let refuse = |reason| ArgError { flag: flag.to_string(), reason };
+    let v = value.ok_or_else(|| refuse(format!("missing value (expected {what})")))?;
+    v.parse().map_err(|_| refuse(format!("'{v}' is not {what}")))
+}
+
 /// Parses the shared `--fast` / `--seed N` / `--setting X` /
 /// `--trace-out PATH` CLI flags used by every experiment binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,26 +108,19 @@ impl CommonArgs {
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let refuse = |reason: String| ArgError { flag: flag.clone(), reason };
-            let mut value = |what: &str| {
-                args.next().ok_or_else(|| refuse(format!("missing value (expected {what})")))
-            };
             match flag.as_str() {
                 "--fast" => out.fast = true,
-                "--seed" => {
-                    let v = value("an unsigned integer")?;
-                    let seed =
-                        v.parse().map_err(|_| refuse(format!("'{v}' is not an unsigned integer")))?;
-                    out.seed = Some(seed);
-                }
+                "--seed" => out.seed = Some(flag_value(&flag, args.next(), "an unsigned integer")?),
                 "--setting" => {
-                    out.setting = Some(match value("iid or noniid")?.as_str() {
+                    let v: String = flag_value(&flag, args.next(), "iid or noniid")?;
+                    out.setting = Some(match v.as_str() {
                         "iid" => Setting::Iid,
                         "noniid" => Setting::NonIid,
                         other => return Err(refuse(format!("'{other}' is not iid or noniid"))),
                     });
                 }
                 "--trace-out" => {
-                    let path = value("a path")?;
+                    let path: String = flag_value(&flag, args.next(), "a path")?;
                     // Create the file now, so an unwritable path stops
                     // the binary before it trains anything.
                     Telemetry::to_file(&path)

@@ -1,0 +1,45 @@
+//! `bench_kernels` and `bench_population` refuse a missing or
+//! malformed flag value by name, with a non-zero exit and no panic,
+//! before they time anything.
+
+use std::process::Command;
+
+/// Runs `bin` with `args` in a fresh directory and returns its stderr,
+/// asserting that it failed, did not panic and wrote nothing.
+fn refused(bin: &str, tag: &str, args: &[&str]) -> String {
+    let dir = std::env::temp_dir().join(format!("helcfl_bench_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(bin).args(args).current_dir(&dir).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "{bin} accepted {args:?}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?} panicked: {stderr}");
+    assert!(!dir.join("results").exists(), "{bin} {args:?} wrote results");
+    std::fs::remove_dir_all(&dir).unwrap();
+    stderr
+}
+
+fn assert_refuses(bin: &str, tag: &str, args: &[&str], flag: &str) {
+    let stderr = refused(bin, tag, args);
+    assert!(stderr.contains(flag), "{args:?}: stderr does not name {flag}: {stderr}");
+}
+
+#[test]
+fn bench_kernels_refuses_bad_flags_by_name() {
+    let bin = env!("CARGO_BIN_EXE_bench_kernels");
+    assert_refuses(bin, "k_seed_missing", &["--smoke", "--seed"], "--seed");
+    assert_refuses(bin, "k_seed_bad", &["--seed", "-3"], "--seed");
+    assert_refuses(bin, "k_ops_missing", &["--operands"], "--operands");
+    assert_refuses(bin, "k_ops_zero", &["--operands", "0"], "--operands");
+    assert_refuses(bin, "k_ops_bad", &["--operands", "many"], "--operands");
+    assert_refuses(bin, "k_unknown", &["--seeed", "7"], "--seeed");
+}
+
+#[test]
+fn bench_population_refuses_bad_flags_by_name() {
+    let bin = env!("CARGO_BIN_EXE_bench_population");
+    assert_refuses(bin, "p_seed_missing", &["--smoke", "--seed"], "--seed");
+    assert_refuses(bin, "p_seed_bad", &["--seed", "2022x"], "--seed");
+    assert_refuses(bin, "p_trace_missing", &["--trace"], "--trace");
+    assert_refuses(bin, "p_unknown", &["--traces", "t.jsonl"], "--traces");
+}

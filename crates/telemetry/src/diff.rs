@@ -21,9 +21,10 @@
 //!   the unattributed residual (self time, coverage gaps) reported
 //!   rather than hidden.
 //!
-//! Like `gate`, the result carries optional thresholds so CI can fail
-//! on regression; like everything in this crate's read side, it never
-//! touches a live [`crate::Telemetry`] handle.
+//! The report is informational: it explains a regression and gates
+//! nothing (regression gating is `helcfl-trace gate`'s job, over bench
+//! reports with per-record bounds). Like everything in this crate's
+//! read side, it never touches a live [`crate::Telemetry`] handle.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,19 +34,9 @@ use crate::audit::{audit, AuditConfig};
 use crate::json::{JsonObject, JsonValue};
 use crate::metrics::{percentile_nearest_rank, Histogram};
 
-/// Thresholds and switches for [`diff_traces`].
-///
-/// All thresholds are optional; with none set the diff is purely
-/// informational and [`DiffReport::passed`] is always true.
+/// Switches for [`diff_traces`].
 #[derive(Debug, Clone, Default)]
 pub struct DiffConfig {
-    /// Fail when any phase's p50 grows by more than this percentage.
-    pub max_phase_p50_growth_pct: Option<f64>,
-    /// Fail when any phase's total time grows by more than this
-    /// percentage.
-    pub max_phase_total_growth_pct: Option<f64>,
-    /// Fail when total round time grows by more than this percentage.
-    pub max_round_total_growth_pct: Option<f64>,
     /// Skip the manifest compatibility check (comparing across seeds
     /// or schemes on purpose). The report notes the override.
     pub ignore_manifest: bool,
@@ -87,20 +78,11 @@ impl PhaseDelta {
             && self.base_total_us == self.cand_total_us
     }
 
-    /// Candidate-over-baseline growth of a statistic, in percent.
-    /// `None` when the baseline is zero (growth undefined).
-    fn growth_pct(base: f64, cand: f64) -> Option<f64> {
-        (base > 0.0).then(|| (cand - base) / base * 100.0)
-    }
-
-    /// p50 growth percentage, when defined.
-    pub fn p50_growth_pct(&self) -> Option<f64> {
-        Self::growth_pct(self.base_p50_us, self.cand_p50_us)
-    }
-
-    /// Total-time growth percentage, when defined.
+    /// Candidate-over-baseline growth of the total time, in percent.
+    /// `None` when the baseline total is zero (growth undefined).
     pub fn total_growth_pct(&self) -> Option<f64> {
-        Self::growth_pct(self.base_total_us as f64, self.cand_total_us as f64)
+        let (base, cand) = (self.base_total_us as f64, self.cand_total_us as f64);
+        (base > 0.0).then(|| (cand - base) / base * 100.0)
     }
 }
 
@@ -203,19 +185,12 @@ pub struct DiffReport {
     /// Round delta left unattributed by phase totals (self time /
     /// coverage gaps), µs.
     pub residual_us: i64,
-    /// Threshold violations; empty means [`DiffReport::passed`].
-    pub failures: Vec<String>,
     /// Non-fatal observations (manifest override, unauditable side,
     /// one-sided phases).
     pub notes: Vec<String>,
 }
 
 impl DiffReport {
-    /// True when no configured threshold was exceeded.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// True when the two traces agree exactly: same phase set, every
     /// phase and metric delta zero, equal round statistics.
     pub fn zero_delta(&self) -> bool {
@@ -279,8 +254,7 @@ impl DiffReport {
             })
             .collect();
         let mut o = JsonObject::new();
-        o.field("passed", self.passed())
-            .field("zero_delta", self.zero_delta())
+        o.field("zero_delta", self.zero_delta())
             .object("round", phase_json(&self.round))
             .field("phases", self.phases.iter().map(phase_json).collect::<Vec<_>>())
             .field("metrics", self.metrics.iter().map(metric_json).collect::<Vec<_>>())
@@ -298,7 +272,7 @@ impl DiffReport {
         } else {
             o.field("audit", Option::<bool>::None);
         }
-        o.field("failures", self.failures.clone()).field("notes", self.notes.clone());
+        o.field("notes", self.notes.clone());
         o
     }
 
@@ -306,11 +280,10 @@ impl DiffReport {
     /// contains the stable phrase `zero deltas` (grepped by CI).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let verdict = if self.passed() { "PASS" } else { "FAIL" };
         let r = &self.round;
         let _ = writeln!(
             out,
-            "diff: {verdict} — {} vs {} round(s), round total {} → {} µs{}",
+            "diff: {} vs {} round(s), round total {} → {} µs{}",
             r.base_count,
             r.cand_count,
             r.base_total_us,
@@ -397,9 +370,6 @@ impl DiffReport {
         }
         for note in &self.notes {
             let _ = writeln!(out, "  note: {note}");
-        }
-        for failure in &self.failures {
-            let _ = writeln!(out, "  FAIL: {failure}");
         }
         out
     }
@@ -701,40 +671,6 @@ pub fn diff_traces(
         }
     };
 
-    // Thresholds.
-    let mut failures = Vec::new();
-    if let Some(max) = cfg.max_round_total_growth_pct {
-        if let Some(growth) = round.total_growth_pct() {
-            if growth > max {
-                failures.push(format!(
-                    "round total grew {growth:+.2}% (budget {max:.2}%)"
-                ));
-            }
-        }
-    }
-    for p in &phases {
-        if let Some(max) = cfg.max_phase_p50_growth_pct {
-            if let Some(growth) = p.p50_growth_pct() {
-                if growth > max {
-                    failures.push(format!(
-                        "phase {} p50 grew {growth:+.2}% (budget {max:.2}%)",
-                        p.name
-                    ));
-                }
-            }
-        }
-        if let Some(max) = cfg.max_phase_total_growth_pct {
-            if let Some(growth) = p.total_growth_pct() {
-                if growth > max {
-                    failures.push(format!(
-                        "phase {} total grew {growth:+.2}% (budget {max:.2}%)",
-                        p.name
-                    ));
-                }
-            }
-        }
-    }
-
     Ok(DiffReport {
         round,
         phases,
@@ -742,7 +678,6 @@ pub fn diff_traces(
         audit: audit_delta,
         attribution,
         residual_us,
-        failures,
         notes,
     })
 }
@@ -780,16 +715,9 @@ mod tests {
     }
 
     #[test]
-    fn self_diff_reports_zero_deltas_and_passes() {
+    fn self_diff_reports_zero_deltas() {
         let trace = simple_trace(42, 900);
-        let cfg = DiffConfig {
-            max_phase_p50_growth_pct: Some(0.0),
-            max_phase_total_growth_pct: Some(0.0),
-            max_round_total_growth_pct: Some(0.0),
-            ..DiffConfig::default()
-        };
-        let report = diff_traces(&trace, &trace, &cfg).unwrap();
-        assert!(report.passed(), "{:?}", report.failures);
+        let report = diff_traces(&trace, &trace, &DiffConfig::default()).unwrap();
         assert!(report.zero_delta());
         assert!(report.round.is_zero());
         assert!(report.phases.iter().all(PhaseDelta::is_zero));
@@ -821,29 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_gate_growth() {
-        let base = simple_trace(42, 900);
-        let cand = simple_trace(42, 1900);
-        let cfg = DiffConfig {
-            max_phase_total_growth_pct: Some(50.0),
-            ..DiffConfig::default()
-        };
-        let report = diff_traces(&base, &cand, &cfg).unwrap();
-        assert!(!report.passed());
-        assert!(
-            report.failures.iter().any(|f| f.contains("local_update")),
-            "{:?}",
-            report.failures
-        );
-        // Within budget: passes.
-        let loose = DiffConfig {
-            max_phase_total_growth_pct: Some(200.0),
-            ..DiffConfig::default()
-        };
-        assert!(diff_traces(&base, &cand, &loose).unwrap().passed());
-    }
-
-    #[test]
     fn resumed_runs_diff_cleanly_and_are_noted() {
         let base = simple_trace(42, 900);
         // Same experiment, but the candidate trace was produced by a
@@ -852,7 +757,7 @@ mod tests {
         cand.manifests[0].resumed_from = Some("deadbeefdeadbeef".to_string());
         cand.manifests[0].start_round = Some(17);
         let report = diff_traces(&base, &cand, &DiffConfig::default()).unwrap();
-        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.zero_delta());
         let note = report
             .notes
             .iter()
@@ -872,7 +777,7 @@ mod tests {
         assert!(err.contains("42") && err.contains("43"), "{err}");
 
         // --ignore-manifest overrides, with a note.
-        let cfg = DiffConfig { ignore_manifest: true, ..DiffConfig::default() };
+        let cfg = DiffConfig { ignore_manifest: true };
         let report = diff_traces(&base, &cand, &cfg).unwrap();
         assert!(report.notes.iter().any(|n| n.contains("skipped")), "{:?}", report.notes);
     }

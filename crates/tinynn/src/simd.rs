@@ -13,30 +13,29 @@
 //! that equivalence against the naive oracle for every path the host
 //! supports.
 //!
-//! Three vector implementations exist behind one dispatch point:
+//! Two vector implementations sit beside the scalar kernels, behind
+//! one dispatch point ([`gemm_nn`], [`gemm_nn_noskip`], [`gemm_tn`]):
 //!
-//! | path        | width | mechanism |
-//! |-------------|-------|-----------|
-//! | `Avx512`    | 16    | `std::arch` zmm intrinsics, row kernel for TN and narrow NN |
-//! | `Avx2`      | 8     | `std::arch` ymm intrinsics, `maskload` tails |
-//! | `Portable8` | 8     | safe 8-wide chunked Rust (any arch) |
+//! | path     | width | mechanism |
+//! |----------|-------|-----------|
+//! | `Avx512` | 16    | `std::arch` zmm intrinsics, row kernel for TN and narrow NN |
+//! | `Avx2`   | 8     | `std::arch` ymm intrinsics, `maskload` tails |
+//! | `Scalar` | 1     | safe register-blocked Rust in `tensor.rs` (any arch) |
 //!
 //! The active path is chosen once per process (first kernel call) from
-//! CPU feature detection, overridable via `HELCFL_SIMD=off|on|auto`:
-//! `off` pins the scalar reference kernels, `on` insists on a vector
-//! path (portable fallback if no vector ISA is detected), `auto` (or
-//! unset) picks the best detected path. Unrecognized values warn once
-//! on stderr and fall back to `auto`, mirroring `threads_from_env` in
-//! `fl-sim`.
+//! CPU feature detection, overridable via `HELCFL_SIMD=off|auto`:
+//! `off` pins the scalar kernels, `auto` (or unset) picks the best
+//! detected path — `Scalar` on a host without AVX2, non-x86_64 hosts
+//! included. Unrecognized values warn once on stderr and fall back to
+//! `auto`, mirroring `threads_from_env` in `fl-sim`.
 //!
 //! The NN and TN kernels skip an addend whose left scalar is `±0.0`,
 //! like the scalar kernels: a skipped addend leaves the accumulator
 //! untouched. The vector paths implement the skip without a branch —
 //! the product is always computed and added under a lane mask (AVX-512
-//! `mask_add`, AVX2 `blendv`, a select in `Portable8`) that is empty
-//! for a zero scalar. On ReLU activations about half the scalars are
-//! zero in no learnable pattern, so a branch there is mispredicted
-//! about half the time.
+//! `mask_add`, AVX2 `blendv`) that is empty for a zero scalar. On ReLU
+//! activations about half the scalars are zero in no learnable
+//! pattern, so a branch there is mispredicted about half the time.
 //!
 //! Why no FMA anywhere: a fused multiply-add rounds once where the
 //! scalar contract rounds twice, so `mul`+`add` stay separate in every
@@ -46,10 +45,11 @@
 //! §17.
 
 // Crate-wide `#![deny(unsafe_code)]` is lifted for this module only:
-// the AVX2/AVX-512 kernels are raw std::arch intrinsics. The portable
-// and scalar paths remain safe code.
+// the AVX2/AVX-512 kernels are raw std::arch intrinsics. The scalar
+// path stays safe code in `tensor.rs`.
 #![allow(unsafe_code)]
 
+use crate::tensor::gemm_row;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -57,11 +57,9 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
     /// The register-blocked scalar kernels in `tensor.rs` — the
-    /// reference oracle every other path must match bit-for-bit.
+    /// reference oracle every other path must match bit-for-bit, and
+    /// the path of every host without AVX2 (non-x86_64 included).
     Scalar,
-    /// Safe 8-wide chunked Rust; the fallback when no vector ISA is
-    /// detected (or on non-x86_64 hosts).
-    Portable8,
     /// 8-lane `std::arch` AVX2 kernels with `maskload`/`maskstore`
     /// column tails.
     Avx2,
@@ -71,12 +69,11 @@ pub enum SimdPath {
 }
 
 impl SimdPath {
-    /// Short lower-case name (`scalar`, `portable8`, `avx2`,
-    /// `avx512`) for logs and telemetry.
+    /// Short lower-case name (`scalar`, `avx2`, `avx512`) for logs and
+    /// telemetry.
     pub fn name(self) -> &'static str {
         match self {
             SimdPath::Scalar => "scalar",
-            SimdPath::Portable8 => "portable8",
             SimdPath::Avx2 => "avx2",
             SimdPath::Avx512 => "avx512",
         }
@@ -87,7 +84,7 @@ impl SimdPath {
     pub fn lanes(self) -> usize {
         match self {
             SimdPath::Scalar => 1,
-            SimdPath::Portable8 | SimdPath::Avx2 => 8,
+            SimdPath::Avx2 => 8,
             SimdPath::Avx512 => 16,
         }
     }
@@ -104,8 +101,6 @@ impl std::fmt::Display for SimdPath {
 pub enum SimdMode {
     /// Pin the scalar reference kernels.
     Off,
-    /// Insist on a vector path (portable fallback if none detected).
-    On,
     /// Pick the best detected path (the default).
     Auto,
 }
@@ -118,18 +113,17 @@ pub fn simd_mode_from_env_value(raw: Option<&str>) -> (SimdMode, Option<String>)
     match raw.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => (SimdMode::Auto, None),
         "off" | "0" | "false" | "scalar" => (SimdMode::Off, None),
-        "on" | "1" | "true" | "simd" => (SimdMode::On, None),
         _ => (
             SimdMode::Auto,
             Some(format!(
-                "HELCFL_SIMD: unrecognized value {raw:?} (expected off|on|auto); using auto"
+                "HELCFL_SIMD: unrecognized value {raw:?} (expected off|auto); using auto"
             )),
         ),
     }
 }
 
-/// The widest vector path this host supports (`Portable8` when no
-/// vector ISA is detected, and on non-x86_64 architectures).
+/// The widest path this host supports (`Scalar` when no vector ISA is
+/// detected, and on non-x86_64 architectures).
 fn best_detected() -> SimdPath {
     #[cfg(target_arch = "x86_64")]
     {
@@ -140,13 +134,13 @@ fn best_detected() -> SimdPath {
             return SimdPath::Avx2;
         }
     }
-    SimdPath::Portable8
+    SimdPath::Scalar
 }
 
 /// Every path the host can execute, scalar first. Property tests
 /// iterate this to pin cross-path bit-equality on one machine.
 pub fn available_paths() -> Vec<SimdPath> {
-    let mut paths = vec![SimdPath::Scalar, SimdPath::Portable8];
+    let mut paths = vec![SimdPath::Scalar];
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -178,7 +172,7 @@ pub fn force_path_for_tests(path: Option<SimdPath>) {
 ///
 /// Resolved once per process from `HELCFL_SIMD` + CPU detection (a
 /// thread-local test override is consulted first). `off` → scalar,
-/// `on`/`auto` → the best detected vector path.
+/// `auto` → the best detected path.
 pub fn active_path() -> SimdPath {
     if let Some(forced) = FORCED.with(|f| f.get()) {
         return forced;
@@ -191,21 +185,20 @@ pub fn active_path() -> SimdPath {
         }
         match mode {
             SimdMode::Off => SimdPath::Scalar,
-            SimdMode::On | SimdMode::Auto => best_detected(),
+            SimdMode::Auto => best_detected(),
         }
     })
 }
 
 // ---------------------------------------------------------------------
-// Dispatch entry points (crate-internal; `tensor.rs` calls these for
-// every non-scalar path).
+// Dispatch entry points (crate-internal; every `tensor.rs` product
+// kernel calls one of these, which run the active path).
 // ---------------------------------------------------------------------
 
 /// `out(m×n) = lhs(m×k) · rhs(k×n)` with the scalar kernels' zero-skip
 /// on `lhs` entries, plus optional fused bias/ReLU epilogue.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_nn(
-    path: SimdPath,
     lhs: &[f32],
     m: usize,
     k: usize,
@@ -219,10 +212,7 @@ pub(crate) fn gemm_nn(
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     debug_assert!(bias.is_none_or(|b| b.len() == n));
-    match path {
-        SimdPath::Scalar | SimdPath::Portable8 => {
-            portable::nn::<true>(lhs, m, k, rhs, n, out, bias, relu);
-        }
+    match active_path() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects these paths when the CPU
         // reports the feature (best_detected / available_paths).
@@ -230,8 +220,12 @@ pub(crate) fn gemm_nn(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdPath::Avx512 => unsafe { avx512::nn::<true>(lhs, m, k, rhs, n, out, bias, relu) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => portable::nn::<true>(lhs, m, k, rhs, n, out, bias, relu),
+        // `Scalar`, the only path a non-x86_64 host resolves to.
+        _ => {
+            for (lhs_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                gemm_row::<true>(lhs_row, 1, k, rhs, n, out_row, bias, relu);
+            }
+        }
     }
 }
 
@@ -239,7 +233,6 @@ pub(crate) fn gemm_nn(
 /// packed-transpose form of `matmul_nt`, whose documented contract
 /// computes every addend.
 pub(crate) fn gemm_nn_noskip(
-    path: SimdPath,
     lhs: &[f32],
     m: usize,
     k: usize,
@@ -250,45 +243,41 @@ pub(crate) fn gemm_nn_noskip(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(panel.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    match path {
-        SimdPath::Scalar | SimdPath::Portable8 => {
-            portable::nn::<false>(lhs, m, k, panel, n, out, None, false);
-        }
+    match active_path() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: feature-gated by dispatch, as in `gemm_nn`.
         SimdPath::Avx2 => unsafe { avx2::nn::<false>(lhs, m, k, panel, n, out, None, false) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdPath::Avx512 => unsafe { avx512::nn::<false>(lhs, m, k, panel, n, out, None, false) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => portable::nn::<false>(lhs, m, k, panel, n, out, None, false),
+        _ => {
+            for (lhs_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                gemm_row::<false>(lhs_row, 1, k, panel, n, out_row, None, false);
+            }
+        }
     }
 }
 
 /// `out(m×n) = lhs(k×m)ᵀ · rhs(k×n)` with the scalar kernel's
 /// zero-skip on `lhs` entries (`lhs` is walked down its columns).
-pub(crate) fn gemm_tn(
-    path: SimdPath,
-    lhs: &[f32],
-    k: usize,
-    m: usize,
-    rhs: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
+pub(crate) fn gemm_tn(lhs: &[f32], k: usize, m: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(lhs.len(), k * m);
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    match path {
-        SimdPath::Scalar | SimdPath::Portable8 => portable::tn(lhs, k, m, rhs, n, out),
+    match active_path() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: feature-gated by dispatch, as in `gemm_nn`.
         SimdPath::Avx2 => unsafe { avx2::tn(lhs, k, m, rhs, n, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         SimdPath::Avx512 => unsafe { avx512::tn(lhs, k, m, rhs, n, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => portable::tn(lhs, k, m, rhs, n, out),
+        _ => {
+            // Element `r` of output row `i`'s reduction operand is
+            // column `i` of left row `r`: `lhs[i + r * m]`.
+            for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+                gemm_row::<true>(&lhs[i..], m, k, rhs, n, out_row, None, false);
+            }
+        }
     }
 }
 
@@ -307,97 +296,6 @@ pub fn mul_add_peak_flops(iters: usize) -> Option<f64> {
     }
     let _ = iters;
     None
-}
-
-// ---------------------------------------------------------------------
-// Portable 8-wide chunked fallback (safe Rust, any architecture).
-// ---------------------------------------------------------------------
-
-mod portable {
-    /// Finishes one chunk: optional bias add, optional ReLU clamp
-    /// (`v < 0.0` — NaN and `-0.0` pass through, like the scalar
-    /// epilogue), then store.
-    #[inline]
-    fn store(orow: &mut [f32], acc: &[f32], bias: Option<&[f32]>, j: usize, relu: bool) {
-        for (l, (o, &s)) in orow.iter_mut().zip(acc).enumerate() {
-            let v = match bias {
-                Some(bias) => s + bias[j + l],
-                None => s,
-            };
-            *o = if relu && v < 0.0 { 0.0 } else { v };
-        }
-    }
-
-    /// `acc += a·b` lane by lane, except that a zero `a` (with `SKIP`)
-    /// leaves `acc` untouched. The sum is always computed and the old
-    /// accumulator selected back, so there is no branch on the data.
-    #[inline]
-    fn accumulate<const SKIP: bool>(acc: &mut [f32], a: f32, brow: &[f32]) {
-        let skip = SKIP && a == 0.0;
-        for (s, &b) in acc.iter_mut().zip(brow) {
-            let sum = *s + a * b;
-            *s = if skip { *s } else { sum };
-        }
-    }
-
-    /// One output row in 8-wide column chunks plus one narrower tail
-    /// chunk. The reduction operand is `lhs[base + kk*stride]`
-    /// (`stride == 1` for NN, `stride == m` for TN), exactly like the
-    /// scalar `gemm_row`.
-    #[allow(clippy::too_many_arguments)]
-    fn row<const SKIP: bool>(
-        lhs: &[f32],
-        base: usize,
-        stride: usize,
-        len: usize,
-        rhs: &[f32],
-        n: usize,
-        orow: &mut [f32],
-        bias: Option<&[f32]>,
-        relu: bool,
-    ) {
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = [0.0f32; 8];
-            for kk in 0..len {
-                let brow = &rhs[kk * n + j..kk * n + j + 8];
-                accumulate::<SKIP>(&mut acc, lhs[base + kk * stride], brow);
-            }
-            store(&mut orow[j..j + 8], &acc, bias, j, relu);
-            j += 8;
-        }
-        if j < n {
-            let rem = n - j;
-            let mut acc = [0.0f32; 8];
-            for kk in 0..len {
-                let brow = &rhs[kk * n + j..kk * n + j + rem];
-                accumulate::<SKIP>(&mut acc[..rem], lhs[base + kk * stride], brow);
-            }
-            store(&mut orow[j..], &acc[..rem], bias, j, relu);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn nn<const SKIP: bool>(
-        lhs: &[f32],
-        m: usize,
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        out: &mut [f32],
-        bias: Option<&[f32]>,
-        relu: bool,
-    ) {
-        for (i, orow) in out.chunks_exact_mut(n).take(m).enumerate() {
-            row::<SKIP>(lhs, i * k, 1, k, rhs, n, orow, bias, relu);
-        }
-    }
-
-    pub fn tn(lhs: &[f32], k: usize, m: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
-        for (i, orow) in out.chunks_exact_mut(n).take(m).enumerate() {
-            row::<true>(lhs, i, m, k, rhs, n, orow, None, false);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1097,30 +995,31 @@ mod tests {
         for v in ["off", "OFF", "0", "false", "scalar", " Scalar "] {
             assert_eq!(simd_mode_from_env_value(Some(v)), (SimdMode::Off, None), "{v:?}");
         }
-        for v in ["on", "ON", "1", "true", "simd", " SIMD "] {
-            assert_eq!(simd_mode_from_env_value(Some(v)), (SimdMode::On, None), "{v:?}");
+        // `on` and its aliases name no path: like any unknown value,
+        // they warn, then run auto.
+        for v in ["avx9000", "on", "ON", "1", "true", "simd", " SIMD "] {
+            let (mode, warning) = simd_mode_from_env_value(Some(v));
+            assert_eq!(mode, SimdMode::Auto, "{v:?}");
+            let warning = warning.expect("unknown value must warn");
+            assert!(warning.contains(v), "{warning}");
+            assert!(warning.contains("off|auto"), "{warning}");
         }
-        let (mode, warning) = simd_mode_from_env_value(Some("avx9000"));
-        assert_eq!(mode, SimdMode::Auto);
-        let warning = warning.expect("unknown value must warn");
-        assert!(warning.contains("avx9000"), "{warning}");
     }
 
     #[test]
-    fn available_paths_start_with_scalar_and_portable() {
+    fn available_paths_start_with_scalar() {
         let paths = available_paths();
         assert_eq!(paths[0], SimdPath::Scalar);
-        assert_eq!(paths[1], SimdPath::Portable8);
         // Whatever else the host offers must be a vector path.
-        for p in &paths[2..] {
+        for p in &paths[1..] {
             assert!(matches!(p, SimdPath::Avx2 | SimdPath::Avx512));
         }
     }
 
     #[test]
     fn force_path_overrides_and_restores() {
-        force_path_for_tests(Some(SimdPath::Portable8));
-        assert_eq!(active_path(), SimdPath::Portable8);
+        force_path_for_tests(Some(SimdPath::Scalar));
+        assert_eq!(active_path(), SimdPath::Scalar);
         force_path_for_tests(None);
         // Back to the process-wide choice, whatever it is.
         let p = active_path();
@@ -1130,7 +1029,6 @@ mod tests {
     #[test]
     fn path_names_are_stable() {
         assert_eq!(SimdPath::Scalar.name(), "scalar");
-        assert_eq!(SimdPath::Portable8.name(), "portable8");
         assert_eq!(SimdPath::Avx2.name(), "avx2");
         assert_eq!(SimdPath::Avx512.to_string(), "avx512");
     }

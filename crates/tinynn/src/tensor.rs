@@ -9,9 +9,15 @@
 //! fixed (ascending reduction index, one accumulator per element)
 //! regardless of blocking, which keeps results bit-identical across
 //! buffer reuse, blocking width, and thread counts.
+//!
+//! The register-blocked kernels here ([`gemm_row`] and its blocks) are
+//! the `Scalar` path: the safe-Rust reference every vector path in
+//! [`crate::simd`] matches bit for bit, and the path of every host
+//! without AVX2. Every product goes through one dispatch call into
+//! [`crate::simd`], which runs the active path.
 
 use crate::error::{NnError, Result};
-use crate::simd::{self, SimdPath};
+use crate::simd;
 
 /// Output columns per wide register block: each block keeps this many
 /// `f32` accumulators live in vector registers across the whole
@@ -23,26 +29,20 @@ use crate::simd::{self, SimdPath};
 /// lanes to amortize it.
 const WIDE: usize = 32;
 
-/// Output elements per [`Matrix::matmul_nt_into`] block: that kernel
-/// has no zero skip, so its block width is chosen for dependency-chain
-/// parallelism (independent scalar accumulators), not branch
-/// amortization.
-const NT_BLOCK: usize = 8;
-
 /// Accumulates one register block of an output row.
 ///
 /// Element `k` of the reduction operand lives at `lhs[k * stride]`
 /// (`stride == 1` for a contiguous row, `stride == cols` for a
-/// transposed-left walk). For each `k` with a nonzero operand —
-/// the zero test sits here, hoisted out of the unrolled column loop —
-/// the block adds `a * rhs[k][j..j + W]` into `W` register
-/// accumulators. Every accumulator sees the ascending-`k` addition
-/// sequence of the naive kernel starting from `0.0`, so the stored
-/// block is bit-identical to the unblocked result while the per-`k`
-/// read-modify-write of the output row is gone.
+/// transposed-left walk). For each `k` — with `SKIP`, only each `k`
+/// with a nonzero operand; the zero test sits here, hoisted out of the
+/// unrolled column loop — the block adds `a * rhs[k][j..j + W]` into
+/// `W` register accumulators. Every accumulator sees the ascending-`k`
+/// addition sequence of the naive kernel starting from `0.0`, so the
+/// stored block is bit-identical to the unblocked result while the
+/// per-`k` read-modify-write of the output row is gone.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gemm_block<const W: usize>(
+fn gemm_block<const W: usize, const SKIP: bool>(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -56,7 +56,7 @@ fn gemm_block<const W: usize>(
     let mut acc = [0.0f32; W];
     for k in 0..len {
         let a = lhs[k * stride];
-        if a == 0.0 {
+        if SKIP && a == 0.0 {
             continue;
         }
         let row = &rhs[k * cols + j..k * cols + j + W];
@@ -90,7 +90,7 @@ fn gemm_block<const W: usize>(
 /// accumulator array is simply used partially.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tail(
+fn gemm_tail<const SKIP: bool>(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -107,7 +107,7 @@ fn gemm_tail(
     let acc = &mut acc[..width];
     for k in 0..len {
         let a = lhs[k * stride];
-        if a == 0.0 {
+        if SKIP && a == 0.0 {
             continue;
         }
         let row = &rhs[k * cols + j..k * cols + j + width];
@@ -132,9 +132,11 @@ fn gemm_tail(
 
 /// One full output row via [`gemm_block`]: wide blocks, then a single
 /// runtime-width [`gemm_tail`] for whatever is left, all sharing the
-/// one reduction operand described by `(lhs, stride, len)`.
+/// one reduction operand described by `(lhs, stride, len)`. `SKIP`
+/// skips the addends of a `±0.0` operand (NN and TN); without it every
+/// addend is computed (the packed `matmul_nt`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_row(
+pub(crate) fn gemm_row<const SKIP: bool>(
     lhs: &[f32],
     stride: usize,
     len: usize,
@@ -147,19 +149,19 @@ fn gemm_row(
     let mut j = 0;
     let mut wide = out_row.chunks_exact_mut(WIDE);
     for chunk in wide.by_ref() {
-        gemm_block::<WIDE>(lhs, stride, len, rhs, cols, j, chunk, bias, relu);
+        gemm_block::<WIDE, SKIP>(lhs, stride, len, rhs, cols, j, chunk, bias, relu);
         j += WIDE;
     }
     let rem = wide.into_remainder();
     if !rem.is_empty() {
-        gemm_tail(lhs, stride, len, rhs, cols, j, rem, bias, relu);
+        gemm_tail::<SKIP>(lhs, stride, len, rhs, cols, j, rem, bias, relu);
     }
 }
 
 thread_local! {
-    /// Per-thread packing scratch for the SIMD `matmul_nt_into` path:
-    /// the transposed right operand is staged here so the product can
-    /// run through the contiguous no-skip NN kernel. Reused across
+    /// Per-thread packing scratch for `matmul_nt_into`: the transposed
+    /// right operand is staged here so the product can run through the
+    /// contiguous no-skip NN kernel of the active path. Reused across
     /// calls, so steady-state training stays allocation-free.
     static NT_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -202,16 +204,7 @@ pub(crate) fn matmul_bias_rows_into(
         });
     }
     out.resize_for_kernel(rows, rhs.cols)?;
-    match simd::active_path() {
-        SimdPath::Scalar => {
-            for (lhs_row, out_row) in
-                lhs.chunks_exact(cols).zip(out.data.chunks_exact_mut(rhs.cols))
-            {
-                gemm_row(lhs_row, 1, cols, &rhs.data, rhs.cols, out_row, Some(bias), relu);
-            }
-        }
-        path => simd::gemm_nn(path, lhs, rows, cols, &rhs.data, rhs.cols, &mut out.data, Some(bias), relu),
-    }
+    simd::gemm_nn(lhs, rows, cols, &rhs.data, rhs.cols, &mut out.data, Some(bias), relu);
     Ok(())
 }
 
@@ -489,26 +482,8 @@ impl Matrix {
             });
         }
         out.resize_for_kernel(self.rows, rhs.cols)?;
-        match simd::active_path() {
-            SimdPath::Scalar => {
-                for i in 0..self.rows {
-                    let lhs_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    gemm_row(lhs_row, 1, self.cols, &rhs.data, rhs.cols, out_row, None, false);
-                }
-            }
-            path => simd::gemm_nn(
-                path,
-                &self.data,
-                self.rows,
-                self.cols,
-                &rhs.data,
-                rhs.cols,
-                &mut out.data,
-                None,
-                false,
-            ),
-        }
+        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        simd::gemm_nn(&self.data, m, k, &rhs.data, n, &mut out.data, None, false);
         Ok(())
     }
 
@@ -581,35 +556,7 @@ impl Matrix {
             });
         }
         out.resize_for_kernel(self.cols, rhs.cols)?;
-        match simd::active_path() {
-            SimdPath::Scalar => {
-                for i in 0..self.cols {
-                    // Element `r` of this output row's reduction operand is
-                    // column `i` of left row `r`: `self.data[i + r * cols]`.
-                    let lhs_col = &self.data[i..];
-                    let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    gemm_row(
-                        lhs_col,
-                        self.cols,
-                        self.rows,
-                        &rhs.data,
-                        rhs.cols,
-                        out_row,
-                        None,
-                        false,
-                    );
-                }
-            }
-            path => simd::gemm_tn(
-                path,
-                &self.data,
-                self.rows,
-                self.cols,
-                &rhs.data,
-                rhs.cols,
-                &mut out.data,
-            ),
-        }
+        simd::gemm_tn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
         Ok(())
     }
 
@@ -632,12 +579,10 @@ impl Matrix {
     /// Each output element is an independent ascending-`k` dot product
     /// over the shared column index (no zero skip — this kernel's
     /// documented contract, since its left operand is a gradient, not
-    /// a ReLU activation). Blocks of [`NT_BLOCK`] `rhs` rows share one
-    /// streamed pass over the left row, with one register accumulator
-    /// per output element — eight independent dependency chains keep
-    /// the FPU busy even when the reduction is as short as the
-    /// 10-class head gradient — so results match the naive loop bit
-    /// for bit.
+    /// a ReLU activation). `rhsᵀ` is staged in a per-thread panel and
+    /// the product runs through the active path's no-skip NN kernel:
+    /// one register accumulator per output element, fed the naive
+    /// loop's addend sequence, so results match it bit for bit.
     ///
     /// # Errors
     ///
@@ -652,80 +597,19 @@ impl Matrix {
             });
         }
         out.resize_for_kernel(self.rows, rhs.rows)?;
-        match simd::active_path() {
-            SimdPath::Scalar => self.matmul_nt_scalar(rhs, out),
-            path => {
-                // Stage `rhsᵀ` in a per-thread panel, then run the
-                // contiguous no-skip NN kernel over it — the identical
-                // ascending-`k` addend sequence per output element, so
-                // the result is bit-for-bit the direct kernel's.
-                NT_PANEL.with(|panel| {
-                    let mut panel = panel.borrow_mut();
-                    let (n, k) = rhs.shape();
-                    panel.clear();
-                    panel.resize(k * n, 0.0);
-                    for (j, row) in rhs.data.chunks_exact(k).enumerate() {
-                        for (kk, &v) in row.iter().enumerate() {
-                            panel[kk * n + j] = v;
-                        }
-                    }
-                    simd::gemm_nn_noskip(
-                        path,
-                        &self.data,
-                        self.rows,
-                        self.cols,
-                        &panel,
-                        n,
-                        &mut out.data,
-                    );
-                });
+        NT_PANEL.with(|panel| {
+            let mut panel = panel.borrow_mut();
+            let (n, k) = rhs.shape();
+            panel.clear();
+            panel.resize(k * n, 0.0);
+            for (j, row) in rhs.data.chunks_exact(k).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    panel[kk * n + j] = v;
+                }
             }
-        }
+            simd::gemm_nn_noskip(&self.data, self.rows, self.cols, &panel, n, &mut out.data);
+        });
         Ok(())
-    }
-
-    /// The direct (unpacked) scalar `self · rhsᵀ` kernel — the
-    /// reference the packed SIMD form must match bit-for-bit.
-    fn matmul_nt_scalar(&self, rhs: &Self, out: &mut Self) {
-        let cols = self.cols;
-        for i in 0..self.rows {
-            let left_row = &self.data[i * cols..(i + 1) * cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            let mut j = 0;
-            let mut blocks = out_row.chunks_exact_mut(NT_BLOCK);
-            for chunk in blocks.by_ref() {
-                let r0 = &rhs.data[j * cols..(j + 1) * cols];
-                let r1 = &rhs.data[(j + 1) * cols..(j + 2) * cols];
-                let r2 = &rhs.data[(j + 2) * cols..(j + 3) * cols];
-                let r3 = &rhs.data[(j + 3) * cols..(j + 4) * cols];
-                let r4 = &rhs.data[(j + 4) * cols..(j + 5) * cols];
-                let r5 = &rhs.data[(j + 5) * cols..(j + 6) * cols];
-                let r6 = &rhs.data[(j + 6) * cols..(j + 7) * cols];
-                let r7 = &rhs.data[(j + 7) * cols..(j + 8) * cols];
-                let mut acc = [0.0f32; NT_BLOCK];
-                for (k, &a) in left_row.iter().enumerate() {
-                    acc[0] += a * r0[k];
-                    acc[1] += a * r1[k];
-                    acc[2] += a * r2[k];
-                    acc[3] += a * r3[k];
-                    acc[4] += a * r4[k];
-                    acc[5] += a * r5[k];
-                    acc[6] += a * r6[k];
-                    acc[7] += a * r7[k];
-                }
-                chunk.copy_from_slice(&acc);
-                j += NT_BLOCK;
-            }
-            for o in blocks.into_remainder().iter_mut() {
-                let right_row = &rhs.data[j * cols..(j + 1) * cols];
-                let mut acc = 0.0;
-                for (&a, &b) in left_row.iter().zip(right_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-                j += 1;
-            }
-        }
     }
 
     /// Adds `row` to every row of `self` in place (bias broadcast).

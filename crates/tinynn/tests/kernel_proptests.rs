@@ -12,9 +12,10 @@
 //! Seeded deterministic case loops (no external property-test crate),
 //! with the case index in every assertion message. Shapes deliberately
 //! straddle the kernels' blocking boundaries (`WIDE = 32` column
-//! blocks, the runtime-width tail, `matmul_nt`'s 8-column unroll) and
-//! include degenerate 1×N / N×1 / k=1 forms; sparse inputs exercise
-//! the zero-skip path, which must be a pure no-op on the result.
+//! blocks, the runtime-width tail, the vector paths' 8- and 16-lane
+//! strips) and include degenerate 1×N / N×1 / k=1 forms; sparse inputs
+//! exercise the zero-skip path, which must be a pure no-op on the
+//! result.
 
 use detrand::Rng;
 use tinynn::activation::relu_backward_inplace;
@@ -68,8 +69,8 @@ fn gen_sparse(rng: &mut Rng, rows: usize, cols: usize, sparsity: f32) -> Matrix 
 }
 
 /// Shape triple for one case: dimensions hug the blocking boundaries
-/// (1, WIDE−1=31, WIDE=32, WIDE+1=33, NT_BLOCK=8 multiples, …) as well
-/// as arbitrary sizes.
+/// (1, WIDE−1=31, WIDE=32, WIDE+1=33, 8-lane multiples, …) as well as
+/// arbitrary sizes.
 fn gen_shape(rng: &mut Rng) -> (usize, usize, usize) {
     const EDGES: [usize; 9] = [1, 2, 7, 8, 9, 31, 32, 33, 40];
     let dim = |rng: &mut Rng| {
@@ -152,6 +153,21 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str, case: usize) {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
+            "case {case}: {what} differs at flat index {idx}: {g} vs {w}"
+        );
+    }
+}
+
+/// [`assert_bits_eq`], except that any NaN matches any NaN. Where one
+/// sum meets NaNs of two bit patterns (a NaN operand and the default
+/// NaN of `0·inf`), which one survives depends on the operand order the
+/// compiler picks for the commutative add, so a NaN's payload and sign
+/// are not part of the kernel contract.
+fn assert_bits_eq_but_nan_payload(got: &Matrix, want: &Matrix, what: &str, case: usize) {
+    assert_eq!(got.shape(), want.shape(), "case {case}: {what} shape");
+    for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
             "case {case}: {what} differs at flat index {idx}: {g} vs {w}"
         );
     }
@@ -258,8 +274,8 @@ fn degenerate_shapes_are_exact_too() {
     }
 }
 
-/// Every kernel path the host supports — scalar, portable 8-wide, and
-/// whatever vector ISAs are detected — must produce the oracle's bits
+/// Every kernel path the host supports — scalar and whatever vector
+/// ISAs are detected — must produce the oracle's bits
 /// on the full shape distribution. Each path matching the same oracle
 /// also pins scalar-vs-SIMD bit-identity directly.
 #[test]
@@ -482,7 +498,7 @@ fn adversarial_pair(
 /// 16-row block: 15 rows are all left over, 17 and 20 split into one
 /// block plus leftovers. `n` covers every narrow width (the row kernel
 /// keeps one accumulator per column), the full-vector strips (16 and 64
-/// wide on AVX-512, 8 and 32 on AVX2/portable) and the masked tails.
+/// wide on AVX-512, 8 and 32 on AVX2) and the masked tails.
 /// `k` lies inside one 16-deep transpose block or straddles two. The
 /// values are the ones where adding a computed zero product would
 /// differ from skipping it. Every path must match the scalar oracle bit
@@ -541,6 +557,57 @@ fn zero_skip_is_exact_on_adversarial_values_at_every_skip_site() {
             case += 1;
         }
     }
+}
+
+/// `matmul_nt` has the opposite contract to NN and TN: its left operand
+/// is a gradient, not a ReLU activation, so it skips nothing. On the
+/// [`adversarial_pair`] values every dead reduction index (a `±0.0`
+/// left scalar against a right `±inf` or NaN) computes `0·inf` or
+/// `0·NaN` and adds it, so the output element is NaN exactly where the
+/// naive no-skip oracle has one. The shapes are the zero-skip suite's:
+/// `matmul_nt` packs `rhsᵀ` and runs the no-skip NN kernel of every
+/// path over the same strips, tails and row blocks, so a skipping
+/// kernel in that route fails here on every path.
+#[test]
+fn matmul_nt_computes_every_addend_on_adversarial_values() {
+    let paths = available_paths();
+    let mut rng = Rng::seed_from_u64(0x4e4e_0026);
+    let mut case = 0;
+    let mut poisoned = 0;
+    let widths = || (1..=16).chain([74]);
+    let shapes = [9, 14, 15, 17, 20].into_iter().flat_map(|m| widths().map(move |n| (m, n)));
+    for (m, n) in shapes {
+        for k in [11, 20] {
+            let (a, b) = adversarial_pair(&mut rng, m, k, n, |kk, i| i * k + kk);
+            // `b` is k×n; `matmul_nt` takes its right operand as n×k.
+            let bt: Vec<f32> = (0..n * k).map(|idx| b[(idx % k) * n + idx / k]).collect();
+            let a = Matrix::from_vec(m, k, a).unwrap();
+            let bt = Matrix::from_vec(n, k, bt).unwrap();
+            let want = naive_matmul_nt(&a, &bt);
+            for i in 0..m {
+                let nan_row = a.row(i).iter().any(|v| v.is_nan());
+                for j in 0..n {
+                    let zero_times_special =
+                        (0..k).any(|kk| a.at(i, kk) == 0.0 && !bt.at(j, kk).is_finite());
+                    assert_eq!(
+                        want.at(i, j).is_nan(),
+                        nan_row || zero_times_special,
+                        "case {case}: matmul_nt {m}x{k}x{n} oracle element ({i}, {j})"
+                    );
+                    poisoned += usize::from(zero_times_special && !nan_row);
+                }
+            }
+            let mut got = Matrix::zeros(1, 1).unwrap();
+            for &path in &paths {
+                let _guard = PathGuard::force(path);
+                a.matmul_nt_into(&bt, &mut got).unwrap();
+                let what = format!("matmul_nt {m}x{k}x{n} adversarial[{}]", path.name());
+                assert_bits_eq_but_nan_payload(&got, &want, &what, case);
+            }
+            case += 1;
+        }
+    }
+    assert!(poisoned > 0, "no element depends on a computed 0·inf or 0·NaN addend");
 }
 
 /// The branchy ReLU mask that `relu_backward_inplace` replaced, kept as
