@@ -23,13 +23,13 @@ echo "==> benchmark smoke test: bench_suite checks and pinned histories"
 # reports at BENCHMARK.json's bounds, and results/BENCH_suite_smoke.json
 # is the per-metric median of 12 --smoke runs on the 2-vCPU host, but
 # a single smoke run failed that gate in 10 of 36 runs of an unchanged
-# tree (ROADMAP item 2), so the step stays out until it is reliable.
+# tree (ROADMAP item 6), so the step stays out until it is reliable.
 cargo test --release --offline --manifest-path bench_suite/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> telemetry smoke: traced reproduce + trace validation + audit"
+echo "==> telemetry smoke: traced reproduce + trace validation + audit + watch"
 # Run from a scratch directory: the smoke run's reduced-scale CSVs and
 # trace must not clobber the full-scale artifacts tracked in results/.
 repo_root="$PWD"
@@ -44,6 +44,11 @@ trap 'rm -rf "$smoke_dir"' EXIT
   # Replay the trace against the analytic model: slack ≥ 0, TDMA
   # serialization, E ∝ f², and delay-neutrality where claimed.
   "$repo_root/target/release/helcfl-trace" audit results/trace_reproduce.jsonl
+  # `watch` is the only live view of a run: on the finished trace it
+  # must report the training phases and exit on the metrics line.
+  "$repo_root/target/release/helcfl-trace" watch results/trace_reproduce.jsonl \
+    --interval-ms 10 > watch.txt
+  grep -q local_update watch.txt
 )
 
 echo "==> observability gates: self-diff, flame, series, manifest refusal"

@@ -14,6 +14,11 @@
 //!
 //! Results land in `results/fault_sweep_{setting}.csv`.
 //!
+//! With `HELCFL_CHECKPOINT` set, a sweep must name its `--setting`:
+//! checkpoint rings are keyed by scheme, seed and config fingerprint,
+//! which do not tell the two data settings apart, so a sweep over both
+//! is refused rather than resuming IID histories as Non-IID ones.
+//!
 //! CI modes (used by `ci.sh`):
 //!
 //! * `fault_sweep --smoke` — one seeded HELCFL run on the fast IID
@@ -34,6 +39,7 @@
 use std::fs;
 use std::path::Path;
 
+use fl_sim::checkpoint::CHECKPOINT_ENV;
 use fl_sim::faults::{DegradationPolicy, FaultConfig};
 use fl_sim::history::TrainingHistory;
 use helcfl_bench::{CommonArgs, PaperScenario, Scheme, Setting};
@@ -129,6 +135,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let args = CommonArgs::parse(raw)?;
+    let settings = args.settings();
+    if settings.len() > 1 && std::env::var_os(CHECKPOINT_ENV).is_some() {
+        return Err(format!(
+            "{CHECKPOINT_ENV} is set but no --setting was given: the IID and Non-IID \
+             runs share checkpoint rings, so the Non-IID sweep would resume the IID \
+             histories; pass --setting iid or --setting noniid, or unset it"
+        )
+        .into());
+    }
     let scenario = args.scenario();
     let tele = args.telemetry("fault_sweep")?;
     println!(
@@ -136,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.num_devices, scenario.max_rounds
     );
 
-    for setting in args.settings() {
+    for setting in settings {
         let mut csv = String::from(
             "rate,scheme,final_accuracy,best_accuracy,delivered_fraction,\
              total_energy_j,wasted_energy_j,rounds_aggregated\n",

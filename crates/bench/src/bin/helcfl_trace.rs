@@ -36,13 +36,15 @@
 //! timeseries with rolling-median/MAD anomaly flags, catching phases
 //! that drift *within* one long run.
 //!
-//! `watch` tails a trace that is *still being written*: the runner
-//! flushes whole rounds at its round barrier, so each poll parses the
-//! well-formed prefix (a partially-flushed tail line and
-//! not-yet-parented spans are skipped, not fatal), prints a one-line
-//! snapshot whenever new rounds land (announcing each run_manifest as
-//! it appears), and exits once the trailing metrics line marks the run
-//! finished.
+//! `watch` tails a trace that is *still being written*. The runner
+//! flushes at every round barrier, but its file buffer can also spill
+//! in the middle of a round, so each poll parses the well-formed
+//! prefix: a partially-flushed tail line and spans whose `round` has
+//! not landed are skipped, not fatal. It announces each run_manifest
+//! as it appears, prints a one-line snapshot whenever new rounds land
+//! (rounds, rounds/s over the seconds the round spans cover, and the
+//! top three phases with their share and mean µs), and exits once the
+//! trailing metrics line marks the run finished.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -256,21 +258,27 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
             if b.rounds > last_rounds || (finished && !reported_final) {
                 last_rounds = b.rounds;
                 reported_final = finished;
-                let top = b.phases.first().map_or_else(
-                    || "-".to_string(),
-                    |p| {
+                let spanned_us = b.rounds_total_us.max(1) as f64;
+                let top: Vec<String> = b
+                    .phases
+                    .iter()
+                    .take(3)
+                    .map(|p| {
                         format!(
-                            "{} {:.0}%",
+                            "{} {:.0}% {:.0}µs",
                             p.name,
-                            100.0 * p.total_us as f64 / b.rounds_total_us.max(1) as f64
+                            100.0 * p.total_us as f64 / spanned_us,
+                            p.total_us as f64 / p.count as f64
                         )
-                    },
-                );
+                    })
+                    .collect();
+                let top = if top.is_empty() { "-".to_string() } else { top.join(", ") };
                 println!(
-                    "watch: {} round(s), {:.2} s spanned, top phase {top}, \
+                    "watch: {} round(s), {:.2} s spanned, {:.1} rounds/s, top phases {top}, \
                      {pending} pending line(s)",
                     b.rounds,
                     b.rounds_total_us as f64 / 1e6,
+                    b.rounds as f64 * 1e6 / spanned_us,
                 );
             }
         }

@@ -1,18 +1,21 @@
 //! `bench_kernels` and `bench_population` refuse a missing or
-//! malformed flag value by name, with a non-zero exit and no panic,
-//! before they time anything.
+//! malformed flag value by name, and `fault_sweep` refuses a
+//! checkpointed sweep over both data settings, each with exit code 1
+//! and no panic, before they run anything.
 
 use std::process::Command;
 
-/// Runs `bin` with `args` in a fresh directory and returns its stderr,
-/// asserting that it failed, did not panic and wrote nothing.
-fn refused(bin: &str, tag: &str, args: &[&str]) -> String {
+/// Runs `bin` with `args` and `env` in a fresh directory and returns
+/// its stderr, asserting that it exited 1, did not panic and wrote
+/// nothing.
+fn refused(bin: &str, tag: &str, args: &[&str], env: &[(&str, &str)]) -> String {
     let dir = std::env::temp_dir().join(format!("helcfl_bench_cli_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(bin).args(args).current_dir(&dir).output().unwrap();
+    let out =
+        Command::new(bin).args(args).envs(env.iter().copied()).current_dir(&dir).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(!out.status.success(), "{bin} accepted {args:?}");
+    assert_eq!(out.status.code(), Some(1), "{bin} {args:?} {env:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{bin} {args:?} panicked: {stderr}");
     assert!(!dir.join("results").exists(), "{bin} {args:?} wrote results");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -20,7 +23,7 @@ fn refused(bin: &str, tag: &str, args: &[&str]) -> String {
 }
 
 fn assert_refuses(bin: &str, tag: &str, args: &[&str], flag: &str) {
-    let stderr = refused(bin, tag, args);
+    let stderr = refused(bin, tag, args, &[]);
     assert!(stderr.contains(flag), "{args:?}: stderr does not name {flag}: {stderr}");
 }
 
@@ -42,4 +45,15 @@ fn bench_population_refuses_bad_flags_by_name() {
     assert_refuses(bin, "p_seed_bad", &["--seed", "2022x"], "--seed");
     assert_refuses(bin, "p_trace_missing", &["--trace"], "--trace");
     assert_refuses(bin, "p_unknown", &["--traces", "t.jsonl"], "--traces");
+}
+
+/// Checkpoint rings do not tell the data settings apart, so a sweep
+/// over both would resume the IID histories as Non-IID ones.
+#[test]
+fn fault_sweep_refuses_a_checkpointed_sweep_over_both_settings() {
+    let bin = env!("CARGO_BIN_EXE_fault_sweep");
+    let stderr = refused(bin, "f_ckpt", &["--fast"], &[("HELCFL_CHECKPOINT", "ckpt")]);
+    for name in ["HELCFL_CHECKPOINT", "--setting"] {
+        assert!(stderr.contains(name), "stderr does not name {name}: {stderr}");
+    }
 }

@@ -100,6 +100,9 @@ fn watch_exits_cleanly_when_the_run_is_finished() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("1 round(s)"), "missing snapshot line: {stdout}");
+    // One 20 ms round whose only phase is `timeline`.
+    assert!(stdout.contains("50.0 rounds/s"), "missing round rate: {stdout}");
+    assert!(stdout.contains("top phases timeline 100% 20000µs"), "missing phases: {stdout}");
     assert!(stdout.contains("run finished"), "missing exit reason: {stdout}");
     fs::remove_dir_all(&dir).ok();
 }

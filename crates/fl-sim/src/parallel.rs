@@ -65,6 +65,15 @@ pub fn worker_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The width of a pool asked for `workers` over `clients` clients and
+/// an `eval_rows`-row evaluation set: at most the largest job it can be
+/// given — one item per client, or one per [`EVAL_CHUNK_ROWS`]-row
+/// evaluation chunk — since a wider pool's extra workers would never
+/// receive an item. At least 1.
+pub fn pool_width(workers: usize, clients: usize, eval_rows: usize) -> usize {
+    workers.min(clients.max(eval_rows.div_ceil(EVAL_CHUNK_ROWS))).max(1)
+}
+
 fn record_item(
     local: &mut MetricsRegistry,
     label: &str,
@@ -534,11 +543,12 @@ impl TrainerPool<'_> {
 }
 
 /// Creates a persistent [`TrainerPool`] over `clients`/`eval_set` and
-/// runs `body` with it. With `workers <= 1` no threads are spawned and
-/// every job runs inline on the calling thread; otherwise `workers`
-/// threads (each owning one [`ClientTrainer`]) are spawned once, park
-/// between jobs, and are joined when `body` returns — the pool
-/// lifecycle is exactly the `body` call.
+/// runs `body` with it. The pool is [`pool_width`] workers wide. With
+/// a width of 1 no threads are spawned and every job runs inline on
+/// the calling thread; otherwise that many threads (each owning one
+/// [`ClientTrainer`]) are spawned once, park between jobs, and are
+/// joined when `body` returns — the pool lifecycle is exactly the
+/// `body` call.
 ///
 /// # Errors
 ///
@@ -550,7 +560,7 @@ pub fn with_trainer_pool<R>(
     eval_set: &LabeledSet,
     body: impl FnOnce(&mut TrainerPool<'_>) -> Result<R>,
 ) -> Result<R> {
-    let workers = workers.max(1);
+    let workers = pool_width(workers, clients.len(), eval_set.len());
     if workers == 1 {
         let mut pool = TrainerPool {
             clients,
@@ -576,13 +586,7 @@ pub fn with_trainer_pool<R>(
     std::thread::scope(|scope| {
         let shared = &shared;
         for (wid, trainer) in trainers.into_iter().enumerate() {
-            scope.spawn(move || {
-                // Claim this worker's ShardedSink buffer up front, so
-                // any event emitted from worker context lands in its
-                // own shard instead of contending on a global lock.
-                helcfl_telemetry::register_shard(wid);
-                worker_loop(wid, workers, trainer, shared, clients, eval_set);
-            });
+            scope.spawn(move || worker_loop(wid, workers, trainer, shared, clients, eval_set));
         }
         let _shutdown = ShutdownGuard { shared };
         let mut pool = TrainerPool { clients, eval_set, workers, mode: PoolMode::Pooled(shared) };
@@ -1136,6 +1140,21 @@ mod tests {
         })
         .unwrap();
         assert_eq!(inline, pooled);
+    }
+
+    #[test]
+    fn pool_width_is_bounded_by_the_largest_job() {
+        // 700 eval rows are ceil(700/256) = 3 chunks. Past the larger
+        // of that and the client count, a worker would never get an
+        // item, so the pool never spawns it.
+        let (task, clients, _, _) = pool_fixture();
+        for (n_clients, bound) in [(4, 4), (2, 3)] {
+            let clients = &clients[..n_clients];
+            let width =
+                with_trainer_pool(32, &[6, 8, 4], clients, task.test(), |pool| Ok(pool.workers()))
+                    .unwrap();
+            assert_eq!(width, bound, "{n_clients} clients");
+        }
     }
 
     #[test]

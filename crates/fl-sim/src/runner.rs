@@ -10,10 +10,9 @@
 //! for every thread count.
 
 use std::sync::Once;
-use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, Rng};
-use helcfl_telemetry::{resource, span, Class, ProgressSink, RoundSnapshot, Telemetry};
+use helcfl_telemetry::{resource, span, Class, Telemetry};
 use mec_sim::battery::Battery;
 use mec_sim::device::DeviceId;
 use mec_sim::faults::DigestConfig;
@@ -30,7 +29,7 @@ use crate::error::{FlError, Result};
 use crate::faults::{DegradationPolicy, DeviceFault, FaultConfig, FaultPlan, FaultedRound};
 use crate::frequency::FrequencyPolicy;
 use crate::history::{RoundRecord, TrainingHistory};
-use crate::parallel::{with_trainer_pool, worker_threads};
+use crate::parallel::{pool_width, with_trainer_pool, worker_threads};
 use crate::partition::Partition;
 use crate::seeds::{derive, SeedDomain};
 use crate::selection::{
@@ -486,11 +485,9 @@ fn trace_mode_override(configured: Option<usize>) -> Option<usize> {
 /// instead carries one `cohort_digest` aggregate plus the sampled
 /// exemplar `device_activity` spans. Every round additionally records
 /// Runtime-class resource gauges (`runtime.rss_bytes`,
-/// `runtime.peak_rss_bytes`, `fleet.memory_bytes`, and
-/// `pool.busy_share`/`pool.idle_share` pool utilization), feeds the
-/// opt-in `HELCFL_PROGRESS` live monitor, and ends with a sink flush —
-/// the round barrier on which sharded sinks drain their per-worker
-/// buffers in fixed order.
+/// `runtime.peak_rss_bytes`, `fleet.memory_bytes`) and ends with a
+/// sink flush — the round barrier after which a tailing
+/// `helcfl-trace watch` sees the whole round.
 ///
 /// # Errors
 ///
@@ -506,7 +503,12 @@ pub fn run_federated_traced(
     let target = selection_target(setup.population.len(), config.fraction)?;
     let fault_plan = FaultPlan::new(config.faults, config.seed)?;
     let mut server = Flcc::new(&config.model_dims, derive(config.seed, SeedDomain::Model))?;
-    let workers = worker_threads(config.threads);
+    // The manifest and `pool_resolved` report the width the pool runs.
+    let workers = pool_width(
+        worker_threads(config.threads),
+        setup.clients.len(),
+        setup.eval_set.len(),
+    );
     // Trace-shape-only knobs may come from the environment because
     // neither participates in the config fingerprint.
     let digest_exemplars = trace_mode_override(config.digest_exemplars);
@@ -579,13 +581,7 @@ pub fn run_federated_traced(
     // exemplar choice is reproducible and independent of every other
     // consumer of the master seed.
     let digest_master = derive(config.seed, SeedDomain::DigestExemplars);
-    // Live run monitor (stderr; opt-in via HELCFL_PROGRESS). Wall-clock
-    // only — it never touches the trace stream or Sim metrics.
-    let mut progress = ProgressSink::from_env();
     let mut faults_cumulative: u64 = 0;
-    // Cumulative busy/idle nanoseconds already attributed to the pool,
-    // for per-round utilization deltas.
-    let mut pool_ns_seen = (0u64, 0u64);
     let fleet_bytes = setup.population.memory_bytes();
     // Reinstall the interrupted run's loop state. Per-round RNG
     // streams need no restore: training, fault, and exemplar streams
@@ -705,10 +701,6 @@ pub fn run_federated_traced(
     with_trainer_pool(workers, &config.model_dims, clients, eval_set, move |pool| {
     for round in start_round..=config.max_rounds {
         let mut round_span = span!(tele, "round", index = round);
-        // Wall-clock phase timing feeds only the live monitor; skip
-        // even the Instant reads when nobody is watching.
-        let timing = progress.is_some();
-        let mut phases: Vec<(&'static str, Duration)> = Vec::new();
         if tele.events_enabled() {
             // Fingerprint of this round's base RNG stream: two runs
             // that diverge can be bisected to the first round whose
@@ -750,7 +742,6 @@ pub fn run_federated_traced(
             .collect();
         let freqs = frequency_policy.frequencies_traced(&selected, config.payload, tele)?;
         span_phase.end();
-        let phase_t0 = timing.then(Instant::now);
         let mut span_phase = round_span.child("timeline");
         // An inert plan samples `None` for every device, and with no
         // round deadline the resolved round is the fault-free TDMA
@@ -787,9 +778,6 @@ pub fn run_federated_traced(
             }
         }
         span_phase.end();
-        if let Some(t0) = phase_t0 {
-            phases.push(("timeline", t0.elapsed()));
-        }
 
         // 2b. Delivery resolution + quorum. Indices into
         //     `selected_ids` whose update reached the aggregator, and
@@ -823,7 +811,6 @@ pub fn run_federated_traced(
         //    `(round, id)`), and the results come back in
         //    `delivered_idx` order, so both the fan-out and the
         //    skipped clients are invisible to the aggregation below.
-        let phase_t0 = timing.then(Instant::now);
         let span_phase = round_span.child("local_update");
         let global = server.broadcast();
         let client_indices: Vec<usize> =
@@ -837,9 +824,6 @@ pub fn run_federated_traced(
             updates.push((params, weight));
         }
         span_phase.end();
-        if let Some(t0) = phase_t0 {
-            phases.push(("local_update", t0.elapsed()));
-        }
 
         // 4. FedAvg integration (Alg. 1 line 10, Eq. 18) over the
         //    delivered updates, re-weighted by their shard sizes. A
@@ -876,13 +860,9 @@ pub fn run_federated_traced(
         span_phase.end();
         let evaluate_now = round % config.eval_every == 0 || round == config.max_rounds;
         let test_accuracy = if evaluate_now {
-            let phase_t0 = timing.then(Instant::now);
             let span_phase = round_span.child("evaluate");
             let accuracy = pool.evaluate(&server.broadcast(), tele)?.1;
             span_phase.end();
-            if let Some(t0) = phase_t0 {
-                phases.push(("evaluate", t0.elapsed()));
-            }
             evaluated_accuracies.push(accuracy);
             Some(accuracy)
         } else {
@@ -891,7 +871,6 @@ pub fn run_federated_traced(
         let train_loss =
             if updates.is_empty() { 0.0 } else { (loss_sum / updates.len() as f64) as f32 };
         let span_phase = round_span.child("bookkeeping");
-        let mut pool_busy: Option<f64> = None;
         tele.with_metrics(|m| {
             m.counter_add(Class::Sim, "round.completed", 1);
             m.counter_add(Class::Sim, "round.selected", selected_ids.len() as u64);
@@ -913,26 +892,6 @@ pub fn run_federated_traced(
             }
             if let Some(peak) = resource::peak_rss_bytes() {
                 m.gauge_set(Class::Runtime, "runtime.peak_rss_bytes", peak as f64);
-            }
-            // Pool utilization over this round: the delta of the
-            // cumulative per-worker busy/idle counters the train
-            // fan-out maintains.
-            let busy: u64 = (0..workers)
-                .map(|w| m.counter(&format!("local_update.worker{w}.busy_ns")))
-                .sum();
-            let idle: u64 = (0..workers)
-                .map(|w| m.counter(&format!("local_update.worker{w}.idle_ns")))
-                .sum();
-            let (db, di) = (
-                busy.saturating_sub(pool_ns_seen.0),
-                idle.saturating_sub(pool_ns_seen.1),
-            );
-            pool_ns_seen = (busy, idle);
-            if db + di > 0 {
-                let share = db as f64 / (db + di) as f64;
-                pool_busy = Some(share);
-                m.gauge_set(Class::Runtime, "pool.busy_share", share);
-                m.gauge_set(Class::Runtime, "pool.idle_share", 1.0 - share);
             }
         });
         let delivered_ids: Vec<DeviceId> =
@@ -957,18 +916,9 @@ pub fn run_federated_traced(
         });
         span_phase.end();
         faults_cumulative += sim.faults_fired() as u64;
-        if let Some(p) = progress.as_mut() {
-            p.record_round(&RoundSnapshot {
-                round,
-                phases: &phases,
-                pool_busy,
-                faults_fired: faults_cumulative,
-            });
-        }
         round_span.end();
-        // Round barrier: drain the per-worker shard buffers in fixed
-        // worker order and flush the sink, so a tailing
-        // `helcfl-trace watch` always sees whole rounds.
+        // Round barrier: flush the sink, so a tailing
+        // `helcfl-trace watch` sees every finished round.
         tele.flush();
 
         // 6a. Checkpoint cadence. The trace is synced to disk *before*

@@ -7,7 +7,7 @@
 use helcfl_telemetry::analyze::Trace;
 use helcfl_telemetry::audit::{audit, AuditConfig};
 use helcfl_telemetry::diff::{diff_traces, DiffConfig};
-use helcfl_telemetry::{MemorySink, MetricsRegistry, ShardedSink, Telemetry};
+use helcfl_telemetry::{MemorySink, MetricsRegistry, Telemetry};
 
 use fl_sim::dataset::{DatasetConfig, SyntheticTask};
 use fl_sim::frequency::MaxFrequency;
@@ -330,12 +330,12 @@ fn diff_refuses_a_tampered_seed_with_a_named_reason() {
         .expect("ignore_manifest must bypass the provenance check");
 }
 
-/// A [`ShardedSink`] in front of the same inner sink yields the same
-/// bytes as the unsharded sink, for 1/2/4/8 workers — the per-worker
-/// buffers and the round-barrier drain must be invisible in the
-/// output. Wall-clock span fields are scrubbed before comparing.
+/// The trace stream is the same bytes for 1/2/4/8 workers: every span
+/// and event is emitted by the round loop on the calling thread, so
+/// the pool's width is invisible in the output. Wall-clock span
+/// fields are scrubbed before comparing.
 #[test]
-fn sharded_sinks_match_the_single_sink_byte_for_byte() {
+fn trace_streams_match_across_worker_counts_byte_for_byte() {
     let reference = {
         let memory = MemorySink::new();
         let tele = Telemetry::with_sink(memory.clone());
@@ -346,23 +346,19 @@ fn sharded_sinks_match_the_single_sink_byte_for_byte() {
     assert!(!reference.is_empty());
     for workers in [1usize, 2, 4, 8] {
         let memory = MemorySink::new();
-        let tele = Telemetry::with_sink(ShardedSink::new(memory.clone(), workers));
+        let tele = Telemetry::with_sink(memory.clone());
         run_with(workers, &tele);
         tele.finish();
-        assert_eq!(
-            scrubbed(&memory.lines()),
-            reference,
-            "sharded sink with {workers} workers diverged"
-        );
+        assert_eq!(scrubbed(&memory.lines()), reference, "{workers} workers diverged");
     }
 }
 
-/// Back-to-back runs through one sharded telemetry handle leave no
-/// residue: the second run's stream is byte-identical to the first's.
+/// Back-to-back runs through one telemetry handle leave no residue:
+/// the second run's stream is byte-identical to the first's.
 #[test]
-fn sharded_sink_back_to_back_runs_emit_identical_streams() {
+fn back_to_back_runs_emit_identical_streams() {
     let memory = MemorySink::new();
-    let tele = Telemetry::with_sink(ShardedSink::new(memory.clone(), 4));
+    let tele = Telemetry::with_sink(memory.clone());
     run_with(2, &tele);
     let first = scrubbed(&memory.lines());
     run_with(2, &tele);

@@ -16,6 +16,10 @@
 //!   [`StderrSink`] (human-readable), selected at runtime via the
 //!   `HELCFL_TRACE` environment variable.
 //!
+//! A run is observed through its trace alone: `helcfl-trace watch`
+//! tails a JSONL trace while the run writes it, and the wall-clock
+//! resource gauges land in the final metrics line.
+//!
 //! The [`Telemetry`] handle ties them together and is designed to be
 //! passed by value everywhere: it is a clone-cheap
 //! `Option<Arc<...>>`, and every operation on a
@@ -45,7 +49,6 @@ pub mod diff;
 pub mod json;
 mod manifest;
 mod metrics;
-mod progress;
 mod report;
 pub mod resource;
 mod sink;
@@ -53,12 +56,8 @@ mod span;
 
 pub use manifest::{fnv1a_hex, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{percentile_nearest_rank, Class, Histogram, Metric, MetricsRegistry};
-pub use progress::{ProgressSink, ProgressTarget, RoundSnapshot, PROGRESS_ENV};
 pub use report::TelemetryReport;
-pub use sink::{
-    register_shard, Event, EventKind, JsonlSink, LineSink, MemorySink, NullSink,
-    ShardedSink, Sink, StderrSink,
-};
+pub use sink::{Event, EventKind, JsonlSink, MemorySink, NullSink, Sink, StderrSink};
 pub use span::{Span, Value};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -319,10 +318,11 @@ impl Telemetry {
         }
     }
 
-    /// Flushes the sink without emitting metrics — the round-barrier
-    /// drain point for buffering sinks like [`ShardedSink`], which
-    /// empty their per-worker buffers in fixed shard order here. Cheap
-    /// on non-buffering sinks; safe on a disabled handle.
+    /// Flushes the sink without emitting metrics — the round barrier a
+    /// tailing reader (`helcfl-trace watch`) sees: the runner calls it
+    /// after every round, so each finished round reaches the file
+    /// before the next one starts. Cheap on non-buffering sinks; safe
+    /// on a disabled handle.
     pub fn flush(&self) {
         if let Some(shared) = &self.shared {
             shared.sink.flush();

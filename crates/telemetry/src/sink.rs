@@ -238,123 +238,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// A [`Sink`] that can also accept pre-rendered JSONL lines.
-///
-/// [`ShardedSink`] buffers rendered lines per worker and replays them
-/// into its inner sink at flush barriers; this trait is the replay
-/// channel. Implemented by the sinks that store JSONL verbatim
-/// ([`JsonlSink`], [`MemorySink`]).
-pub trait LineSink: Sink {
-    /// Appends one already-rendered JSONL line.
-    fn write_jsonl_line(&self, line: &str);
-}
-
-impl LineSink for JsonlSink {
-    fn write_jsonl_line(&self, line: &str) {
-        self.write_line(line);
-    }
-}
-
-thread_local! {
-    /// Which [`ShardedSink`] shard the current thread writes into.
-    /// Unregistered threads (including the main thread) share shard 0.
-    static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Associates the calling thread with shard `shard` of every
-/// [`ShardedSink`] it subsequently emits into. Worker `w` of an
-/// `n`-worker pool registers shard `w`; the main thread stays on
-/// shard 0.
-pub fn register_shard(shard: usize) {
-    SHARD.with(|s| s.set(shard));
-}
-
-/// Per-worker event buffers in front of a [`LineSink`].
-///
-/// `emit` renders the event and appends it to the calling thread's own
-/// shard buffer — an uncontended lock per worker instead of one global
-/// sink mutex on the pool's hot path. [`Sink::flush`] (called by the
-/// runner at every round barrier) drains the shards **in fixed shard
-/// order** into the inner sink, so the emitted JSONL is byte-identical
-/// for any worker count: all of a barrier interval's shard-0 lines,
-/// then shard 1's, and so on — the same bytes whether 1 or 8 workers
-/// carried the round.
-///
-/// Today every span is emitted by the main thread (shard 0), so the
-/// sharded stream is ordering-identical to the unsharded one; the
-/// shards exist so worker-side emission never has to take a global
-/// lock, and the byte-equality tests pin that contract.
-pub struct ShardedSink<S: LineSink> {
-    inner: S,
-    shards: Vec<Mutex<Vec<String>>>,
-}
-
-impl<S: LineSink> ShardedSink<S> {
-    /// Wraps `inner` with `shards` per-worker buffers (at least one).
-    pub fn new(inner: S, shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            inner,
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Drains every shard, in shard order, into the inner sink.
-    fn drain(&self) {
-        for shard in &self.shards {
-            let mut lines = shard.lock().expect("shard lock poisoned");
-            for line in lines.drain(..) {
-                self.inner.write_jsonl_line(&line);
-            }
-        }
-    }
-}
-
-impl<S: LineSink> Sink for ShardedSink<S> {
-    fn emit(&self, event: &Event<'_>) {
-        let shard = SHARD.with(std::cell::Cell::get) % self.shards.len();
-        self.shards[shard]
-            .lock()
-            .expect("shard lock poisoned")
-            .push(event.to_json_line());
-    }
-
-    fn emit_manifest(&self, manifest: &RunManifest) {
-        // Manifests head the stream; drain anything already buffered
-        // (e.g. a previous run on a reused handle) so ordering holds.
-        self.drain();
-        self.inner.write_jsonl_line(&manifest.to_json_line());
-    }
-
-    fn emit_metrics(&self, registry: &MetricsRegistry) {
-        // The metrics line must land after every buffered event.
-        self.drain();
-        self.inner.emit_metrics(registry);
-    }
-
-    fn flush(&self) {
-        self.drain();
-        self.inner.flush();
-    }
-
-    fn flush_sync(&self) {
-        self.drain();
-        self.inner.flush_sync();
-    }
-}
-
-impl<S: LineSink> Drop for ShardedSink<S> {
-    fn drop(&mut self) {
-        self.drain();
-        self.inner.flush();
-    }
-}
-
 /// Writes human-readable one-line events to stderr.
 ///
 /// Selected with `HELCFL_TRACE=stderr`; useful for watching a run
@@ -417,12 +300,6 @@ impl Sink for MemorySink {
         let mut o = JsonObject::new();
         o.field("type", "metrics").object("metrics", registry.to_json());
         self.lines.lock().expect("memory sink lock poisoned").push(o.finish());
-    }
-}
-
-impl LineSink for MemorySink {
-    fn write_jsonl_line(&self, line: &str) {
-        self.lines.lock().expect("memory sink lock poisoned").push(line.to_string());
     }
 }
 
@@ -514,73 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sink_holds_lines_until_flush_then_drains_in_shard_order() {
-        let memory = MemorySink::new();
-        let sharded = ShardedSink::new(memory.clone(), 4);
-        sharded.emit(&point("a", 1));
-        sharded.emit(&point("b", 2));
-        assert!(memory.lines().is_empty(), "lines leaked before the barrier");
-        sharded.flush();
-        let lines = memory.lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""name":"a""#));
-        assert!(lines[1].contains(r#""name":"b""#));
-    }
-
-    #[test]
-    fn sharded_sink_orders_worker_shards_deterministically() {
-        // Emit from registered worker threads in scrambled wall-clock
-        // order; the flushed stream is in shard order regardless.
-        let run = |nshards: usize| -> Vec<String> {
-            let memory = MemorySink::new();
-            let sharded = std::sync::Arc::new(ShardedSink::new(memory.clone(), nshards));
-            std::thread::scope(|scope| {
-                for wid in (0..nshards).rev() {
-                    let sharded = std::sync::Arc::clone(&sharded);
-                    scope.spawn(move || {
-                        register_shard(wid);
-                        sharded.emit(&point("w", wid as u64));
-                    });
-                }
-            });
-            sharded.flush();
-            memory.lines()
-        };
-        let lines = run(4);
-        assert_eq!(lines.len(), 4);
-        for (shard, line) in lines.iter().enumerate() {
-            assert!(
-                line.contains(&format!(r#""id":{shard}"#)),
-                "shard {shard} out of order: {line}"
-            );
-        }
-        // Repeatable: same bytes on a rerun.
-        assert_eq!(lines, run(4));
-    }
-
-    #[test]
-    fn sharded_sink_metrics_line_lands_after_buffered_events() {
-        let memory = MemorySink::new();
-        let sharded = ShardedSink::new(memory.clone(), 2);
-        sharded.emit(&point("early", 1));
-        sharded.emit_metrics(&MetricsRegistry::new());
-        let lines = memory.lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""name":"early""#), "{lines:?}");
-        assert!(lines[1].contains(r#""type":"metrics""#), "{lines:?}");
-    }
-
-    #[test]
-    fn sharded_sink_drop_drains_outstanding_lines() {
-        let memory = MemorySink::new();
-        {
-            let sharded = ShardedSink::new(memory.clone(), 2);
-            sharded.emit(&point("tail", 9));
-        }
-        assert_eq!(memory.lines().len(), 1, "drop lost a buffered line");
-    }
-
-    #[test]
     fn jsonl_sink_create_fails_cleanly_on_unwritable_path() {
         // The path is a directory, so File::create must fail — the
         // error surfaces instead of panicking.
@@ -640,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_line_heads_a_sharded_stream() {
+    fn manifest_line_heads_the_stream() {
         let manifest = RunManifest {
             schema_version: crate::manifest::MANIFEST_SCHEMA_VERSION,
             seed: 1,
@@ -654,10 +464,9 @@ mod tests {
             start_round: None,
         };
         let memory = MemorySink::new();
-        let sharded = ShardedSink::new(memory.clone(), 2);
-        sharded.emit_manifest(&manifest);
-        sharded.emit(&point("a", 1));
-        sharded.flush();
+        memory.emit_manifest(&manifest);
+        memory.emit(&point("a", 1));
+        memory.flush();
         let lines = memory.lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""type":"run_manifest""#), "{lines:?}");
