@@ -38,12 +38,21 @@ trap 'rm -rf "$smoke_dir"' EXIT
 (
   cd "$smoke_dir"
   # Every federated run of the fast IID run set enters the trace: the
-  # lineup, HELCFL at f_max, and the η, C and battery sweeps.
+  # lineup, HELCFL at f_max, the η, C and battery sweeps, and the four
+  # federated schemes at every nonzero fault rate.
   HELCFL_TRACE=jsonl "$repo_root/target/release/reproduce" --fast --setting iid
   "$repo_root/target/release/helcfl-trace" check results/trace_reproduce.jsonl
   # Replay the trace against the analytic model: slack ≥ 0, TDMA
-  # serialization, E ∝ f², and delay-neutrality where claimed.
-  "$repo_root/target/release/helcfl-trace" audit results/trace_reproduce.jsonl
+  # serialization, E ∝ f², and delay-neutrality where claimed. The
+  # fault sweep's runs must reach the audit as faulted rounds: wasted
+  # energy reconciled, fault spans matching the metrics, and
+  # delay-neutrality exempted only where a fault actually fired.
+  "$repo_root/target/release/helcfl-trace" audit results/trace_reproduce.jsonl > audit.txt
+  cat audit.txt
+  if ! grep -Eq ", [1-9][0-9]* faulted," audit.txt; then
+    echo "ERROR: the reproduce trace holds no faulted round" >&2
+    exit 1
+  fi
   # `watch` is the only live view of a run: on the finished trace it
   # must report the training phases and exit on the metrics line.
   "$repo_root/target/release/helcfl-trace" watch results/trace_reproduce.jsonl \
@@ -78,24 +87,6 @@ echo "==> observability gates: self-diff, flame, series, manifest refusal"
   grep -q "seed" diff_refusal.txt
 )
 
-echo "==> fault smoke: seeded injection run + trace validation + audit"
-# A nonzero-rate fault plan must produce a trace that still satisfies
-# the (fault-aware) theory audit: wasted energy reconciled, fault spans
-# matching the metrics, delay-neutrality exempted only where a fault
-# actually fired.
-(
-  cd "$smoke_dir"
-  HELCFL_TRACE=jsonl "$repo_root/target/release/fault_sweep" --smoke
-  "$repo_root/target/release/helcfl-trace" check results/trace_fault_sweep.jsonl
-  "$repo_root/target/release/helcfl-trace" audit results/trace_fault_sweep.jsonl
-)
-
-echo "==> fault golden check: zero-fault engine equivalence"
-# An armed round deadline that never fires, with an inert fault plan,
-# must leave the committed HELCFL golden history byte-identical.
-"$repo_root/target/release/fault_sweep" --golden-check \
-  "$repo_root/results/golden/history_fast_iid_helcfl.csv"
-
 echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)"
 # Same-host, same-shape comparison (only the measurement budget
 # differs). The gate runs once per HELCFL_SIMD mode against that
@@ -118,12 +109,13 @@ echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)
     "$repo_root/results/BENCH_kernels_scalar.json" results/BENCH_kernels.json
 )
 
-echo "==> scalar determinism: fault golden check with SIMD forced off"
+echo "==> scalar determinism: scheme goldens with SIMD forced off"
 # The SIMD dispatch contract: kernel path selection is bit-invisible.
-# The committed golden history must reproduce byte-for-byte with the
-# scalar reference kernels pinned.
-HELCFL_SIMD=off "$repo_root/target/release/fault_sweep" --golden-check \
-  "$repo_root/results/golden/history_fast_iid_helcfl.csv"
+# Every lineup scheme's committed golden history must reproduce
+# byte-for-byte with the scalar reference kernels pinned, with and
+# without a never-firing round deadline. The workspace test step above
+# already ran the same suite on the auto-dispatched kernels.
+HELCFL_SIMD=off cargo test --release --offline -p helcfl-bench --test scheme_goldens
 
 echo "==> population gate: traced --smoke sweep + digest audit vs committed baseline"
 # The committed baseline sweeps to Q = 10^7; the smoke candidate stops

@@ -35,6 +35,7 @@
 
 use std::num::NonZeroUsize;
 use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use detrand::Rng;
@@ -219,7 +220,11 @@ fn measure_peak_gflops(budget: f64, min_secs: f64) -> Option<f64> {
     Some(flops_per_call / timings[0] / 1e9)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    helcfl_bench::exit_code("bench_kernels", run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args()?;
     let budget = if args.smoke { FLOP_BUDGET / 16.0 } else { FLOP_BUDGET };
     let min_secs = if args.smoke { MIN_BENCH_SECS / 16.0 } else { MIN_BENCH_SECS };

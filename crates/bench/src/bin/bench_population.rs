@@ -47,6 +47,7 @@
 //! without it the trace goes to a temp file that is deleted on exit.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Instant;
 
 use detrand::splitmix64;
@@ -131,7 +132,11 @@ fn target_for(q: usize) -> usize {
     (q / 1000).clamp(10, 10_000)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    helcfl_bench::exit_code("bench_population", run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args()?;
     let sizes = if args.smoke { &SIZES[..SMOKE_SIZES] } else { &SIZES[..] };
     // Measured rounds and untraced/traced overhead pairs per size. A

@@ -19,9 +19,9 @@
 //! A tamper pass then bit-flips both ring slots and asserts the next
 //! child refuses to resume, naming the checksum mismatch.
 //!
-//! Children enable checkpointing purely through the
-//! `HELCFL_CHECKPOINT=dir:interval` environment variable — the same
-//! path any production run behind the `Scheme` wrappers would use.
+//! Children read `HELCFL_CHECKPOINT=dir:interval` once, through
+//! `CheckpointConfig::from_env`, and put it on their own
+//! `TrainingConfig`, as `reproduce` does for each planned run.
 //!
 //! Usage: `chaos_resume --smoke [--seed N]` (CI) or
 //! `chaos_resume --child --out CSV` (internal child mode).
@@ -29,10 +29,11 @@
 use std::error::Error;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
 use detrand::Rng;
-use fl_sim::checkpoint::{CHAOS_KILL_ENV, CHAOS_TORN_ENV, CHECKPOINT_ENV};
+use fl_sim::checkpoint::{CheckpointConfig, CHAOS_KILL_ENV, CHAOS_TORN_ENV, CHECKPOINT_ENV};
+use fl_sim::runner::TrainingConfig;
 use helcfl_bench::{PaperScenario, Scheme, Setting};
 
 /// Checkpoint every this many rounds in the gauntlet; kept at 2 so
@@ -66,17 +67,19 @@ fn golden_csv() -> Result<String, Box<dyn Error>> {
     Ok(scheme.run(&mut setup, &config)?.to_csv())
 }
 
-/// Child mode: one fast-IID HELCFL run with checkpointing driven
-/// entirely by the environment the parent set. Writes the history CSV
-/// to `--out` when (if) the run completes.
+/// Child mode: one fast-IID HELCFL run checkpointing into the ring
+/// the parent's `HELCFL_CHECKPOINT` names. Writes the history CSV to
+/// `--out` when (if) the run completes.
 fn run_child(raw: &[String]) -> Result<(), Box<dyn Error>> {
     let out = raw
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| raw.get(i + 1))
         .ok_or("--child needs --out PATH")?;
+    let checkpoint =
+        CheckpointConfig::from_env().ok_or(format!("--child needs {CHECKPOINT_ENV}"))?;
     let scenario = PaperScenario::fast();
-    let config = scenario.training_config();
+    let config = TrainingConfig { checkpoint: Some(checkpoint), ..scenario.training_config() };
     let mut setup = scenario.setup(Setting::Iid)?;
     let scheme = Scheme::Helcfl { eta: 0.5, dvfs: true };
     let history = scheme.run(&mut setup, &config)?;
@@ -126,17 +129,12 @@ fn first_divergence(golden: &str, actual: &str) {
     );
 }
 
-/// Flips one bit in the middle of every checkpoint slot found under
-/// `dir` (env-driven checkpointing namespaces the ring into a
-/// per-experiment subdirectory, so the walk recurses).
+/// Flips one bit in the middle of every checkpoint slot in the ring
+/// `dir`.
 fn tamper_ring(dir: &Path) -> Result<usize, Box<dyn Error>> {
     let mut tampered = 0;
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_dir() {
-            tampered += tamper_ring(&path)?;
-            continue;
-        }
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if !(name.starts_with("checkpoint_") && name.ends_with(".json")) {
             continue;
@@ -260,7 +258,11 @@ fn run_smoke(raw: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn Error>> {
+fn main() -> ExitCode {
+    helcfl_bench::exit_code("chaos_resume", run())
+}
+
+fn run() -> Result<(), Box<dyn Error>> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--child") {
         return run_child(&raw);

@@ -1,19 +1,22 @@
 //! `reproduce` — every artifact of the paper's §VII, and this
-//! reproduction's ablations A1–A4, from one deduplicated set of runs.
+//! reproduction's ablations A1–A4 and fault sweep, from one
+//! deduplicated set of runs.
 //!
 //! The binary plans the training runs each view reads, as
 //! `(Scheme, Setting, TrainingConfig)` triples with every override
 //! already applied, and drops any run equal to one planned before it.
-//! Per setting that leaves 20 distinct runs: the five-scheme lineup,
+//! Per setting that leaves 36 distinct runs: the five-scheme lineup,
 //! HELCFL at `f_max`, five more η values, three more selection
-//! fractions C and six battery runs. (A sweep point equal to the
-//! lineup's configuration, such as η = 0.5, is the lineup's run.) Each
-//! distinct run trains once and writes its history to
+//! fractions C, six battery runs and the four federated schemes at
+//! four nonzero fault rates. (A sweep point equal to the lineup's
+//! configuration, such as η = 0.5 or fault rate 0, is the lineup's
+//! run.) Each distinct run trains once and writes its history to
 //! `results/<setting>_<run>.{csv,jsonl}`, where `<run>` is the scheme
 //! label plus every override, e.g. `helcfl`, `helcfl-nodvfs`,
-//! `helcfl-eta0.9`, `helcfl-c0.2`, `helcfl-nodvfs-battery50`. The
-//! tables are then printed as views over the finished runs: Fig. 1
-//! (no training), Fig. 2, Table I, Fig. 3, and A1–A4.
+//! `helcfl-eta0.9`, `helcfl-c0.2`, `helcfl-nodvfs-battery50`,
+//! `fedcs-faults0.1`. The tables are then printed as views over the
+//! finished runs: Fig. 1 (no training), Fig. 2, Table I, Fig. 3, A1–A4
+//! and the fault sweep.
 //!
 //! Usage: `reproduce [--fast] [--seed N] [--setting iid|noniid]
 //! [--trace-out PATH]`
@@ -23,17 +26,19 @@
 //! `--trace-out PATH`); `HELCFL_TRACE=stderr` prints them live. Either
 //! way a metrics summary lands on stderr after the runs.
 //!
-//! `HELCFL_CHECKPOINT` is refused: its rings are keyed by selector
-//! name, seed and config fingerprint, which do not tell apart runs
-//! that differ only in η, DVFS or data setting, so a later run would
-//! resume an earlier run's finished history.
+//! Checkpointing: `HELCFL_CHECKPOINT=dir[:interval]` gives each planned
+//! run the ring `dir/<setting>_<run>`, so a rerun resumes every
+//! federated run from its newest valid checkpoint instead of
+//! retraining it. A ring made under another seed or scale is refused
+//! by the field that differs.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fl_sim::checkpoint::CHECKPOINT_ENV;
+use fl_sim::checkpoint::CheckpointConfig;
+use fl_sim::faults::FaultConfig;
 use fl_sim::frequency::FrequencyPolicy;
 use fl_sim::history::{RoundRecord, TrainingHistory};
 use fl_sim::runner::TrainingConfig;
@@ -56,6 +61,9 @@ const FRACTIONS: [f64; 4] = [0.05, 0.1, 0.2, 0.4];
 /// visibly thins out within the run: a participating device spends
 /// roughly 2–6 J per round.
 const BUDGETS: [f64; 3] = [50.0, 100.0, 200.0];
+/// The fault sweep's uniform per-device fault rates: crash, straggler,
+/// upload failure and channel degradation each fire at the rate.
+const FAULT_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.3];
 
 /// One training run, every override already applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +79,7 @@ impl Run {
     }
 
     /// The history's file stem: the setting, the scheme label, and
-    /// every override of the lineup's η, C and battery.
+    /// every override of the lineup's η, C, battery and faults.
     fn name(&self, base: &TrainingConfig) -> String {
         let mut name = format!("{}_{}", self.setting, self.scheme.label());
         if let Scheme::Helcfl { eta, .. } = self.scheme {
@@ -84,6 +92,11 @@ impl Run {
         }
         if let Some(budget) = self.config.battery_capacity {
             name += &format!("-battery{}", budget.get());
+        }
+        // The fault sweep's plans are uniform, so one class's rate is
+        // the rate.
+        if self.config.faults != base.faults {
+            name += &format!("-faults{}", self.config.faults.crash_rate);
         }
         name
     }
@@ -131,6 +144,24 @@ impl Views {
         BUDGETS.iter().map(|&j| self.dvfs_pair(s, &config(j))).collect()
     }
 
+    /// The fault sweep: the lineup at each rate of [`FAULT_RATES`].
+    /// SL trains on-device with no upload to disturb, so it runs at
+    /// the base config at every rate.
+    fn faults(&self, s: Setting) -> Vec<Vec<Run>> {
+        (FAULT_RATES.iter())
+            .map(|&rate| {
+                let faulted =
+                    TrainingConfig { faults: FaultConfig::uniform(rate), ..self.base.clone() };
+                (Scheme::lineup().into_iter())
+                    .map(|scheme| {
+                        let config = if scheme == Scheme::Sl { &self.base } else { &faulted };
+                        Run::new(scheme, s, config)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// The distinct runs of every view, in first-planned order. Runs
     /// compare by value, so a sweep point equal to another run, such
     /// as A1's η = 0.5, is planned once.
@@ -141,7 +172,8 @@ impl Views {
                 .chain(self.dvfs_pair(s, &self.base))
                 .chain(self.etas(s))
                 .chain(self.fractions(s))
-                .chain(self.batteries(s).into_iter().flatten());
+                .chain(self.batteries(s).into_iter().flatten())
+                .chain(self.faults(s).into_iter().flatten());
             for run in runs {
                 if !plan.contains(&run) {
                     plan.push(run);
@@ -484,36 +516,64 @@ fn ablation_battery(v: &Views, set: &RunSet) {
     }
 }
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("reproduce: {err}");
-            ExitCode::FAILURE
-        }
+/// The fault sweep: how each scheme degrades as devices crash,
+/// straggle, fail uploads and lose channel gain more often.
+fn fault_sweep(v: &Views, set: &RunSet) {
+    println!("Fault sweep — uniform per-device fault rates {FAULT_RATES:?}");
+    for &s in &v.settings {
+        print_banner(s);
+        let rows: Vec<Vec<String>> = (FAULT_RATES.iter().zip(v.faults(s)))
+            .flat_map(|(rate, runs)| {
+                set.all(&runs).into_iter().map(move |h| {
+                    vec![
+                        rate.to_string(),
+                        h.scheme().to_string(),
+                        h.final_accuracy().map_or("-".into(), |a| format!("{a:.6}")),
+                        format!("{:.6}", h.best_accuracy()),
+                        format!("{:.6}", h.delivered_fraction()),
+                        format!("{:.6}", h.total_energy().get()),
+                        format!("{:.6}", h.total_wasted_energy().get()),
+                        h.rounds_aggregated().to_string(),
+                    ]
+                })
+            })
+            .collect();
+        let header = [
+            "rate",
+            "scheme",
+            "final acc",
+            "best acc",
+            "delivered",
+            "energy (J)",
+            "wasted (J)",
+            "rounds aggregated",
+        ];
+        println!("{}", ascii_table(&header, &rows));
     }
+}
+
+fn main() -> ExitCode {
+    helcfl_bench::exit_code("reproduce", run())
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse(std::env::args().skip(1))?;
-    if std::env::var_os(CHECKPOINT_ENV).is_some() {
-        return Err(format!(
-            "{CHECKPOINT_ENV} is set: reproduce's runs differ in η, DVFS and data \
-             setting, which its checkpoint rings do not tell apart, so a later run \
-             would resume an earlier run's history; unset it"
-        )
-        .into());
-    }
     let views = Views::new(args.scenario(), args.fast, args.settings());
     let tele = args.telemetry("reproduce")?;
+    let checkpoint = CheckpointConfig::from_env();
     let plan = views.plan();
     eprintln!("reproduce: {} distinct runs", plan.len());
     let mut runs = Vec::with_capacity(plan.len());
     for run in plan {
         let started = Instant::now();
-        let mut setup = views.scenario.setup(run.setting)?;
-        let history = run.scheme.run_traced(&mut setup, &run.config, &tele)?;
         let name = run.name(&views.base);
+        let config = TrainingConfig {
+            checkpoint: (checkpoint.clone())
+                .map(|cc| CheckpointConfig { dir: cc.dir.join(&name), ..cc }),
+            ..run.config.clone()
+        };
+        let mut setup = views.scenario.setup(run.setting)?;
+        let history = run.scheme.run_traced(&mut setup, &config, &tele)?;
         write_history(Path::new("results"), &name, &history)?;
         eprintln!(
             "  ran {name:<32} in {:.1}s (best accuracy {:.4})",
@@ -525,9 +585,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let set = RunSet(runs);
 
     fig1(&views.scenario)?;
-    for view in
-        [fig2, table1, fig3, ablation_eta, ablation_fraction, ablation_slack, ablation_battery]
-    {
+    for view in [
+        fig2,
+        table1,
+        fig3,
+        ablation_eta,
+        ablation_fraction,
+        ablation_slack,
+        ablation_battery,
+        fault_sweep,
+    ] {
         println!();
         view(&views, &set);
     }
@@ -548,11 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn one_setting_plans_twenty_distinct_runs_at_both_scales() {
+    fn one_setting_plans_thirty_six_distinct_runs_at_both_scales() {
         for fast in [false, true] {
             let v = views(fast);
             let plan = v.plan();
-            assert_eq!(plan.len(), 20, "fast = {fast}");
+            assert_eq!(plan.len(), 36, "fast = {fast}");
             let names: BTreeSet<_> = plan.iter().map(|r| r.name(&v.base)).collect();
             assert_eq!(names.len(), plan.len(), "file names collide: {names:?}");
         }
@@ -572,8 +639,31 @@ mod tests {
             names[..6],
             ["iid_helcfl", "iid_classic", "iid_fedcs", "iid_fedl", "iid_sl", "iid_helcfl-nodvfs"]
         );
-        for name in ["iid_helcfl-eta0.99", "iid_helcfl-c0.1", "iid_helcfl-nodvfs-battery50"] {
+        for name in [
+            "iid_helcfl-eta0.99",
+            "iid_helcfl-c0.1",
+            "iid_helcfl-nodvfs-battery50",
+            "iid_fedcs-faults0.05",
+            "iid_classic-faults0.3",
+        ] {
             assert!(names.iter().any(|n| n == name), "{name} not in {names:?}");
+        }
+    }
+
+    #[test]
+    fn the_zero_fault_rate_and_every_sl_point_are_the_lineup_runs() {
+        let v = views(true);
+        let s = Setting::Iid;
+        let lineup = v.lineup(s);
+        let faults = v.faults(s);
+        assert_eq!(faults.len(), FAULT_RATES.len());
+        assert_eq!(faults[0], lineup, "rate 0 is not the lineup");
+        for runs in &faults[1..] {
+            let (sl, federated) = runs.split_last().unwrap();
+            assert_eq!(sl, &lineup[4], "SL is not the lineup's SL");
+            for (run, plain) in federated.iter().zip(&lineup) {
+                assert_ne!(run, plain, "a nonzero rate merged into the lineup");
+            }
         }
     }
 }

@@ -1,10 +1,10 @@
 //! # helcfl-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the HELCFL paper's §VII, and
-//! this reproduction's ablations, from one binary, `reproduce`. It
-//! plans the distinct training runs, trains each once, writes each
-//! history to `results/<setting>_<run>.csv`, and prints every artifact
-//! as a view over the finished runs:
+//! this reproduction's ablations and fault sweep, from one binary,
+//! `reproduce`. It plans the distinct training runs, trains each once,
+//! writes each history to `results/<setting>_<run>.csv`, and prints
+//! every artifact as a view over the finished runs:
 //!
 //! | Artifact | What it prints |
 //! |---|---|
@@ -16,6 +16,7 @@
 //! | A2 | selection-fraction C sweep |
 //! | A3 | slack utilization across rounds |
 //! | A4 | battery-constrained training, DVFS on vs off |
+//! | Faults | the five schemes at uniform device fault rates 0–0.3 |
 //!
 //! `--fast` runs the reduced-scale scenario, `--setting iid|noniid`
 //! one data setting and `--seed N` another master seed (see
@@ -44,6 +45,8 @@ pub mod schemes;
 
 pub use scenario::{PaperScenario, Setting};
 pub use schemes::Scheme;
+
+use std::process::ExitCode;
 
 use helcfl_telemetry::Telemetry;
 
@@ -78,6 +81,18 @@ pub fn flag_value<T: std::str::FromStr>(
     let refuse = |reason| ArgError { flag: flag.to_string(), reason };
     let v = value.ok_or_else(|| refuse(format!("missing value (expected {what})")))?;
     v.parse().map_err(|_| refuse(format!("'{v}' is not {what}")))
+}
+
+/// The exit of a binary whose work is `result`: success, or its error
+/// printed as `<bin>: <error>` on stderr and exit code 1.
+pub fn exit_code(bin: &str, result: Result<(), Box<dyn std::error::Error>>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("{bin}: {err}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Parses the shared `--fast` / `--seed N` / `--setting X` /

@@ -1,13 +1,14 @@
 //! `bench_kernels` and `bench_population` refuse a missing or
-//! malformed flag value by name, and `fault_sweep` refuses a
-//! checkpointed sweep over both data settings, each with exit code 1
-//! and no panic, before they run anything.
+//! malformed flag value by name, and `chaos_resume` a missing mode or
+//! child setting, each with exit code 1, a plain-text message after
+//! the binary's name and no panic, before they run anything.
 
+use std::path::Path;
 use std::process::Command;
 
 /// Runs `bin` with `args` and `env` in a fresh directory and returns
-/// its stderr, asserting that it exited 1, did not panic and wrote
-/// nothing.
+/// its stderr, asserting that it exited 1, printed its error as plain
+/// text after its own name, did not panic and wrote nothing.
 fn refused(bin: &str, tag: &str, args: &[&str], env: &[(&str, &str)]) -> String {
     let dir = std::env::temp_dir().join(format!("helcfl_bench_cli_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -17,6 +18,9 @@ fn refused(bin: &str, tag: &str, args: &[&str], env: &[(&str, &str)]) -> String 
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{bin} {args:?} {env:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{bin} {args:?} panicked: {stderr}");
+    let name = Path::new(bin).file_name().unwrap().to_str().unwrap();
+    assert!(stderr.starts_with(&format!("{name}: ")), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("Error: \""), "{bin} {args:?} printed a Debug error: {stderr}");
     assert!(!dir.join("results").exists(), "{bin} {args:?} wrote results");
     std::fs::remove_dir_all(&dir).unwrap();
     stderr
@@ -47,13 +51,11 @@ fn bench_population_refuses_bad_flags_by_name() {
     assert_refuses(bin, "p_unknown", &["--traces", "t.jsonl"], "--traces");
 }
 
-/// Checkpoint rings do not tell the data settings apart, so a sweep
-/// over both would resume the IID histories as Non-IID ones.
 #[test]
-fn fault_sweep_refuses_a_checkpointed_sweep_over_both_settings() {
-    let bin = env!("CARGO_BIN_EXE_fault_sweep");
-    let stderr = refused(bin, "f_ckpt", &["--fast"], &[("HELCFL_CHECKPOINT", "ckpt")]);
-    for name in ["HELCFL_CHECKPOINT", "--setting"] {
-        assert!(stderr.contains(name), "stderr does not name {name}: {stderr}");
-    }
+fn chaos_resume_refuses_a_missing_mode_or_child_setting() {
+    let bin = env!("CARGO_BIN_EXE_chaos_resume");
+    assert_refuses(bin, "c_no_mode", &[], "--smoke");
+    assert_refuses(bin, "c_no_out", &["--child"], "--out");
+    let stderr = refused(bin, "c_no_ring", &["--child", "--out", "h.csv"], &[]);
+    assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
 }

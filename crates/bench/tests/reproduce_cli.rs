@@ -1,15 +1,15 @@
-//! `reproduce` end to end at `--fast` scale on the IID setting: the
-//! lineup reproduces the committed golden histories, every planned run
-//! writes a file of its own, and the DVFS and `f_max` arms differ in
-//! energy only.
+//! `reproduce` end to end at `--fast` scale: the lineup reproduces the
+//! committed golden histories, every planned run writes a file of its
+//! own, the DVFS and `f_max` arms differ in energy only, and
+//! `HELCFL_CHECKPOINT` gives every planned run a ring of its own.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// The 20 distinct runs of one setting at `--fast` scale, where the
+/// The 36 distinct runs of one setting at `--fast` scale, where the
 /// lineup's C is 0.2 and the C sweep's 0.1 point is a run of its own.
-const RUNS: [&str; 20] = [
+const RUNS: [&str; 36] = [
     "helcfl",
     "classic",
     "fedcs",
@@ -30,6 +30,22 @@ const RUNS: [&str; 20] = [
     "helcfl-nodvfs-battery100",
     "helcfl-battery200",
     "helcfl-nodvfs-battery200",
+    "helcfl-faults0.05",
+    "classic-faults0.05",
+    "fedcs-faults0.05",
+    "fedl-faults0.05",
+    "helcfl-faults0.1",
+    "classic-faults0.1",
+    "fedcs-faults0.1",
+    "fedl-faults0.1",
+    "helcfl-faults0.2",
+    "classic-faults0.2",
+    "fedcs-faults0.2",
+    "fedl-faults0.2",
+    "helcfl-faults0.3",
+    "classic-faults0.3",
+    "fedcs-faults0.3",
+    "fedl-faults0.3",
 ];
 
 /// The `column` values of a history CSV, one per round.
@@ -51,18 +67,40 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// Runs `reproduce --fast` with `args` and `env` in `dir`, asserting
+/// that it succeeded, and returns its stderr.
+fn reproduce(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("--fast")
+        .args(args)
+        .env_remove("HELCFL_TRACE")
+        .env_remove("HELCFL_CHECKPOINT")
+        .envs(env.iter().copied())
+        .current_dir(dir)
+        .stdout(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "reproduce {args:?} {env:?} failed: {stderr}");
+    stderr
+}
+
+/// Every CSV under `dir/results`, by file name.
+fn csvs(dir: &Path) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = fs::read_dir(dir.join("results"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
+        .map(|p| (p.file_name().unwrap().to_str().unwrap().to_string(), read(&p)))
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn fast_iid_run_set_matches_goldens_and_writes_one_file_per_run() {
     let dir = scratch_dir("fast");
-    let status = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--fast", "--setting", "iid"])
-        .env_remove("HELCFL_TRACE")
-        .current_dir(&dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success(), "reproduce failed: {status}");
+    reproduce(&dir, &["--setting", "iid"], &[]);
 
     let results = dir.join("results");
     let mut written: Vec<String> = fs::read_dir(&results)
@@ -123,10 +161,41 @@ fn a_misspelt_flag_is_refused_by_name() {
     assert!(stderr.contains("--seeed"), "stderr does not name the flag: {stderr}");
 }
 
-/// Env checkpoint rings do not tell apart runs that differ only in η,
-/// DVFS or setting, so resuming would hand one run another's history.
+/// The two settings' runs share scheme, seed and config, which is all
+/// a ring's identity check sees, so only the run name keeps the Non-IID
+/// runs from resuming the IID histories. A rerun resumes every
+/// federated run from its finished ring; SL has no round loop to
+/// checkpoint.
 #[test]
-fn an_exported_checkpoint_dir_is_refused_by_name() {
-    let stderr = refused("ckpt", &["--fast"], &[("HELCFL_CHECKPOINT", "ckpt")]);
-    assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
+fn each_planned_run_checkpoints_into_a_ring_of_its_own() {
+    let plain = scratch_dir("plain");
+    reproduce(&plain, &[], &[]);
+    let want = csvs(&plain);
+    assert_eq!(want.len(), 2 * RUNS.len());
+
+    let dir = scratch_dir("ckpt");
+    let ring = [("HELCFL_CHECKPOINT", "rings:10")];
+    for setting in ["iid", "noniid"] {
+        let stderr = reproduce(&dir, &["--setting", setting], &ring);
+        assert!(!stderr.contains("resuming"), "a {setting} run resumed another's ring: {stderr}");
+    }
+    assert!(csvs(&dir) == want, "checkpointed histories differ from the plain runs");
+    let mut rings: Vec<String> = fs::read_dir(dir.join("rings"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    rings.sort();
+    let mut federated: Vec<String> = (want.iter())
+        .map(|(file, _)| file.trim_end_matches(".csv").to_string())
+        .filter(|run| !run.ends_with("_sl"))
+        .collect();
+    federated.sort();
+    assert_eq!(rings, federated, "one ring per federated run");
+
+    let stderr = reproduce(&dir, &[], &ring);
+    let resumed = stderr.lines().filter(|l| l.contains("resuming after round")).count();
+    assert_eq!(resumed, federated.len(), "a rerun retrained: {stderr}");
+    assert!(csvs(&dir) == want, "resumed histories differ from the plain runs");
+    fs::remove_dir_all(&plain).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
 }

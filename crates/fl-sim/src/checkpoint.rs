@@ -33,11 +33,16 @@
 //! valid slot remains.
 //!
 //! Checkpointing is wired into
-//! [`crate::runner::run_federated_traced`] either programmatically
-//! (via [`crate::runner::TrainingConfig::checkpoint`]) or through the
-//! `HELCFL_CHECKPOINT=dir[:interval]` environment variable, so bench
-//! binaries and chaos harnesses can enable it without touching the
-//! call sites.
+//! [`crate::runner::run_federated_traced`] through
+//! [`crate::runner::TrainingConfig::checkpoint`] alone, and the ring
+//! lives in that config's directory exactly as given. A ring holds one
+//! run: resuming a run whose seed, scheme, config fingerprint or fleet
+//! size differs is refused, but two runs that differ only in what that
+//! identity leaves out (the data setting, HELCFL's η, the frequency
+//! policy) are not told apart, so each run needs a directory of its
+//! own. The library never reads [`CHECKPOINT_ENV`]; a binary that
+//! honours it parses it with [`CheckpointConfig::from_env`] and names
+//! one ring per run.
 
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -833,21 +838,6 @@ fn round_from_env(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse::<usize>().ok()
 }
 
-/// Per-experiment subdirectory used when checkpointing is enabled via
-/// [`CHECKPOINT_ENV`] rather than an explicit
-/// [`CheckpointConfig`](crate::runner::TrainingConfig::checkpoint):
-/// `<scheme>_seed<seed>_<fingerprint[..8]>`.
-///
-/// One exported `HELCFL_CHECKPOINT` must be safe for binaries that run
-/// several schemes or settings back to back; without namespacing, the
-/// second experiment would find the first's ring and (correctly)
-/// refuse to resume from it. An explicit config skips this and uses
-/// its directory exactly as given.
-pub fn experiment_subdir(scheme: &str, seed: u64, fingerprint: &str) -> String {
-    let fp = fingerprint.get(..8).unwrap_or(fingerprint);
-    format!("{scheme}_seed{seed}_{fp}")
-}
-
 /// Chaos-harness hook: if [`CHAOS_KILL_ENV`] names this round, the
 /// process SIGKILLs itself (a real, uncatchable kill — delivered via
 /// `kill -9`, with `abort` as the fallback when no `kill` binary
@@ -1150,18 +1140,6 @@ mod tests {
         // ...so the last good checkpoint is still loadable.
         assert_eq!(load_latest(&dir).unwrap().unwrap().checkpoint.round, 1);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn experiment_subdir_namespaces_by_identity() {
-        let a = experiment_subdir("helcfl", 2022, "deadbeefcafef00d");
-        assert_eq!(a, "helcfl_seed2022_deadbeef");
-        // Any identity field changing moves the ring elsewhere.
-        assert_ne!(a, experiment_subdir("fedcs", 2022, "deadbeefcafef00d"));
-        assert_ne!(a, experiment_subdir("helcfl", 2023, "deadbeefcafef00d"));
-        assert_ne!(a, experiment_subdir("helcfl", 2022, "0000beefcafef00d"));
-        // Degenerate fingerprints must not panic.
-        assert_eq!(experiment_subdir("x", 1, "ab"), "x_seed1_ab");
     }
 
     #[test]

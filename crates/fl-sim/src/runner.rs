@@ -97,11 +97,13 @@ pub struct TrainingConfig {
     /// `Some` writes a durable [`RunCheckpoint`] into the configured
     /// two-slot ring every `interval` completed rounds and resumes
     /// from the newest valid one on the next run. `None` (the
-    /// default) falls back to the `HELCFL_CHECKPOINT` environment
-    /// variable. Like `threads` and `digest_exemplars`, this field is
-    /// excluded from the config fingerprint: a resumed run's history
-    /// is bit-identical to the uninterrupted one, so checkpoint
-    /// cadence is not part of the experiment's identity.
+    /// default) means no checkpointing: the library never reads
+    /// `HELCFL_CHECKPOINT` itself, and a binary that honours it builds
+    /// this field with [`CheckpointConfig::from_env`]. Like `threads`
+    /// and `digest_exemplars`, this field is excluded from the config
+    /// fingerprint: a resumed run's history is bit-identical to the
+    /// uninterrupted one, so checkpoint cadence is not part of the
+    /// experiment's identity.
     pub checkpoint: Option<CheckpointConfig>,
     /// Model layer widths `[input, hidden…, classes]`.
     pub model_dims: Vec<usize>,
@@ -509,33 +511,17 @@ pub fn run_federated_traced(
         setup.clients.len(),
         setup.eval_set.len(),
     );
-    // Trace-shape-only knobs may come from the environment because
-    // neither participates in the config fingerprint.
+    // The trace-shape knob may come from the environment because it
+    // does not participate in the config fingerprint.
     let digest_exemplars = trace_mode_override(config.digest_exemplars);
     let fingerprint = config_fingerprint(config);
-    // Checkpointing: the programmatic config wins and uses its dir
-    // exactly as given; otherwise HELCFL_CHECKPOINT=dir[:interval]
-    // enables it from outside, which is how the chaos harness reaches
-    // runs behind Scheme wrappers. The env dir is namespaced per
-    // experiment so one exported variable is safe for binaries that
-    // run several schemes back to back — without it, the second
-    // scheme would find the first's checkpoint and (correctly) refuse
-    // to resume from it.
-    let ckpt_config: Option<CheckpointConfig> =
-        config.checkpoint.clone().or_else(|| {
-            CheckpointConfig::from_env().map(|mut cc| {
-                cc.dir = cc.dir.join(checkpoint::experiment_subdir(
-                    selector.name(),
-                    config.seed,
-                    &fingerprint,
-                ));
-                cc
-            })
-        });
+    // Checkpointing is the caller's: the ring lives in
+    // `config.checkpoint`'s directory exactly as given.
+    let ckpt_config = config.checkpoint.as_ref();
     // Resume: pick the newest valid checkpoint from the ring and
     // refuse identity mismatches by field name, exactly like the
     // manifest compatibility check.
-    let resumed: Option<LoadedCheckpoint> = match &ckpt_config {
+    let resumed: Option<LoadedCheckpoint> = match ckpt_config {
         Some(cc) => checkpoint::load_latest(&cc.dir)?,
         None => None,
     };
@@ -634,7 +620,6 @@ pub fn run_federated_traced(
     // A resume's next save must not overwrite the checkpoint it just
     // loaded; fresh runs start the ring at slot 0.
     let mut ckpt_writer = ckpt_config
-        .as_ref()
         .map(|cc| CheckpointWriter::new(cc.dir.clone(), resumed.as_ref().map_or(0, |l| 1 - l.slot)));
     // Provenance first: the run_manifest line heads the trace stream so
     // every reader (diff, audit, watch) knows what produced the bytes
@@ -926,8 +911,8 @@ pub fn run_federated_traced(
         //     leaves a trace that is replayable at least up to the
         //     round the checkpoint names — never a checkpoint claiming
         //     rounds the trace has not durably seen.
-        let halt_now = ckpt_config.as_ref().is_some_and(|cc| cc.halt_after == Some(round));
-        if let Some(cc) = &ckpt_config {
+        let halt_now = ckpt_config.is_some_and(|cc| cc.halt_after == Some(round));
+        if let Some(cc) = ckpt_config {
             if round % cc.interval == 0 || halt_now || round == config.max_rounds {
                 tele.sync_flush();
                 let ck = RunCheckpoint {
