@@ -23,8 +23,10 @@
 //! `CheckpointConfig::from_env`, and put it on their own
 //! `TrainingConfig`, as `reproduce` does for each planned run.
 //!
-//! Usage: `chaos_resume --smoke [--seed N]` (CI) or
-//! `chaos_resume --child --out CSV` (internal child mode).
+//! Usage: `chaos_resume --smoke [--seed N] [--golden CSV]` (CI) or
+//! `chaos_resume --child --out CSV` (internal child mode). An unknown
+//! flag, a flag the chosen mode does not take, and a missing or
+//! malformed value are refused by name before anything runs.
 
 use std::error::Error;
 use std::fs;
@@ -34,7 +36,7 @@ use std::process::{Command, ExitCode};
 use detrand::Rng;
 use fl_sim::checkpoint::{CheckpointConfig, CHAOS_KILL_ENV, CHAOS_TORN_ENV, CHECKPOINT_ENV};
 use fl_sim::runner::TrainingConfig;
-use helcfl_bench::{PaperScenario, Scheme, Setting};
+use helcfl_bench::{flag_value, ArgError, PaperScenario, Scheme, Setting};
 
 /// Checkpoint every this many rounds in the gauntlet; kept at 2 so
 /// kills at odd rounds land between checkpoints and resumes must
@@ -67,15 +69,53 @@ fn golden_csv() -> Result<String, Box<dyn Error>> {
     Ok(scheme.run(&mut setup, &config)?.to_csv())
 }
 
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// The gauntlet: its kill schedule seeded by `seed`, its final
+    /// history optionally checked against the pinned CSV `golden`.
+    Smoke { seed: u64, golden: Option<String> },
+    /// One checkpointing child run writing its history to `out`.
+    Child { out: String },
+}
+
+/// Parses the flags. `--child` selects child mode; any other command
+/// line must name `--smoke`. A flag the selected mode does not take
+/// is refused as unknown.
+fn parse_args(raw: Vec<String>) -> Result<Mode, ArgError> {
+    let child = raw.iter().any(|a| a == "--child");
+    let usage = if child { "--child --out CSV" } else { "--smoke [--seed N] [--golden CSV]" };
+    let (mut smoke, mut seed, mut golden, mut out) = (false, 2022, None, None);
+    let mut it = raw.into_iter();
+    while let Some(flag) = it.next() {
+        match (flag.as_str(), child) {
+            ("--child", true) => {}
+            ("--out", true) => out = Some(flag_value(&flag, it.next(), "a path")?),
+            ("--smoke", false) => smoke = true,
+            ("--seed", false) => seed = flag_value(&flag, it.next(), "an unsigned integer")?,
+            ("--golden", false) => golden = Some(flag_value(&flag, it.next(), "a path")?),
+            _ => {
+                let reason = format!("unknown flag (expected {usage})");
+                return Err(ArgError { flag, reason });
+            }
+        }
+    }
+    let missing = |flag: &str| ArgError {
+        flag: flag.to_string(),
+        reason: format!("missing (usage: chaos_resume {usage})"),
+    };
+    match (child, out) {
+        (true, Some(out)) => Ok(Mode::Child { out }),
+        (true, None) => Err(missing("--out")),
+        (false, _) if smoke => Ok(Mode::Smoke { seed, golden }),
+        (false, _) => Err(missing("--smoke")),
+    }
+}
+
 /// Child mode: one fast-IID HELCFL run checkpointing into the ring
 /// the parent's `HELCFL_CHECKPOINT` names. Writes the history CSV to
-/// `--out` when (if) the run completes.
-fn run_child(raw: &[String]) -> Result<(), Box<dyn Error>> {
-    let out = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .ok_or("--child needs --out PATH")?;
+/// `out` when (if) the run completes.
+fn run_child(out: &str) -> Result<(), Box<dyn Error>> {
     let checkpoint =
         CheckpointConfig::from_env().ok_or(format!("--child needs {CHECKPOINT_ENV}"))?;
     let scenario = PaperScenario::fast();
@@ -148,13 +188,7 @@ fn tamper_ring(dir: &Path) -> Result<usize, Box<dyn Error>> {
     Ok(tampered)
 }
 
-fn run_smoke(raw: &[String]) -> Result<(), Box<dyn Error>> {
-    let seed = raw
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| raw.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2022u64);
+fn run_smoke(seed: u64, golden_path: Option<&str>) -> Result<(), Box<dyn Error>> {
     let max_rounds = PaperScenario::fast().max_rounds;
     let (kills, torn) = chaos_schedule(seed, 5, max_rounds);
     println!(
@@ -226,7 +260,7 @@ fn run_smoke(raw: &[String]) -> Result<(), Box<dyn Error>> {
     // Optional pinned-golden check: `--golden PATH` compares the
     // chaos-run history against a committed CSV (CI passes
     // results/golden/history_fast_iid_helcfl.csv).
-    if let Some(path) = raw.iter().position(|a| a == "--golden").and_then(|i| raw.get(i + 1)) {
+    if let Some(path) = golden_path {
         let pinned = fs::read_to_string(path)?;
         if actual != pinned {
             first_divergence(&pinned, &actual);
@@ -263,19 +297,40 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), Box<dyn Error>> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--child") {
-        return run_child(&raw);
+    match parse_args(std::env::args().skip(1).collect())? {
+        Mode::Smoke { seed, golden } => run_smoke(seed, golden.as_deref()),
+        Mode::Child { out } => run_child(&out),
     }
-    if raw.iter().any(|a| a == "--smoke") {
-        return run_smoke(&raw);
-    }
-    Err("usage: chaos_resume --smoke [--seed N]".into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &[&str]) -> Result<Mode, ArgError> {
+        parse_args(line.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn flags_parse_into_their_mode_or_are_refused_by_name() {
+        assert_eq!(args(&["--smoke"]), Ok(Mode::Smoke { seed: 2022, golden: None }));
+        assert_eq!(
+            args(&["--seed", "7", "--smoke", "--golden", "g.csv"]),
+            Ok(Mode::Smoke { seed: 7, golden: Some("g.csv".into()) })
+        );
+        assert_eq!(args(&["--child", "--out", "h.csv"]), Ok(Mode::Child { out: "h.csv".into() }));
+        for (line, flag) in [
+            (&["--smoke", "--seed", "x"][..], "--seed"),
+            (&["--smoke", "--seed"], "--seed"),
+            (&["--smoke", "--sed", "5"], "--sed"),
+            (&["--child", "--out", "h.csv", "--seed", "3"], "--seed"),
+            (&["--smoke", "--out", "h.csv"], "--out"),
+            (&["--child"], "--out"),
+            (&["--seed", "3"], "--smoke"),
+        ] {
+            assert_eq!(args(line).unwrap_err().flag, flag, "{line:?}");
+        }
+    }
 
     #[test]
     fn schedule_is_increasing_in_range_and_torn_is_aligned() {

@@ -1,7 +1,8 @@
-//! `bench_kernels` and `bench_population` refuse a missing or
-//! malformed flag value by name, and `chaos_resume` a missing mode or
-//! child setting, each with exit code 1, a plain-text message after
-//! the binary's name and no panic, before they run anything.
+//! `bench_kernels`, `bench_population` and `chaos_resume` refuse an
+//! unknown flag and a missing or malformed flag value by name, and
+//! `chaos_resume` a missing mode or child setting, each with exit
+//! code 1, a plain-text message after the binary's name and no panic,
+//! before they run anything.
 
 use std::path::Path;
 use std::process::Command;
@@ -52,10 +53,12 @@ fn bench_population_refuses_bad_flags_by_name() {
 }
 
 #[test]
-fn chaos_resume_refuses_a_missing_mode_or_child_setting() {
+fn chaos_resume_refuses_bad_flags_a_missing_mode_or_child_setting() {
     let bin = env!("CARGO_BIN_EXE_chaos_resume");
     assert_refuses(bin, "c_no_mode", &[], "--smoke");
     assert_refuses(bin, "c_no_out", &["--child"], "--out");
+    assert_refuses(bin, "c_seed_bad", &["--smoke", "--seed", "x"], "--seed");
+    assert_refuses(bin, "c_unknown", &["--smoke", "--sed", "5"], "--sed");
     let stderr = refused(bin, "c_no_ring", &["--child", "--out", "h.csv"], &[]);
     assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
 }

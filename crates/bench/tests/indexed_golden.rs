@@ -1,12 +1,17 @@
-//! End-to-end bit-identity of the indexed selector: a full fast-scale
-//! HELCFL run (IndexedDecaySelector + SlackFrequencyPolicy) must
-//! produce a training history byte-identical to the committed golden
-//! CSV — the same artifact `ci.sh` pins the reference pipeline
-//! against — and to a reference-selector run of the same setup.
+//! End-to-end bit-identity of the indexed selector, the one
+//! [`Helcfl::run`] selects through: a full fast-scale HELCFL run
+//! (IndexedDecaySelector + SlackFrequencyPolicy) must produce a
+//! training history byte-identical to the committed golden CSV — the
+//! same artifact `ci.sh` pins the reference pipeline against — and to
+//! a reference-selector run of the same setup. A second input takes
+//! `Helcfl::run` where the IID golden does not reach: refunds of
+//! failed selections and a shrinking alive mask.
 
-use fl_sim::runner::run_federated;
-use helcfl::{GreedyDecaySelector, IndexedDecaySelector, SlackFrequencyPolicy};
+use fl_sim::faults::{DegradationPolicy, FaultConfig};
+use fl_sim::runner::{run_federated, TrainingConfig};
+use helcfl::{GreedyDecaySelector, Helcfl, IndexedDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::scenario::{PaperScenario, Setting};
+use mec_sim::units::{Joules, Seconds};
 
 #[test]
 fn indexed_selector_reproduces_the_golden_history() {
@@ -37,5 +42,42 @@ fn indexed_selector_reproduces_the_golden_history() {
     let mut reference = GreedyDecaySelector::default();
     let ref_history =
         run_federated(&mut setup, &config, &mut reference, &SlackFrequencyPolicy).unwrap();
+    assert_eq!(history.to_csv(), ref_history.to_csv());
+}
+
+/// The Non-IID fast setting with faults, a round deadline, refunds
+/// (`charge_failed_selections: false`) and a battery budget, so the
+/// selector sees `on_delivery_failure` and a masked, shrinking device
+/// set: `Helcfl::run` must write the CSV of the literal selector run
+/// through `run_federated`, byte for byte.
+#[test]
+fn helcfl_run_matches_the_literal_selector_under_refunds_and_batteries() {
+    let scenario = PaperScenario::fast();
+    let config = TrainingConfig {
+        faults: FaultConfig::uniform(0.15),
+        degradation: DegradationPolicy {
+            round_deadline: Some(Seconds::new(40.0)),
+            min_quorum: 1,
+            charge_failed_selections: false,
+        },
+        battery_capacity: Some(Joules::new(50.0)),
+        ..scenario.training_config()
+    };
+
+    let mut setup = scenario.setup(Setting::NonIid).unwrap();
+    let history = Helcfl::default().run(&mut setup, &config).unwrap();
+    let mut setup = scenario.setup(Setting::NonIid).unwrap();
+    let mut reference = GreedyDecaySelector::default();
+    let ref_history =
+        run_federated(&mut setup, &config, &mut reference, &SlackFrequencyPolicy).unwrap();
+
+    // The input reaches what it is here for, or the comparison proves
+    // nothing: failed deliveries (refunded) and depleted devices.
+    let records = history.records();
+    assert!(records.iter().any(|r| r.delivered.len() < r.selected.len()), "no delivery failed");
+    assert!(
+        records.iter().any(|r| r.alive_devices < scenario.num_devices),
+        "no device depleted its battery"
+    );
     assert_eq!(history.to_csv(), ref_history.to_csv());
 }

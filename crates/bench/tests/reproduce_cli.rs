@@ -1,7 +1,8 @@
 //! `reproduce` end to end at `--fast` scale: the lineup reproduces the
 //! committed golden histories, every planned run writes a file of its
-//! own, the DVFS and `f_max` arms differ in energy only, and
-//! `HELCFL_CHECKPOINT` gives every planned run a ring of its own.
+//! own, the DVFS and `f_max` arms differ in energy only,
+//! `HELCFL_CHECKPOINT` gives every planned run a ring of its own, and
+//! a run set killed twice resumes to the uninterrupted CSVs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,27 +69,36 @@ fn read(path: &Path) -> String {
 }
 
 /// Runs `reproduce --fast` with `args` and `env` in `dir`, asserting
-/// that it succeeded, and returns its stderr.
-fn reproduce(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> String {
+/// that it succeeded (or, with `killed`, that it did not), and returns
+/// its stderr.
+fn run_reproduce(dir: &Path, args: &[&str], env: &[(&str, &str)], killed: bool) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .arg("--fast")
         .args(args)
         .env_remove("HELCFL_TRACE")
         .env_remove("HELCFL_CHECKPOINT")
+        .env_remove("HELCFL_CHAOS_KILL_AT")
         .envs(env.iter().copied())
         .current_dir(dir)
         .stdout(Stdio::null())
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "reproduce {args:?} {env:?} failed: {stderr}");
+    assert_eq!(out.status.success(), !killed, "reproduce {args:?} {env:?}: {stderr}");
     stderr
 }
 
-/// Every CSV under `dir/results`, by file name.
+fn reproduce(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> String {
+    run_reproduce(dir, args, env, false)
+}
+
+/// Every CSV under `dir/results`, by file name (none before the
+/// directory exists).
 fn csvs(dir: &Path) -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = fs::read_dir(dir.join("results"))
-        .unwrap()
+    let Ok(entries) = fs::read_dir(dir.join("results")) else {
+        return Vec::new();
+    };
+    let mut files: Vec<(String, String)> = entries
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "csv"))
         .map(|p| (p.file_name().unwrap().to_str().unwrap().to_string(), read(&p)))
@@ -196,6 +206,54 @@ fn each_planned_run_checkpoints_into_a_ring_of_its_own() {
     let resumed = stderr.lines().filter(|l| l.contains("resuming after round")).count();
     assert_eq!(resumed, federated.len(), "a rerun retrained: {stderr}");
     assert!(csvs(&dir) == want, "resumed histories differ from the plain runs");
+    fs::remove_dir_all(&plain).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A kill at an even round with a ring interval of 2 lands right after
+/// a checkpoint. The first invocation dies in the first planned run
+/// (`iid_helcfl`); the second resumes and finishes it, then dies in the
+/// next one (`iid_classic`); the third, with no kill scheduled,
+/// finishes the set. Every CSV must equal the uninterrupted run's,
+/// which also takes the production HELCFL selector through `restore`.
+#[test]
+fn a_run_set_killed_twice_resumes_to_the_uninterrupted_csvs() {
+    let iid = ["--setting", "iid"];
+    let plain = scratch_dir("kill_plain");
+    reproduce(&plain, &iid, &[]);
+    let want = csvs(&plain);
+    assert_eq!(want.len(), RUNS.len());
+
+    let dir = scratch_dir("kill");
+    let ring = ("HELCFL_CHECKPOINT", "rings:2");
+    let kill = ("HELCFL_CHAOS_KILL_AT", "4");
+    let resumed = |stderr: &str| -> Vec<String> {
+        (stderr.lines())
+            .filter(|l| l.contains("resuming after round"))
+            .map(|l| l.split(" from ").nth(1).unwrap_or(l).to_string())
+            .collect()
+    };
+
+    let first = run_reproduce(&dir, &iid, &[ring, kill], true);
+    assert!(first.contains("SIGKILL at round 4"), "{first}");
+    assert!(resumed(&first).is_empty(), "a fresh run resumed: {first}");
+    assert!(csvs(&dir).is_empty(), "the killed first run wrote a CSV");
+
+    let second = run_reproduce(&dir, &iid, &[ring, kill], true);
+    let second_resumed = resumed(&second);
+    assert_eq!(second_resumed.len(), 1, "{second}");
+    assert!(second_resumed[0].starts_with("rings/iid_helcfl/"), "{second}");
+    let done = csvs(&dir);
+    assert_eq!(done.len(), 1, "only the resumed first run finishes");
+    assert!(want.contains(&done[0]) && done[0].0 == "iid_helcfl.csv");
+
+    let third = reproduce(&dir, &iid, &[ring]);
+    let third_resumed = resumed(&third);
+    assert_eq!(third_resumed.len(), 2, "{third}");
+    assert!(third_resumed[0].starts_with("rings/iid_helcfl/"), "{third}");
+    assert!(third_resumed[1].starts_with("rings/iid_classic/"), "{third}");
+    assert!(third.contains("resuming after round 4 "), "{third}");
+    assert!(csvs(&dir) == want, "the killed and resumed run set differs from the plain one");
     fs::remove_dir_all(&plain).unwrap();
     fs::remove_dir_all(&dir).unwrap();
 }

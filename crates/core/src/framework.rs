@@ -5,7 +5,11 @@
 //! dataset size, CPU range, and uplink rate — exactly the information
 //! Alg. 1 lines 1–2 gather. The iterative phase wires Alg. 2
 //! (selection) and Alg. 3 (frequency determination) into the generic
-//! synchronous loop of [`fl_sim::runner::run_federated`].
+//! synchronous loop of [`fl_sim::runner::run_federated`]. Alg. 2 runs
+//! through [`IndexedDecaySelector`] at every fleet size; it picks
+//! exactly what the literal
+//! [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
+//! would.
 
 use fl_sim::error::Result;
 use fl_sim::frequency::MaxFrequency;
@@ -14,7 +18,7 @@ use fl_sim::runner::{run_federated_traced, FederatedSetup, TrainingConfig};
 use helcfl_telemetry::Telemetry;
 
 use crate::dvfs::SlackFrequencyPolicy;
-use crate::selection::GreedyDecaySelector;
+use crate::indexed::IndexedDecaySelector;
 use crate::utility::DecayCoefficient;
 
 /// The assembled HELCFL framework.
@@ -116,7 +120,7 @@ impl Helcfl {
         config: &TrainingConfig,
         tele: &Telemetry,
     ) -> Result<TrainingHistory> {
-        let mut selector = GreedyDecaySelector::new(self.eta);
+        let mut selector = IndexedDecaySelector::new(self.eta);
         if self.dvfs {
             run_federated_traced(setup, config, &mut selector, &SlackFrequencyPolicy, tele)
         } else {

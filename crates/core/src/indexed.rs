@@ -1,7 +1,8 @@
-//! Algorithm 2 at fleet scale — an incremental index over Eq.-20
-//! utilities.
+//! Algorithm 2 as every HELCFL run executes it, at every fleet size —
+//! an incremental index over Eq.-20 utilities.
 //!
-//! [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
+//! The literal reference,
+//! [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector),
 //! re-scores and sorts the whole population every round: O(Q) utility
 //! evaluations plus an O(Q + N log N) partial sort. That is fine at
 //! the paper's Q = 100 and ruinous at Q = 10^7. This module keeps the
@@ -406,9 +407,11 @@ impl UtilityIndex {
     }
 }
 
-/// Drop-in replacement for
+/// The production Alg. 2 selector, used by
+/// [`Helcfl`](crate::framework::Helcfl) at every fleet size: a drop-in
+/// replacement for the reference
 /// [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
-/// backed by the bucketed-utility index: same name (`"helcfl"`), same
+/// backed by the bucketed-utility index — same name (`"helcfl"`), same
 /// picks, same telemetry, O(N · B) bit operations per round instead of
 /// O(Q log Q).
 ///

@@ -6,11 +6,12 @@
 //!
 //! - [`utility`] — the utility function of Eq. 20 with its decay
 //!   coefficient and appearance counters,
-//! - [`selection`] — Algorithm 2, the utility-driven greedy-decay user
-//!   selection,
-//! - [`indexed`] — Algorithm 2 at fleet scale: the bucketed-utility
-//!   index with pick-for-pick-identical selections at O(N log B) per
-//!   round,
+//! - [`indexed`] — Algorithm 2, the utility-driven greedy-decay user
+//!   selection, as the bucketed-utility index every HELCFL run selects
+//!   through, at every fleet size,
+//! - [`selection`] — Algorithm 2 written literally: the reference
+//!   oracle the index is tested against pick for pick (not used by
+//!   [`Helcfl`]),
 //! - [`dvfs`] — Algorithm 3, the DVFS slack-time operating-frequency
 //!   determination,
 //! - [`framework`] — Algorithm 1, the assembled two-phase framework,

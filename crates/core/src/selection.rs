@@ -1,4 +1,12 @@
-//! Algorithm 2 — utility-driven, greedy-decay user selection.
+//! Algorithm 2 — utility-driven, greedy-decay user selection, written
+//! literally: the reference oracle.
+//!
+//! Production runs select through
+//! [`IndexedDecaySelector`](crate::indexed::IndexedDecaySelector),
+//! which [`Helcfl`](crate::framework::Helcfl) uses at every fleet size.
+//! [`GreedyDecaySelector`] stays exported because the equivalence
+//! tests, the golden tests and the benchmark's mirror check the index
+//! against it pick for pick; no production path constructs it.
 //!
 //! Each round, every user's utility (Eq. 20) is computed from its
 //! Eq.-9 delay at maximum frequency and its appearance counter; the
@@ -21,7 +29,9 @@ use mec_sim::units::Seconds;
 
 use crate::utility::{utility, AppearanceCounters, DecayCoefficient};
 
-/// The HELCFL selector (Alg. 2).
+/// The literal Alg. 2 selector: the reference oracle for
+/// [`IndexedDecaySelector`](crate::indexed::IndexedDecaySelector),
+/// which production runs use instead.
 ///
 /// Stateful across rounds: appearance counters persist for the whole
 /// training run. Per-user delays are derived from the resource

@@ -15,10 +15,11 @@
 //!    thread, never in completion order.
 //!
 //! The round engine's fan-out is the **persistent pool**
-//! ([`with_trainer_pool`]): worker threads are spawned once per run
-//! and parked on a condvar between jobs, so the thousands of
-//! train/eval dispatches of a full simulation cost two mutex hops
-//! each instead of an OS thread spawn. This module's tests keep
+//! ([`with_trainer_pool`]): the calling thread is worker 0, and the
+//! other workers are threads spawned once per run and parked on a
+//! condvar between jobs, so the thousands of train/eval dispatches of
+//! a full simulation cost two mutex hops each instead of an OS thread
+//! spawn. This module's tests keep
 //! scoped-thread one-shot fan-outs as the reference the pool is
 //! checked against; they are not part of the public API.
 //!
@@ -107,7 +108,7 @@ fn record_idle(
 
 /// Locks a pool mutex, ignoring poisoning: a panicked worker leaves
 /// consistent state behind (slot writes are all-or-nothing per job),
-/// and the dispatcher turns the missing slot into its own panic — on
+/// and the caller turns the missing slot into its own panic — on
 /// the calling thread, with a clear message — rather than dying on a
 /// `PoisonError`.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -191,70 +192,83 @@ fn run_item(
     }
 }
 
-/// Runs `items` of `job` in order on one trainer — a pool worker's
-/// stride, or the whole job in inline mode — returning each item's
-/// output tagged with its index. With `local`, each item's wall time
-/// is recorded under worker `wid`.
-fn run_items(
+/// Runs worker `wid`'s `(wid..n).step_by(eff)` stride of `job` on
+/// `trainer`, in item order, then batch-writes the stride's slots — and,
+/// for a traced train job, the worker's metric lane with each item's
+/// wall time — into `shared`. The caller runs stride 0; spawned workers
+/// run the rest.
+fn run_stride(
     job: &Job,
-    items: impl Iterator<Item = usize>,
+    wid: usize,
+    eff: usize,
     trainer: &mut ClientTrainer,
+    shared: &PoolShared,
     clients: &[Client],
     eval_set: &LabeledSet,
-    wid: usize,
-    mut local: Option<&mut MetricsRegistry>,
-) -> Vec<(usize, Result<JobOut>)> {
-    let label = match job {
-        Job::Train { label, .. } => label.as_str(),
-        Job::Eval { .. } => "",
+) {
+    let (label, traced) = match job {
+        Job::Train { label, traced, .. } => (label.as_str(), *traced),
+        Job::Eval { .. } => ("", false),
     };
+    let mut local = traced.then(MetricsRegistry::new);
     let loaded = load_job(job, trainer);
-    items
+    let produced: Vec<_> = (wid..job.num_items())
+        .step_by(eff)
         .map(|item| {
             let started = Instant::now();
             let out =
                 loaded.clone().and_then(|()| run_item(job, item, trainer, clients, eval_set));
-            if let Some(metrics) = local.as_deref_mut() {
+            if let Some(metrics) = local.as_mut() {
                 record_item(metrics, label, wid, started.elapsed());
             }
             (item, out)
         })
-        .collect()
+        .collect();
+    {
+        let mut slots = lock(&shared.slots);
+        for (item, out) in produced {
+            slots[item] = Some(out);
+        }
+    }
+    if let Some(metrics) = local {
+        lock(&shared.metrics)[wid] = Some(metrics);
+    }
 }
 
-/// Dispatcher ⇄ worker handshake state, guarded by one mutex.
+/// Caller ⇄ worker handshake state, guarded by one mutex.
 struct PoolState {
     /// Bumped per dispatch; a worker acts once per epoch it observes.
     epoch: u64,
     /// The job of the current epoch (stale between dispatches).
     job: Option<Arc<Job>>,
-    /// Participating workers that have not finished the current job.
+    /// Participating spawned workers that have not finished the
+    /// current job.
     remaining: usize,
     /// Set once at scope exit; workers return when they observe it.
     shutdown: bool,
 }
 
-/// Everything a pool's threads share. Created on the dispatcher's
-/// stack *before* the thread scope, so worker closures can borrow it
-/// for the scope's whole lifetime.
+/// Everything a pool's threads share. Created on the caller's stack
+/// *before* the thread scope, so worker closures can borrow it for the
+/// scope's whole lifetime.
 struct PoolShared {
     state: Mutex<PoolState>,
     /// Workers park here between jobs.
     work_cv: Condvar,
-    /// The dispatcher parks here until `remaining` hits zero.
+    /// The caller parks here until `remaining` hits zero.
     done_cv: Condvar,
-    /// Index-addressed results of the current job; workers batch-write
-    /// their stride's slots once per job.
+    /// Index-addressed results of the current job; every worker
+    /// batch-writes its stride's slots once per job.
     slots: Mutex<Vec<Option<Result<JobOut>>>>,
     /// Per-worker metric registries of the current traced job, merged
-    /// by the dispatcher in worker-index order.
+    /// by the caller in worker-index order.
     metrics: Mutex<Vec<Option<MetricsRegistry>>>,
 }
 
-/// Decrements `remaining` and wakes the dispatcher — on a `Drop` so a
-/// panicking worker still signals completion (its slot stays `None`,
-/// which the dispatcher reports as a worker panic) instead of leaving
-/// the dispatcher parked forever.
+/// Decrements `remaining` and wakes the caller — on a `Drop` so a
+/// panicking worker still signals completion (its slots stay `None`,
+/// which the caller reports as a worker panic) instead of leaving the
+/// caller parked forever.
 struct DoneGuard<'p> {
     shared: &'p PoolShared,
 }
@@ -284,11 +298,9 @@ impl Drop for ShutdownGuard<'_> {
     }
 }
 
-/// A pool worker: parks on `work_cv`, and for each observed epoch runs
-/// its `(wid..n).step_by(eff)` stride of the job — the identical item
-/// partition the scoped-thread fan-out used, so per-worker metric
-/// registries partition the same way. Workers beyond the job's
-/// effective width sit the epoch out.
+/// A spawned pool worker (`wid ≥ 1`): parks on `work_cv`, and for each
+/// observed epoch runs its stride of the job ([`run_stride`]). Workers
+/// beyond the job's effective width sit the epoch out.
 fn worker_loop(
     wid: usize,
     workers: usize,
@@ -314,90 +326,74 @@ fn worker_loop(
                 state = shared.work_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let num_items = job.num_items();
-        let eff = workers.min(num_items);
+        let eff = workers.min(job.num_items());
         if wid >= eff {
             continue; // `remaining` only counts participants
         }
         let _done = DoneGuard { shared };
-        let traced = matches!(&*job, Job::Train { traced: true, .. });
-        let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-        let produced = run_items(
-            &job,
-            (wid..num_items).step_by(eff),
-            &mut trainer,
-            clients,
-            eval_set,
-            wid,
-            local.as_mut(),
-        );
-        {
-            let mut slots = lock(&shared.slots);
-            for (item, out) in produced {
-                slots[item] = Some(out);
-            }
-        }
-        if let Some(metrics) = local {
-            lock(&shared.metrics)[wid] = Some(metrics);
-        }
+        run_stride(&job, wid, eff, &mut trainer, shared, clients, eval_set);
     }
-}
-
-/// Publishes `job` to the workers, parks until all `eff` participants
-/// finish, and returns the filled slot vector.
-fn dispatch(shared: &PoolShared, job: Job, eff: usize) -> Vec<Option<Result<JobOut>>> {
-    let num_items = job.num_items();
-    {
-        let mut slots = lock(&shared.slots);
-        slots.clear();
-        slots.resize_with(num_items, || None);
-    }
-    {
-        let mut state = lock(&shared.state);
-        state.job = Some(Arc::new(job));
-        state.epoch += 1;
-        state.remaining = eff;
-        shared.work_cv.notify_all();
-    }
-    let mut state = lock(&shared.state);
-    while state.remaining > 0 {
-        state = shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-    }
-    drop(state);
-    std::mem::take(&mut *lock(&shared.slots))
-}
-
-/// How a [`TrainerPool`] executes jobs.
-enum PoolMode<'p> {
-    /// Single worker: everything runs on the calling thread with one
-    /// trainer — no threads, no locks, exactly the old serial path.
-    Inline(Box<ClientTrainer>),
-    /// Persistent workers parked behind the shared state.
-    Pooled(&'p PoolShared),
 }
 
 /// A persistent, run-scoped training/evaluation pool.
 ///
 /// Created by [`with_trainer_pool`]; lives for one `run_federated`
-/// call and serves every round's train fan-out **and** eval fan-out
-/// from the same parked worker threads. Dispatch preserves the scoped
-/// fan-out's contract exactly — strided item assignment, item-order
-/// reduction, lowest-indexed-error-wins — so histories, Sim-class
-/// metric registries, and the per-worker Runtime telemetry are
-/// unchanged; only the per-call thread spawns are gone (counted by the
-/// `pool.spawn_amortized` Runtime counter).
+/// call and serves every round's train fan-out **and** eval fan-out.
+/// The calling thread is worker 0: a pool `w` wide spawns `w − 1`
+/// threads once, and every job runs stride 0 on the caller while the
+/// parked workers run the others. One dispatch path serves every width
+/// — a width-1 pool publishes each job to no one and runs it whole on
+/// the caller. Dispatch keeps the fan-out contract — strided item
+/// assignment, item-order reduction, lowest-indexed-error-wins — so
+/// histories, Sim-class metric registries, and the per-worker Runtime
+/// telemetry (the caller is lane 0) do not depend on the width; the
+/// `pool.spawn_amortized` Runtime counter adds the `eff − 1` thread
+/// spawns each job of effective width `eff` would have cost a one-shot
+/// fan-out.
 pub struct TrainerPool<'p> {
     clients: &'p [Client],
     eval_set: &'p LabeledSet,
     workers: usize,
-    mode: PoolMode<'p>,
+    /// Worker 0's trainer, run on the calling thread.
+    trainer: ClientTrainer,
+    shared: &'p PoolShared,
 }
 
 impl TrainerPool<'_> {
-    /// Total worker threads backing this pool (1 for inline mode).
+    /// Total workers of this pool, the calling thread included.
     #[inline]
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Publishes `job` to spawned workers `1..eff`, runs stride 0 on
+    /// the calling thread, parks until the others finish, and returns
+    /// the filled slot vector.
+    fn dispatch(&mut self, job: Job, eff: usize, tele: &Telemetry) -> Vec<Option<Result<JobOut>>> {
+        let Self { clients, eval_set, trainer, shared, .. } = self;
+        let job = Arc::new(job);
+        {
+            let mut slots = lock(&shared.slots);
+            slots.clear();
+            slots.resize_with(job.num_items(), || None);
+        }
+        {
+            let mut state = lock(&shared.state);
+            state.job = Some(Arc::clone(&job));
+            state.epoch += 1;
+            state.remaining = eff - 1;
+            shared.work_cv.notify_all();
+        }
+        run_stride(&job, 0, eff, trainer, shared, clients, eval_set);
+        let mut state = lock(&shared.state);
+        while state.remaining > 0 {
+            state = shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(state);
+        tele.with_metrics(|m| {
+            m.counter_add(Class::Runtime, "pool.spawn_amortized", (eff - 1) as u64);
+        });
+        std::mem::take(&mut *lock(&shared.slots))
     }
 
     /// Runs one round's local updates: item `j` trains
@@ -405,11 +401,10 @@ impl TrainerPool<'_> {
     /// `(train_seed, round, client id)`, returning
     /// `(params, weight, loss)` triples in item order.
     ///
-    /// Telemetry matches the scoped traced fan-out: under `label`,
-    /// per-worker `items`/`busy_ns`/`idle_ns` counters, an `item_us`
-    /// histogram, and a `workers` gauge (effective width), all
-    /// [`Class::Runtime`] — plus `pool.spawn_amortized`, counting the
-    /// thread spawns the persistent pool avoided.
+    /// Telemetry, all [`Class::Runtime`]: under `label`, per-worker
+    /// `items`/`busy_ns`/`idle_ns` counters, an `item_us` histogram,
+    /// and a `workers` gauge (effective width) — plus
+    /// `pool.spawn_amortized`.
     ///
     /// # Errors
     ///
@@ -434,14 +429,13 @@ impl TrainerPool<'_> {
         if num_items == 0 {
             return Ok(Vec::new());
         }
-        let Self { clients, eval_set, workers, mode } = self;
         let traced = tele.is_enabled();
-        let eff = match mode {
-            PoolMode::Inline(_) => 1,
-            PoolMode::Pooled(_) => (*workers).min(num_items),
-        };
+        let eff = self.workers.min(num_items);
         if traced {
             tele.gauge_set(Class::Runtime, &format!("{label}.workers"), eff as f64);
+            for slot in lock(&self.shared.metrics).iter_mut() {
+                *slot = None;
+            }
         }
         let job = Job::Train {
             round,
@@ -453,40 +447,17 @@ impl TrainerPool<'_> {
             traced,
         };
         let wall_start = Instant::now();
-        let slots = match mode {
-            PoolMode::Inline(trainer) => {
-                let mut local = if traced { Some(MetricsRegistry::new()) } else { None };
-                let outs =
-                    run_items(&job, 0..num_items, trainer, clients, eval_set, 0, local.as_mut());
-                if let Some(mut metrics) = local {
-                    record_idle(&mut metrics, label, 1, wall_start.elapsed());
-                    tele.merge_registry(&metrics);
+        let slots = self.dispatch(job, eff, tele);
+        if traced {
+            let mut merged = MetricsRegistry::new();
+            for slot in lock(&self.shared.metrics).iter_mut().take(eff) {
+                if let Some(metrics) = slot.take() {
+                    merged.merge_from(&metrics);
                 }
-                outs.into_iter().map(|(_, out)| Some(out)).collect()
             }
-            PoolMode::Pooled(shared) => {
-                if traced {
-                    for slot in lock(&shared.metrics).iter_mut() {
-                        *slot = None;
-                    }
-                }
-                let slots = dispatch(shared, job, eff);
-                tele.with_metrics(|m| {
-                    m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
-                });
-                if traced {
-                    let mut merged = MetricsRegistry::new();
-                    for slot in lock(&shared.metrics).iter_mut().take(eff) {
-                        if let Some(metrics) = slot.take() {
-                            merged.merge_from(&metrics);
-                        }
-                    }
-                    record_idle(&mut merged, label, eff, wall_start.elapsed());
-                    tele.merge_registry(&merged);
-                }
-                slots
-            }
-        };
+            record_idle(&mut merged, label, eff, wall_start.elapsed());
+            tele.merge_registry(&merged);
+        }
         let mut results = Vec::with_capacity(num_items);
         for slot in slots {
             match slot.expect("pool worker panicked")? {
@@ -511,43 +482,31 @@ impl TrainerPool<'_> {
     ///
     /// Panics if a worker thread panicked while evaluating.
     pub fn evaluate(&mut self, params: &[f32], tele: &Telemetry) -> Result<(usize, f64)> {
-        let Self { clients: _, eval_set, workers, mode } = self;
-        let n = eval_set.len();
-        let correct = match mode {
-            PoolMode::Inline(trainer) => trainer.count_correct(params, eval_set)?,
-            PoolMode::Pooled(shared) => {
-                if n == 0 {
-                    return Err(FlError::InvalidConfig {
-                        field: "eval_set",
-                        reason: "cannot evaluate on an empty set".into(),
-                    });
-                }
-                let eff = (*workers).min(n.div_ceil(EVAL_CHUNK_ROWS));
-                let job = Job::Eval { params: params.to_vec(), set_len: n };
-                let slots = dispatch(shared, job, eff);
-                tele.with_metrics(|m| {
-                    m.counter_add(Class::Runtime, "pool.spawn_amortized", eff as u64);
-                });
-                let mut correct = 0;
-                for slot in slots {
-                    match slot.expect("pool worker panicked")? {
-                        JobOut::Eval(hits) => correct += hits,
-                        JobOut::Train(..) => unreachable!("eval job yielded train output"),
-                    }
-                }
-                correct
+        let n = self.eval_set.len();
+        if n == 0 {
+            return Err(FlError::InvalidConfig {
+                field: "eval_set",
+                reason: "cannot evaluate on an empty set".into(),
+            });
+        }
+        let eff = self.workers.min(n.div_ceil(EVAL_CHUNK_ROWS));
+        let job = Job::Eval { params: params.to_vec(), set_len: n };
+        let mut correct = 0;
+        for slot in self.dispatch(job, eff, tele) {
+            match slot.expect("pool worker panicked")? {
+                JobOut::Eval(hits) => correct += hits,
+                JobOut::Train(..) => unreachable!("eval job yielded train output"),
             }
-        };
+        }
         Ok((correct, correct as f64 / n as f64))
     }
 }
 
 /// Creates a persistent [`TrainerPool`] over `clients`/`eval_set` and
-/// runs `body` with it. The pool is [`pool_width`] workers wide. With
-/// a width of 1 no threads are spawned and every job runs inline on
-/// the calling thread; otherwise that many threads (each owning one
-/// [`ClientTrainer`]) are spawned once, park between jobs, and are
-/// joined when `body` returns — the pool lifecycle is exactly the
+/// runs `body` with it. The pool is [`pool_width`] workers wide, each
+/// owning one [`ClientTrainer`]: the calling thread is worker 0, and
+/// the other workers are threads spawned once, parked between jobs,
+/// and joined when `body` returns — the pool lifecycle is exactly the
 /// `body` call.
 ///
 /// # Errors
@@ -561,18 +520,10 @@ pub fn with_trainer_pool<R>(
     body: impl FnOnce(&mut TrainerPool<'_>) -> Result<R>,
 ) -> Result<R> {
     let workers = pool_width(workers, clients.len(), eval_set.len());
-    if workers == 1 {
-        let mut pool = TrainerPool {
-            clients,
-            eval_set,
-            workers,
-            mode: PoolMode::Inline(Box::new(ClientTrainer::new(model_dims)?)),
-        };
-        return body(&mut pool);
-    }
-    let mut trainers = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        trainers.push(ClientTrainer::new(model_dims)?);
+    let trainer = ClientTrainer::new(model_dims)?;
+    let mut spawned = Vec::with_capacity(workers - 1);
+    for _ in 1..workers {
+        spawned.push(ClientTrainer::new(model_dims)?);
     }
     // Shared state lives on this frame — *outside* the thread scope —
     // so the worker closures can borrow it for the scope's lifetime.
@@ -585,11 +536,11 @@ pub fn with_trainer_pool<R>(
     };
     std::thread::scope(|scope| {
         let shared = &shared;
-        for (wid, trainer) in trainers.into_iter().enumerate() {
+        for (wid, trainer) in (1..).zip(spawned) {
             scope.spawn(move || worker_loop(wid, workers, trainer, shared, clients, eval_set));
         }
         let _shutdown = ShutdownGuard { shared };
-        let mut pool = TrainerPool { clients, eval_set, workers, mode: PoolMode::Pooled(shared) };
+        let mut pool = TrainerPool { clients, eval_set, workers, trainer, shared };
         body(&mut pool)
     })
 }
@@ -1002,11 +953,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_train_is_bit_identical_to_inline() {
+    fn train_is_bit_identical_at_every_width() {
         let (task, clients, global, spec) = pool_fixture();
         let disabled = Telemetry::disabled();
         for spec in both_modes(spec) {
-            let inline = result_bits(&pool_train(1, &spec, &[1, 2, 3], &disabled));
+            let serial = result_bits(&pool_train(1, &spec, &[1, 2, 3], &disabled));
             // The reference runs each client as its own single-item job,
             // so no item shares a trainer pass with another.
             let single_items: Vec<_> =
@@ -1031,14 +982,14 @@ mod tests {
                         .collect()
                 })
                 .unwrap();
-            assert_eq!(inline, result_bits(&single_items), "{spec:?}");
+            assert_eq!(serial, result_bits(&single_items), "{spec:?}");
             for workers in [2, 3, 4, 8, 16] {
                 let pooled = result_bits(&pool_train(workers, &spec, &[1, 2, 3], &disabled));
-                assert_eq!(inline, pooled, "divergence at {workers} workers, {spec:?}");
+                assert_eq!(serial, pooled, "divergence at {workers} workers, {spec:?}");
             }
             // Tracing must not perturb results either.
             let tele = Telemetry::metrics_only();
-            assert_eq!(inline, result_bits(&pool_train(4, &spec, &[1, 2, 3], &tele)));
+            assert_eq!(serial, result_bits(&pool_train(4, &spec, &[1, 2, 3], &tele)));
         }
     }
 
@@ -1066,12 +1017,12 @@ mod tests {
     #[test]
     fn pool_is_reusable_across_mixed_jobs() {
         // One pool serving train → eval → train must agree with fresh
-        // inline runs of each job — workers carry no state across jobs
+        // width-1 runs of each job — workers carry no state across jobs
         // beyond their (fully overwritten) scratch.
         let (task, clients, global, spec) = pool_fixture();
         let indices: Vec<usize> = (0..clients.len()).collect();
         let disabled = Telemetry::disabled();
-        let inline = pool_train(1, &spec, &[1, 2], &disabled);
+        let serial = pool_train(1, &spec, &[1, 2], &disabled);
         let (first, evaled, second) =
             with_trainer_pool(3, &[6, 8, 4], &clients, task.test(), |pool| {
                 let first =
@@ -1082,8 +1033,8 @@ mod tests {
                 Ok((first, evaled, second))
             })
             .unwrap();
-        assert_eq!(first, inline[0]);
-        assert_eq!(second, inline[1]);
+        assert_eq!(first, serial[0]);
+        assert_eq!(second, serial[1]);
         let direct = with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
             pool.evaluate(&global, &disabled)
         })
@@ -1131,7 +1082,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let inline = with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
+        let serial = with_trainer_pool(1, &[6, 8, 4], &clients, task.test(), |pool| {
             pool.train(1, 42, &spec, &global, &[3, 7], &disabled, "local_update")
         })
         .unwrap();
@@ -1139,7 +1090,7 @@ mod tests {
             pool.train(1, 42, &spec, &global, &[3, 7], &disabled, "local_update")
         })
         .unwrap();
-        assert_eq!(inline, pooled);
+        assert_eq!(serial, pooled);
     }
 
     #[test]
@@ -1171,9 +1122,10 @@ mod tests {
                 })
                 .unwrap();
                 let snap = tele.snapshot();
-                // Inline mode spawns nothing. Three workers: train over 3,
-                // eval over min(3, ceil(700/256)) = 3.
-                let spawns = if workers == 1 { 0 } else { 6 };
+                // The caller is worker 0, so a job of effective width
+                // `eff` saves `eff - 1` spawns. Three workers: train over
+                // 3, eval over min(3, ceil(700/256)) = 3, so 2 + 2.
+                let spawns = if workers == 1 { 0 } else { 4 };
                 assert_eq!(snap.counter("pool.spawn_amortized"), spawns);
                 let items: u64 = (0..workers)
                     .map(|w| snap.counter(&format!("local_update.worker{w}.items")))

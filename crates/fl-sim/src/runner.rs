@@ -685,7 +685,15 @@ pub fn run_federated_traced(
     let population = &setup.population;
     with_trainer_pool(workers, &config.model_dims, clients, eval_set, move |pool| {
     for round in start_round..=config.max_rounds {
+        // Every statement of a round runs inside one of its phase
+        // spans, so the phases account for the round's whole wall
+        // clock (`helcfl-trace check` judges their coverage).
         let mut round_span = span!(tele, "round", index = round);
+
+        // 0. Battery-driven availability (paper §I: depleted devices
+        //    shut down and leave the selectable set V). The mask was
+        //    already updated when batteries drained last round.
+        let span_phase = round_span.child("availability");
         if tele.events_enabled() {
             // Fingerprint of this round's base RNG stream: two runs
             // that diverge can be bisected to the first round whose
@@ -693,16 +701,11 @@ pub fn run_federated_traced(
             let probe = Rng::stream(train_seed, (round as u64) << 32).fingerprint();
             round_span.set("rng_probe", format!("{probe:016x}"));
         }
-
-        // 0. Battery-driven availability (paper §I: depleted devices
-        //    shut down and leave the selectable set V). The mask was
-        //    already updated when batteries drained last round.
-        let span_phase = round_span.child("availability");
         let alive_count = alive_mask.alive_count();
-        span_phase.end();
         if alive_count == 0 {
             break; // every device has shut down
         }
+        span_phase.end();
 
         // 1. Selection (Alg. 1 line 4).
         let span_phase = round_span.child("selection");
@@ -768,6 +771,7 @@ pub fn run_federated_traced(
         //     `selected_ids` whose update reached the aggregator, and
         //     the ids that did not, in one pass over the delivery
         //     flags.
+        let mut span_phase = round_span.child("quorum");
         let mut delivered_idx: Vec<usize> = Vec::with_capacity(selected_ids.len());
         let mut failed: Vec<DeviceId> = Vec::new();
         for (i, delivered) in sim.delivery_by_input().into_iter().enumerate() {
@@ -778,15 +782,11 @@ pub fn run_federated_traced(
             }
         }
         let quorum_met = delivered_idx.len() >= config.degradation.min_quorum;
-        if tele.events_enabled() {
-            round_span
-                .child("quorum")
-                .with("delivered", delivered_idx.len())
-                .with("selected", selected_ids.len())
-                .with("required", config.degradation.min_quorum)
-                .with("met", quorum_met)
-                .end();
-        }
+        span_phase.set("delivered", delivered_idx.len());
+        span_phase.set("selected", selected_ids.len());
+        span_phase.set("required", config.degradation.min_quorum);
+        span_phase.set("met", quorum_met);
+        span_phase.end();
 
         // 3. Local updates (Alg. 1 lines 6–9), dispatched to the
         //    persistent pool — delivered clients only; a stranded
@@ -808,6 +808,8 @@ pub fn run_federated_traced(
             loss_sum += f64::from(loss);
             updates.push((params, weight));
         }
+        let train_loss =
+            if updates.is_empty() { 0.0 } else { (loss_sum / updates.len() as f64) as f32 };
         span_phase.end();
 
         // 4. FedAvg integration (Alg. 1 line 10, Eq. 18) over the
@@ -820,15 +822,15 @@ pub fn run_federated_traced(
             server.aggregate(&updates)?;
         }
         span_phase.end();
+
+        // 5. Bookkeeping + evaluation.
+        let span_phase = round_span.child("bookkeeping");
         if !config.degradation.charge_failed_selections && !failed.is_empty() {
             // Refund semantics: a selected-but-failed user gets its
             // Eq. 20 appearance charge α_q rolled back, restoring its
             // long-run selection priority.
             selector.on_delivery_failure(&failed);
         }
-
-        // 5. Bookkeeping + evaluation.
-        let span_phase = round_span.child("bookkeeping");
         cumulative_time += sim.round_time();
         cumulative_energy += sim.total_energy();
         if let Some(batteries) = batteries.as_mut() {
@@ -842,19 +844,17 @@ pub fn run_federated_traced(
                 }
             }
         }
-        span_phase.end();
         let evaluate_now = round % config.eval_every == 0 || round == config.max_rounds;
+        span_phase.end();
         let test_accuracy = if evaluate_now {
             let span_phase = round_span.child("evaluate");
             let accuracy = pool.evaluate(&server.broadcast(), tele)?.1;
-            span_phase.end();
             evaluated_accuracies.push(accuracy);
+            span_phase.end();
             Some(accuracy)
         } else {
             None
         };
-        let train_loss =
-            if updates.is_empty() { 0.0 } else { (loss_sum / updates.len() as f64) as f32 };
         let span_phase = round_span.child("bookkeeping");
         tele.with_metrics(|m| {
             m.counter_add(Class::Sim, "round.completed", 1);
@@ -899,8 +899,8 @@ pub fn run_federated_traced(
             cumulative_time,
             cumulative_energy,
         });
-        span_phase.end();
         faults_cumulative += sim.faults_fired() as u64;
+        span_phase.end();
         round_span.end();
         // Round barrier: flush the sink, so a tailing
         // `helcfl-trace watch` sees every finished round.
