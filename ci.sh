@@ -13,6 +13,14 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> examples: every root-package example runs to completion"
+# The test step only compiles the examples. Running them catches an API
+# change that still compiles but panics: energy_audit prints
+# RoundTimeline::activities() and the Fig. 1 Gantt chart.
+for example in examples/*.rs; do
+  cargo run --release --offline -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> benchmark smoke test: bench_suite checks and pinned histories"
 # bench_suite is a package of its own (empty [workspace]), so the
 # workspace test run above does not reach it. Its smoke test runs every

@@ -9,7 +9,6 @@
 //! fixed index order — so a run's [`TrainingHistory`] is bit-identical
 //! for every thread count.
 
-use std::sync::Once;
 
 use detrand::{splitmix64, Rng};
 use helcfl_telemetry::{resource, span, Class, Telemetry};
@@ -386,74 +385,6 @@ fn config_fingerprint(config: &TrainingConfig) -> String {
     helcfl_telemetry::fnv1a_hex(canonical.as_bytes())
 }
 
-/// Environment variable overriding the trace mode without touching the
-/// run's identity: `full`, `digest` (8 exemplars), or `digest:k`.
-/// Legal precisely because `digest_exemplars` is excluded from the
-/// config fingerprint — the override changes only the trace shape.
-pub const TRACE_MODE_ENV: &str = "HELCFL_TRACE_MODE";
-
-/// Parses a [`TRACE_MODE_ENV`] value.
-///
-/// Returns `Some(mode)` when the value names a trace mode
-/// (`Some(None)` = full, `Some(Some(k))` = digest with `k` exemplars)
-/// and `None` when the configured mode must be kept, plus an optional
-/// warning describing what was ignored. Empty values, unknown modes,
-/// and non-numeric exemplar counts all warn and keep the configured
-/// mode — a typo must never silently change what gets traced.
-fn trace_mode_from_env_value(value: &str) -> (Option<Option<usize>>, Option<String>) {
-    let v = value.trim();
-    if v.is_empty() {
-        return (
-            None,
-            Some(format!(
-                "{TRACE_MODE_ENV} is set but empty; keeping the configured trace mode"
-            )),
-        );
-    }
-    if v == "full" {
-        return (Some(None), None);
-    }
-    if let Some(rest) = v.strip_prefix("digest") {
-        if rest.is_empty() {
-            return (Some(Some(8)), None);
-        }
-        if let Some(count) = rest.strip_prefix(':') {
-            return match count.trim().parse::<usize>() {
-                Ok(k) => (Some(Some(k)), None),
-                Err(_) => (
-                    None,
-                    Some(format!(
-                        "{TRACE_MODE_ENV} exemplar count `{count}` is not a number; \
-                         keeping the configured trace mode"
-                    )),
-                ),
-            };
-        }
-    }
-    (
-        None,
-        Some(format!(
-            "{TRACE_MODE_ENV} value `{v}` is not `full` or `digest[:k]`; \
-             keeping the configured trace mode"
-        )),
-    )
-}
-
-/// Resolves the effective digest-exemplar setting: the environment
-/// override when present and valid, the configured value otherwise.
-/// Invalid values warn once on stderr.
-fn trace_mode_override(configured: Option<usize>) -> Option<usize> {
-    let Ok(value) = std::env::var(TRACE_MODE_ENV) else {
-        return configured;
-    };
-    let (mode, warning) = trace_mode_from_env_value(&value);
-    if let Some(w) = warning {
-        static WARNED: Once = Once::new();
-        WARNED.call_once(|| eprintln!("helcfl: {w}"));
-    }
-    mode.unwrap_or(configured)
-}
-
 /// [`run_federated`] with full telemetry instrumentation.
 ///
 /// Opens the trace with a `run_manifest` provenance line (schema
@@ -511,9 +442,6 @@ pub fn run_federated_traced(
         setup.clients.len(),
         setup.eval_set.len(),
     );
-    // The trace-shape knob may come from the environment because it
-    // does not participate in the config fingerprint.
-    let digest_exemplars = trace_mode_override(config.digest_exemplars);
     let fingerprint = config_fingerprint(config);
     // Checkpointing is the caller's: the ring lives in
     // `config.checkpoint`'s directory exactly as given.
@@ -631,7 +559,7 @@ pub fn run_federated_traced(
             scheme: selector.name().to_string(),
             config_fingerprint: fingerprint.clone(),
             threads: workers,
-            trace_mode: if digest_exemplars.is_some() {
+            trace_mode: if config.digest_exemplars.is_some() {
                 "digest".to_string()
             } else {
                 "full".to_string()
@@ -754,7 +682,7 @@ pub fn run_federated_traced(
             // Digest mode swaps the Q per-device spans for one
             // cohort_digest aggregate plus k sampled exemplars; the
             // per-round seed keeps the sample reproducible.
-            match digest_exemplars {
+            match config.digest_exemplars {
                 Some(exemplars) => sim.trace_digest_into(
                     &mut span_phase,
                     DigestConfig {
@@ -1379,22 +1307,6 @@ mod tests {
             ..TrainingConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn trace_mode_env_values_parse_like_threads_from_env() {
-        // Valid forms override the configured mode.
-        assert_eq!(trace_mode_from_env_value("full"), (Some(None), None));
-        assert_eq!(trace_mode_from_env_value(" full "), (Some(None), None));
-        assert_eq!(trace_mode_from_env_value("digest"), (Some(Some(8)), None));
-        assert_eq!(trace_mode_from_env_value("digest:3"), (Some(Some(3)), None));
-        assert_eq!(trace_mode_from_env_value("digest:0"), (Some(Some(0)), None));
-        // Invalid forms keep the configured mode and warn.
-        for bad in ["", "  ", "FULL", "summary", "digest:many", "digest:-1"] {
-            let (mode, warning) = trace_mode_from_env_value(bad);
-            assert_eq!(mode, None, "accepted `{bad}`");
-            assert!(warning.is_some(), "no warning for `{bad}`");
-        }
     }
 
     #[test]

@@ -1,30 +1,35 @@
-//! Fault-aware round timelines: the engine every federated round runs
-//! through.
+//! Round resolution: the one place a round is put on the channel and
+//! its per-device outcomes are built.
+//!
+//! Computation runs in parallel across devices from t = 0. Uploads
+//! serialize on one TDMA channel (the paper's Fig. 1): all `Z`
+//! resource blocks go to one uploader at a time, so a device that
+//! finishes its local update while another uploads idles until the
+//! channel frees. That idle interval is the *slack time* Alg. 3 turns
+//! into energy savings. The channel serves devices in compute-finish
+//! order, ties broken by [`DeviceId`], then by input position.
 //!
 //! [`FaultedRound`] resolves per-device [`DeviceFault`]s — crashes
 //! mid-compute or mid-upload, straggler slow-down below the
 //! DVFS-assigned frequency, transient upload failures with bounded
-//! retry-and-backoff, and channel-gain degradation — into the TDMA
-//! discipline of [`TdmaSchedule`], then applies an optional round
-//! deadline `T_max` after which stragglers are dropped. Every joule a
-//! device spends is accounted, including the *wasted* energy of failed
-//! work, so the energy story (Eq. 10/11) stays closed under faults. It
-//! also owns the round's Sim metrics and its full and digest traces.
+//! retry-and-backoff, and channel-gain degradation — into that
+//! discipline, then applies an optional round deadline `T_max` after
+//! which stragglers are dropped. Every joule a device spends is
+//! accounted, including the *wasted* energy of failed work, so the
+//! energy story (Eq. 10/11) stays closed under faults. It also owns
+//! the round's Sim metrics and its full and digest traces.
 //!
-//! With an all-`None` fault vector and no deadline, the resolved
-//! schedule is bit-identical to [`RoundTimeline::simulate`], the
-//! fault-free reference the Fig. 1 and Alg. 3 analytics read: the same
-//! `compute_delay`/`upload_delay` calls feed the same [`TdmaSchedule`]
-//! arithmetic in the same order.
+//! [`RoundTimeline`] is the same resolution with no fault and no
+//! deadline: it takes its faults from a closure that always answers
+//! `None`, so the fault-free view allocates no fault vector.
 //!
-//! [`RoundTimeline::simulate`]: crate::timeline::RoundTimeline::simulate
+//! [`RoundTimeline`]: crate::timeline::RoundTimeline
 
 use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
 
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
-use crate::tdma::{TdmaSchedule, UploadRequest, UploadSlot};
-use crate::units::{Bits, Hertz, Joules, Seconds, Watts};
+use crate::units::{Bits, Cycles, Hertz, Joules, Seconds, Watts};
 
 /// One fault event afflicting one device for one round.
 ///
@@ -239,16 +244,13 @@ impl DeviceOutcome {
 /// their attempts by one transmission plus one back-off; every other
 /// profile is a single window at offset zero.
 #[derive(Clone, Copy)]
-pub(crate) struct TransmitWindows {
+struct TransmitWindows {
     count: u32,
     len: f64,
     period: f64,
 }
 
 impl TransmitWindows {
-    /// No window: the device never reached the channel.
-    pub(crate) const NONE: Self = Self { count: 0, len: 0.0, period: 0.0 };
-
     fn single(len: f64) -> Self {
         Self { count: 1, len, period: 0.0 }
     }
@@ -270,168 +272,147 @@ impl TransmitWindows {
     }
 }
 
-/// Per-device channel-occupation profile before TDMA placement.
+/// A device's channel occupation, before it is placed on the channel.
 pub(crate) struct UploadProfile {
     /// Total channel occupation (transmissions + back-off idles).
-    occupation: Seconds,
+    pub(crate) occupation: Seconds,
     /// Active transmissions within the occupation.
-    pub(crate) windows: TransmitWindows,
+    windows: TransmitWindows,
     delivered: bool,
     retries: u32,
     abort: Option<AbortReason>,
 }
 
-/// One input device resolved before TDMA placement: its effective
-/// compute span and energy, and its channel-occupation profile
-/// (`None` when it crashes mid-compute and never reaches the channel).
-pub(crate) struct Resolved {
-    frequency: Hertz,
-    planned_compute_finish: Seconds,
-    planned_upload: Seconds,
-    compute_finish: Seconds,
-    compute_energy: Joules,
-    pub(crate) profile: Option<UploadProfile>,
-}
-
-impl Resolved {
-    /// Resolves `dev` at planned frequency `f` under `fault`.
-    pub(crate) fn new(
-        dev: &Device,
-        f: Hertz,
-        payload: Bits,
-        fault: Option<&DeviceFault>,
-    ) -> Result<Self> {
-        let planned_compute_finish = dev.compute_delay(f)?;
-        let planned_upload = dev.upload_delay(payload);
+impl UploadProfile {
+    /// The occupation of a device whose nominal upload takes
+    /// `planned_upload`, under `fault`; `None` when it crashes
+    /// mid-compute and never reaches the channel.
+    pub(crate) fn new(fault: Option<DeviceFault>, planned_upload: Seconds) -> Option<Self> {
         let d = planned_upload.get();
-        let (frequency, compute_finish) = match fault {
-            Some(DeviceFault::Straggler { slowdown }) => {
-                let eff = f * *slowdown;
-                (eff, dev.work() / eff)
-            }
-            Some(DeviceFault::CrashCompute { at }) => (f, planned_compute_finish * *at),
-            _ => (f, planned_compute_finish),
+        let delivering = |occupation: Seconds, len: f64| Self {
+            occupation,
+            windows: TransmitWindows::single(len),
+            delivered: true,
+            retries: 0,
+            abort: None,
         };
-        let compute_energy = if frequency == f {
-            match fault {
-                Some(DeviceFault::CrashCompute { at }) => dev.compute_energy(f)? * *at,
-                _ => dev.compute_energy(f)?,
-            }
-        } else {
-            // Straggler: Eq. 5 priced at the (possibly out-of-range)
-            // effective frequency.
-            dev.cpu().compute_energy_unchecked(dev.work(), frequency)
-        };
-        let profile = match fault {
-            Some(DeviceFault::CrashCompute { .. }) => None,
-            Some(DeviceFault::CrashUpload { at }) => Some(UploadProfile {
-                occupation: planned_upload * *at,
+        Some(match fault {
+            Some(DeviceFault::CrashCompute { .. }) => return None,
+            Some(DeviceFault::CrashUpload { at }) => Self {
+                occupation: planned_upload * at,
                 windows: TransmitWindows::single(at * d),
                 delivered: false,
                 retries: 0,
                 abort: Some(AbortReason::CrashUpload),
-            }),
+            },
             Some(DeviceFault::UploadRetry { failed_attempts, backoff, exhausted }) => {
-                let n = *failed_attempts as f64;
+                let n = failed_attempts as f64;
                 let b = backoff.get();
-                let (occupation, attempts) = if *exhausted {
+                let (occupation, attempts) = if exhausted {
                     // n failures with back-off between them; the device
                     // gives up after the last failure.
-                    (n * d + (n - 1.0) * b, *failed_attempts)
+                    (n * d + (n - 1.0) * b, failed_attempts)
                 } else {
                     // n failures, each followed by back-off, then one
                     // successful transmission.
-                    (n * (d + b) + d, *failed_attempts + 1)
+                    (n * (d + b) + d, failed_attempts + 1)
                 };
-                Some(UploadProfile {
+                Self {
                     occupation: Seconds::new(occupation),
                     windows: TransmitWindows { count: attempts, len: d, period: d + b },
-                    delivered: !*exhausted,
-                    retries: *failed_attempts,
+                    delivered: !exhausted,
+                    retries: failed_attempts,
                     abort: exhausted.then_some(AbortReason::RetriesExhausted),
-                })
+                }
             }
-            Some(DeviceFault::ChannelDegradation { gain }) => Some(UploadProfile {
-                occupation: planned_upload / *gain,
-                windows: TransmitWindows::single(d / gain),
-                delivered: true,
-                retries: 0,
-                abort: None,
-            }),
-            Some(DeviceFault::Straggler { .. }) | None => Some(UploadProfile {
-                occupation: planned_upload,
-                windows: TransmitWindows::single(d),
-                delivered: true,
-                retries: 0,
-                abort: None,
-            }),
-        };
-        Ok(Self {
-            frequency,
-            planned_compute_finish,
-            planned_upload,
-            compute_finish,
-            compute_energy,
-            profile,
+            Some(DeviceFault::ChannelDegradation { gain }) => {
+                delivering(planned_upload / gain, d / gain)
+            }
+            Some(DeviceFault::Straggler { .. }) | None => delivering(planned_upload, d),
         })
     }
+}
 
-    /// The channel request of a device that reaches the channel.
-    pub(crate) fn request(&self, dev: &Device) -> Option<UploadRequest> {
-        self.profile.as_ref().map(|p| UploadRequest {
-            device: dev.id(),
-            compute_finish: self.compute_finish,
-            upload_duration: p.occupation,
-        })
-    }
-
-    /// The outcome before the deadline cut: placed in `slot` when the
-    /// device reached the channel, crashed mid-compute otherwise, with
-    /// its waste settled as if no deadline fired.
-    pub(crate) fn outcome(
-        &self,
-        input: usize,
-        dev: &Device,
-        planned_frequency: Hertz,
-        fault: Option<DeviceFault>,
-        slot: Option<&UploadSlot>,
-        payload: Bits,
-    ) -> Result<DeviceOutcome> {
-        let f_max = dev.cpu().range().max();
-        let mut o = DeviceOutcome {
-            device: dev.id(),
-            input,
-            fault,
-            abort: Some(AbortReason::CrashCompute),
-            delivered: false,
-            uploaded: false,
-            frequency: self.frequency,
-            planned_frequency,
-            f_max,
-            planned_compute_finish: self.planned_compute_finish,
-            planned_upload: self.planned_upload,
-            compute_finish: self.compute_finish,
-            upload_start: self.compute_finish,
-            upload_end: self.compute_finish,
-            compute_energy: self.compute_energy,
-            compute_energy_at_max: dev.compute_energy(f_max)?,
-            upload_energy: Joules::ZERO,
-            wasted_energy: Joules::ZERO,
-            retries: 0,
-        };
-        if let (Some(slot), Some(p)) = (slot, &self.profile) {
-            let transmit = p.windows.transmit();
-            o.abort = p.abort;
-            o.delivered = p.delivered;
-            o.uploaded = true;
-            o.upload_start = slot.upload_start;
-            o.upload_end = slot.upload_end;
-            o.upload_energy = dev.uplink().power() * Seconds::new(transmit);
-            o.retries = p.retries;
+/// The effective operating frequency and compute finish of a device
+/// with `work` cycles, planned at `f` to finish at `planned`, under
+/// `fault`: a straggler computes below `f`, a compute crash ends the
+/// span `at` of the way through.
+fn compute_span(
+    work: Cycles,
+    f: Hertz,
+    planned: Seconds,
+    fault: Option<DeviceFault>,
+) -> (Hertz, Seconds) {
+    match fault {
+        Some(DeviceFault::Straggler { slowdown }) => {
+            let eff = f * slowdown;
+            (eff, work / eff)
         }
-        settle_waste(&mut o, dev, payload);
-        Ok(o)
+        Some(DeviceFault::CrashCompute { at }) => (f, planned * at),
+        _ => (f, planned),
     }
+}
+
+/// Resolves input `input` — `dev`, planned at the in-range frequency
+/// `f`, under `fault` — before any deadline cut. A device that reaches
+/// the channel takes it at its compute finish or at `channel_free`,
+/// whichever is later; its waste is settled as if no deadline fired.
+///
+/// Always inlined into the resolver's loop, so the fault-free
+/// instance folds every fault branch away.
+#[inline(always)]
+pub(crate) fn outcome(
+    input: usize,
+    dev: &Device,
+    f: Hertz,
+    fault: Option<DeviceFault>,
+    payload: Bits,
+    channel_free: Seconds,
+) -> DeviceOutcome {
+    let (cpu, work) = (dev.cpu(), dev.work());
+    let planned_compute_finish = work / f;
+    let (frequency, compute_finish) = compute_span(work, f, planned_compute_finish, fault);
+    // Eq. 5, priced at the effective frequency: a straggler's may fall
+    // below `f_min`, a point the governor never picks but physics
+    // still prices.
+    let compute_energy = match fault {
+        Some(DeviceFault::CrashCompute { at }) => cpu.compute_energy_unchecked(work, f) * at,
+        _ => cpu.compute_energy_unchecked(work, frequency),
+    };
+    let f_max = cpu.range().max();
+    let planned_upload = dev.upload_delay(payload);
+    let mut o = DeviceOutcome {
+        device: dev.id(),
+        input,
+        fault,
+        abort: Some(AbortReason::CrashCompute),
+        delivered: false,
+        uploaded: false,
+        frequency,
+        planned_frequency: f,
+        f_max,
+        planned_compute_finish,
+        planned_upload,
+        compute_finish,
+        upload_start: compute_finish,
+        upload_end: compute_finish,
+        compute_energy,
+        compute_energy_at_max: cpu.compute_energy_unchecked(work, f_max),
+        upload_energy: Joules::ZERO,
+        wasted_energy: Joules::ZERO,
+        retries: 0,
+    };
+    if let Some(p) = UploadProfile::new(fault, planned_upload) {
+        o.abort = p.abort;
+        o.delivered = p.delivered;
+        o.uploaded = true;
+        o.upload_start = compute_finish.max(channel_free);
+        o.upload_end = o.upload_start + p.occupation;
+        o.upload_energy = dev.uplink().power() * Seconds::new(p.windows.transmit());
+        o.retries = p.retries;
+    }
+    settle_waste(&mut o, dev, payload);
+    o
 }
 
 /// Settles the energy of `o` that bought nothing: all of it when its
@@ -451,13 +432,8 @@ fn settle_waste(o: &mut DeviceOutcome, dev: &Device, payload: Bits) {
 /// Cuts `o` at the fired deadline `t`: a delivery landing after it is
 /// dropped, and energy accrues only for work performed before the
 /// cut — compute pro-rated over its span, upload over the transmit
-/// `windows` that overlap `[0, t]`.
-pub(crate) fn cut_at_deadline(
-    o: &mut DeviceOutcome,
-    t: f64,
-    windows: TransmitWindows,
-    power: Watts,
-) {
+/// windows that overlap `[0, t]`.
+pub(crate) fn cut_at_deadline(o: &mut DeviceOutcome, t: f64, power: Watts) {
     if o.delivered && o.upload_end.get() > t {
         o.delivered = false;
         o.abort = Some(AbortReason::DeadlineExceeded);
@@ -467,8 +443,10 @@ pub(crate) fn cut_at_deadline(
         o.compute_energy = o.compute_energy * scale;
     }
     if o.uploaded && o.upload_end.get() > t {
-        let transmit_before = windows.transmit_before(o.upload_start.get(), t);
-        o.upload_energy = power * Seconds::new(transmit_before);
+        if let Some(p) = UploadProfile::new(o.fault, o.planned_upload) {
+            let transmit_before = p.windows.transmit_before(o.upload_start.get(), t);
+            o.upload_energy = power * Seconds::new(transmit_before);
+        }
     }
 }
 
@@ -521,10 +499,24 @@ struct Totals {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultedRound {
     outcomes: Vec<DeviceOutcome>,
-    payload: Bits,
     round_time: Seconds,
     deadline: Option<Seconds>,
     deadline_fired: bool,
+}
+
+/// Refuses an empty cohort and a frequency per device that is missing
+/// or extra.
+pub(crate) fn check_cohort(devices: &[Device], frequencies: &[Hertz]) -> Result<()> {
+    if devices.is_empty() {
+        return Err(MecError::EmptyDeviceSet);
+    }
+    if devices.len() != frequencies.len() {
+        return Err(MecError::NonPositiveParameter {
+            name: "frequencies.len",
+            value: frequencies.len() as f64,
+        });
+    }
+    Ok(())
 }
 
 impl FaultedRound {
@@ -532,8 +524,8 @@ impl FaultedRound {
     /// each uploading `payload` bits, with `faults[i]` afflicting
     /// `devices[i]` and an optional round deadline.
     ///
-    /// Devices that reach the channel serialize exactly like
-    /// [`TdmaSchedule`] (FIFO by actual compute finish, device-id
+    /// Devices that reach the channel serialize in the TDMA discipline
+    /// of the module docs (FIFO by actual compute finish, device-id
     /// tie-break); retry sequences and degraded uploads occupy one
     /// contiguous window. When `deadline` is set and any device's
     /// release time exceeds it, the round is cut at `T_max`: updates
@@ -555,15 +547,7 @@ impl FaultedRound {
         faults: &[Option<DeviceFault>],
         deadline: Option<Seconds>,
     ) -> Result<Self> {
-        if devices.is_empty() {
-            return Err(MecError::EmptyDeviceSet);
-        }
-        if devices.len() != frequencies.len() {
-            return Err(MecError::NonPositiveParameter {
-                name: "frequencies.len",
-                value: frequencies.len() as f64,
-            });
-        }
+        check_cohort(devices, frequencies)?;
         if devices.len() != faults.len() {
             return Err(MecError::NonPositiveParameter {
                 name: "faults.len",
@@ -581,66 +565,64 @@ impl FaultedRound {
         for fault in faults.iter().flatten() {
             fault.validate()?;
         }
+        Self::resolve(devices, frequencies, payload, |i| faults[i], deadline)
+    }
 
-        // Phase 1: resolve each device's effective compute span and
-        // channel-occupation profile, by input position, and queue the
-        // channel users for the standard TDMA discipline (retry windows
-        // occupy one contiguous slot). `users[k]` is the input position
-        // behind request `k`.
-        let mut resolved = Vec::with_capacity(devices.len());
-        let mut users = Vec::with_capacity(devices.len());
-        let mut requests = Vec::with_capacity(devices.len());
-        for (i, ((dev, &f), fault)) in devices.iter().zip(frequencies).zip(faults).enumerate() {
-            let r = Resolved::new(dev, f, payload, fault.as_ref())?;
-            if let Some(request) = r.request(dev) {
-                users.push(i);
-                requests.push(request);
-            }
-            resolved.push(r);
+    /// The round resolution behind [`FaultedRound::simulate`] and
+    /// [`RoundTimeline::simulate`], on a cohort [`check_cohort`]
+    /// accepted, with `fault(i)` the validated fault of input `i`.
+    ///
+    /// One value sort orders the cohort: channel users by compute
+    /// finish, then id, then input position; crashed-in-compute
+    /// devices after them, by id, then input position. One pass in
+    /// that order then places each channel user and builds every
+    /// outcome, tracking the latest release.
+    ///
+    /// [`RoundTimeline::simulate`]: crate::timeline::RoundTimeline::simulate
+    pub(crate) fn resolve(
+        devices: &[Device],
+        frequencies: &[Hertz],
+        payload: Bits,
+        fault: impl Fn(usize) -> Option<DeviceFault>,
+        deadline: Option<Seconds>,
+    ) -> Result<Self> {
+        // Compute finishes are non-negative and never NaN, so their bit
+        // patterns sort like their values, and `u64::MAX` after them.
+        let mut order = Vec::with_capacity(devices.len());
+        for (i, (dev, &f)) in devices.iter().zip(frequencies).enumerate() {
+            let planned = dev.compute_delay(f)?;
+            let finish = match fault(i) {
+                Some(DeviceFault::CrashCompute { .. }) => u64::MAX,
+                fault => compute_span(dev.work(), f, planned, fault).1.get().to_bits(),
+            };
+            order.push((finish, dev.id(), i));
         }
+        order.sort_unstable();
 
-        // Phase 2: serialize the channel users.
-        let schedule = TdmaSchedule::new(&requests);
-
-        // Phase 3: assemble outcomes — channel order first (exactly
-        // like the healthy timeline), crashed-in-compute devices after,
-        // by id — tracking the latest release. Every slot resolves
-        // through its request's position.
         let mut outcomes = Vec::with_capacity(devices.len());
-        let mut natural = Seconds::ZERO;
-        let mut push = |o: DeviceOutcome| {
+        let (mut channel_free, mut natural) = (Seconds::ZERO, Seconds::ZERO);
+        for &(_, _, i) in &order {
+            let o = outcome(i, &devices[i], frequencies[i], fault(i), payload, channel_free);
+            if o.uploaded {
+                channel_free = o.upload_end;
+            }
             natural = natural.max(o.release_time());
             outcomes.push(o);
-        };
-        for slot in schedule.slots() {
-            let i = users[slot.request];
-            let r = &resolved[i];
-            push(r.outcome(i, &devices[i], frequencies[i], faults[i], Some(slot), payload)?);
-        }
-        if users.len() < devices.len() {
-            let mut crashed: Vec<usize> =
-                (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
-            crashed.sort_by_key(|&i| devices[i].id());
-            for i in crashed {
-                let r = &resolved[i];
-                push(r.outcome(i, &devices[i], frequencies[i], faults[i], None, payload)?);
-            }
         }
 
-        // Phase 4: a fired deadline cuts every outcome at `T_max` and
-        // settles its waste again.
+        // A fired deadline cuts every outcome at `T_max` and settles
+        // its waste again.
         let deadline_fired = deadline.is_some_and(|t| natural > t);
         let round_time = if deadline_fired { deadline.expect("fired") } else { natural };
         if deadline_fired {
             for o in &mut outcomes {
-                let (dev, profile) = (&devices[o.input], &resolved[o.input].profile);
-                let windows = profile.as_ref().map_or(TransmitWindows::NONE, |p| p.windows);
-                cut_at_deadline(o, round_time.get(), windows, dev.uplink().power());
+                let dev = &devices[o.input];
+                cut_at_deadline(o, round_time.get(), dev.uplink().power());
                 settle_waste(o, dev, payload);
             }
         }
 
-        Ok(Self { outcomes, payload, round_time, deadline, deadline_fired })
+        Ok(Self { outcomes, round_time, deadline, deadline_fired })
     }
 
     /// Per-device outcomes: channel users in upload order, then
@@ -667,12 +649,6 @@ impl FaultedRound {
         delivered
     }
 
-    /// The model payload size used for uploads.
-    #[inline]
-    pub fn payload(&self) -> Bits {
-        self.payload
-    }
-
     /// Round delay: the last release time, cut at `T_max` when the
     /// deadline fired.
     #[inline]
@@ -690,16 +666,6 @@ impl FaultedRound {
     #[inline]
     pub fn deadline_fired(&self) -> bool {
         self.deadline_fired
-    }
-
-    /// Number of updates that reached the aggregator.
-    pub fn delivered_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.delivered).count()
-    }
-
-    /// Number of devices that occupied the channel.
-    pub fn uploaded_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.uploaded).count()
     }
 
     /// Number of fault events that fired this round.
@@ -948,7 +914,7 @@ mod tests {
     use super::*;
     use crate::comm::Uplink;
     use crate::cpu::DvfsCpu;
-    use crate::timeline::RoundTimeline;
+    use crate::oracle::{bits, timeline_by_id, Activity};
     use crate::units::{BitsPerSecond, Watts};
 
     fn device(id: usize, fmax_ghz: f64, samples: usize, mbps: f64) -> Device {
@@ -975,25 +941,26 @@ mod tests {
     #[test]
     fn zero_faults_reproduce_the_healthy_timeline_bitwise() {
         let (devs, freqs) = fleet();
-        let healthy = RoundTimeline::simulate(&devs, &freqs, payload()).unwrap();
         let faulted =
             FaultedRound::simulate(&devs, &freqs, payload(), &[None, None, None], None).unwrap();
-        assert_eq!(faulted.outcomes().len(), healthy.activities().len());
-        for (o, a) in faulted.outcomes().iter().zip(healthy.activities()) {
-            assert_eq!(o.device, a.device);
-            assert_eq!(o.frequency.get().to_bits(), a.frequency.get().to_bits());
-            assert_eq!(o.compute_finish.get().to_bits(), a.compute_finish.get().to_bits());
-            assert_eq!(o.upload_start.get().to_bits(), a.upload_start.get().to_bits());
-            assert_eq!(o.upload_end.get().to_bits(), a.upload_end.get().to_bits());
-            assert_eq!(o.compute_energy.get().to_bits(), a.compute_energy.get().to_bits());
-            assert_eq!(o.upload_energy.get().to_bits(), a.upload_energy.get().to_bits());
+        let activities: Vec<Activity> = faulted.outcomes().iter().map(Activity::of).collect();
+        assert_eq!(bits(&activities), bits(&timeline_by_id(&devs, &freqs, payload())));
+        for o in faulted.outcomes() {
             assert!(o.delivered && o.uploaded);
             assert_eq!(o.wasted_energy, Joules::ZERO);
         }
-        assert_eq!(faulted.round_time().get().to_bits(), healthy.makespan().get().to_bits());
-        assert_eq!(faulted.eq10_bound().get().to_bits(), healthy.eq10_bound().get().to_bits());
-        assert_eq!(faulted.total_energy().get().to_bits(), healthy.total_energy().get().to_bits());
-        assert_eq!(faulted.total_slack().get().to_bits(), healthy.total_slack().get().to_bits());
+        let outcomes = faulted.outcomes();
+        let makespan = outcomes.last().unwrap().upload_end;
+        assert_eq!(faulted.round_time().get().to_bits(), makespan.get().to_bits());
+        let eq10 = outcomes
+            .iter()
+            .map(|o| o.compute_finish + (o.upload_end - o.upload_start))
+            .fold(Seconds::ZERO, Seconds::max);
+        assert_eq!(faulted.eq10_bound().get().to_bits(), eq10.get().to_bits());
+        let energy: Joules = outcomes.iter().map(|o| o.compute_energy + o.upload_energy).sum();
+        assert_eq!(faulted.total_energy().get().to_bits(), energy.get().to_bits());
+        let slack: Seconds = outcomes.iter().map(|o| o.upload_start - o.compute_finish).sum();
+        assert_eq!(faulted.total_slack().get().to_bits(), slack.get().to_bits());
         assert!(!faulted.deadline_fired());
         assert_eq!(faulted.wasted_energy(), Joules::ZERO);
     }
@@ -1010,8 +977,8 @@ mod tests {
         assert!((o.compute_energy.get() - 0.5 * full.get()).abs() < 1e-12);
         assert_eq!(o.upload_energy, Joules::ZERO);
         assert_eq!(o.wasted_energy, o.compute_energy);
-        assert_eq!(r.delivered_count(), 2);
-        assert_eq!(r.uploaded_count(), 2);
+        assert_eq!(r.outcomes().iter().filter(|o| o.delivered).count(), 2);
+        assert_eq!(r.outcomes().iter().filter(|o| o.uploaded).count(), 2);
         assert_eq!(r.faults_fired(), 1);
     }
 
@@ -1149,6 +1116,18 @@ mod tests {
     }
 
     #[test]
+    fn crashed_devices_follow_the_channel_by_id_then_input_order() {
+        let devs = [device(3, 2.0, 500, 8.0), device(3, 0.5, 500, 8.0), device(1, 2.0, 500, 8.0)];
+        let freqs: Vec<Hertz> = devs.iter().map(|d| d.cpu().range().max()).collect();
+        let crash = Some(DeviceFault::CrashCompute { at: 0.5 });
+        for (faults, order) in [([crash; 3], [2, 0, 1]), ([crash, crash, None], [2, 0, 1])] {
+            let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
+            let inputs: Vec<usize> = r.outcomes().iter().map(|o| o.input).collect();
+            assert_eq!(inputs, order);
+        }
+    }
+
+    #[test]
     fn invalid_fault_parameters_are_rejected() {
         let (devs, freqs) = fleet();
         let bad = [
@@ -1258,14 +1237,16 @@ mod tests {
             let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
             let trace = trace_of(|span| r.trace_into(span));
             let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
-            assert_eq!(timeline.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            let uploaded = r.outcomes().iter().filter(|o| o.uploaded).count() as u64;
+            assert_eq!(timeline.attr_u64("uploads"), Some(uploaded));
             assert_eq!(timeline.attr_f64("makespan_s"), Some(r.round_time().get()));
             assert_eq!(timeline.attr_f64("slack_total_s"), Some(r.total_slack().get()));
             assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
             assert_eq!(timeline.attr_f64("compute_energy_j"), Some(r.compute_energy().get()));
             assert_eq!(timeline.attr_f64("wasted_energy_j"), Some(r.wasted_energy().get()));
             assert_eq!(timeline.attr_u64("selected"), Some(3));
-            assert_eq!(timeline.attr_u64("delivered"), Some(r.delivered_count() as u64));
+            let delivered = r.outcomes().iter().filter(|o| o.delivered).count() as u64;
+            assert_eq!(timeline.attr_u64("delivered"), Some(delivered));
             assert_eq!(timeline.attr_bool("fault_fired"), Some(r.faults_fired() > 0));
             assert_eq!(timeline.attr_bool("deadline_fired"), Some(false));
             assert_eq!(timeline.attr_bool("digest"), None);
@@ -1366,7 +1347,8 @@ mod tests {
             // Summary attrs match the full-fidelity ones; digest flag set.
             let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
             assert_eq!(timeline.attr_bool("digest"), Some(true));
-            assert_eq!(timeline.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            let uploaded = r.outcomes().iter().filter(|o| o.uploaded).count() as u64;
+            assert_eq!(timeline.attr_u64("uploads"), Some(uploaded));
             assert_eq!(timeline.attr_u64("selected"), Some(3));
             assert_eq!(timeline.attr_u64("delivered"), Some(delivered));
             assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
@@ -1376,7 +1358,7 @@ mod tests {
             assert_eq!(digest.parent, Some(timeline.id));
             assert_eq!(digest.attr_u64("devices"), Some(3));
             assert_eq!(digest.attr_u64("exemplars"), Some(2));
-            assert_eq!(digest.attr_u64("uploads"), Some(r.uploaded_count() as u64));
+            assert_eq!(digest.attr_u64("uploads"), Some(uploaded));
             assert_eq!(digest.attr_u64("delivered"), Some(delivered));
             assert_eq!(digest.attr_u64("faults_fired"), Some(fired));
             assert_eq!(digest.attr_f64("energy_sum_j"), Some(r.total_energy().get()));

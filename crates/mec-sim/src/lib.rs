@@ -9,6 +9,13 @@
 //! models *when* things happen and *what they cost*, never what is
 //! learned. The `fl-sim` crate couples it to actual training.
 //!
+//! A round is resolved in one place: [`faults::FaultedRound`] puts the
+//! cohort on the TDMA channel and builds every device's outcome, under
+//! per-device faults and an optional deadline. Every federated round
+//! runs through it. [`timeline::RoundTimeline`] is the same resolution
+//! with no fault and no deadline, the view the Fig. 1 and Alg. 3
+//! analyses read.
+//!
 //! ## Quick tour
 //!
 //! ```
@@ -42,7 +49,6 @@ pub mod fleet;
 #[cfg(test)]
 mod oracle;
 pub mod population;
-pub mod tdma;
 pub mod timeline;
 pub mod units;
 

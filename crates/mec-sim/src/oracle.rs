@@ -1,14 +1,16 @@
 //! Test oracle: the id-search round resolution.
 //!
-//! Before channel slots carried the position of their request,
-//! [`RoundTimeline::simulate`] and [`FaultedRound::simulate`] mapped
-//! every slot, deadline cut and waste settlement back to its input
-//! device by searching the cohort for the slot's [`DeviceId`], an
-//! O(N²) round. That resolution survives here, over a TDMA placement
-//! that sorts the requests themselves, as the reference the seeded
-//! property test below holds the position-based engines to: on cohorts
-//! with distinct ids, every activity and outcome must match bit for
-//! bit.
+//! Before the round resolution sorted its cohort by value and built
+//! each outcome as it placed it on the channel, [`RoundTimeline`] and
+//! [`FaultedRound`] mapped every channel slot, deadline cut and waste
+//! settlement back to its input device by searching the cohort for
+//! the slot's [`DeviceId`], an O(N²) round. That resolution survives
+//! here, over a TDMA placement that sorts the requests themselves, as
+//! the reference the seeded property test below holds the production
+//! resolution to: on cohorts with distinct ids, every fault-free
+//! activity and every faulted outcome must match bit for bit. The
+//! TDMA invariants (no overlap, FIFO by compute finish, id
+//! tie-break, cascading waits) are checked on the same placement.
 
 use detrand::Rng;
 
@@ -16,15 +18,37 @@ use crate::comm::Uplink;
 use crate::cpu::DvfsCpu;
 use crate::device::{Device, DeviceId};
 use crate::faults::{
-    cut_at_deadline, DeviceFault, DeviceOutcome, FaultedRound, Resolved, TransmitWindows,
+    cut_at_deadline, outcome, DeviceFault, DeviceOutcome, FaultedRound, UploadProfile,
 };
-use crate::tdma::{UploadRequest, UploadSlot};
-use crate::timeline::{DeviceActivity, RoundTimeline};
+use crate::timeline::RoundTimeline;
 use crate::units::{Bits, BitsPerSecond, Hertz, Joules, Seconds, Watts};
 
-/// TDMA placement by sorting the requests by value (finish, then id).
-/// The slots' `request` field is not filled in: this oracle resolves by
-/// id.
+/// A device that finishes computing at `compute_finish` and then needs
+/// the channel for `upload_duration`.
+#[derive(Debug, Clone, Copy)]
+struct UploadRequest {
+    device: DeviceId,
+    compute_finish: Seconds,
+    upload_duration: Seconds,
+}
+
+/// One request's serialized channel occupation.
+#[derive(Debug, Clone, Copy)]
+struct UploadSlot {
+    device: DeviceId,
+    compute_finish: Seconds,
+    upload_start: Seconds,
+    upload_end: Seconds,
+}
+
+impl UploadSlot {
+    fn slack(&self) -> Seconds {
+        self.upload_start - self.compute_finish
+    }
+}
+
+/// TDMA placement by stably sorting the requests by value (finish,
+/// then id): one uploader at a time, in compute-finish order.
 fn schedule_by_value(mut requests: Vec<UploadRequest>) -> Vec<UploadSlot> {
     requests.sort_by(|a, b| {
         a.compute_finish
@@ -41,7 +65,6 @@ fn schedule_by_value(mut requests: Vec<UploadRequest>) -> Vec<UploadSlot> {
             channel_free = upload_end;
             UploadSlot {
                 device: req.device,
-                request: usize::MAX,
                 compute_finish: req.compute_finish,
                 upload_start,
                 upload_end,
@@ -50,9 +73,51 @@ fn schedule_by_value(mut requests: Vec<UploadRequest>) -> Vec<UploadSlot> {
         .collect()
 }
 
-/// [`RoundTimeline::simulate`]'s activities, each slot resolved by
-/// searching the cohort for its id.
-fn timeline_by_id(devices: &[Device], frequencies: &[Hertz], payload: Bits) -> Vec<DeviceActivity> {
+/// When the last upload lands (zero for no slots).
+fn makespan(slots: &[UploadSlot]) -> Seconds {
+    slots.last().map_or(Seconds::ZERO, |s| s.upload_end)
+}
+
+/// What a fault-free round reports per device: the Eq. 4–9 schedule
+/// and the Eq. 5/8 energies. The tests read it only through [`bits`].
+#[derive(Debug)]
+#[allow(dead_code)]
+pub(crate) struct Activity {
+    device: DeviceId,
+    frequency: Hertz,
+    f_max: Hertz,
+    compute_finish: Seconds,
+    upload_start: Seconds,
+    upload_end: Seconds,
+    compute_energy: Joules,
+    compute_energy_at_max: Joules,
+    upload_energy: Joules,
+}
+
+impl Activity {
+    /// The fault-free fields of a resolved outcome.
+    pub(crate) fn of(o: &DeviceOutcome) -> Self {
+        Self {
+            device: o.device,
+            frequency: o.frequency,
+            f_max: o.f_max,
+            compute_finish: o.compute_finish,
+            upload_start: o.upload_start,
+            upload_end: o.upload_end,
+            compute_energy: o.compute_energy,
+            compute_energy_at_max: o.compute_energy_at_max,
+            upload_energy: o.upload_energy,
+        }
+    }
+}
+
+/// The fault-free round, each slot resolved by searching the cohort
+/// for its id, every value from the device's own Eq. 4–9 methods.
+pub(crate) fn timeline_by_id(
+    devices: &[Device],
+    frequencies: &[Hertz],
+    payload: Bits,
+) -> Vec<Activity> {
     let requests = devices
         .iter()
         .zip(frequencies)
@@ -70,7 +135,7 @@ fn timeline_by_id(devices: &[Device], frequencies: &[Hertz], payload: Bits) -> V
                 .zip(frequencies)
                 .find(|(d, _)| d.id() == slot.device)
                 .expect("slot devices come from the input set");
-            DeviceActivity {
+            Activity {
                 device: slot.device,
                 frequency: f,
                 f_max: dev.cpu().range().max(),
@@ -95,38 +160,38 @@ fn faulted_by_id(
     faults: &[Option<DeviceFault>],
     deadline: Option<Seconds>,
 ) -> (Vec<DeviceOutcome>, Seconds, bool) {
-    let resolved: Vec<Resolved> = devices
-        .iter()
-        .zip(frequencies)
-        .zip(faults)
-        .map(|((dev, &f), fault)| Resolved::new(dev, f, payload, fault.as_ref()).unwrap())
+    // Each device alone on a free channel: its compute finish, and
+    // whether it reaches the channel at all.
+    let alone: Vec<DeviceOutcome> = (0..devices.len())
+        .map(|i| outcome(i, &devices[i], frequencies[i], faults[i], payload, Seconds::ZERO))
         .collect();
-    let requests = devices.iter().zip(&resolved).filter_map(|(d, r)| r.request(d)).collect();
+    let requests = alone
+        .iter()
+        .filter(|o| o.uploaded)
+        .map(|o| UploadRequest {
+            device: o.device,
+            compute_finish: o.compute_finish,
+            upload_duration: UploadProfile::new(o.fault, o.planned_upload).unwrap().occupation,
+        })
+        .collect();
     let index_of = |id: DeviceId| devices.iter().position(|d| d.id() == id).expect("from input");
     let mut outcomes = Vec::new();
     for slot in schedule_by_value(requests) {
         let i = index_of(slot.device);
-        let r = &resolved[i];
-        let o = r.outcome(i, &devices[i], frequencies[i], faults[i], Some(&slot), payload);
-        outcomes.push(o.unwrap());
+        let start = slot.upload_start;
+        outcomes.push(outcome(i, &devices[i], frequencies[i], faults[i], payload, start));
     }
-    let mut crashed: Vec<usize> =
-        (0..devices.len()).filter(|&i| resolved[i].profile.is_none()).collect();
-    crashed.sort_by_key(|&i| devices[i].id());
-    for i in crashed {
-        let r = &resolved[i];
-        let o = r.outcome(i, &devices[i], frequencies[i], faults[i], None, payload);
-        outcomes.push(o.unwrap());
-    }
+    let mut crashed: Vec<&DeviceOutcome> = alone.iter().filter(|o| !o.uploaded).collect();
+    crashed.sort_by_key(|o| o.device);
+    outcomes.extend(crashed.into_iter().copied());
     let natural =
         outcomes.iter().map(DeviceOutcome::release_time).fold(Seconds::ZERO, Seconds::max);
     let fired = deadline.is_some_and(|t| natural > t);
     let round_time = if fired { deadline.unwrap() } else { natural };
     if fired {
         for o in &mut outcomes {
-            let i = index_of(o.device);
-            let windows = resolved[i].profile.as_ref().map_or(TransmitWindows::NONE, |p| p.windows);
-            cut_at_deadline(o, round_time.get(), windows, devices[i].uplink().power());
+            let power = devices[index_of(o.device)].uplink().power();
+            cut_at_deadline(o, round_time.get(), power);
         }
     }
     for o in &mut outcomes {
@@ -191,12 +256,12 @@ fn gen_fault(rng: &mut Rng) -> Option<DeviceFault> {
 
 /// Debug text distinguishes every pair of distinct non-NaN floats,
 /// so equal renderings mean bit-identical values.
-fn bits<T: core::fmt::Debug>(v: &T) -> String {
+pub(crate) fn bits<T: core::fmt::Debug>(v: &T) -> String {
     format!("{v:?}")
 }
 
 #[test]
-fn position_resolution_matches_the_id_search_bit_for_bit() {
+fn value_sort_resolution_matches_the_id_search_bit_for_bit() {
     let payload = Bits::from_megabits(40.0);
     let mut rng = Rng::seed_from_u64(0x0ac1_e5e7);
     let (mut ties, mut crashes, mut retries, mut stragglers, mut deadlines) = (0, 0, 0, 0, 0);
@@ -212,9 +277,10 @@ fn position_resolution_matches_the_id_search_bit_for_bit() {
         }
 
         let tl = RoundTimeline::simulate(&devices, &freqs, payload).unwrap();
+        let activities: Vec<Activity> = tl.activities().iter().map(Activity::of).collect();
         assert_eq!(
-            bits(&tl.activities()),
-            bits(&timeline_by_id(&devices, &freqs, payload).as_slice()),
+            bits(&activities),
+            bits(&timeline_by_id(&devices, &freqs, payload)),
             "case {case}: timeline"
         );
 
@@ -254,5 +320,111 @@ fn position_resolution_matches_the_id_search_bit_for_bit() {
         ("firing deadlines", deadlines),
     ] {
         assert!(count >= 20, "only {count} cases with {what}");
+    }
+}
+
+fn req(id: usize, finish: f64, dur: f64) -> UploadRequest {
+    UploadRequest {
+        device: DeviceId(id),
+        compute_finish: Seconds::new(finish),
+        upload_duration: Seconds::new(dur),
+    }
+}
+
+fn slot(slots: &[UploadSlot], id: usize) -> UploadSlot {
+    *slots.iter().find(|s| s.device == DeviceId(id)).expect("scheduled")
+}
+
+#[test]
+fn empty_schedule_has_zero_makespan() {
+    assert!(schedule_by_value(Vec::new()).is_empty());
+    assert_eq!(makespan(&[]), Seconds::ZERO);
+}
+
+#[test]
+fn single_upload_starts_immediately_after_compute() {
+    let s = schedule_by_value(vec![req(0, 2.0, 5.0)]);
+    assert_eq!(s[0].upload_start, Seconds::new(2.0));
+    assert_eq!(s[0].upload_end, Seconds::new(7.0));
+    assert_eq!(s[0].slack(), Seconds::ZERO);
+    assert_eq!(makespan(&s), Seconds::new(7.0));
+    // The channel idles while device 0 computes.
+    let busy = s[0].upload_end - s[0].upload_start;
+    assert_eq!(makespan(&s) - busy, Seconds::new(2.0));
+}
+
+#[test]
+fn fig1_scenario_second_device_waits_for_first_upload() {
+    // Fig. 1: user 1 finishes computing first, uploads; user 2
+    // finishes during user 1's upload and must wait.
+    let s = schedule_by_value(vec![req(1, 2.0, 6.0), req(2, 4.0, 6.0)]);
+    let (first, second) = (slot(&s, 1), slot(&s, 2));
+    assert_eq!(first.upload_start, Seconds::new(2.0));
+    assert_eq!(first.upload_end, Seconds::new(8.0));
+    assert_eq!(second.upload_start, Seconds::new(8.0));
+    assert_eq!(second.slack(), Seconds::new(4.0));
+    assert_eq!(makespan(&s), Seconds::new(14.0));
+    let total_slack: Seconds = s.iter().map(UploadSlot::slack).sum();
+    assert_eq!(total_slack, Seconds::new(4.0));
+}
+
+#[test]
+fn service_order_follows_compute_finish_then_id() {
+    let s = schedule_by_value(vec![req(0, 10.0, 1.0), req(1, 1.0, 1.0)]);
+    assert_eq!((s[0].device, s[1].device), (DeviceId(1), DeviceId(0)));
+    // Device 0 finds the channel free at t = 10.
+    assert_eq!(s[1].slack(), Seconds::ZERO);
+    let s = schedule_by_value(vec![req(5, 3.0, 1.0), req(2, 3.0, 1.0)]);
+    assert_eq!((s[0].device, s[1].device), (DeviceId(2), DeviceId(5)));
+}
+
+#[test]
+fn cascading_waits_accumulate() {
+    // Three devices finish at t=0,1,2 but each upload takes 10.
+    let s = schedule_by_value(vec![req(0, 0.0, 10.0), req(1, 1.0, 10.0), req(2, 2.0, 10.0)]);
+    assert_eq!(slot(&s, 1).slack(), Seconds::new(9.0));
+    assert_eq!(slot(&s, 2).slack(), Seconds::new(18.0));
+    assert_eq!(makespan(&s), Seconds::new(30.0));
+    // The channel never idles once the first upload starts.
+    let busy: Seconds = s.iter().map(|s| s.upload_end - s.upload_start).sum();
+    assert_eq!(busy, Seconds::new(30.0));
+}
+
+fn gen_requests(rng: &mut Rng, min: usize) -> Vec<UploadRequest> {
+    let n = rng.range_usize(min, 32);
+    (0..n)
+        .map(|_| UploadRequest {
+            device: DeviceId(rng.below(64)),
+            compute_finish: Seconds::new(rng.uniform(0.0, 100.0)),
+            upload_duration: Seconds::new(rng.uniform(0.01, 50.0)),
+        })
+        .collect()
+}
+
+/// Uploads never overlap, none starts before its device finished
+/// computing, the makespan dominates every device's unconstrained
+/// span, and the channel is never busy longer than the makespan.
+#[test]
+fn tdma_invariants_hold_on_random_requests() {
+    let mut rng = Rng::seed_from_u64(0x7d7a_0001);
+    for case in 0..256 {
+        let reqs = gen_requests(&mut rng, 0);
+        let s = schedule_by_value(reqs.clone());
+        for pair in s.windows(2) {
+            assert!(pair[0].upload_end <= pair[1].upload_start, "case {case}: slots overlap");
+        }
+        for slot in &s {
+            assert!(slot.upload_start >= slot.compute_finish, "case {case}");
+            assert!(slot.slack() >= Seconds::ZERO, "case {case}");
+        }
+        for req in &reqs {
+            assert!(
+                makespan(&s) >= req.compute_finish + req.upload_duration * 0.999,
+                "case {case}: makespan below a device's unconstrained span"
+            );
+        }
+        let busy: Seconds = s.iter().map(|s| s.upload_end - s.upload_start).sum();
+        let idle = makespan(&s) - busy;
+        assert!(idle >= Seconds::new(-1e-12), "case {case}: busy {busy:?} past the makespan");
     }
 }

@@ -1,74 +1,24 @@
-//! Device-aware round timelines: compute spans + TDMA uploads +
-//! energy accounting for one synchronous FL training iteration.
+//! The fault-free view of a round, for the Fig. 1 and Alg. 3 analyses.
 //!
-//! [`RoundTimeline`] glues the per-device models (Eq. 4–9) to the
-//! serialized TDMA channel ([`TdmaSchedule`]) and reports the metrics
-//! the paper's evaluation needs: round delay, per-round energy
-//! (Eq. 10–11), per-device slack, and an ASCII Gantt rendering of the
-//! Fig. 1 schedule.
-//!
-//! It is the fault-free analytic view of a round, for the Fig. 1 and
-//! Alg. 3 analyses and as a reference in tests. Federated rounds run
-//! through [`crate::faults::FaultedRound`], which resolves a round
-//! without faults or a deadline to the same schedule bit for bit and
-//! owns the round's metrics and traces.
+//! [`RoundTimeline`] is a round resolved by [`FaultedRound`] with no
+//! fault and no deadline: compute spans, TDMA uploads and the energy
+//! accounting of one synchronous FL training iteration. It reports the
+//! metrics the paper's evaluation needs — round delay, per-round
+//! energy (Eq. 10–11), per-device slack — and an ASCII Gantt rendering
+//! of the Fig. 1 schedule. Its type guarantees that nothing failed and
+//! nothing was cut, so every device delivered and its outcome is the
+//! plain Eq. 4–9 schedule.
 
 use crate::device::{Device, DeviceId};
-use crate::error::{MecError, Result};
-use crate::tdma::{TdmaSchedule, UploadRequest};
+use crate::error::Result;
+use crate::faults::{check_cohort, DeviceOutcome, FaultedRound};
 use crate::units::{Bits, Hertz, Joules, Seconds};
 
-/// One device's fully-resolved activity within a round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceActivity {
-    /// The device.
-    pub device: DeviceId,
-    /// The operating frequency it computed at.
-    pub frequency: Hertz,
-    /// The device's maximum frequency — the baseline the
-    /// delay-neutrality and `E ∝ f²` audits compare against.
-    pub f_max: Hertz,
-    /// Local model-update delay `T^cal` (compute starts at t = 0).
-    pub compute_finish: Seconds,
-    /// When its upload obtained the channel.
-    pub upload_start: Seconds,
-    /// When its upload finished.
-    pub upload_end: Seconds,
-    /// Compute energy `E^cal` at `frequency` (Eq. 5).
-    pub compute_energy: Joules,
-    /// Compute energy the same workload would have cost at `f_max` —
-    /// the `E ∝ f²` reference the audit checks `compute_energy`
-    /// against (`E_f = E_max · (f / f_max)²`, and `E_f ≤ E_max`).
-    pub compute_energy_at_max: Joules,
-    /// Upload energy `E^com` (Eq. 8).
-    pub upload_energy: Joules,
-}
-
-impl DeviceActivity {
-    /// Idle wait between compute completion and upload start.
-    #[inline]
-    pub fn slack(&self) -> Seconds {
-        self.upload_start - self.compute_finish
-    }
-
-    /// Total device energy in this round.
-    #[inline]
-    pub fn total_energy(&self) -> Joules {
-        self.compute_energy + self.upload_energy
-    }
-
-    /// End-to-end span of this device (Eq. 9 plus any wait).
-    #[inline]
-    pub fn total_delay(&self) -> Seconds {
-        self.upload_end
-    }
-}
-
-/// The resolved timeline of one synchronous round.
+/// The resolved timeline of one synchronous round with no fault and
+/// no deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundTimeline {
-    activities: Vec<DeviceActivity>,
-    payload: Bits,
+    round: FaultedRound,
 }
 
 impl RoundTimeline {
@@ -76,10 +26,8 @@ impl RoundTimeline {
     /// frequencies `frequencies`, each uploading `payload` bits.
     ///
     /// Computation runs in parallel across devices from t = 0; uploads
-    /// serialize on the TDMA channel in compute-finish order. Each
-    /// channel slot resolves to its own input position, so the cost is
-    /// the schedule's sort, and a repeated id stays two separate
-    /// entries.
+    /// serialize on the TDMA channel in compute-finish order. A
+    /// repeated id stays two separate entries.
     ///
     /// # Errors
     ///
@@ -87,43 +35,14 @@ impl RoundTimeline {
     /// [`MecError::NonPositiveParameter`] if `frequencies` length
     /// mismatches, or [`MecError::FrequencyOutOfRange`] if a frequency
     /// is unsupported by its device.
+    ///
+    /// [`MecError::EmptyDeviceSet`]: crate::MecError::EmptyDeviceSet
+    /// [`MecError::NonPositiveParameter`]: crate::MecError::NonPositiveParameter
+    /// [`MecError::FrequencyOutOfRange`]: crate::MecError::FrequencyOutOfRange
     pub fn simulate(devices: &[Device], frequencies: &[Hertz], payload: Bits) -> Result<Self> {
-        if devices.is_empty() {
-            return Err(MecError::EmptyDeviceSet);
-        }
-        if devices.len() != frequencies.len() {
-            return Err(MecError::NonPositiveParameter {
-                name: "frequencies.len",
-                value: frequencies.len() as f64,
-            });
-        }
-        let mut requests = Vec::with_capacity(devices.len());
-        for (dev, &f) in devices.iter().zip(frequencies) {
-            requests.push(UploadRequest {
-                device: dev.id(),
-                compute_finish: dev.compute_delay(f)?,
-                upload_duration: dev.upload_delay(payload),
-            });
-        }
-        let schedule = TdmaSchedule::new(&requests);
-        let mut activities = Vec::with_capacity(devices.len());
-        for slot in schedule.slots() {
-            let i = slot.request;
-            let (dev, f) = (&devices[i], frequencies[i]);
-            let f_max = dev.cpu().range().max();
-            activities.push(DeviceActivity {
-                device: slot.device,
-                frequency: f,
-                f_max,
-                compute_finish: slot.compute_finish,
-                upload_start: slot.upload_start,
-                upload_end: slot.upload_end,
-                compute_energy: dev.compute_energy(f)?,
-                compute_energy_at_max: dev.compute_energy(f_max)?,
-                upload_energy: dev.upload_energy(payload),
-            });
-        }
-        Ok(Self { activities, payload })
+        check_cohort(devices, frequencies)?;
+        let round = FaultedRound::resolve(devices, frequencies, payload, |_| None, None)?;
+        Ok(Self { round })
     }
 
     /// Convenience: simulate with every device at its maximum frequency
@@ -137,50 +56,42 @@ impl RoundTimeline {
         Self::simulate(devices, &freqs, payload)
     }
 
-    /// Per-device activities in channel (upload) order.
+    /// Per-device outcomes in channel (upload) order; every one
+    /// uploaded and delivered, with no fault and no waste.
     #[inline]
-    pub fn activities(&self) -> &[DeviceActivity] {
-        &self.activities
-    }
-
-    /// The model payload size used for uploads.
-    #[inline]
-    pub fn payload(&self) -> Bits {
-        self.payload
+    pub fn activities(&self) -> &[DeviceOutcome] {
+        self.round.outcomes()
     }
 
     /// Round delay: the TDMA makespan (when the last upload lands).
     pub fn makespan(&self) -> Seconds {
-        self.activities.last().map_or(Seconds::ZERO, |a| a.upload_end)
+        self.round.round_time()
     }
 
     /// The paper's Eq. 10 lower bound `max_q (T^cal + T^com)`, which
     /// ignores channel contention.
     pub fn eq10_bound(&self) -> Seconds {
-        self.activities
-            .iter()
-            .map(|a| a.compute_finish + (a.upload_end - a.upload_start))
-            .fold(Seconds::ZERO, Seconds::max)
+        self.round.eq10_bound()
     }
 
     /// Total round energy `E_Γ` (Eq. 11).
     pub fn total_energy(&self) -> Joules {
-        self.activities.iter().map(DeviceActivity::total_energy).sum()
+        self.round.total_energy()
     }
 
     /// Total compute energy across devices.
     pub fn compute_energy(&self) -> Joules {
-        self.activities.iter().map(|a| a.compute_energy).sum()
+        self.round.compute_energy()
     }
 
     /// Total slack across devices — the head-room Alg. 3 exploits.
     pub fn total_slack(&self) -> Seconds {
-        self.activities.iter().map(DeviceActivity::slack).sum()
+        self.round.total_slack()
     }
 
     /// Activity of a specific device, if it participated.
-    pub fn activity(&self, device: DeviceId) -> Option<&DeviceActivity> {
-        self.activities.iter().find(|a| a.device == device)
+    pub fn activity(&self, device: DeviceId) -> Option<&DeviceOutcome> {
+        self.round.outcome(device)
     }
 
     /// Renders the round as an ASCII Gantt chart (one row per device;
@@ -193,7 +104,7 @@ impl RoundTimeline {
         }
         let scale = width as f64 / span;
         let mut out = String::new();
-        for a in &self.activities {
+        for a in self.activities() {
             let compute = (a.compute_finish.get() * scale).round() as usize;
             let wait = (a.slack().get() * scale).round() as usize;
             let upload =
@@ -217,6 +128,7 @@ impl RoundTimeline {
 mod tests {
     use super::*;
     use crate::comm::Uplink;
+    use crate::error::MecError;
     use crate::cpu::DvfsCpu;
     use crate::units::{BitsPerSecond, Watts};
 
@@ -332,6 +244,25 @@ mod tests {
             assert_eq!(a.compute_finish, devs[0].compute_delay(a.frequency).unwrap());
             assert_eq!(a.compute_energy, devs[0].compute_energy(a.frequency).unwrap());
         }
+    }
+
+    #[test]
+    fn ties_break_by_id_then_keep_input_order() {
+        // Compute finishes 4, 1, 2, 2 and 2 s. Three devices tie at
+        // 2 s: id 5 goes first, then the two entries of id 7 in input
+        // order, told apart by their upload times (5 s, then 2.5 s).
+        let devs = [
+            device(7, 2.0, 800, 8.0),
+            device(3, 2.0, 200, 8.0),
+            device(7, 2.0, 400, 8.0),
+            device(7, 2.0, 400, 16.0),
+            device(5, 2.0, 400, 8.0),
+        ];
+        let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();
+        let inputs: Vec<usize> = tl.activities().iter().map(|a| a.input).collect();
+        assert_eq!(inputs, vec![1, 4, 2, 3, 0]);
+        let ends: Vec<f64> = tl.activities().iter().map(|a| a.upload_end.get()).collect();
+        assert_eq!(ends, vec![6.0, 11.0, 16.0, 18.5, 23.5]);
     }
 
     #[test]

@@ -11,24 +11,10 @@ use detrand::Rng;
 use mec_sim::comm::Uplink;
 use mec_sim::cpu::DvfsCpu;
 use mec_sim::device::{Device, DeviceId};
-use mec_sim::tdma::{TdmaSchedule, UploadRequest};
 use mec_sim::timeline::RoundTimeline;
 use mec_sim::units::{Bits, BitsPerSecond, Cycles, Hertz, Seconds, Watts};
 
 const CASES: usize = 256;
-
-fn gen_request(rng: &mut Rng) -> UploadRequest {
-    UploadRequest {
-        device: DeviceId(rng.below(64)),
-        compute_finish: Seconds::new(rng.uniform(0.0, 100.0)),
-        upload_duration: Seconds::new(rng.uniform(0.01, 50.0)),
-    }
-}
-
-fn gen_requests(rng: &mut Rng, min: usize, max: usize) -> Vec<UploadRequest> {
-    let n = rng.range_usize(min, max);
-    (0..n).map(|_| gen_request(rng)).collect()
-}
 
 fn gen_device(rng: &mut Rng) -> Device {
     let id = rng.below(1000);
@@ -38,57 +24,6 @@ fn gen_device(rng: &mut Rng) -> Device {
     let cpu = DvfsCpu::with_paper_alpha(Hertz::from_ghz(0.3), Hertz::from_ghz(fmax)).unwrap();
     let uplink = Uplink::new(Watts::new(0.2), BitsPerSecond::from_mbps(mbps)).unwrap();
     Device::new(DeviceId(id), cpu, 1.0e7, samples, uplink).unwrap()
-}
-
-/// Uploads never overlap: the channel serves one device at a time.
-#[test]
-fn tdma_slots_never_overlap() {
-    let mut rng = Rng::seed_from_u64(0x7d7a_0001);
-    for case in 0..CASES {
-        let schedule = TdmaSchedule::new(&gen_requests(&mut rng, 0, 32));
-        for pair in schedule.slots().windows(2) {
-            assert!(
-                pair[0].upload_end <= pair[1].upload_start,
-                "case {case}: slots overlap"
-            );
-        }
-    }
-}
-
-/// No upload starts before its device finished computing, and the
-/// makespan dominates every device's unconstrained span.
-#[test]
-fn tdma_respects_compute_finish_and_spans() {
-    let mut rng = Rng::seed_from_u64(0x7d7a_0002);
-    for case in 0..CASES {
-        let reqs = gen_requests(&mut rng, 1, 32);
-        let schedule = TdmaSchedule::new(&reqs);
-        for slot in schedule.slots() {
-            assert!(slot.upload_start >= slot.compute_finish, "case {case}");
-            assert!(slot.slack() >= Seconds::ZERO, "case {case}");
-        }
-        for req in &reqs {
-            assert!(
-                schedule.makespan() >= req.compute_finish + req.upload_duration * 0.999,
-                "case {case}: makespan below a device's unconstrained span"
-            );
-        }
-    }
-}
-
-/// Channel busy + idle exactly partition the makespan.
-#[test]
-fn tdma_busy_idle_partition() {
-    let mut rng = Rng::seed_from_u64(0x7d7a_0003);
-    for case in 0..CASES {
-        let schedule = TdmaSchedule::new(&gen_requests(&mut rng, 0, 32));
-        let total = schedule.channel_busy() + schedule.channel_idle();
-        assert!(
-            (total.get() - schedule.makespan().get()).abs() < 1e-9,
-            "case {case}: busy+idle != makespan"
-        );
-        assert!(schedule.channel_idle() >= Seconds::new(-1e-12), "case {case}");
-    }
 }
 
 /// The deadline-inverting frequency is always inside the supported

@@ -332,7 +332,7 @@ impl Digest {
 
 /// Replays the TDMA queue over `(compute_finish, upload_duration)`
 /// pairs, FIFO by compute finish with device-id tie-break — the same
-/// discipline as `mec_sim::tdma::TdmaSchedule` — and returns the
+/// discipline as `mec_sim::faults::FaultedRound` — and returns the
 /// resulting makespan.
 fn replay_tdma(mut jobs: Vec<(f64, f64, u64)>) -> f64 {
     jobs.sort_by(|a, b| {
