@@ -131,8 +131,9 @@ echo "==> population gate: traced --smoke sweep + digest audit vs committed base
 # carries its own bound: 4.0 on round p50/p99 (the gate catches the
 # indexed selector losing its complexity class, not µs-level jitter)
 # and 0.5 on the deterministic bytes per device. The sweep runs in
-# digest mode (--trace) and refuses itself when the digest trace costs
-# more than 89 µs per round at any Q ≤ 10^6; its cohort-digest trace
+# digest mode (--trace); after measuring and printing every size it
+# refuses itself, naming every Q ≤ 10^6 whose digest trace cost more
+# than 89 µs per round, and writes no report; its cohort-digest trace
 # must satisfy the same schema check and analytic audit as a
 # full-fidelity federated trace; `watch` on the finished file proves
 # the tail-follower sees the rounds and exits on the metrics line.

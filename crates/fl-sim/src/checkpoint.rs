@@ -1,16 +1,19 @@
 //! Round-granular durable checkpoint/resume for the federated runner.
 //!
-//! A [`RunCheckpoint`] captures everything the round loop consumes that
-//! is not re-derived from the master seed each round: the global model
-//! parameters, the accumulated [`crate::history::TrainingHistory`],
-//! cumulative time/energy, per-device batteries and the alive mask,
+//! A [`RunCheckpoint`] stores each fact the round loop consumes once,
+//! and only the facts that cannot be derived: the run's identity, the
+//! global model parameters, the accumulated
+//! [`crate::history::TrainingHistory`], the per-device battery charge,
 //! the selector's persistent state (via
 //! [`crate::selection::ClientSelector::snapshot`]), the Sim-class
-//! metrics registry, and the telemetry span-id cursor. Per-round RNG
-//! streams (training minibatches, fault sampling, digest exemplars)
-//! are *not* stored: they are derived fresh from the master seed and
-//! the round index (see [`crate::seeds`]), so the completed-round
-//! index is their entire cursor.
+//! metrics registry, and the telemetry span-id cursor. Everything else
+//! is derived on resume: cumulative time and energy and the evaluated
+//! accuracies are read off the history, the dead devices are the
+//! depleted batteries, and the battery capacity is the config's.
+//! Per-round RNG streams (training minibatches, fault sampling, digest
+//! exemplars) are derived fresh from the master seed and the round
+//! index (see [`crate::seeds`]), so the completed-round index is their
+//! entire cursor.
 //!
 //! Every scalar that must survive bit-exactly is serialized as the hex
 //! of its IEEE-754 bit pattern (`f64::to_bits` / `f32::to_bits`), and
@@ -50,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Once;
 
 use helcfl_telemetry::json::{self, JsonObject, JsonValue};
-use helcfl_telemetry::{fnv1a_hex, Histogram, Metric};
+use helcfl_telemetry::{fnv1a_hex, Histogram, Metric, RunIdentity};
 use mec_sim::device::DeviceId;
 use mec_sim::units::{Joules, Seconds};
 
@@ -60,12 +63,12 @@ use crate::selection::SelectorSnapshot;
 
 /// Schema version written into (and demanded from) checkpoint files.
 ///
-/// Version 2: every round records the fault series (`faults.fired`,
-/// `round.delivered`, `faults.wasted_energy_j`) into the Sim metrics.
-/// A fault-free version-1 checkpoint carries none of them in its
-/// `sim_metrics`, so resuming it would undercount `round.delivered`;
-/// it is refused instead.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
+/// Version 3: the file holds only state that cannot be derived (see the
+/// module docs). Version 2 also stored cumulative time and energy, the
+/// evaluated accuracies, the battery capacity, the dead devices and a
+/// fault count, and version 1 lacked the fault series in its Sim
+/// metrics; both are refused.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
 
 /// Environment variable enabling checkpointing: `dir` or
 /// `dir:interval` (checkpoint every `interval` rounds, default 1).
@@ -174,43 +177,20 @@ pub fn checkpoint_from_env_value(value: &str) -> (Option<CheckpointConfig>, Opti
     )
 }
 
-/// Everything the round loop consumes, frozen after a completed round.
-///
-/// The identity block (`seed`, `scheme`, `config_fingerprint`,
-/// `fleet_size`) mirrors the run manifest's compatibility fields;
-/// [`RunCheckpoint::compatible`] refuses a mismatched resume by naming
-/// the first differing field, exactly like
-/// `RunManifest::compatible`.
+/// The round loop's underivable state, frozen after a completed round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
-    /// Checkpoint format version ([`CHECKPOINT_SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Selector/scheme name (e.g. `"helcfl"`).
-    pub scheme: String,
-    /// Semantic config fingerprint (see the runner's manifest docs).
-    pub config_fingerprint: String,
-    /// Device population size.
-    pub fleet_size: usize,
+    /// The experiment that wrote it; resume refuses a run whose
+    /// identity differs, naming the first differing field
+    /// ([`RunIdentity::first_difference`]).
+    pub identity: RunIdentity,
     /// Last completed (and fully recorded) 1-based round.
     pub round: usize,
     /// Global model parameters after aggregating `round`.
     pub model: Vec<f32>,
-    /// Cumulative training delay through `round`.
-    pub cumulative_time: Seconds,
-    /// Cumulative training energy through `round`.
-    pub cumulative_energy: Joules,
-    /// Accuracy of every evaluation so far (convergence-check input).
-    pub evaluated_accuracies: Vec<f64>,
-    /// Per-device battery capacity, when batteries are simulated.
-    pub battery_capacity: Option<Joules>,
-    /// Per-device remaining charge, index-aligned with the population.
+    /// Per-device remaining charge, index-aligned with the population,
+    /// when batteries are simulated.
     pub battery_remaining: Option<Vec<Joules>>,
-    /// Devices whose battery depleted (dead in the alive mask).
-    pub dead_devices: Vec<usize>,
-    /// Fault events fired so far.
-    pub faults_cumulative: u64,
     /// The selector's persistent cross-round state.
     pub selector: SelectorSnapshot,
     /// Next telemetry span id, so a resumed trace tail continues the
@@ -238,30 +218,22 @@ impl RunCheckpoint {
     /// Serializes the checkpoint payload as one JSON line (no
     /// checksum trailer; see [`RunCheckpoint::to_file_bytes`]).
     pub fn to_json_line(&self) -> String {
+        let id = &self.identity;
         let mut o = JsonObject::new();
         o.field("type", "helcfl_checkpoint")
-            .field("schema_version", self.schema_version)
-            .field("seed", hex_u64(self.seed))
-            .field("scheme", self.scheme.as_str())
-            .field("config_fingerprint", self.config_fingerprint.as_str())
-            .field("fleet_size", self.fleet_size)
+            .field("schema_version", CHECKPOINT_SCHEMA_VERSION)
+            .field("seed", hex_u64(id.seed))
+            .field("scheme", id.scheme.as_str())
+            .field("config_fingerprint", id.config_fingerprint.as_str())
+            .field("fleet_size", id.fleet_size)
             .field("round", self.round)
             .field("model", self.model.iter().map(|&p| hex_f32(p)).collect::<Vec<_>>())
-            .field("cumulative_time", hex_f64(self.cumulative_time.get()))
-            .field("cumulative_energy", hex_f64(self.cumulative_energy.get()))
-            .field(
-                "evaluated_accuracies",
-                self.evaluated_accuracies.iter().map(|&a| hex_f64(a)).collect::<Vec<_>>(),
-            )
-            .field("battery_capacity", self.battery_capacity.map(|c| hex_f64(c.get())))
             .field(
                 "battery_remaining",
                 self.battery_remaining
                     .as_ref()
                     .map(|v| v.iter().map(|r| hex_f64(r.get())).collect::<Vec<_>>()),
             )
-            .field("dead_devices", self.dead_devices.clone())
-            .field("faults_cumulative", hex_u64(self.faults_cumulative))
             .field("selector_counters_len", self.selector.counters_len)
             .field(
                 "selector_counters",
@@ -295,44 +267,6 @@ impl RunCheckpoint {
         format!("{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n")
     }
 
-    /// Checks the identity block against the run about to resume.
-    ///
-    /// # Errors
-    ///
-    /// Names the first differing field (`seed`, `scheme`,
-    /// `config_fingerprint`, `fleet_size`) so operators can see *why*
-    /// the resume was refused instead of getting silent divergence.
-    pub fn compatible(
-        &self,
-        seed: u64,
-        scheme: &str,
-        config_fingerprint: &str,
-        fleet_size: usize,
-    ) -> core::result::Result<(), String> {
-        if self.seed != seed {
-            return Err(format!("seed differs: checkpoint {}, run {seed}", self.seed));
-        }
-        if self.scheme != scheme {
-            return Err(format!(
-                "scheme differs: checkpoint `{}`, run `{scheme}`",
-                self.scheme
-            ));
-        }
-        if self.config_fingerprint != config_fingerprint {
-            return Err(format!(
-                "config fingerprint differs: checkpoint {}, run {config_fingerprint}",
-                self.config_fingerprint
-            ));
-        }
-        if self.fleet_size != fleet_size {
-            return Err(format!(
-                "fleet size differs: checkpoint {}, run {fleet_size}",
-                self.fleet_size
-            ));
-        }
-        Ok(())
-    }
-
     /// Parses a checkpoint payload object (checksum already verified).
     fn from_json(v: &JsonValue) -> core::result::Result<Self, String> {
         let fleet_size = want_usize(v, "fleet_size")?;
@@ -345,21 +279,6 @@ impl RunCheckpoint {
                     .and_then(|s| parse_hex_f32(s, "model"))
             })
             .collect::<core::result::Result<Vec<_>, _>>()?;
-        let evaluated_accuracies = want_array(v, "evaluated_accuracies")?
-            .iter()
-            .map(|e| {
-                e.as_str()
-                    .ok_or_else(|| "non-string accuracy".to_string())
-                    .and_then(|s| parse_hex_f64(s, "evaluated_accuracies"))
-            })
-            .collect::<core::result::Result<Vec<_>, _>>()?;
-        let battery_capacity = match v.get("battery_capacity") {
-            Some(JsonValue::Null) => None,
-            Some(JsonValue::String(s)) => {
-                Some(Joules::new(parse_hex_f64(s, "battery_capacity")?))
-            }
-            _ => return Err("missing or malformed field `battery_capacity`".into()),
-        };
         let battery_remaining = match v.get("battery_remaining") {
             Some(JsonValue::Null) => None,
             Some(JsonValue::Array(items)) => Some(
@@ -382,13 +301,6 @@ impl RunCheckpoint {
                     rem.len()
                 ));
             }
-        }
-        let dead_devices = want_array(v, "dead_devices")?
-            .iter()
-            .map(|e| usize_of(e, "dead_devices"))
-            .collect::<core::result::Result<Vec<_>, _>>()?;
-        if let Some(&q) = dead_devices.iter().find(|&&q| q >= fleet_size) {
-            return Err(format!("dead device {q} exceeds fleet_size {fleet_size}"));
         }
         let counters_len = want_usize(v, "selector_counters_len")?;
         let counters = want_array(v, "selector_counters")?
@@ -433,20 +345,15 @@ impl RunCheckpoint {
             ));
         }
         Ok(Self {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
-            seed: want_u64_hex(v, "seed")?,
-            scheme: want_str(v, "scheme")?.to_string(),
-            config_fingerprint: want_str(v, "config_fingerprint")?.to_string(),
-            fleet_size,
+            identity: RunIdentity {
+                seed: want_u64_hex(v, "seed")?,
+                scheme: want_str(v, "scheme")?.to_string(),
+                config_fingerprint: want_str(v, "config_fingerprint")?.to_string(),
+                fleet_size,
+            },
             round,
             model,
-            cumulative_time: Seconds::new(want_f64_bits(v, "cumulative_time")?),
-            cumulative_energy: Joules::new(want_f64_bits(v, "cumulative_energy")?),
-            evaluated_accuracies,
-            battery_capacity,
             battery_remaining,
-            dead_devices,
-            faults_cumulative: want_u64_hex(v, "faults_cumulative")?,
             selector: SelectorSnapshot { counters_len, counters, rng_state },
             next_span_id: want_u64_hex(v, "next_span_id")?,
             sim_metrics,
@@ -881,22 +788,17 @@ mod tests {
             cumulative_energy: Joules::new(0.2 * r as f64),
         };
         RunCheckpoint {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
-            seed: 0xDEAD_BEEF_CAFE_F00D,
-            scheme: "helcfl".into(),
-            config_fingerprint: "abc123".into(),
-            fleet_size: 5,
+            identity: RunIdentity {
+                seed: 0xDEAD_BEEF_CAFE_F00D,
+                scheme: "helcfl".into(),
+                config_fingerprint: "abc123".into(),
+                fleet_size: 5,
+            },
             round,
             model: vec![0.5, -1.25, 3.0e-7, f32::MIN_POSITIVE],
-            cumulative_time: Seconds::new(12.25 * round as f64),
-            cumulative_energy: Joules::new(0.2 * round as f64),
-            evaluated_accuracies: vec![0.1, 0.4, 0.1 + 0.2],
-            battery_capacity: Some(Joules::new(10.0)),
             battery_remaining: Some(
                 (0..5).map(|q| Joules::new(10.0 - q as f64 * 0.3)).collect(),
             ),
-            dead_devices: vec![4],
-            faults_cumulative: 3,
             selector: SelectorSnapshot {
                 counters_len: 5,
                 counters: vec![(1, 2), (3, 1)],
@@ -942,8 +844,8 @@ mod tests {
         // round or normalize survive via their bit patterns.
         assert_eq!(parsed.model[3].to_bits(), f32::MIN_POSITIVE.to_bits());
         assert_eq!(
-            parsed.evaluated_accuracies[2].to_bits(),
-            (0.1f64 + 0.2).to_bits()
+            parsed.history[1].test_accuracy.map(f64::to_bits),
+            Some((0.1f64 + 0.3 * 2.0).to_bits())
         );
     }
 
@@ -1019,11 +921,11 @@ mod tests {
         assert!(err.contains("checksum mismatch"), "unexpected refusal: {err}");
 
         // Wrong schema version with a *valid* checksum: refused for
-        // the version, not the hash — a stale version-1 file as much
-        // as one from the future.
+        // the version, not the hash — a stale version-1 or version-2
+        // file as much as one from the future.
         let current = format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}");
         assert!(good.contains(&current));
-        for version in [1, 999] {
+        for version in [1, 2, 999] {
             let other = good.replacen(&current, &format!("\"schema_version\":{version}"), 1);
             let payload = other.lines().next().unwrap();
             let retrailed = format!(
@@ -1080,20 +982,6 @@ mod tests {
         assert!(load_latest(&dir).unwrap().is_none());
         assert!(load_latest(&dir.join("never_created")).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn identity_mismatches_are_refused_by_field_name() {
-        let ck = sample_checkpoint(1);
-        assert!(ck.compatible(ck.seed, "helcfl", "abc123", 5).is_ok());
-        let err = ck.compatible(1, "helcfl", "abc123", 5).unwrap_err();
-        assert!(err.contains("seed differs"), "{err}");
-        let err = ck.compatible(ck.seed, "classic", "abc123", 5).unwrap_err();
-        assert!(err.contains("scheme differs"), "{err}");
-        let err = ck.compatible(ck.seed, "helcfl", "zzz", 5).unwrap_err();
-        assert!(err.contains("config fingerprint differs"), "{err}");
-        let err = ck.compatible(ck.seed, "helcfl", "abc123", 6).unwrap_err();
-        assert!(err.contains("fleet size differs"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use detrand::Rng;
 
-use mec_sim::channel::standard_normal;
 use tinynn::tensor::Matrix;
 
 use crate::error::{FlError, Result};
@@ -220,7 +219,7 @@ impl SyntheticTask {
         let mut norm = 0.0f32;
         let raw: Vec<f32> = (0..d)
             .map(|_| {
-                let v = standard_normal(rng) as f32;
+                let v = rng.standard_normal() as f32;
                 norm += v * v;
                 v
             })
@@ -265,7 +264,7 @@ impl SyntheticTask {
             let variant = rng.below(config.variants_per_class);
             let proto = prototypes.row(label * config.variants_per_class + variant);
             for (j, &p) in proto.iter().enumerate().take(d) {
-                let noise = standard_normal(rng) as f32 * config.noise_std;
+                let noise = rng.standard_normal() as f32 * config.noise_std;
                 features.set(i, j, p * scale + noise);
             }
         }

@@ -10,8 +10,6 @@
 
 use detrand::Rng;
 
-use mec_sim::channel::standard_normal;
-
 use crate::error::{FlError, Result};
 
 /// An assignment of training-sample indices to users.
@@ -231,7 +229,7 @@ fn sample_gamma(alpha: f64, rng: &mut Rng) -> f64 {
     let d = alpha - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        let x = standard_normal(rng);
+        let x = rng.standard_normal();
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;

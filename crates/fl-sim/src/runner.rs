@@ -11,7 +11,7 @@
 
 
 use detrand::{splitmix64, Rng};
-use helcfl_telemetry::{resource, span, Class, Telemetry};
+use helcfl_telemetry::{resource, span, Class, RunIdentity, Telemetry};
 use mec_sim::battery::Battery;
 use mec_sim::device::DeviceId;
 use mec_sim::faults::DigestConfig;
@@ -385,6 +385,21 @@ fn config_fingerprint(config: &TrainingConfig) -> String {
     helcfl_telemetry::fnv1a_hex(canonical.as_bytes())
 }
 
+/// Alg. 1's exit checks after the last completed round: the training
+/// deadline (Eq. 14) and the convergence test. Both read only the
+/// history, so a resumed run stops exactly where the uninterrupted one
+/// did, also when its checkpoint was written at the stopping round.
+fn should_stop(config: &TrainingConfig, history: &TrainingHistory) -> bool {
+    if history.is_empty() {
+        return false;
+    }
+    let accuracies = || -> Vec<f64> {
+        history.records().iter().filter_map(|r| r.test_accuracy).collect()
+    };
+    config.deadline.is_some_and(|deadline| history.total_time() >= deadline)
+        || config.convergence.is_some_and(|policy| policy.converged(&accuracies()))
+}
+
 /// [`run_federated`] with full telemetry instrumentation.
 ///
 /// Opens the trace with a `run_manifest` provenance line (schema
@@ -442,7 +457,12 @@ pub fn run_federated_traced(
         setup.clients.len(),
         setup.eval_set.len(),
     );
-    let fingerprint = config_fingerprint(config);
+    let identity = RunIdentity {
+        seed: config.seed,
+        scheme: selector.name().to_string(),
+        config_fingerprint: config_fingerprint(config),
+        fleet_size: setup.population.len(),
+    };
     // Checkpointing is the caller's: the ring lives in
     // `config.checkpoint`'s directory exactly as given.
     let ckpt_config = config.checkpoint.as_ref();
@@ -453,19 +473,18 @@ pub fn run_federated_traced(
         Some(cc) => checkpoint::load_latest(&cc.dir)?,
         None => None,
     };
+    let ckpt_err = |loaded: &LoadedCheckpoint, reason: String| FlError::Checkpoint {
+        path: loaded.path.display().to_string(),
+        reason,
+    };
     if let Some(loaded) = &resumed {
-        loaded
-            .checkpoint
-            .compatible(
-                config.seed,
-                selector.name(),
-                &fingerprint,
-                setup.population.len(),
-            )
-            .map_err(|reason| FlError::Checkpoint {
-                path: loaded.path.display().to_string(),
-                reason: format!("refusing resume: {reason}"),
-            })?;
+        if let Some((field, ours, theirs)) =
+            loaded.checkpoint.identity.first_difference(&identity)
+        {
+            let reason =
+                format!("refusing resume: {field} differs: checkpoint {ours}, run {theirs}");
+            return Err(ckpt_err(loaded, reason));
+        }
     }
     let spec = LocalUpdateSpec {
         learning_rate: config.learning_rate,
@@ -474,67 +493,57 @@ pub fn run_federated_traced(
     };
     let train_seed = derive(config.seed, SeedDomain::ClientTraining);
     let mut history = TrainingHistory::new(selector.name());
-    let mut cumulative_time = Seconds::ZERO;
-    let mut cumulative_energy = Joules::ZERO;
+    let population_len = setup.population.len();
+    // A resumed run continues from the checkpoint's charge; the capacity
+    // is the config's, which the identity's fingerprint covers.
+    let remaining = resumed.as_ref().and_then(|l| l.checkpoint.battery_remaining.as_deref());
+    if let Some(loaded) = &resumed {
+        if remaining.is_some() != config.battery_capacity.is_some() {
+            let reason = "battery state presence disagrees with the run config \
+                          (same fingerprint, different battery shape)";
+            return Err(ckpt_err(loaded, reason.into()));
+        }
+    }
     let mut batteries: Option<Vec<Battery>> = match config.battery_capacity {
         Some(capacity) => Some(
-            (0..setup.population.len())
-                .map(|_| Battery::new(capacity).map_err(FlError::from))
-                .collect::<Result<_>>()?,
+            (0..population_len)
+                .map(|q| match remaining {
+                    Some(left) => Battery::restore(capacity, left[q]),
+                    None => Battery::new(capacity),
+                })
+                .collect::<core::result::Result<_, _>>()?,
         ),
         None => None,
     };
     // Streaming availability: instead of materializing a filtered
     // `Vec<Device>` every round (O(Q) per round), the mask is updated
     // in place as batteries deplete during bookkeeping — the
-    // selectable set observed at each round start is identical.
-    let mut alive_mask = AliveMask::all_alive(setup.population.len());
-    let mut evaluated_accuracies: Vec<f64> = Vec::new();
+    // selectable set observed at each round start is identical. A
+    // device leaves the mask exactly when its battery depletes, so a
+    // resumed run rebuilds it from the restored charge.
+    let mut alive_mask = AliveMask::all_alive(population_len);
+    for (q, battery) in batteries.iter().flatten().enumerate() {
+        if battery.is_depleted() {
+            alive_mask.kill(q);
+        }
+    }
     // Per-round exemplar sampling streams for digest-mode tracing: one
     // splitmix64 step off a dedicated seed domain per round, so the
     // exemplar choice is reproducible and independent of every other
     // consumer of the master seed.
     let digest_master = derive(config.seed, SeedDomain::DigestExemplars);
-    let mut faults_cumulative: u64 = 0;
     let fleet_bytes = setup.population.memory_bytes();
     // Reinstall the interrupted run's loop state. Per-round RNG
     // streams need no restore: training, fault, and exemplar streams
     // are derived fresh from the master seed and the round index, so
-    // `start_round` is their entire cursor.
+    // `start_round` is their entire cursor. Cumulative time and energy
+    // and the convergence input are read off the restored history.
     let mut start_round = 1usize;
     if let Some(loaded) = &resumed {
         let ck = &loaded.checkpoint;
         server.restore_parameters(&ck.model)?;
         for record in &ck.history {
             history.push(record.clone());
-        }
-        cumulative_time = ck.cumulative_time;
-        cumulative_energy = ck.cumulative_energy;
-        evaluated_accuracies.clone_from(&ck.evaluated_accuracies);
-        faults_cumulative = ck.faults_cumulative;
-        match (batteries.as_mut(), ck.battery_remaining.as_ref()) {
-            (Some(bats), Some(remaining)) => {
-                let capacity = ck.battery_capacity.unwrap_or_else(|| {
-                    config.battery_capacity.expect("batteries imply a capacity")
-                });
-                for (battery, &left) in bats.iter_mut().zip(remaining) {
-                    *battery = Battery::restore(capacity, left)?;
-                }
-            }
-            (None, None) => {}
-            _ => {
-                return Err(FlError::Checkpoint {
-                    path: loaded.path.display().to_string(),
-                    reason: "battery state presence disagrees with the run config \
-                             (same fingerprint, different battery shape)"
-                        .into(),
-                });
-            }
-        }
-        for &dead in &ck.dead_devices {
-            if dead < setup.population.len() && alive_mask.is_alive(dead) {
-                alive_mask.kill(dead);
-            }
         }
         selector.restore(&ck.selector)?;
         start_round = ck.round + 1;
@@ -555,16 +564,13 @@ pub fn run_federated_traced(
     if tele.events_enabled() {
         tele.emit_manifest(&helcfl_telemetry::RunManifest {
             schema_version: helcfl_telemetry::MANIFEST_SCHEMA_VERSION,
-            seed: config.seed,
-            scheme: selector.name().to_string(),
-            config_fingerprint: fingerprint.clone(),
+            identity: identity.clone(),
             threads: workers,
             trace_mode: if config.digest_exemplars.is_some() {
                 "digest".to_string()
             } else {
                 "full".to_string()
             },
-            fleet_size: setup.population.len(),
             build_profile: if cfg!(debug_assertions) {
                 "debug".to_string()
             } else {
@@ -613,6 +619,11 @@ pub fn run_federated_traced(
     let population = &setup.population;
     with_trainer_pool(workers, &config.model_dims, clients, eval_set, move |pool| {
     for round in start_round..=config.max_rounds {
+        // Exit checks on the rounds completed so far: the deadline
+        // (Eq. 14) and the Alg. 1 convergence test.
+        if should_stop(config, &history) {
+            break;
+        }
         // Every statement of a round runs inside one of its phase
         // spans, so the phases account for the round's whole wall
         // clock (`helcfl-trace check` judges their coverage).
@@ -759,8 +770,8 @@ pub fn run_federated_traced(
             // long-run selection priority.
             selector.on_delivery_failure(&failed);
         }
-        cumulative_time += sim.round_time();
-        cumulative_energy += sim.total_energy();
+        let cumulative_time = history.total_time() + sim.round_time();
+        let cumulative_energy = history.total_energy() + sim.total_energy();
         if let Some(batteries) = batteries.as_mut() {
             // Each device drains exactly what it spent: a crashed
             // device is charged its partial joules once, never the
@@ -777,7 +788,6 @@ pub fn run_federated_traced(
         let test_accuracy = if evaluate_now {
             let span_phase = round_span.child("evaluate");
             let accuracy = pool.evaluate(&server.broadcast(), tele)?.1;
-            evaluated_accuracies.push(accuracy);
             span_phase.end();
             Some(accuracy)
         } else {
@@ -827,41 +837,28 @@ pub fn run_federated_traced(
             cumulative_time,
             cumulative_energy,
         });
-        faults_cumulative += sim.faults_fired() as u64;
         span_phase.end();
         round_span.end();
         // Round barrier: flush the sink, so a tailing
         // `helcfl-trace watch` sees every finished round.
         tele.flush();
 
-        // 6a. Checkpoint cadence. The trace is synced to disk *before*
-        //     the checkpoint is written, so a kill between the two
-        //     leaves a trace that is replayable at least up to the
-        //     round the checkpoint names — never a checkpoint claiming
-        //     rounds the trace has not durably seen.
+        // 6. Checkpoint cadence. The trace is synced to disk *before*
+        //    the checkpoint is written, so a kill between the two
+        //    leaves a trace that is replayable at least up to the
+        //    round the checkpoint names — never a checkpoint claiming
+        //    rounds the trace has not durably seen.
         let halt_now = ckpt_config.is_some_and(|cc| cc.halt_after == Some(round));
         if let Some(cc) = ckpt_config {
             if round % cc.interval == 0 || halt_now || round == config.max_rounds {
                 tele.sync_flush();
                 let ck = RunCheckpoint {
-                    schema_version: checkpoint::CHECKPOINT_SCHEMA_VERSION,
-                    seed: config.seed,
-                    scheme: selector.name().to_string(),
-                    config_fingerprint: fingerprint.clone(),
-                    fleet_size: population.len(),
+                    identity: identity.clone(),
                     round,
                     model: server.broadcast(),
-                    cumulative_time,
-                    cumulative_energy,
-                    evaluated_accuracies: evaluated_accuracies.clone(),
-                    battery_capacity: config.battery_capacity,
                     battery_remaining: batteries
                         .as_ref()
                         .map(|bs| bs.iter().map(Battery::remaining).collect()),
-                    dead_devices: (0..population.len())
-                        .filter(|&q| !alive_mask.is_alive(q))
-                        .collect(),
-                    faults_cumulative,
                     selector: selector.snapshot(),
                     next_span_id: tele.peek_next_span_id(),
                     sim_metrics: tele
@@ -894,19 +891,6 @@ pub fn run_federated_traced(
         checkpoint::chaos_kill_if_scheduled(round);
         if halt_now {
             break;
-        }
-
-        // 6. Exit checks: deadline (Eq. 14) and the Alg. 1
-        //    convergence test.
-        if let Some(deadline) = config.deadline {
-            if cumulative_time >= deadline {
-                break;
-            }
-        }
-        if let Some(policy) = config.convergence {
-            if policy.converged(&evaluated_accuracies) {
-                break;
-            }
         }
     }
     tele.flush();

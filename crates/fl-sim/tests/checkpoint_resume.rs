@@ -3,7 +3,9 @@
 //! the run that was never interrupted, at every worker count, with
 //! faults enabled and disabled, in full and digest trace modes. The
 //! continued history, the Sim-class metrics registry, and the trace
-//! tail (span ids included; wall clocks scrubbed) are all pinned.
+//! tail (span ids included; wall clocks scrubbed) are all pinned, and
+//! so are the stop conditions a resume derives from the history: the
+//! training deadline and the convergence test.
 
 use std::path::PathBuf;
 
@@ -14,7 +16,9 @@ use fl_sim::faults::FaultConfig;
 use fl_sim::frequency::MaxFrequency;
 use fl_sim::history::TrainingHistory;
 use fl_sim::partition::Partition;
-use fl_sim::runner::{run_federated_traced, FederatedSetup, TrainingConfig};
+use fl_sim::runner::{
+    run_federated_traced, ConvergencePolicy, FederatedSetup, TrainingConfig,
+};
 use fl_sim::selection::{ClientSelector, SelectionContext, SelectorSnapshot};
 use fl_sim::FlError;
 use helcfl_telemetry::{fnv1a_hex, MemorySink, MetricsRegistry, Telemetry};
@@ -226,8 +230,8 @@ fn resume_matches_uninterrupted_runs_across_workers_faults_and_trace_modes() {
 
 /// Battery depletion state survives resume: with a budget small enough
 /// that devices die, the resumed run's availability sequence matches
-/// the uninterrupted one (a dropped `dead_devices` or battery image
-/// would resurrect fleet members at round k+1).
+/// the uninterrupted one (a dropped battery image, or an alive mask
+/// not rebuilt from it, would resurrect fleet members at round k+1).
 #[test]
 fn resume_preserves_depleted_devices_and_battery_charge() {
     let tight = |ckpt| TrainingConfig {
@@ -303,7 +307,7 @@ fn resume_refuses_identity_mismatches_by_name() {
     let mut wrong_config = world_config(1, false, None, Some(CheckpointConfig::new(&dir)));
     wrong_config.fraction = 0.5;
     let err = run_result(&wrong_config).unwrap_err();
-    assert!(err.to_string().contains("config fingerprint differs"), "{err}");
+    assert!(err.to_string().contains("config_fingerprint differs"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -325,4 +329,42 @@ fn repeated_interruptions_still_reproduce_the_golden_history() {
     assert_eq!(finished.0, golden.0, "twice-interrupted history diverged");
     assert_eq!(finished.1, golden.1, "twice-interrupted Sim registry diverged");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stop conditions survive resume: a training deadline (Eq. 14)
+/// and a convergence policy each end the run early, at a round the
+/// resumed run must reproduce from the history alone — its cumulative
+/// time for the deadline, its evaluated accuracies for the plateau
+/// test. Halting before the stop and resuming yields the uninterrupted
+/// history, and so does rerunning a ring whose last checkpoint was
+/// written at the stopping round itself.
+#[test]
+fn resume_reproduces_deadline_and_convergence_stops() {
+    let unbounded = run(&world_config(2, true, None, None)).0;
+    assert_eq!(unbounded.len(), 6);
+    // Four rounds fit under the deadline; the fifth would start past it.
+    let deadline = unbounded.records()[3].cumulative_time;
+    let mut by_deadline = world_config(2, true, None, None);
+    by_deadline.deadline = Some(deadline);
+    let mut by_convergence = world_config(2, true, None, None);
+    // Any two evaluations (rounds 2 and 4) count as a plateau.
+    by_convergence.convergence = Some(ConvergencePolicy { window: 2, min_improvement: 1.0 });
+    for (label, base) in [("deadline", by_deadline), ("convergence", by_convergence)] {
+        let config = |checkpoint| TrainingConfig { checkpoint, ..base.clone() };
+        let golden = run(&config(None));
+        assert_eq!(golden.0.len(), 4, "{label}: the stop must end the run early");
+
+        let dir = scratch(&format!("stop_{label}"));
+        let halting = CheckpointConfig { halt_after: Some(2), ..CheckpointConfig::new(&dir) };
+        assert_eq!(run(&config(Some(halting))).0.len(), 2, "{label}: halted run length");
+        let resumed = run(&config(Some(CheckpointConfig::new(&dir))));
+        assert_eq!(resumed.0, golden.0, "{label}: resumed history diverged");
+        assert_eq!(resumed.1, golden.1, "{label}: resumed Sim registry diverged");
+
+        // The ring now ends at the stopping round: a rerun resumes
+        // there and must stop at once instead of training on.
+        let rerun = run(&config(Some(CheckpointConfig::new(&dir))));
+        assert_eq!(rerun.0, golden.0, "{label}: rerun after the stop trained on");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

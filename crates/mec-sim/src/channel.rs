@@ -132,7 +132,7 @@ impl PathLossModel {
         if self.shadowing_db == 0.0 {
             return mean;
         }
-        let shadow_db = self.shadowing_db * standard_normal(rng);
+        let shadow_db = self.shadowing_db * rng.standard_normal();
         mean * 10.0_f64.powf(shadow_db / 10.0)
     }
 
@@ -140,15 +140,6 @@ impl PathLossModel {
     pub fn sample_amplitude_gain(&self, distance_m: f64, rng: &mut Rng) -> f64 {
         self.sample_power_gain(distance_m, rng).sqrt()
     }
-}
-
-/// Draws one standard-normal variate via the Box–Muller transform.
-///
-/// Thin forwarding wrapper kept for API continuity; the
-/// implementation lives in [`detrand::Rng::standard_normal`] so every
-/// crate shares one bit-stable normal sampler (see DESIGN.md §3).
-pub fn standard_normal(rng: &mut Rng) -> f64 {
-    rng.standard_normal()
 }
 
 #[cfg(test)]
@@ -222,17 +213,6 @@ mod tests {
         let mut rng = Rng::seed_from_u64(1);
         let h = model.sample_amplitude_gain(100.0, &mut rng);
         assert!((h * h - model.mean_power_gain(100.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn standard_normal_has_roughly_zero_mean_unit_variance() {
-        let mut rng = Rng::seed_from_u64(123);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

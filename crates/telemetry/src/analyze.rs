@@ -997,8 +997,8 @@ mod tests {
         .join("\n");
         let trace = Trace::parse(&text).unwrap();
         assert_eq!(trace.manifests.len(), 2);
-        assert_eq!(trace.manifests[0].seed, 1);
-        assert_eq!(trace.manifests[1].seed, 7);
+        assert_eq!(trace.manifests[0].identity.seed, 1);
+        assert_eq!(trace.manifests[1].identity.seed, 7);
 
         // parse_prefix keeps them too.
         let (lenient, dropped) = Trace::parse_prefix(&text);

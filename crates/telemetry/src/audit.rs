@@ -25,8 +25,9 @@
 //! (`uploaded`, `delivered`, `retries`), `wasted_energy_j`, and a
 //! `fault` kind; the timeline span gains `fault_fired`,
 //! `deadline_s`/`deadline_fired`, and `selected`/`delivered` counts.
-//! Every new attribute is decoded with a backward-compatible default,
-//! so pre-fault traces audit exactly as before. On faulted rounds the
+//! The auditor reads this one schema: a device span, cohort digest or
+//! timeline span without one of the attributes `FaultedRound` always
+//! emits is refused with the attribute named. On faulted rounds the
 //! contract shifts: slack and TDMA serialization apply only to devices
 //! that actually transmitted, the `E ∝ f²` equality applies only to
 //! undisturbed deliveries (faulted energies must merely stay under the
@@ -184,11 +185,6 @@ impl AuditReport {
 }
 
 /// One device's activity, decoded from a `device_activity` span.
-///
-/// Fault-era attributes fall back to values that make a pre-fault span
-/// behave as an undisturbed delivery: planned quantities default to
-/// the actuals, `uploaded`/`delivered` default to `true`, wasted
-/// energy and retries to zero, and `fault` to `None`.
 struct Activity {
     device: String,
     device_id: u64,
@@ -220,34 +216,27 @@ impl Activity {
                 )
             })
         };
-        let f = need("f_hz")?;
-        let compute_finish = need("compute_finish_s")?;
-        let upload_start = need("upload_start_s")?;
-        let upload_end = need("upload_end_s")?;
+        let lacks = |key: &str| format!("device_activity span {} lacks attr {key:?}", span.id);
+        let need_bool = |key: &str| span.attr_bool(key).ok_or_else(|| lacks(key));
+        let need_count = |key: &str| span.attr_u64(key).ok_or_else(|| lacks(key));
         Ok(Self {
             device: span.attr_str("device").unwrap_or("?").to_string(),
-            device_id: span.attr_u64("device_id").ok_or_else(|| {
-                format!("device_activity span {} lacks attr \"device_id\"", span.id)
-            })?,
-            f,
-            f_planned: span.attr_f64("f_planned_hz").unwrap_or(f),
+            device_id: need_count("device_id")?,
+            f: need("f_hz")?,
+            f_planned: need("f_planned_hz")?,
             f_max: need("f_max_hz")?,
-            compute_finish,
-            planned_compute_finish: span
-                .attr_f64("planned_compute_finish_s")
-                .unwrap_or(compute_finish),
-            planned_upload: span
-                .attr_f64("planned_upload_s")
-                .unwrap_or(upload_end - upload_start),
-            upload_start,
-            upload_end,
+            compute_finish: need("compute_finish_s")?,
+            planned_compute_finish: need("planned_compute_finish_s")?,
+            planned_upload: need("planned_upload_s")?,
+            upload_start: need("upload_start_s")?,
+            upload_end: need("upload_end_s")?,
             compute_energy: need("compute_energy_j")?,
             compute_energy_at_max: need("compute_energy_at_max_j")?,
             upload_energy: need("upload_energy_j")?,
-            wasted_energy: span.attr_f64("wasted_energy_j").unwrap_or(0.0),
-            uploaded: span.attr_bool("uploaded").unwrap_or(true),
-            delivered: span.attr_bool("delivered").unwrap_or(true),
-            retries: span.attr_u64("retries").unwrap_or(0),
+            wasted_energy: need("wasted_energy_j")?,
+            uploaded: need_bool("uploaded")?,
+            delivered: need_bool("delivered")?,
+            retries: need_count("retries")?,
             fault: span.attr_str("fault").map(str::to_string),
         })
     }
@@ -267,11 +256,6 @@ impl Activity {
 /// The cohort aggregates of a digest-mode round, decoded from a
 /// `cohort_digest` span (see `FaultedRound::trace_digest_into` in
 /// `mec-sim`).
-///
-/// Attributes that traces from before the fault layer do not carry fall back
-/// like [`Activity`]'s fault-era ones: `delivered` defaults to the
-/// device count, `faults_fired` to zero, and the wasted-energy sum to
-/// absent (check skipped).
 struct Digest {
     devices: u64,
     exemplars: u64,
@@ -282,7 +266,7 @@ struct Digest {
     energy_min: f64,
     energy_max: f64,
     compute_sum: f64,
-    wasted_sum: Option<f64>,
+    wasted_sum: f64,
     slack_sum: f64,
     slack_min: f64,
     slack_max: f64,
@@ -308,18 +292,17 @@ impl Digest {
                 format!("cohort_digest span {} lacks string attr {key:?}", span.id)
             })
         };
-        let devices = need_count("devices")?;
         Ok(Self {
-            devices,
+            devices: need_count("devices")?,
             exemplars: need_count("exemplars")?,
             uploads: need_count("uploads")?,
-            delivered: span.attr_u64("delivered").unwrap_or(devices),
-            faults_fired: span.attr_u64("faults_fired").unwrap_or(0),
+            delivered: need_count("delivered")?,
+            faults_fired: need_count("faults_fired")?,
             energy_sum: need("energy_sum_j")?,
             energy_min: need("energy_min_j")?,
             energy_max: need("energy_max_j")?,
             compute_sum: need("compute_energy_sum_j")?,
-            wasted_sum: span.attr_f64("wasted_energy_sum_j"),
+            wasted_sum: need("wasted_energy_sum_j")?,
             slack_sum: need("slack_sum_s")?,
             slack_min: need("slack_min_s")?,
             slack_max: need("slack_max_s")?,
@@ -482,32 +465,31 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
                 }
             }
         }
-        if activities.is_empty() && digest.is_none() {
+        let Some(tl) = timeline_span.filter(|_| !activities.is_empty() || digest.is_some())
+        else {
             continue;
-        }
+        };
         report.rounds_audited += 1;
         report.devices_audited += activities.len();
         if digest.is_some() {
             report.rounds_digest += 1;
         }
-        let claims_neutrality = timeline_span
-            .and_then(|tl| tl.attr_bool("delay_neutral"))
-            .unwrap_or(false);
+        let claims_neutrality = tl.attr_bool("delay_neutral").unwrap_or(false);
         if claims_neutrality {
             report.rounds_delay_neutral += 1;
         }
-        let deadline = timeline_span.and_then(|tl| tl.attr_f64("deadline_s"));
-        let deadline_fired = timeline_span
-            .and_then(|tl| tl.attr_bool("deadline_fired"))
-            .unwrap_or(false);
-        let fault_flag = timeline_span.and_then(|tl| tl.attr_bool("fault_fired"));
+        let deadline = tl.attr_f64("deadline_s");
+        let deadline_fired = tl.attr_bool("deadline_fired").unwrap_or(false);
+        let fault_flag = tl
+            .attr_bool("fault_fired")
+            .ok_or_else(|| format!("timeline span {} lacks attr \"fault_fired\"", tl.id))?;
         let device_faults =
             activities.iter().filter(|(_, a)| a.fault.is_some()).count();
         let round_faults = match &digest {
             Some((_, d)) => d.faults_fired as usize,
             None => device_faults,
         };
-        let faulted = fault_flag.unwrap_or(false) || round_faults > 0 || deadline_fired;
+        let faulted = fault_flag || round_faults > 0 || deadline_fired;
         if faulted {
             report.rounds_faulted += 1;
             if claims_neutrality && digest.is_none() {
@@ -541,13 +523,11 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
 
         // The timeline's digest flag and the cohort_digest child must
         // come and go together.
-        let claims_digest = timeline_span
-            .and_then(|tl| tl.attr_bool("digest"))
-            .unwrap_or(false);
+        let claims_digest = tl.attr_bool("digest").unwrap_or(false);
         if claims_digest != digest.is_some() {
             violation(
                 "digest-consistency",
-                timeline_span.map(|tl| tl.id),
+                Some(tl.id),
                 format!(
                     "timeline digest flag is {claims_digest} but the round \
                      {} a cohort_digest span",
@@ -558,18 +538,15 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
 
         // The timeline's fault flag must match the round evidence: the
         // digest tally when one exists, the device spans otherwise.
-        if let Some(flag) = fault_flag {
-            let evidence = round_faults > 0 || deadline_fired;
-            if flag != evidence {
-                violation(
-                    "fault-consistency",
-                    timeline_span.map(|tl| tl.id),
-                    format!(
-                        "timeline claims fault_fired={flag} but the round shows \
-                         {round_faults} fault(s) and deadline_fired={deadline_fired}"
-                    ),
-                );
-            }
+        if fault_flag != (round_faults > 0 || deadline_fired) {
+            violation(
+                "fault-consistency",
+                Some(tl.id),
+                format!(
+                    "timeline claims fault_fired={fault_flag} but the round shows \
+                     {round_faults} fault(s) and deadline_fired={deadline_fired}"
+                ),
+            );
         }
 
         for (span_id, a) in &activities {
@@ -910,96 +887,76 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         // the timeline attrs are computed from the same resolved
         // schedule, so disagreement means the emission broke). Slack
         // only accrues for devices that reached the channel.
-        if let Some(tl) = timeline_span {
-            let sums: [(&str, Option<f64>); 4] = match &digest {
-                Some((_, d)) => [
-                    ("energy_j", Some(d.energy_sum)),
-                    ("compute_energy_j", Some(d.compute_sum)),
-                    ("wasted_energy_j", d.wasted_sum),
-                    ("slack_total_s", Some(d.slack_sum)),
-                ],
-                None => [
-                    (
-                        "energy_j",
-                        Some(
-                            activities
-                                .iter()
-                                .map(|(_, a)| a.compute_energy + a.upload_energy)
-                                .sum(),
-                        ),
-                    ),
-                    (
-                        "compute_energy_j",
-                        Some(activities.iter().map(|(_, a)| a.compute_energy).sum()),
-                    ),
-                    (
-                        "wasted_energy_j",
-                        Some(activities.iter().map(|(_, a)| a.wasted_energy).sum()),
-                    ),
-                    (
-                        "slack_total_s",
-                        Some(
-                            activities
-                                .iter()
-                                .filter(|(_, a)| a.uploaded)
-                                .map(|(_, a)| a.upload_start - a.compute_finish)
-                                .sum(),
-                        ),
-                    ),
-                ],
-            };
-            for (key, sum) in sums {
-                let Some(sum) = sum else { continue };
-                if let Some(total) = tl.attr_f64(key) {
-                    if !cfg.close(total, sum) {
-                        violation(
-                            "energy-consistency",
-                            Some(tl.id),
-                            format!(
-                                "timeline attr {key}={total:.9} does not match \
-                                 the round sum {sum:.9}"
-                            ),
-                        );
-                    }
-                }
-            }
-            if let Some(makespan) = tl.attr_f64("makespan_s") {
-                if !cfg.close(makespan, expected_makespan) {
+        let sums: [(&str, f64); 4] = match &digest {
+            Some((_, d)) => [
+                ("energy_j", d.energy_sum),
+                ("compute_energy_j", d.compute_sum),
+                ("wasted_energy_j", d.wasted_sum),
+                ("slack_total_s", d.slack_sum),
+            ],
+            None => [
+                (
+                    "energy_j",
+                    activities.iter().map(|(_, a)| a.compute_energy + a.upload_energy).sum(),
+                ),
+                ("compute_energy_j", activities.iter().map(|(_, a)| a.compute_energy).sum()),
+                ("wasted_energy_j", activities.iter().map(|(_, a)| a.wasted_energy).sum()),
+                (
+                    "slack_total_s",
+                    activities
+                        .iter()
+                        .filter(|(_, a)| a.uploaded)
+                        .map(|(_, a)| a.upload_start - a.compute_finish)
+                        .sum(),
+                ),
+            ],
+        };
+        for (key, sum) in sums {
+            if let Some(total) = tl.attr_f64(key) {
+                if !cfg.close(total, sum) {
                     violation(
-                        "tdma-serialization",
+                        "energy-consistency",
                         Some(tl.id),
                         format!(
-                            "timeline attr makespan_s={makespan:.9} is not the \
-                             last channel release {expected_makespan:.9}",
+                            "timeline attr {key}={total:.9} does not match \
+                             the round sum {sum:.9}"
                         ),
                     );
                 }
             }
-            let (selected, delivered) = match &digest {
-                Some((_, d)) => (d.devices, d.delivered),
-                None => (
-                    activities.len() as u64,
-                    activities.iter().filter(|(_, a)| a.delivered).count() as u64,
-                ),
-            };
-            for (source, span_id) in [
-                (Some(tl), Some(tl.id)),
-                (quorum_span, quorum_span.map(|q| q.id)),
-            ] {
-                let Some(src) = source else { continue };
-                for (key, expect) in [("selected", selected), ("delivered", delivered)] {
-                    if let Some(value) = src.attr_u64(key) {
-                        if value != expect {
-                            violation(
-                                "fault-consistency",
-                                span_id,
-                                format!(
-                                    "{} span claims {key}={value} but the \
-                                     device spans show {expect}",
-                                    src.name
-                                ),
-                            );
-                        }
+        }
+        if let Some(makespan) = tl.attr_f64("makespan_s") {
+            if !cfg.close(makespan, expected_makespan) {
+                violation(
+                    "tdma-serialization",
+                    Some(tl.id),
+                    format!(
+                        "timeline attr makespan_s={makespan:.9} is not the \
+                         last channel release {expected_makespan:.9}",
+                    ),
+                );
+            }
+        }
+        let (selected, delivered) = match &digest {
+            Some((_, d)) => (d.devices, d.delivered),
+            None => (
+                activities.len() as u64,
+                activities.iter().filter(|(_, a)| a.delivered).count() as u64,
+            ),
+        };
+        for src in std::iter::once(tl).chain(quorum_span) {
+            for (key, expect) in [("selected", selected), ("delivered", delivered)] {
+                if let Some(value) = src.attr_u64(key) {
+                    if value != expect {
+                        violation(
+                            "fault-consistency",
+                            Some(src.id),
+                            format!(
+                                "{} span claims {key}={value} but the \
+                                 device spans show {expect}",
+                                src.name
+                            ),
+                        );
                     }
                 }
             }

@@ -54,7 +54,7 @@ pub mod resource;
 mod sink;
 mod span;
 
-pub use manifest::{fnv1a_hex, RunManifest, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{fnv1a_hex, RunIdentity, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{percentile_nearest_rank, Class, Histogram, Metric, MetricsRegistry};
 pub use report::TelemetryReport;
 pub use sink::{Event, EventKind, JsonlSink, MemorySink, NullSink, Sink, StderrSink};

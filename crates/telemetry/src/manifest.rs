@@ -12,9 +12,11 @@
 //! [incompatible](RunManifest::compatible) — comparing a seed-7 HELCFL
 //! run against a seed-9 FedCS run produces numbers, but not evidence.
 //!
-//! Identity versus environment: `schema_version`, `seed`, `scheme`,
-//! `config_fingerprint`, and `fleet_size` define the *experiment* and
-//! must match for a comparison to be meaningful. `threads`,
+//! Identity versus environment: a [`RunIdentity`] (`seed`, `scheme`,
+//! `config_fingerprint`, `fleet_size`) defines the *experiment*, and
+//! [`RunIdentity::first_difference`] is the one place that decides
+//! whether two runs are the same experiment: trace diffs and checkpoint
+//! resume both ask it, each wording the refusal its own way. `threads`,
 //! `trace_mode`, and `build_profile` describe *how it was recorded* —
 //! histories are bit-identical across all three by construction, so
 //! they are allowed to differ (that is exactly the comparison a perf
@@ -40,12 +42,10 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-/// Provenance of one traced run. See the module docs for which fields
-/// are identity and which are environment.
+/// The fields that name an experiment: two runs that agree on all four
+/// ran the same experiment, whatever their environment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunManifest {
-    /// [`MANIFEST_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
+pub struct RunIdentity {
     /// Master seed of the run.
     pub seed: u64,
     /// Scheme / selector name (`"helcfl"`, `"fedcs"`, …).
@@ -54,12 +54,42 @@ pub struct RunManifest {
     /// that change the simulated experiment; trace shape, worker count,
     /// and the seed itself are excluded).
     pub config_fingerprint: String,
+    /// Device population size.
+    pub fleet_size: usize,
+}
+
+impl RunIdentity {
+    /// The first identity field on which `self` and `other` differ, in
+    /// the order `seed`, `scheme`, `config_fingerprint`, `fleet_size`,
+    /// as `(field, self's value, other's value)`; `None` when both name
+    /// the same experiment. Callers word the refusal around it.
+    pub fn first_difference(&self, other: &Self) -> Option<(&'static str, String, String)> {
+        let fields = [
+            ("seed", self.seed.to_string(), other.seed.to_string()),
+            ("scheme", format!("{:?}", self.scheme), format!("{:?}", other.scheme)),
+            (
+                "config_fingerprint",
+                self.config_fingerprint.clone(),
+                other.config_fingerprint.clone(),
+            ),
+            ("fleet_size", self.fleet_size.to_string(), other.fleet_size.to_string()),
+        ];
+        fields.into_iter().find(|(_, a, b)| a != b)
+    }
+}
+
+/// Provenance of one traced run. See the module docs for which fields
+/// are identity and which are environment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunManifest {
+    /// [`MANIFEST_SCHEMA_VERSION`] at write time.
+    pub schema_version: u32,
+    /// The experiment the run belongs to.
+    pub identity: RunIdentity,
     /// Resolved worker-thread count (environment; may differ).
     pub threads: usize,
     /// `"full"` or `"digest"` (environment; may differ).
     pub trace_mode: String,
-    /// Device population size.
-    pub fleet_size: usize,
     /// `"release"` or `"debug"` (environment; may differ).
     pub build_profile: String,
     /// Checkpoint lineage: the FNV-1a checksum of the checkpoint this
@@ -86,15 +116,16 @@ fn field_str(v: &JsonValue, key: &str) -> Option<String> {
 impl RunManifest {
     /// Renders the manifest as its one JSONL trace line.
     pub fn to_json_line(&self) -> String {
+        let id = &self.identity;
         let mut o = JsonObject::new();
         o.field("type", "run_manifest")
             .field("schema_version", u64::from(self.schema_version))
-            .field("seed", self.seed)
-            .field("scheme", &self.scheme)
-            .field("config_fingerprint", &self.config_fingerprint)
+            .field("seed", id.seed)
+            .field("scheme", &id.scheme)
+            .field("config_fingerprint", &id.config_fingerprint)
             .field("threads", self.threads)
             .field("trace_mode", &self.trace_mode)
-            .field("fleet_size", self.fleet_size)
+            .field("fleet_size", id.fleet_size)
             .field("build_profile", &self.build_profile);
         if let Some(resumed_from) = &self.resumed_from {
             o.field("resumed_from", resumed_from);
@@ -110,12 +141,12 @@ impl RunManifest {
         let mut line = format!(
             "run_manifest scheme={} seed={} fleet={} mode={} threads={} \
              config={} profile={} schema=v{}",
-            self.scheme,
-            self.seed,
-            self.fleet_size,
+            self.identity.scheme,
+            self.identity.seed,
+            self.identity.fleet_size,
             self.trace_mode,
             self.threads,
-            self.config_fingerprint,
+            self.identity.config_fingerprint,
             self.build_profile,
             self.schema_version,
         );
@@ -138,14 +169,16 @@ impl RunManifest {
         Ok(Self {
             schema_version: field_u64(v, "schema_version")
                 .ok_or_else(|| miss("schema_version"))? as u32,
-            seed: field_u64(v, "seed").ok_or_else(|| miss("seed"))?,
-            scheme: field_str(v, "scheme").ok_or_else(|| miss("scheme"))?,
-            config_fingerprint: field_str(v, "config_fingerprint")
-                .ok_or_else(|| miss("config_fingerprint"))?,
+            identity: RunIdentity {
+                seed: field_u64(v, "seed").ok_or_else(|| miss("seed"))?,
+                scheme: field_str(v, "scheme").ok_or_else(|| miss("scheme"))?,
+                config_fingerprint: field_str(v, "config_fingerprint")
+                    .ok_or_else(|| miss("config_fingerprint"))?,
+                fleet_size: field_u64(v, "fleet_size").ok_or_else(|| miss("fleet_size"))?
+                    as usize,
+            },
             threads: field_u64(v, "threads").ok_or_else(|| miss("threads"))? as usize,
             trace_mode: field_str(v, "trace_mode").ok_or_else(|| miss("trace_mode"))?,
-            fleet_size: field_u64(v, "fleet_size").ok_or_else(|| miss("fleet_size"))?
-                as usize,
             build_profile: field_str(v, "build_profile")
                 .ok_or_else(|| miss("build_profile"))?,
             // Lineage fields are optional: pre-checkpoint traces (and
@@ -158,9 +191,9 @@ impl RunManifest {
     /// Whether two runs are comparable, i.e. describe the same
     /// experiment.
     ///
-    /// Identity fields (`schema_version`, `seed`, `scheme`,
-    /// `config_fingerprint`, `fleet_size`) must match; environment
-    /// fields (`threads`, `trace_mode`, `build_profile`) may differ —
+    /// The schema version and the [`RunIdentity`] must match;
+    /// environment fields (`threads`, `trace_mode`, `build_profile`)
+    /// may differ —
     /// histories are pinned bit-identical across those by the
     /// determinism suites, so comparing them is the point.
     ///
@@ -175,31 +208,12 @@ impl RunManifest {
                 self.schema_version, other.schema_version
             ));
         }
-        if self.seed != other.seed {
-            return Err(format!(
-                "seed differs: baseline {}, candidate {}",
-                self.seed, other.seed
-            ));
+        match self.identity.first_difference(&other.identity) {
+            Some((field, baseline, candidate)) => Err(format!(
+                "{field} differs: baseline {baseline}, candidate {candidate}"
+            )),
+            None => Ok(()),
         }
-        if self.scheme != other.scheme {
-            return Err(format!(
-                "scheme differs: baseline {:?}, candidate {:?}",
-                self.scheme, other.scheme
-            ));
-        }
-        if self.config_fingerprint != other.config_fingerprint {
-            return Err(format!(
-                "config_fingerprint differs: baseline {}, candidate {}",
-                self.config_fingerprint, other.config_fingerprint
-            ));
-        }
-        if self.fleet_size != other.fleet_size {
-            return Err(format!(
-                "fleet_size differs: baseline {}, candidate {}",
-                self.fleet_size, other.fleet_size
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -211,12 +225,14 @@ mod tests {
     fn manifest() -> RunManifest {
         RunManifest {
             schema_version: MANIFEST_SCHEMA_VERSION,
-            seed: 42,
-            scheme: "helcfl".to_string(),
-            config_fingerprint: "deadbeefdeadbeef".to_string(),
+            identity: RunIdentity {
+                seed: 42,
+                scheme: "helcfl".to_string(),
+                config_fingerprint: "deadbeefdeadbeef".to_string(),
+                fleet_size: 100,
+            },
             threads: 4,
             trace_mode: "full".to_string(),
-            fleet_size: 100,
             build_profile: "release".to_string(),
             resumed_from: None,
             start_round: None,
@@ -247,12 +263,12 @@ mod tests {
         type Mutator = Box<dyn Fn(&mut RunManifest)>;
         let cases: [(&str, Mutator); 5] = [
             ("schema_version", Box::new(|m| m.schema_version = 2)),
-            ("seed", Box::new(|m| m.seed = 7)),
-            ("scheme", Box::new(|m| m.scheme = "fedcs".to_string())),
+            ("seed", Box::new(|m| m.identity.seed = 7)),
+            ("scheme", Box::new(|m| m.identity.scheme = "fedcs".to_string())),
             ("config_fingerprint", Box::new(|m| {
-                m.config_fingerprint = "0000000000000000".to_string();
+                m.identity.config_fingerprint = "0000000000000000".to_string();
             })),
-            ("fleet_size", Box::new(|m| m.fleet_size = 99)),
+            ("fleet_size", Box::new(|m| m.identity.fleet_size = 99)),
         ];
         for (field, mutate) in cases {
             let mut other = base.clone();

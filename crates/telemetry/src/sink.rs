@@ -453,12 +453,14 @@ mod tests {
     fn manifest_line_heads_the_stream() {
         let manifest = RunManifest {
             schema_version: crate::manifest::MANIFEST_SCHEMA_VERSION,
-            seed: 1,
-            scheme: "helcfl".to_string(),
-            config_fingerprint: "00".to_string(),
+            identity: crate::RunIdentity {
+                seed: 1,
+                scheme: "helcfl".to_string(),
+                config_fingerprint: "00".to_string(),
+                fleet_size: 3,
+            },
             threads: 2,
             trace_mode: "full".to_string(),
-            fleet_size: 3,
             build_profile: "debug".to_string(),
             resumed_from: None,
             start_round: None,

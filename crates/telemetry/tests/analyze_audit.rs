@@ -12,7 +12,8 @@
 use helcfl_telemetry::analyze::{SpanTree, Trace};
 use helcfl_telemetry::audit::{audit, AuditConfig};
 
-/// One `device_activity` span line under `parent`.
+/// One `device_activity` span line under `parent`: an undisturbed
+/// delivery, so its plan equals its actuals and nothing is wasted.
 #[allow(clippy::too_many_arguments)]
 fn activity_line(
     id: u64,
@@ -26,15 +27,17 @@ fn activity_line(
     e_compute: f64,
     e_at_max: f64,
 ) -> String {
+    let upload = up_end - up_start;
     format!(
-        r#"{{"type":"span","name":"device_activity","id":{id},"parent":{parent},"t_us":0,"dur_us":0,"attrs":{{"device":"v{device_id}","device_id":{device_id},"f_hz":{f_hz},"f_max_hz":{f_max_hz},"compute_finish_s":{finish},"upload_start_s":{up_start},"upload_end_s":{up_end},"compute_energy_j":{e_compute},"compute_energy_at_max_j":{e_at_max},"upload_energy_j":1.0}}}}"#
+        r#"{{"type":"span","name":"device_activity","id":{id},"parent":{parent},"t_us":0,"dur_us":0,"attrs":{{"device":"v{device_id}","device_id":{device_id},"f_hz":{f_hz},"f_planned_hz":{f_hz},"f_max_hz":{f_max_hz},"planned_compute_finish_s":{finish},"compute_finish_s":{finish},"planned_upload_s":{upload},"upload_start_s":{up_start},"upload_end_s":{up_end},"compute_energy_j":{e_compute},"compute_energy_at_max_j":{e_at_max},"upload_energy_j":1.0,"wasted_energy_j":0.0,"uploaded":true,"delivered":true,"retries":0}}}}"#
     )
 }
 
-/// A `timeline` span line claiming (or disclaiming) delay-neutrality.
+/// A fault-free `timeline` span line claiming (or disclaiming)
+/// delay-neutrality.
 fn timeline_line(id: u64, parent: u64, neutral: bool) -> String {
     format!(
-        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral}}}}}"#
+        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral},"fault_fired":false}}}}"#
     )
 }
 
@@ -402,7 +405,7 @@ fn audit_flags_wasted_energy_that_ignores_a_failed_delivery() {
 /// `digest:true` flag that announces the cohort_digest child.
 fn digest_timeline_line(id: u64, parent: u64, energy: f64) -> String {
     format!(
-        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":true,"digest":true,"uploads":2,"makespan_s":12.5,"slack_total_s":0.0,"energy_j":{energy},"compute_energy_j":2.384}}}}"#
+        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":true,"fault_fired":false,"digest":true,"uploads":2,"makespan_s":12.5,"slack_total_s":0.0,"energy_j":{energy},"compute_energy_j":2.384}}}}"#
     )
 }
 
@@ -419,7 +422,7 @@ fn cohort_digest_line(
     slack_hist: &str,
 ) -> String {
     format!(
-        r#"{{"type":"span","name":"cohort_digest","id":{id},"parent":{parent},"t_us":0,"dur_us":1,"attrs":{{"devices":2,"exemplars":{exemplars},"uploads":2,"energy_sum_j":4.384,"energy_min_j":1.384,"energy_max_j":{energy_max},"compute_energy_sum_j":2.384,"slack_sum_s":0.0,"slack_min_s":0.0,"slack_max_s":0.0,"release_max_s":12.5,"energy_hist":"{energy_hist}","slack_hist":"{slack_hist}"}}}}"#
+        r#"{{"type":"span","name":"cohort_digest","id":{id},"parent":{parent},"t_us":0,"dur_us":1,"attrs":{{"devices":2,"exemplars":{exemplars},"uploads":2,"delivered":2,"faults_fired":0,"wasted_energy_sum_j":0.0,"energy_sum_j":4.384,"energy_min_j":1.384,"energy_max_j":{energy_max},"compute_energy_sum_j":2.384,"slack_sum_s":0.0,"slack_min_s":0.0,"slack_max_s":0.0,"release_max_s":12.5,"energy_hist":"{energy_hist}","slack_hist":"{slack_hist}"}}}}"#
     )
 }
 
@@ -549,7 +552,7 @@ fn audit_flags_a_digest_flag_without_a_digest_span() {
     let trace = fixture(&[
         activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
         activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
-        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"policy":"test","delay_neutral":true,"digest":true}}"#
+        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"policy":"test","delay_neutral":true,"fault_fired":false,"digest":true}}"#
             .to_string(),
         round_line(2, 7),
     ]);
@@ -569,7 +572,7 @@ fn audit_flags_timeline_totals_that_disagree_with_devices() {
     // The timeline span over-reports total energy by 1 J.
     let lines = [
         activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
-        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"energy_j":4.0,"compute_energy_j":2.0,"slack_total_s":0.0,"makespan_s":7.5}}"#
+        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"fault_fired":false,"energy_j":4.0,"compute_energy_j":2.0,"slack_total_s":0.0,"makespan_s":7.5}}"#
             .to_string(),
         round_line(2, 9),
     ];
@@ -579,4 +582,17 @@ fn audit_flags_timeline_totals_that_disagree_with_devices() {
     assert_eq!(report.violations[0].invariant, "energy-consistency");
     assert_eq!(report.violations[0].round, Some(9));
     assert_eq!(report.violations[0].span, Some(3));
+}
+
+/// The auditor reads one trace schema: a device span without an
+/// attribute `FaultedRound` always emits is refused with its name,
+/// never audited as a delivery by default.
+#[test]
+fn audit_refuses_a_device_span_without_delivered_by_name() {
+    let full = activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0);
+    let stripped = full.replace(r#","delivered":true"#, "");
+    assert_ne!(stripped, full, "the fixture must carry `delivered`");
+    let trace = fixture(&[stripped, timeline_line(3, 2, true), round_line(2, 0)]);
+    let err = audit(&trace, &AuditConfig::default()).unwrap_err();
+    assert!(err.contains(r#""delivered""#), "{err}");
 }
