@@ -2,7 +2,7 @@
 //! selection, frequency determination and the TDMA timeline — at fleet
 //! sizes the paper never reaches.
 //!
-//! For each population size `Q` the harness builds a struct-of-arrays
+//! For each population size `Q` the harness builds a compact
 //! [`Fleet`](mec_sim::fleet::Fleet) (no `Vec<Device>` is ever
 //! materialized for the whole fleet), runs the indexed HELCFL selector
 //! over a fleet-backed context, gathers the cohort, assigns Alg.-3

@@ -28,9 +28,9 @@ use mec_sim::units::{Bits, Hertz, Seconds};
 pub struct SlackFrequencyPolicy;
 
 impl SlackFrequencyPolicy {
-    /// Runs Alg. 3 and additionally returns the predicted per-device
-    /// upload-end times (diagnostics; index-aligned with the *sorted*
-    /// order used internally).
+    /// Runs Alg. 3 and returns its assignment as `(input index, f)`
+    /// pairs in the order Alg. 3 visited the devices: ascending compute
+    /// delay at `f_max`, then id, then input index.
     ///
     /// # Errors
     ///
@@ -65,16 +65,16 @@ impl SlackFrequencyPolicy {
         tele: &Telemetry,
     ) -> Result<Vec<(usize, Hertz)>> {
         // Line 1: ascending by model-update delay at f_max, ties by id,
-        // on keys computed once per device. The stable sort keeps full
-        // ties in input order.
-        let mut order: Vec<(Seconds, DeviceId, usize)> = selected
+        // then by input position, on keys computed once per device.
+        // Delays are positive and finite, so their bit patterns sort
+        // like their values; the input position makes every key
+        // unique, so the unstable sort has one possible result.
+        let mut order: Vec<(u64, DeviceId, usize)> = selected
             .iter()
             .enumerate()
-            .map(|(idx, d)| (d.compute_delay_at_max(), d.id(), idx))
+            .map(|(idx, d)| (d.compute_delay_at_max().get().to_bits(), d.id(), idx))
             .collect();
-        order.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("delays are finite").then_with(|| a.1.cmp(&b.1))
-        });
+        order.sort_unstable();
 
         let mut assignment = Vec::with_capacity(selected.len());
         let mut channel_free = Seconds::ZERO;
@@ -268,6 +268,79 @@ mod tests {
     fn empty_selection_yields_empty_assignment() {
         let freqs = SlackFrequencyPolicy.frequencies(&[], payload()).unwrap();
         assert!(freqs.is_empty());
+    }
+
+    /// Alg. 3 as it ran before its bit-key sort: a stable sort by
+    /// delay (`partial_cmp`), then id, keeping full ties in input
+    /// order. The oracle for the production ordering.
+    fn stable_sort_alg3(selected: &[Device], payload: Bits) -> Vec<(usize, Hertz)> {
+        let mut order: Vec<(Seconds, DeviceId, usize)> = selected
+            .iter()
+            .enumerate()
+            .map(|(idx, d)| (d.compute_delay_at_max(), d.id(), idx))
+            .collect();
+        order.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("delays are finite").then_with(|| a.1.cmp(&b.1))
+        });
+        let mut channel_free = Seconds::ZERO;
+        let mut assignment = Vec::with_capacity(selected.len());
+        for (pos, &(_, _, idx)) in order.iter().enumerate() {
+            let device = &selected[idx];
+            let f = if pos == 0 {
+                device.cpu().range().max()
+            } else {
+                device.cpu().frequency_for_deadline(device.work(), channel_free).0
+            };
+            let upload_start = (device.work() / f).max(channel_free);
+            channel_free = upload_start + device.upload_delay(payload);
+            assignment.push((idx, f));
+        }
+        assignment
+    }
+
+    #[test]
+    fn bit_key_order_matches_the_stable_sort_oracle() {
+        use mec_sim::population::PopulationBuilder;
+        let fleet =
+            PopulationBuilder::paper_default().num_devices(5_000).seed(2022).build_fleet().unwrap();
+        let f_min = fleet.device(0).cpu().range().min();
+        let mut rng = detrand::Rng::seed_from_u64(0xa193);
+        let mut clamped = 0;
+        for case in 0..200 {
+            let n = rng.range_usize(1, 400);
+            // Half the cases draw from a small id range, so ids repeat.
+            let span = if case % 2 == 0 { 5_000 } else { 1 + n / 4 };
+            let mut cohort: Vec<Device> =
+                (0..n).map(|_| fleet.device(rng.below(span))).collect();
+            // Equal work under distinct ids: copies of one device's
+            // hardware and data, renumbered.
+            if case % 3 == 0 {
+                let twin = cohort[0];
+                for k in 0..rng.range_usize(1, 8) {
+                    let id = DeviceId(10_000 + rng.below(4) + k);
+                    let renumbered = Device::new(
+                        id,
+                        *twin.cpu(),
+                        twin.cycles_per_sample(),
+                        twin.num_samples(),
+                        *twin.uplink(),
+                    )
+                    .unwrap();
+                    let at = rng.below(cohort.len() + 1);
+                    cohort.insert(at, renumbered);
+                }
+            }
+            let got = SlackFrequencyPolicy.determine(&cohort, payload()).unwrap();
+            let want = stable_sort_alg3(&cohort, payload());
+            let bits = |a: &[(usize, Hertz)]| {
+                a.iter().map(|&(i, f)| (i, f.get().to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}: n {n}");
+            clamped += got.iter().filter(|&&(_, f)| f == f_min).count();
+        }
+        // The paper fleet's cohorts clamp most devices to f_min, where
+        // equal work makes equal finishes.
+        assert!(clamped > 10_000, "only {clamped} f_min clamps");
     }
 
     #[test]

@@ -314,13 +314,16 @@ impl UtilityIndex {
         }
     }
 
-    /// Removes rank `r` from bucket `a`, dropping the bucket once empty.
-    fn pop(&mut self, a: u32, r: usize) {
+    /// Removes rank `r` from bucket `a`, dropping the bucket once
+    /// empty; returns whether the bucket is still live.
+    fn pop(&mut self, a: u32, r: usize) -> bool {
         let set = self.buckets.get_mut(&a).expect("placed id has a bucket");
         set.remove(r);
         if set.len == 0 {
             self.buckets.remove(&a);
+            return false;
         }
+        true
     }
 
     /// Removes a placed `id` known to sit at appearance count `a`.
@@ -328,6 +331,20 @@ impl UtilityIndex {
         if !self.zero.remove(&id) {
             self.pop(a, self.ranks.rank[id] as usize);
         }
+    }
+
+    /// Bucket `a`'s candidate for the next pick: its head's utility,
+    /// `a`, and the rank of the minimum id among its entries of that
+    /// utility.
+    fn candidate(
+        set: &mut RankSet,
+        ranks: &Ranks,
+        a: u32,
+        eta: DecayCoefficient,
+    ) -> (f64, u32, usize) {
+        let head = set.head().expect("bucket is never empty");
+        let u = utility(eta, a, Seconds::new(ranks.delay_at[head]));
+        (u, a, Self::run_min(set, ranks, head, a, eta, u))
     }
 
     /// Rank of the minimum id among this bucket's entries whose
@@ -412,8 +429,8 @@ impl UtilityIndex {
 /// replacement for the reference
 /// [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
 /// backed by the bucketed-utility index — same name (`"helcfl"`), same
-/// picks, same telemetry, O(N · B) bit operations per round instead of
-/// O(Q log Q).
+/// picks, same telemetry, O(N · B) comparisons of cached bucket
+/// candidates per round instead of O(Q log Q).
 ///
 /// # Examples
 ///
@@ -528,30 +545,35 @@ impl IndexedDecaySelector {
         let mut selected = Vec::with_capacity(n);
         let mut won = Vec::with_capacity(n); // ranks of `selected`
         let eta_f = self.eta.get();
+        // Each live bucket's candidate, `(u, bucket, run-min rank)`.
+        // Winners re-enter only after the merge, so a pick changes only
+        // the bucket it popped from: that entry alone is re-evaluated.
+        let mut candidates: Vec<(f64, u32, usize)> = ix
+            .buckets
+            .iter_mut()
+            .map(|(&a, set)| UtilityIndex::candidate(set, &ix.ranks, a, self.eta))
+            .collect();
         while selected.len() < n {
-            // Arg-max over bucket heads; the id-ordered zero set only
-            // matters once every positive-utility entry is gone.
-            let mut best: Option<(f64, u32, usize)> = None; // (u, bucket, rank)
-            for (&a, set) in &mut ix.buckets {
-                let head = set.head().expect("bucket is never empty");
-                let u = utility(self.eta, a, Seconds::new(ix.ranks.delay_at[head]));
-                match best {
-                    Some((bu, ..)) if u < bu => {}
-                    Some((bu, _, br)) if u == bu => {
-                        let r = UtilityIndex::run_min(set, &ix.ranks, head, a, self.eta, u);
-                        if ix.ranks.id_at[r] < ix.ranks.id_at[br] {
-                            best = Some((u, a, r));
-                        }
-                    }
-                    _ => {
-                        let r = UtilityIndex::run_min(set, &ix.ranks, head, a, self.eta, u);
-                        best = Some((u, a, r));
-                    }
+            // Arg-max utility, equal utilities by ascending id; the
+            // id-ordered zero set only matters once every
+            // positive-utility entry is gone.
+            let best = (0..candidates.len()).reduce(|b, k| {
+                let ((bu, _, br), (u, _, r)) = (candidates[b], candidates[k]);
+                if u > bu || (u == bu && ix.ranks.id_at[r] < ix.ranks.id_at[br]) {
+                    k
+                } else {
+                    b
                 }
-            }
+            });
             let (id, r) = match best {
-                Some((_, a, r)) => {
-                    ix.pop(a, r);
+                Some(k) => {
+                    let (_, a, r) = candidates[k];
+                    if ix.pop(a, r) {
+                        let set = ix.buckets.get_mut(&a).expect("bucket is live");
+                        candidates[k] = UtilityIndex::candidate(set, &ix.ranks, a, self.eta);
+                    } else {
+                        candidates.swap_remove(k);
+                    }
                     (ix.ranks.id_at[r] as usize, r)
                 }
                 None => match ix.zero.pop_first() {

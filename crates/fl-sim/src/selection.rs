@@ -13,7 +13,7 @@ use crate::error::{FlError, Result};
 /// Selectors used to receive a freshly-filtered `&[Device]` every
 /// round — O(Q) time and memory before selection even started. A
 /// `DeviceSet` instead wraps either a plain slice (tests, small runs)
-/// or a struct-of-arrays [`Fleet`] (million-device runs), optionally
+/// or a compact [`Fleet`] (million-device runs), optionally
 /// restricted by an [`AliveMask`], and streams devices on demand.
 ///
 /// **Mask contract:** when a mask is attached, the backing must be the
@@ -43,7 +43,7 @@ impl<'a> DeviceSet<'a> {
         Self { backing: Backing::Slice(devices), mask: None }
     }
 
-    /// Wraps a struct-of-arrays fleet (every device selectable).
+    /// Wraps a compact fleet (every device selectable).
     pub fn from_fleet(fleet: &'a Fleet) -> Self {
         Self { backing: Backing::Fleet(fleet), mask: None }
     }
@@ -320,11 +320,18 @@ pub fn validate_selection(ctx: &SelectionContext<'_>, selected: &[DeviceId]) -> 
     if selected.is_empty() {
         return Err(FlError::InvalidSelection { reason: "selector returned no users".into() });
     }
-    // Sorting (id, position) pairs makes equal ids neighbours; the later
-    // position of each neighbouring pair is a repeat.
-    let mut by_id: Vec<(DeviceId, usize)> = selected.iter().copied().zip(0..).collect();
-    by_id.sort_unstable();
-    let first_repeat = by_id.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
+    // Sorting makes equal ids neighbours. Plain ids sort fastest; only
+    // when a repeat exists are (id, position) pairs sorted, so that the
+    // later position of each neighbouring pair names a repeat.
+    let mut ids: Vec<usize> = selected.iter().map(|id| id.0).collect();
+    ids.sort_unstable();
+    let first_repeat = if ids.windows(2).any(|w| w[0] == w[1]) {
+        let mut by_id: Vec<(DeviceId, usize)> = selected.iter().copied().zip(0..).collect();
+        by_id.sort_unstable();
+        by_id.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min()
+    } else {
+        None
+    };
     let first_foreign = selected.iter().position(|&id| !ctx.devices.contains(id));
     match (first_repeat, first_foreign) {
         (Some(r), f) if f.is_none_or(|f| r <= f) => Err(FlError::InvalidSelection {
@@ -425,17 +432,35 @@ mod tests {
         // A foreign id repeated is named as missing at its first
         // occurrence, before its repeat.
         assert!(reason(&[9, 4, 9]).contains("device v9 is not in the population"));
+        let agree = |c: &SelectionContext<'_>, raw: &[usize], case: &str| {
+            let (fast, slow) = (validate_selection(c, &ids(raw)), ordered_scan(c, &ids(raw)));
+            assert_eq!(fast.map_err(|e| e.to_string()), slow.map_err(|e| e.to_string()), "{case}");
+        };
         // Seeded sweep against the in-order scan.
         let mut rng = detrand::Rng::seed_from_u64(0x5e1e_c7ed);
         for case in 0..2_000 {
             let n = rng.range_usize(1, 12);
             let raw: Vec<usize> = (0..n).map(|_| rng.below(11)).collect();
-            let (fast, slow) = (validate_selection(&c, &ids(&raw)), ordered_scan(&c, &ids(&raw)));
-            assert_eq!(
-                fast.map_err(|e| e.to_string()),
-                slow.map_err(|e| e.to_string()),
-                "case {case}: {raw:?}"
-            );
+            agree(&c, &raw, &format!("case {case}: {raw:?}"));
+        }
+        // Wide selections from a larger fleet. Duplicate-free ones, and
+        // those whose only defect is a foreign last entry, stay on the
+        // plain-id path; those whose only repeat comes last fall back
+        // to the pairs.
+        let big = PopulationBuilder::paper_default().num_devices(3_000).build().unwrap();
+        let c = ctx(big.devices());
+        for case in 0..200 {
+            let n = rng.range_usize(1, 2_001);
+            let mut raw: Vec<usize> = (0..3_000).collect();
+            rng.shuffle(&mut raw);
+            raw.truncate(n);
+            agree(&c, &raw, &format!("wide case {case}: duplicate-free, n {n}"));
+            let mut last_repeat = raw.clone();
+            last_repeat.push(raw[rng.below(n)]);
+            agree(&c, &last_repeat, &format!("wide case {case}: last entry repeats"));
+            let mut last_foreign = raw.clone();
+            last_foreign.push(3_000 + rng.below(10));
+            agree(&c, &last_foreign, &format!("wide case {case}: last entry foreign"));
         }
     }
 

@@ -1,13 +1,14 @@
-//! Struct-of-arrays fleet storage for million-device populations.
+//! Compact fleet storage for million-device populations.
 //!
 //! [`Population`] stores devices as an array of structs — convenient at
 //! the paper's Q = 100, wasteful at Q = 10^7 where every per-round walk
-//! drags the full 56-byte `Device` through cache. [`Fleet`] stores the
-//! same information as parallel arrays with the *shared* parameters
-//! (`f_min`, α, π, transmit power — uniform across the paper's §VII-A
-//! populations) hoisted out to scalars, so the resident footprint is
-//! ~20 bytes/device and per-round iteration touches only the arrays it
-//! needs. Device ids are implicit: device `q` lives at index `q`.
+//! drags the full 56-byte `Device` through cache. [`Fleet`] hoists the
+//! *shared* parameters (`f_min`, α, π, transmit power — uniform across
+//! the paper's §VII-A populations) out to scalars and keeps one packed
+//! 20-byte record per device (`f_max`, uplink rate, dataset size), so
+//! the resident footprint is 20 bytes/device and a pick reads one
+//! record instead of three arrays. Device ids are implicit: device `q`
+//! lives at index `q`.
 //!
 //! Invariants (checked at construction):
 //!
@@ -29,7 +30,20 @@ use crate::error::{MecError, Result};
 use crate::population::Population;
 use crate::units::{BitsPerSecond, Hertz, Watts};
 
-/// Compact struct-of-arrays view of a device fleet.
+/// One device's own parameters, packed to 20 bytes and read by copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed)]
+pub(crate) struct DeviceRecord {
+    /// `f_max` in Hz.
+    pub(crate) f_max: f64,
+    /// Achieved uplink rate in bits/s.
+    pub(crate) rate: f64,
+    /// Dataset size `|D_q|`.
+    pub(crate) num_samples: u32,
+}
+
+/// Compact view of a device fleet: shared scalars plus one record per
+/// device.
 ///
 /// # Examples
 ///
@@ -50,27 +64,23 @@ pub struct Fleet {
     cycles_per_sample: f64,
     transmit_power: Watts,
     environment: RadioEnvironment,
-    /// Per-device `f_max` in Hz; index is the device id.
-    f_max: Vec<f64>,
-    /// Per-device achieved uplink rate in bits/s; index is the device id.
-    rate: Vec<f64>,
-    /// Per-device dataset size `|D_q|`; index is the device id.
-    num_samples: Vec<u32>,
+    /// Per-device records; index is the device id.
+    records: Vec<DeviceRecord>,
 }
 
 impl Fleet {
-    /// Assembles a fleet from raw arrays (the `PopulationBuilder` fast
-    /// path). Validates every entry through the same rules as the
-    /// device constructors.
+    /// Assembles a fleet from three parallel per-device arrays.
+    /// Validates every entry through the same rules as the device
+    /// constructors.
     ///
     /// # Errors
     ///
     /// Returns [`MecError::EmptyDeviceSet`] for zero devices, or the
     /// first validation error among the shared scalars and per-device
     /// entries.
-    // The arguments mirror the struct's own layout (five shared
-    // scalars + three parallel arrays); a params struct would repeat
-    // the same eight fields one call site away.
+    // The arguments mirror the fleet's content (five shared scalars +
+    // three per-device arrays); a params struct would repeat the same
+    // eight fields one call site away.
     #[allow(clippy::too_many_arguments)]
     pub fn from_arrays(
         f_min: Hertz,
@@ -87,6 +97,29 @@ impl Fleet {
         }
         assert_eq!(f_max.len(), rate.len(), "parallel arrays must be equal length");
         assert_eq!(f_max.len(), num_samples.len(), "parallel arrays must be equal length");
+        let records = f_max
+            .into_iter()
+            .zip(rate)
+            .zip(num_samples)
+            .map(|((f_max, rate), num_samples)| DeviceRecord { f_max, rate, num_samples })
+            .collect();
+        Self::from_records(f_min, alpha, cycles_per_sample, transmit_power, environment, records)
+    }
+
+    /// Assembles a fleet from per-device records (the
+    /// `PopulationBuilder` fast path), validating like
+    /// [`Fleet::from_arrays`].
+    pub(crate) fn from_records(
+        f_min: Hertz,
+        alpha: f64,
+        cycles_per_sample: f64,
+        transmit_power: Watts,
+        environment: RadioEnvironment,
+        records: Vec<DeviceRecord>,
+    ) -> Result<Self> {
+        if records.is_empty() {
+            return Err(MecError::EmptyDeviceSet);
+        }
         // Validate the shared scalars once through the real constructors.
         DvfsCpu::new(FrequencyRange::new(f_min, f_min)?, alpha)?;
         if !(cycles_per_sample > 0.0 && cycles_per_sample.is_finite()) {
@@ -95,33 +128,24 @@ impl Fleet {
                 value: cycles_per_sample,
             });
         }
-        for (q, (&f, &r)) in f_max.iter().zip(&rate).enumerate() {
-            FrequencyRange::new(f_min, Hertz::new(f))?;
-            Uplink::new(transmit_power, BitsPerSecond::new(r))?;
-            if num_samples[q] == 0 {
+        for r in &records {
+            FrequencyRange::new(f_min, Hertz::new(r.f_max))?;
+            Uplink::new(transmit_power, BitsPerSecond::new(r.rate))?;
+            if r.num_samples == 0 {
                 return Err(MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
             }
         }
-        Ok(Self {
-            f_min,
-            alpha,
-            cycles_per_sample,
-            transmit_power,
-            environment,
-            f_max,
-            rate,
-            num_samples,
-        })
+        Ok(Self { f_min, alpha, cycles_per_sample, transmit_power, environment, records })
     }
 
-    /// Compacts an existing [`Population`] into SoA form.
+    /// Compacts an existing [`Population`] into fleet form.
     ///
     /// # Errors
     ///
     /// Returns [`MecError::EmptyDeviceSet`] for an empty population and
     /// [`MecError::NonPositiveParameter`] (naming the offending field)
-    /// if the per-device parameters that the SoA layout hoists into
-    /// shared scalars — `f_min`, α, π, transmit power — are not uniform
+    /// if the per-device parameters that the fleet hoists into shared
+    /// scalars — `f_min`, α, π, transmit power — are not uniform
     /// across the population, or a dataset size overflows `u32`.
     pub fn from_population(population: &Population) -> Result<Self> {
         let devices = population.devices();
@@ -130,9 +154,7 @@ impl Fleet {
         let alpha = first.cpu().alpha();
         let cycles_per_sample = first.cycles_per_sample();
         let transmit_power = first.uplink().power();
-        let mut f_max = Vec::with_capacity(devices.len());
-        let mut rate = Vec::with_capacity(devices.len());
-        let mut num_samples = Vec::with_capacity(devices.len());
+        let mut records = Vec::with_capacity(devices.len());
         for d in devices {
             if d.cpu().range().min() != f_min {
                 return Err(MecError::NonPositiveParameter {
@@ -158,15 +180,17 @@ impl Fleet {
                     value: d.uplink().power().get(),
                 });
             }
-            let samples = u32::try_from(d.num_samples()).map_err(|_| {
+            let num_samples = u32::try_from(d.num_samples()).map_err(|_| {
                 MecError::NonPositiveParameter {
                     name: "num_samples overflows the fleet's u32 storage",
                     value: d.num_samples() as f64,
                 }
             })?;
-            f_max.push(d.cpu().range().max().get());
-            rate.push(d.uplink().rate().get());
-            num_samples.push(samples);
+            records.push(DeviceRecord {
+                f_max: d.cpu().range().max().get(),
+                rate: d.uplink().rate().get(),
+                num_samples,
+            });
         }
         Ok(Self {
             f_min,
@@ -174,29 +198,26 @@ impl Fleet {
             cycles_per_sample,
             transmit_power,
             environment: *population.environment(),
-            f_max,
-            rate,
-            num_samples,
+            records,
         })
     }
 
     /// Expands back to the array-of-structs [`Population`] (for code
     /// paths that still need a `&[Device]`).
     pub fn to_population(&self) -> Population {
-        let devices = (0..self.len()).map(|q| self.device(q)).collect();
-        Population::from_devices(devices, self.environment)
+        Population::from_devices(self.iter().collect(), self.environment)
     }
 
     /// Number of devices `Q`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.f_max.len()
+        self.records.len()
     }
 
     /// Whether the fleet is empty (never true for a constructed fleet).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.f_max.is_empty()
+        self.records.is_empty()
     }
 
     /// The shared radio environment.
@@ -212,35 +233,46 @@ impl Fleet {
     ///
     /// Panics if `q >= self.len()`.
     pub fn device(&self, q: usize) -> Device {
-        let range = FrequencyRange::new(self.f_min, Hertz::new(self.f_max[q]))
+        self.assemble(q, self.records[q])
+    }
+
+    /// Builds device `q` from its record and the shared scalars.
+    fn assemble(&self, q: usize, record: DeviceRecord) -> Device {
+        let range = FrequencyRange::new(self.f_min, Hertz::new(record.f_max))
             .expect("validated at construction");
         let cpu = DvfsCpu::new(range, self.alpha).expect("validated at construction");
-        let uplink = Uplink::new(self.transmit_power, BitsPerSecond::new(self.rate[q]))
+        let uplink = Uplink::new(self.transmit_power, BitsPerSecond::new(record.rate))
             .expect("validated at construction");
         Device::new(
             DeviceId(q),
             cpu,
             self.cycles_per_sample,
-            self.num_samples[q] as usize,
+            record.num_samples as usize,
             uplink,
         )
         .expect("validated at construction")
     }
 
-    /// Materializes the selected cohort as `Device`s — O(selected), the
-    /// only per-round array-of-structs allocation a fleet-backed round
-    /// needs.
+    /// Materializes the selected cohort as `Device`s, in `ids` order —
+    /// O(selected), the only per-round array-of-structs allocation a
+    /// fleet-backed round needs.
+    ///
+    /// Two passes: the first only copies each pick's record, so no
+    /// iteration waits on another and the cache misses of many picks
+    /// are in flight at once; the second builds the devices from that
+    /// cache-resident copy.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range.
     pub fn gather(&self, ids: &[DeviceId]) -> Vec<Device> {
-        ids.iter().map(|id| self.device(id.0)).collect()
+        let picked: Vec<DeviceRecord> = ids.iter().map(|id| self.records[id.0]).collect();
+        ids.iter().zip(picked).map(|(id, record)| self.assemble(id.0, record)).collect()
     }
 
     /// Iterates all devices in id order, reconstructing each on the fly.
     pub fn iter(&self) -> impl Iterator<Item = Device> + '_ {
-        (0..self.len()).map(|q| self.device(q))
+        self.records.iter().enumerate().map(|(q, &record)| self.assemble(q, record))
     }
 
     /// Replaces device `q`'s dataset size (the partitioner's shard
@@ -257,17 +289,15 @@ impl Fleet {
         if num_samples == 0 {
             return Err(MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
         }
-        self.num_samples[q] = num_samples;
+        self.records[q].num_samples = num_samples;
         Ok(())
     }
 
-    /// Resident bytes of the per-device arrays plus the fixed header —
+    /// Resident bytes of the per-device records plus the fixed header —
     /// the quantity `BENCH_population.json` reports per device.
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
-            + self.f_max.capacity() * core::mem::size_of::<f64>()
-            + self.rate.capacity() * core::mem::size_of::<f64>()
-            + self.num_samples.capacity() * core::mem::size_of::<u32>()
+            + self.records.capacity() * core::mem::size_of::<DeviceRecord>()
     }
 }
 
@@ -430,13 +460,47 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_stays_near_twenty_bytes_per_device() {
+    fn gather_of_unsorted_ids_with_repeats_matches_device() {
+        let fleet =
+            PopulationBuilder::paper_default().num_devices(20_000).seed(9).build_fleet().unwrap();
+        let mut rng = detrand::Rng::seed_from_u64(0x6a7e);
+        let mut ids: Vec<DeviceId> = (0..3_000).map(|_| DeviceId(rng.below(20_000))).collect();
+        // Back-to-back and far-apart repeats, and both ends of the fleet.
+        ids.extend([DeviceId(19_999), DeviceId(19_999), DeviceId(0), ids[7], DeviceId(0)]);
+        let cohort = fleet.gather(&ids);
+        assert_eq!(cohort.len(), ids.len());
+        for (i, (d, id)) in cohort.iter().zip(&ids).enumerate() {
+            assert_eq!(*d, fleet.device(id.0), "pick {i} ({id}) diverged");
+        }
+        assert!(fleet.gather(&[]).is_empty());
+    }
+
+    #[test]
+    fn memory_bytes_counts_twenty_bytes_per_device() {
+        assert_eq!(core::mem::size_of::<DeviceRecord>(), 20);
         let fleet = PopulationBuilder::paper_default()
             .num_devices(10_000)
             .build_fleet()
             .unwrap();
-        let per_device = fleet.memory_bytes() as f64 / fleet.len() as f64;
-        assert!(per_device < 32.0, "bytes/device {per_device}");
+        assert_eq!(fleet.memory_bytes(), core::mem::size_of::<Fleet>() + 20 * 10_000);
+    }
+
+    #[test]
+    fn from_arrays_validates_like_the_builder() {
+        let env = RadioEnvironment::paper_default();
+        let (f_min, w) = (Hertz::from_ghz(0.3), Watts::new(0.2));
+        let build = |f_max: f64, rate: f64, samples: u32| {
+            let (f_max, rate, samples) = (vec![2e9, f_max], vec![1e6, rate], vec![500, samples]);
+            Fleet::from_arrays(f_min, 2e-28, 1e7, w, env, f_max, rate, samples)
+        };
+        let fleet = build(1e9, 2e6, 7).unwrap();
+        assert_eq!(fleet.device(1).num_samples(), 7);
+        assert_eq!(fleet.device(1).cpu().range().max(), Hertz::new(1e9));
+        assert!(build(1e8, 2e6, 7).is_err(), "f_max below f_min");
+        assert!(build(1e9, 0.0, 7).is_err(), "zero rate");
+        assert!(build(1e9, 2e6, 0).is_err(), "zero samples");
+        let empty = Fleet::from_arrays(f_min, 2e-28, 1e7, w, env, vec![], vec![], vec![]);
+        assert_eq!(empty.unwrap_err(), MecError::EmptyDeviceSet);
     }
 
     #[test]

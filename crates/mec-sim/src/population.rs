@@ -12,7 +12,7 @@ use crate::comm::Uplink;
 use crate::cpu::{DvfsCpu, FrequencyRange, PAPER_ALPHA};
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
-use crate::fleet::Fleet;
+use crate::fleet::{DeviceRecord, Fleet};
 use crate::units::{BitsPerSecond, Hertz, Watts};
 
 /// Builder for a heterogeneous [`Population`] of user devices.
@@ -161,8 +161,9 @@ impl PopulationBuilder {
 
     /// Generates the same population as [`PopulationBuilder::build`] —
     /// identical seed, identical draws, bit-identical devices — but
-    /// emits it directly in struct-of-arrays [`Fleet`] form, never
-    /// materializing a `Vec<Device>`. This is the entry point for
+    /// emits it directly as a compact [`Fleet`], one 20-byte record per
+    /// device, never materializing a `Vec<Device>` (or any second copy
+    /// of the per-device data). This is the entry point for
     /// million-device runs.
     ///
     /// # Errors
@@ -172,30 +173,25 @@ impl PopulationBuilder {
     /// overflows the fleet's `u32` sample storage.
     pub fn build_fleet(&self) -> Result<Fleet> {
         self.validate()?;
-        let samples = u32::try_from(self.default_samples).map_err(|_| {
+        let num_samples = u32::try_from(self.default_samples).map_err(|_| {
             MecError::NonPositiveParameter {
                 name: "default_samples overflows the fleet's u32 storage",
                 value: self.default_samples as f64,
             }
         })?;
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut f_max = Vec::with_capacity(self.num_devices);
-        let mut rate = Vec::with_capacity(self.num_devices);
+        let mut records = Vec::with_capacity(self.num_devices);
         for _ in 0..self.num_devices {
-            let (f, r) = self.draw_device(&mut rng);
-            f_max.push(f.get());
-            rate.push(r.get());
+            let (f_max, rate) = self.draw_device(&mut rng);
+            records.push(DeviceRecord { f_max: f_max.get(), rate: rate.get(), num_samples });
         }
-        let num_samples = vec![samples; self.num_devices];
-        Fleet::from_arrays(
+        Fleet::from_records(
             self.f_min,
             self.alpha,
             self.cycles_per_sample,
             self.transmit_power,
             self.environment,
-            f_max,
-            rate,
-            num_samples,
+            records,
         )
     }
 
