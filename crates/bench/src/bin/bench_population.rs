@@ -40,16 +40,18 @@
 //! Usage: `bench_population [--smoke] [--seed N] [--trace PATH]`
 //!
 //! `--smoke` stops the size sweep at `Q = 10^5` for CI, times 10 000
-//! measured rounds per size (the full sweep times 30, at sizes where a
-//! round costs up to milliseconds) and 30 overhead pairs (full: 90); the
-//! per-Q numbers stay comparable to the full report within the
-//! records' bounds. `--trace PATH` keeps the digest-mode JSONL
+//! measured rounds per size and 30 overhead pairs (full: 90). The full
+//! sweep times each size for [`FULL_BUDGET`] of measured rounds, at
+//! least [`FULL_MIN_ROUNDS`] and at most [`MAX_ROUNDS`]: a round costs
+//! up to milliseconds at `Q = 10^7`, and a fixed 30 rounds there gave
+//! p50s that moved by 2× between runs of one build. The per-Q numbers
+//! stay comparable to the full report within the records' bounds. `--trace PATH` keeps the digest-mode JSONL
 //! trace (all sizes, one stream) for `helcfl-trace check`/`audit`;
 //! without it the trace goes to a temp file that is deleted on exit.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use detrand::splitmix64;
 use fl_sim::frequency::FrequencyPolicy;
@@ -85,6 +87,17 @@ const TRACE_COST_CEILING_US: f64 = 89.0;
 /// aggregates walk cohorts of 10 000 devices and the round runs for
 /// milliseconds.
 const TRACE_CEILING_MAX_Q: usize = 1_000_000;
+
+/// Measured rounds per size: `--smoke` times exactly this many, the
+/// full sweep at most this many.
+const MAX_ROUNDS: usize = 10_000;
+
+/// Measured-round time per size in the full sweep: enough rounds at
+/// `Q = 10^7` (milliseconds each) for a p50 that repeats across runs.
+const FULL_BUDGET: Duration = Duration::from_secs(2);
+
+/// Fewest measured rounds per size in the full sweep.
+const FULL_MIN_ROUNDS: usize = 30;
 
 /// Exemplar devices per digest round — enough to spot-check the
 /// aggregates, small enough that trace volume is round-bound.
@@ -146,21 +159,29 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args()?;
     let sizes = if args.smoke { &SIZES[..SMOKE_SIZES] } else { &SIZES[..] };
-    // Measured rounds and untraced/traced overhead pairs per size. A
-    // smoke round costs at most ~100 µs (Q ≤ 10^5), so the smoke run
-    // can afford enough rounds for a real p99: its nearest rank has a
+    // Fewest measured rounds and untraced/traced overhead pairs per
+    // size; past the fewest, a size keeps timing rounds until its
+    // measured time reaches FULL_BUDGET or it has MAX_ROUNDS. A smoke
+    // round costs at most ~100 µs (Q ≤ 10^5), so the smoke run can
+    // afford enough rounds for a real p99: its nearest rank has a
     // hundred samples above it, so neither one scheduler hiccup (which
     // was the whole figure when p99 was the maximum of 10 rounds) nor
     // a burst of slow rounds shorter than a percent of the block moves
     // it.
-    let (warmup, rounds, pairs) = if args.smoke { (2, 10_000, 30) } else { (3, 30, 90) };
+    let (warmup, min_rounds, pairs) =
+        if args.smoke { (2, MAX_ROUNDS, 30) } else { (3, FULL_MIN_ROUNDS, 90) };
     let payload = Bits::from_megabits(40.0);
 
-    println!(
-        "Population-scaling bench — {} rounds/size after {warmup} warmup{}",
-        rounds,
-        if args.smoke { " (smoke)" } else { "" }
-    );
+    if args.smoke {
+        println!("Population-scaling bench — {MAX_ROUNDS} rounds/size after {warmup} warmup (smoke)");
+    } else {
+        println!(
+            "Population-scaling bench — {}–{MAX_ROUNDS} rounds/size within {:.0} s after \
+             {warmup} warmup",
+            FULL_MIN_ROUNDS,
+            FULL_BUDGET.as_secs_f64()
+        );
+    }
     // One digest-mode JSONL stream covers the whole sweep, so the CI
     // audit sees rounds at every size in a single file.
     let trace_path = args.trace.clone().unwrap_or_else(|| {
@@ -250,14 +271,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
         // Per-phase and whole-round nanoseconds.
         let mut phase_ns: [Vec<u64>; 4] = Default::default();
-        let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
-        for round in 1..=rounds {
-            let phases = sim_round(&mut selector, warmup + round, &tele_off, 0)?;
+        let mut round_ns: Vec<u64> = Vec::with_capacity(min_rounds);
+        let mut measured_ns: u64 = 0;
+        while round_ns.len() < MAX_ROUNDS
+            && (round_ns.len() < min_rounds || measured_ns < FULL_BUDGET.as_nanos() as u64)
+        {
+            let round = warmup + round_ns.len() + 1;
+            let phases = sim_round(&mut selector, round, &tele_off, 0)?;
             for (samples, ns) in phase_ns.iter_mut().zip(phases) {
                 samples.push(ns);
             }
-            round_ns.push(phases.iter().sum());
+            let ns: u64 = phases.iter().sum();
+            round_ns.push(ns);
+            measured_ns += ns;
         }
+        let rounds = round_ns.len();
         let p50_us = |samples: &mut Vec<u64>| {
             samples.sort_unstable();
             percentile_nearest_rank(samples, 0.5) as f64 / 1e3
@@ -270,7 +298,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let p99 = percentile_nearest_rank(&round_ns, 0.99) as f64 / 1e3;
         println!(
             "  Q={q:>9}  target {target:>6}  round p50 {p50:>9.1} µs  p99 {p99:>9.1} µs  \
-             {bytes_per_device:7.1} B/device  (setup+warmup {:.2} s)",
+             {bytes_per_device:7.1} B/device  (setup+warmup {:.2} s, {rounds} rounds)",
             build_us as f64 / 1e6
         );
         println!(

@@ -44,8 +44,23 @@
 //!
 //! Devices that disappear from the selectable set (battery depletion)
 //! are parked when popped and re-inserted if they ever return; their
-//! counters are untouched, preserving the reference's id-keyed
+//! counts are untouched, preserving the reference's id-keyed
 //! semantics under dropout and rejoin.
+//!
+//! ## Where the counts live
+//!
+//! Every appearance count `A_q` is stored exactly once. For each id
+//! the index knows — placed in a bucket, parked, or in the zero set —
+//! the count sits in the index's rank-ordered count column, beside the
+//! delay and id the merge already reads, so a pick and its deferred
+//! increment touch no by-id table: by id, each pick would cost a
+//! random cache and TLB miss. Parked ids and `on_delivery_failure`
+//! refunds keep and change their counts in the column, reached through
+//! the id's rank. The selector's by-id counters hold only the counts of
+//! ids the index has not admitted, such as counts restored from a
+//! checkpoint before the first round; admission moves them into the
+//! column. Whenever the index is discarded — on a payload change or a
+//! refused admission — the column is first written back by id.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -210,13 +225,17 @@ impl RankSet {
     }
 }
 
-/// The bucketed-utility index: every known device ranked by delay, and
-/// one rank bitset per appearance counter.
+/// The bucketed-utility index: every known device ranked by delay, its
+/// appearance count by rank, and one rank bitset per appearance count.
 #[derive(Debug, Clone)]
 struct UtilityIndex {
     payload: Bits,
     slot: Vec<Slot>,
     ranks: Ranks,
+    /// Appearance count at each rank, for every known id (placed,
+    /// parked or in the zero set); the by-id counters hold none of
+    /// these ids' counts.
+    count_at: Vec<u32>,
     buckets: BTreeMap<u32, RankSet>,
     /// Ids whose utility underflowed to exactly 0.0 — globally tied,
     /// ordered by id like the reference's tie-break.
@@ -231,6 +250,7 @@ impl UtilityIndex {
             payload,
             slot: Vec::new(),
             ranks: Ranks::default(),
+            count_at: Vec::new(),
             buckets: BTreeMap::new(),
             zero: BTreeSet::new(),
             parked: Vec::new(),
@@ -243,12 +263,14 @@ impl UtilityIndex {
     }
 
     /// Admits every id of `devices`' universe not seen before: caches
-    /// its delay, re-ranks, and places it at its counter.
+    /// its delay, re-ranks, moves its count out of the by-id
+    /// `counters` into the count column, and places it at that count.
     ///
     /// # Errors
     ///
-    /// Refuses an id that does not fit the `u32` rank space. The index
-    /// is then half-admitted and must be discarded.
+    /// Refuses an id that does not fit the `u32` rank space, before any
+    /// rank or count has moved. The index is then half-admitted and
+    /// must be discarded.
     fn admit(
         &mut self,
         devices: &DeviceSet<'_>,
@@ -275,17 +297,18 @@ impl UtilityIndex {
                 // Marked now so a repeated id is admitted once; placed
                 // below, once it has a rank.
                 self.slot[id] = Slot::Placed;
-                counters.grow_to(id + 1);
                 fresh.push((d.total_delay_at_max(self.payload).get().to_bits(), id32));
             }
         }
         if fresh.is_empty() {
             return Ok(());
         }
+        counters.grow_to(self.slot.len());
         fresh.sort_unstable();
         let merged = self.ranks.merged(&fresh, self.slot.len());
         let old = core::mem::replace(&mut self.ranks, merged);
-        // Existing members keep their buckets under their new ranks.
+        // Existing members keep their buckets and counts under their
+        // new ranks.
         for set in self.buckets.values_mut() {
             let mut moved = RankSet::new(self.ranks.len());
             for r in set.iter() {
@@ -293,19 +316,46 @@ impl UtilityIndex {
             }
             *set = moved;
         }
+        // Only non-zero counts are written, so the zeroed column's
+        // untouched pages stay unmapped.
+        let mut count_at = vec![0; self.ranks.len()];
+        for (r, &a) in self.count_at.iter().enumerate().filter(|&(_, &a)| a != 0) {
+            count_at[self.ranks.rank[old.id_at[r] as usize] as usize] = a;
+        }
+        // The by-id store held counts only for ids unknown until now:
+        // the admitted ones move into the column, the rest stay.
+        let (admitted, rest): (Vec<_>, Vec<_>) = counters
+            .to_sparse()
+            .into_iter()
+            .partition(|&(q, _)| self.slot.get(q).is_some_and(|&s| s != Slot::Unknown));
+        if !admitted.is_empty() {
+            for (q, a) in admitted {
+                count_at[self.ranks.rank[q] as usize] = a;
+            }
+            *counters = AppearanceCounters::from_sparse(counters.len(), &rest);
+        }
+        self.count_at = count_at;
         for &(_, id) in &fresh {
-            let id = id as usize;
-            self.place(self.ranks.rank[id] as usize, counters.get(id), eta);
+            self.place(self.ranks.rank[id as usize] as usize, eta);
         }
         Ok(())
     }
 
-    /// Inserts the id at rank `r` into the structure for appearance
-    /// count `a`, recomputing Eq. 20 to decide between a bucket and the
-    /// zero set (`powi` is not guaranteed monotone in the exponent, so
-    /// membership is always decided fresh). The id's slot must already
-    /// read `Placed`.
-    fn place(&mut self, r: usize, a: u32, eta: DecayCoefficient) {
+    /// Writes every non-zero count of the column into `counters` by id
+    /// — the by-id view of the counts this index holds.
+    fn write_back(&self, counters: &mut AppearanceCounters) {
+        for (r, &a) in self.count_at.iter().enumerate().filter(|&(_, &a)| a != 0) {
+            counters.set(self.ranks.id_at[r] as usize, a);
+        }
+    }
+
+    /// Inserts the id at rank `r` into the structure for its
+    /// appearance count, recomputing Eq. 20 to decide between a bucket
+    /// and the zero set (`powi` is not guaranteed monotone in the
+    /// exponent, so membership is always decided fresh). The id's slot
+    /// must already read `Placed`.
+    fn place(&mut self, r: usize, eta: DecayCoefficient) {
+        let a = self.count_at[r];
         if utility(eta, a, Seconds::new(self.ranks.delay_at[r])) == 0.0 {
             self.zero.insert(self.ranks.id_at[r] as usize);
         } else {
@@ -326,10 +376,11 @@ impl UtilityIndex {
         true
     }
 
-    /// Removes a placed `id` known to sit at appearance count `a`.
-    fn remove_placed(&mut self, id: usize, a: u32) {
+    /// Removes a placed `id` from its bucket or the zero set.
+    fn remove_placed(&mut self, id: usize) {
         if !self.zero.remove(&id) {
-            self.pop(a, self.ranks.rank[id] as usize);
+            let r = self.ranks.rank[id] as usize;
+            self.pop(self.count_at[r], r);
         }
     }
 
@@ -374,13 +425,20 @@ impl UtilityIndex {
         best
     }
 
-    /// Panics unless the buckets agree with the slots and counters:
-    /// each placed, non-zero id's rank is set in exactly the bucket of
-    /// its counter, bucket populations sum to placed minus zero-set
-    /// ids, and no bucket is empty. Holds between rounds.
+    /// Panics unless the buckets agree with the slots and the count
+    /// column, and `counters` holds no count of a known id: each
+    /// placed, non-zero id's rank is set in exactly the bucket of its
+    /// count, bucket populations sum to placed minus zero-set ids, and
+    /// no bucket is empty. Holds between rounds.
     fn assert_consistent(&self, counters: &AppearanceCounters) {
         let mut placed = 0;
         for (id, &slot) in self.slot.iter().enumerate() {
+            if slot == Slot::Unknown {
+                continue;
+            }
+            assert_eq!(counters.get(id), 0, "known id {id} also counted by id");
+            let r = self.ranks.rank[id] as usize;
+            assert_eq!(self.ranks.id_at[r] as usize, id, "rank {r} does not map back to id {id}");
             if slot != Slot::Placed {
                 assert!(!self.zero.contains(&id), "unplaced id {id} in the zero set");
                 continue;
@@ -389,15 +447,9 @@ impl UtilityIndex {
             if self.zero.contains(&id) {
                 continue;
             }
-            let r = self.ranks.rank[id] as usize;
-            assert_eq!(self.ranks.id_at[r] as usize, id, "rank {r} does not map back to id {id}");
-            for (&a, set) in &self.buckets {
-                assert_eq!(
-                    set.contains(r),
-                    a == counters.get(id),
-                    "id {id} (counter {}) vs bucket {a}",
-                    counters.get(id)
-                );
+            let a = self.count_at[r];
+            for (&b, set) in &self.buckets {
+                assert_eq!(set.contains(r), a == b, "id {id} (count {a}) vs bucket {b}");
             }
         }
         let mut members = 0;
@@ -418,6 +470,7 @@ impl UtilityIndex {
     fn memory_bytes(&self) -> usize {
         self.slot.capacity() * core::mem::size_of::<Slot>()
             + self.ranks.memory_bytes()
+            + self.count_at.capacity() * core::mem::size_of::<u32>()
             + self.buckets.values().map(RankSet::memory_bytes).sum::<usize>()
             + self.zero.len() * core::mem::size_of::<usize>()
             + self.parked.capacity() * core::mem::size_of::<usize>()
@@ -458,8 +511,10 @@ impl UtilityIndex {
 #[derive(Debug, Clone)]
 pub struct IndexedDecaySelector {
     eta: DecayCoefficient,
+    /// Counts of the ids the index has not admitted; the index holds
+    /// every other count.
     counters: AppearanceCounters,
-    /// Incremental mirror of `counters.coverage()` so the telemetry
+    /// Incremental mirror of `counters().coverage()` so the telemetry
     /// gauge costs O(1), not an O(Q) scan.
     coverage: usize,
     index: Option<UtilityIndex>,
@@ -478,30 +533,45 @@ impl IndexedDecaySelector {
     }
 
     /// The appearance counters accumulated so far (indexed by
-    /// [`DeviceId`]).
-    #[inline]
-    pub fn counters(&self) -> &AppearanceCounters {
-        &self.counters
+    /// [`DeviceId`]), built on demand: the index keeps the counts of
+    /// the ids it knows in rank order, so this is an owned O(Q) copy
+    /// meant for tests and inspection, not for a per-round path.
+    pub fn counters(&self) -> AppearanceCounters {
+        let mut counters = self.counters.clone();
+        if let Some(ix) = &self.index {
+            ix.write_back(&mut counters);
+        }
+        counters
     }
 
-    /// Resident bytes of the selector: the counters, the by-id slot and
-    /// rank tables, the by-rank id, delay and group-end tables, and one
-    /// rank bitset (Q/8 bytes, plus a summary word per 64 words) per
-    /// live appearance bucket. Zero-set and parked ids count at their
-    /// payload size.
+    /// Resident bytes of the selector: the by-id counters of ids the
+    /// index has not admitted, the by-id slot and rank tables, the
+    /// by-rank id, delay, group-end and appearance-count tables, and
+    /// one rank bitset (Q/8 bytes, plus a summary word per 64 words)
+    /// per live appearance bucket. Zero-set and parked ids count at
+    /// their payload size.
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
             + self.counters.memory_bytes()
             + self.index.as_ref().map_or(0, UtilityIndex::memory_bytes)
     }
 
-    /// Panics unless the utility index agrees with the appearance
-    /// counters (see `UtilityIndex::assert_consistent`). A test hook:
-    /// it holds between rounds and costs O(Q · buckets).
+    /// Panics unless the utility index agrees with itself, every count
+    /// is stored once, and the coverage mirror matches the counts (see
+    /// `UtilityIndex::assert_consistent`). A test hook: it holds
+    /// between rounds and costs O(Q · buckets).
     #[doc(hidden)]
     pub fn assert_consistent(&self) {
         if let Some(ix) = &self.index {
             ix.assert_consistent(&self.counters);
+        }
+        assert_eq!(self.coverage, self.counters().coverage(), "coverage mirror");
+    }
+
+    /// Drops the index, first writing the counts it holds back by id.
+    fn discard_index(&mut self) {
+        if let Some(ix) = self.index.take() {
+            ix.write_back(&mut self.counters);
         }
     }
 
@@ -514,10 +584,10 @@ impl IndexedDecaySelector {
             return Err(FlError::InvalidSelection { reason: "no devices to select".into() });
         }
         // A payload change invalidates every cached Eq.-9 delay.
-        if self.index.as_ref().is_none_or(|ix| ix.payload != ctx.payload) {
-            self.index = Some(UtilityIndex::new(ctx.payload));
+        if self.index.as_ref().is_some_and(|ix| ix.payload != ctx.payload) {
+            self.discard_index();
         }
-        let ix = self.index.as_mut().expect("just ensured");
+        let ix = self.index.get_or_insert_with(|| UtilityIndex::new(ctx.payload));
 
         // Universe sync: admit newly-seen ids. When ids are implicit
         // backing positions (fleet- or mask-backed sets) and all of
@@ -525,7 +595,7 @@ impl IndexedDecaySelector {
         // entirely — the steady-state rounds of a long run are O(N).
         if !(ctx.devices.has_implicit_ids() && ix.known() == ctx.devices.universe_len()) {
             if let Err(e) = ix.admit(&ctx.devices, &mut self.counters, self.eta) {
-                self.index = None;
+                self.discard_index();
                 return Err(e);
             }
         }
@@ -535,7 +605,7 @@ impl IndexedDecaySelector {
         for id in parked {
             if ctx.devices.contains(DeviceId(id)) {
                 ix.slot[id] = Slot::Placed;
-                ix.place(ix.ranks.rank[id] as usize, self.counters.get(id), self.eta);
+                ix.place(ix.ranks.rank[id] as usize, self.eta);
             } else {
                 ix.parked.push(id);
             }
@@ -565,7 +635,9 @@ impl IndexedDecaySelector {
                     b
                 }
             });
-            let (id, r) = match best {
+            // The winner's id, rank and appearance count: a bucket
+            // winner's count is its bucket's.
+            let (id, r, a) = match best {
                 Some(k) => {
                     let (_, a, r) = candidates[k];
                     if ix.pop(a, r) {
@@ -574,10 +646,13 @@ impl IndexedDecaySelector {
                     } else {
                         candidates.swap_remove(k);
                     }
-                    (ix.ranks.id_at[r] as usize, r)
+                    (ix.ranks.id_at[r] as usize, r, a)
                 }
                 None => match ix.zero.pop_first() {
-                    Some(id) => (id, ix.ranks.rank[id] as usize),
+                    Some(id) => {
+                        let r = ix.ranks.rank[id] as usize;
+                        (id, r, ix.count_at[r])
+                    }
                     None => {
                         return Err(FlError::InvalidSelection {
                             reason: "utility index exhausted before reaching the target"
@@ -593,22 +668,21 @@ impl IndexedDecaySelector {
             }
             if tele.is_enabled() {
                 // Same pre-increment α_q = η^{A_q} the reference logs.
-                let alpha = eta_f.powi(self.counters.get(id) as i32);
-                tele.record(Class::Sim, "selection.alpha", alpha);
+                tele.record(Class::Sim, "selection.alpha", eta_f.powi(a as i32));
             }
-            if self.counters.get(id) == 0 {
+            if a == 0 {
                 self.coverage += 1;
             }
-            self.counters.increment(id);
             selected.push(DeviceId(id));
             won.push(r);
         }
-        // Deferred re-placement: winners move to bucket A_q + 1 only
-        // after the merge, so this round's picks competed on utilities
-        // frozen at round start — exactly like the reference's single
-        // scored snapshot.
-        for (d, &r) in selected.iter().zip(&won) {
-            ix.place(r, self.counters.get(d.0), self.eta);
+        // Deferred increment and re-placement: winners move to bucket
+        // A_q + 1 only after the merge, so this round's picks competed
+        // on utilities frozen at round start — exactly like the
+        // reference's single scored snapshot.
+        for &r in &won {
+            ix.count_at[r] += 1;
+            ix.place(r, self.eta);
         }
         if tele.is_enabled() {
             tele.with_metrics(|m| {
@@ -648,37 +722,55 @@ impl ClientSelector for IndexedDecaySelector {
 
     fn on_delivery_failure(&mut self, failed: &[DeviceId]) {
         // Same refund semantics and out-of-range guard as the
-        // reference; additionally an O(1) bucket move keeps the
-        // index synchronized with the decremented counter.
+        // reference. A known id's count lives in the index's column,
+        // found through its rank; a placed id also makes an O(1)
+        // bucket move.
         for id in failed {
             let q = id.0;
             if q >= self.counters.len() {
                 continue;
             }
-            let before = self.counters.get(q);
-            self.counters.decrement(q);
-            if before == 0 {
-                continue;
-            }
+            let known = self
+                .index
+                .as_mut()
+                .filter(|ix| ix.slot.get(q).is_some_and(|&s| s != Slot::Unknown));
+            let before = match known {
+                Some(ix) => {
+                    let r = ix.ranks.rank[q] as usize;
+                    let before = ix.count_at[r];
+                    if before == 0 {
+                        continue;
+                    }
+                    let placed = ix.slot[q] == Slot::Placed;
+                    if placed {
+                        ix.remove_placed(q);
+                    }
+                    ix.count_at[r] -= 1;
+                    if placed {
+                        ix.place(r, self.eta);
+                    }
+                    before
+                }
+                None => {
+                    let before = self.counters.get(q);
+                    self.counters.decrement(q);
+                    before
+                }
+            };
             if before == 1 {
                 self.coverage -= 1;
-            }
-            if let Some(ix) = &mut self.index {
-                if q < ix.slot.len() && ix.slot[q] == Slot::Placed {
-                    ix.remove_placed(q, before);
-                    ix.place(ix.ranks.rank[q] as usize, before - 1, self.eta);
-                }
             }
         }
     }
 
     fn snapshot(&self) -> SelectorSnapshot {
-        // The counters are the selector's only durable state: the
-        // index is a pure cache over (counters, payload, delays) and is
-        // rebuilt lazily on the first post-restore round.
+        // The counts are the selector's only durable state: the rest
+        // of the index derives from them, the payload and the delays,
+        // and is rebuilt lazily on the first post-restore round.
+        let counters = self.counters();
         SelectorSnapshot {
-            counters_len: self.counters.len(),
-            counters: self.counters.to_sparse(),
+            counters_len: counters.len(),
+            counters: counters.to_sparse(),
             rng_state: None,
         }
     }
@@ -776,7 +868,8 @@ mod tests {
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=30 {
             // Alternate payloads: delays (and hence utilities) differ
-            // per payload, and the index must follow.
+            // per payload, and the index must follow, carrying every
+            // count (refunds included) across the rebuild.
             let payload =
                 if round % 2 == 0 { Bits::from_megabits(40.0) } else { Bits::from_megabits(4.0) };
             let c = SelectionContext {
@@ -785,9 +878,106 @@ mod tests {
                 payload,
                 target: 3,
             };
-            assert_eq!(indexed.select(&c).unwrap(), reference.select(&c).unwrap(), "round {round}");
+            let picks = indexed.select(&c).unwrap();
+            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
+            if round % 3 == 0 {
+                indexed.on_delivery_failure(&picks[..1]);
+                reference.on_delivery_failure(&picks[..1]);
+            }
+            assert_eq!(&indexed.counters(), reference.counters(), "round {round}");
             indexed.assert_consistent();
         }
+    }
+
+    /// The index is discarded on a refused admission and rebuilt on the
+    /// next round; the counts it held, refunds included, must survive,
+    /// also counts that an earlier admission moved to new ranks.
+    #[test]
+    fn counts_survive_every_index_discard() {
+        let pop = PopulationBuilder::paper_default().num_devices(24).seed(10).build().unwrap();
+        let all = pop.devices();
+        let d = all[0];
+        let huge = mec_sim::device::Device::new(
+            DeviceId(u32::MAX as usize),
+            *d.cpu(),
+            d.cycles_per_sample(),
+            d.num_samples(),
+            *d.uplink(),
+        )
+        .unwrap();
+        let with_huge: Vec<_> = all.iter().copied().chain([huge]).collect();
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        for round in 1..=40 {
+            if round == 21 {
+                assert!(indexed.select(&ctx(&with_huge, round, 4)).is_err());
+                continue;
+            }
+            // Half the fleet first, so the full set's admission re-ranks
+            // ids that already hold counts.
+            let devices = if round <= 10 { &all[..12] } else { all };
+            let c = ctx(devices, round, 4);
+            let picks = indexed.select(&c).unwrap();
+            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
+            if round % 2 == 0 {
+                indexed.on_delivery_failure(&picks[1..3]);
+                reference.on_delivery_failure(&picks[1..3]);
+            }
+            assert_eq!(&indexed.counters(), reference.counters(), "round {round}");
+            assert_eq!(
+                ClientSelector::snapshot(&indexed),
+                ClientSelector::snapshot(&reference),
+                "round {round}"
+            );
+            indexed.assert_consistent();
+        }
+    }
+
+    /// A fleet-backed run at a scale where counts spread over many
+    /// buckets and ranks: snapshots equal the reference's, a selector
+    /// restored mid-run picks the same devices, and once every id is
+    /// admitted no count is held by id.
+    #[test]
+    fn fleet_scale_snapshots_and_resume_match_the_reference() {
+        const Q: usize = 20_000;
+        let fleet =
+            PopulationBuilder::paper_default().num_devices(Q).seed(23).build_fleet().unwrap();
+        let fleet_ctx = |round| SelectionContext {
+            round,
+            devices: (&fleet).into(),
+            payload: Bits::from_megabits(40.0),
+            target: 200,
+        };
+        let no_pages = AppearanceCounters::new(Q).memory_bytes();
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        let mut resumed: Option<IndexedDecaySelector> = None;
+        for round in 1..=100 {
+            let c = fleet_ctx(round);
+            let picks = indexed.select(&c).unwrap();
+            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
+            if let Some(resumed) = &mut resumed {
+                assert_eq!(resumed.select(&c).unwrap(), picks, "round {round}: resumed");
+                resumed.on_delivery_failure(&picks[round % 7..][..3]);
+                assert_eq!(resumed.counters.memory_bytes(), no_pages, "restored counts by id");
+            }
+            indexed.on_delivery_failure(&picks[round % 7..][..3]);
+            reference.on_delivery_failure(&picks[round % 7..][..3]);
+            assert_eq!(indexed.counters.memory_bytes(), no_pages, "round {round}: counts by id");
+            if round == 50 || round == 100 {
+                let snap = ClientSelector::snapshot(&indexed);
+                assert_eq!(snap, ClientSelector::snapshot(&reference), "round {round}");
+                indexed.assert_consistent();
+                if round == 50 {
+                    let mut restored = IndexedDecaySelector::default();
+                    restored.restore(&snap).unwrap();
+                    resumed = Some(restored);
+                }
+            }
+        }
+        let resumed = resumed.unwrap();
+        resumed.assert_consistent();
+        assert_eq!(ClientSelector::snapshot(&resumed), ClientSelector::snapshot(&reference));
     }
 
     #[test]
@@ -948,6 +1138,9 @@ mod tests {
             sel.select(&c).unwrap();
         }
         sel.assert_consistent();
+        // Every count lives in the index's column: the by-id store
+        // holds no page.
+        assert_eq!(sel.counters.memory_bytes(), AppearanceCounters::new(Q).memory_bytes());
         let per_device = sel.memory_bytes() as f64 / Q as f64;
         assert!(per_device <= 36.0, "{per_device:.2} B per device");
     }

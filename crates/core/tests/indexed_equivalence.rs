@@ -142,9 +142,10 @@ fn drive(
         }
         indexed.assert_consistent();
     }
+    let counts = indexed.counters();
     for id in 0..q {
         assert_eq!(
-            indexed.counters().get(id),
+            counts.get(id),
             reference.counters().get(id),
             "case {case} device {id}: counters diverged"
         );
