@@ -13,6 +13,11 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> rustdoc: every doc link resolves"
+# A doc link to a deleted or private item, or a citation like [4] read
+# as a link, is a warning; -D warnings makes it fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> examples: every root-package example runs to completion"
 # The test step only compiles the examples. Running them catches an API
 # change that still compiles but panics: energy_audit prints

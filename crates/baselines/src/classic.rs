@@ -1,4 +1,4 @@
-//! Classic FL (McMahan et al. [9]): uniform random selection of
+//! Classic FL (McMahan et al. \[9\]): uniform random selection of
 //! `Q·C` users per round, everyone at maximum frequency.
 
 use detrand::Rng;

@@ -1,4 +1,4 @@
-//! FedCS (Nishio & Yonetani [10]): deadline-constrained greedy
+//! FedCS (Nishio & Yonetani \[10\]): deadline-constrained greedy
 //! selection of users with short training delays.
 //!
 //! Given a per-round deadline, FedCS walks users in ascending

@@ -1,4 +1,4 @@
-//! FEDL (Tran et al. [12]): closed-form energy/delay balancing.
+//! FEDL (Tran et al. \[12\]): closed-form energy/delay balancing.
 //!
 //! FEDL keeps Classic FL's random selection (the paper notes their
 //! accuracy curves coincide) but chooses each device's operating

@@ -1,4 +1,4 @@
-//! SL — separated learning (Ahn et al. [4]): every user trains its
+//! SL — separated learning (Ahn et al. \[4\]): every user trains its
 //! own model in isolation; no aggregation ever happens.
 //!
 //! The runtime lives in [`fl_sim::separated`]; this module re-exports

@@ -4,14 +4,33 @@
 //! global model and takes one full-batch GD step, the FedAvg
 //! integration (Eq. 18) equals one centralized GD step on the union of
 //! the selected users' data. This module provides
-//! [`centralized_equivalent_step`] so tests and examples can verify
-//! the identity numerically — it is the argument for *why* greedy
-//! selection caps accuracy: data never selected is data never
-//! trained on.
+//! [`centralized_equivalent_step`] and [`federated_one_step`] so tests
+//! and examples can verify the identity numerically — it is the
+//! argument for *why* greedy selection caps accuracy: data never
+//! selected is data never trained on. Both sides train through
+//! `Mlp::train_step_with`, and the federated side aggregates through
+//! `Flcc::aggregate`: the identity is checked on the step and the
+//! aggregation every run executes.
 
 use fl_sim::dataset::LabeledSet;
 use fl_sim::error::{FlError, Result};
-use tinynn::model::Mlp;
+use fl_sim::server::Flcc;
+use tinynn::model::{Mlp, TrainScratch};
+use tinynn::tensor::Matrix;
+
+/// The parameters of `global` after one full-batch GD step (Eq. 3) on
+/// `x`, taken by the step every local update runs.
+fn one_step(
+    global: &Mlp,
+    x: &Matrix,
+    labels: &[usize],
+    lr: f32,
+    scratch: &mut TrainScratch,
+) -> Result<Vec<f32>> {
+    let mut model = global.clone();
+    model.train_step_with(x, labels, lr, scratch)?;
+    Ok(model.parameters())
+}
 
 /// Performs the centralized mini-batch GD step of Eq. 19: one
 /// full-batch step on the concatenation of `shards`, starting from
@@ -39,40 +58,32 @@ pub fn centralized_equivalent_step(
         data.extend_from_slice(shard.features().as_slice());
         labels.extend_from_slice(shard.labels());
     }
-    let features =
-        tinynn::tensor::Matrix::from_vec(total, dim, data).map_err(FlError::from)?;
-    let mut model = global.clone();
-    model.train_step(&features, &labels, lr).map_err(FlError::from)?;
-    Ok(model.parameters())
+    let features = Matrix::from_vec(total, dim, data)?;
+    one_step(global, &features, &labels, lr, &mut TrainScratch::for_model(global)?)
 }
 
 /// Performs the federated side of Eq. 19: each shard takes one local
-/// GD step from `global`, then the results are FedAvg-combined with
-/// dataset-size weights (Eq. 18). Returns the aggregated parameters.
+/// GD step from `global`, then [`Flcc::aggregate`] combines the results
+/// with dataset-size weights (Eq. 18), as it does in every round.
+/// Returns the aggregated parameters.
 ///
 /// # Errors
 ///
 /// Propagates shape errors and rejects an empty shard list.
 pub fn federated_one_step(global: &Mlp, shards: &[&LabeledSet], lr: f32) -> Result<Vec<f32>> {
-    if shards.is_empty() {
-        return Err(FlError::InvalidSelection {
-            reason: "federated step needs at least one shard".into(),
-        });
-    }
-    let base = global.parameters();
-    let total: f64 = shards.iter().map(|s| s.len() as f64).sum();
-    let mut acc = vec![0.0f64; base.len()];
-    for shard in shards {
-        let mut local = global.clone();
-        local
-            .train_step(shard.features(), shard.labels(), lr)
-            .map_err(FlError::from)?;
-        let w = shard.len() as f64 / total;
-        for (a, p) in acc.iter_mut().zip(local.parameters()) {
-            *a += f64::from(p) * w;
-        }
-    }
-    Ok(acc.into_iter().map(|v| v as f32).collect())
+    let mut scratch = TrainScratch::for_model(global)?;
+    let updates = shards
+        .iter()
+        .map(|shard| {
+            let params = one_step(global, shard.features(), shard.labels(), lr, &mut scratch)?;
+            Ok((params, shard.len() as f64))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    // Aggregation overwrites every parameter, so the controller's own
+    // initialization never reaches the result.
+    let mut flcc = Flcc::new(global.dims(), 0)?;
+    flcc.aggregate(&updates)?;
+    Ok(flcc.broadcast())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Separated learning (SL) runtime — the paper's fourth baseline [4]:
+//! Separated learning (SL) runtime — the paper's fourth baseline \[4\]:
 //! "each user conducts its model update separately", with no
 //! aggregation and no uploads.
 //!

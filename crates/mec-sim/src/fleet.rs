@@ -69,46 +69,15 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Assembles a fleet from three parallel per-device arrays.
-    /// Validates every entry through the same rules as the device
-    /// constructors.
+    /// Assembles a fleet from per-device records (the
+    /// `PopulationBuilder` fast path). Validates the shared scalars and
+    /// every record through the same rules as the device constructors.
     ///
     /// # Errors
     ///
     /// Returns [`MecError::EmptyDeviceSet`] for zero devices, or the
     /// first validation error among the shared scalars and per-device
     /// entries.
-    // The arguments mirror the fleet's content (five shared scalars +
-    // three per-device arrays); a params struct would repeat the same
-    // eight fields one call site away.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_arrays(
-        f_min: Hertz,
-        alpha: f64,
-        cycles_per_sample: f64,
-        transmit_power: Watts,
-        environment: RadioEnvironment,
-        f_max: Vec<f64>,
-        rate: Vec<f64>,
-        num_samples: Vec<u32>,
-    ) -> Result<Self> {
-        if f_max.is_empty() {
-            return Err(MecError::EmptyDeviceSet);
-        }
-        assert_eq!(f_max.len(), rate.len(), "parallel arrays must be equal length");
-        assert_eq!(f_max.len(), num_samples.len(), "parallel arrays must be equal length");
-        let records = f_max
-            .into_iter()
-            .zip(rate)
-            .zip(num_samples)
-            .map(|((f_max, rate), num_samples)| DeviceRecord { f_max, rate, num_samples })
-            .collect();
-        Self::from_records(f_min, alpha, cycles_per_sample, transmit_power, environment, records)
-    }
-
-    /// Assembles a fleet from per-device records (the
-    /// `PopulationBuilder` fast path), validating like
-    /// [`Fleet::from_arrays`].
     pub(crate) fn from_records(
         f_min: Hertz,
         alpha: f64,
@@ -486,12 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn from_arrays_validates_like_the_builder() {
+    fn from_records_validates_like_the_builder() {
         let env = RadioEnvironment::paper_default();
         let (f_min, w) = (Hertz::from_ghz(0.3), Watts::new(0.2));
-        let build = |f_max: f64, rate: f64, samples: u32| {
-            let (f_max, rate, samples) = (vec![2e9, f_max], vec![1e6, rate], vec![500, samples]);
-            Fleet::from_arrays(f_min, 2e-28, 1e7, w, env, f_max, rate, samples)
+        let build = |f_max: f64, rate: f64, num_samples: u32| {
+            let records = vec![
+                DeviceRecord { f_max: 2e9, rate: 1e6, num_samples: 500 },
+                DeviceRecord { f_max, rate, num_samples },
+            ];
+            Fleet::from_records(f_min, 2e-28, 1e7, w, env, records)
         };
         let fleet = build(1e9, 2e6, 7).unwrap();
         assert_eq!(fleet.device(1).num_samples(), 7);
@@ -499,7 +471,7 @@ mod tests {
         assert!(build(1e8, 2e6, 7).is_err(), "f_max below f_min");
         assert!(build(1e9, 0.0, 7).is_err(), "zero rate");
         assert!(build(1e9, 2e6, 0).is_err(), "zero samples");
-        let empty = Fleet::from_arrays(f_min, 2e-28, 1e7, w, env, vec![], vec![], vec![]);
+        let empty = Fleet::from_records(f_min, 2e-28, 1e7, w, env, vec![]);
         assert_eq!(empty.unwrap_err(), MecError::EmptyDeviceSet);
     }
 

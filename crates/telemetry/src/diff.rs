@@ -4,9 +4,9 @@
 //! [`diff_traces`] takes two parsed traces — a *baseline* and a
 //! *candidate* — and answers the question a tripped perf gate cannot:
 //! **where did the time go?** It first checks run provenance (the
-//! [`RunManifest`] lines stamped at the head of each trace) and refuses
-//! to compare traces of different experiments; then it builds, from the
-//! round spans that both traces already carry:
+//! [`RunManifest`](crate::RunManifest) lines stamped at the head of
+//! each trace) and refuses to compare traces of different experiments;
+//! then it builds, from the round spans that both traces already carry:
 //!
 //! * per-phase p50 / p99 / total deltas (one sample per phase per
 //!   round, so a phase that runs twice in a round — `bookkeeping` —
@@ -536,7 +536,7 @@ fn check_manifests(
 /// # Errors
 ///
 /// Returns the refusal reason when the traces are not comparable:
-/// incompatible or one-sided [`RunManifest`]s (unless
+/// incompatible or one-sided [`RunManifest`](crate::RunManifest)s (unless
 /// [`DiffConfig::ignore_manifest`]), unresolvable span parents, or a
 /// side with no `round` spans at all.
 pub fn diff_traces(

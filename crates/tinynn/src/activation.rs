@@ -1,28 +1,7 @@
-//! Activation functions and their derivatives.
+//! The ReLU derivative. The forward ReLU is fused into the GEMM
+//! epilogue ([`crate::tensor::Matrix::matmul_bias_relu_into`]).
 
 use crate::tensor::Matrix;
-
-/// Applies ReLU element-wise, returning a new matrix.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    out
-}
-
-/// Applies ReLU element-wise into a caller-owned buffer (resized as
-/// needed; zero allocation at steady state).
-pub fn relu_into(x: &Matrix, out: &mut Matrix) {
-    out.copy_from(x);
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
 
 /// Masks `grad` by the ReLU derivative evaluated at pre-activation
 /// `z` in place: `grad[i] = 0` wherever `z[i] <= 0` (a NaN `z` keeps
@@ -44,36 +23,9 @@ pub fn relu_backward_inplace(grad: &mut Matrix, z: &Matrix) {
     }
 }
 
-/// Row-wise numerically-stable softmax, returning a new matrix whose
-/// rows sum to 1.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    let cols = out.cols();
-    for r in 0..out.rows() {
-        let row = &mut out.as_mut_slice()[r * cols..(r + 1) * cols];
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relu_zeroes_negatives_only() {
-        let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]).unwrap();
-        let y = relu(&x);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-    }
 
     #[test]
     fn relu_backward_masks_nonpositive_preactivations() {
@@ -81,29 +33,6 @@ mod tests {
         let mut g = Matrix::from_rows(&[&[5.0, 5.0, 5.0]]).unwrap();
         relu_backward_inplace(&mut g, &z);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one_and_order_preserved() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]).unwrap();
-        let s = softmax_rows(&x);
-        for r in 0..2 {
-            let sum: f32 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-            assert!(s.at(r, 2) > s.at(r, 1) && s.at(r, 1) > s.at(r, 0));
-        }
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant_and_stable_for_large_logits() {
-        let x = Matrix::from_rows(&[&[1000.0, 1001.0]]).unwrap();
-        let s = softmax_rows(&x);
-        assert!(s.as_slice().iter().all(|v| v.is_finite()));
-        let y = Matrix::from_rows(&[&[0.0, 1.0]]).unwrap();
-        let t = softmax_rows(&y);
-        for (a, b) in s.as_slice().iter().zip(t.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

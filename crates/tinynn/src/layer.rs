@@ -93,17 +93,6 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass `x·W + b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols() != fan_in`.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut out = x.matmul(&self.weights)?;
-        out.add_row_broadcast(&self.bias)?;
-        Ok(out)
-    }
-
     /// Forward pass `x·W + b` into a caller-owned buffer (resized as
     /// needed; zero allocation at steady state).
     ///
@@ -117,8 +106,8 @@ impl Dense {
     /// Fused forward + ReLU `relu(x·W + b)` into a caller-owned buffer
     /// — the hidden-layer fast path: one sweep over the output instead
     /// of a matmul, a bias broadcast, and a ReLU copy. Bit-identical
-    /// to [`Dense::forward_into`] followed by
-    /// [`crate::activation::relu_into`].
+    /// to [`Dense::forward_into`] followed by clamping negatives to
+    /// zero.
     ///
     /// # Errors
     ///
@@ -128,22 +117,10 @@ impl Dense {
     }
 
     /// Backward pass: given the input `x` and the upstream gradient
-    /// `dz` (w.r.t. this layer's output), returns this layer's
-    /// parameter gradients and the gradient w.r.t. `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] on inconsistent shapes.
-    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> Result<(DenseGrad, Matrix)> {
-        let mut grad = DenseGrad::zeros(self.fan_in(), self.fan_out())?;
-        let mut dx = Matrix::zeros(dz.rows(), self.fan_in())?;
-        self.backward_into(x, dz, &mut grad, &mut dx)?;
-        Ok((grad, dx))
-    }
-
-    /// Backward pass writing the parameter gradients and the input
-    /// gradient into caller-owned buffers (resized as needed; zero
-    /// allocation at steady state).
+    /// `dz` (w.r.t. this layer's output), writes this layer's
+    /// parameter gradients and the gradient w.r.t. `x` into
+    /// caller-owned buffers (resized as needed; zero allocation at
+    /// steady state).
     ///
     /// # Errors
     ///
@@ -240,15 +217,22 @@ mod tests {
     fn forward_is_affine() {
         let l = layer();
         let x = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]).unwrap();
-        let y = l.forward(&x).unwrap();
+        let mut y = Matrix::zeros(1, 1).unwrap();
+        l.forward_into(&x, &mut y).unwrap();
         assert_eq!(y.as_slice(), &[2.5, 2.5]);
+        // [-3, 0, 0]·W + b = [-2.5, -0.5]: both clamp.
+        let neg = Matrix::from_rows(&[&[-3.0, 0.0, 0.0]]).unwrap();
+        l.forward_relu_into(&neg, &mut y).unwrap();
+        assert_eq!(y.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
     fn forward_rejects_wrong_width() {
         let l = layer();
         let x = Matrix::zeros(1, 2).unwrap();
-        assert!(l.forward(&x).is_err());
+        let mut y = Matrix::zeros(1, 1).unwrap();
+        assert!(l.forward_into(&x, &mut y).is_err());
+        assert!(l.forward_relu_into(&x, &mut y).is_err());
     }
 
     #[test]
@@ -256,7 +240,9 @@ mod tests {
         let l = layer();
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 1.0, 0.0]]).unwrap();
         let dz = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let (grad, dx) = l.backward(&x, &dz).unwrap();
+        let mut grad = DenseGrad::zeros(3, 2).unwrap();
+        let mut dx = Matrix::zeros(1, 1).unwrap();
+        l.backward_into(&x, &dz, &mut grad, &mut dx).unwrap();
         assert_eq!(grad.weights.shape(), (3, 2));
         assert_eq!(grad.bias.len(), 2);
         assert_eq!(dx.shape(), (2, 3));

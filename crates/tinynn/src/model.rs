@@ -4,17 +4,19 @@
 //! The model exposes the two operations federated averaging needs:
 //! a *flat parameter vector* view ([`Mlp::parameters`] /
 //! [`Mlp::set_parameters`]) and a *single full-batch gradient-descent
-//! step* ([`Mlp::train_step`], paper Eq. 3).
+//! step* ([`Mlp::train_step_with`], paper Eq. 3). Training and
+//! scoring both run the fused forward kernels into a reusable
+//! [`TrainScratch`]; the unfused layer-by-layer chain they replace is
+//! kept under `tests/` as the oracle they are pinned against, bit for
+//! bit.
 
 use detrand::Rng;
 
-use crate::activation::{relu, relu_backward_inplace};
+use crate::activation::relu_backward_inplace;
 use crate::error::{NnError, Result};
 use crate::init::Init;
 use crate::layer::{Dense, DenseGrad};
-use crate::loss::{
-    softmax_cross_entropy, softmax_cross_entropy_into, softmax_cross_entropy_loss,
-};
+use crate::loss::softmax_cross_entropy_into;
 use crate::tensor::{argmax_row, matmul_bias_rows_into, Matrix};
 
 /// Gradients of all layers of an [`Mlp`], ordered input → output.
@@ -105,17 +107,20 @@ impl TrainScratch {
 /// # Examples
 ///
 /// ```
-/// use tinynn::model::Mlp;
+/// use tinynn::model::{Mlp, TrainScratch};
 /// use tinynn::tensor::Matrix;
 ///
 /// // Tiny 4-feature, 3-class model.
 /// let mut model = Mlp::new(&[4, 8, 3], 0)?;
+/// let mut scratch = TrainScratch::for_model(&model)?;
 /// let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 0.4]])?;
-/// let before = model.loss(&x, &[2])?;
+/// // Each step returns the loss before it.
+/// let before = model.train_step_with(&x, &[2], 0.5, &mut scratch)?;
 /// for _ in 0..20 {
-///     model.train_step(&x, &[2], 0.5)?;
+///     model.train_step_with(&x, &[2], 0.5, &mut scratch)?;
 /// }
-/// assert!(model.loss(&x, &[2])? < before);
+/// assert!(model.gradients_into(&x, &[2], &mut scratch)? < before);
+/// assert_eq!(model.count_correct_rows(&x, 0, 1, &[2], &mut scratch)?, 1);
 /// # Ok::<(), tinynn::NnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -182,91 +187,6 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass producing logits (`n × classes`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols()` differs from
-    /// the input width.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut a = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&a)?;
-            a = if i + 1 < self.layers.len() { relu(&z) } else { z };
-        }
-        Ok(a)
-    }
-
-    /// Predicted class per row.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::forward`].
-    pub fn predict(&self, x: &Matrix) -> Result<Vec<usize>> {
-        Ok(self.forward(x)?.argmax_rows())
-    }
-
-    /// Mean cross-entropy loss on a batch (Eq. 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward/loss validation errors.
-    pub fn loss(&self, x: &Matrix, labels: &[usize]) -> Result<f32> {
-        softmax_cross_entropy_loss(&self.forward(x)?, labels)
-    }
-
-    /// Classification accuracy on a batch, in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::EmptyBatch`] for an empty batch and
-    /// propagates forward errors.
-    pub fn accuracy(&self, x: &Matrix, labels: &[usize]) -> Result<f64> {
-        if labels.is_empty() || x.rows() != labels.len() {
-            return Err(NnError::EmptyBatch);
-        }
-        let preds = self.predict(x)?;
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        Ok(correct as f64 / labels.len() as f64)
-    }
-
-    /// Full forward + backward pass: mean loss and parameter gradients.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/label validation errors.
-    pub fn gradients(&self, x: &Matrix, labels: &[usize]) -> Result<(f32, Gradients)> {
-        // Forward, caching pre-activations and activations.
-        let mut activations: Vec<Matrix> = Vec::with_capacity(self.layers.len() + 1);
-        let mut pre_activations: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        activations.push(x.clone());
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(activations.last().expect("non-empty"))?;
-            if i + 1 < self.layers.len() {
-                activations.push(relu(&z));
-                pre_activations.push(z);
-            } else {
-                pre_activations.push(z);
-            }
-        }
-        let logits = pre_activations.last().expect("at least one layer");
-        let (loss, mut dz) = softmax_cross_entropy(logits, labels)?;
-
-        // Backward through layers.
-        let mut grads: Vec<DenseGrad> = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let input = &activations[i];
-            let (grad, mut dx) = layer.backward(input, &dz)?;
-            grads.push(grad);
-            if i > 0 {
-                relu_backward_inplace(&mut dx, &pre_activations[i - 1]);
-                dz = dx;
-            }
-        }
-        grads.reverse();
-        Ok((loss, Gradients { layers: grads }))
-    }
-
     /// Fused forward pass into `scratch` for the row-major
     /// `rows × cols` input block `x`: the first layer's fused GEMM
     /// reads `x` in place (it may be a row range of a larger matrix),
@@ -308,13 +228,17 @@ impl Mlp {
         Ok(())
     }
 
-    /// [`Mlp::gradients`] without allocation: the loss is returned and
-    /// the gradients land in `scratch` ([`TrainScratch::gradients`]).
+    /// Full forward + backward pass without allocation: the mean loss
+    /// (Eq. 1) is returned and the parameter gradients land in
+    /// `scratch` ([`TrainScratch::gradients`]).
     ///
-    /// Bit-identical to [`Mlp::gradients`] — the fused forward kernels
-    /// preserve the per-element accumulation order, and the
-    /// activation-based ReLU mask matches the pre-activation mask bit
-    /// for bit (see [`TrainScratch`]) — which a unit test pins.
+    /// Bit-identical to the unfused chain (matmul, bias broadcast and
+    /// ReLU as separate passes, the backward mask read from the
+    /// pre-activations): the fused forward kernels preserve the
+    /// per-element accumulation order, and the activation-based ReLU
+    /// mask matches the pre-activation mask bit for bit (see
+    /// [`TrainScratch`]). The oracle test under `tests/` pins this on
+    /// every kernel path.
     ///
     /// # Errors
     ///
@@ -363,20 +287,10 @@ impl Mlp {
     }
 
     /// One full-batch gradient-descent step at learning rate `lr`
-    /// (paper Eq. 3), returning the pre-step loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/label validation errors.
-    pub fn train_step(&mut self, x: &Matrix, labels: &[usize], lr: f32) -> Result<f32> {
-        let (loss, grads) = self.gradients(x, labels)?;
-        self.apply_gradients(&grads, lr)?;
-        Ok(loss)
-    }
-
-    /// [`Mlp::train_step`] without allocation: gradients are computed
-    /// into `scratch` and applied in place. This is the step the
-    /// parallel round engine's per-worker trainers run.
+    /// (paper Eq. 3), returning the pre-step loss. Gradients are
+    /// computed into `scratch` and applied in place, with no
+    /// allocation at steady state. This is the step the parallel round
+    /// engine's per-worker trainers run.
     ///
     /// # Errors
     ///
@@ -396,12 +310,14 @@ impl Mlp {
         Ok(loss)
     }
 
-    /// Forward pass into `scratch`'s buffers, returning the logits by
-    /// reference — the allocation-free evaluation path.
+    /// Forward pass into `scratch`'s buffers, returning the logits
+    /// (`n × classes`) by reference.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Mlp::forward`].
+    /// Returns [`NnError::ShapeMismatch`] if `x.cols()` differs from
+    /// the input width, and [`NnError::ParameterCountMismatch`] if
+    /// `scratch` was built for a differently-shaped model.
     pub fn forward_with<'s>(
         &self,
         x: &Matrix,
@@ -421,7 +337,7 @@ impl Mlp {
     /// the same fused kernels as [`Mlp::forward_with`]; no softmax or
     /// loss is formed, and each logits row goes through a branch-free
     /// argmax with [`Matrix::argmax_rows`] semantics. The count equals
-    /// what [`Mlp::accuracy`] would find on a copy of the range, and,
+    /// what the unfused forward pass finds on a copy of the range, and,
     /// being an integer, sums exactly over any split of a set into
     /// ranges.
     ///
@@ -461,25 +377,6 @@ impl Mlp {
             .zip(&labels[start..end])
             .map(|(row, &label)| usize::from(argmax_row(row) == label))
             .sum())
-    }
-
-    /// Applies precomputed gradients with learning rate `lr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `grads` came from a
-    /// differently-shaped model.
-    pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) -> Result<()> {
-        if grads.layers.len() != self.layers.len() {
-            return Err(NnError::ParameterCountMismatch {
-                expected: self.layers.len(),
-                actual: grads.layers.len(),
-            });
-        }
-        for (layer, grad) in self.layers.iter_mut().zip(&grads.layers) {
-            layer.apply_step(grad, lr)?;
-        }
-        Ok(())
     }
 
     /// All parameters as one flat vector (layer order, weights then
@@ -532,6 +429,11 @@ mod tests {
         (x, vec![0, 0, 0, 1, 1, 1])
     }
 
+    /// Mean loss of `m` on a batch, through a fresh scratch.
+    fn loss(m: &Mlp, x: &Matrix, y: &[usize]) -> f32 {
+        m.gradients_into(x, y, &mut TrainScratch::for_model(m).unwrap()).unwrap()
+    }
+
     #[test]
     fn constructor_validates_dims() {
         assert!(Mlp::new(&[4], 0).is_err());
@@ -552,34 +454,37 @@ mod tests {
     #[test]
     fn forward_shape_is_batch_by_classes() {
         let m = Mlp::new(&[4, 8, 3], 0).unwrap();
+        let mut scratch = TrainScratch::for_model(&m).unwrap();
         let x = Matrix::zeros(5, 4).unwrap();
-        assert_eq!(m.forward(&x).unwrap().shape(), (5, 3));
+        assert_eq!(m.forward_with(&x, &mut scratch).unwrap().shape(), (5, 3));
         let bad = Matrix::zeros(5, 3).unwrap();
-        assert!(m.forward(&bad).is_err());
+        assert!(m.forward_with(&bad, &mut scratch).is_err());
     }
 
     #[test]
     fn training_reduces_loss_and_reaches_full_accuracy() {
         let (x, y) = toy_batch();
         let mut m = Mlp::new(&[2, 8, 2], 1).unwrap();
-        let initial = m.loss(&x, &y).unwrap();
+        let mut scratch = TrainScratch::for_model(&m).unwrap();
+        let initial = loss(&m, &x, &y);
         for _ in 0..200 {
-            m.train_step(&x, &y, 0.5).unwrap();
+            m.train_step_with(&x, &y, 0.5, &mut scratch).unwrap();
         }
-        assert!(m.loss(&x, &y).unwrap() < initial * 0.1);
-        assert_eq!(m.accuracy(&x, &y).unwrap(), 1.0);
+        assert!(loss(&m, &x, &y) < initial * 0.1);
+        assert_eq!(m.count_correct_rows(&x, 0, 6, &y, &mut scratch).unwrap(), 6);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let (x, y) = toy_batch();
         let m = Mlp::new(&[2, 4, 2], 7).unwrap();
-        let (_, grads) = m.gradients(&x, &y).unwrap();
+        let mut scratch = TrainScratch::for_model(&m).unwrap();
+        m.gradients_into(&x, &y, &mut scratch).unwrap();
         // Check a handful of coordinates through the flat view.
         let params = m.parameters();
         let flat_grad: Vec<f32> = {
             let mut v = Vec::new();
-            for g in grads.layers() {
+            for g in scratch.gradients().layers() {
                 v.extend_from_slice(g.weights.as_slice());
                 v.extend_from_slice(&g.bias);
             }
@@ -594,8 +499,7 @@ mod tests {
             let mut minus = m.clone();
             p[idx] -= 2.0 * eps;
             minus.set_parameters(&p).unwrap();
-            let numeric =
-                (plus.loss(&x, &y).unwrap() - minus.loss(&x, &y).unwrap()) / (2.0 * eps);
+            let numeric = (loss(&plus, &x, &y) - loss(&minus, &x, &y)) / (2.0 * eps);
             assert!(
                 (numeric - flat_grad[idx]).abs() < 2e-2,
                 "param {idx}: numeric {numeric} vs analytic {}",
@@ -623,80 +527,28 @@ mod tests {
     }
 
     #[test]
-    fn apply_gradients_rejects_mismatched_model() {
-        let (x, y) = toy_batch();
-        let small = Mlp::new(&[2, 2], 0).unwrap();
-        let (_, grads) = small.gradients(&x, &y).unwrap();
-        let mut big = Mlp::new(&[2, 4, 4, 2], 0).unwrap();
-        assert!(big.apply_gradients(&grads, 0.1).is_err());
-    }
-
-    #[test]
     fn same_seed_same_model() {
         assert_eq!(Mlp::new(&[4, 8, 3], 5).unwrap(), Mlp::new(&[4, 8, 3], 5).unwrap());
         assert_ne!(Mlp::new(&[4, 8, 3], 5).unwrap(), Mlp::new(&[4, 8, 3], 6).unwrap());
     }
 
     #[test]
-    fn accuracy_requires_consistent_batch() {
-        let m = Mlp::new(&[2, 2], 0).unwrap();
-        let x = Matrix::zeros(2, 2).unwrap();
-        assert!(m.accuracy(&x, &[]).is_err());
-        assert!(m.accuracy(&x, &[0]).is_err());
-    }
-
-    #[test]
-    fn gradients_into_is_bit_identical_to_gradients() {
-        let (x, y) = toy_batch();
-        let m = Mlp::new(&[2, 4, 3, 2], 11).unwrap();
-        let (loss, grads) = m.gradients(&x, &y).unwrap();
-        let mut scratch = TrainScratch::for_model(&m).unwrap();
-        // Run twice so the second pass exercises fully-reused buffers.
-        for _ in 0..2 {
-            let loss2 = m.gradients_into(&x, &y, &mut scratch).unwrap();
-            assert_eq!(loss, loss2);
-            assert_eq!(&grads, scratch.gradients());
-        }
-    }
-
-    #[test]
-    fn forward_with_matches_forward() {
-        let (x, _) = toy_batch();
-        let m = Mlp::new(&[2, 5, 2], 4).unwrap();
-        let want = m.forward(&x).unwrap();
-        let mut scratch = TrainScratch::for_model(&m).unwrap();
-        let got = m.forward_with(&x, &mut scratch).unwrap();
-        assert_eq!(&want, got);
-    }
-
-    #[test]
-    fn train_step_with_matches_train_step() {
-        let (x, y) = toy_batch();
-        let mut a = Mlp::new(&[2, 6, 2], 2).unwrap();
-        let mut b = a.clone();
-        let mut scratch = TrainScratch::for_model(&b).unwrap();
-        for _ in 0..5 {
-            let la = a.train_step(&x, &y, 0.3).unwrap();
-            let lb = b.train_step_with(&x, &y, 0.3, &mut scratch).unwrap();
-            assert_eq!(la, lb);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn scratch_rejects_mismatched_model() {
         let (x, y) = toy_batch();
-        let m = Mlp::new(&[2, 4, 2], 0).unwrap();
+        let mut m = Mlp::new(&[2, 4, 2], 0).unwrap();
         let other = Mlp::new(&[2, 4, 4, 2], 0).unwrap();
         let mut scratch = TrainScratch::for_model(&other).unwrap();
         assert!(m.gradients_into(&x, &y, &mut scratch).is_err());
+        assert!(m.train_step_with(&x, &y, 0.1, &mut scratch).is_err());
+        assert!(m.forward_with(&x, &mut scratch).is_err());
     }
 
     #[test]
     fn gradient_norm_is_positive_for_unfit_model() {
         let (x, y) = toy_batch();
         let m = Mlp::new(&[2, 4, 2], 3).unwrap();
-        let (_, g) = m.gradients(&x, &y).unwrap();
-        assert!(g.norm() > 0.0);
+        let mut scratch = TrainScratch::for_model(&m).unwrap();
+        m.gradients_into(&x, &y, &mut scratch).unwrap();
+        assert!(scratch.gradients().norm() > 0.0);
     }
 }

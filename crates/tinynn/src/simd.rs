@@ -14,7 +14,7 @@
 //! supports.
 //!
 //! Two vector implementations sit beside the scalar kernels, behind
-//! one dispatch point ([`gemm_nn`], [`gemm_nn_noskip`], [`gemm_tn`]):
+//! one dispatch point (`gemm_nn`, `gemm_nn_noskip`, `gemm_tn`):
 //!
 //! | path     | width | mechanism |
 //! |----------|-------|-----------|

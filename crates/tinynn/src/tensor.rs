@@ -2,15 +2,15 @@
 //! simulation needs.
 //!
 //! The design goals are *determinism* and *allocation discipline*: the
-//! hot kernels (`matmul`, `matmul_tn`, `matmul_nt`) come in `_into`
-//! variants that write into caller-owned buffers, register-blocked
+//! products (`matmul_into`, `matmul_tn_into`, `matmul_nt_into` and the
+//! fused-bias forms) write into caller-owned buffers, register-blocked
 //! over the output columns, so steady-state training performs zero
 //! heap allocation per step. Summation order per output element is
 //! fixed (ascending reduction index, one accumulator per element)
 //! regardless of blocking, which keeps results bit-identical across
 //! buffer reuse, blocking width, and thread counts.
 //!
-//! The register-blocked kernels here ([`gemm_row`] and its blocks) are
+//! The register-blocked kernels here (`gemm_row` and its blocks) are
 //! the `Scalar` path: the safe-Rust reference every vector path in
 //! [`crate::simd`] matches bit for bit, and the path of every host
 //! without AVX2. Every product goes through one dispatch call into
@@ -68,7 +68,7 @@ fn gemm_block<const W: usize, const SKIP: bool>(
         // The fused bias is one post-sum addition per element — the
         // same arithmetic the separate broadcast pass performed — and
         // the ReLU clamp (`v < 0.0`) passes NaN and `-0.0` through
-        // unchanged, matching `relu_into`.
+        // unchanged, matching a separate ReLU pass.
         Some(bias) => {
             for ((o, &s), &b) in out.iter_mut().zip(&acc).zip(&bias[j..j + W]) {
                 let v = s + b;
@@ -234,7 +234,8 @@ pub(crate) fn argmax_row(row: &[f32]) -> usize {
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// let b = Matrix::identity(2);
-/// let c = a.matmul(&b)?;
+/// let mut c = Matrix::zeros(1, 1)?; // resized by the kernel
+/// a.matmul_into(&b, &mut c)?;
 /// assert_eq!(c, a);
 /// # Ok::<(), tinynn::NnError>(())
 /// ```
@@ -446,22 +447,10 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// Matrix product `self · rhs`.
+    /// Matrix product `self · rhs`, register-blocked, written into
+    /// `out` (resized as needed; zero allocation at steady state).
     ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] unless
-    /// `self.cols == rhs.rows`.
-    pub fn matmul(&self, rhs: &Self) -> Result<Self> {
-        let mut out = Self::zeros(self.rows, rhs.cols)?;
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Register-blocked matrix product `self · rhs` written into `out`
-    /// (resized as needed; zero allocation at steady state).
-    ///
-    /// Each output row is produced in blocks of [`WIDE`] columns (plus
+    /// Each output row is produced in blocks of `WIDE` columns (plus
     /// one runtime-width tail block) whose accumulators live in
     /// registers for the whole reduction; the ascending-`k` accumulation
     /// order of the naive `ikj` loop is preserved, so the result is
@@ -489,10 +478,10 @@ impl Matrix {
 
     /// Fused `self · rhs + bias` (row broadcast) written into `out`.
     ///
-    /// Exactly [`Matrix::matmul_into`] followed by
-    /// [`Matrix::add_row_broadcast`] — the bias lands on each finished
+    /// Exactly [`Matrix::matmul_into`] followed by a separate pass
+    /// adding `bias` to every row — the bias lands on each finished
     /// register accumulator as a single post-sum addition, the same
-    /// operation the separate pass performed per element — but in one
+    /// operation the separate pass performs per element — but in one
     /// sweep over the output, eliminating a full read-modify-write.
     ///
     /// # Errors
@@ -506,7 +495,7 @@ impl Matrix {
     /// [`Matrix::matmul_bias_into`] with a fused ReLU epilogue:
     /// `relu(self · rhs + bias)` in one output sweep. Negative sums
     /// clamp to zero before the store (`v < 0.0` — NaN and `-0.0` pass
-    /// through unchanged, exactly like `relu_into` applied afterwards).
+    /// through unchanged, exactly like a separate ReLU pass afterwards).
     ///
     /// # Errors
     ///
@@ -522,20 +511,8 @@ impl Matrix {
     }
 
     /// Transposed-left product `selfᵀ · rhs` without materializing the
-    /// transpose (used for weight gradients `aᵀ·δ`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] unless
-    /// `self.rows == rhs.rows`.
-    pub fn matmul_tn(&self, rhs: &Self) -> Result<Self> {
-        let mut out = Self::zeros(self.cols, rhs.cols)?;
-        self.matmul_tn_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Register-blocked `selfᵀ · rhs` written into `out` (resized as
-    /// needed).
+    /// transpose (used for weight gradients `aᵀ·δ`), register-blocked,
+    /// written into `out` (resized as needed).
     ///
     /// The reduction runs over the shared row index `r`, walking the
     /// left operand with a column stride; `r` ascends with one register
@@ -561,20 +538,8 @@ impl Matrix {
     }
 
     /// Transposed-right product `self · rhsᵀ` without materializing the
-    /// transpose (used for input gradients `δ·Wᵀ`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] unless
-    /// `self.cols == rhs.cols`.
-    pub fn matmul_nt(&self, rhs: &Self) -> Result<Self> {
-        let mut out = Self::zeros(self.rows, rhs.rows)?;
-        self.matmul_nt_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Register-blocked `self · rhsᵀ` written into `out` (resized as
-    /// needed).
+    /// transpose (used for input gradients `δ·Wᵀ`), register-blocked,
+    /// written into `out` (resized as needed).
     ///
     /// Each output element is an independent ascending-`k` dot product
     /// over the shared column index (no zero skip — this kernel's
@@ -609,29 +574,6 @@ impl Matrix {
             }
             simd::gemm_nn_noskip(&self.data, self.rows, self.cols, &panel, n, &mut out.data);
         });
-        Ok(())
-    }
-
-    /// Adds `row` to every row of `self` in place (bias broadcast).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] unless
-    /// `row.len() == self.cols`.
-    pub fn add_row_broadcast(&mut self, row: &[f32]) -> Result<()> {
-        if row.len() != self.cols {
-            return Err(NnError::ShapeMismatch {
-                left: self.shape(),
-                right: (1, row.len()),
-                op: "add_row_broadcast",
-            });
-        }
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &b) in dst.iter_mut().zip(row) {
-                *d += b;
-            }
-        }
         Ok(())
     }
 
@@ -736,26 +678,34 @@ mod tests {
         assert!(Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]).is_err());
     }
 
+    /// `f` run into a fresh output buffer.
+    fn product(f: impl FnOnce(&mut Matrix) -> Result<()>) -> Result<Matrix> {
+        let mut out = Matrix::zeros(1, 1)?;
+        f(&mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn matmul_matches_hand_computation() {
         let (a, b) = abc();
-        let c = a.matmul(&b).unwrap();
+        let c = product(|out| a.matmul_into(&b, out)).unwrap();
         assert_eq!(c, Matrix::from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]).unwrap());
     }
 
     #[test]
     fn matmul_rejects_bad_shapes() {
-        let (a, _) = abc();
-        assert!(a.matmul(&a).is_err());
+        let (a, b) = abc();
+        assert!(product(|out| a.matmul_into(&a, out)).is_err());
+        assert!(product(|out| a.matmul_tn_into(&b, out)).is_err());
+        assert!(product(|out| a.matmul_nt_into(&b, out)).is_err());
     }
 
     #[test]
     fn matmul_tn_equals_explicit_transpose() {
-        let (a, b) = abc();
-        // aᵀ is 3x2, b is 3x2 → matmul_tn(a→3 rows? no: a is 2x3.
+        let (a, _) = abc();
         // matmul_tn computes aᵀ·rhs where rhs has a.rows rows.
         let rhs = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0]]).unwrap();
-        let got = a.matmul_tn(&rhs).unwrap();
+        let got = product(|out| a.matmul_tn_into(&rhs, out)).unwrap();
         // aᵀ = [[1,4],[2,5],[3,6]]; aᵀ·rhs:
         let want = Matrix::from_rows(&[
             &[1.0 + 8.0, 0.5 - 4.0],
@@ -764,13 +714,12 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(got, want);
-        let _ = b; // silence unused
     }
 
     #[test]
     fn matmul_nt_equals_explicit_transpose() {
         let (a, _) = abc();
-        let got = a.matmul_nt(&a).unwrap();
+        let got = product(|out| a.matmul_nt_into(&a, out)).unwrap();
         // a·aᵀ for a = [[1,2,3],[4,5,6]]:
         let want = Matrix::from_rows(&[&[14.0, 32.0], &[32.0, 77.0]]).unwrap();
         assert_eq!(got, want);
@@ -780,8 +729,11 @@ mod tests {
     fn fused_bias_matches_separate_passes() {
         let (a, b) = abc();
         let bias = [0.5, -0.25];
-        let mut want = a.matmul(&b).unwrap();
-        want.add_row_broadcast(&bias).unwrap();
+        let mut want = product(|out| a.matmul_into(&b, out)).unwrap();
+        for row in want.as_mut_slice().chunks_exact_mut(2) {
+            row[0] += bias[0];
+            row[1] += bias[1];
+        }
         let mut got = Matrix::zeros(1, 1).unwrap();
         a.matmul_bias_into(&b, &bias, &mut got).unwrap();
         assert_eq!(got, want);
@@ -803,15 +755,13 @@ mod tests {
     fn identity_is_matmul_neutral() {
         let (a, _) = abc();
         let i = Matrix::identity(3);
-        assert_eq!(a.matmul(&i).unwrap(), a);
+        assert_eq!(product(|out| a.matmul_into(&i, out)).unwrap(), a);
     }
 
     #[test]
-    fn broadcast_and_col_sums_roundtrip() {
-        let mut m = Matrix::zeros(3, 2).unwrap();
-        m.add_row_broadcast(&[1.0, 2.0]).unwrap();
+    fn col_sums_add_each_column() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 2.0], &[1.0, 2.0]]).unwrap();
         assert_eq!(m.col_sums(), vec![3.0, 6.0]);
-        assert!(m.add_row_broadcast(&[1.0]).is_err());
     }
 
     #[test]

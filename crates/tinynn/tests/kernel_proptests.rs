@@ -17,35 +17,24 @@
 //! exercise the zero-skip path, which must be a pure no-op on the
 //! result.
 
+mod oracle;
+
 use detrand::Rng;
 use tinynn::activation::relu_backward_inplace;
 use tinynn::model::{Mlp, TrainScratch};
-use tinynn::simd::{available_paths, force_path_for_tests, SimdPath};
+use tinynn::simd::{available_paths, SimdPath};
 use tinynn::tensor::Matrix;
+
+use oracle::{
+    assert_bits_eq, naive_bias_epilogue, naive_matmul, naive_matmul_nt, naive_matmul_tn,
+    PathGuard, Unfused,
+};
 
 const CASES: usize = 200;
 
 /// Cases per SIMD path in the cross-path suites (every case runs on
 /// every path the host supports, so the totals multiply).
 const PATH_CASES: usize = 60;
-
-/// Forces `path` for the calling thread and restores normal dispatch
-/// on drop (also on panic, so a failing case cannot poison dispatch
-/// for tests that share the thread).
-struct PathGuard;
-
-impl PathGuard {
-    fn force(path: SimdPath) -> Self {
-        force_path_for_tests(Some(path));
-        PathGuard
-    }
-}
-
-impl Drop for PathGuard {
-    fn drop(&mut self) {
-        force_path_for_tests(None);
-    }
-}
 
 fn gen_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
     let data: Vec<f32> = (0..rows * cols).map(|_| rng.uniform_f32(-4.0, 4.0)).collect();
@@ -81,81 +70,6 @@ fn gen_shape(rng: &mut Rng) -> (usize, usize, usize) {
         }
     };
     (dim(rng), dim(rng), dim(rng))
-}
-
-/// `lhs · rhs` by the contract's definition: single accumulator,
-/// ascending `k`.
-fn naive_matmul(lhs: &Matrix, rhs: &Matrix) -> Matrix {
-    let (m, kk) = lhs.shape();
-    let n = rhs.cols();
-    let mut out = Matrix::zeros(m, n).unwrap();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..kk {
-                acc += lhs.at(i, k) * rhs.at(k, j);
-            }
-            out.set(i, j, acc);
-        }
-    }
-    out
-}
-
-/// `lhsᵀ · rhs`, same contract (ascending `k` = lhs/rhs row index).
-fn naive_matmul_tn(lhs: &Matrix, rhs: &Matrix) -> Matrix {
-    let (kk, m) = lhs.shape();
-    let n = rhs.cols();
-    let mut out = Matrix::zeros(m, n).unwrap();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..kk {
-                acc += lhs.at(k, i) * rhs.at(k, j);
-            }
-            out.set(i, j, acc);
-        }
-    }
-    out
-}
-
-/// `lhs · rhsᵀ`, same contract.
-fn naive_matmul_nt(lhs: &Matrix, rhs: &Matrix) -> Matrix {
-    let (m, kk) = lhs.shape();
-    let n = rhs.rows();
-    let mut out = Matrix::zeros(m, n).unwrap();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..kk {
-                acc += lhs.at(i, k) * rhs.at(j, k);
-            }
-            out.set(i, j, acc);
-        }
-    }
-    out
-}
-
-/// The fused epilogue: add bias after the full reduction, then clamp
-/// negatives if `relu` — exactly one rounding step per operation.
-fn naive_bias_epilogue(out: &mut Matrix, bias: &[f32], relu: bool) {
-    for i in 0..out.rows() {
-        for (j, &b) in bias.iter().enumerate() {
-            let v = out.at(i, j) + b;
-            out.set(i, j, if relu && v < 0.0 { 0.0 } else { v });
-        }
-    }
-}
-
-/// Asserts exact IEEE-754 bit equality, element by element.
-fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str, case: usize) {
-    assert_eq!(got.shape(), want.shape(), "case {case}: {what} shape");
-    for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "case {case}: {what} differs at flat index {idx}: {g} vs {w}"
-        );
-    }
 }
 
 /// [`assert_bits_eq`], except that any NaN matches any NaN. Where one
@@ -652,28 +566,21 @@ fn zero_dimension_constructors_are_rejected() {
 }
 
 /// Correct predictions among `labels` on a copy of the row block
-/// `start..start + len` of `x`, through the allocating forward pass and
-/// [`Matrix::argmax_rows`], cross-checked against [`Mlp::accuracy`] —
-/// the oracle the in-place counting path must reproduce.
+/// `start..start + len` of `x`, through the unfused forward pass and
+/// [`Matrix::argmax_rows`] — the oracle the in-place counting path must
+/// reproduce.
 fn count_on_copy(model: &Mlp, x: &Matrix, start: usize, len: usize, labels: &[usize]) -> usize {
     let cols = x.cols();
     let block =
         Matrix::from_vec(len, cols, x.as_slice()[start * cols..(start + len) * cols].to_vec())
             .unwrap();
-    let block_labels = &labels[start..start + len];
-    let preds = model.forward(&block).unwrap().argmax_rows();
-    let correct = preds.iter().zip(block_labels).filter(|(p, l)| p == l).count();
-    assert_eq!(
-        correct as f64 / len as f64,
-        model.accuracy(&block, block_labels).unwrap(),
-        "oracle disagrees with Mlp::accuracy"
-    );
-    correct
+    let preds = Unfused::new(model).forward(&block).argmax_rows();
+    preds.iter().zip(&labels[start..start + len]).filter(|(p, l)| p == l).count()
 }
 
 /// `Mlp::count_correct_rows` reads row ranges of the eval matrix in
 /// place; on every kernel path it must count exactly what the
-/// allocating forward pass finds on a copied block. Ranges cover a
+/// unfused forward pass finds on a copied block. Ranges cover a
 /// full 256-row chunk, the 208-row tail of a 2 000-row set, single
 /// rows, non-zero offsets, and a set smaller than one chunk; models
 /// cover the paper's `[64, 64, 10]`, a deeper net, and one layer.
@@ -748,7 +655,7 @@ fn count_correct_rows_keeps_argmax_semantics_on_adversarial_logits() {
     ];
     let x = Matrix::from_vec(8, 5, rows.iter().flat_map(|(f, _)| *f).collect()).unwrap();
     let expected: Vec<usize> = rows.iter().map(|&(_, class)| class).collect();
-    assert_eq!(model.forward(&x).unwrap().argmax_rows(), expected);
+    assert_eq!(Unfused::new(&model).forward(&x).argmax_rows(), expected);
     for &path in &available_paths() {
         let _guard = PathGuard::force(path);
         let mut scratch = TrainScratch::for_model(&model).unwrap();

@@ -7,8 +7,7 @@
 //! every assertion message for reproducibility.
 
 use detrand::Rng;
-use tinynn::activation::softmax_rows;
-use tinynn::loss::softmax_cross_entropy;
+use tinynn::loss::softmax_cross_entropy_into;
 use tinynn::model::{Mlp, TrainScratch};
 use tinynn::tensor::Matrix;
 
@@ -21,6 +20,20 @@ fn gen_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
 
 fn gen_labels(rng: &mut Rng, n: usize, classes: usize) -> Vec<usize> {
     (0..n).map(|_| rng.below(classes)).collect()
+}
+
+/// `f` run into a fresh output buffer.
+fn product(f: impl FnOnce(&mut Matrix) -> tinynn::Result<()>) -> Matrix {
+    let mut out = Matrix::zeros(1, 1).unwrap();
+    f(&mut out).unwrap();
+    out
+}
+
+/// Mean softmax cross-entropy and its logits gradient.
+fn cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+    let mut grad = Matrix::zeros(1, 1).unwrap();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad).unwrap();
+    (loss, grad)
 }
 
 fn explicit_transpose(m: &Matrix) -> Matrix {
@@ -40,8 +53,8 @@ fn identity_is_two_sided_neutral() {
     let i = Matrix::identity(4);
     for case in 0..CASES {
         let a = gen_matrix(&mut rng, 4, 4);
-        assert_eq!(a.matmul(&i).unwrap(), a, "case {case}: right identity");
-        assert_eq!(i.matmul(&a).unwrap(), a, "case {case}: left identity");
+        assert_eq!(product(|o| a.matmul_into(&i, o)), a, "case {case}: right identity");
+        assert_eq!(product(|o| i.matmul_into(&a, o)), a, "case {case}: left identity");
     }
 }
 
@@ -53,8 +66,8 @@ fn fused_transpose_products_agree_with_naive() {
     for case in 0..CASES {
         let a = gen_matrix(&mut rng, 3, 5);
         let b = gen_matrix(&mut rng, 3, 2);
-        let naive = explicit_transpose(&a).matmul(&b).unwrap();
-        let fused = a.matmul_tn(&b).unwrap();
+        let naive = product(|o| explicit_transpose(&a).matmul_into(&b, o));
+        let fused = product(|o| a.matmul_tn_into(&b, o));
         for (x, y) in naive.as_slice().iter().zip(fused.as_slice()) {
             assert!((x - y).abs() < 1e-4, "case {case}: {x} vs {y}");
         }
@@ -68,19 +81,19 @@ fn matmul_nt_matches_naive() {
     for case in 0..CASES {
         let a = gen_matrix(&mut rng, 4, 3);
         let b = gen_matrix(&mut rng, 2, 3);
-        let naive = a.matmul(&explicit_transpose(&b)).unwrap();
-        let fused = a.matmul_nt(&b).unwrap();
+        let naive = product(|o| a.matmul_into(&explicit_transpose(&b), o));
+        let fused = product(|o| a.matmul_nt_into(&b, o));
         for (x, y) in naive.as_slice().iter().zip(fused.as_slice()) {
             assert!((x - y).abs() < 1e-4, "case {case}: {x} vs {y}");
         }
     }
 }
 
-/// The blocked `_into` kernels are bit-identical to their allocating
-/// wrappers even on shapes larger than one block, and buffer reuse
-/// across mismatched shapes leaves no stale state behind.
+/// A reused output buffer gives the same bits as a fresh one, even on
+/// shapes larger than one block: reuse across mismatched shapes leaves
+/// no stale state behind.
 #[test]
-fn into_kernels_match_allocating_kernels_bitwise() {
+fn reused_buffers_match_fresh_buffers_bitwise() {
     let mut rng = Rng::seed_from_u64(0x4e4e_0008);
     let mut out = Matrix::zeros(1, 1).unwrap();
     for case in 0..24 {
@@ -90,25 +103,28 @@ fn into_kernels_match_allocating_kernels_bitwise() {
         let a = gen_matrix(&mut rng, m, k);
         let b = gen_matrix(&mut rng, k, n);
         a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap(), "case {case}: matmul");
+        assert_eq!(out, product(|o| a.matmul_into(&b, o)), "case {case}: matmul");
         let c = gen_matrix(&mut rng, k, m);
         c.matmul_tn_into(&b, &mut out).unwrap();
-        assert_eq!(out, c.matmul_tn(&b).unwrap(), "case {case}: matmul_tn");
+        assert_eq!(out, product(|o| c.matmul_tn_into(&b, o)), "case {case}: matmul_tn");
         let d = gen_matrix(&mut rng, n, k);
         a.matmul_nt_into(&d, &mut out).unwrap();
-        assert_eq!(out, a.matmul_nt(&d).unwrap(), "case {case}: matmul_nt");
+        assert_eq!(out, product(|o| a.matmul_nt_into(&d, o)), "case {case}: matmul_nt");
     }
 }
 
-/// Softmax rows are probability distributions for any finite input.
+/// The softmax inside the cross-entropy gradient `(softmax - onehot)/n`
+/// is a probability distribution per row for any finite input.
 #[test]
 fn softmax_rows_are_distributions() {
     let mut rng = Rng::seed_from_u64(0x4e4e_0004);
     for case in 0..CASES {
         let m = gen_matrix(&mut rng, 5, 7);
-        let s = softmax_rows(&m);
-        for r in 0..5 {
-            let row = s.row(r);
+        let labels = gen_labels(&mut rng, 5, 7);
+        let (_, grad) = cross_entropy(&m, &labels);
+        for (r, &label) in labels.iter().enumerate() {
+            let mut row: Vec<f32> = grad.row(r).iter().map(|g| g * 5.0).collect();
+            row[label] += 1.0;
             assert!(
                 row.iter().all(|&v| (0.0..=1.0).contains(&v)),
                 "case {case}: entry outside [0, 1]"
@@ -127,7 +143,7 @@ fn cross_entropy_invariants() {
     for case in 0..CASES {
         let logits = gen_matrix(&mut rng, 6, 4);
         let labels = gen_labels(&mut rng, 6, 4);
-        let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
+        let (loss, grad) = cross_entropy(&logits, &labels);
         assert!(loss >= 0.0, "case {case}: negative loss {loss}");
         for r in 0..6 {
             let s: f32 = grad.row(r).iter().sum();
@@ -153,8 +169,7 @@ fn parameter_roundtrip_identity() {
 }
 
 /// A small-enough GD step never increases full-batch loss on a smooth
-/// model (sanity of the backward pass), and the scratch-based step is
-/// bit-identical to the allocating one.
+/// model (sanity of the backward pass).
 #[test]
 fn tiny_gd_step_does_not_increase_loss() {
     let mut rng = Rng::seed_from_u64(0x4e4e_0007);
@@ -163,14 +178,9 @@ fn tiny_gd_step_does_not_increase_loss() {
         let x = gen_matrix(&mut rng, 8, 3);
         let labels = gen_labels(&mut rng, 8, 3);
         let mut m = Mlp::new(&[3, 6, 3], seed).unwrap();
-        let mut m_scratch = m.clone();
-        let mut scratch = TrainScratch::for_model(&m_scratch).unwrap();
-        let before = m.loss(&x, &labels).unwrap();
-        let l1 = m.train_step(&x, &labels, 1e-3).unwrap();
-        let l2 = m_scratch.train_step_with(&x, &labels, 1e-3, &mut scratch).unwrap();
-        assert_eq!(l1, l2, "case {case}: scratch loss diverged");
-        assert_eq!(m, m_scratch, "case {case}: scratch parameters diverged");
-        let after = m.loss(&x, &labels).unwrap();
+        let mut scratch = TrainScratch::for_model(&m).unwrap();
+        let before = m.train_step_with(&x, &labels, 1e-3, &mut scratch).unwrap();
+        let after = m.gradients_into(&x, &labels, &mut scratch).unwrap();
         assert!(after <= before + 1e-4, "case {case}: loss rose from {before} to {after}");
     }
 }
