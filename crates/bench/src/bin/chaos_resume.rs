@@ -117,7 +117,7 @@ fn parse_args(raw: Vec<String>) -> Result<Mode, ArgError> {
 /// `out` when (if) the run completes.
 fn run_child(out: &str) -> Result<(), Box<dyn Error>> {
     let checkpoint =
-        CheckpointConfig::from_env().ok_or(format!("--child needs {CHECKPOINT_ENV}"))?;
+        CheckpointConfig::from_env()?.ok_or(format!("--child needs {CHECKPOINT_ENV}"))?;
     let scenario = PaperScenario::fast();
     let config = TrainingConfig { checkpoint: Some(checkpoint), ..scenario.training_config() };
     let mut setup = scenario.setup(Setting::Iid)?;

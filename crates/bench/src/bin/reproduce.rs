@@ -30,7 +30,8 @@
 //! run the ring `dir/<setting>_<run>`, so a rerun resumes every
 //! federated run from its newest valid checkpoint instead of
 //! retraining it. A ring made under another seed or scale is refused
-//! by the field that differs.
+//! by the field that differs; any other value of the variable (empty,
+//! `dir:0`, `dir:fast`) is refused by name before anything runs.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -558,9 +559,9 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse(std::env::args().skip(1))?;
+    let checkpoint = CheckpointConfig::from_env()?;
     let views = Views::new(args.scenario(), args.fast, args.settings());
     let tele = args.telemetry("reproduce")?;
-    let checkpoint = CheckpointConfig::from_env();
     let plan = views.plan();
     eprintln!("reproduce: {} distinct runs", plan.len());
     let mut runs = Vec::with_capacity(plan.len());

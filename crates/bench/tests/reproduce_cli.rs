@@ -1,8 +1,9 @@
 //! `reproduce` end to end at `--fast` scale: the lineup reproduces the
 //! committed golden histories, every planned run writes a file of its
 //! own, the DVFS and `f_max` arms differ in energy only,
-//! `HELCFL_CHECKPOINT` gives every planned run a ring of its own, and
-//! a run set killed twice resumes to the uninterrupted CSVs.
+//! `HELCFL_CHECKPOINT` gives every planned run a ring of its own (and
+//! a malformed value is refused by name), and a run set killed twice
+//! resumes to the uninterrupted CSVs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -169,6 +170,13 @@ fn refused(tag: &str, args: &[&str], env: &[(&str, &str)]) -> String {
 fn a_misspelt_flag_is_refused_by_name() {
     let stderr = refused("badflag", &["--seeed", "7"], &[]);
     assert!(stderr.contains("--seeed"), "stderr does not name the flag: {stderr}");
+}
+
+#[test]
+fn a_zero_checkpoint_interval_is_refused_by_name() {
+    let env = [("HELCFL_CHECKPOINT", "rings:0")];
+    let stderr = refused("ring0", &["--fast", "--setting", "iid"], &env);
+    assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
 }
 
 /// The two settings' runs share scheme, seed and config, which is all

@@ -8,7 +8,7 @@
 //! the paper's Q = 100 and ruinous at Q = 10^7. This module keeps the
 //! scoring *factored* instead: Eq. 20 is `u_q = η^{A_q} / T_q` where
 //! `T_q` (the Eq.-9 delay at `f_max`) is static for the whole run, so
-//! every known device is *ranked* once by `(T_q, id)` and devices are
+//! every device is *ranked* once by `(T_q, id)` and devices are
 //! bucketed by their appearance counter `A_q`, each bucket a bitset
 //! over ranks. Within a bucket the η^{A_q} factor is a shared
 //! constant, so the bucket's *head* (first set rank, minimum delay) is
@@ -36,11 +36,19 @@
 //!   completes, mirroring the reference's frozen round-start
 //!   utilities.
 //!
-//! Like the reference (and Alg. 2's initialization phase), per-device
-//! delays are collected at first sight and assumed static thereafter.
-//! Ranks are rebuilt, with one sort of the newcomers and a linear
-//! merge, whenever the universe admits new ids; fleet- and mask-backed
-//! runs admit every id in round 1 and never again.
+//! ## One universe
+//!
+//! Like Alg. 2's initialization phase (lines 1–7), the first `select`
+//! scores the whole population once: it builds the index from the
+//! set's universe — every device of a fleet, or every device behind an
+//! alive mask, dead ones included — with ids `0..Q` at their positions.
+//! The index then serves that universe and that payload for the rest
+//! of the run. A set backed by neither a fleet nor a mask, a backing
+//! whose position `q` does not hold `DeviceId(q)`, a later round with
+//! another universe size or payload, and restored counts for ids
+//! outside the universe are refused with
+//! [`FlError::InvalidConfig`] naming the field, before any state
+//! changes. The reference selector serves arbitrary universes.
 //!
 //! Devices that disappear from the selectable set (battery depletion)
 //! are parked when popped and re-inserted if they ever return; their
@@ -49,18 +57,15 @@
 //!
 //! ## Where the counts live
 //!
-//! Every appearance count `A_q` is stored exactly once. For each id
-//! the index knows — placed in a bucket, parked, or in the zero set —
-//! the count sits in the index's rank-ordered count column, beside the
-//! delay and id the merge already reads, so a pick and its deferred
-//! increment touch no by-id table: by id, each pick would cost a
-//! random cache and TLB miss. Parked ids and `on_delivery_failure`
-//! refunds keep and change their counts in the column, reached through
-//! the id's rank. The selector's by-id counters hold only the counts of
-//! ids the index has not admitted, such as counts restored from a
-//! checkpoint before the first round; admission moves them into the
-//! column. Whenever the index is discarded — on a payload change or a
-//! refused admission — the column is first written back by id.
+//! Every appearance count `A_q` is stored exactly once, in the index's
+//! rank-ordered count column, beside the delay and id the merge already
+//! reads, so a pick and its deferred increment touch no by-id table:
+//! by id, each pick would cost a random cache and TLB miss. Parked ids
+//! and `on_delivery_failure` refunds keep and change their counts in
+//! the column, reached through the id's rank. Counts restored from a
+//! checkpoint wait as the snapshot's sparse list until the first round
+//! builds the index and places them; a refund before then adjusts that
+//! list.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,24 +77,13 @@ use mec_sim::units::{Bits, Seconds};
 
 use crate::utility::{utility, AppearanceCounters, DecayCoefficient};
 
-/// Where a known device currently lives in the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Never seen; no delay cached.
-    Unknown,
-    /// In its appearance bucket (or the zero-utility set).
-    Placed,
-    /// Popped while unselectable; waiting to rejoin.
-    Parked,
-}
-
-/// Every known device ranked by `(delay_bits, id)`. Positive-finite
-/// f64 delays compare identically to their bit patterns, so ranks give
+/// Every device ranked by `(delay_bits, id)`. Positive-finite f64
+/// delays compare identically to their bit patterns, so ranks give
 /// exact delay order with ties broken by ascending id. Ranks and group
-/// ends fit `u32` because admission refuses ids `>= u32::MAX`.
-#[derive(Debug, Clone, Default)]
+/// ends fit `u32` because the build refuses ids `>= u32::MAX`.
+#[derive(Debug, Clone)]
 struct Ranks {
-    /// Rank by id; meaningful iff the id's slot is not Unknown.
+    /// Rank by id.
     rank: Vec<u32>,
     /// Id at each rank.
     id_at: Vec<u32>,
@@ -100,29 +94,13 @@ struct Ranks {
 }
 
 impl Ranks {
-    fn len(&self) -> usize {
-        self.id_at.len()
-    }
-
-    /// Merges `fresh` — `(delay_bits, id)` keys of newly seen ids,
-    /// sorted — into the existing rank order; `ids` is the length of
-    /// the by-id table.
-    fn merged(&self, fresh: &[(u64, u32)], ids: usize) -> Self {
-        let total = self.len() + fresh.len();
-        let mut id_at = Vec::with_capacity(total);
-        let mut delay_at = Vec::with_capacity(total);
-        let mut old =
-            self.delay_at.iter().zip(&self.id_at).map(|(d, &id)| (d.to_bits(), id)).peekable();
-        let mut new = fresh.iter().copied().peekable();
-        while let Some((bits, id)) = match (old.peek(), new.peek()) {
-            (Some(o), Some(f)) if f < o => new.next(),
-            (Some(_), _) => old.next(),
-            (None, _) => new.next(),
-        } {
-            delay_at.push(f64::from_bits(bits));
-            id_at.push(id);
-        }
-        let mut rank = vec![0; ids];
+    /// Ranks the ids `0..keys.len()` from their `(delay_bits, id)`
+    /// keys, sorted ascending.
+    fn new(keys: &[(u64, u32)]) -> Self {
+        let total = keys.len();
+        let id_at: Vec<u32> = keys.iter().map(|&(_, id)| id).collect();
+        let delay_at: Vec<f64> = keys.iter().map(|&(bits, _)| f64::from_bits(bits)).collect();
+        let mut rank = vec![0; total];
         for (r, &id) in id_at.iter().enumerate() {
             rank[id as usize] = r as u32;
         }
@@ -135,6 +113,10 @@ impl Ranks {
             }
         }
         Self { rank, id_at, delay_at, group_end }
+    }
+
+    fn len(&self) -> usize {
+        self.id_at.len()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -215,26 +197,22 @@ impl RankSet {
         Some(h)
     }
 
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_from(0), |&r| self.next_from(r + 1))
-    }
-
     fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
             + (self.words.capacity() + self.summary.capacity()) * core::mem::size_of::<u64>()
     }
 }
 
-/// The bucketed-utility index: every known device ranked by delay, its
+/// The bucketed-utility index: every device ranked by delay, its
 /// appearance count by rank, and one rank bitset per appearance count.
+/// Each device is in exactly one place: the bucket of its count, the
+/// zero set, or the parked list.
 #[derive(Debug, Clone)]
 struct UtilityIndex {
     payload: Bits,
-    slot: Vec<Slot>,
     ranks: Ranks,
-    /// Appearance count at each rank, for every known id (placed,
-    /// parked or in the zero set); the by-id counters hold none of
-    /// these ids' counts.
+    /// Appearance count at each rank, for every device (placed, parked
+    /// or in the zero set).
     count_at: Vec<u32>,
     buckets: BTreeMap<u32, RankSet>,
     /// Ids whose utility underflowed to exactly 0.0 — globally tied,
@@ -245,115 +223,103 @@ struct UtilityIndex {
 }
 
 impl UtilityIndex {
-    fn new(payload: Bits) -> Self {
-        Self {
-            payload,
-            slot: Vec::new(),
-            ranks: Ranks::default(),
-            count_at: Vec::new(),
-            buckets: BTreeMap::new(),
-            zero: BTreeSet::new(),
-            parked: Vec::new(),
-        }
-    }
-
-    /// Number of known (ranked) ids.
-    fn known(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// Admits every id of `devices`' universe not seen before: caches
-    /// its delay, re-ranks, moves its count out of the by-id
-    /// `counters` into the count column, and places it at that count.
+    /// Alg. 2's initialization phase: ranks every device of `devices`'
+    /// universe by its Eq.-9 delay at `payload`, puts each count of
+    /// `restored` at its id's rank, and places every id at its count.
     ///
     /// # Errors
     ///
-    /// Refuses an id that does not fit the `u32` rank space, before any
-    /// rank or count has moved. The index is then half-admitted and
-    /// must be discarded.
-    fn admit(
-        &mut self,
+    /// Refuses a position `q` that does not hold `DeviceId(q)` or an id
+    /// that does not fit the `u32` rank space (`devices`), and restored
+    /// counts for ids outside the universe (`selector_snapshot`).
+    fn build(
         devices: &DeviceSet<'_>,
-        counters: &mut AppearanceCounters,
+        payload: Bits,
+        restored: &SelectorSnapshot,
         eta: DecayCoefficient,
-    ) -> Result<()> {
-        let mut fresh = Vec::new();
-        for d in devices.iter_universe() {
+    ) -> Result<Self> {
+        let universe = devices.universe_len();
+        if restored.counters_len > universe {
+            return Err(FlError::InvalidConfig {
+                field: "selector_snapshot",
+                reason: format!(
+                    "the restored appearance counters cover {} devices but the universe \
+                     holds {universe}",
+                    restored.counters_len
+                ),
+            });
+        }
+        let refuse = |reason| FlError::InvalidConfig { field: "devices", reason };
+        let mut keys = Vec::with_capacity(universe);
+        for (q, d) in devices.iter_universe().enumerate() {
             let id = d.id().0;
-            let Some(id32) = u32::try_from(id).ok().filter(|&i| i < u32::MAX) else {
-                return Err(FlError::InvalidConfig {
-                    field: "devices",
-                    reason: format!(
-                        "device id {id} does not fit the utility index's u32 ranks \
-                         (ids must be below {})",
-                        u32::MAX
-                    ),
-                });
-            };
-            if id >= self.slot.len() {
-                self.slot.resize(id + 1, Slot::Unknown);
+            if id >= u32::MAX as usize {
+                return Err(refuse(format!(
+                    "device id {id} does not fit the utility index's u32 ranks \
+                     (ids must be below {})",
+                    u32::MAX
+                )));
             }
-            if self.slot[id] == Slot::Unknown {
-                // Marked now so a repeated id is admitted once; placed
-                // below, once it has a rank.
-                self.slot[id] = Slot::Placed;
-                fresh.push((d.total_delay_at_max(self.payload).get().to_bits(), id32));
+            if id != q {
+                return Err(refuse(format!(
+                    "position {q} holds device {id}, not DeviceId({q}): the utility index \
+                     needs ids at their positions"
+                )));
             }
+            keys.push((d.total_delay_at_max(payload).get().to_bits(), id as u32));
         }
-        if fresh.is_empty() {
-            return Ok(());
+        keys.sort_unstable();
+        let ranks = Ranks::new(&keys);
+        let mut count_at = vec![0; universe];
+        for &(q, a) in &restored.counters {
+            count_at[ranks.rank[q] as usize] = a;
         }
-        counters.grow_to(self.slot.len());
-        fresh.sort_unstable();
-        let merged = self.ranks.merged(&fresh, self.slot.len());
-        let old = core::mem::replace(&mut self.ranks, merged);
-        // Existing members keep their buckets and counts under their
-        // new ranks.
-        for set in self.buckets.values_mut() {
-            let mut moved = RankSet::new(self.ranks.len());
-            for r in set.iter() {
-                moved.insert(self.ranks.rank[old.id_at[r] as usize] as usize);
-            }
-            *set = moved;
+        let mut ix = Self {
+            payload,
+            ranks,
+            count_at,
+            buckets: BTreeMap::new(),
+            zero: BTreeSet::new(),
+            parked: Vec::new(),
+        };
+        for r in 0..universe {
+            ix.place(r, eta);
         }
-        // Only non-zero counts are written, so the zeroed column's
-        // untouched pages stay unmapped.
-        let mut count_at = vec![0; self.ranks.len()];
-        for (r, &a) in self.count_at.iter().enumerate().filter(|&(_, &a)| a != 0) {
-            count_at[self.ranks.rank[old.id_at[r] as usize] as usize] = a;
-        }
-        // The by-id store held counts only for ids unknown until now:
-        // the admitted ones move into the column, the rest stay.
-        let (admitted, rest): (Vec<_>, Vec<_>) = counters
-            .to_sparse()
-            .into_iter()
-            .partition(|&(q, _)| self.slot.get(q).is_some_and(|&s| s != Slot::Unknown));
-        if !admitted.is_empty() {
-            for (q, a) in admitted {
-                count_at[self.ranks.rank[q] as usize] = a;
-            }
-            *counters = AppearanceCounters::from_sparse(counters.len(), &rest);
-        }
-        self.count_at = count_at;
-        for &(_, id) in &fresh {
-            self.place(self.ranks.rank[id as usize] as usize, eta);
-        }
-        Ok(())
+        Ok(ix)
     }
 
-    /// Writes every non-zero count of the column into `counters` by id
-    /// — the by-id view of the counts this index holds.
-    fn write_back(&self, counters: &mut AppearanceCounters) {
-        for (r, &a) in self.count_at.iter().enumerate().filter(|&(_, &a)| a != 0) {
-            counters.set(self.ranks.id_at[r] as usize, a);
+    /// Refuses a round the index was not built for: another universe
+    /// size (`devices`) or another payload (`payload`).
+    fn serves(&self, ctx: &SelectionContext<'_>) -> Result<()> {
+        let universe = ctx.devices.universe_len();
+        if universe != self.ranks.len() {
+            return Err(FlError::InvalidConfig {
+                field: "devices",
+                reason: format!(
+                    "the universe holds {universe} devices but the utility index was built \
+                     for {}",
+                    self.ranks.len()
+                ),
+            });
         }
+        if ctx.payload != self.payload {
+            return Err(FlError::InvalidConfig {
+                field: "payload",
+                reason: format!(
+                    "payload {} Mbit differs from the {} Mbit the utility index was built for",
+                    ctx.payload.megabits(),
+                    self.payload.megabits()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Inserts the id at rank `r` into the structure for its
     /// appearance count, recomputing Eq. 20 to decide between a bucket
     /// and the zero set (`powi` is not guaranteed monotone in the
-    /// exponent, so membership is always decided fresh). The id's slot
-    /// must already read `Placed`.
+    /// exponent, so membership is always decided fresh). The id must
+    /// not be placed or parked already.
     fn place(&mut self, r: usize, eta: DecayCoefficient) {
         let a = self.count_at[r];
         if utility(eta, a, Seconds::new(self.ranks.delay_at[r])) == 0.0 {
@@ -376,12 +342,39 @@ impl UtilityIndex {
         true
     }
 
-    /// Removes a placed `id` from its bucket or the zero set.
-    fn remove_placed(&mut self, id: usize) {
-        if !self.zero.remove(&id) {
-            let r = self.ranks.rank[id] as usize;
-            self.pop(self.count_at[r], r);
+    /// Rolls back one appearance of `q` (saturating at zero, ignoring
+    /// ids outside the universe) with an O(1) bucket move if it is
+    /// placed; returns its count before the refund.
+    fn refund(&mut self, q: usize, eta: DecayCoefficient) -> u32 {
+        let Some(&r) = self.ranks.rank.get(q) else {
+            return 0;
+        };
+        let r = r as usize;
+        let before = self.count_at[r];
+        if before == 0 {
+            return 0;
         }
+        // A parked id is in neither its bucket nor the zero set.
+        let in_bucket = self.buckets.get(&before).is_some_and(|set| set.contains(r));
+        if in_bucket {
+            self.pop(before, r);
+        }
+        let placed = in_bucket || self.zero.remove(&q);
+        self.count_at[r] -= 1;
+        if placed {
+            self.place(r, eta);
+        }
+        before
+    }
+
+    /// The nonzero counts as ascending `(id, count)` pairs.
+    fn sparse_counts(&self) -> Vec<(usize, u32)> {
+        let mut counts: Vec<(usize, u32)> = (self.count_at.iter().zip(&self.ranks.id_at))
+            .filter(|&(&a, _)| a != 0)
+            .map(|(&a, &id)| (id as usize, a))
+            .collect();
+        counts.sort_unstable();
+        counts
     }
 
     /// Bucket `a`'s candidate for the next pick: its head's utility,
@@ -425,31 +418,23 @@ impl UtilityIndex {
         best
     }
 
-    /// Panics unless the buckets agree with the slots and the count
-    /// column, and `counters` holds no count of a known id: each
-    /// placed, non-zero id's rank is set in exactly the bucket of its
-    /// count, bucket populations sum to placed minus zero-set ids, and
-    /// no bucket is empty. Holds between rounds.
-    fn assert_consistent(&self, counters: &AppearanceCounters) {
-        let mut placed = 0;
-        for (id, &slot) in self.slot.iter().enumerate() {
-            if slot == Slot::Unknown {
-                continue;
-            }
-            assert_eq!(counters.get(id), 0, "known id {id} also counted by id");
-            let r = self.ranks.rank[id] as usize;
+    /// Panics unless every id is in exactly one place — parked, in the
+    /// zero set, or set in the bucket of its count and no other — and
+    /// the buckets agree with themselves: no bucket is empty and
+    /// bucket populations sum to the ids neither parked nor in the zero
+    /// set. Holds between rounds.
+    fn assert_consistent(&self) {
+        let parked: BTreeSet<usize> = self.parked.iter().copied().collect();
+        assert_eq!(parked.len(), self.parked.len(), "an id is parked twice");
+        for (id, &r) in self.ranks.rank.iter().enumerate() {
+            let r = r as usize;
             assert_eq!(self.ranks.id_at[r] as usize, id, "rank {r} does not map back to id {id}");
-            if slot != Slot::Placed {
-                assert!(!self.zero.contains(&id), "unplaced id {id} in the zero set");
-                continue;
-            }
-            placed += 1;
-            if self.zero.contains(&id) {
-                continue;
-            }
+            let (zero, parked) = (self.zero.contains(&id), parked.contains(&id));
+            assert!(!(zero && parked), "parked id {id} in the zero set");
             let a = self.count_at[r];
             for (&b, set) in &self.buckets {
-                assert_eq!(set.contains(r), a == b, "id {id} (count {a}) vs bucket {b}");
+                let want = a == b && !zero && !parked;
+                assert_eq!(set.contains(r), want, "id {id} (count {a}) vs bucket {b}");
             }
         }
         let mut members = 0;
@@ -464,12 +449,12 @@ impl UtilityIndex {
             assert!(set.next_from(0) >= Some(set.floor), "bucket {a} floor above its head");
             members += set.len;
         }
-        assert_eq!(members, placed - self.zero.len(), "bucket populations vs placed ids");
+        let unplaced = self.zero.len() + parked.len();
+        assert_eq!(members, self.ranks.len() - unplaced, "bucket populations vs placed ids");
     }
 
     fn memory_bytes(&self) -> usize {
-        self.slot.capacity() * core::mem::size_of::<Slot>()
-            + self.ranks.memory_bytes()
+        self.ranks.memory_bytes()
             + self.count_at.capacity() * core::mem::size_of::<u32>()
             + self.buckets.values().map(RankSet::memory_bytes).sum::<usize>()
             + self.zero.len() * core::mem::size_of::<usize>()
@@ -483,7 +468,9 @@ impl UtilityIndex {
 /// [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
 /// backed by the bucketed-utility index — same name (`"helcfl"`), same
 /// picks, same telemetry, O(N · B) comparisons of cached bucket
-/// candidates per round instead of O(Q log Q).
+/// candidates per round instead of O(Q log Q). It serves fleet- and
+/// mask-backed sets with one universe and one payload for the whole run
+/// (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -494,13 +481,13 @@ impl UtilityIndex {
 /// use mec_sim::population::PopulationBuilder;
 /// use mec_sim::units::Bits;
 ///
-/// let pop = PopulationBuilder::paper_default().seed(7).build()?;
+/// let fleet = PopulationBuilder::paper_default().seed(7).build_fleet()?;
 /// let mut indexed = IndexedDecaySelector::default();
 /// let mut reference = GreedyDecaySelector::default();
 /// for round in 1..=20 {
 ///     let ctx = SelectionContext {
 ///         round,
-///         devices: pop.devices().into(),
+///         devices: (&fleet).into(),
 ///         payload: Bits::from_megabits(40.0),
 ///         target: 10,
 ///     };
@@ -511,9 +498,9 @@ impl UtilityIndex {
 #[derive(Debug, Clone)]
 pub struct IndexedDecaySelector {
     eta: DecayCoefficient,
-    /// Counts of the ids the index has not admitted; the index holds
-    /// every other count.
-    counters: AppearanceCounters,
+    /// Counts restored before the index is built, canonical (ascending
+    /// ids, nonzero counts); empty once the build has placed them.
+    restored: SelectorSnapshot,
     /// Incremental mirror of `counters().coverage()` so the telemetry
     /// gauge costs O(1), not an O(Q) scan.
     coverage: usize,
@@ -523,56 +510,40 @@ pub struct IndexedDecaySelector {
 impl IndexedDecaySelector {
     /// Creates a selector with decay coefficient `eta`.
     pub fn new(eta: DecayCoefficient) -> Self {
-        Self { eta, counters: AppearanceCounters::default(), coverage: 0, index: None }
-    }
-
-    /// The configured decay coefficient.
-    #[inline]
-    pub fn eta(&self) -> DecayCoefficient {
-        self.eta
+        Self { eta, restored: SelectorSnapshot::default(), coverage: 0, index: None }
     }
 
     /// The appearance counters accumulated so far (indexed by
-    /// [`DeviceId`]), built on demand: the index keeps the counts of
-    /// the ids it knows in rank order, so this is an owned O(Q) copy
-    /// meant for tests and inspection, not for a per-round path.
+    /// [`DeviceId`]), built on demand: the index keeps the counts in
+    /// rank order, so this is an owned O(Q) copy meant for tests and
+    /// inspection, not for a per-round path.
     pub fn counters(&self) -> AppearanceCounters {
-        let mut counters = self.counters.clone();
-        if let Some(ix) = &self.index {
-            ix.write_back(&mut counters);
-        }
-        counters
+        let snap = ClientSelector::snapshot(self);
+        AppearanceCounters::from_sparse(snap.counters_len, &snap.counters)
     }
 
-    /// Resident bytes of the selector: the by-id counters of ids the
-    /// index has not admitted, the by-id slot and rank tables, the
-    /// by-rank id, delay, group-end and appearance-count tables, and
-    /// one rank bitset (Q/8 bytes, plus a summary word per 64 words)
-    /// per live appearance bucket. Zero-set and parked ids count at
-    /// their payload size.
+    /// Resident bytes of the selector: counts restored but not yet
+    /// placed, the by-id rank table, the by-rank id, delay, group-end
+    /// and appearance-count tables, and one rank bitset (Q/8 bytes, plus
+    /// a summary word per 64 words) per live appearance bucket.
+    /// Zero-set and parked ids count at their payload size.
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
-            + self.counters.memory_bytes()
+            + self.restored.counters.capacity() * core::mem::size_of::<(usize, u32)>()
             + self.index.as_ref().map_or(0, UtilityIndex::memory_bytes)
     }
 
-    /// Panics unless the utility index agrees with itself, every count
-    /// is stored once, and the coverage mirror matches the counts (see
+    /// Panics unless the utility index agrees with itself and the
+    /// coverage mirror matches the counts (see
     /// `UtilityIndex::assert_consistent`). A test hook: it holds
     /// between rounds and costs O(Q · buckets).
     #[doc(hidden)]
     pub fn assert_consistent(&self) {
         if let Some(ix) = &self.index {
-            ix.assert_consistent(&self.counters);
+            assert!(self.restored.counters.is_empty(), "restored counts left unplaced");
+            ix.assert_consistent();
         }
         assert_eq!(self.coverage, self.counters().coverage(), "coverage mirror");
-    }
-
-    /// Drops the index, first writing the counts it holds back by id.
-    fn discard_index(&mut self) {
-        if let Some(ix) = self.index.take() {
-            ix.write_back(&mut self.counters);
-        }
     }
 
     fn select_inner(
@@ -583,28 +554,26 @@ impl IndexedDecaySelector {
         if ctx.devices.is_empty() {
             return Err(FlError::InvalidSelection { reason: "no devices to select".into() });
         }
-        // A payload change invalidates every cached Eq.-9 delay.
-        if self.index.as_ref().is_some_and(|ix| ix.payload != ctx.payload) {
-            self.discard_index();
+        if !ctx.devices.has_implicit_ids() {
+            return Err(FlError::InvalidConfig {
+                field: "devices",
+                reason: "the utility index serves fleet- or mask-backed device sets only".into(),
+            });
         }
-        let ix = self.index.get_or_insert_with(|| UtilityIndex::new(ctx.payload));
-
-        // Universe sync: admit newly-seen ids. When ids are implicit
-        // backing positions (fleet- or mask-backed sets) and all of
-        // them are known, no new id can appear and the scan is skipped
-        // entirely — the steady-state rounds of a long run are O(N).
-        if !(ctx.devices.has_implicit_ids() && ix.known() == ctx.devices.universe_len()) {
-            if let Err(e) = ix.admit(&ctx.devices, &mut self.counters, self.eta) {
-                self.discard_index();
-                return Err(e);
+        match &self.index {
+            Some(ix) => ix.serves(ctx)?,
+            None => {
+                let ix = UtilityIndex::build(&ctx.devices, ctx.payload, &self.restored, self.eta)?;
+                self.restored = SelectorSnapshot::default();
+                self.index = Some(ix);
             }
         }
+        let ix = self.index.as_mut().expect("built above");
         // Rejoin: parked devices that are selectable again re-enter
         // their bucket at their (unchanged) appearance count.
         let parked = core::mem::take(&mut ix.parked);
         for id in parked {
             if ctx.devices.contains(DeviceId(id)) {
-                ix.slot[id] = Slot::Placed;
                 ix.place(ix.ranks.rank[id] as usize, self.eta);
             } else {
                 ix.parked.push(id);
@@ -662,7 +631,6 @@ impl IndexedDecaySelector {
                 },
             };
             if !ctx.devices.contains(DeviceId(id)) {
-                ix.slot[id] = Slot::Parked;
                 ix.parked.push(id);
                 continue;
             }
@@ -721,40 +689,21 @@ impl ClientSelector for IndexedDecaySelector {
     }
 
     fn on_delivery_failure(&mut self, failed: &[DeviceId]) {
-        // Same refund semantics and out-of-range guard as the
-        // reference. A known id's count lives in the index's column,
-        // found through its rank; a placed id also makes an O(1)
-        // bucket move.
+        // Same refund semantics as the reference: one appearance rolled
+        // back, saturating at zero; ids without a count are ignored.
         for id in failed {
-            let q = id.0;
-            if q >= self.counters.len() {
-                continue;
-            }
-            let known = self
-                .index
-                .as_mut()
-                .filter(|ix| ix.slot.get(q).is_some_and(|&s| s != Slot::Unknown));
-            let before = match known {
-                Some(ix) => {
-                    let r = ix.ranks.rank[q] as usize;
-                    let before = ix.count_at[r];
-                    if before == 0 {
-                        continue;
-                    }
-                    let placed = ix.slot[q] == Slot::Placed;
-                    if placed {
-                        ix.remove_placed(q);
-                    }
-                    ix.count_at[r] -= 1;
-                    if placed {
-                        ix.place(r, self.eta);
-                    }
-                    before
-                }
+            let before = match &mut self.index {
+                Some(ix) => ix.refund(id.0, self.eta),
                 None => {
-                    let before = self.counters.get(q);
-                    self.counters.decrement(q);
-                    before
+                    let counts = &mut self.restored.counters;
+                    match counts.binary_search_by_key(&id.0, |&(q, _)| q) {
+                        Ok(i) if counts[i].1 == 1 => counts.remove(i).1,
+                        Ok(i) => {
+                            counts[i].1 -= 1;
+                            counts[i].1 + 1
+                        }
+                        Err(_) => 0,
+                    }
                 }
             };
             if before == 1 {
@@ -766,12 +715,14 @@ impl ClientSelector for IndexedDecaySelector {
     fn snapshot(&self) -> SelectorSnapshot {
         // The counts are the selector's only durable state: the rest
         // of the index derives from them, the payload and the delays,
-        // and is rebuilt lazily on the first post-restore round.
-        let counters = self.counters();
-        SelectorSnapshot {
-            counters_len: counters.len(),
-            counters: counters.to_sparse(),
-            rng_state: None,
+        // and is rebuilt on the first post-restore round.
+        match &self.index {
+            Some(ix) => SelectorSnapshot {
+                counters_len: ix.ranks.len(),
+                counters: ix.sparse_counts(),
+                rng_state: None,
+            },
+            None => self.restored.clone(),
         }
     }
 
@@ -792,8 +743,15 @@ impl ClientSelector for IndexedDecaySelector {
                 ),
             });
         }
-        self.counters = AppearanceCounters::from_sparse(snap.counters_len, &snap.counters);
-        self.coverage = self.counters.coverage();
+        // Canonical form: a repeated id keeps its last count, as
+        // `AppearanceCounters::from_sparse` would.
+        let counts: BTreeMap<usize, u32> = snap.counters.iter().copied().collect();
+        self.restored = SelectorSnapshot {
+            counters_len: snap.counters_len,
+            counters: counts.into_iter().filter(|&(_, a)| a != 0).collect(),
+            rng_state: None,
+        };
+        self.coverage = self.restored.counters.len();
         self.index = None;
         Ok(())
     }
@@ -804,24 +762,63 @@ mod tests {
     use super::*;
     use crate::selection::GreedyDecaySelector;
     use fl_sim::selection::validate_selection;
+    use mec_sim::fleet::{AliveMask, Fleet};
     use mec_sim::population::PopulationBuilder;
 
-    fn ctx(devices: &[mec_sim::device::Device], round: usize, target: usize) -> SelectionContext<'_> {
-        SelectionContext {
-            round,
-            devices: devices.into(),
-            payload: Bits::from_megabits(40.0),
-            target,
+    fn build_fleet(num_devices: usize, seed: u64) -> Fleet {
+        PopulationBuilder::paper_default().num_devices(num_devices).seed(seed).build_fleet().unwrap()
+    }
+
+    fn ctx(devices: DeviceSet<'_>, round: usize, target: usize) -> SelectionContext<'_> {
+        SelectionContext { round, devices, payload: Bits::from_megabits(40.0), target }
+    }
+
+    fn fleet_ctx(fleet: &Fleet, round: usize, target: usize) -> SelectionContext<'_> {
+        ctx(fleet.into(), round, target)
+    }
+
+    /// Runs `rounds` on `fleet` through both selectors, refunding one
+    /// pick every other round; picks, counters and snapshots must agree
+    /// after every round.
+    fn lockstep(
+        indexed: &mut IndexedDecaySelector,
+        reference: &mut GreedyDecaySelector,
+        fleet: &Fleet,
+        rounds: core::ops::RangeInclusive<usize>,
+    ) {
+        for round in rounds {
+            let c = fleet_ctx(fleet, round, 3);
+            let picks = indexed.select(&c).unwrap();
+            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
+            if round % 2 == 0 {
+                indexed.on_delivery_failure(&picks[1..2]);
+                reference.on_delivery_failure(&picks[1..2]);
+            }
+            assert_eq!(&indexed.counters(), reference.counters(), "round {round}");
+            assert_eq!(
+                ClientSelector::snapshot(indexed),
+                ClientSelector::snapshot(reference),
+                "round {round}"
+            );
+            indexed.assert_consistent();
+        }
+    }
+
+    /// Asserts `result` is a refusal naming `field`; returns its reason.
+    fn refused(result: Result<Vec<DeviceId>>, field: &str) -> String {
+        match result {
+            Err(FlError::InvalidConfig { field: f, reason }) if f == field => reason,
+            other => panic!("expected a refusal naming `{field}`, got {other:?}"),
         }
     }
 
     #[test]
     fn matches_reference_over_many_rounds() {
-        let pop = PopulationBuilder::paper_default().num_devices(40).seed(5).build().unwrap();
+        let fleet = build_fleet(40, 5);
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=120 {
-            let c = ctx(pop.devices(), round, 4);
+            let c = fleet_ctx(&fleet, round, 4);
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
@@ -834,21 +831,16 @@ mod tests {
     }
 
     #[test]
-    fn fleet_backed_context_matches_slice_backed() {
+    fn fleet_backed_context_matches_mask_backed() {
         let builder = PopulationBuilder::paper_default().num_devices(30).seed(9);
         let pop = builder.build().unwrap();
         let fleet = builder.build_fleet().unwrap();
+        let mask = AliveMask::all_alive(30);
         let mut a = IndexedDecaySelector::default();
         let mut b = IndexedDecaySelector::default();
         for round in 1..=50 {
-            let slice_ctx = ctx(pop.devices(), round, 5);
-            let fleet_ctx = SelectionContext {
-                round,
-                devices: (&fleet).into(),
-                payload: Bits::from_megabits(40.0),
-                target: 5,
-            };
-            assert_eq!(a.select(&slice_ctx).unwrap(), b.select(&fleet_ctx).unwrap());
+            let masked = ctx(DeviceSet::from_slice(pop.devices()).with_mask(&mask), round, 5);
+            assert_eq!(a.select(&masked).unwrap(), b.select(&fleet_ctx(&fleet, round, 5)).unwrap());
             a.assert_consistent();
             b.assert_consistent();
         }
@@ -857,46 +849,44 @@ mod tests {
     #[test]
     fn empty_population_is_rejected() {
         let mut sel = IndexedDecaySelector::default();
-        let c = ctx(&[], 1, 3);
-        assert!(sel.select(&c).is_err());
+        let mask = AliveMask::all_alive(0);
+        assert!(sel.select(&ctx(DeviceSet::from_slice(&[]).with_mask(&mask), 1, 3)).is_err());
     }
 
     #[test]
-    fn payload_change_rebuilds_the_index() {
+    fn a_set_with_neither_fleet_nor_mask_is_refused() {
         let pop = PopulationBuilder::paper_default().num_devices(20).seed(4).build().unwrap();
+        let fleet = build_fleet(20, 4);
+        let slice = || ctx(DeviceSet::from_slice(pop.devices()), 1, 3);
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
-        for round in 1..=30 {
-            // Alternate payloads: delays (and hence utilities) differ
-            // per payload, and the index must follow, carrying every
-            // count (refunds included) across the rebuild.
-            let payload =
-                if round % 2 == 0 { Bits::from_megabits(40.0) } else { Bits::from_megabits(4.0) };
-            let c = SelectionContext {
-                round,
-                devices: pop.devices().into(),
-                payload,
-                target: 3,
-            };
-            let picks = indexed.select(&c).unwrap();
-            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
-            if round % 3 == 0 {
-                indexed.on_delivery_failure(&picks[..1]);
-                reference.on_delivery_failure(&picks[..1]);
-            }
-            assert_eq!(&indexed.counters(), reference.counters(), "round {round}");
-            indexed.assert_consistent();
-        }
+        // Refused before the build and after it.
+        refused(indexed.select(&slice()), "devices");
+        lockstep(&mut indexed, &mut reference, &fleet, 1..=10);
+        refused(indexed.select(&slice()), "devices");
+        lockstep(&mut indexed, &mut reference, &fleet, 11..=20);
     }
 
-    /// The index is discarded on a refused admission and rebuilt on the
-    /// next round; the counts it held, refunds included, must survive,
-    /// also counts that an earlier admission moved to new ranks.
     #[test]
-    fn counts_survive_every_index_discard() {
-        let pop = PopulationBuilder::paper_default().num_devices(24).seed(10).build().unwrap();
-        let all = pop.devices();
-        let d = all[0];
+    fn a_masked_backing_out_of_id_order_is_refused() {
+        let pop = PopulationBuilder::paper_default().num_devices(20).seed(4).build().unwrap();
+        let mut swapped = pop.devices().to_vec();
+        swapped.swap(3, 11);
+        let mask = AliveMask::all_alive(20);
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        let reason = refused(
+            indexed.select(&ctx(DeviceSet::from_slice(&swapped).with_mask(&mask), 1, 3)),
+            "devices",
+        );
+        assert!(reason.contains("position 3 holds device 11"), "{reason}");
+        lockstep(&mut indexed, &mut reference, &build_fleet(20, 4), 1..=20);
+    }
+
+    #[test]
+    fn ids_past_the_u32_rank_space_are_refused() {
+        let pop = PopulationBuilder::paper_default().num_devices(2).seed(1).build().unwrap();
+        let d = pop.devices()[1];
         let huge = mec_sim::device::Device::new(
             DeviceId(u32::MAX as usize),
             *d.cpu(),
@@ -905,65 +895,109 @@ mod tests {
             *d.uplink(),
         )
         .unwrap();
-        let with_huge: Vec<_> = all.iter().copied().chain([huge]).collect();
+        let devices = [pop.devices()[0], huge];
+        let mask = AliveMask::all_alive(2);
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
-        for round in 1..=40 {
-            if round == 21 {
-                assert!(indexed.select(&ctx(&with_huge, round, 4)).is_err());
-                continue;
-            }
-            // Half the fleet first, so the full set's admission re-ranks
-            // ids that already hold counts.
-            let devices = if round <= 10 { &all[..12] } else { all };
-            let c = ctx(devices, round, 4);
-            let picks = indexed.select(&c).unwrap();
-            assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
-            if round % 2 == 0 {
-                indexed.on_delivery_failure(&picks[1..3]);
-                reference.on_delivery_failure(&picks[1..3]);
-            }
-            assert_eq!(&indexed.counters(), reference.counters(), "round {round}");
-            assert_eq!(
-                ClientSelector::snapshot(&indexed),
-                ClientSelector::snapshot(&reference),
-                "round {round}"
-            );
-            indexed.assert_consistent();
+        let reason = refused(
+            indexed.select(&ctx(DeviceSet::from_slice(&devices).with_mask(&mask), 1, 1)),
+            "devices",
+        );
+        assert!(reason.contains(&u32::MAX.to_string()), "{reason}");
+        // The refusal leaves no half-built index behind.
+        lockstep(&mut indexed, &mut reference, &build_fleet(12, 1), 1..=20);
+    }
+
+    /// Restored counts for an id outside the universe are refused when
+    /// the build meets the universe; the restored state is untouched,
+    /// and a valid restore then resumes in step with the reference.
+    #[test]
+    fn restored_counts_outside_the_universe_are_refused() {
+        let fleet = build_fleet(20, 4);
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        let outside = SelectorSnapshot {
+            counters_len: 25,
+            counters: vec![(2, 1), (22, 3)],
+            rng_state: None,
+        };
+        indexed.restore(&outside).unwrap();
+        refused(indexed.select(&fleet_ctx(&fleet, 1, 3)), "selector_snapshot");
+        assert_eq!(ClientSelector::snapshot(&indexed), outside);
+        indexed.assert_consistent();
+        for round in 1..=5 {
+            reference.select(&fleet_ctx(&fleet, round, 3)).unwrap();
         }
+        indexed.restore(&ClientSelector::snapshot(&reference)).unwrap();
+        lockstep(&mut indexed, &mut reference, &fleet, 6..=20);
+    }
+
+    #[test]
+    fn a_later_round_with_another_universe_is_refused() {
+        let fleet = build_fleet(20, 4);
+        let smaller = build_fleet(19, 4);
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        lockstep(&mut indexed, &mut reference, &fleet, 1..=10);
+        let reason = refused(indexed.select(&fleet_ctx(&smaller, 11, 3)), "devices");
+        assert!(reason.contains("19") && reason.contains("20"), "{reason}");
+        lockstep(&mut indexed, &mut reference, &fleet, 11..=20);
+    }
+
+    #[test]
+    fn a_later_round_with_another_payload_is_refused() {
+        let fleet = build_fleet(20, 4);
+        let mut indexed = IndexedDecaySelector::default();
+        let mut reference = GreedyDecaySelector::default();
+        lockstep(&mut indexed, &mut reference, &fleet, 1..=10);
+        let other = SelectionContext { payload: Bits::from_megabits(4.0), ..fleet_ctx(&fleet, 11, 3) };
+        refused(indexed.select(&other), "payload");
+        lockstep(&mut indexed, &mut reference, &fleet, 11..=20);
+    }
+
+    /// A refund between `restore` and the first round adjusts the
+    /// restored counts, as the reference's by-id refund does.
+    #[test]
+    fn refunds_before_the_build_adjust_the_restored_counts() {
+        let fleet = build_fleet(30, 14);
+        let mut reference = GreedyDecaySelector::default();
+        for round in 1..=9 {
+            reference.select(&fleet_ctx(&fleet, round, 4)).unwrap();
+        }
+        let mut indexed = IndexedDecaySelector::default();
+        indexed.restore(&ClientSelector::snapshot(&reference)).unwrap();
+        let counts = reference.counters();
+        let once = (0..30).find(|&q| counts.get(q) == 1).expect("a device counted once");
+        let twice = (0..30).find(|&q| counts.get(q) >= 2).expect("a device counted twice");
+        let never = (0..30).find(|&q| counts.get(q) == 0).expect("a device never counted");
+        let failed = [DeviceId(once), DeviceId(twice), DeviceId(never), DeviceId(999)];
+        indexed.on_delivery_failure(&failed);
+        reference.on_delivery_failure(&failed);
+        assert_eq!(ClientSelector::snapshot(&indexed), ClientSelector::snapshot(&reference));
+        indexed.assert_consistent();
+        lockstep(&mut indexed, &mut reference, &fleet, 10..=30);
     }
 
     /// A fleet-backed run at a scale where counts spread over many
-    /// buckets and ranks: snapshots equal the reference's, a selector
-    /// restored mid-run picks the same devices, and once every id is
-    /// admitted no count is held by id.
+    /// buckets and ranks: snapshots equal the reference's, and a
+    /// selector restored mid-run picks the same devices.
     #[test]
     fn fleet_scale_snapshots_and_resume_match_the_reference() {
         const Q: usize = 20_000;
-        let fleet =
-            PopulationBuilder::paper_default().num_devices(Q).seed(23).build_fleet().unwrap();
-        let fleet_ctx = |round| SelectionContext {
-            round,
-            devices: (&fleet).into(),
-            payload: Bits::from_megabits(40.0),
-            target: 200,
-        };
-        let no_pages = AppearanceCounters::new(Q).memory_bytes();
+        let fleet = build_fleet(Q, 23);
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         let mut resumed: Option<IndexedDecaySelector> = None;
         for round in 1..=100 {
-            let c = fleet_ctx(round);
+            let c = fleet_ctx(&fleet, round, 200);
             let picks = indexed.select(&c).unwrap();
             assert_eq!(picks, reference.select(&c).unwrap(), "round {round}");
             if let Some(resumed) = &mut resumed {
                 assert_eq!(resumed.select(&c).unwrap(), picks, "round {round}: resumed");
                 resumed.on_delivery_failure(&picks[round % 7..][..3]);
-                assert_eq!(resumed.counters.memory_bytes(), no_pages, "restored counts by id");
             }
             indexed.on_delivery_failure(&picks[round % 7..][..3]);
             reference.on_delivery_failure(&picks[round % 7..][..3]);
-            assert_eq!(indexed.counters.memory_bytes(), no_pages, "round {round}: counts by id");
             if round == 50 || round == 100 {
                 let snap = ClientSelector::snapshot(&indexed);
                 assert_eq!(snap, ClientSelector::snapshot(&reference), "round {round}");
@@ -982,11 +1016,11 @@ mod tests {
 
     #[test]
     fn refunds_restore_selection_priority() {
-        let pop = PopulationBuilder::paper_default().num_devices(12).seed(6).build().unwrap();
+        let fleet = build_fleet(12, 6);
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=40 {
-            let c = ctx(pop.devices(), round, 3);
+            let c = fleet_ctx(&fleet, round, 3);
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
@@ -1007,16 +1041,18 @@ mod tests {
 
     #[test]
     fn dropout_and_rejoin_track_the_reference() {
-        let pop = PopulationBuilder::paper_default().num_devices(16).seed(8).build().unwrap();
-        let full = pop.devices().to_vec();
-        let evens: Vec<_> = full.iter().filter(|d| d.id().0 % 2 == 0).copied().collect();
+        let fleet = build_fleet(16, 8);
+        let full = AliveMask::all_alive(16);
+        let mut evens = AliveMask::all_alive(16);
+        for q in (1..16).step_by(2) {
+            evens.kill(q);
+        }
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=60 {
             // Every other block of 5 rounds, odd devices drop out.
-            let devices: &[mec_sim::device::Device] =
-                if (round / 5) % 2 == 0 { &full } else { &evens };
-            let c = ctx(devices, round, 3);
+            let mask = if (round / 5) % 2 == 0 { &full } else { &evens };
+            let c = ctx(DeviceSet::from_fleet(&fleet).with_mask(mask), round, 3);
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
@@ -1029,13 +1065,13 @@ mod tests {
 
     #[test]
     fn telemetry_is_equivalent_to_the_reference() {
-        let pop = PopulationBuilder::paper_default().num_devices(25).seed(12).build().unwrap();
+        let fleet = build_fleet(25, 12);
         let tele_a = Telemetry::metrics_only();
         let tele_b = Telemetry::metrics_only();
         let mut indexed = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=30 {
-            let c = ctx(pop.devices(), round, 5);
+            let c = fleet_ctx(&fleet, round, 5);
             let a = indexed.select_traced(&c, &tele_a).unwrap();
             let b = reference.select_traced(&c, &tele_b).unwrap();
             assert_eq!(a, b, "round {round}");
@@ -1058,12 +1094,12 @@ mod tests {
         // appearance (1e-600 is subnormal-zero): every seen device
         // lands in the zero set and selection degrades to pure id
         // order — deterministically, with no partial_cmp panic.
-        let pop = PopulationBuilder::paper_default().num_devices(10).seed(3).build().unwrap();
+        let fleet = build_fleet(10, 3);
         let eta = DecayCoefficient::new(1.0e-300).unwrap();
         let mut indexed = IndexedDecaySelector::new(eta);
         let mut reference = GreedyDecaySelector::new(eta);
         for round in 1..=25 {
-            let c = ctx(pop.devices(), round, 4);
+            let c = fleet_ctx(&fleet, round, 4);
             let a = indexed.select(&c).unwrap();
             let b = reference.select(&c).unwrap();
             assert_eq!(a, b, "round {round}");
@@ -1071,18 +1107,17 @@ mod tests {
         }
         // After everyone decayed to zero utility, picks are the first
         // N ids.
-        let c = ctx(pop.devices(), 99, 4);
-        let picks = indexed.select(&c).unwrap();
+        let picks = indexed.select(&fleet_ctx(&fleet, 99, 4)).unwrap();
         assert_eq!(picks, vec![DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(3)]);
     }
 
     #[test]
     fn snapshot_restore_matches_reference_and_uninterrupted_index() {
-        let pop = PopulationBuilder::paper_default().num_devices(30).seed(14).build().unwrap();
+        let fleet = build_fleet(30, 14);
         let mut live = IndexedDecaySelector::default();
         let mut reference = GreedyDecaySelector::default();
         for round in 1..=9 {
-            let c = ctx(pop.devices(), round, 4);
+            let c = fleet_ctx(&fleet, round, 4);
             assert_eq!(live.select(&c).unwrap(), reference.select(&c).unwrap());
             live.assert_consistent();
         }
@@ -1094,7 +1129,7 @@ mod tests {
         resumed.restore(&snap).unwrap();
         assert_eq!(resumed.counters(), live.counters());
         for round in 10..=30 {
-            let c = ctx(pop.devices(), round, 4);
+            let c = fleet_ctx(&fleet, round, 4);
             let a = live.select(&c).unwrap();
             let b = resumed.select(&c).unwrap();
             let r = reference.select(&c).unwrap();
@@ -1111,10 +1146,10 @@ mod tests {
 
     #[test]
     fn memory_accessor_reports_nonzero_after_use() {
-        let pop = PopulationBuilder::paper_default().num_devices(50).seed(2).build().unwrap();
+        let fleet = build_fleet(50, 2);
         let mut sel = IndexedDecaySelector::default();
         let baseline = sel.memory_bytes();
-        sel.select(&ctx(pop.devices(), 1, 5)).unwrap();
+        sel.select(&fleet_ctx(&fleet, 1, 5)).unwrap();
         assert!(sel.memory_bytes() > baseline);
     }
 
@@ -1125,51 +1160,14 @@ mod tests {
     #[test]
     fn memory_per_device_stays_bounded_over_many_rounds() {
         const Q: usize = 100_000;
-        let fleet =
-            PopulationBuilder::paper_default().num_devices(Q).seed(21).build_fleet().unwrap();
+        let fleet = build_fleet(Q, 21);
         let mut sel = IndexedDecaySelector::default();
         for round in 1..=200 {
-            let c = SelectionContext {
-                round,
-                devices: (&fleet).into(),
-                payload: Bits::from_megabits(40.0),
-                target: 100,
-            };
-            sel.select(&c).unwrap();
+            sel.select(&fleet_ctx(&fleet, round, 100)).unwrap();
         }
         sel.assert_consistent();
-        // Every count lives in the index's column: the by-id store
-        // holds no page.
-        assert_eq!(sel.counters.memory_bytes(), AppearanceCounters::new(Q).memory_bytes());
         let per_device = sel.memory_bytes() as f64 / Q as f64;
         assert!(per_device <= 36.0, "{per_device:.2} B per device");
-    }
-
-    #[test]
-    fn ids_past_the_u32_rank_space_are_refused() {
-        let pop = PopulationBuilder::paper_default().num_devices(2).seed(1).build().unwrap();
-        let d = pop.devices()[1];
-        let huge = mec_sim::device::Device::new(
-            DeviceId(u32::MAX as usize),
-            *d.cpu(),
-            d.cycles_per_sample(),
-            d.num_samples(),
-            *d.uplink(),
-        )
-        .unwrap();
-        let devices = [pop.devices()[0], huge];
-        let mut sel = IndexedDecaySelector::default();
-        match sel.select(&ctx(&devices, 1, 1)) {
-            Err(FlError::InvalidConfig { field, reason }) => {
-                assert_eq!(field, "devices");
-                assert!(reason.contains(&u32::MAX.to_string()), "{reason}");
-            }
-            other => panic!("expected a refusal, got {other:?}"),
-        }
-        // The refusal leaves no half-built index behind: the valid
-        // device alone still selects.
-        assert_eq!(sel.select(&ctx(&devices[..1], 2, 1)).unwrap(), vec![DeviceId(0)]);
-        sel.assert_consistent();
     }
 
     #[test]
@@ -1179,7 +1177,8 @@ mod tests {
         for &r in members.iter().rev() {
             set.insert(r);
         }
-        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        let all: Vec<_> = std::iter::successors(set.next_from(0), |&r| set.next_from(r + 1)).collect();
+        assert_eq!(all, members);
         assert_eq!(set.head(), Some(0));
         set.remove(0);
         set.remove(4095);

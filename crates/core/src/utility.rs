@@ -71,56 +71,29 @@ pub fn utility(eta: DecayCoefficient, appearances: u32, total_delay: Seconds) ->
     eta.get().powi(appearances as i32) / total_delay.get()
 }
 
-/// Counters are stored in fixed 1024-entry pages, allocated lazily.
-const PAGE: usize = 1024;
-
 /// Per-user appearance counters `α_q` (Alg. 2 line 5 initializes them
-/// to zero; line 18 increments on selection).
-///
-/// Storage is a two-level page table: a dense `Vec` of page slots,
-/// each materialized to 4 KiB only when a counter inside it is first
-/// incremented. `grow_to(max_id + 1)` therefore costs O(max_id / 1024)
-/// pointer-sized slots, not O(max_id) counters — a surviving high-id
-/// device after mass dropout no longer forces a multi-megabyte zeroed
-/// allocation. Logical semantics (zero-initialized, `len`-bounded,
-/// panics out of range) are identical to the former flat `Vec<u32>`.
-#[derive(Debug, Clone, Eq, Default)]
+/// to zero; line 18 increments on selection), one `u32` per user id.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AppearanceCounters {
-    pages: Vec<Option<Box<[u32; PAGE]>>>,
-    len: usize,
-}
-
-/// Logical equality: same tracked length, same per-user counts. An
-/// unallocated page equals an allocated all-zero page.
-impl PartialEq for AppearanceCounters {
-    fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
-        let zeros = [0u32; PAGE];
-        let page_of = |c: &Self, p: usize| -> [u32; PAGE] {
-            c.pages.get(p).and_then(|s| s.as_deref()).copied().unwrap_or(zeros)
-        };
-        (0..self.len.div_ceil(PAGE)).all(|p| page_of(self, p) == page_of(other, p))
-    }
+    counts: Vec<u32>,
 }
 
 impl AppearanceCounters {
     /// Creates zeroed counters for `num_users` users.
     pub fn new(num_users: usize) -> Self {
-        Self { pages: vec![None; num_users.div_ceil(PAGE)], len: num_users }
+        Self { counts: vec![0; num_users] }
     }
 
     /// Number of tracked users.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.counts.len()
     }
 
     /// Whether no users are tracked.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.counts.is_empty()
     }
 
     /// `α_q` of user `q`.
@@ -130,11 +103,7 @@ impl AppearanceCounters {
     /// Panics if `q` is out of range.
     #[inline]
     pub fn get(&self, q: usize) -> u32 {
-        assert!(q < self.len, "user {q} out of range for {} counters", self.len);
-        match &self.pages[q / PAGE] {
-            Some(page) => page[q % PAGE],
-            None => 0,
-        }
+        self.counts[q]
     }
 
     /// Increments `α_q` (the "utility decay" of Alg. 2 line 18).
@@ -144,77 +113,46 @@ impl AppearanceCounters {
     /// Panics if `q` is out of range.
     #[inline]
     pub fn increment(&mut self, q: usize) {
-        assert!(q < self.len, "user {q} out of range for {} counters", self.len);
-        let page = self.pages[q / PAGE].get_or_insert_with(|| Box::new([0u32; PAGE]));
-        page[q % PAGE] += 1;
+        self.counts[q] += 1;
     }
 
     /// Rolls back one appearance of `α_q` — the refund the degradation
     /// policy issues when a selected user failed to deliver its update
     /// (`charge_failed_selections == false`). Saturates at zero, so a
-    /// refund for a user that was never charged is a no-op (and never
-    /// allocates a page).
+    /// refund for a user that was never charged is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     #[inline]
     pub fn decrement(&mut self, q: usize) {
-        assert!(q < self.len, "user {q} out of range for {} counters", self.len);
-        if let Some(page) = &mut self.pages[q / PAGE] {
-            page[q % PAGE] = page[q % PAGE].saturating_sub(1);
-        }
+        self.counts[q] = self.counts[q].saturating_sub(1);
     }
 
-    /// Extends the tracked range with (lazy) zeros so ids `< len` are
-    /// valid (no-op when already large enough). Lets selectors stay
-    /// keyed by [`DeviceId`](mec_sim::device::DeviceId) as availability
-    /// shifts.
+    /// Extends the tracked range with zeros so ids `< len` are valid
+    /// (no-op when already large enough). Lets selectors stay keyed by
+    /// [`DeviceId`](mec_sim::device::DeviceId) as availability shifts.
     pub fn grow_to(&mut self, len: usize) {
-        if self.len < len {
-            self.len = len;
-            let pages = len.div_ceil(PAGE);
-            if self.pages.len() < pages {
-                self.pages.resize_with(pages, || None);
-            }
+        if self.counts.len() < len {
+            self.counts.resize(len, 0);
         }
     }
 
     /// Sets `α_q` to an exact value — the checkpoint-restore path.
-    /// Setting zero never materializes a page.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     #[inline]
     pub fn set(&mut self, q: usize, count: u32) {
-        assert!(q < self.len, "user {q} out of range for {} counters", self.len);
-        if count == 0 {
-            if let Some(page) = &mut self.pages[q / PAGE] {
-                page[q % PAGE] = 0;
-            }
-            return;
-        }
-        let page = self.pages[q / PAGE].get_or_insert_with(|| Box::new([0u32; PAGE]));
-        page[q % PAGE] = count;
+        self.counts[q] = count;
     }
 
     /// The nonzero counters as ascending `(user, count)` pairs — the
     /// sparse form a checkpoint serializes (zero counters dominate in
     /// large fleets and carry no information).
     pub fn to_sparse(&self) -> Vec<(usize, u32)> {
-        let mut out = Vec::new();
-        for (p, slot) in self.pages.iter().enumerate() {
-            if let Some(page) = slot {
-                for (i, &c) in page.iter().enumerate() {
-                    let q = p * PAGE + i;
-                    if c > 0 && q < self.len {
-                        out.push((q, c));
-                    }
-                }
-            }
-        }
-        out
+        self.counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(q, &c)| (q, c)).collect()
     }
 
     /// Rebuilds counters of logical length `len` from a sparse
@@ -234,31 +172,18 @@ impl AppearanceCounters {
 
     /// Total appearances across users (= rounds × selection size).
     pub fn total(&self) -> u64 {
-        self.pages
-            .iter()
-            .flatten()
-            .flat_map(|page| page.iter())
-            .map(|&c| u64::from(c))
-            .sum()
+        self.counts.iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Number of users that have appeared at least once — the coverage
     /// statistic the η-ablation reports.
     pub fn coverage(&self) -> usize {
-        self.pages
-            .iter()
-            .flatten()
-            .flat_map(|page| page.iter())
-            .filter(|&&c| c > 0)
-            .count()
+        self.counts.iter().filter(|&&c| c > 0).count()
     }
 
-    /// Resident bytes: the page-slot table plus every materialized
-    /// page (reported per-device by `bench_population`).
+    /// Resident bytes of the counter table.
     pub fn memory_bytes(&self) -> usize {
-        core::mem::size_of::<Self>()
-            + self.pages.capacity() * core::mem::size_of::<Option<Box<[u32; PAGE]>>>()
-            + self.pages.iter().flatten().count() * core::mem::size_of::<[u32; PAGE]>()
+        core::mem::size_of::<Self>() + self.counts.capacity() * core::mem::size_of::<u32>()
     }
 }
 
@@ -332,42 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_high_ids_stay_cheap() {
-        // A surviving high-id device after mass dropout: growth is
-        // page-table-only; the single touched page is the only 4 KiB
-        // block materialized.
-        let mut c = AppearanceCounters::default();
-        c.grow_to(10_000_000);
-        assert_eq!(c.len(), 10_000_000);
-        c.increment(9_999_999);
-        assert_eq!(c.get(9_999_999), 1);
-        assert_eq!(c.get(0), 0);
-        assert_eq!(c.total(), 1);
-        assert_eq!(c.coverage(), 1);
-        // ~10M/1024 page slots (16 B each) + one 4 KiB page — far
-        // below the 40 MB a flat Vec<u32> would have allocated.
-        assert!(c.memory_bytes() < 1_000_000, "resident {}", c.memory_bytes());
-    }
-
-    #[test]
-    fn equality_ignores_page_materialization() {
-        let mut a = AppearanceCounters::new(2 * 1024);
-        let mut b = AppearanceCounters::new(2 * 1024);
-        assert_eq!(a, b);
-        // Materialize a page in `a` without leaving a visible count.
-        a.increment(1500);
-        a.decrement(1500);
-        assert_eq!(a, b);
-        b.increment(1500);
-        assert_ne!(a, b);
-        a.increment(1500);
-        assert_eq!(a, b);
-        // Different logical lengths are different counters.
-        a.grow_to(3 * 1024);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn sparse_round_trip_preserves_logical_state() {
         let mut c = AppearanceCounters::new(3000);
         c.increment(0);
@@ -392,11 +281,9 @@ mod tests {
         assert_eq!(c.get(3), 7);
         c.set(3, 2);
         assert_eq!(c.get(3), 2);
-        // Setting zero on an untouched page allocates nothing.
-        let mut sparse = AppearanceCounters::new(5000);
-        sparse.set(4000, 0);
-        assert_eq!(sparse.get(4000), 0);
-        assert_eq!(sparse.coverage(), 0);
+        c.set(3, 0);
+        assert_eq!(c.get(3), 0);
+        assert_eq!(c.coverage(), 0);
     }
 
     #[test]

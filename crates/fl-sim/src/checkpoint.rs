@@ -50,7 +50,6 @@
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Once;
 
 use helcfl_telemetry::json::{self, JsonObject, JsonValue};
 use helcfl_telemetry::{fnv1a_hex, Histogram, Metric, RunIdentity};
@@ -104,77 +103,55 @@ impl CheckpointConfig {
         Self { dir: dir.into(), interval: 1, halt_after: None }
     }
 
-    /// Reads [`CHECKPOINT_ENV`]. Invalid or empty values warn once on
-    /// stderr and fall back to the defaults described by
-    /// [`checkpoint_from_env_value`].
-    pub fn from_env() -> Option<Self> {
-        let value = std::env::var(CHECKPOINT_ENV).ok()?;
-        let (config, warning) = checkpoint_from_env_value(&value);
-        if let Some(w) = warning {
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| eprintln!("helcfl: {w}"));
+    /// Reads [`CHECKPOINT_ENV`]: `None` when it is unset, otherwise
+    /// the value parsed by [`checkpoint_from_env_value`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`] naming [`CHECKPOINT_ENV`]
+    /// for a value that is not valid Unicode or that
+    /// [`checkpoint_from_env_value`] refuses.
+    pub fn from_env() -> Result<Option<Self>> {
+        match std::env::var(CHECKPOINT_ENV) {
+            Ok(value) => checkpoint_from_env_value(&value).map(Some),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(_)) => Err(FlError::InvalidConfig {
+                field: CHECKPOINT_ENV,
+                reason: "is not valid Unicode".into(),
+            }),
         }
-        config
     }
 }
 
-/// Parses a [`CHECKPOINT_ENV`] value: `dir` or `dir:interval`.
+/// Parses a [`CHECKPOINT_ENV`] value: `dir` checkpoints every round,
+/// `dir:N` with `N ≥ 1` every `N` rounds. A `:` whose suffix contains
+/// `/` is part of the path, not an interval (`/data/a:b/ckpt` is a
+/// directory).
 ///
-/// Returns the parsed config (or `None` when checkpointing must stay
-/// disabled) plus an optional warning describing what was ignored:
+/// # Errors
 ///
-/// * empty/whitespace value → disabled, warned;
-/// * `dir` → every round;
-/// * `dir:N` with `N ≥ 1` → every `N` rounds;
-/// * `dir:0` or `dir:junk` → every round, warned;
-/// * a `:` whose suffix contains `/` is part of the path, not an
-///   interval (`/data/a:b/ckpt` is a directory).
-pub fn checkpoint_from_env_value(value: &str) -> (Option<CheckpointConfig>, Option<String>) {
+/// Returns [`FlError::InvalidConfig`] naming [`CHECKPOINT_ENV`] for an
+/// empty value, an empty directory (`:3`), and an interval that is not
+/// a round count of at least 1 (`dir:0`, `dir:fast`).
+pub fn checkpoint_from_env_value(value: &str) -> Result<CheckpointConfig> {
+    let refuse = |reason: String| FlError::InvalidConfig { field: CHECKPOINT_ENV, reason };
     let v = value.trim();
-    if v.is_empty() {
-        return (
-            None,
-            Some(format!("{CHECKPOINT_ENV} is set but empty; checkpointing stays disabled")),
-        );
-    }
-    let (dir, interval, warning) = match v.rsplit_once(':') {
-        Some((d, suffix))
-            if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) =>
-        {
-            match suffix.parse::<usize>() {
-                Ok(n) if n >= 1 => (d, n, None),
-                _ => (
-                    d,
-                    1,
-                    Some(format!(
-                        "{CHECKPOINT_ENV} interval `{suffix}` must be a round count \
-                         of at least 1; checkpointing every round instead"
-                    )),
-                ),
+    let (dir, interval) = match v.rsplit_once(':') {
+        Some((d, suffix)) if !suffix.contains('/') => match suffix.parse::<usize>() {
+            Ok(n) if n >= 1 => (d, n),
+            _ => {
+                return Err(refuse(format!(
+                    "interval `{suffix}` is not a round count of at least 1 \
+                     (expected DIR or DIR:N)"
+                )))
             }
-        }
-        Some((d, suffix)) if !suffix.contains('/') => (
-            d,
-            1,
-            Some(format!(
-                "{CHECKPOINT_ENV} interval `{suffix}` is not a number; \
-                 checkpointing every round instead"
-            )),
-        ),
-        _ => (v, 1, None),
+        },
+        _ => (v, 1),
     };
     if dir.is_empty() {
-        return (
-            None,
-            Some(format!(
-                "{CHECKPOINT_ENV} names an empty directory; checkpointing stays disabled"
-            )),
-        );
+        return Err(refuse(format!("`{value}` names no directory (expected DIR or DIR:N)")));
     }
-    (
-        Some(CheckpointConfig { dir: PathBuf::from(dir), interval, halt_after: None }),
-        warning,
-    )
+    Ok(CheckpointConfig { dir: PathBuf::from(dir), interval, halt_after: None })
 }
 
 /// The round loop's underivable state, frozen after a completed round.
@@ -851,35 +828,31 @@ mod tests {
 
     #[test]
     fn env_value_parsing_covers_valid_and_invalid_forms() {
-        let (c, w) = checkpoint_from_env_value("/tmp/ck");
-        assert_eq!(c.as_ref().map(|c| c.interval), Some(1));
-        assert!(w.is_none());
-        let (c, w) = checkpoint_from_env_value("/tmp/ck:5");
-        assert_eq!(c.as_ref().map(|c| c.interval), Some(5));
-        assert_eq!(c.unwrap().dir, PathBuf::from("/tmp/ck"));
-        assert!(w.is_none());
-        // Empty and whitespace-only values disable with a warning.
-        for empty in ["", "   "] {
-            let (c, w) = checkpoint_from_env_value(empty);
-            assert!(c.is_none());
-            assert!(w.unwrap().contains("empty"));
-        }
-        // A zero or non-numeric interval warns and falls back to 1.
-        let (c, w) = checkpoint_from_env_value("/tmp/ck:0");
-        assert_eq!(c.unwrap().interval, 1);
-        assert!(w.unwrap().contains("at least 1"));
-        let (c, w) = checkpoint_from_env_value("/tmp/ck:fast");
-        let c = c.unwrap();
+        let c = checkpoint_from_env_value("/tmp/ck").unwrap();
         assert_eq!((c.dir, c.interval), (PathBuf::from("/tmp/ck"), 1));
-        assert!(w.unwrap().contains("not a number"));
+        let c = checkpoint_from_env_value("/tmp/ck:5").unwrap();
+        assert_eq!((c.dir, c.interval), (PathBuf::from("/tmp/ck"), 5));
         // A colon inside the path is not an interval separator.
-        let (c, w) = checkpoint_from_env_value("/data/a:b/ck");
-        assert_eq!(c.unwrap().dir, PathBuf::from("/data/a:b/ck"));
-        assert!(w.is_none());
-        // An interval with an empty directory cannot enable anything.
-        let (c, w) = checkpoint_from_env_value(":3");
-        assert!(c.is_none());
-        assert!(w.unwrap().contains("empty directory"));
+        let c = checkpoint_from_env_value("/data/a:b/ck").unwrap();
+        assert_eq!((c.dir, c.interval), (PathBuf::from("/data/a:b/ck"), 1));
+        // Every other form is refused by the variable's name: an empty
+        // value, a zero or non-numeric interval, an empty directory.
+        for (bad, says) in [
+            ("", "names no directory"),
+            ("   ", "names no directory"),
+            ("/tmp/ck:0", "interval `0`"),
+            ("/tmp/ck:fast", "interval `fast`"),
+            ("/tmp/ck:", "interval ``"),
+            (":3", "names no directory"),
+        ] {
+            match checkpoint_from_env_value(bad) {
+                Err(FlError::InvalidConfig { field, reason }) => {
+                    assert_eq!(field, CHECKPOINT_ENV, "{bad:?}");
+                    assert!(reason.contains(says), "{bad:?}: {reason}");
+                }
+                other => panic!("{bad:?} was not refused: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -89,8 +89,8 @@ impl<'a> DeviceSet<'a> {
 
     /// Whether device ids are implicit backing positions (`DeviceId(q)`
     /// at position `q`): true for fleets and for any masked set (the
-    /// mask contract requires it). Index-maintaining selectors use this
-    /// to skip per-round universe rescans.
+    /// mask contract requires it). The indexed Alg. 2 selector serves
+    /// only such sets: it ranks the universe once, by position.
     pub fn has_implicit_ids(&self) -> bool {
         matches!(self.backing, Backing::Fleet(_)) || self.mask.is_some()
     }
@@ -110,9 +110,8 @@ impl<'a> DeviceSet<'a> {
         }
     }
 
-    /// Streams every device in the backing, ignoring the mask — the
-    /// rebuild path for index-maintaining selectors that track dead
-    /// devices too.
+    /// Streams every device in the backing, ignoring the mask — what
+    /// the indexed Alg. 2 selector ranks once, dead devices included.
     pub fn iter_universe(&self) -> impl Iterator<Item = Device> + 'a {
         match self.backing {
             Backing::Slice(devices) => Either::A(devices.iter().copied()),

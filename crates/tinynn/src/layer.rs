@@ -46,23 +46,6 @@ impl Dense {
         Ok(Self { weights: init.sample(fan_in, fan_out, rng)?, bias: vec![0.0; fan_out] })
     }
 
-    /// Creates a layer from explicit parameters (tests / golden setups).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `bias.len()` differs from
-    /// the weights' column count.
-    pub fn from_parts(weights: Matrix, bias: Vec<f32>) -> Result<Self> {
-        if bias.len() != weights.cols() {
-            return Err(NnError::ShapeMismatch {
-                left: weights.shape(),
-                right: (1, bias.len()),
-                op: "Dense::from_parts",
-            });
-        }
-        Ok(Self { weights, bias })
-    }
-
     /// Input width.
     #[inline]
     pub fn fan_in(&self) -> usize {
@@ -209,8 +192,8 @@ mod tests {
     use super::*;
 
     fn layer() -> Dense {
-        let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[1.0, 1.0]]).unwrap();
-        Dense::from_parts(w, vec![0.5, -0.5]).unwrap()
+        let weights = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[1.0, 1.0]]).unwrap();
+        Dense { weights, bias: vec![0.5, -0.5] }
     }
 
     #[test]
@@ -284,11 +267,5 @@ mod tests {
         assert_eq!(consumed, flat.len());
         assert_eq!(&l2, &l);
         assert!(l2.read_parameters(&flat[..5]).is_err());
-    }
-
-    #[test]
-    fn from_parts_validates_bias_length() {
-        let w = Matrix::zeros(2, 2).unwrap();
-        assert!(Dense::from_parts(w, vec![0.0; 3]).is_err());
     }
 }

@@ -30,16 +30,6 @@ impl Gradients {
     pub fn layers(&self) -> &[DenseGrad] {
         &self.layers
     }
-
-    /// L2 norm of the full gradient (diagnostics / tests).
-    pub fn norm(&self) -> f32 {
-        let mut acc = 0.0f32;
-        for g in &self.layers {
-            acc += g.weights.as_slice().iter().map(|v| v * v).sum::<f32>();
-            acc += g.bias.iter().map(|v| v * v).sum::<f32>();
-        }
-        acc.sqrt()
-    }
 }
 
 /// Reusable forward/backward workspace for one [`Mlp`] shape.
@@ -541,14 +531,5 @@ mod tests {
         assert!(m.gradients_into(&x, &y, &mut scratch).is_err());
         assert!(m.train_step_with(&x, &y, 0.1, &mut scratch).is_err());
         assert!(m.forward_with(&x, &mut scratch).is_err());
-    }
-
-    #[test]
-    fn gradient_norm_is_positive_for_unfit_model() {
-        let (x, y) = toy_batch();
-        let m = Mlp::new(&[2, 4, 2], 3).unwrap();
-        let mut scratch = TrainScratch::for_model(&m).unwrap();
-        m.gradients_into(&x, &y, &mut scratch).unwrap();
-        assert!(scratch.gradients().norm() > 0.0);
     }
 }

@@ -233,7 +233,7 @@ pub(crate) fn argmax_row(row: &[f32]) -> usize {
 /// use tinynn::tensor::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])?;
 /// let mut c = Matrix::zeros(1, 1)?; // resized by the kernel
 /// a.matmul_into(&b, &mut c)?;
 /// assert_eq!(c, a);
@@ -303,20 +303,6 @@ impl Matrix {
             data.extend_from_slice(row);
         }
         Ok(Self { rows: r, cols: c, data })
-    }
-
-    /// The `n × n` identity matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn identity(n: usize) -> Self {
-        assert!(n > 0, "identity size must be non-zero");
-        let mut m = Self::zeros(n, n).expect("n > 0");
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Number of rows.
@@ -577,14 +563,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// Column sums as a vector of length `cols` (bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
-        self.col_sums_into(&mut sums);
-        sums
-    }
-
-    /// Column sums written into a caller-owned vector (cleared and
+    /// Column sums (bias gradients) written into a caller-owned vector (cleared and
     /// resized as needed; zero allocation at steady state).
     pub fn col_sums_into(&self, out: &mut Vec<f32>) {
         out.clear();
@@ -640,22 +619,10 @@ impl Matrix {
         Ok(())
     }
 
-    /// Multiplies every element in place.
-    pub fn scale(&mut self, factor: f32) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
-    }
-
     /// Index of the maximum element in each row (ties → first; a NaN
     /// is never picked unless it sits at index 0, where it stays).
     pub fn argmax_rows(&self) -> Vec<usize> {
         self.data.chunks_exact(self.cols).map(argmax_row).collect()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -752,16 +719,11 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_matmul_neutral() {
-        let (a, _) = abc();
-        let i = Matrix::identity(3);
-        assert_eq!(product(|out| a.matmul_into(&i, out)).unwrap(), a);
-    }
-
-    #[test]
-    fn col_sums_add_each_column() {
+    fn col_sums_into_adds_each_column() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 2.0], &[1.0, 2.0]]).unwrap();
-        assert_eq!(m.col_sums(), vec![3.0, 6.0]);
+        let mut sums = vec![9.0; 5];
+        m.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![3.0, 6.0]);
     }
 
     #[test]
@@ -773,16 +735,6 @@ mod tests {
         assert_eq!(acc, a);
         let wrong = Matrix::zeros(3, 3).unwrap();
         assert!(acc.add_scaled(&wrong, 1.0).is_err());
-    }
-
-    #[test]
-    fn scale_multiplies_all_elements() {
-        let (a, _) = abc();
-        let mut m = a.clone();
-        m.scale(0.5);
-        for (x, y) in m.as_slice().iter().zip(a.as_slice()) {
-            assert_eq!(*x, y * 0.5);
-        }
     }
 
     #[test]
@@ -846,12 +798,6 @@ mod tests {
         assert_eq!(s.row(0), a.row(1));
         assert_eq!(s.row(1), a.row(0));
         assert!(a.select_rows(&[]).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_matches_definition() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 
     #[test]
