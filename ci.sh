@@ -36,7 +36,7 @@ echo "==> benchmark smoke test: bench_suite checks and pinned histories"
 # reports at BENCHMARK.json's bounds, and results/BENCH_suite_smoke.json
 # is the per-metric median of 12 --smoke runs on the 2-vCPU host, but
 # a single smoke run failed that gate in 10 of 36 runs of an unchanged
-# tree (ROADMAP item 6), so the step stays out until it is reliable.
+# tree (ROADMAP item 4), so the step stays out until it is reliable.
 cargo test --release --offline --manifest-path bench_suite/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"

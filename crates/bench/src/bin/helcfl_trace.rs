@@ -51,8 +51,7 @@ use std::time::Duration;
 
 use helcfl_bench::gate::gate;
 use helcfl_telemetry::analyze::{
-    check_coverage, folded_stacks, mad_flags, phase_breakdown, prune_orphan_spans,
-    round_series, SpanTree, Trace,
+    check_coverage, folded_stacks, mad_flags, phase_breakdown, round_series, SpanTree, Trace,
 };
 use helcfl_telemetry::audit::{audit, AuditConfig};
 use helcfl_telemetry::diff::{diff_traces, DiffConfig};
@@ -241,8 +240,7 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     loop {
         // The file may not exist yet (watch started before the run).
         let text = std::fs::read_to_string(path).unwrap_or_default();
-        let (mut trace, mut pending) = Trace::parse_prefix(&text);
-        pending += prune_orphan_spans(&mut trace);
+        let (trace, pending) = Trace::parse_prefix(&text);
         let finished = trace.metrics.is_some();
         // Announce provenance as soon as the runner stamps it, so a
         // watcher knows *which* run it is tailing.

@@ -62,9 +62,6 @@ pub struct TrainingConfig {
     /// Evaluate the global model every `eval_every` rounds (1 = every
     /// round, as in Fig. 2).
     pub eval_every: usize,
-    /// Cap test-set evaluation at this many strided samples
-    /// (0 = use the full test set).
-    pub eval_subsample: usize,
     /// Optional wall-clock training deadline (constraint Eq. 14).
     pub deadline: Option<Seconds>,
     /// Optional per-device battery budget (paper §I: constrained
@@ -121,7 +118,6 @@ impl Default for TrainingConfig {
             batch_size: 0,
             threads: 0,
             eval_every: 1,
-            eval_subsample: 0,
             deadline: None,
             battery_capacity: None,
             convergence: None,
@@ -303,12 +299,7 @@ impl FederatedSetup {
             device.set_num_samples(indices.len()).map_err(FlError::from)?;
         }
         let clients = build_clients(task.train(), partition.assignments())?;
-        let eval_set = if config.eval_subsample > 0 {
-            task.test().strided_subsample(config.eval_subsample)?
-        } else {
-            task.test().clone()
-        };
-        Ok(Self { population, clients, eval_set })
+        Ok(Self { population, clients, eval_set: task.test().clone() })
     }
 
     /// The device population with installed shard sizes.
@@ -366,7 +357,7 @@ pub fn run_federated(
 ///   explicitly supported comparison.
 fn config_fingerprint(config: &TrainingConfig) -> String {
     let canonical = format!(
-        "{}|{}|{:?}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        "{}|{}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
         config.max_rounds,
         config.fraction,
         config.payload,
@@ -374,7 +365,6 @@ fn config_fingerprint(config: &TrainingConfig) -> String {
         config.local_epochs,
         config.batch_size,
         config.eval_every,
-        config.eval_subsample,
         config.deadline,
         config.battery_capacity,
         config.convergence,

@@ -5,6 +5,8 @@
 //! from one master seed, so changing e.g. the selector's draw count
 //! never perturbs the dataset.
 
+use detrand::splitmix64;
+
 /// Named sub-streams of the master seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeedDomain {
@@ -54,7 +56,7 @@ impl SeedDomain {
     }
 }
 
-/// Derives a sub-seed for `domain` from `master` using splitmix64
+/// Derives a sub-seed for `domain` from `master` using [`splitmix64`]
 /// finalization — cheap, stateless, and avalanche-complete.
 ///
 /// # Examples
@@ -69,13 +71,6 @@ impl SeedDomain {
 /// ```
 pub fn derive(master: u64, domain: SeedDomain) -> u64 {
     splitmix64(master ^ splitmix64(domain.tag()))
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

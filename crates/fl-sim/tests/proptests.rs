@@ -71,24 +71,6 @@ fn shard_partition_is_exact_cover_with_label_bound() {
     }
 }
 
-/// Dirichlet partitions exactly cover the sample set and leave no
-/// user empty.
-#[test]
-fn dirichlet_partition_is_exact_cover_nonempty() {
-    let mut rng = Rng::seed_from_u64(0xf1a0_0003);
-    for case in 0..CASES {
-        let users = rng.range_usize(1, 15);
-        let classes = rng.range_usize(2, 6);
-        let alpha = rng.uniform(0.05, 5.0);
-        let seed = rng.next_u64();
-        let n = users * 40;
-        let labels: Vec<usize> = (0..n).map(|i| i % classes).collect();
-        let p = Partition::dirichlet(&labels, users, classes, alpha, seed).unwrap();
-        assert_exact_cover(&p, n, case);
-        assert!(p.sizes().iter().all(|&s| s > 0), "case {case}: empty user");
-    }
-}
-
 /// FedAvg output stays inside the per-coordinate convex hull of the
 /// updates (it is a convex combination).
 #[test]

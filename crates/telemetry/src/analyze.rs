@@ -12,11 +12,12 @@
 //! live [`crate::Telemetry`] handle, so it cannot perturb the
 //! determinism guarantees of a traced run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::json::{parse, JsonObject, JsonValue};
 use crate::manifest::RunManifest;
+use crate::metrics::MetricsRegistry;
 
 /// One completed span read back from a JSONL trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,10 +53,9 @@ impl TraceSpan {
         self.attr(key).and_then(JsonValue::as_f64)
     }
 
-    /// Integer attribute (non-negative whole number).
+    /// Integer attribute (see [`JsonValue::as_u64`]).
     pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        let v = self.attr_f64(key)?;
-        (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
+        self.attr(key).and_then(JsonValue::as_u64)
     }
 
     /// String attribute, if present and a string.
@@ -66,6 +66,29 @@ impl TraceSpan {
     /// Boolean attribute, if present and a boolean.
     pub fn attr_bool(&self, key: &str) -> Option<bool> {
         self.attr(key).and_then(JsonValue::as_bool)
+    }
+
+    /// The `require_*` readers are the `attr_*` ones with an error
+    /// naming this span and the quoted key in place of `None`: the
+    /// auditor's reading of an attribute the trace schema requires.
+    pub(crate) fn require_f64(&self, key: &str) -> Result<f64, String> {
+        self.attr_f64(key).ok_or_else(|| self.lacks("numeric", key))
+    }
+
+    pub(crate) fn require_u64(&self, key: &str) -> Result<u64, String> {
+        self.attr_u64(key).ok_or_else(|| self.lacks("count", key))
+    }
+
+    pub(crate) fn require_str(&self, key: &str) -> Result<&str, String> {
+        self.attr_str(key).ok_or_else(|| self.lacks("string", key))
+    }
+
+    pub(crate) fn require_bool(&self, key: &str) -> Result<bool, String> {
+        self.attr_bool(key).ok_or_else(|| self.lacks("boolean", key))
+    }
+
+    fn lacks(&self, what: &str, key: &str) -> String {
+        format!("{} span {} lacks {what} attr {key:?}", self.name, self.id)
     }
 }
 
@@ -92,10 +115,11 @@ pub struct Trace {
     pub spans: Vec<TraceSpan>,
     /// All point events, in file order.
     pub events: Vec<TracePoint>,
-    /// The end-of-run metrics object (`{"type":"metrics",...}`), when
-    /// present. When a file holds several (one per `finish()` call),
-    /// the last one wins — it is the most complete snapshot.
-    pub metrics: Option<JsonValue>,
+    /// The end-of-run metrics line (`{"type":"metrics",...}`), decoded
+    /// by [`MetricsRegistry::from_json`], when present. When a file
+    /// holds several (one per `finish()` call), the last one wins — it
+    /// is the most complete snapshot.
+    pub metrics: Option<MetricsRegistry>,
     /// Lines of other tolerated types (e.g. `"round"` records appended
     /// by `TrainingHistory::to_jsonl`).
     pub other_lines: usize,
@@ -103,11 +127,6 @@ pub struct Trace {
     /// multi-run file (e.g. `reproduce` tracing its whole run set into
     /// one file) holds several.
     pub manifests: Vec<RunManifest>,
-}
-
-fn field_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    let f = v.get(key)?.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
 }
 
 fn attrs_of(v: &JsonValue) -> Vec<(String, JsonValue)> {
@@ -123,74 +142,11 @@ impl Trace {
     /// # Errors
     ///
     /// Returns a message naming the offending line on malformed JSON,
-    /// an unknown `type`, a missing required field, or a duplicate
-    /// span id.
+    /// an unknown `type`, a missing or malformed required field (a
+    /// metrics-line entry names the metric and the field), or a
+    /// duplicate span id.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut trace = Trace::default();
-        let mut seen_ids = std::collections::HashSet::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let lineno = lineno + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value =
-                parse(line).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-            let kind = value
-                .get("type")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {lineno}: missing \"type\""))?;
-            match kind {
-                "span" => {
-                    let name = value
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("line {lineno}: span without name"))?
-                        .to_string();
-                    let id = field_u64(&value, "id")
-                        .ok_or_else(|| format!("line {lineno}: span without id"))?;
-                    let t_us = field_u64(&value, "t_us")
-                        .ok_or_else(|| format!("line {lineno}: span without t_us"))?;
-                    let dur_us = field_u64(&value, "dur_us")
-                        .ok_or_else(|| format!("line {lineno}: span without dur_us"))?;
-                    if !seen_ids.insert(id) {
-                        return Err(format!("line {lineno}: duplicate span id {id}"));
-                    }
-                    trace.spans.push(TraceSpan {
-                        id,
-                        name,
-                        parent: field_u64(&value, "parent"),
-                        t_us,
-                        dur_us,
-                        attrs: attrs_of(&value),
-                    });
-                }
-                "event" => {
-                    let name = value
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("line {lineno}: event without name"))?
-                        .to_string();
-                    let t_us = field_u64(&value, "t_us")
-                        .ok_or_else(|| format!("line {lineno}: event without t_us"))?;
-                    trace.events.push(TracePoint { name, t_us, attrs: attrs_of(&value) });
-                }
-                "metrics" => {
-                    trace.metrics = value.get("metrics").cloned();
-                }
-                "run_manifest" => {
-                    let m = RunManifest::from_json(&value)
-                        .map_err(|e| format!("line {lineno}: {e}"))?;
-                    trace.manifests.push(m);
-                }
-                // "round" lines come from TrainingHistory::to_jsonl()
-                // when a history is appended to a trace stream.
-                "round" => trace.other_lines += 1,
-                other => {
-                    return Err(format!("line {lineno}: unknown type {other:?}"));
-                }
-            }
-        }
-        Ok(trace)
+        Self::ingest(text, Err)
     }
 
     /// Reads and parses a trace file from disk.
@@ -206,65 +162,101 @@ impl Trace {
     }
 
     /// Lenient parse for a trace that is *still being written* (the
-    /// `helcfl-trace watch` path): malformed lines — typically one
-    /// partially-flushed tail line — and duplicate span ids are skipped
-    /// instead of failing, and spans whose parent has not landed yet
-    /// are pruned so [`SpanTree::build`] always succeeds on the result.
+    /// `helcfl-trace watch` path): lines [`Trace::parse`] would refuse
+    /// — typically one partially-flushed tail line — and duplicate span
+    /// ids are skipped instead of failing, and spans whose parent has
+    /// not landed yet are pruned so [`SpanTree::build`] always succeeds
+    /// on the result.
     ///
     /// Returns the parseable prefix plus the number of lines and spans
     /// dropped. A fully-written trace drops nothing and round-trips
     /// identically to [`Trace::parse`].
     pub fn parse_prefix(text: &str) -> (Self, usize) {
-        let mut trace = Trace::default();
         let mut dropped = 0usize;
-        let mut seen = std::collections::HashSet::new();
-        for line in text.lines() {
+        let mut trace = Self::ingest(text, |_| {
+            dropped += 1;
+            Ok(())
+        })
+        .expect("the lenient ingest skips every refused line");
+        dropped += prune_orphan_spans(&mut trace);
+        (trace, dropped)
+    }
+
+    /// The one line loop behind [`Self::parse`] and
+    /// [`Self::parse_prefix`]: each non-blank line is decoded once;
+    /// a refused line's message goes to `refused`, whose error stops
+    /// the ingest.
+    fn ingest(
+        text: &str,
+        mut refused: impl FnMut(String) -> Result<(), String>,
+    ) -> Result<Self, String> {
+        let mut trace = Trace::default();
+        let mut seen_ids = HashSet::new();
+        for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            // Every JSONL line is standalone, so the strict parser
-            // doubles as a per-line validator.
-            match Trace::parse(line) {
-                Ok(mut one) => {
-                    if let Some(span) = one.spans.pop() {
-                        if seen.insert(span.id) {
-                            trace.spans.push(span);
-                        } else {
-                            dropped += 1;
-                        }
-                    }
-                    trace.events.append(&mut one.events);
-                    if one.metrics.is_some() {
-                        trace.metrics = one.metrics;
-                    }
-                    trace.other_lines += one.other_lines;
-                    trace.manifests.append(&mut one.manifests);
-                }
-                Err(_) => dropped += 1,
+            if let Err(e) = trace.ingest_line(line, &mut seen_ids) {
+                refused(format!("line {}: {e}", lineno + 1))?;
             }
         }
-        dropped += prune_orphan_spans(&mut trace);
-        (trace, dropped)
+        Ok(trace)
+    }
+
+    /// Decodes one line into the trace. On error nothing is added and
+    /// the message names what is missing or malformed.
+    fn ingest_line(&mut self, line: &str, seen_ids: &mut HashSet<u64>) -> Result<(), String> {
+        let value = parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        let kind = value.get("type").and_then(JsonValue::as_str).ok_or("missing \"type\"")?;
+        let name = || {
+            value
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("{kind} without name"))
+        };
+        let count = |key: &str| {
+            value
+                .get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("{kind} without {key}"))
+        };
+        match kind {
+            "span" => {
+                let span = TraceSpan {
+                    name: name()?,
+                    id: count("id")?,
+                    t_us: count("t_us")?,
+                    dur_us: count("dur_us")?,
+                    parent: value.get("parent").and_then(JsonValue::as_u64),
+                    attrs: attrs_of(&value),
+                };
+                if !seen_ids.insert(span.id) {
+                    return Err(format!("duplicate span id {}", span.id));
+                }
+                self.spans.push(span);
+            }
+            "event" => {
+                let point =
+                    TracePoint { name: name()?, t_us: count("t_us")?, attrs: attrs_of(&value) };
+                self.events.push(point);
+            }
+            "metrics" => {
+                let metrics = value.get("metrics").ok_or("metrics line without metrics")?;
+                self.metrics = Some(MetricsRegistry::from_json(metrics)?);
+            }
+            "run_manifest" => self.manifests.push(RunManifest::from_json(&value)?),
+            // "round" lines come from TrainingHistory::to_jsonl()
+            // when a history is appended to a trace stream.
+            "round" => self.other_lines += 1,
+            other => return Err(format!("unknown type {other:?}")),
+        }
+        Ok(())
     }
 
     /// Looks up a span by id.
     pub fn span(&self, id: u64) -> Option<&TraceSpan> {
         self.spans.iter().find(|s| s.id == id)
-    }
-
-    /// A named metric entry from the metrics line, if present:
-    /// returns the `{"kind":..,"class":..,"value":..}` object.
-    pub fn metric(&self, name: &str) -> Option<&JsonValue> {
-        self.metrics.as_ref()?.get(name)
-    }
-
-    /// Counter value from the metrics line (None when absent or not a
-    /// counter).
-    pub fn metric_counter(&self, name: &str) -> Option<u64> {
-        let m = self.metric(name)?;
-        (m.get("kind")?.as_str()? == "counter")
-            .then(|| field_u64(m, "value"))
-            .flatten()
     }
 }
 
@@ -273,11 +265,10 @@ impl Trace {
 /// parents, so a file snapshot taken mid-round holds spans whose
 /// enclosing `round` has not been emitted yet. Returns how many spans
 /// were pruned.
-pub fn prune_orphan_spans(trace: &mut Trace) -> usize {
+fn prune_orphan_spans(trace: &mut Trace) -> usize {
     let mut removed = 0;
     loop {
-        let ids: std::collections::HashSet<u64> =
-            trace.spans.iter().map(|s| s.id).collect();
+        let ids: HashSet<u64> = trace.spans.iter().map(|s| s.id).collect();
         let before = trace.spans.len();
         trace.spans.retain(|s| s.parent.is_none_or(|p| ids.contains(&p)));
         removed += before - trace.spans.len();
@@ -309,8 +300,7 @@ impl<'a> SpanTree<'a> {
     /// Returns a message if any span references a parent id that does
     /// not occur in the trace.
     pub fn build(trace: &'a Trace) -> Result<Self, String> {
-        let ids: std::collections::HashSet<u64> =
-            trace.spans.iter().map(|s| s.id).collect();
+        let ids: HashSet<u64> = trace.spans.iter().map(|s| s.id).collect();
         let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         let mut roots = Vec::new();
         for (i, span) in trace.spans.iter().enumerate() {
@@ -480,9 +470,7 @@ pub fn phase_breakdown(trace: &Trace, tree: &SpanTree<'_>) -> PhaseBreakdown {
         if longest.is_none_or(|(d, _)| span.dur_us > d) {
             longest = Some((span.dur_us, span.id));
         }
-        let mut child_sum = 0u64;
         for child in tree.children(span.id) {
-            child_sum += child.dur_us;
             let entry = stats.entry(child.name.clone()).or_insert_with(|| PhaseStat {
                 name: child.name.clone(),
                 count: 0,
@@ -493,8 +481,7 @@ pub fn phase_breakdown(trace: &Trace, tree: &SpanTree<'_>) -> PhaseBreakdown {
             entry.total_us += child.dur_us;
             entry.max_us = entry.max_us.max(child.dur_us);
         }
-        if span.dur_us as f64 >= MIN_JUDGEABLE_US {
-            let coverage = child_sum as f64 / span.dur_us as f64;
+        if let Some(coverage) = round_coverage(span, tree) {
             if worst.is_none_or(|(w, _)| coverage < w) {
                 worst = Some((coverage, span.id));
             }
@@ -722,6 +709,18 @@ pub const WARN_BELOW: f64 = 0.95;
 /// µs-resolution child timings cannot be compared against them.
 pub const MIN_JUDGEABLE_US: f64 = 2000.0;
 
+/// The share of a round's wall-clock its direct children cover, or
+/// `None` when the round is shorter than [`MIN_JUDGEABLE_US`] and so
+/// not judged — the one coverage rule of [`check_coverage`] and
+/// [`phase_breakdown`].
+pub fn round_coverage(round: &TraceSpan, tree: &SpanTree<'_>) -> Option<f64> {
+    if (round.dur_us as f64) < MIN_JUDGEABLE_US {
+        return None;
+    }
+    let covered: u64 = tree.children(round.id).map(|c| c.dur_us).sum();
+    Some(covered as f64 / round.dur_us as f64)
+}
+
 /// Result of a passing [`check_coverage`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageReport {
@@ -790,12 +789,10 @@ pub fn check_coverage(trace: &Trace) -> Result<CoverageReport, String> {
             continue;
         }
         report.rounds += 1;
-        if (span.dur_us as f64) < MIN_JUDGEABLE_US {
+        let Some(coverage) = round_coverage(span, &tree) else {
             continue;
-        }
+        };
         report.judged += 1;
-        let sum: u64 = tree.children(span.id).map(|c| c.dur_us).sum();
-        let coverage = sum as f64 / span.dur_us as f64;
         report.worst = Some(report.worst.map_or(coverage, |w: f64| w.min(coverage)));
         if coverage < FAIL_BELOW {
             return Err(format!(
@@ -824,6 +821,7 @@ pub fn check_coverage(trace: &Trace) -> Result<CoverageReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
 
     fn span_line(id: u64, name: &str, parent: Option<u64>, t: u64, dur: u64) -> String {
         let parent = parent.map_or("null".to_string(), |p| p.to_string());
@@ -846,8 +844,25 @@ mod tests {
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.events.len(), 1);
         assert_eq!(trace.other_lines, 1);
-        assert_eq!(trace.metric_counter("round.completed"), Some(1));
+        let metrics = trace.metrics.as_ref().unwrap();
+        assert_eq!(metrics.get("round.completed"), Some(&Metric::Counter(1)));
         assert_eq!(trace.span(2).unwrap().name, "round");
+    }
+
+    #[test]
+    fn parse_refuses_a_malformed_metrics_entry_by_line_metric_and_field() {
+        let text = [
+            span_line(2, "round", None, 9, 100),
+            r#"{"type":"metrics","metrics":{"round.completed":{"kind":"counter","class":"sim"}}}"#
+                .to_string(),
+        ]
+        .join("\n");
+        let err = Trace::parse(&text).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        assert!(err.contains(r#"metric "round.completed": field "value""#), "{err}");
+        // The lenient reader drops the line instead.
+        let (trace, dropped) = Trace::parse_prefix(&text);
+        assert_eq!((trace.metrics, dropped), (None, 1));
     }
 
     #[test]

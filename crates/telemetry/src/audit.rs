@@ -42,8 +42,7 @@
 use std::fmt;
 
 use crate::analyze::{SpanTree, Trace, TraceSpan};
-use crate::json::JsonValue;
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, Metric};
 
 /// Tolerances for the floating-point comparisons.
 ///
@@ -208,35 +207,24 @@ struct Activity {
 
 impl Activity {
     fn decode(span: &TraceSpan) -> Result<Self, String> {
-        let need = |key: &str| {
-            span.attr_f64(key).ok_or_else(|| {
-                format!(
-                    "device_activity span {} lacks numeric attr {key:?}",
-                    span.id
-                )
-            })
-        };
-        let lacks = |key: &str| format!("device_activity span {} lacks attr {key:?}", span.id);
-        let need_bool = |key: &str| span.attr_bool(key).ok_or_else(|| lacks(key));
-        let need_count = |key: &str| span.attr_u64(key).ok_or_else(|| lacks(key));
         Ok(Self {
             device: span.attr_str("device").unwrap_or("?").to_string(),
-            device_id: need_count("device_id")?,
-            f: need("f_hz")?,
-            f_planned: need("f_planned_hz")?,
-            f_max: need("f_max_hz")?,
-            compute_finish: need("compute_finish_s")?,
-            planned_compute_finish: need("planned_compute_finish_s")?,
-            planned_upload: need("planned_upload_s")?,
-            upload_start: need("upload_start_s")?,
-            upload_end: need("upload_end_s")?,
-            compute_energy: need("compute_energy_j")?,
-            compute_energy_at_max: need("compute_energy_at_max_j")?,
-            upload_energy: need("upload_energy_j")?,
-            wasted_energy: need("wasted_energy_j")?,
-            uploaded: need_bool("uploaded")?,
-            delivered: need_bool("delivered")?,
-            retries: need_count("retries")?,
+            device_id: span.require_u64("device_id")?,
+            f: span.require_f64("f_hz")?,
+            f_planned: span.require_f64("f_planned_hz")?,
+            f_max: span.require_f64("f_max_hz")?,
+            compute_finish: span.require_f64("compute_finish_s")?,
+            planned_compute_finish: span.require_f64("planned_compute_finish_s")?,
+            planned_upload: span.require_f64("planned_upload_s")?,
+            upload_start: span.require_f64("upload_start_s")?,
+            upload_end: span.require_f64("upload_end_s")?,
+            compute_energy: span.require_f64("compute_energy_j")?,
+            compute_energy_at_max: span.require_f64("compute_energy_at_max_j")?,
+            upload_energy: span.require_f64("upload_energy_j")?,
+            wasted_energy: span.require_f64("wasted_energy_j")?,
+            uploaded: span.require_bool("uploaded")?,
+            delivered: span.require_bool("delivered")?,
+            retries: span.require_u64("retries")?,
             fault: span.attr_str("fault").map(str::to_string),
         })
     }
@@ -253,62 +241,116 @@ impl Activity {
     }
 }
 
-/// The cohort aggregates of a digest-mode round, decoded from a
-/// `cohort_digest` span (see `FaultedRound::trace_digest_into` in
-/// `mec-sim`).
-struct Digest {
+/// Device counts of one round's cohort, or summed over a trace.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
     devices: u64,
-    exemplars: u64,
     uploads: u64,
     delivered: u64,
-    faults_fired: u64,
-    energy_sum: f64,
+    faults: u64,
+}
+
+impl Counts {
+    fn add(&mut self, other: Counts) {
+        self.devices += other.devices;
+        self.uploads += other.uploads;
+        self.delivered += other.delivered;
+        self.faults += other.faults;
+    }
+}
+
+/// The timeline attributes each round's [`Cohort::sums`] reconcile
+/// with, in order.
+const TIMELINE_SUMS: [&str; 4] =
+    ["energy_j", "compute_energy_j", "wasted_energy_j", "slack_total_s"];
+
+/// What a round shows about its whole cohort: the aggregates of its
+/// `cohort_digest` span on a digest round, the sums over its
+/// `device_activity` spans otherwise. The fault tally, the stream
+/// totals, the natural makespan, the timeline sums and the
+/// selected/delivered counts all read this one value.
+#[derive(Debug, Clone, Copy)]
+struct Cohort {
+    counts: Counts,
+    /// The last channel release, before the deadline clamp.
+    release_max: f64,
+    /// Energy, compute energy, wasted energy and slack totals, in
+    /// [`TIMELINE_SUMS`] order. Slack only accrues for devices that
+    /// reached the channel.
+    sums: [f64; 4],
+}
+
+impl Cohort {
+    fn of_devices(activities: &[(u64, Activity)]) -> Self {
+        let count = |keep: fn(&Activity) -> bool| {
+            activities.iter().filter(|(_, a)| keep(a)).count() as u64
+        };
+        Self {
+            counts: Counts {
+                devices: activities.len() as u64,
+                uploads: count(|a| a.uploaded),
+                delivered: count(|a| a.delivered),
+                faults: count(|a| a.fault.is_some()),
+            },
+            release_max: activities
+                .iter()
+                .map(|(_, a)| a.release())
+                .fold(f64::NEG_INFINITY, f64::max),
+            sums: [
+                activities.iter().map(|(_, a)| a.compute_energy + a.upload_energy).sum(),
+                activities.iter().map(|(_, a)| a.compute_energy).sum(),
+                activities.iter().map(|(_, a)| a.wasted_energy).sum(),
+                activities
+                    .iter()
+                    .filter(|(_, a)| a.uploaded)
+                    .map(|(_, a)| a.upload_start - a.compute_finish)
+                    .sum(),
+            ],
+        }
+    }
+}
+
+/// A digest-mode round's `cohort_digest` span (see
+/// `FaultedRound::trace_digest_into` in `mec-sim`): the cohort
+/// aggregates plus what bounds the exemplars.
+struct Digest {
+    span: u64,
+    cohort: Cohort,
+    exemplars: u64,
     energy_min: f64,
     energy_max: f64,
-    compute_sum: f64,
-    wasted_sum: f64,
-    slack_sum: f64,
     slack_min: f64,
     slack_max: f64,
-    release_max: f64,
     energy_hist: String,
     slack_hist: String,
 }
 
 impl Digest {
     fn decode(span: &TraceSpan) -> Result<Self, String> {
-        let need = |key: &str| {
-            span.attr_f64(key).ok_or_else(|| {
-                format!("cohort_digest span {} lacks numeric attr {key:?}", span.id)
-            })
-        };
-        let need_count = |key: &str| {
-            span.attr_u64(key).ok_or_else(|| {
-                format!("cohort_digest span {} lacks count attr {key:?}", span.id)
-            })
-        };
-        let need_str = |key: &str| {
-            span.attr_str(key).map(str::to_string).ok_or_else(|| {
-                format!("cohort_digest span {} lacks string attr {key:?}", span.id)
-            })
-        };
         Ok(Self {
-            devices: need_count("devices")?,
-            exemplars: need_count("exemplars")?,
-            uploads: need_count("uploads")?,
-            delivered: need_count("delivered")?,
-            faults_fired: need_count("faults_fired")?,
-            energy_sum: need("energy_sum_j")?,
-            energy_min: need("energy_min_j")?,
-            energy_max: need("energy_max_j")?,
-            compute_sum: need("compute_energy_sum_j")?,
-            wasted_sum: need("wasted_energy_sum_j")?,
-            slack_sum: need("slack_sum_s")?,
-            slack_min: need("slack_min_s")?,
-            slack_max: need("slack_max_s")?,
-            release_max: need("release_max_s")?,
-            energy_hist: need_str("energy_hist")?,
-            slack_hist: need_str("slack_hist")?,
+            span: span.id,
+            cohort: Cohort {
+                counts: Counts {
+                    devices: span.require_u64("devices")?,
+                    uploads: span.require_u64("uploads")?,
+                    delivered: span.require_u64("delivered")?,
+                    faults: span.require_u64("faults_fired")?,
+                },
+                release_max: span.require_f64("release_max_s")?,
+                sums: [
+                    span.require_f64("energy_sum_j")?,
+                    span.require_f64("compute_energy_sum_j")?,
+                    span.require_f64("wasted_energy_sum_j")?,
+                    span.require_f64("slack_sum_s")?,
+                ],
+            },
+            exemplars: span.require_u64("exemplars")?,
+            energy_min: span.require_f64("energy_min_j")?,
+            energy_max: span.require_f64("energy_max_j")?,
+            slack_min: span.require_f64("slack_min_s")?,
+            slack_max: span.require_f64("slack_max_s")?,
+            energy_hist: span.require_str("energy_hist")?.to_string(),
+            slack_hist: span.require_str("slack_hist")?.to_string(),
         })
     }
 }
@@ -432,7 +474,7 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
             .count(),
         ..AuditReport::default()
     };
-    let mut totals = StreamTotals::default();
+    let mut totals = Counts::default();
 
     for round in trace.spans.iter().filter(|s| s.name == "round") {
         report.rounds += 1;
@@ -456,11 +498,11 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         }
         // Digest-mode rounds carry one cohort_digest child under the
         // timeline span; their activities are the sampled exemplars.
-        let mut digest: Option<(u64, Digest)> = None;
+        let mut digest: Option<Digest> = None;
         if let Some(tl) = timeline_span {
             for child in tree.children(tl.id) {
                 if child.name == "cohort_digest" {
-                    digest = Some((child.id, Digest::decode(child)?));
+                    digest = Some(Digest::decode(child)?);
                     break;
                 }
             }
@@ -480,15 +522,11 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         }
         let deadline = tl.attr_f64("deadline_s");
         let deadline_fired = tl.attr_bool("deadline_fired").unwrap_or(false);
-        let fault_flag = tl
-            .attr_bool("fault_fired")
-            .ok_or_else(|| format!("timeline span {} lacks attr \"fault_fired\"", tl.id))?;
-        let device_faults =
-            activities.iter().filter(|(_, a)| a.fault.is_some()).count();
-        let round_faults = match &digest {
-            Some((_, d)) => d.faults_fired as usize,
-            None => device_faults,
-        };
+        let fault_flag = tl.require_bool("fault_fired")?;
+        // The round's evidence: the digest when one exists, the device
+        // spans otherwise. Every cohort-wide check below reads it.
+        let cohort = digest.as_ref().map_or_else(|| Cohort::of_devices(&activities), |d| d.cohort);
+        let round_faults = cohort.counts.faults;
         let faulted = fault_flag || round_faults > 0 || deadline_fired;
         if faulted {
             report.rounds_faulted += 1;
@@ -496,22 +534,7 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
                 report.rounds_fault_exempt += 1;
             }
         }
-        match &digest {
-            Some((_, d)) => {
-                totals.devices += d.devices;
-                totals.uploads += d.uploads;
-                totals.delivered += d.delivered;
-                totals.faults += d.faults_fired;
-            }
-            None => {
-                totals.devices += activities.len() as u64;
-                totals.uploads +=
-                    activities.iter().filter(|(_, a)| a.uploaded).count() as u64;
-                totals.delivered +=
-                    activities.iter().filter(|(_, a)| a.delivered).count() as u64;
-                totals.faults += device_faults as u64;
-            }
-        }
+        totals.add(cohort.counts);
         let mut violation = |invariant, span, detail| {
             report.violations.push(Violation {
                 invariant,
@@ -536,8 +559,7 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
             );
         }
 
-        // The timeline's fault flag must match the round evidence: the
-        // digest tally when one exists, the device spans otherwise.
+        // The timeline's fault flag must match the round evidence.
         if fault_flag != (round_faults > 0 || deadline_fired) {
             violation(
                 "fault-consistency",
@@ -679,11 +701,12 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
 
         // Digest self-consistency: the aggregates must cohere with
         // each other and bound the replayed exemplars.
-        if let Some((digest_id, d)) = &digest {
+        if let Some(d) = &digest {
+            let devices = cohort.counts.devices;
             if d.exemplars != activities.len() as u64 {
                 violation(
                     "digest-consistency",
-                    Some(*digest_id),
+                    Some(d.span),
                     format!(
                         "digest claims {} exemplars but the round carries {} \
                          device_activity spans",
@@ -694,18 +717,15 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
             }
             for (what, count) in [
                 ("exemplars", d.exemplars),
-                ("uploads", d.uploads),
-                ("delivered", d.delivered),
-                ("faults_fired", d.faults_fired),
+                ("uploads", cohort.counts.uploads),
+                ("delivered", cohort.counts.delivered),
+                ("faults_fired", round_faults),
             ] {
-                if count > d.devices {
+                if count > devices {
                     violation(
                         "digest-consistency",
-                        Some(*digest_id),
-                        format!(
-                            "digest {what}={count} exceeds its device count {}",
-                            d.devices
-                        ),
+                        Some(d.span),
+                        format!("digest {what}={count} exceeds its device count {devices}"),
                     );
                 }
             }
@@ -713,18 +733,15 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
                 [("energy_hist", &d.energy_hist), ("slack_hist", &d.slack_hist)]
             {
                 match Histogram::decode_compact(encoded) {
-                    Some(h) if h.count == d.devices => {}
+                    Some(h) if h.count == devices => {}
                     Some(h) => violation(
                         "digest-consistency",
-                        Some(*digest_id),
-                        format!(
-                            "digest {key} holds {} samples for {} devices",
-                            h.count, d.devices
-                        ),
+                        Some(d.span),
+                        format!("digest {key} holds {} samples for {devices} devices", h.count),
                     ),
                     None => violation(
                         "digest-consistency",
-                        Some(*digest_id),
+                        Some(d.span),
                         format!("digest {key} is malformed: {encoded:?}"),
                     ),
                 }
@@ -792,13 +809,7 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         // channel — or at the deadline, whichever comes first. On a
         // digest round the exemplars need not include the last
         // releaser; the digest's release_max_s stands in for it.
-        let natural = match &digest {
-            Some((_, d)) => d.release_max,
-            None => activities
-                .iter()
-                .map(|(_, a)| a.release())
-                .fold(f64::NEG_INFINITY, f64::max),
-        };
+        let natural = cohort.release_max;
         let expected_makespan = deadline.map_or(natural, |t| natural.min(t));
         let actual_makespan = activities
             .iter()
@@ -882,36 +893,10 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
             }
         }
 
-        // Timeline span totals must match the per-device sums — or, on
-        // a digest round, the digest's streaming sums (the digest and
-        // the timeline attrs are computed from the same resolved
-        // schedule, so disagreement means the emission broke). Slack
-        // only accrues for devices that reached the channel.
-        let sums: [(&str, f64); 4] = match &digest {
-            Some((_, d)) => [
-                ("energy_j", d.energy_sum),
-                ("compute_energy_j", d.compute_sum),
-                ("wasted_energy_j", d.wasted_sum),
-                ("slack_total_s", d.slack_sum),
-            ],
-            None => [
-                (
-                    "energy_j",
-                    activities.iter().map(|(_, a)| a.compute_energy + a.upload_energy).sum(),
-                ),
-                ("compute_energy_j", activities.iter().map(|(_, a)| a.compute_energy).sum()),
-                ("wasted_energy_j", activities.iter().map(|(_, a)| a.wasted_energy).sum()),
-                (
-                    "slack_total_s",
-                    activities
-                        .iter()
-                        .filter(|(_, a)| a.uploaded)
-                        .map(|(_, a)| a.upload_start - a.compute_finish)
-                        .sum(),
-                ),
-            ],
-        };
-        for (key, sum) in sums {
+        // Timeline span totals must match the cohort's sums (the
+        // digest and the timeline attrs are computed from the same
+        // resolved schedule, so disagreement means the emission broke).
+        for (key, sum) in TIMELINE_SUMS.into_iter().zip(cohort.sums) {
             if let Some(total) = tl.attr_f64(key) {
                 if !cfg.close(total, sum) {
                     violation(
@@ -937,15 +922,10 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
                 );
             }
         }
-        let (selected, delivered) = match &digest {
-            Some((_, d)) => (d.devices, d.delivered),
-            None => (
-                activities.len() as u64,
-                activities.iter().filter(|(_, a)| a.delivered).count() as u64,
-            ),
-        };
         for src in std::iter::once(tl).chain(quorum_span) {
-            for (key, expect) in [("selected", selected), ("delivered", delivered)] {
+            for (key, expect) in
+                [("selected", cohort.counts.devices), ("delivered", cohort.counts.delivered)]
+            {
                 if let Some(value) = src.attr_u64(key) {
                     if value != expect {
                         violation(
@@ -975,27 +955,12 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
     Ok(report)
 }
 
-/// Per-round device accounting accumulated while auditing: digest
-/// rounds contribute their aggregate counts, full-fidelity rounds the
-/// counts of their `device_activity` spans. This is what the final
-/// metrics line must agree with — the simulator records metrics from
-/// the full round state regardless of trace mode.
-#[derive(Debug, Default)]
-struct StreamTotals {
-    devices: u64,
-    uploads: u64,
-    delivered: u64,
-    faults: u64,
-}
-
-/// Cross-checks the final metrics line against the span stream.
-fn audit_metrics(
-    trace: &Trace,
-    cfg: &AuditConfig,
-    totals: &StreamTotals,
-    report: &mut AuditReport,
-) {
-    let Some(JsonValue::Object(metrics)) = trace.metrics.as_ref() else {
+/// Cross-checks the final metrics line against the span stream; its
+/// counts come from the summed round evidence (digest rounds contribute
+/// their aggregates) — the simulator records metrics from the full
+/// round state regardless of trace mode.
+fn audit_metrics(trace: &Trace, cfg: &AuditConfig, totals: &Counts, report: &mut AuditReport) {
+    let Some(metrics) = &trace.metrics else {
         return;
     };
     let mut violation = |invariant, detail| {
@@ -1004,44 +969,24 @@ fn audit_metrics(
 
     // Histogram self-consistency: the category tallies partition the
     // total count (see Histogram::record).
-    for (name, entry) in metrics {
-        if entry.get("kind").and_then(JsonValue::as_str) != Some("histogram") {
-            continue;
-        }
-        let Some(value) = entry.get("value") else { continue };
+    for (name, _, metric) in metrics.iter() {
+        let Metric::Histogram(h) = metric else { continue };
         report.metrics_checked += 1;
-        let field = |key: &str| value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        let bucket_sum = match value.get("buckets") {
-            Some(JsonValue::Object(buckets)) => {
-                buckets.iter().filter_map(|(_, v)| v.as_f64()).sum::<f64>()
-            }
-            _ => 0.0,
-        };
-        let partition = field("underflow")
-            + field("negative")
-            + field("infinite")
-            + field("nan")
-            + bucket_sum;
-        if partition != field("count") {
+        let partition = [h.underflow, h.negative, h.infinite, h.nan]
+            .into_iter()
+            .chain(h.buckets.values().copied())
+            .fold(0, u64::saturating_add);
+        if partition != h.count {
             violation(
                 "metrics-consistency",
                 format!(
                     "histogram {name:?}: categories sum to {partition} but \
                      count is {}",
-                    field("count")
+                    h.count
                 ),
             );
         }
     }
-
-    let hist_count = |name: &str| {
-        trace
-            .metric(name)
-            .filter(|m| m.get("kind").and_then(JsonValue::as_str) == Some("histogram"))
-            .and_then(|m| m.get("value"))
-            .and_then(|v| v.get("count"))
-            .and_then(JsonValue::as_f64)
-    };
 
     let rounds = trace.spans.iter().filter(|s| s.name == "round").count() as u64;
     for (counter, expect, what) in [
@@ -1050,7 +995,7 @@ fn audit_metrics(
         ("round.delivered", totals.delivered, "delivered devices"),
         ("faults.fired", totals.faults, "device faults"),
     ] {
-        if let Some(value) = trace.metric_counter(counter) {
+        if let Some(&Metric::Counter(value)) = metrics.get(counter) {
             report.metrics_checked += 1;
             if value != expect {
                 violation(
@@ -1061,18 +1006,19 @@ fn audit_metrics(
         }
     }
     for (hist, expect) in [
-        ("round.makespan_s", rounds as f64),
-        ("device.energy_j", totals.devices as f64),
-        ("tdma.queue_wait_s", totals.uploads as f64),
+        ("round.makespan_s", rounds),
+        ("device.energy_j", totals.devices),
+        ("tdma.queue_wait_s", totals.uploads),
     ] {
-        if let Some(count) = hist_count(hist) {
+        if let Some(h) = metrics.histogram(hist) {
             report.metrics_checked += 1;
-            if count != expect {
+            if h.count != expect {
                 violation(
                     "metrics-consistency",
                     format!(
-                        "histogram {hist} holds {count} samples but the trace \
-                         implies {expect}"
+                        "histogram {hist} holds {} samples but the trace \
+                         implies {expect}",
+                        h.count
                     ),
                 );
             }
@@ -1087,23 +1033,17 @@ fn audit_metrics(
         .filter(|s| s.name == "timeline")
         .filter_map(|s| s.attr_f64("makespan_s"))
         .fold(f64::NEG_INFINITY, f64::max);
-    if span_max.is_finite() {
-        if let Some(hist_max) = trace
-            .metric("round.makespan_s")
-            .and_then(|m| m.get("value"))
-            .and_then(|v| v.get("max"))
-            .and_then(JsonValue::as_f64)
-        {
-            report.metrics_checked += 1;
-            if !cfg.close(hist_max, span_max) {
-                violation(
-                    "metrics-consistency",
-                    format!(
-                        "round.makespan_s max={hist_max} but the latest \
-                         timeline makespan is {span_max}"
-                    ),
-                );
-            }
+    let hist_max = metrics.histogram("round.makespan_s").map(|h| h.max);
+    if let Some(hist_max) = hist_max.filter(|m| m.is_finite() && span_max.is_finite()) {
+        report.metrics_checked += 1;
+        if !cfg.close(hist_max, span_max) {
+            violation(
+                "metrics-consistency",
+                format!(
+                    "round.makespan_s max={hist_max} but the latest \
+                     timeline makespan is {span_max}"
+                ),
+            );
         }
     }
 }

@@ -29,10 +29,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::analyze::{SpanTree, Trace};
+use crate::analyze::{round_series, SpanTree, Trace};
 use crate::audit::{audit, AuditConfig};
-use crate::json::{JsonObject, JsonValue};
-use crate::metrics::{percentile_nearest_rank, Histogram};
+use crate::json::JsonObject;
+use crate::metrics::{percentile_nearest_rank, Metric, MetricsRegistry};
 
 /// Switches for [`diff_traces`].
 #[derive(Debug, Clone, Default)]
@@ -133,9 +133,15 @@ pub struct MetricDelta {
 }
 
 impl MetricDelta {
-    /// True when both sides exist and are equal.
+    /// True when both sides exist and are equal (two NaN gauges — a
+    /// non-finite gauge reads back as NaN — count as equal).
     pub fn is_zero(&self) -> bool {
-        self.baseline.is_some() && self.baseline == self.candidate
+        match (&self.baseline, &self.candidate) {
+            (Some(MetricSide::Gauge(b)), Some(MetricSide::Gauge(c))) => {
+                b == c || (b.is_nan() && c.is_nan())
+            }
+            (base, cand) => base.is_some() && base == cand,
+        }
     }
 }
 
@@ -375,23 +381,6 @@ impl DiffReport {
     }
 }
 
-/// Per-round phase samples: name → one in-round summed duration per
-/// round, plus the `"round"` pseudo-phase.
-fn phase_samples(trace: &Trace, tree: &SpanTree<'_>) -> BTreeMap<String, Vec<f64>> {
-    let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for span in trace.spans.iter().filter(|s| s.name == "round") {
-        samples.entry("round".to_string()).or_default().push(span.dur_us as f64);
-        let mut in_round: BTreeMap<&str, u64> = BTreeMap::new();
-        for child in tree.children(span.id) {
-            *in_round.entry(child.name.as_str()).or_insert(0) += child.dur_us;
-        }
-        for (name, total) in in_round {
-            samples.entry(name.to_string()).or_default().push(total as f64);
-        }
-    }
-    samples
-}
-
 fn phase_delta(name: &str, base: &[f64], cand: &[f64]) -> PhaseDelta {
     let stat = |xs: &[f64]| {
         let mut a = xs.to_vec();
@@ -418,48 +407,25 @@ fn phase_delta(name: &str, base: &[f64], cand: &[f64]) -> PhaseDelta {
     }
 }
 
-/// Reduces one parsed metric entry to a comparable [`MetricSide`].
-fn metric_side(entry: &JsonValue) -> Option<(String, MetricSide)> {
-    let kind = entry.get("kind")?.as_str()?;
-    let class = entry.get("class")?.as_str()?.to_string();
-    let value = entry.get("value")?;
-    let side = match kind {
-        "counter" => MetricSide::Counter(value.as_f64()? as u64),
-        "gauge" => MetricSide::Gauge(value.as_f64()?),
-        "histogram" => {
-            // Rebuild bucket state so quantiles come from the same
-            // approx_quantile the live registry uses.
-            let mut h = Histogram::new();
-            h.count = value.get("count").and_then(JsonValue::as_f64)? as u64;
-            if let Some(JsonValue::Object(members)) = value.get("buckets") {
-                for (exp, n) in members {
-                    let exponent: i16 = exp.parse().ok()?;
-                    let n = n.as_f64()? as u64;
-                    h.buckets.insert(exponent, n);
-                }
-            }
-            MetricSide::Histogram {
-                count: h.count,
-                p50: h.approx_quantile(0.50),
-                p99: h.approx_quantile(0.99),
-            }
-        }
-        _ => return None,
-    };
-    Some((class, side))
-}
-
 /// Flattens a trace's final metrics line to name → (class, side).
-fn metric_map(trace: &Trace) -> BTreeMap<String, (String, MetricSide)> {
-    let mut map = BTreeMap::new();
-    if let Some(JsonValue::Object(members)) = &trace.metrics {
-        for (name, entry) in members {
-            if let Some((class, side)) = metric_side(entry) {
-                map.insert(name.clone(), (class, side));
-            }
-        }
-    }
-    map
+fn sides_of(trace: &Trace) -> BTreeMap<&str, (&'static str, MetricSide)> {
+    trace
+        .metrics
+        .iter()
+        .flat_map(MetricsRegistry::iter)
+        .map(|(name, class, metric)| {
+            let side = match metric {
+                Metric::Counter(v) => MetricSide::Counter(*v),
+                Metric::Gauge(v) => MetricSide::Gauge(*v),
+                Metric::Histogram(h) => MetricSide::Histogram {
+                    count: h.count,
+                    p50: h.approx_quantile(0.50),
+                    p99: h.approx_quantile(0.99),
+                },
+            };
+            (name, (class.as_str(), side))
+        })
+        .collect()
 }
 
 /// Checks manifest compatibility between the two traces.
@@ -546,10 +512,21 @@ pub fn diff_traces(
 ) -> Result<DiffReport, String> {
     let mut notes = Vec::new();
     check_manifests(baseline, candidate, cfg, &mut notes)?;
-    let base_tree = SpanTree::build(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cand_tree = SpanTree::build(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let base_samples = phase_samples(baseline, &base_tree);
-    let cand_samples = phase_samples(candidate, &cand_tree);
+    // One sample per round and phase name: the in-round sums of
+    // `round_series`, plus the `"round"` pseudo-phase.
+    let samples = |trace: &Trace| -> Result<BTreeMap<String, Vec<f64>>, String> {
+        let tree = SpanTree::build(trace)?;
+        let mut by_phase: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        for point in round_series(trace, &tree) {
+            by_phase.entry("round".to_string()).or_default().push(point.dur_us as f64);
+            for (name, total) in point.phases {
+                by_phase.entry(name).or_default().push(total as f64);
+            }
+        }
+        Ok(by_phase)
+    };
+    let base_samples = samples(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cand_samples = samples(candidate).map_err(|e| format!("candidate: {e}"))?;
     if base_samples.get("round").is_none_or(Vec::is_empty) {
         return Err("baseline has no round spans — was a federated run traced?".to_string());
     }
@@ -610,10 +587,10 @@ pub fn diff_traces(
     });
 
     // Metrics diff over the union of both registries.
-    let base_metrics = metric_map(baseline);
-    let cand_metrics = metric_map(candidate);
-    let mut metric_names: Vec<&String> =
-        base_metrics.keys().chain(cand_metrics.keys()).collect();
+    let base_metrics = sides_of(baseline);
+    let cand_metrics = sides_of(candidate);
+    let mut metric_names: Vec<&str> =
+        base_metrics.keys().chain(cand_metrics.keys()).copied().collect();
     metric_names.sort();
     metric_names.dedup();
     let metrics: Vec<MetricDelta> = metric_names
@@ -622,11 +599,8 @@ pub fn diff_traces(
             let base = base_metrics.get(name);
             let cand = cand_metrics.get(name);
             MetricDelta {
-                name: name.clone(),
-                class: base
-                    .or(cand)
-                    .map(|(class, _)| class.clone())
-                    .unwrap_or_default(),
+                name: name.to_string(),
+                class: base.or(cand).map(|(class, _)| class.to_string()).unwrap_or_default(),
                 baseline: base.map(|(_, s)| s.clone()),
                 candidate: cand.map(|(_, s)| s.clone()),
             }

@@ -232,6 +232,14 @@ impl JsonValue {
         }
     }
 
+    /// The value as a count: a non-negative whole number. Span ids, µs
+    /// times, count attributes, counters and histogram tallies are all
+    /// read through this one rule.
+    pub fn as_u64(&self) -> Option<u64> {
+        let v = self.as_f64()?;
+        (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, JsonValue};
 
 /// Determinism class of a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +33,16 @@ pub enum Class {
     /// Derived from wall clocks or scheduling (worker busy/idle time,
     /// span durations); excluded from determinism comparisons.
     Runtime,
+}
+
+impl Class {
+    /// The class as the metrics line spells it: `"sim"` or `"runtime"`.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Class::Sim => "sim",
+            Class::Runtime => "runtime",
+        }
+    }
 }
 
 /// A single named metric.
@@ -321,6 +331,46 @@ impl Histogram {
         o.object("buckets", buckets);
         o
     }
+
+    /// Inverts [`Self::to_json`]: a `null` bound is an empty side.
+    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        let Some(JsonValue::Object(members)) = v.get("buckets") else {
+            return Err(("buckets", "an object"));
+        };
+        let mut buckets = BTreeMap::new();
+        for (exponent, n) in members {
+            let exponent = exponent.parse().map_err(|_| ("buckets", "keyed by i16 exponents"))?;
+            let n = n.as_u64().ok_or(("buckets", "a map to non-negative integers"))?;
+            buckets.insert(exponent, n);
+        }
+        Ok(Self {
+            count: uint(v, "count")?,
+            underflow: uint(v, "underflow")?,
+            negative: uint(v, "negative")?,
+            infinite: uint(v, "infinite")?,
+            nan: uint(v, "nan")?,
+            min: number_or_null(v, "min", f64::INFINITY)?,
+            max: number_or_null(v, "max", f64::NEG_INFINITY)?,
+            buckets,
+        })
+    }
+}
+
+/// A refused metrics-line field: its key and what it must be.
+type FieldError = (&'static str, &'static str);
+
+fn uint(v: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
+    v.get(key).and_then(JsonValue::as_u64).ok_or((key, "a non-negative integer"))
+}
+
+/// A number, or `null` standing for `absent` (the emitter writes every
+/// non-finite `f64` as `null`).
+fn number_or_null(v: &JsonValue, key: &'static str, absent: f64) -> Result<f64, FieldError> {
+    match v.get(key) {
+        Some(JsonValue::Null) => Ok(absent),
+        Some(JsonValue::Number(x)) => Ok(*x),
+        _ => Err((key, "a number or null")),
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -518,13 +568,7 @@ impl MetricsRegistry {
         let mut o = JsonObject::new();
         for (name, entry) in &self.entries {
             let mut m = JsonObject::new();
-            m.field("kind", entry.metric.kind()).field(
-                "class",
-                match entry.class {
-                    Class::Sim => "sim",
-                    Class::Runtime => "runtime",
-                },
-            );
+            m.field("kind", entry.metric.kind()).field("class", entry.class.as_str());
             match &entry.metric {
                 Metric::Counter(v) => m.field("value", *v),
                 Metric::Gauge(v) => m.field("value", *v),
@@ -533,6 +577,47 @@ impl MetricsRegistry {
             o.object(name, m);
         }
         o
+    }
+
+    /// Decodes the object [`Self::to_json`] writes — the `metrics`
+    /// member of a trace's metrics line. A non-finite gauge, written as
+    /// `null`, reads back as NaN.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a non-object, or an entry with an unknown `kind` or
+    /// `class` or a missing or ill-typed field, naming the metric and
+    /// the field.
+    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+        let JsonValue::Object(members) = v else {
+            return Err("metrics is not an object".to_string());
+        };
+        let mut registry = Self::new();
+        for (name, entry) in members {
+            let (class, metric) = Self::entry_from_json(entry).map_err(|(key, want)| {
+                format!("metric {name:?}: field {key:?} must be {want}")
+            })?;
+            registry.insert(class, name, metric);
+        }
+        Ok(registry)
+    }
+
+    fn entry_from_json(entry: &JsonValue) -> Result<(Class, Metric), FieldError> {
+        let class = match entry.get("class").and_then(JsonValue::as_str) {
+            Some("sim") => Class::Sim,
+            Some("runtime") => Class::Runtime,
+            _ => return Err(("class", "\"sim\" or \"runtime\"")),
+        };
+        let metric = match entry.get("kind").and_then(JsonValue::as_str) {
+            Some("counter") => Metric::Counter(uint(entry, "value")?),
+            Some("gauge") => Metric::Gauge(number_or_null(entry, "value", f64::NAN)?),
+            Some("histogram") => match entry.get("value") {
+                Some(h @ JsonValue::Object(_)) => Metric::Histogram(Histogram::from_json(h)?),
+                _ => return Err(("value", "a histogram object")),
+            },
+            _ => return Err(("kind", "\"counter\", \"gauge\" or \"histogram\"")),
+        };
+        Ok((class, metric))
     }
 }
 
@@ -696,6 +781,56 @@ mod tests {
         // Insert overwrites: no accumulation on repeated restore.
         rebuilt.insert(Class::Sim, "rounds", Metric::Counter(7));
         assert_eq!(rebuilt.counter("rounds"), 7);
+    }
+
+    fn decode(text: &str) -> Result<MetricsRegistry, String> {
+        MetricsRegistry::from_json(&crate::json::parse(text).unwrap())
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        let mut r = MetricsRegistry::new();
+        r.counter_add(Class::Sim, "rounds", 7);
+        r.gauge_set(Class::Runtime, "threads", 4.0);
+        r.gauge_set(Class::Sim, "diverged", f64::INFINITY);
+        let samples = [0.1 + 0.2, 3.0, -2.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        r.record_iter(Class::Sim, "delay", samples);
+        r.record_iter(Class::Runtime, "empty", []);
+        r.record(Class::Sim, "only_nan", f64::NAN);
+        let text = r.to_json().finish();
+        assert!(text.contains(r#""value":null"#), "the gauge is written as null: {text}");
+        assert!(text.contains(r#""min":null,"max":null"#), "{text}");
+
+        let back = decode(&text).unwrap();
+        assert_eq!(back.to_json().finish(), text);
+        assert_eq!(back.len(), r.len());
+        for ((name, class, metric), (back_name, back_class, back_metric)) in
+            r.iter().zip(back.iter())
+        {
+            assert_eq!((back_name, back_class), (name, class));
+            match (metric, back_metric) {
+                // JSON has no infinity: the null reads back as NaN.
+                (Metric::Gauge(g), Metric::Gauge(b)) if !g.is_finite() => assert!(b.is_nan()),
+                _ => assert_eq!(back_metric, metric, "{name}"),
+            }
+        }
+    }
+
+    #[test]
+    fn from_json_refuses_a_malformed_entry_by_metric_and_field() {
+        let no_nan = r#"{"lat":{"kind":"histogram","class":"sim","value":{"count":0,"underflow":0,"negative":0,"infinite":0,"min":null,"max":null,"buckets":{}}}}"#;
+        let fractional = r#"{"rounds":{"kind":"counter","class":"sim","value":1.5}}"#;
+        let unknown_kind = r#"{"wait":{"kind":"timer","class":"sim","value":1}}"#;
+        for (text, metric, field) in [
+            (no_nan, "lat", "nan"),
+            (fractional, "rounds", "value"),
+            (unknown_kind, "wait", "kind"),
+        ] {
+            let err = decode(text).unwrap_err();
+            assert!(err.contains(&format!("metric {metric:?}")), "{err}");
+            assert!(err.contains(&format!("field {field:?}")), "{err}");
+        }
+        assert!(decode("[]").unwrap_err().contains("not an object"));
     }
 
     #[test]

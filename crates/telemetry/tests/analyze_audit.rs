@@ -596,3 +596,102 @@ fn audit_refuses_a_device_span_without_delivered_by_name() {
     let err = audit(&trace, &AuditConfig::default()).unwrap_err();
     assert!(err.contains(r#""delivered""#), "{err}");
 }
+
+/// A counter entry of a metrics line.
+fn counter(value: u64) -> String {
+    format!(r#"{{"kind":"counter","class":"sim","value":{value}}}"#)
+}
+
+/// A histogram entry of a metrics line: `count`, its zero tally, its
+/// exponent buckets (JSON members) and its finite extrema.
+fn histogram(count: u64, underflow: u64, buckets: &str, min: f64, max: f64) -> String {
+    format!(
+        r#"{{"kind":"histogram","class":"sim","value":{{"count":{count},"underflow":{underflow},"negative":0,"infinite":0,"nan":0,"min":{min},"max":{max},"buckets":{{{buckets}}}}}}}"#
+    )
+}
+
+/// The worked example's round (two clean deliveries, both with zero
+/// queue wait, makespan 12.5 s) with the metrics line the simulator
+/// records for it, after replacing the named entries with `changed`.
+fn audit_with_metrics(changed: &[(&str, String)]) -> helcfl_telemetry::audit::AuditReport {
+    let mut entries = [
+        ("round.completed", counter(1)),
+        ("tdma.uploads", counter(2)),
+        ("round.delivered", counter(2)),
+        ("faults.fired", counter(0)),
+        // 12.5 s lands in [8, 16): exponent 3.
+        ("round.makespan_s", histogram(1, 0, r#""3":1"#, 12.5, 12.5)),
+        // 3.0 J in [2, 4), 1.384 J in [1, 2).
+        ("device.energy_j", histogram(2, 0, r#""0":1,"1":1"#, 1.384, 3.0)),
+        ("tdma.queue_wait_s", histogram(2, 2, "", 0.0, 0.0)),
+    ];
+    for (name, entry) in changed {
+        entries.iter_mut().find(|(n, _)| n == name).expect("a known metric").1 = entry.clone();
+    }
+    let members: Vec<String> =
+        entries.iter().map(|(name, entry)| format!(r#""{name}":{entry}"#)).collect();
+    let trace = fixture(&[
+        activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
+        activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
+        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"fault_fired":false,"makespan_s":12.5}}"#
+            .to_string(),
+        round_line(2, 0),
+        format!(r#"{{"type":"metrics","metrics":{{{}}}}}"#, members.join(",")),
+    ]);
+    audit(&trace, &AuditConfig::default()).unwrap()
+}
+
+/// Asserts that `changed` trips exactly one metrics-consistency check,
+/// whose detail contains `detail`.
+fn assert_one_metrics_violation(changed: &[(&str, String)], detail: &str) {
+    let report = audit_with_metrics(changed);
+    assert_eq!(report.violations.len(), 1, "{}", report.render());
+    let v = &report.violations[0];
+    assert_eq!(v.invariant, "metrics-consistency");
+    assert!(v.detail.contains(detail), "{}", v.detail);
+}
+
+#[test]
+fn audit_passes_a_metrics_line_that_agrees_with_the_spans() {
+    let report = audit_with_metrics(&[]);
+    assert!(report.passed(), "unexpected violations:\n{}", report.render());
+    // Three histogram partitions, four counters, three histogram
+    // sample counts and the makespan maximum.
+    assert_eq!(report.metrics_checked, 11);
+}
+
+#[test]
+fn audit_flags_a_histogram_whose_categories_miss_its_count() {
+    assert_one_metrics_violation(
+        &[("device.energy_j", histogram(2, 0, r#""1":1"#, 1.384, 3.0))],
+        r#"histogram "device.energy_j": categories sum to 1 but count is 2"#,
+    );
+}
+
+#[test]
+fn audit_flags_counters_that_disagree_with_the_spans() {
+    for (name, value, detail) in [
+        ("round.completed", 2, "round.completed=2 but the trace has 1 round spans"),
+        ("tdma.uploads", 1, "tdma.uploads=1 but the trace has 2 transmitting devices"),
+        ("round.delivered", 3, "round.delivered=3 but the trace has 2 delivered devices"),
+        ("faults.fired", 1, "faults.fired=1 but the trace has 0 device faults"),
+    ] {
+        assert_one_metrics_violation(&[(name, counter(value))], detail);
+    }
+}
+
+#[test]
+fn audit_flags_a_histogram_with_the_wrong_sample_count() {
+    assert_one_metrics_violation(
+        &[("tdma.queue_wait_s", histogram(3, 3, "", 0.0, 0.0))],
+        "histogram tdma.queue_wait_s holds 3 samples but the trace implies 2",
+    );
+}
+
+#[test]
+fn audit_flags_a_makespan_maximum_off_the_timeline() {
+    assert_one_metrics_violation(
+        &[("round.makespan_s", histogram(1, 0, r#""3":1"#, 11.0, 11.0))],
+        "round.makespan_s max=11 but the latest timeline makespan is 12.5",
+    );
+}
