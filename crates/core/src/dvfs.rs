@@ -20,7 +20,8 @@
 use fl_sim::error::Result;
 use fl_sim::frequency::FrequencyPolicy;
 use helcfl_telemetry::{Class, Telemetry};
-use mec_sim::device::{Device, DeviceId};
+use mec_sim::device::Device;
+use mec_sim::order::{self, cohort_order};
 use mec_sim::units::{Bits, Hertz, Seconds};
 
 /// The HELCFL frequency policy (Alg. 3).
@@ -34,8 +35,14 @@ impl SlackFrequencyPolicy {
     ///
     /// # Errors
     ///
-    /// Currently infallible for non-empty inputs; returns an empty
-    /// assignment for an empty selection.
+    /// Returns [`MecError::KeyOutOfRange`] (as [`FlError::Mec`]) naming
+    /// `device.id` when an id, or `input` when a position, does not
+    /// fit the cohort order's 32-bit keys (below
+    /// [`mec_sim::order::KEY_LIMIT`]). An empty selection yields an
+    /// empty assignment.
+    ///
+    /// [`MecError::KeyOutOfRange`]: mec_sim::MecError::KeyOutOfRange
+    /// [`FlError::Mec`]: fl_sim::error::FlError::Mec
     pub fn determine(
         &self,
         selected: &[Device],
@@ -64,57 +71,71 @@ impl SlackFrequencyPolicy {
         payload: Bits,
         tele: &Telemetry,
     ) -> Result<Vec<(usize, Hertz)>> {
-        // Line 1: ascending by model-update delay at f_max, ties by id,
-        // then by input position, on keys computed once per device.
-        // Delays are positive and finite, so their bit patterns sort
-        // like their values; the input position makes every key
-        // unique, so the unstable sort has one possible result.
-        let mut order: Vec<(u64, DeviceId, usize)> = selected
-            .iter()
-            .enumerate()
-            .map(|(idx, d)| (d.compute_delay_at_max().get().to_bits(), d.id(), idx))
-            .collect();
-        order.sort_unstable();
-
         let mut assignment = Vec::with_capacity(selected.len());
-        let mut channel_free = Seconds::ZERO;
-        let mut clamped_min = 0u64;
-        let mut clamped_max = 0u64;
-        for (pos, &(_, _, idx)) in order.iter().enumerate() {
-            let device = &selected[idx];
-            let range = device.cpu().range();
-            let f = if pos == 0 {
-                // Lines 3–4: no slack for the first user.
-                range.max()
-            } else {
-                // Line 9: finish computing when the predecessor's
-                // upload ends (channel_free), clamped to the range.
-                let (clamped, ideal) =
-                    device.cpu().frequency_for_deadline(device.work(), channel_free);
-                if ideal < range.min() {
-                    clamped_min += 1;
-                } else if ideal > range.max() {
-                    clamped_max += 1;
-                }
-                clamped
-            };
-            if tele.is_enabled() {
-                tele.record(Class::Sim, "dvfs.downscale", f / range.max());
-            }
-            let compute_finish = device.work() / f;
-            let upload_start = compute_finish.max(channel_free);
-            channel_free = upload_start + device.upload_delay(payload);
-            assignment.push((idx, f));
-        }
-        if tele.is_enabled() {
-            tele.with_metrics(|m| {
-                m.counter_add(Class::Sim, "dvfs.assignments", assignment.len() as u64);
-                m.counter_add(Class::Sim, "dvfs.clamped_min", clamped_min);
-                m.counter_add(Class::Sim, "dvfs.clamped_max", clamped_max);
-            });
-        }
+        assign(selected, payload, tele, |idx, f| assignment.push((idx, f)))?;
         Ok(assignment)
     }
+}
+
+/// Alg. 3: hands each device's input index and frequency to `emit`,
+/// in visiting order.
+fn assign(
+    selected: &[Device],
+    payload: Bits,
+    tele: &Telemetry,
+    mut emit: impl FnMut(usize, Hertz),
+) -> Result<()> {
+    // Line 1: ascending by model-update delay at f_max, ties by id,
+    // then by input position, through the cohort order. Delays are
+    // positive and finite, so their bits sort like their values; the
+    // input position makes every key unique, so the order has one
+    // possible result.
+    let order =
+        cohort_order(selected, |_, d| Ok(d.compute_delay_at_max().get().to_bits()))?;
+
+    let mut channel_free = Seconds::ZERO;
+    let mut clamped_min = 0u64;
+    let mut clamped_max = 0u64;
+    for (pos, &key) in order.iter().enumerate() {
+        let idx = order::input(key);
+        let device = &selected[idx];
+        let (range, work) = (device.cpu().range(), device.work());
+        let at_max = Seconds::new(f64::from_bits(order::primary(key)));
+        // Each branch takes its compute finish at the frequency it
+        // picks; only the ideal one depends on `channel_free`, so a
+        // clamped device adds one division to that chain, not two.
+        let (f, compute_finish) = if pos == 0 {
+            // Lines 3–4: no slack for the first user.
+            (range.max(), at_max)
+        } else {
+            // Line 9: finish computing when the predecessor's upload
+            // ends (channel_free), clamped to the range.
+            let ideal = work / channel_free;
+            if ideal < range.min() {
+                clamped_min += 1;
+                (range.min(), work / range.min())
+            } else if ideal > range.max() {
+                clamped_max += 1;
+                (range.max(), at_max)
+            } else {
+                (ideal, work / ideal)
+            }
+        };
+        if tele.is_enabled() {
+            tele.record(Class::Sim, "dvfs.downscale", f / range.max());
+        }
+        let upload_start = compute_finish.max(channel_free);
+        channel_free = upload_start + device.upload_delay(payload);
+        emit(idx, f);
+    }
+    if tele.is_enabled() {
+        tele.with_metrics(|m| {
+            m.counter_add(Class::Sim, "dvfs.assignments", order.len() as u64);
+            m.counter_add(Class::Sim, "dvfs.clamped_min", clamped_min);
+            m.counter_add(Class::Sim, "dvfs.clamped_max", clamped_max);
+        });
+    }
+    Ok(())
 }
 
 impl FrequencyPolicy for SlackFrequencyPolicy {
@@ -139,11 +160,8 @@ impl FrequencyPolicy for SlackFrequencyPolicy {
         payload: Bits,
         tele: &Telemetry,
     ) -> Result<Vec<Hertz>> {
-        let assignment = self.determine_traced(selected, payload, tele)?;
         let mut freqs = vec![Hertz::ZERO; selected.len()];
-        for (idx, f) in assignment {
-            freqs[idx] = f;
-        }
+        assign(selected, payload, tele, |idx, f| freqs[idx] = f)?;
         Ok(freqs)
     }
 }
@@ -152,6 +170,7 @@ impl FrequencyPolicy for SlackFrequencyPolicy {
 mod tests {
     use super::*;
     use mec_sim::comm::Uplink;
+    use mec_sim::device::DeviceId;
     use mec_sim::cpu::DvfsCpu;
     use mec_sim::timeline::RoundTimeline;
     use mec_sim::units::{BitsPerSecond, Watts};
@@ -265,6 +284,24 @@ mod tests {
     }
 
     #[test]
+    fn ids_past_the_key_limit_are_refused_by_field() {
+        use fl_sim::error::FlError;
+        use mec_sim::order::KEY_LIMIT;
+        use mec_sim::MecError;
+        let mut devs = [device(0, 2.0, 500, 8.0), device(KEY_LIMIT - 1, 1.0, 500, 8.0)];
+        assert_eq!(SlackFrequencyPolicy.determine(&devs, payload()).unwrap().len(), 2);
+        for id in [KEY_LIMIT, usize::MAX] {
+            devs[1] = device(id, 1.0, 500, 8.0);
+            let err = SlackFrequencyPolicy.determine(&devs, payload()).unwrap_err();
+            assert_eq!(
+                err,
+                FlError::Mec(MecError::KeyOutOfRange { field: "device.id", value: id })
+            );
+            assert!(SlackFrequencyPolicy.frequencies(&devs, payload()).is_err());
+        }
+    }
+
+    #[test]
     fn empty_selection_yields_empty_assignment() {
         let freqs = SlackFrequencyPolicy.frequencies(&[], payload()).unwrap();
         assert!(freqs.is_empty());
@@ -313,10 +350,12 @@ mod tests {
             let mut cohort: Vec<Device> =
                 (0..n).map(|_| fleet.device(rng.below(span))).collect();
             // Equal work under distinct ids: copies of one device's
-            // hardware and data, renumbered.
+            // hardware and data, renumbered, at random positions. Up to
+            // 79 of them make a run of equal delays longer than the
+            // cohort order's insertion cutoff.
             if case % 3 == 0 {
                 let twin = cohort[0];
-                for k in 0..rng.range_usize(1, 8) {
+                for k in 0..rng.range_usize(1, 80) {
                     let id = DeviceId(10_000 + rng.below(4) + k);
                     let renumbered = Device::new(
                         id,

@@ -307,8 +307,8 @@ pub trait ClientSelector {
 }
 
 /// Validates a selector's output: non-empty, no duplicates, and every
-/// id present in the context's device set. O(selected · log selected)
-/// when the set has O(1) membership (masked or fleet-backed).
+/// id present in the context's device set. O(selected) expected when
+/// the set has O(1) membership (masked or fleet-backed).
 ///
 /// # Errors
 ///
@@ -319,28 +319,36 @@ pub fn validate_selection(ctx: &SelectionContext<'_>, selected: &[DeviceId]) -> 
     if selected.is_empty() {
         return Err(FlError::InvalidSelection { reason: "selector returned no users".into() });
     }
-    // Sorting makes equal ids neighbours. Plain ids sort fastest; only
-    // when a repeat exists are (id, position) pairs sorted, so that the
-    // later position of each neighbouring pair names a repeat.
-    let mut ids: Vec<usize> = selected.iter().map(|id| id.0).collect();
-    ids.sort_unstable();
-    let first_repeat = if ids.windows(2).any(|w| w[0] == w[1]) {
-        let mut by_id: Vec<(DeviceId, usize)> = selected.iter().copied().zip(0..).collect();
-        by_id.sort_unstable();
-        by_id.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min()
-    } else {
-        None
-    };
-    let first_foreign = selected.iter().position(|&id| !ctx.devices.contains(id));
-    match (first_repeat, first_foreign) {
-        (Some(r), f) if f.is_none_or(|f| r <= f) => Err(FlError::InvalidSelection {
-            reason: format!("device {} selected twice", selected[r]),
-        }),
-        (_, Some(f)) => Err(FlError::InvalidSelection {
-            reason: format!("device {} is not in the population", selected[f]),
-        }),
-        _ => Ok(()),
+    // One in-order scan over an open-addressing probe table of at least
+    // 2n slots. A slot holds one past the position of the first entry
+    // of its id, or 0 when empty; the multiplicative (Fibonacci) hash
+    // spreads runs of nearby ids over the table.
+    let bits = (2 * selected.len()).next_power_of_two().trailing_zeros();
+    let mut slots = vec![0usize; 1 << bits];
+    let wrap = slots.len() - 1;
+    for (pos, &id) in selected.iter().enumerate() {
+        let mut h = ((id.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
+        loop {
+            match slots[h] {
+                0 => {
+                    slots[h] = pos + 1;
+                    break;
+                }
+                first if selected[first - 1] == id => {
+                    return Err(FlError::InvalidSelection {
+                        reason: format!("device {id} selected twice"),
+                    });
+                }
+                _ => h = (h + 1) & wrap,
+            }
+        }
+        if !ctx.devices.contains(id) {
+            return Err(FlError::InvalidSelection {
+                reason: format!("device {id} is not in the population"),
+            });
+        }
     }
+    Ok(())
 }
 
 /// The paper's selection size rule: `N = max(⌊Q·C⌋, 1)` (Alg. 2,
@@ -442,10 +450,8 @@ mod tests {
             let raw: Vec<usize> = (0..n).map(|_| rng.below(11)).collect();
             agree(&c, &raw, &format!("case {case}: {raw:?}"));
         }
-        // Wide selections from a larger fleet. Duplicate-free ones, and
-        // those whose only defect is a foreign last entry, stay on the
-        // plain-id path; those whose only repeat comes last fall back
-        // to the pairs.
+        // Wide selections from a larger fleet: duplicate-free, a repeat
+        // or a foreign id last.
         let big = PopulationBuilder::paper_default().num_devices(3_000).build().unwrap();
         let c = ctx(big.devices());
         for case in 0..200 {
@@ -460,6 +466,35 @@ mod tests {
             let mut last_foreign = raw.clone();
             last_foreign.push(3_000 + rng.below(10));
             agree(&c, &last_foreign, &format!("wide case {case}: last entry foreign"));
+        }
+        // 2 000 ids: a repeat first, a repeat last, and a foreign id
+        // before a repeat, each also named in full.
+        for case in 0..50 {
+            let mut raw: Vec<usize> = (0..3_000).collect();
+            rng.shuffle(&mut raw);
+            raw.truncate(2_000);
+            let mut repeat_first = raw.clone();
+            repeat_first[1] = raw[0];
+            agree(&c, &repeat_first, &format!("2k case {case}: second entry repeats the first"));
+            let mut repeat_last = raw.clone();
+            repeat_last[1_999] = raw[rng.below(1_999)];
+            agree(&c, &repeat_last, &format!("2k case {case}: last entry repeats"));
+            let mut foreign_then_repeat = raw.clone();
+            let at = rng.range_usize(1, 1_999);
+            foreign_then_repeat[at] = 3_000 + rng.below(10);
+            foreign_then_repeat[rng.range_usize(at + 1, 2_000)] = raw[rng.below(at)];
+            agree(&c, &foreign_then_repeat, &format!("2k case {case}: foreign before repeat"));
+            if case == 0 {
+                let name = |raw: &[usize]| {
+                    validate_selection(&c, &ids(raw)).unwrap_err().to_string()
+                };
+                let first = format!("device v{} selected twice", raw[0]);
+                assert!(name(&repeat_first).contains(&first), "{}", name(&repeat_first));
+                let last = format!("device v{} selected twice", repeat_last[1_999]);
+                assert!(name(&repeat_last).contains(&last), "{}", name(&repeat_last));
+                let foreign = format!("device v{} is not in the population", foreign_then_repeat[at]);
+                assert!(name(&foreign_then_repeat).contains(&foreign));
+            }
         }
     }
 

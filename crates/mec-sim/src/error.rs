@@ -35,6 +35,14 @@ pub enum MecError {
     },
     /// An operation that needs at least one device was given none.
     EmptyDeviceSet,
+    /// A device id or a cohort position does not fit the 32 bits the
+    /// cohort order packs it into ([`crate::order::KEY_LIMIT`]).
+    KeyOutOfRange {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The offending value.
+        value: usize,
+    },
 }
 
 impl fmt::Display for MecError {
@@ -53,6 +61,12 @@ impl fmt::Display for MecError {
                 write!(f, "parameter `{name}` must be positive, got {value}")
             }
             Self::EmptyDeviceSet => write!(f, "operation requires at least one device"),
+            Self::KeyOutOfRange { field, value } => write!(
+                f,
+                "`{field}` {value} does not fit the cohort order's 32-bit keys (must be \
+                 below {})",
+                crate::order::KEY_LIMIT
+            ),
         }
     }
 }

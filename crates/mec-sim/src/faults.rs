@@ -29,6 +29,7 @@ use helcfl_telemetry::{Class, Histogram, MetricsRegistry, Span};
 
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
+use crate::order::{self, cohort_order, KEY_LIMIT};
 use crate::units::{Bits, Cycles, Hertz, Joules, Seconds, Watts};
 
 /// One fault event afflicting one device for one round.
@@ -353,10 +354,22 @@ fn compute_span(
     }
 }
 
+/// The planned compute finish of a device with `work` cycles at `f`,
+/// given the `finish` bits its channel-order key holds: the key's own
+/// value unless `fault` moved the finish in [`compute_span`].
+#[inline(always)]
+fn planned_finish(finish: u64, work: Cycles, f: Hertz, fault: Option<DeviceFault>) -> Seconds {
+    match fault {
+        Some(DeviceFault::Straggler { .. } | DeviceFault::CrashCompute { .. }) => work / f,
+        _ => Seconds::new(f64::from_bits(finish)),
+    }
+}
+
 /// Resolves input `input` — `dev`, planned at the in-range frequency
-/// `f`, under `fault` — before any deadline cut. A device that reaches
-/// the channel takes it at its compute finish or at `channel_free`,
-/// whichever is later; its waste is settled as if no deadline fired.
+/// `f` to finish computing at `planned_compute_finish`, under `fault` —
+/// before any deadline cut. A device that reaches the channel takes it
+/// at its compute finish or at `channel_free`, whichever is later; its
+/// waste is settled as if no deadline fired.
 ///
 /// Always inlined into the resolver's loop, so the fault-free
 /// instance folds every fault branch away.
@@ -365,12 +378,12 @@ pub(crate) fn outcome(
     input: usize,
     dev: &Device,
     f: Hertz,
+    planned_compute_finish: Seconds,
     fault: Option<DeviceFault>,
     payload: Bits,
     channel_free: Seconds,
 ) -> DeviceOutcome {
     let (cpu, work) = (dev.cpu(), dev.work());
-    let planned_compute_finish = work / f;
     let (frequency, compute_finish) = compute_span(work, f, planned_compute_finish, fault);
     // Eq. 5, priced at the effective frequency: a straggler's may fall
     // below `f_min`, a point the governor never picks but physics
@@ -504,11 +517,15 @@ pub struct FaultedRound {
     deadline_fired: bool,
 }
 
-/// Refuses an empty cohort and a frequency per device that is missing
-/// or extra.
+/// Refuses an empty cohort, one with positions past the cohort
+/// order's [`KEY_LIMIT`], and a frequency per device that is missing
+/// or extra. Ids past the limit are refused as the keys are packed.
 pub(crate) fn check_cohort(devices: &[Device], frequencies: &[Hertz]) -> Result<()> {
     if devices.is_empty() {
         return Err(MecError::EmptyDeviceSet);
+    }
+    if devices.len() > KEY_LIMIT {
+        return Err(MecError::KeyOutOfRange { field: "devices.len", value: devices.len() });
     }
     if devices.len() != frequencies.len() {
         return Err(MecError::NonPositiveParameter {
@@ -577,11 +594,20 @@ impl FaultedRound {
     /// [`RoundTimeline::simulate`], on a cohort [`check_cohort`]
     /// accepted, with `fault(i)` the validated fault of input `i`.
     ///
-    /// One value sort orders the cohort: channel users by compute
-    /// finish, then id, then input position; crashed-in-compute
-    /// devices after them, by id, then input position. One pass in
-    /// that order then places each channel user and builds every
-    /// outcome, tracking the latest release.
+    /// The cohort order ([`cohort_order`]) sorts one
+    /// `(compute finish, id, input)` key per device: channel users by
+    /// compute finish, then id, then input position; crashed-in-compute
+    /// devices after them at `u64::MAX`, by id, then input position.
+    /// One pass in that order then places each channel user and builds
+    /// every outcome, tracking the latest release. A key's finish is
+    /// the planned one unless a fault moved it, so the pass divides the
+    /// planned finish out again only for stragglers and compute crashes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MecError::FrequencyOutOfRange`] for an unsupported
+    /// planned frequency and [`MecError::KeyOutOfRange`] for an id past
+    /// [`KEY_LIMIT`].
     ///
     /// [`RoundTimeline::simulate`]: crate::timeline::RoundTimeline::simulate
     pub(crate) fn resolve(
@@ -593,21 +619,22 @@ impl FaultedRound {
     ) -> Result<Self> {
         // Compute finishes are non-negative and never NaN, so their bit
         // patterns sort like their values, and `u64::MAX` after them.
-        let mut order = Vec::with_capacity(devices.len());
-        for (i, (dev, &f)) in devices.iter().zip(frequencies).enumerate() {
+        let order = cohort_order(devices, |i, dev| {
+            let f = frequencies[i];
             let planned = dev.compute_delay(f)?;
-            let finish = match fault(i) {
+            Ok(match fault(i) {
                 Some(DeviceFault::CrashCompute { .. }) => u64::MAX,
                 fault => compute_span(dev.work(), f, planned, fault).1.get().to_bits(),
-            };
-            order.push((finish, dev.id(), i));
-        }
-        order.sort_unstable();
+            })
+        })?;
 
         let mut outcomes = Vec::with_capacity(devices.len());
         let (mut channel_free, mut natural) = (Seconds::ZERO, Seconds::ZERO);
-        for &(_, _, i) in &order {
-            let o = outcome(i, &devices[i], frequencies[i], fault(i), payload, channel_free);
+        for &key in &order {
+            let i = order::input(key);
+            let (dev, f, fault) = (&devices[i], frequencies[i], fault(i));
+            let planned = planned_finish(order::primary(key), dev.work(), f, fault);
+            let o = outcome(i, dev, f, planned, fault, payload, channel_free);
             if o.uploaded {
                 channel_free = o.upload_end;
             }
@@ -1129,6 +1156,27 @@ mod tests {
             let r = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).unwrap();
             let inputs: Vec<usize> = r.outcomes().iter().map(|o| o.input).collect();
             assert_eq!(inputs, order);
+        }
+    }
+
+    #[test]
+    fn ids_past_the_key_limit_are_refused_by_field() {
+        use crate::order::KEY_LIMIT;
+        let (mut devs, freqs) = fleet();
+        let d = devs[1];
+        let wide = |id| {
+            Device::new(DeviceId(id), *d.cpu(), d.cycles_per_sample(), d.num_samples(), *d.uplink())
+                .unwrap()
+        };
+        devs[1] = wide(KEY_LIMIT - 1);
+        let faults = [None, Some(DeviceFault::CrashCompute { at: 0.5 }), None];
+        assert!(FaultedRound::simulate(&devs, &freqs, payload(), &faults, None).is_ok());
+        for id in [KEY_LIMIT, usize::MAX] {
+            devs[1] = wide(id);
+            for faults in [[None; 3], faults] {
+                let err = FaultedRound::simulate(&devs, &freqs, payload(), &faults, None);
+                assert_eq!(err, Err(MecError::KeyOutOfRange { field: "device.id", value: id }));
+            }
         }
     }
 

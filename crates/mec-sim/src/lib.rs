@@ -48,6 +48,7 @@ pub mod faults;
 pub mod fleet;
 #[cfg(test)]
 mod oracle;
+pub mod order;
 pub mod population;
 pub mod timeline;
 pub mod units;

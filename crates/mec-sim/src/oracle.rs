@@ -163,7 +163,10 @@ fn faulted_by_id(
     // Each device alone on a free channel: its compute finish, and
     // whether it reaches the channel at all.
     let alone: Vec<DeviceOutcome> = (0..devices.len())
-        .map(|i| outcome(i, &devices[i], frequencies[i], faults[i], payload, Seconds::ZERO))
+        .map(|i| {
+            let (dev, f) = (&devices[i], frequencies[i]);
+            outcome(i, dev, f, dev.work() / f, faults[i], payload, Seconds::ZERO)
+        })
         .collect();
     let requests = alone
         .iter()
@@ -179,7 +182,8 @@ fn faulted_by_id(
     for slot in schedule_by_value(requests) {
         let i = index_of(slot.device);
         let start = slot.upload_start;
-        outcomes.push(outcome(i, &devices[i], frequencies[i], faults[i], payload, start));
+        let (dev, f) = (&devices[i], frequencies[i]);
+        outcomes.push(outcome(i, dev, f, dev.work() / f, faults[i], payload, start));
     }
     let mut crashed: Vec<&DeviceOutcome> = alone.iter().filter(|o| !o.uploaded).collect();
     crashed.sort_by_key(|o| o.device);
@@ -321,6 +325,76 @@ fn value_sort_resolution_matches_the_id_search_bit_for_bit() {
     ] {
         assert!(count >= 20, "only {count} cases with {what}");
     }
+}
+
+/// The channel order, as the tuple sort it replaced: `(compute-finish
+/// bits, id, input)` with compute crashes at `u64::MAX`, sorted by
+/// `sort_unstable`. Returns the input positions in order.
+fn channel_order_by_tuples(
+    devices: &[Device],
+    freqs: &[Hertz],
+    faults: &[Option<DeviceFault>],
+) -> Vec<usize> {
+    let mut keys: Vec<(u64, DeviceId, usize)> = (0..devices.len())
+        .map(|i| {
+            let (work, f) = (devices[i].work(), freqs[i]);
+            let finish = match faults[i] {
+                Some(DeviceFault::CrashCompute { .. }) => u64::MAX,
+                Some(DeviceFault::Straggler { slowdown }) => (work / (f * slowdown)).get().to_bits(),
+                _ => (work / f).get().to_bits(),
+            };
+            (finish, devices[i].id(), i)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, _, i)| i).collect()
+}
+
+#[test]
+fn channel_order_matches_the_tuple_sort_on_paper_fleet_cohorts() {
+    let fleet = crate::population::PopulationBuilder::paper_default()
+        .num_devices(5_000)
+        .seed(2022)
+        .build_fleet()
+        .unwrap();
+    let payload = Bits::from_megabits(40.0);
+    let mut rng = Rng::seed_from_u64(0xc0_4e57);
+    let (mut ties, mut kinds) = (0, std::collections::BTreeSet::new());
+    for case in 0..120 {
+        let n = rng.range_usize(1, 1_500);
+        // Half the cohorts repeat ids.
+        let span = if case % 2 == 0 { fleet.len() } else { 1 + n / 3 };
+        let ids: Vec<DeviceId> = (0..n).map(|_| DeviceId(rng.below(span))).collect();
+        let devices = fleet.gather(&ids);
+        // Alg. 3's shape: one device at f_max, most clamped to f_min
+        // (equal work, so equal finishes), a few in between.
+        let freqs: Vec<Hertz> = devices
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let range = d.cpu().range();
+                match rng.below(100) {
+                    _ if i == 0 => range.max(),
+                    0..=2 => Hertz::new(rng.uniform(range.min().get(), range.max().get())),
+                    _ => range.min(),
+                }
+            })
+            .collect();
+        let faults: Vec<_> = devices.iter().map(|_| gen_fault(&mut rng)).collect();
+        kinds.extend(faults.iter().flatten().map(DeviceFault::kind));
+        let f_min_run = freqs.iter().filter(|&&f| f == devices[0].cpu().range().min()).count();
+        ties += usize::from(f_min_run > 1);
+
+        let fr = FaultedRound::simulate(&devices, &freqs, payload, &faults, None).unwrap();
+        let inputs: Vec<usize> = fr.outcomes().iter().map(|o| o.input).collect();
+        assert_eq!(inputs, channel_order_by_tuples(&devices, &freqs, &faults), "case {case}");
+        let tl = RoundTimeline::simulate(&devices, &freqs, payload).unwrap();
+        let inputs: Vec<usize> = tl.activities().iter().map(|o| o.input).collect();
+        let healthy = vec![None; n];
+        assert_eq!(inputs, channel_order_by_tuples(&devices, &freqs, &healthy), "case {case}");
+    }
+    assert!(ties > 100, "only {ties} cohorts with an f_min tie run");
+    assert_eq!(kinds.len(), 6, "fault kinds drawn: {kinds:?}");
 }
 
 fn req(id: usize, finish: f64, dur: f64) -> UploadRequest {

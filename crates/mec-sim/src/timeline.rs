@@ -164,6 +164,17 @@ mod tests {
     }
 
     #[test]
+    fn ids_past_the_key_limit_are_refused_by_field() {
+        use crate::order::KEY_LIMIT;
+        let mut devs = [device(0, 2.0, 500, 8.0), device(KEY_LIMIT - 1, 1.0, 500, 8.0)];
+        assert!(RoundTimeline::simulate_at_max(&devs, payload()).is_ok());
+        devs[1] = device(KEY_LIMIT, 1.0, 500, 8.0);
+        let err = RoundTimeline::simulate_at_max(&devs, payload()).unwrap_err();
+        assert_eq!(err, MecError::KeyOutOfRange { field: "device.id", value: KEY_LIMIT });
+        assert!(err.to_string().contains("`device.id` 4294967295"), "{err}");
+    }
+
+    #[test]
     fn single_device_round_is_compute_plus_upload() {
         let devs = [device(0, 2.0, 500, 8.0)];
         let tl = RoundTimeline::simulate_at_max(&devs, payload()).unwrap();

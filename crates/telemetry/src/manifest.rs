@@ -105,8 +105,7 @@ pub struct RunManifest {
 }
 
 fn field_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    let f = v.get(key)?.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
+    v.get(key)?.as_u64()
 }
 
 fn field_str(v: &JsonValue, key: &str) -> Option<String> {
