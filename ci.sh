@@ -78,8 +78,10 @@ echo "==> observability gates: self-diff, flame, series, manifest refusal"
 # must be the identity: every phase and metric a zero delta, exit 0.
 # The folded-stack and timeseries exports must produce non-empty
 # artifacts from the same trace, and a manifest whose identity has
-# been tampered with (the seed) must make the diff refuse with the
-# field named.
+# been tampered with (the seed), or whose schema_version does not fit
+# 32 bits (4294967297 = 2^32 + 1, which a truncating cast would read
+# as the current version 1), must make the diff refuse with the field
+# named.
 (
   cd "$smoke_dir"
   trace=results/trace_reproduce.jsonl
@@ -98,6 +100,14 @@ echo "==> observability gates: self-diff, flame, series, manifest refusal"
     exit 1
   fi
   grep -q "seed" diff_refusal.txt
+  sed '/"type":"run_manifest"/s/"schema_version":[0-9]*/"schema_version":4294967297/' \
+    "$trace" > wide_schema.jsonl
+  if "$repo_root/target/release/helcfl-trace" diff "$trace" wide_schema.jsonl \
+      2> diff_refusal.txt; then
+    echo "ERROR: diff accepted a schema_version beyond u32" >&2
+    exit 1
+  fi
+  grep -q '"schema_version"' diff_refusal.txt
 )
 
 echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)"

@@ -20,8 +20,6 @@ use mec_sim::units::Seconds;
 pub struct FedCsSelector {
     /// Per-round deadline the TDMA schedule must fit.
     round_deadline: Seconds,
-    /// Optional hard cap on participants (None = as many as fit).
-    max_users: Option<usize>,
 }
 
 impl FedCsSelector {
@@ -37,13 +35,7 @@ impl FedCsSelector {
                 reason: format!("must be positive, got {round_deadline}"),
             });
         }
-        Ok(Self { round_deadline, max_users: None })
-    }
-
-    /// Caps the number of participants per round.
-    pub fn with_max_users(mut self, max_users: usize) -> Self {
-        self.max_users = Some(max_users);
-        self
+        Ok(Self { round_deadline })
     }
 
     /// The configured per-round deadline.
@@ -87,12 +79,8 @@ impl FedCsSelector {
                 .expect("delays are finite")
                 .then_with(|| a.id().cmp(&b.id()))
         });
-        let cap = self.max_users.unwrap_or(usize::MAX).min(order.len());
         let mut chosen: Vec<Device> = Vec::new();
         for candidate in order {
-            if chosen.len() >= cap {
-                break;
-            }
             chosen.push(candidate);
             // Candidates are compute-sorted by total delay, not compute
             // delay; re-sort the tentative set by compute delay for the
@@ -230,15 +218,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(sel.select(&ctx(pop.devices(), 10)).unwrap(), first);
         }
-    }
-
-    #[test]
-    fn max_users_caps_participation() {
-        let pop = PopulationBuilder::paper_default().num_devices(30).seed(5).build().unwrap();
-        let mut sel =
-            FedCsSelector::new(Seconds::new(1.0e6)).unwrap().with_max_users(7);
-        let picked = sel.select(&ctx(pop.devices(), 10)).unwrap();
-        assert_eq!(picked.len(), 7);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use detrand::Rng;
 use helcfl_bench::gate::{Better, Record};
-use helcfl_bench::{flag_value, ArgError};
+use helcfl_bench::{ArgError, Args};
 use helcfl_telemetry::json::JsonObject;
 use tinynn::activation::relu_backward_inplace;
 use tinynn::simd;
@@ -78,7 +78,7 @@ const GFLOPS_BOUND: f64 = 0.40;
 /// host must cover every pass of a kernel to move its figure.
 const PASSES: usize = 5;
 
-struct Args {
+struct Options {
     smoke: bool,
     seed: u64,
     operands: usize,
@@ -86,24 +86,15 @@ struct Args {
 
 /// Parses the flags, refusing with the flag named an unknown flag and
 /// a missing or malformed value.
-fn parse_args() -> Result<Args, ArgError> {
-    let mut args = Args { smoke: false, seed: 2022, operands: FRESH_OPERANDS };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => args.seed = flag_value(&flag, it.next(), "an unsigned integer")?,
-            "--operands" => {
-                let n: NonZeroUsize = flag_value(&flag, it.next(), "a positive integer")?;
-                args.operands = n.get();
-            }
-            _ => {
-                let reason = "unknown flag (expected --smoke, --seed N, --operands N)".into();
-                return Err(ArgError { flag, reason });
-            }
-        }
-    }
-    Ok(args)
+fn parse_args() -> Result<Options, ArgError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw, &["--seed", "--operands"], &["--smoke"])?.flags_only()?;
+    let operands: Option<NonZeroUsize> = args.value("--operands", "a positive integer")?;
+    Ok(Options {
+        smoke: args.switch("--smoke"),
+        seed: args.value("--seed", "an unsigned integer")?.unwrap_or(2022),
+        operands: operands.map_or(FRESH_OPERANDS, NonZeroUsize::get),
+    })
 }
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {

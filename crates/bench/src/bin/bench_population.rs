@@ -5,7 +5,9 @@
 //! For each population size `Q` the harness builds a compact
 //! [`Fleet`](mec_sim::fleet::Fleet) (no `Vec<Device>` is ever
 //! materialized for the whole fleet), runs the indexed HELCFL selector
-//! over a fleet-backed context, gathers the cohort, assigns Alg.-3
+//! over a fleet-backed context and checks its pick with
+//! `validate_selection` (the `select` phase, timed as the federated
+//! runner runs it), gathers the cohort, assigns Alg.-3
 //! slack DVFS frequencies and resolves the round's TDMA timeline
 //! through [`FaultedRound`] — the engine every federated round runs —
 //! with no fault and no round deadline. It
@@ -55,10 +57,10 @@ use std::time::{Duration, Instant};
 
 use detrand::splitmix64;
 use fl_sim::frequency::FrequencyPolicy;
-use fl_sim::selection::{ClientSelector, SelectionContext};
+use fl_sim::selection::{validate_selection, ClientSelector, SelectionContext};
 use helcfl::{IndexedDecaySelector, SlackFrequencyPolicy};
 use helcfl_bench::gate::{percentile_nearest_rank, Better, Record};
-use helcfl_bench::{flag_value, ArgError};
+use helcfl_bench::{ArgError, Args};
 use helcfl_telemetry::json::JsonObject;
 use helcfl_telemetry::Telemetry;
 use mec_sim::faults::{DigestConfig, FaultedRound};
@@ -103,7 +105,7 @@ const FULL_MIN_ROUNDS: usize = 30;
 /// aggregates, small enough that trace volume is round-bound.
 const TRACE_EXEMPLARS: usize = 8;
 
-struct Args {
+struct Options {
     smoke: bool,
     seed: u64,
     trace: Option<PathBuf>,
@@ -111,21 +113,14 @@ struct Args {
 
 /// Parses the flags, refusing with the flag named an unknown flag and
 /// a missing or malformed value.
-fn parse_args() -> Result<Args, ArgError> {
-    let mut args = Args { smoke: false, seed: 2022, trace: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => args.seed = flag_value(&flag, it.next(), "an unsigned integer")?,
-            "--trace" => args.trace = Some(flag_value(&flag, it.next(), "a path")?),
-            _ => {
-                let reason = "unknown flag (expected --smoke, --seed N, --trace PATH)".into();
-                return Err(ArgError { flag, reason });
-            }
-        }
-    }
-    Ok(args)
+fn parse_args() -> Result<Options, ArgError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw, &["--seed", "--trace"], &["--smoke"])?.flags_only()?;
+    Ok(Options {
+        smoke: args.switch("--smoke"),
+        seed: args.value("--seed", "an unsigned integer")?.unwrap_or(2022),
+        trace: args.value("--trace", "a path")?,
+    })
 }
 
 /// Refuses a sweep whose digest trace cost more than
@@ -228,6 +223,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 target,
             };
             let selected = selector.select(&ctx)?;
+            validate_selection(&ctx, &selected)?;
             let selected_at = started.elapsed();
             let cohort = fleet.gather(&selected);
             let gathered_at = started.elapsed();

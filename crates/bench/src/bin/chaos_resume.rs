@@ -36,7 +36,7 @@ use std::process::{Command, ExitCode};
 use detrand::Rng;
 use fl_sim::checkpoint::{CheckpointConfig, CHAOS_KILL_ENV, CHAOS_TORN_ENV, CHECKPOINT_ENV};
 use fl_sim::runner::TrainingConfig;
-use helcfl_bench::{flag_value, ArgError, PaperScenario, Scheme, Setting};
+use helcfl_bench::{ArgError, Args, PaperScenario, Scheme, Setting};
 
 /// Checkpoint every this many rounds in the gauntlet; kept at 2 so
 /// kills at odd rounds land between checkpoints and resumes must
@@ -80,35 +80,29 @@ enum Mode {
 }
 
 /// Parses the flags. `--child` selects child mode; any other command
-/// line must name `--smoke`. A flag the selected mode does not take
-/// is refused as unknown.
+/// line must name `--smoke`. Each mode declares its own flags, so one
+/// the selected mode does not take is refused as unknown.
 fn parse_args(raw: Vec<String>) -> Result<Mode, ArgError> {
     let child = raw.iter().any(|a| a == "--child");
-    let usage = if child { "--child --out CSV" } else { "--smoke [--seed N] [--golden CSV]" };
-    let (mut smoke, mut seed, mut golden, mut out) = (false, 2022, None, None);
-    let mut it = raw.into_iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), child) {
-            ("--child", true) => {}
-            ("--out", true) => out = Some(flag_value(&flag, it.next(), "a path")?),
-            ("--smoke", false) => smoke = true,
-            ("--seed", false) => seed = flag_value(&flag, it.next(), "an unsigned integer")?,
-            ("--golden", false) => golden = Some(flag_value(&flag, it.next(), "a path")?),
-            _ => {
-                let reason = format!("unknown flag (expected {usage})");
-                return Err(ArgError { flag, reason });
-            }
-        }
-    }
+    let (usage, values, switches): (_, &[&str], &[&str]) = if child {
+        ("--child --out CSV", &["--out"], &["--child"])
+    } else {
+        ("--smoke [--seed N] [--golden CSV]", &["--seed", "--golden"], &["--smoke"])
+    };
+    let args = Args::parse(&raw, values, switches)?.flags_only()?;
     let missing = |flag: &str| ArgError {
         flag: flag.to_string(),
         reason: format!("missing (usage: chaos_resume {usage})"),
     };
-    match (child, out) {
-        (true, Some(out)) => Ok(Mode::Child { out }),
-        (true, None) => Err(missing("--out")),
-        (false, _) if smoke => Ok(Mode::Smoke { seed, golden }),
-        (false, _) => Err(missing("--smoke")),
+    if child {
+        Ok(Mode::Child { out: args.value("--out", "a path")?.ok_or_else(|| missing("--out"))? })
+    } else if args.switch("--smoke") {
+        Ok(Mode::Smoke {
+            seed: args.value("--seed", "an unsigned integer")?.unwrap_or(2022),
+            golden: args.value("--golden", "a path")?,
+        })
+    } else {
+        Err(missing("--smoke"))
     }
 }
 

@@ -50,6 +50,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use helcfl_bench::gate::gate;
+use helcfl_bench::Args;
 use helcfl_telemetry::analyze::{
     check_coverage, folded_stacks, mad_flags, phase_breakdown, round_series, SpanTree, Trace,
 };
@@ -75,84 +76,23 @@ const USAGE: &str =
               (kernels, population or bench_suite reports, per-record bounds)
 PATH defaults to results/trace_reproduce.jsonl";
 
-/// Positional arguments and `--flag value` pairs, untangled.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, String)>,
+/// The trace a subcommand reads: its first positional argument, or
+/// [`DEFAULT_TRACE`].
+fn trace_path(args: &Args) -> &str {
+    args.positional.first().map_or(DEFAULT_TRACE, String::as_str)
 }
 
-impl Args {
-    /// Splits `raw` by a subcommand's declared flags: `values` take a
-    /// value, `switches` are presence-only. Any other `--flag` is an
-    /// error naming it.
-    fn parse(raw: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
-        let mut out = Self { positional: Vec::new(), flags: Vec::new() };
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                if switches.contains(&name) {
-                    out.flags.push((name.to_string(), String::new()));
-                    i += 1;
-                } else if !values.contains(&name) {
-                    return Err(format!("unknown flag --{name}\n{USAGE}"));
-                } else {
-                    let value = raw
-                        .get(i + 1)
-                        .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                    out.flags.push((name.to_string(), value.clone()));
-                    i += 2;
-                }
-            } else {
-                out.positional.push(raw[i].clone());
-                i += 1;
-            }
-        }
-        Ok(out)
-    }
-
-    fn flag_f64(&self, name: &str) -> Result<Option<f64>, String> {
-        match self.flags.iter().find(|(k, _)| k == name) {
-            Some((_, v)) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} wants a number, got {v:?}")),
-            None => Ok(None),
-        }
-    }
-
-    fn flag_usize(&self, name: &str) -> Result<Option<usize>, String> {
-        match self.flags.iter().find(|(k, _)| k == name) {
-            Some((_, v)) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} wants an integer, got {v:?}")),
-            None => Ok(None),
-        }
-    }
-
-    fn flag_str(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// True when a presence-only switch (`--json`, …) was given.
-    fn flag_set(&self, name: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == name)
-    }
-
-    fn trace_path(&self) -> &str {
-        self.positional.first().map_or(DEFAULT_TRACE, String::as_str)
-    }
+/// An unsigned integer flag's value, `None` when not given.
+fn count(args: &Args, flag: &str) -> Result<Option<usize>, String> {
+    Ok(args.value(flag, "an unsigned integer")?)
 }
 
 fn cmd_tree(args: &Args) -> Result<(), String> {
-    let trace = Trace::load(args.trace_path())?;
+    let trace = Trace::load(trace_path(args))?;
     let tree = SpanTree::build(&trace)?;
-    let max_depth = args.flag_usize("max-depth")?.unwrap_or(8);
-    let limit = args.flag_usize("limit")?.unwrap_or(5);
-    let round_filter = args.flag_usize("round")?;
+    let max_depth = count(args, "--max-depth")?.unwrap_or(8);
+    let limit = count(args, "--limit")?.unwrap_or(5);
+    let round_filter = count(args, "--round")?;
 
     let roots: Vec<_> = tree
         .roots()
@@ -185,13 +125,13 @@ fn cmd_tree(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_phases(args: &Args) -> Result<(), String> {
-    let trace = Trace::load(args.trace_path())?;
+    let trace = Trace::load(trace_path(args))?;
     let tree = SpanTree::build(&trace)?;
     let breakdown = phase_breakdown(&trace, &tree);
     if breakdown.rounds == 0 {
         return Err("no round spans — was a federated run traced?".to_string());
     }
-    if args.flag_set("json") {
+    if args.switch("--json") {
         println!("{}", breakdown.to_json().finish());
     } else {
         print!("{}", breakdown.render());
@@ -200,7 +140,7 @@ fn cmd_phases(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_check(args: &Args) -> Result<(), String> {
-    let path = args.trace_path();
+    let path = trace_path(args);
     let trace = Trace::load(path)?;
     let report = check_coverage(&trace)?;
     for warning in &report.warnings {
@@ -211,7 +151,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_audit(args: &Args) -> Result<(), String> {
-    let path = args.trace_path();
+    let path = trace_path(args);
     let trace = Trace::load(path)?;
     let report = audit(&trace, &AuditConfig::default())?;
     print!("{path}: {}", report.render());
@@ -229,10 +169,10 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 /// polls — both are success: a watcher outliving its run is not a
 /// trace defect.
 fn cmd_watch(args: &Args) -> Result<(), String> {
-    let path = args.trace_path();
+    let path = trace_path(args);
     let interval =
-        Duration::from_millis(args.flag_usize("interval-ms")?.unwrap_or(500) as u64);
-    let max_polls = args.flag_usize("max-polls")?.unwrap_or(usize::MAX);
+        Duration::from_millis(count(args, "--interval-ms")?.unwrap_or(500) as u64);
+    let max_polls = count(args, "--max-polls")?.unwrap_or(usize::MAX);
     let mut last_rounds = 0usize;
     let mut seen_manifests = 0usize;
     let mut reported_final = false;
@@ -300,9 +240,9 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
     };
     let base = Trace::load(baseline)?;
     let cand = Trace::load(candidate)?;
-    let cfg = DiffConfig { ignore_manifest: args.flag_set("ignore-manifest") };
+    let cfg = DiffConfig { ignore_manifest: args.switch("--ignore-manifest") };
     let report = diff_traces(&base, &cand, &cfg)?;
-    if args.flag_set("json") {
+    if args.switch("--json") {
         println!("{}", report.to_json().finish());
     } else {
         print!("{}", report.render());
@@ -313,7 +253,7 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
 /// Folded-stack export: one `path;to;span self_µs` line per stack,
 /// directly consumable by flamegraph.pl or speedscope.
 fn cmd_flame(args: &Args) -> Result<(), String> {
-    let trace = Trace::load(args.trace_path())?;
+    let trace = Trace::load(trace_path(args))?;
     let tree = SpanTree::build(&trace)?;
     let stacks = folded_stacks(&tree);
     if stacks.is_empty() {
@@ -326,8 +266,8 @@ fn cmd_flame(args: &Args) -> Result<(), String> {
         out.push_str(&self_us.to_string());
         out.push('\n');
     }
-    match args.flag_str("out") {
-        Some(path) => std::fs::write(path, &out)
+    match args.value::<String>("--out", "a path")? {
+        Some(path) => std::fs::write(&path, &out)
             .map_err(|e| format!("cannot write {path}: {e}"))?,
         None => print!("{out}"),
     }
@@ -336,17 +276,17 @@ fn cmd_flame(args: &Args) -> Result<(), String> {
 
 /// Per-round timeseries with rolling-median/MAD anomaly flags.
 fn cmd_series(args: &Args) -> Result<(), String> {
-    let trace = Trace::load(args.trace_path())?;
+    let trace = Trace::load(trace_path(args))?;
     let tree = SpanTree::build(&trace)?;
     let points = round_series(&trace, &tree);
     if points.is_empty() {
         return Err("no round spans — was a federated run traced?".to_string());
     }
-    let window = args.flag_usize("window")?.unwrap_or(16);
-    let mad_k = args.flag_f64("mad-k")?.unwrap_or(5.0);
+    let window = count(args, "--window")?.unwrap_or(16);
+    let mad_k = args.value("--mad-k", "a number")?.unwrap_or(5.0);
     let durations: Vec<f64> = points.iter().map(|p| p.dur_us as f64).collect();
     let flags = mad_flags(&durations, window, mad_k);
-    if args.flag_set("json") {
+    if args.switch("--json") {
         let rows: Vec<JsonObject> = points
             .iter()
             .zip(&flags)
@@ -422,14 +362,14 @@ fn main() -> ExitCode {
         // Each subcommand: its function, the flags taking a value, and
         // its presence-only switches.
         let (cmd_fn, values, switches): (Cmd, &[&str], &[&str]) = match cmd.as_str() {
-            "tree" => (cmd_tree, &["round", "max-depth", "limit"], &[]),
-            "phases" => (cmd_phases, &[], &["json"]),
+            "tree" => (cmd_tree, &["--round", "--max-depth", "--limit"], &[]),
+            "phases" => (cmd_phases, &[], &["--json"]),
             "check" => (cmd_check, &[], &[]),
             "audit" => (cmd_audit, &[], &[]),
-            "watch" => (cmd_watch, &["interval-ms", "max-polls"], &[]),
-            "diff" => (cmd_diff, &[], &["json", "ignore-manifest"]),
-            "flame" => (cmd_flame, &["out"], &[]),
-            "series" => (cmd_series, &["window", "mad-k"], &["json"]),
+            "watch" => (cmd_watch, &["--interval-ms", "--max-polls"], &[]),
+            "diff" => (cmd_diff, &[], &["--json", "--ignore-manifest"]),
+            "flame" => (cmd_flame, &["--out"], &[]),
+            "series" => (cmd_series, &["--window", "--mad-k"], &["--json"]),
             "gate" => (cmd_gate, &[], &[]),
             other => return Err(format!("unknown subcommand {other:?}\n{USAGE}")),
         };

@@ -17,7 +17,7 @@
 //! use for per-round p50/p99.
 
 pub use helcfl_telemetry::percentile_nearest_rank;
-use helcfl_telemetry::json::{parse, JsonObject, JsonValue};
+use helcfl_telemetry::json::{parse, FieldError, JsonObject, JsonValue};
 
 /// The benchmark's definition, read for its `end_to_end` bounds.
 const SPEC: &str = include_str!("../../../BENCHMARK.json");
@@ -151,39 +151,24 @@ struct Report {
     records: Vec<Record>,
 }
 
-fn items<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    match v.get(key) {
-        Some(JsonValue::Array(items)) => Ok(items),
-        _ => Err(format!("no {key} array")),
-    }
-}
-
-fn text<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key).and_then(JsonValue::as_str).ok_or_else(|| format!("no {key} string"))
-}
-
-fn number(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(JsonValue::as_f64).ok_or_else(|| format!("no numeric {key}"))
-}
-
-fn better(v: &JsonValue) -> Result<Better, String> {
-    match text(v, "better")? {
+fn better(v: &JsonValue) -> Result<Better, FieldError> {
+    match v.field("better")? {
         "higher" => Ok(Better::Higher),
         "lower" => Ok(Better::Lower),
-        other => Err(format!("better is {other:?}, not \"higher\" or \"lower\"")),
+        _ => Err(FieldError::new("better", "\"higher\" or \"lower\"")),
     }
 }
 
 /// Reads one record object.
 fn record(v: &JsonValue) -> Result<Record, String> {
-    let metric = text(v, "metric")?;
-    let named = |e: String| format!("record {metric}: {e}");
+    let metric: &str = v.field("metric")?;
+    let named = |e: FieldError| format!("record {metric}: {e}");
     Ok(Record {
         metric: metric.to_string(),
-        unit: text(v, "unit").map_err(named)?.to_string(),
+        unit: v.field::<&str>("unit").map_err(named)?.to_string(),
         better: better(v).map_err(named)?,
-        bound: number(v, "bound").map_err(named)?,
-        value: number(v, "value").map_err(named)?,
+        bound: v.field("bound").map_err(named)?,
+        value: v.field("value").map_err(named)?,
     })
 }
 
@@ -193,25 +178,28 @@ fn record(v: &JsonValue) -> Result<Record, String> {
 /// report: its timings measure a run that went wrong.
 fn suite_records(report: &JsonValue) -> Result<Vec<Record>, String> {
     let spec = parse(SPEC).map_err(|e| format!("BENCHMARK.json: {e}"))?;
-    let declared = items(&spec, "end_to_end")?
-        .iter()
-        .map(|m| Ok((text(m, "name")?, text(m, "unit")?, better(m)?, number(m, "bound")?)))
-        .collect::<Result<Vec<_>, String>>()
+    let declared = spec
+        .field::<&[JsonValue]>("end_to_end")
+        .and_then(|list| {
+            list.iter()
+                .map(|m| Ok((m.field("name")?, m.field("unit")?, better(m)?, m.field("bound")?)))
+                .collect::<Result<Vec<(&str, &str, Better, f64)>, FieldError>>()
+        })
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let mut records = Vec::new();
-    for w in items(report, "workloads")? {
-        let name = text(w, "name")?;
-        let in_workload = |e: String| format!("workload {name}: {e}");
-        if w.get("correct").and_then(JsonValue::as_bool) != Some(true) {
+    for w in report.field::<&[JsonValue]>("workloads")? {
+        let name: &str = w.field("name")?;
+        let in_workload = |e: FieldError| format!("workload {name}: {e}");
+        if !w.field::<bool>("correct").map_err(in_workload)? {
             return Err(format!("workload {name} is not correct"));
         }
-        let failed = number(w, "failed").map_err(in_workload)?;
+        let failed: f64 = w.field("failed").map_err(in_workload)?;
         if failed > 0.0 {
             return Err(format!("workload {name} failed {failed} operation(s)"));
         }
-        let metrics = items(w, "metrics").map_err(in_workload)?;
+        let metrics: &[JsonValue] = w.field("metrics").map_err(in_workload)?;
         for &(metric, unit, better, bound) in &declared {
-            let Some(found) = metrics.iter().find(|m| text(m, "name") == Ok(metric)) else {
+            let Some(found) = metrics.iter().find(|m| m.field::<&str>("name") == Ok(metric)) else {
                 continue;
             };
             records.push(Record {
@@ -219,7 +207,7 @@ fn suite_records(report: &JsonValue) -> Result<Vec<Record>, String> {
                 unit: unit.to_string(),
                 better,
                 bound,
-                value: number(found, "value").map_err(in_workload)?,
+                value: found.field("value").map_err(in_workload)?,
             });
         }
     }
@@ -228,20 +216,17 @@ fn suite_records(report: &JsonValue) -> Result<Vec<Record>, String> {
 
 fn read(json: &str) -> Result<Report, String> {
     let v = parse(json).map_err(|e| format!("invalid JSON: {e}"))?;
-    let bench = text(&v, "bench").map_err(|_| "not a bench report (no bench tag)".to_string())?;
+    let bench: &str =
+        v.field("bench").map_err(|e| format!("not a bench report (no bench tag): {e}"))?;
     let records = if bench == "bench_suite" {
         suite_records(&v)?
     } else {
-        items(&v, "records")?.iter().map(record).collect::<Result<_, _>>()?
+        v.field::<&[JsonValue]>("records")?.iter().map(record).collect::<Result<_, _>>()?
     };
     if records.is_empty() {
         return Err(format!("{bench} report holds no records"));
     }
-    Ok(Report {
-        bench: bench.to_string(),
-        smoke: v.get("smoke").and_then(JsonValue::as_bool),
-        records,
-    })
+    Ok(Report { bench: bench.to_string(), smoke: v.optional("smoke")?, records })
 }
 
 /// Compares a candidate bench report against a baseline.

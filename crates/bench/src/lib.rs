@@ -50,10 +50,10 @@ use std::process::ExitCode;
 
 use helcfl_telemetry::Telemetry;
 
-/// A command-line flag [`CommonArgs::parse`] refused.
+/// A command-line argument [`Args::parse`] or a binary refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError {
-    /// The flag as given on the command line.
+    /// The flag, or the stray argument, as given on the command line.
     pub flag: String,
     /// Why it was refused.
     pub reason: String,
@@ -67,20 +67,97 @@ impl core::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parses the value that follows `flag` on the command line, refusing
-/// with the flag named when it is missing or does not parse as `what`.
-///
-/// # Errors
-///
-/// An [`ArgError`] for `flag` when `value` is `None` or malformed.
-pub fn flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<String>,
-    what: &str,
-) -> Result<T, ArgError> {
-    let refuse = |reason| ArgError { flag: flag.to_string(), reason };
-    let v = value.ok_or_else(|| refuse(format!("missing value (expected {what})")))?;
-    v.parse().map_err(|_| refuse(format!("'{v}' is not {what}")))
+impl From<ArgError> for String {
+    fn from(e: ArgError) -> Self {
+        e.to_string()
+    }
+}
+
+/// A command line split by its declared flags: the one flag parser of
+/// every binary in this crate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// The arguments that are not flags, in order.
+    pub positional: Vec<String>,
+    /// Each flag given, with the argument after it for a value flag
+    /// (`None` for a switch, or when the line ends first).
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Splits `raw` by the declared flags (each spelt `--name`): a flag
+    /// in `values` takes the next argument as its value, a flag in
+    /// `switches` stands alone, and an argument not starting with `--`
+    /// is positional.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArgError`] naming the first flag that is not declared or is
+    /// given twice.
+    pub fn parse(raw: &[String], values: &[&str], switches: &[&str]) -> Result<Self, ArgError> {
+        let mut out = Self { positional: Vec::new(), flags: Vec::new() };
+        let mut raw = raw.iter();
+        while let Some(arg) = raw.next() {
+            let refuse = |reason: String| Err(ArgError { flag: arg.clone(), reason });
+            if !arg.starts_with("--") {
+                out.positional.push(arg.clone());
+            } else if out.flags.iter().any(|(f, _)| f == arg) {
+                return refuse("given more than once".into());
+            } else if values.contains(&arg.as_str()) {
+                out.flags.push((arg.clone(), raw.next().cloned()));
+            } else if switches.contains(&arg.as_str()) {
+                out.flags.push((arg.clone(), None));
+            } else {
+                let declared: Vec<&str> = values.iter().chain(switches).copied().collect();
+                return refuse(match declared.as_slice() {
+                    [] => "unknown flag (this command takes none)".into(),
+                    _ => format!("unknown flag (expected one of {})", declared.join(", ")),
+                });
+            }
+        }
+        Ok(out)
+    }
+
+    /// Refuses a positional argument: for commands that take flags
+    /// only.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArgError`] naming the first positional argument.
+    pub fn flags_only(self) -> Result<Self, ArgError> {
+        match self.positional.first() {
+            Some(arg) => Err(ArgError {
+                flag: arg.clone(),
+                reason: "unexpected argument (this command takes flags only)".into(),
+            }),
+            None => Ok(self),
+        }
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value given for `flag`, parsed as `what`; `None` when the
+    /// flag was not given.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArgError`] for `flag` when its value is missing or
+    /// malformed.
+    pub fn value<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+    ) -> Result<Option<T>, ArgError> {
+        let Some((_, value)) = self.flags.iter().find(|(f, _)| f == flag) else {
+            return Ok(None);
+        };
+        let refuse = |reason| ArgError { flag: flag.to_string(), reason };
+        let v = value.as_ref().ok_or_else(|| refuse(format!("missing value (expected {what})")))?;
+        v.parse().map(Some).map_err(|_| refuse(format!("'{v}' is not {what}")))
+    }
 }
 
 /// The exit of a binary whose work is `result`: success, or its error
@@ -115,41 +192,26 @@ impl CommonArgs {
     ///
     /// # Errors
     ///
-    /// Refuses, naming the flag, an unknown flag, a flag whose value
-    /// is missing or malformed, and a `--trace-out` path that cannot
-    /// be created.
+    /// Refuses, naming the flag, an unknown or repeated flag, a stray
+    /// argument, a flag whose value is missing or malformed, and a
+    /// `--trace-out` path that cannot be created.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
-        let mut out = Self { fast: false, seed: None, setting: None, trace_out: None };
-        let mut args = args.into_iter();
-        while let Some(flag) = args.next() {
-            let refuse = |reason: String| ArgError { flag: flag.clone(), reason };
-            match flag.as_str() {
-                "--fast" => out.fast = true,
-                "--seed" => out.seed = Some(flag_value(&flag, args.next(), "an unsigned integer")?),
-                "--setting" => {
-                    let v: String = flag_value(&flag, args.next(), "iid or noniid")?;
-                    out.setting = Some(match v.as_str() {
-                        "iid" => Setting::Iid,
-                        "noniid" => Setting::NonIid,
-                        other => return Err(refuse(format!("'{other}' is not iid or noniid"))),
-                    });
-                }
-                "--trace-out" => {
-                    let path: String = flag_value(&flag, args.next(), "a path")?;
-                    // Create the file now, so an unwritable path stops
-                    // the binary before it trains anything.
-                    Telemetry::to_file(&path)
-                        .map_err(|e| refuse(format!("cannot create '{path}': {e}")))?;
-                    out.trace_out = Some(path);
-                }
-                _ => {
-                    return Err(refuse(
-                        "unknown flag (expected --fast, --seed N, --setting iid|noniid, \
-                         --trace-out PATH)"
-                            .into(),
-                    ))
-                }
-            }
+        let raw: Vec<String> = args.into_iter().collect();
+        let args = Args::parse(&raw, &["--seed", "--setting", "--trace-out"], &["--fast"])?
+            .flags_only()?;
+        let out = Self {
+            fast: args.switch("--fast"),
+            seed: args.value("--seed", "an unsigned integer")?,
+            setting: args.value("--setting", "iid or noniid")?,
+            trace_out: args.value("--trace-out", "a path")?,
+        };
+        if let Some(path) = &out.trace_out {
+            // Create the file now, so an unwritable path stops the
+            // binary before it trains anything.
+            Telemetry::to_file(path).map_err(|e| ArgError {
+                flag: "--trace-out".into(),
+                reason: format!("cannot create '{path}': {e}"),
+            })?;
         }
         Ok(out)
     }
@@ -235,11 +297,44 @@ mod tests {
         refused(&["--setting", "weird"], "--setting");
         refused(&["--setting"], "--setting");
         refused(&["--trace-out"], "--trace-out");
+        refused(&["--fast", "--fast"], "--fast");
+        refused(&["7"], "7");
         // A path under a regular file can never be created.
         let file = std::env::temp_dir().join("helcfl_bench_args_not_a_dir");
         std::fs::write(&file, "").unwrap();
         refused(&["--trace-out", file.join("trace.jsonl").to_str().unwrap()], "--trace-out");
         std::fs::remove_file(&file).unwrap();
+    }
+
+    #[test]
+    fn args_split_declared_flags_and_refuse_the_rest_by_name() {
+        let raw = |line: &[&str]| line.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let parse = |line: &[&str]| Args::parse(&raw(line), &["--n", "--x"], &["--json"]);
+        let a = parse(&["in.jsonl", "--n", "3", "--json", "out"]).unwrap();
+        assert_eq!(a.positional, ["in.jsonl", "out"]);
+        assert!(a.switch("--json"));
+        assert_eq!(a.value::<usize>("--n", "a count"), Ok(Some(3)));
+        assert_eq!(a.value::<f64>("--x", "a number"), Ok(None));
+        // A value flag takes the next argument whatever it looks like.
+        let n = parse(&["--n", "--json"]).unwrap().value::<String>("--n", "a word");
+        assert_eq!(n, Ok(Some("--json".to_string())));
+        let count = |line: &[&str]| parse(line).unwrap().value::<usize>("--n", "a count");
+        for (err, flag, says) in [
+            (parse(&["--jsn"]).unwrap_err(), "--jsn", "unknown flag (expected one of --n, --x, --json)"),
+            (parse(&["--json", "--json"]).unwrap_err(), "--json", "given more than once"),
+            (parse(&["--n", "1", "--n", "x"]).unwrap_err(), "--n", "given more than once"),
+            (count(&["--n"]).unwrap_err(), "--n", "missing value (expected a count)"),
+            (count(&["--n", "-1"]).unwrap_err(), "--n", "'-1' is not a count"),
+            (parse(&["stray"]).unwrap().flags_only().unwrap_err(), "stray", "unexpected argument"),
+            (
+                Args::parse(&raw(&["--json"]), &[], &[]).unwrap_err(),
+                "--json",
+                "unknown flag (this command takes none)",
+            ),
+        ] {
+            assert_eq!(err.flag, flag, "{err}");
+            assert!(err.to_string().starts_with(&format!("{flag}: {says}")), "{err}");
+        }
     }
 
     #[test]

@@ -41,6 +41,15 @@ impl core::fmt::Display for Setting {
     }
 }
 
+impl core::str::FromStr for Setting {
+    type Err = ();
+
+    /// Reads a [`Setting::label`] back.
+    fn from_str(label: &str) -> core::result::Result<Self, ()> {
+        [Self::Iid, Self::NonIid].into_iter().find(|s| s.label() == label).ok_or(())
+    }
+}
+
 /// The full §VII-A scenario with a scale knob for CI-speed runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PaperScenario {

@@ -316,7 +316,7 @@ fn unknown_flags_are_refused_by_name() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(!output.status.success(), "{args:?} must fail: {stderr}");
         let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
-        assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag}: unknown flag")), "{args:?}: {stderr}");
     }
     fs::remove_dir_all(&dir).ok();
 }

@@ -326,7 +326,7 @@ mod tests {
             let f = if pos == 0 {
                 device.cpu().range().max()
             } else {
-                device.cpu().frequency_for_deadline(device.work(), channel_free).0
+                device.cpu().range().clamp(device.work() / channel_free)
             };
             let upload_start = (device.work() / f).max(channel_free);
             channel_free = upload_start + device.upload_delay(payload);

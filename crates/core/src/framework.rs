@@ -80,12 +80,6 @@ impl Helcfl {
         self
     }
 
-    /// Whether Alg. 3 is active.
-    #[inline]
-    pub fn dvfs_enabled(&self) -> bool {
-        self.dvfs
-    }
-
     /// The configured decay coefficient.
     #[inline]
     pub fn eta(&self) -> DecayCoefficient {
@@ -215,9 +209,6 @@ mod tests {
     #[test]
     fn accessors_reflect_construction() {
         let f = Helcfl::new(DecayCoefficient::new(0.7).unwrap());
-        assert!(f.dvfs_enabled());
         assert_eq!(f.eta().get(), 0.7);
-        let f = f.without_dvfs();
-        assert!(!f.dvfs_enabled());
     }
 }

@@ -51,7 +51,7 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use helcfl_telemetry::json::{self, JsonObject, JsonValue};
+use helcfl_telemetry::json::{self, FieldError, FromJson, JsonObject, JsonValue};
 use helcfl_telemetry::{fnv1a_hex, Histogram, Metric, RunIdentity};
 use mec_sim::device::DeviceId;
 use mec_sim::units::{Joules, Seconds};
@@ -246,31 +246,16 @@ impl RunCheckpoint {
 
     /// Parses a checkpoint payload object (checksum already verified).
     fn from_json(v: &JsonValue) -> core::result::Result<Self, String> {
-        let fleet_size = want_usize(v, "fleet_size")?;
-        let round = want_usize(v, "round")?;
-        let model = want_array(v, "model")?
-            .iter()
-            .map(|e| {
-                e.as_str()
-                    .ok_or_else(|| "non-string model parameter".to_string())
-                    .and_then(|s| parse_hex_f32(s, "model"))
-            })
+        let fleet_size = v.field("fleet_size")?;
+        let round = v.field("round")?;
+        let model = v
+            .field::<Vec<Hex>>("model")?
+            .into_iter()
+            .map(|p| p.f32("model"))
             .collect::<core::result::Result<Vec<_>, _>>()?;
-        let battery_remaining = match v.get("battery_remaining") {
-            Some(JsonValue::Null) => None,
-            Some(JsonValue::Array(items)) => Some(
-                items
-                    .iter()
-                    .map(|e| {
-                        e.as_str()
-                            .ok_or_else(|| "non-string battery charge".to_string())
-                            .and_then(|s| parse_hex_f64(s, "battery_remaining"))
-                            .map(Joules::new)
-                    })
-                    .collect::<core::result::Result<Vec<_>, _>>()?,
-            ),
-            _ => return Err("missing or malformed field `battery_remaining`".into()),
-        };
+        let battery_remaining: Option<Vec<Joules>> = v
+            .field::<Option<Vec<Hex>>>("battery_remaining")?
+            .map(|charges| charges.into_iter().map(|c| Joules::new(c.f64())).collect());
         if let Some(rem) = &battery_remaining {
             if rem.len() != fleet_size {
                 return Err(format!(
@@ -279,41 +264,25 @@ impl RunCheckpoint {
                 ));
             }
         }
-        let counters_len = want_usize(v, "selector_counters_len")?;
-        let counters = want_array(v, "selector_counters")?
-            .iter()
-            .map(|pair| match pair {
-                JsonValue::Array(kv) if kv.len() == 2 => {
-                    let q = usize_of(&kv[0], "selector_counters")?;
-                    let c = usize_of(&kv[1], "selector_counters")?;
-                    u32::try_from(c)
-                        .map(|c| (q, c))
-                        .map_err(|_| "selector counter exceeds u32".to_string())
-                }
-                _ => Err("selector_counters entries must be [id, count] pairs".into()),
-            })
-            .collect::<core::result::Result<Vec<_>, _>>()?;
-        let rng_state = match v.get("selector_rng") {
-            Some(JsonValue::Null) => None,
-            Some(JsonValue::Array(words)) if words.len() == 4 => {
-                let mut s = [0u64; 4];
-                for (slot, w) in s.iter_mut().zip(words) {
-                    *slot = w
-                        .as_str()
-                        .ok_or_else(|| "non-string RNG word".to_string())
-                        .and_then(|t| parse_hex_u64(t, "selector_rng"))?;
-                }
-                Some(s)
-            }
-            _ => return Err("missing or malformed field `selector_rng`".into()),
+        let rng_state = match v.field::<Option<Vec<Hex>>>("selector_rng")? {
+            None => None,
+            Some(words) => Some(
+                <[Hex; 4]>::try_from(words)
+                    .map_err(|_| FieldError::new("selector_rng", "four hex words or null"))?
+                    .map(|w| w.0),
+            ),
         };
-        let sim_metrics = want_array(v, "sim_metrics")?
+        let sim_metrics = v
+            .field::<&[JsonValue]>("sim_metrics")?
             .iter()
-            .map(metric_from_json)
+            .enumerate()
+            .map(|(i, m)| metric_from_json(m).map_err(|e| format!("sim_metrics[{i}]: {e}")))
             .collect::<core::result::Result<Vec<_>, _>>()?;
-        let history = want_array(v, "history")?
+        let history = v
+            .field::<&[JsonValue]>("history")?
             .iter()
-            .map(record_from_json)
+            .enumerate()
+            .map(|(i, r)| record_from_json(r).map_err(|e| format!("history[{i}]: {e}")))
             .collect::<core::result::Result<Vec<_>, _>>()?;
         if history.last().map(|r: &RoundRecord| r.round) != Some(round) {
             return Err(format!(
@@ -323,16 +292,20 @@ impl RunCheckpoint {
         }
         Ok(Self {
             identity: RunIdentity {
-                seed: want_u64_hex(v, "seed")?,
-                scheme: want_str(v, "scheme")?.to_string(),
-                config_fingerprint: want_str(v, "config_fingerprint")?.to_string(),
+                seed: v.field::<Hex>("seed")?.0,
+                scheme: v.field::<&str>("scheme")?.to_string(),
+                config_fingerprint: v.field::<&str>("config_fingerprint")?.to_string(),
                 fleet_size,
             },
             round,
             model,
             battery_remaining,
-            selector: SelectorSnapshot { counters_len, counters, rng_state },
-            next_span_id: want_u64_hex(v, "next_span_id")?,
+            selector: SelectorSnapshot {
+                counters_len: v.field("selector_counters_len")?,
+                counters: v.field("selector_counters")?,
+                rng_state,
+            },
+            next_span_id: v.field::<Hex>("next_span_id")?.0,
             sim_metrics,
             history,
         })
@@ -370,40 +343,29 @@ fn metric_to_json(name: &str, metric: &Metric) -> JsonObject {
     o
 }
 
-fn metric_from_json(v: &JsonValue) -> core::result::Result<(String, Metric), String> {
-    let name = want_str(v, "name")?.to_string();
-    let metric = match want_str(v, "kind")? {
-        "counter" => Metric::Counter(want_u64_hex(v, "value")?),
-        "gauge" => Metric::Gauge(want_f64_bits(v, "value")?),
+fn metric_from_json(v: &JsonValue) -> core::result::Result<(String, Metric), FieldError> {
+    let name = v.field::<&str>("name")?.to_string();
+    let metric = match v.field("kind")? {
+        "counter" => Metric::Counter(v.field::<Hex>("value")?.0),
+        "gauge" => Metric::Gauge(v.field::<Hex>("value")?.f64()),
         "histogram" => {
             let mut h = Histogram::new();
-            h.count = want_u64_hex(v, "count")?;
-            h.underflow = want_u64_hex(v, "underflow")?;
-            h.negative = want_u64_hex(v, "negative")?;
-            h.infinite = want_u64_hex(v, "infinite")?;
-            h.nan = want_u64_hex(v, "nan")?;
-            h.min = want_f64_bits(v, "min")?;
-            h.max = want_f64_bits(v, "max")?;
-            for pair in want_array(v, "buckets")? {
-                match pair {
-                    JsonValue::Array(kv) if kv.len() == 2 => {
-                        let e = kv[0]
-                            .as_str()
-                            .ok_or_else(|| "non-string bucket exponent".to_string())?
-                            .parse::<i16>()
-                            .map_err(|_| "unparseable bucket exponent".to_string())?;
-                        let c = kv[1]
-                            .as_str()
-                            .ok_or_else(|| "non-string bucket count".to_string())
-                            .and_then(|s| parse_hex_u64(s, "buckets"))?;
-                        h.buckets.insert(e, c);
-                    }
-                    _ => return Err("histogram buckets must be [exp, count] pairs".into()),
-                }
+            h.count = v.field::<Hex>("count")?.0;
+            h.underflow = v.field::<Hex>("underflow")?.0;
+            h.negative = v.field::<Hex>("negative")?.0;
+            h.infinite = v.field::<Hex>("infinite")?.0;
+            h.nan = v.field::<Hex>("nan")?.0;
+            h.min = v.field::<Hex>("min")?.f64();
+            h.max = v.field::<Hex>("max")?.f64();
+            for (exponent, count) in v.field::<Vec<(&str, Hex)>>("buckets")? {
+                let exponent = exponent
+                    .parse::<i16>()
+                    .map_err(|_| FieldError::new("buckets", "keyed by i16 exponents"))?;
+                h.buckets.insert(exponent, count.0);
             }
             Metric::Histogram(h)
         }
-        other => return Err(format!("unknown metric kind `{other}`")),
+        _ => return Err(FieldError::new("kind", "\"counter\", \"gauge\" or \"histogram\"")),
     };
     Ok((name, metric))
 }
@@ -429,94 +391,56 @@ fn record_to_json(r: &RoundRecord) -> JsonObject {
     o
 }
 
-fn record_from_json(v: &JsonValue) -> core::result::Result<RoundRecord, String> {
-    let ids = |key: &str| -> core::result::Result<Vec<DeviceId>, String> {
-        want_array(v, key)?
-            .iter()
-            .map(|e| usize_of(e, key).map(DeviceId))
-            .collect()
-    };
-    let test_accuracy = match v.get("test_accuracy") {
-        Some(JsonValue::Null) => None,
-        Some(JsonValue::String(s)) => Some(parse_hex_f64(s, "test_accuracy")?),
-        _ => return Err("missing or malformed field `test_accuracy`".into()),
-    };
+fn record_from_json(v: &JsonValue) -> core::result::Result<RoundRecord, FieldError> {
+    let ids = |key| Ok(v.field::<Vec<usize>>(key)?.into_iter().map(DeviceId).collect());
+    let seconds = |key| Ok(Seconds::new(v.field::<Hex>(key)?.f64()));
+    let joules = |key| Ok(Joules::new(v.field::<Hex>(key)?.f64()));
     Ok(RoundRecord {
-        round: want_usize(v, "round")?,
+        round: v.field("round")?,
         selected: ids("selected")?,
         delivered: ids("delivered")?,
-        alive_devices: want_usize(v, "alive_devices")?,
-        round_time: Seconds::new(want_f64_bits(v, "round_time")?),
-        eq10_time: Seconds::new(want_f64_bits(v, "eq10_time")?),
-        round_energy: Joules::new(want_f64_bits(v, "round_energy")?),
-        compute_energy: Joules::new(want_f64_bits(v, "compute_energy")?),
-        slack: Seconds::new(want_f64_bits(v, "slack")?),
-        wasted_energy: Joules::new(want_f64_bits(v, "wasted_energy")?),
-        faults: want_usize(v, "faults")?,
-        aggregated: v
-            .get("aggregated")
-            .and_then(JsonValue::as_bool)
-            .ok_or("missing or non-boolean field `aggregated`")?,
-        train_loss: {
-            let s = want_str(v, "train_loss")?;
-            parse_hex_f32(s, "train_loss")?
-        },
-        test_accuracy,
-        cumulative_time: Seconds::new(want_f64_bits(v, "cumulative_time")?),
-        cumulative_energy: Joules::new(want_f64_bits(v, "cumulative_energy")?),
+        alive_devices: v.field("alive_devices")?,
+        round_time: seconds("round_time")?,
+        eq10_time: seconds("eq10_time")?,
+        round_energy: joules("round_energy")?,
+        compute_energy: joules("compute_energy")?,
+        slack: seconds("slack")?,
+        wasted_energy: joules("wasted_energy")?,
+        faults: v.field("faults")?,
+        aggregated: v.field("aggregated")?,
+        train_loss: v.field::<Hex>("train_loss")?.f32("train_loss")?,
+        test_accuracy: v.field::<Option<Hex>>("test_accuracy")?.map(Hex::f64),
+        cumulative_time: seconds("cumulative_time")?,
+        cumulative_energy: joules("cumulative_energy")?,
     })
 }
 
-// --- strict field accessors (errors name the offending field) --------
+/// A `u64` or a float's bit pattern, as the hex string the writer
+/// stores (see the module docs): the checkpoint's one hex decode.
+#[derive(Debug, Clone, Copy)]
+struct Hex(u64);
 
-fn want_str<'a>(v: &'a JsonValue, key: &str) -> core::result::Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
-fn parse_hex_u64(s: &str, key: &str) -> core::result::Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|_| format!("field `{key}` is not hex: `{s}`"))
-}
-
-fn parse_hex_f64(s: &str, key: &str) -> core::result::Result<f64, String> {
-    parse_hex_u64(s, key).map(f64::from_bits)
-}
-
-fn parse_hex_f32(s: &str, key: &str) -> core::result::Result<f32, String> {
-    u32::from_str_radix(s, 16)
-        .map(f32::from_bits)
-        .map_err(|_| format!("field `{key}` is not hex: `{s}`"))
-}
-
-fn want_u64_hex(v: &JsonValue, key: &str) -> core::result::Result<u64, String> {
-    parse_hex_u64(want_str(v, key)?, key)
-}
-
-fn want_f64_bits(v: &JsonValue, key: &str) -> core::result::Result<f64, String> {
-    parse_hex_f64(want_str(v, key)?, key)
-}
-
-fn usize_of(e: &JsonValue, key: &str) -> core::result::Result<usize, String> {
-    let n = e.as_f64().ok_or_else(|| format!("non-numeric entry in `{key}`"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9.007_199_254_740_992e15 {
-        return Err(format!("entry {n} in `{key}` is not an index"));
+impl FromJson<'_> for Hex {
+    fn want() -> String {
+        "a hex string".into()
     }
-    Ok(n as usize)
+
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        u64::from_str_radix(v.as_str()?, 16).ok().map(Hex)
+    }
 }
 
-fn want_usize(v: &JsonValue, key: &str) -> core::result::Result<usize, String> {
-    let e = v.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
-    usize_of(e, key)
-}
+impl Hex {
+    fn f64(self) -> f64 {
+        f64::from_bits(self.0)
+    }
 
-fn want_array<'a>(
-    v: &'a JsonValue,
-    key: &str,
-) -> core::result::Result<&'a [JsonValue], String> {
-    match v.get(key) {
-        Some(JsonValue::Array(items)) => Ok(items),
-        _ => Err(format!("missing or non-array field `{key}`")),
+    /// The `f32` these bits encode; `key` names the field when they
+    /// are wider than 32.
+    fn f32(self, key: &str) -> core::result::Result<f32, FieldError> {
+        u32::try_from(self.0)
+            .map(f32::from_bits)
+            .map_err(|_| FieldError::new(key, "a hex string of at most 32 bits"))
     }
 }
 
@@ -545,10 +469,10 @@ pub fn parse_checkpoint_file(
     let tv = json::parse(trailer).map_err(|e| {
         format!("truncated or malformed checksum trailer: {e}")
     })?;
-    if tv.get("type").and_then(JsonValue::as_str) != Some("checkpoint_checksum") {
+    if tv.field::<&str>("type") != Ok("checkpoint_checksum") {
         return Err("malformed checksum trailer: wrong `type`".into());
     }
-    let stored = want_str(&tv, "fnv1a")?;
+    let stored: &str = tv.field("fnv1a")?;
     let computed = fnv1a_hex(payload.as_bytes());
     if stored != computed {
         return Err(format!(
@@ -558,14 +482,11 @@ pub fn parse_checkpoint_file(
     }
     let v = json::parse(payload)
         .map_err(|e| format!("unparseable checkpoint payload: {e}"))?;
-    if v.get("type").and_then(JsonValue::as_str) != Some("helcfl_checkpoint") {
+    if v.field::<&str>("type") != Ok("helcfl_checkpoint") {
         return Err("not a HELCFL checkpoint (wrong `type`)".into());
     }
-    let schema = v
-        .get("schema_version")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing field `schema_version`")?;
-    if schema != CHECKPOINT_SCHEMA_VERSION as f64 {
+    let schema: u64 = v.field("schema_version")?;
+    if schema != CHECKPOINT_SCHEMA_VERSION {
         return Err(format!(
             "unsupported checkpoint schema version {schema} \
              (this build reads version {CHECKPOINT_SCHEMA_VERSION})"
@@ -1001,6 +922,85 @@ mod tests {
         // ...so the last good checkpoint is still loadable.
         assert_eq!(load_latest(&dir).unwrap().unwrap().checkpoint.round, 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A parsed payload written back as one JSON line.
+    fn render(v: &JsonValue) -> String {
+        use helcfl_telemetry::json::ToJson;
+        let list = |parts: Vec<String>| parts.join(",");
+        match v {
+            JsonValue::Null => "null".into(),
+            JsonValue::Bool(b) => b.to_json(),
+            JsonValue::Number(n) => n.to_json(),
+            JsonValue::String(s) => s.to_json(),
+            JsonValue::Array(items) => format!("[{}]", list(items.iter().map(render).collect())),
+            JsonValue::Object(members) => format!(
+                "{{{}}}",
+                list(members.iter().map(|(k, v)| format!("{}:{}", k.to_json(), render(v))).collect())
+            ),
+        }
+    }
+
+    /// Every one-member corruption of the object `v`: `(key, v without
+    /// the member, v with the member's value of another JSON type)`.
+    fn corruptions(v: &JsonValue) -> Vec<(String, JsonValue, JsonValue)> {
+        let JsonValue::Object(members) = v else { panic!("not an object: {v:?}") };
+        (0..members.len())
+            .map(|i| {
+                let mut without = members.clone();
+                let (key, value) = without.remove(i);
+                let mut wrong = members.clone();
+                wrong[i].1 = match value {
+                    JsonValue::Bool(_) => JsonValue::String("wrong".into()),
+                    _ => JsonValue::Bool(true),
+                };
+                (key, JsonValue::Object(without), JsonValue::Object(wrong))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_missing_or_ill_typed_payload_field_is_refused_by_name() {
+        let payload = json::parse(&sample_checkpoint(2).to_json_line()).unwrap();
+        let file = |payload: &JsonValue| {
+            let line = render(payload);
+            let checksum = fnv1a_hex(line.as_bytes());
+            format!("{line}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n")
+        };
+        assert!(parse_checkpoint_file(&file(&payload)).is_ok());
+        // The payload's own fields, then those of a round record and of
+        // each metric kind, each corrupted inside an intact payload.
+        let mut cases = corruptions(&payload);
+        for (list, index) in [("history", 0), ("sim_metrics", 0), ("sim_metrics", 1), ("sim_metrics", 2)]
+        {
+            let Some(JsonValue::Array(items)) = payload.get(list) else { unreachable!() };
+            for (key, without, wrong) in corruptions(&items[index]) {
+                let nest = |entry: JsonValue| {
+                    let mut p = payload.clone();
+                    let JsonValue::Object(members) = &mut p else { unreachable!() };
+                    let Some((_, JsonValue::Array(items))) =
+                        members.iter_mut().find(|(k, _)| k == list)
+                    else {
+                        unreachable!()
+                    };
+                    items[index] = entry;
+                    p
+                };
+                cases.push((key, nest(without), nest(wrong)));
+            }
+        }
+        // 15 payload fields, 16 in a round record, 3 + 3 + 10 in the
+        // counter, gauge and histogram.
+        assert_eq!(cases.len(), 15 + 16 + 3 + 3 + 10);
+        for (key, without, wrong) in cases {
+            for corrupt in [without, wrong] {
+                let err = parse_checkpoint_file(&file(&corrupt)).unwrap_err();
+                assert!(
+                    err.contains(&format!("\"{key}\"")) || err.contains(&format!("`{key}`")),
+                    "{key}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

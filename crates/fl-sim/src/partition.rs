@@ -122,11 +122,6 @@ impl Partition {
         self.assignments.iter().map(Vec::len).collect()
     }
 
-    /// Total number of assigned samples.
-    pub fn total_samples(&self) -> usize {
-        self.assignments.iter().map(Vec::len).sum()
-    }
-
     /// Number of distinct labels user `u` holds.
     pub fn distinct_labels(&self, labels: &[usize], u: usize) -> usize {
         let mut seen = std::collections::BTreeSet::new();
@@ -150,7 +145,6 @@ mod tests {
     fn iid_covers_every_sample_exactly_once() {
         let p = Partition::iid(103, 10, 0).unwrap();
         assert_eq!(p.num_users(), 10);
-        assert_eq!(p.total_samples(), 103);
         let mut seen = [false; 103];
         for u in 0..10 {
             for &i in p.user(u) {
@@ -176,7 +170,6 @@ mod tests {
         let labels = balanced_labels(20_000, 10);
         let p = Partition::shards(&labels, 100, 4, 7).unwrap();
         assert_eq!(p.num_users(), 100);
-        assert_eq!(p.total_samples(), 20_000);
         for u in 0..100 {
             assert_eq!(p.user(u).len(), 200);
             // ≤ 4 shards → ≤ 4 distinct labels (usually fewer).

@@ -163,18 +163,6 @@ impl DvfsCpu {
         Joules::new(0.5 * self.alpha * work.get() * f.get() * f.get())
     }
 
-    /// The frequency that finishes `work` cycles in exactly `deadline`,
-    /// clamped into the supported range (Alg. 3, line 9 + DESIGN.md
-    /// clamping rule).
-    ///
-    /// Returns the *unclamped* ideal as the second tuple element so
-    /// callers can observe when clamping occurred.
-    pub fn frequency_for_deadline(&self, work: Cycles, deadline: Seconds) -> (Hertz, Hertz) {
-        debug_assert!(deadline.get() > 0.0, "deadline must be positive");
-        let ideal = work / deadline;
-        (self.range.clamp(ideal), ideal)
-    }
-
     fn check(&self, f: Hertz) -> Result<()> {
         if self.range.contains(f) {
             Ok(())
@@ -261,23 +249,5 @@ mod tests {
         let c = cpu();
         assert!(c.compute_delay(Cycles::new(1.0), Hertz::from_ghz(2.5)).is_err());
         assert!(c.compute_energy(Cycles::new(1.0), Hertz::from_ghz(0.1)).is_err());
-    }
-
-    #[test]
-    fn frequency_for_deadline_inverts_delay_and_clamps() {
-        let c = cpu();
-        let w = Cycles::new(5.0e9);
-        // Ideal within range: 5e9 cycles / 5 s = 1 GHz.
-        let (f, ideal) = c.frequency_for_deadline(w, Seconds::new(5.0));
-        assert_eq!(f, Hertz::from_ghz(1.0));
-        assert_eq!(f, ideal);
-        // Too-tight deadline clamps to f_max.
-        let (f, ideal) = c.frequency_for_deadline(w, Seconds::new(1.0));
-        assert_eq!(f, Hertz::from_ghz(2.0));
-        assert!(ideal > f);
-        // Very loose deadline clamps to f_min.
-        let (f, ideal) = c.frequency_for_deadline(w, Seconds::new(1.0e4));
-        assert_eq!(f, Hertz::from_ghz(0.3));
-        assert!(ideal < f);
     }
 }

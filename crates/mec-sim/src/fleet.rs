@@ -171,12 +171,6 @@ impl Fleet {
         })
     }
 
-    /// Expands back to the array-of-structs [`Population`] (for code
-    /// paths that still need a `&[Device]`).
-    pub fn to_population(&self) -> Population {
-        Population::from_devices(self.iter().collect(), self.environment)
-    }
-
     /// Number of devices `Q`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -362,7 +356,8 @@ mod tests {
         for (q, d) in pop.devices().iter().enumerate() {
             assert_eq!(fleet.device(q), *d, "device {q} did not round-trip");
         }
-        assert_eq!(fleet.to_population(), pop);
+        assert!(fleet.iter().eq(pop.devices().iter().copied()));
+        assert_eq!(fleet.environment(), pop.environment());
     }
 
     #[test]

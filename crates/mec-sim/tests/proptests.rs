@@ -12,7 +12,7 @@ use mec_sim::comm::Uplink;
 use mec_sim::cpu::DvfsCpu;
 use mec_sim::device::{Device, DeviceId};
 use mec_sim::timeline::RoundTimeline;
-use mec_sim::units::{Bits, BitsPerSecond, Cycles, Hertz, Seconds, Watts};
+use mec_sim::units::{Bits, BitsPerSecond, Hertz, Seconds, Watts};
 
 const CASES: usize = 256;
 
@@ -24,31 +24,6 @@ fn gen_device(rng: &mut Rng) -> Device {
     let cpu = DvfsCpu::with_paper_alpha(Hertz::from_ghz(0.3), Hertz::from_ghz(fmax)).unwrap();
     let uplink = Uplink::new(Watts::new(0.2), BitsPerSecond::from_mbps(mbps)).unwrap();
     Device::new(DeviceId(id), cpu, 1.0e7, samples, uplink).unwrap()
-}
-
-/// The deadline-inverting frequency is always inside the supported
-/// range, and hitting the ideal (unclamped) case reproduces the
-/// deadline exactly.
-#[test]
-fn frequency_for_deadline_is_always_supported() {
-    let mut rng = Rng::seed_from_u64(0x7d7a_0004);
-    for case in 0..CASES {
-        let fmax = rng.uniform(0.31, 2.0);
-        // Log-uniform over five decades of work, like the proptest range.
-        let work = 10f64.powf(rng.uniform(6.0, 11.0));
-        let deadline = 10f64.powf(rng.uniform(-2.0, 4.0));
-        let cpu =
-            DvfsCpu::with_paper_alpha(Hertz::from_ghz(0.3), Hertz::from_ghz(fmax)).unwrap();
-        let (f, ideal) = cpu.frequency_for_deadline(Cycles::new(work), Seconds::new(deadline));
-        assert!(cpu.range().contains(f), "case {case}: clamped frequency out of range");
-        if cpu.range().contains(ideal) {
-            let t = cpu.compute_delay(Cycles::new(work), f).unwrap();
-            assert!(
-                (t.get() - deadline).abs() / deadline < 1e-9,
-                "case {case}: unclamped inversion missed the deadline"
-            );
-        }
-    }
 }
 
 /// Compute energy is strictly increasing in frequency (Eq. 5) while

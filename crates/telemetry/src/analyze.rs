@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
-use crate::json::{parse, JsonObject, JsonValue};
+use crate::json::{parse, FieldError, FromJson, JsonObject, JsonValue};
 use crate::manifest::RunManifest;
 use crate::metrics::MetricsRegistry;
 
@@ -68,27 +68,13 @@ impl TraceSpan {
         self.attr(key).and_then(JsonValue::as_bool)
     }
 
-    /// The `require_*` readers are the `attr_*` ones with an error
-    /// naming this span and the quoted key in place of `None`: the
-    /// auditor's reading of an attribute the trace schema requires.
-    pub(crate) fn require_f64(&self, key: &str) -> Result<f64, String> {
-        self.attr_f64(key).ok_or_else(|| self.lacks("numeric", key))
-    }
-
-    pub(crate) fn require_u64(&self, key: &str) -> Result<u64, String> {
-        self.attr_u64(key).ok_or_else(|| self.lacks("count", key))
-    }
-
-    pub(crate) fn require_str(&self, key: &str) -> Result<&str, String> {
-        self.attr_str(key).ok_or_else(|| self.lacks("string", key))
-    }
-
-    pub(crate) fn require_bool(&self, key: &str) -> Result<bool, String> {
-        self.attr_bool(key).ok_or_else(|| self.lacks("boolean", key))
-    }
-
-    fn lacks(&self, what: &str, key: &str) -> String {
-        format!("{} span {} lacks {what} attr {key:?}", self.name, self.id)
+    /// The attribute `key` read as a `T` (see [`JsonValue::field`]):
+    /// the auditor's reading of an attribute the trace schema
+    /// requires, refused naming this span and the key.
+    pub(crate) fn require<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
+        self.attr(key).and_then(T::from_json).ok_or_else(|| {
+            format!("{} span {}: attr {}", self.name, self.id, FieldError::new(key, T::want()))
+        })
     }
 }
 
@@ -127,13 +113,6 @@ pub struct Trace {
     /// multi-run file (e.g. `reproduce` tracing its whole run set into
     /// one file) holds several.
     pub manifests: Vec<RunManifest>,
-}
-
-fn attrs_of(v: &JsonValue) -> Vec<(String, JsonValue)> {
-    match v.get("attrs") {
-        Some(JsonValue::Object(members)) => members.clone(),
-        _ => Vec::new(),
-    }
 }
 
 impl Trace {
@@ -207,19 +186,13 @@ impl Trace {
     /// the message names what is missing or malformed.
     fn ingest_line(&mut self, line: &str, seen_ids: &mut HashSet<u64>) -> Result<(), String> {
         let value = parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = value.get("type").and_then(JsonValue::as_str).ok_or("missing \"type\"")?;
-        let name = || {
-            value
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{kind} without name"))
-        };
-        let count = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("{kind} without {key}"))
+        let kind = value.field::<&str>("type")?;
+        let in_kind = |e: FieldError| format!("{kind}: {e}");
+        let name = || value.field::<&str>("name").map(str::to_string).map_err(in_kind);
+        let count = |key| value.field::<u64>(key).map_err(in_kind);
+        let attrs = || {
+            let attrs = value.optional::<&[(String, JsonValue)]>("attrs");
+            attrs.map(|a| a.unwrap_or_default().to_vec()).map_err(in_kind)
         };
         match kind {
             "span" => {
@@ -228,8 +201,9 @@ impl Trace {
                     id: count("id")?,
                     t_us: count("t_us")?,
                     dur_us: count("dur_us")?,
-                    parent: value.get("parent").and_then(JsonValue::as_u64),
-                    attrs: attrs_of(&value),
+                    // A root span's parent is `null`.
+                    parent: value.optional::<Option<u64>>("parent").map_err(in_kind)?.flatten(),
+                    attrs: attrs()?,
                 };
                 if !seen_ids.insert(span.id) {
                     return Err(format!("duplicate span id {}", span.id));
@@ -237,12 +211,11 @@ impl Trace {
                 self.spans.push(span);
             }
             "event" => {
-                let point =
-                    TracePoint { name: name()?, t_us: count("t_us")?, attrs: attrs_of(&value) };
+                let point = TracePoint { name: name()?, t_us: count("t_us")?, attrs: attrs()? };
                 self.events.push(point);
             }
             "metrics" => {
-                let metrics = value.get("metrics").ok_or("metrics line without metrics")?;
+                let metrics = value.field::<&JsonValue>("metrics").map_err(in_kind)?;
                 self.metrics = Some(MetricsRegistry::from_json(metrics)?);
             }
             "run_manifest" => self.manifests.push(RunManifest::from_json(&value)?),

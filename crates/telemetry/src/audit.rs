@@ -209,22 +209,22 @@ impl Activity {
     fn decode(span: &TraceSpan) -> Result<Self, String> {
         Ok(Self {
             device: span.attr_str("device").unwrap_or("?").to_string(),
-            device_id: span.require_u64("device_id")?,
-            f: span.require_f64("f_hz")?,
-            f_planned: span.require_f64("f_planned_hz")?,
-            f_max: span.require_f64("f_max_hz")?,
-            compute_finish: span.require_f64("compute_finish_s")?,
-            planned_compute_finish: span.require_f64("planned_compute_finish_s")?,
-            planned_upload: span.require_f64("planned_upload_s")?,
-            upload_start: span.require_f64("upload_start_s")?,
-            upload_end: span.require_f64("upload_end_s")?,
-            compute_energy: span.require_f64("compute_energy_j")?,
-            compute_energy_at_max: span.require_f64("compute_energy_at_max_j")?,
-            upload_energy: span.require_f64("upload_energy_j")?,
-            wasted_energy: span.require_f64("wasted_energy_j")?,
-            uploaded: span.require_bool("uploaded")?,
-            delivered: span.require_bool("delivered")?,
-            retries: span.require_u64("retries")?,
+            device_id: span.require::<u64>("device_id")?,
+            f: span.require::<f64>("f_hz")?,
+            f_planned: span.require::<f64>("f_planned_hz")?,
+            f_max: span.require::<f64>("f_max_hz")?,
+            compute_finish: span.require::<f64>("compute_finish_s")?,
+            planned_compute_finish: span.require::<f64>("planned_compute_finish_s")?,
+            planned_upload: span.require::<f64>("planned_upload_s")?,
+            upload_start: span.require::<f64>("upload_start_s")?,
+            upload_end: span.require::<f64>("upload_end_s")?,
+            compute_energy: span.require::<f64>("compute_energy_j")?,
+            compute_energy_at_max: span.require::<f64>("compute_energy_at_max_j")?,
+            upload_energy: span.require::<f64>("upload_energy_j")?,
+            wasted_energy: span.require::<f64>("wasted_energy_j")?,
+            uploaded: span.require::<bool>("uploaded")?,
+            delivered: span.require::<bool>("delivered")?,
+            retries: span.require::<u64>("retries")?,
             fault: span.attr_str("fault").map(str::to_string),
         })
     }
@@ -331,26 +331,26 @@ impl Digest {
             span: span.id,
             cohort: Cohort {
                 counts: Counts {
-                    devices: span.require_u64("devices")?,
-                    uploads: span.require_u64("uploads")?,
-                    delivered: span.require_u64("delivered")?,
-                    faults: span.require_u64("faults_fired")?,
+                    devices: span.require::<u64>("devices")?,
+                    uploads: span.require::<u64>("uploads")?,
+                    delivered: span.require::<u64>("delivered")?,
+                    faults: span.require::<u64>("faults_fired")?,
                 },
-                release_max: span.require_f64("release_max_s")?,
+                release_max: span.require::<f64>("release_max_s")?,
                 sums: [
-                    span.require_f64("energy_sum_j")?,
-                    span.require_f64("compute_energy_sum_j")?,
-                    span.require_f64("wasted_energy_sum_j")?,
-                    span.require_f64("slack_sum_s")?,
+                    span.require::<f64>("energy_sum_j")?,
+                    span.require::<f64>("compute_energy_sum_j")?,
+                    span.require::<f64>("wasted_energy_sum_j")?,
+                    span.require::<f64>("slack_sum_s")?,
                 ],
             },
-            exemplars: span.require_u64("exemplars")?,
-            energy_min: span.require_f64("energy_min_j")?,
-            energy_max: span.require_f64("energy_max_j")?,
-            slack_min: span.require_f64("slack_min_s")?,
-            slack_max: span.require_f64("slack_max_s")?,
-            energy_hist: span.require_str("energy_hist")?.to_string(),
-            slack_hist: span.require_str("slack_hist")?.to_string(),
+            exemplars: span.require::<u64>("exemplars")?,
+            energy_min: span.require::<f64>("energy_min_j")?,
+            energy_max: span.require::<f64>("energy_max_j")?,
+            slack_min: span.require::<f64>("slack_min_s")?,
+            slack_max: span.require::<f64>("slack_max_s")?,
+            energy_hist: span.require::<&str>("energy_hist")?.to_string(),
+            slack_hist: span.require::<&str>("slack_hist")?.to_string(),
         })
     }
 }
@@ -522,7 +522,7 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         }
         let deadline = tl.attr_f64("deadline_s");
         let deadline_fired = tl.attr_bool("deadline_fired").unwrap_or(false);
-        let fault_flag = tl.require_bool("fault_fired")?;
+        let fault_flag = tl.require::<bool>("fault_fired")?;
         // The round's evidence: the digest when one exists, the device
         // spans otherwise. Every cohort-wide check below reads it.
         let cohort = digest.as_ref().map_or_else(|| Cohort::of_devices(&activities), |d| d.cohort);

@@ -4,8 +4,11 @@
 //! is the single place where JSON enters or leaves the process. The
 //! emitter half ([`ToJson`], [`JsonObject`]) serves the bench reports
 //! under `results/` and the [`crate::JsonlSink`] trace stream; the
-//! parser half ([`parse`], [`validate`]) exists so the trace checker
-//! can verify that every emitted JSONL line round-trips.
+//! parser half ([`parse`], [`validate`]) reads them back. Every field
+//! a reader takes from outside input (a trace line, a checkpoint, a
+//! bench report) goes through one typed reader, [`JsonValue::field`]:
+//! a missing or ill-typed field is a [`FieldError`] naming the key and
+//! what its value must be, and the caller adds its own context.
 //!
 //! (It lives in the telemetry crate because that crate sits at the
 //! bottom of the dependency graph, so every crate can emit structured
@@ -191,9 +194,9 @@ impl ToJson for JsonObject {
 }
 
 // ---------------------------------------------------------------------
-// Parsing — a strict, allocation-light recursive-descent reader used by
-// the trace checker (`check_trace`) and the JSONL tests. Not a DOM for
-// application data flow; the simulator itself never *consumes* JSON.
+// Parsing — a strict, allocation-light recursive-descent reader, and
+// the one typed field reader every consumer of outside JSON goes
+// through. The round loop itself never consumes JSON.
 // ---------------------------------------------------------------------
 
 /// A parsed JSON value.
@@ -232,9 +235,8 @@ impl JsonValue {
         }
     }
 
-    /// The value as a count: a non-negative whole number. Span ids, µs
-    /// times, count attributes, counters and histogram tallies are all
-    /// read through this one rule.
+    /// The value as a count: a non-negative whole number, saturating at
+    /// `u64::MAX` (the `u64` rule of [`JsonValue::field`]).
     pub fn as_u64(&self) -> Option<u64> {
         let v = self.as_f64()?;
         (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
@@ -253,6 +255,162 @@ impl JsonValue {
         match self {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+
+    /// The member `key` of this object read as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming `key` when this is not an object, the
+    /// member is absent, or its value is not a `T`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use helcfl_telemetry::json::parse;
+    ///
+    /// let v = parse(r#"{"round":3,"loss":null}"#).unwrap();
+    /// assert_eq!(v.field::<u64>("round"), Ok(3));
+    /// assert_eq!(v.field::<Option<f64>>("loss"), Ok(None));
+    /// let err = v.field::<u32>("epoch").unwrap_err();
+    /// assert_eq!(err.to_string(), r#"field "epoch" must be an integer in [0, 2^32)"#);
+    /// ```
+    pub fn field<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, FieldError> {
+        self.get(key).and_then(T::from_json).ok_or_else(|| FieldError::new(key, T::want()))
+    }
+
+    /// Like [`Self::field`], but an absent member reads as `None`.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming `key` when the member is present and not
+    /// a `T`.
+    pub fn optional<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, FieldError> {
+        self.get(key).map(|_| self.field(key)).transpose()
+    }
+}
+
+/// A field [`JsonValue::field`] refused: its key and what its value
+/// must be. The caller adds the context (the line, span, metric or
+/// file the field belongs to).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The refused field's key.
+    pub key: String,
+    /// What its value must be, e.g. `a non-negative integer`.
+    pub want: String,
+}
+
+impl FieldError {
+    /// A refusal of `key`, whose value must be `want`.
+    pub fn new(key: &str, want: impl Into<String>) -> Self {
+        Self { key: key.to_string(), want: want.into() }
+    }
+}
+
+impl core::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "field {:?} must be {}", self.key, self.want)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> Self {
+        e.to_string()
+    }
+}
+
+/// A type a JSON value reads as, through [`JsonValue::field`].
+pub trait FromJson<'a>: Sized {
+    /// What a value must be to read as this type.
+    fn want() -> String;
+
+    /// `v` read as this type, or `None` when it is not one.
+    fn from_json(v: &'a JsonValue) -> Option<Self>;
+}
+
+/// Implements [`FromJson`] from a `want` text and a reading closure.
+macro_rules! from_json {
+    ($($t:ty, $want:literal, $read:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $t {
+            fn want() -> String {
+                $want.to_string()
+            }
+
+            fn from_json(v: &'a JsonValue) -> Option<Self> {
+                let read: fn(&'a JsonValue) -> Option<Self> = $read;
+                read(v)
+            }
+        }
+    )*};
+}
+
+/// 2^53: every integer up to it is an exact `f64`, so a count above it
+/// may not have survived the round trip through a JSON number.
+const EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
+
+from_json! {
+    // Span ids, µs times, counters and histogram tallies: whole and
+    // non-negative, saturating at u64::MAX.
+    u64, "a non-negative integer", JsonValue::as_u64;
+    u32, "an integer in [0, 2^32)", |v| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    // Lengths and indices must also be exact.
+    usize, "a non-negative integer at most 2^53", |v| {
+        v.as_u64().filter(|&n| n as f64 <= EXACT_INT_MAX).and_then(|n| usize::try_from(n).ok())
+    };
+    f64, "a number", JsonValue::as_f64;
+    bool, "a boolean", JsonValue::as_bool;
+    &'a str, "a string", JsonValue::as_str;
+    &'a [JsonValue], "an array", |v| match v {
+        JsonValue::Array(items) => Some(items.as_slice()),
+        _ => None,
+    };
+    &'a [(String, JsonValue)], "an object", |v| match v {
+        JsonValue::Object(members) => Some(members.as_slice()),
+        _ => None,
+    };
+    // An object kept whole, to read its own fields from.
+    &'a JsonValue, "an object", |v| matches!(v, JsonValue::Object(_)).then_some(v);
+}
+
+/// An array every entry of which reads as a `T`.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn want() -> String {
+        format!("an array, each entry {}", T::want())
+    }
+
+    fn from_json(v: &'a JsonValue) -> Option<Self> {
+        <&[JsonValue]>::from_json(v)?.iter().map(T::from_json).collect()
+    }
+}
+
+/// A two-entry array `[a, b]`.
+impl<'a, A: FromJson<'a>, B: FromJson<'a>> FromJson<'a> for (A, B) {
+    fn want() -> String {
+        format!("a pair [{}, {}]", A::want(), B::want())
+    }
+
+    fn from_json(v: &'a JsonValue) -> Option<Self> {
+        match <&[JsonValue]>::from_json(v)? {
+            [a, b] => Some((A::from_json(a)?, B::from_json(b)?)),
+            _ => None,
+        }
+    }
+}
+
+/// `null` reads as `None`.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn want() -> String {
+        format!("{} or null", T::want())
+    }
+
+    fn from_json(v: &'a JsonValue) -> Option<Self> {
+        match v {
+            JsonValue::Null => Some(None),
+            v => T::from_json(v).map(Some),
         }
     }
 }
@@ -533,6 +691,26 @@ impl Parser<'_> {
     }
 }
 
+/// Every one-member corruption of the object `v`, for the readers'
+/// refusal tables: `(key, v without the member, v with the member's
+/// value of another JSON type)`.
+#[cfg(test)]
+pub(crate) fn corruptions(v: &JsonValue) -> Vec<(String, JsonValue, JsonValue)> {
+    let JsonValue::Object(members) = v else { panic!("not an object: {v:?}") };
+    (0..members.len())
+        .map(|i| {
+            let mut without = members.clone();
+            let (key, value) = without.remove(i);
+            let mut wrong = members.clone();
+            wrong[i].1 = match value {
+                JsonValue::Bool(_) => JsonValue::String("wrong".into()),
+                _ => JsonValue::Bool(true),
+            };
+            (key, JsonValue::Object(without), JsonValue::Object(wrong))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,6 +804,53 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn field_reads_each_type_by_its_rule_and_refuses_by_key() {
+        let v = parse(
+            r#"{"n":3,"big":4294967296,"exact":9007199254740992,"inexact":9007199254740994,
+                "neg":-1,"half":1.5,"x":0.25,"t":true,"s":"hi","a":[1,2],"o":{"k":1},
+                "p":[7,"q"],"z":null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.field::<u64>("n"), Ok(3));
+        assert_eq!(v.field::<u64>("inexact"), Ok(9_007_199_254_740_994));
+        assert_eq!(v.field::<u32>("n"), Ok(3));
+        assert_eq!(v.field::<usize>("exact"), Ok(1 << 53));
+        assert_eq!(v.field::<f64>("x"), Ok(0.25));
+        assert_eq!(v.field::<bool>("t"), Ok(true));
+        assert_eq!(v.field::<&str>("s"), Ok("hi"));
+        assert_eq!(v.field::<&[JsonValue]>("a").map(<[_]>::len), Ok(2));
+        assert_eq!(v.field::<Vec<u32>>("a"), Ok(vec![1, 2]));
+        assert_eq!(v.field::<(usize, &str)>("p"), Ok((7, "q")));
+        assert_eq!(v.field::<&[(String, JsonValue)]>("o").map(<[_]>::len), Ok(1));
+        assert_eq!(v.field::<&JsonValue>("o").map(|o| o.field::<u64>("k")), Ok(Ok(1)));
+        assert_eq!(v.field::<Option<f64>>("z"), Ok(None));
+        assert_eq!(v.field::<Option<f64>>("x"), Ok(Some(0.25)));
+        assert_eq!(v.optional::<u64>("absent"), Ok(None));
+        assert_eq!(v.optional::<u64>("n"), Ok(Some(3)));
+        for (key, err) in [
+            ("big", v.field::<u32>("big").unwrap_err()),
+            ("inexact", v.field::<usize>("inexact").unwrap_err()),
+            ("neg", v.field::<u64>("neg").unwrap_err()),
+            ("half", v.field::<usize>("half").unwrap_err()),
+            ("s", v.field::<f64>("s").unwrap_err()),
+            ("n", v.field::<bool>("n").unwrap_err()),
+            ("t", v.field::<&str>("t").unwrap_err()),
+            ("o", v.field::<&[JsonValue]>("o").unwrap_err()),
+            ("a", v.field::<&JsonValue>("a").unwrap_err()),
+            ("a", v.field::<(u64, &str)>("a").unwrap_err()),
+            ("p", v.field::<Vec<u64>>("p").unwrap_err()),
+            ("z", v.field::<f64>("z").unwrap_err()),
+            ("s", v.optional::<u64>("s").unwrap_err()),
+            ("absent", v.field::<u64>("absent").unwrap_err()),
+        ] {
+            assert_eq!(err.key, key, "{err}");
+            assert!(err.to_string().starts_with(&format!("field {key:?} must be ")), "{err}");
+        }
+        // A non-object has no fields.
+        assert_eq!(JsonValue::Null.field::<u64>("n").unwrap_err().key, "n");
     }
 
     #[test]

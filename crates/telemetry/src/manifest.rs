@@ -22,7 +22,7 @@
 //! they are allowed to differ (that is exactly the comparison a perf
 //! investigation wants: same experiment, different environment).
 
-use crate::json::{JsonObject, JsonValue};
+use crate::json::{FieldError, JsonObject, JsonValue};
 
 /// Version of the `run_manifest` line format. Bump on any breaking
 /// change to the field set; readers refuse to compare across versions.
@@ -104,14 +104,6 @@ pub struct RunManifest {
     pub start_round: Option<u64>,
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
-}
-
-fn field_str(v: &JsonValue, key: &str) -> Option<String> {
-    Some(v.get(key)?.as_str()?.to_string())
-}
-
 impl RunManifest {
     /// Renders the manifest as its one JSONL trace line.
     pub fn to_json_line(&self) -> String {
@@ -164,26 +156,26 @@ impl RunManifest {
     ///
     /// Returns a message naming the first missing or ill-typed field.
     pub fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let miss = |f: &str| format!("run_manifest without {f}");
+        Self::read(v).map_err(|e| format!("run_manifest: {e}"))
+    }
+
+    fn read(v: &JsonValue) -> Result<Self, FieldError> {
+        let text = |key| v.field::<&str>(key).map(str::to_string);
         Ok(Self {
-            schema_version: field_u64(v, "schema_version")
-                .ok_or_else(|| miss("schema_version"))? as u32,
+            schema_version: v.field("schema_version")?,
             identity: RunIdentity {
-                seed: field_u64(v, "seed").ok_or_else(|| miss("seed"))?,
-                scheme: field_str(v, "scheme").ok_or_else(|| miss("scheme"))?,
-                config_fingerprint: field_str(v, "config_fingerprint")
-                    .ok_or_else(|| miss("config_fingerprint"))?,
-                fleet_size: field_u64(v, "fleet_size").ok_or_else(|| miss("fleet_size"))?
-                    as usize,
+                seed: v.field("seed")?,
+                scheme: text("scheme")?,
+                config_fingerprint: text("config_fingerprint")?,
+                fleet_size: v.field("fleet_size")?,
             },
-            threads: field_u64(v, "threads").ok_or_else(|| miss("threads"))? as usize,
-            trace_mode: field_str(v, "trace_mode").ok_or_else(|| miss("trace_mode"))?,
-            build_profile: field_str(v, "build_profile")
-                .ok_or_else(|| miss("build_profile"))?,
+            threads: v.field("threads")?,
+            trace_mode: text("trace_mode")?,
+            build_profile: text("build_profile")?,
             // Lineage fields are optional: pre-checkpoint traces (and
             // every uninterrupted run) simply don't carry them.
-            resumed_from: field_str(v, "resumed_from"),
-            start_round: field_u64(v, "start_round"),
+            resumed_from: v.optional::<&str>("resumed_from")?.map(str::to_string),
+            start_round: v.optional("start_round")?,
         })
     }
 
@@ -254,6 +246,35 @@ mod tests {
         let v = parse(&line).unwrap();
         let err = RunManifest::from_json(&v).unwrap_err();
         assert!(err.contains("seed"), "{err}");
+    }
+
+    #[test]
+    fn every_missing_or_ill_typed_field_is_refused_by_name() {
+        let mut m = manifest();
+        m.resumed_from = Some("deadbeefdeadbeef".to_string());
+        m.start_round = Some(17);
+        let v = parse(&m.to_json_line()).unwrap();
+        for (key, without, wrong) in crate::json::corruptions(&v) {
+            if key == "type" {
+                continue; // the trace reader dispatches on it
+            }
+            let named = |err: String| assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
+            match RunManifest::from_json(&without) {
+                // Lineage is absent from every uninterrupted run.
+                Ok(_) => assert!(key == "resumed_from" || key == "start_round", "{key}"),
+                Err(err) => named(err),
+            }
+            named(RunManifest::from_json(&wrong).unwrap_err());
+        }
+    }
+
+    #[test]
+    fn a_schema_version_beyond_u32_is_refused_not_truncated() {
+        let line = manifest()
+            .to_json_line()
+            .replace("\"schema_version\":1,", "\"schema_version\":4294967297,");
+        let err = RunManifest::from_json(&parse(&line).unwrap()).unwrap_err();
+        assert!(err.contains("\"schema_version\""), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{JsonObject, JsonValue};
+use crate::json::{FieldError, JsonObject, JsonValue};
 
 /// Determinism class of a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,42 +334,23 @@ impl Histogram {
 
     /// Inverts [`Self::to_json`]: a `null` bound is an empty side.
     fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
-        let Some(JsonValue::Object(members)) = v.get("buckets") else {
-            return Err(("buckets", "an object"));
-        };
         let mut buckets = BTreeMap::new();
-        for (exponent, n) in members {
-            let exponent = exponent.parse().map_err(|_| ("buckets", "keyed by i16 exponents"))?;
-            let n = n.as_u64().ok_or(("buckets", "a map to non-negative integers"))?;
+        for (exponent, n) in v.field::<&[(String, JsonValue)]>("buckets")? {
+            let refuse = |want| FieldError::new("buckets", want);
+            let exponent = exponent.parse().map_err(|_| refuse("keyed by i16 exponents"))?;
+            let n = n.as_u64().ok_or_else(|| refuse("a map to non-negative integers"))?;
             buckets.insert(exponent, n);
         }
         Ok(Self {
-            count: uint(v, "count")?,
-            underflow: uint(v, "underflow")?,
-            negative: uint(v, "negative")?,
-            infinite: uint(v, "infinite")?,
-            nan: uint(v, "nan")?,
-            min: number_or_null(v, "min", f64::INFINITY)?,
-            max: number_or_null(v, "max", f64::NEG_INFINITY)?,
+            count: v.field("count")?,
+            underflow: v.field("underflow")?,
+            negative: v.field("negative")?,
+            infinite: v.field("infinite")?,
+            nan: v.field("nan")?,
+            min: v.field::<Option<f64>>("min")?.unwrap_or(f64::INFINITY),
+            max: v.field::<Option<f64>>("max")?.unwrap_or(f64::NEG_INFINITY),
             buckets,
         })
-    }
-}
-
-/// A refused metrics-line field: its key and what it must be.
-type FieldError = (&'static str, &'static str);
-
-fn uint(v: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
-    v.get(key).and_then(JsonValue::as_u64).ok_or((key, "a non-negative integer"))
-}
-
-/// A number, or `null` standing for `absent` (the emitter writes every
-/// non-finite `f64` as `null`).
-fn number_or_null(v: &JsonValue, key: &'static str, absent: f64) -> Result<f64, FieldError> {
-    match v.get(key) {
-        Some(JsonValue::Null) => Ok(absent),
-        Some(JsonValue::Number(x)) => Ok(*x),
-        _ => Err((key, "a number or null")),
     }
 }
 
@@ -594,28 +575,28 @@ impl MetricsRegistry {
         };
         let mut registry = Self::new();
         for (name, entry) in members {
-            let (class, metric) = Self::entry_from_json(entry).map_err(|(key, want)| {
-                format!("metric {name:?}: field {key:?} must be {want}")
-            })?;
+            let (class, metric) =
+                Self::entry_from_json(entry).map_err(|e| format!("metric {name:?}: {e}"))?;
             registry.insert(class, name, metric);
         }
         Ok(registry)
     }
 
     fn entry_from_json(entry: &JsonValue) -> Result<(Class, Metric), FieldError> {
-        let class = match entry.get("class").and_then(JsonValue::as_str) {
-            Some("sim") => Class::Sim,
-            Some("runtime") => Class::Runtime,
-            _ => return Err(("class", "\"sim\" or \"runtime\"")),
+        let class = match entry.field("class")? {
+            "sim" => Class::Sim,
+            "runtime" => Class::Runtime,
+            _ => return Err(FieldError::new("class", "\"sim\" or \"runtime\"")),
         };
-        let metric = match entry.get("kind").and_then(JsonValue::as_str) {
-            Some("counter") => Metric::Counter(uint(entry, "value")?),
-            Some("gauge") => Metric::Gauge(number_or_null(entry, "value", f64::NAN)?),
-            Some("histogram") => match entry.get("value") {
-                Some(h @ JsonValue::Object(_)) => Metric::Histogram(Histogram::from_json(h)?),
-                _ => return Err(("value", "a histogram object")),
-            },
-            _ => return Err(("kind", "\"counter\", \"gauge\" or \"histogram\"")),
+        let metric = match entry.field("kind")? {
+            "counter" => Metric::Counter(entry.field("value")?),
+            // A non-finite gauge is written as `null`.
+            "gauge" => Metric::Gauge(entry.field::<Option<f64>>("value")?.unwrap_or(f64::NAN)),
+            "histogram" => Metric::Histogram(Histogram::from_json(entry.field("value")?)?),
+            _ => {
+                let want = "\"counter\", \"gauge\" or \"histogram\"";
+                return Err(FieldError::new("kind", want));
+            }
         };
         Ok((class, metric))
     }
@@ -831,6 +812,48 @@ mod tests {
             assert!(err.contains(&format!("field {field:?}")), "{err}");
         }
         assert!(decode("[]").unwrap_err().contains("not an object"));
+    }
+
+    #[test]
+    fn every_missing_or_ill_typed_entry_field_is_refused_by_name() {
+        use crate::json::{corruptions, parse, JsonValue};
+        let mut r = MetricsRegistry::new();
+        r.counter_add(Class::Sim, "rounds", 7);
+        r.gauge_set(Class::Runtime, "threads", 4.0);
+        r.record_iter(Class::Sim, "delay", [0.5, 3.0]);
+        let registry = parse(&r.to_json().finish()).unwrap();
+        let decode_one = |name: &str, entry: JsonValue| {
+            MetricsRegistry::from_json(&JsonValue::Object(vec![(name.to_string(), entry)]))
+        };
+        let JsonValue::Object(entries) = &registry else { unreachable!() };
+        let mut checked = 0;
+        for (name, entry) in entries {
+            let mut cases = corruptions(entry);
+            if let Some(h @ JsonValue::Object(_)) = entry.get("value") {
+                // The histogram's own fields, each inside an intact entry.
+                for (key, without, wrong) in corruptions(h) {
+                    let nest = |h: JsonValue| {
+                        let mut e = entry.clone();
+                        if let JsonValue::Object(m) = &mut e {
+                            m.iter_mut().find(|(k, _)| k == "value").unwrap().1 = h;
+                        }
+                        e
+                    };
+                    cases.push((key, nest(without), nest(wrong)));
+                }
+            }
+            for (key, without, wrong) in cases {
+                for corrupt in [without, wrong] {
+                    let err = decode_one(name, corrupt).unwrap_err();
+                    assert!(err.contains(&format!("metric {name:?}")), "{err}");
+                    assert!(err.contains(&format!("field {key:?}")), "{name}.{key}: {err}");
+                    checked += 1;
+                }
+            }
+        }
+        // counter and gauge: kind, class, value; histogram: those three
+        // and its eight fields — each dropped and ill-typed.
+        assert_eq!(checked, 2 * (3 + 3 + 3 + 8));
     }
 
     #[test]

@@ -158,13 +158,6 @@ impl Mlp {
         self.layers.iter().map(Dense::num_parameters).sum()
     }
 
-    /// In-memory model size in bits at `f32` precision — a lower bound
-    /// for the upload payload `C_model` (Eq. 7). The evaluation keeps
-    /// `C_model` configurable because the paper uploads SqueezeNet.
-    pub fn size_bits(&self) -> u64 {
-        self.num_parameters() as u64 * 32
-    }
-
     /// Estimated floating-point operations for one sample's forward
     /// pass: 2·in·out multiply-accumulates plus the bias add and ReLU
     /// per layer. A backward pass costs roughly 2× this. Used by the
@@ -436,7 +429,6 @@ mod tests {
         let m = Mlp::new(&[64, 96, 48, 10], 0).unwrap();
         let expected = 64 * 96 + 96 + 96 * 48 + 48 + 48 * 10 + 10;
         assert_eq!(m.num_parameters(), expected);
-        assert_eq!(m.size_bits(), expected as u64 * 32);
         let flops = 2 * 64 * 96 + 2 * 96 + 2 * 96 * 48 + 2 * 48 + 2 * 48 * 10 + 2 * 10;
         assert_eq!(m.flops_per_sample(), flops);
     }
