@@ -29,9 +29,10 @@
 //! - equal utilities break ties by ascending id, exactly like the
 //!   reference sort: ranks order equal delays by id, equal-`u` entries
 //!   within a bucket form a contiguous run of delay groups walked by
-//!   jumping from each group's end to the next set rank, cross-bucket
-//!   ties compare the per-bucket run minima, and fully-underflowed
-//!   utilities (`η^{A_q} == 0.0`) live in a dedicated id-ordered set;
+//!   jumping from each group's end (found by a galloping search over
+//!   the delay column) to the next set rank, cross-bucket ties compare
+//!   the per-bucket run minima, and fully-underflowed utilities
+//!   (`η^{A_q} == 0.0`) live in a dedicated id-ordered set;
 //! - a popped winner is *not* re-inserted until the round's merge
 //!   completes, mirroring the reference's frozen round-start
 //!   utilities.
@@ -42,13 +43,17 @@
 //! scores the whole population once: it builds the index from the
 //! set's universe — every device of a fleet, or every device behind an
 //! alive mask, dead ones included — with ids `0..Q` at their positions.
-//! The index then serves that universe and that payload for the rest
-//! of the run. A set backed by neither a fleet nor a mask, a backing
-//! whose position `q` does not hold `DeviceId(q)`, a later round with
-//! another universe size or payload, and restored counts for ids
-//! outside the universe are refused with
-//! [`FlError::InvalidConfig`] naming the field, before any state
-//! changes. The reference selector serves arbitrary universes.
+//! A fleet's delays are read from its record column, without
+//! assembling a single `Device`, and the sorted keys are dropped before
+//! the rank table is allocated: the index keeps 20 B per device (rank,
+//! id, delay and count) plus one bitset per live bucket. The index then
+//! serves that universe and that payload for the rest of the run. A set
+//! backed by neither a fleet nor a mask, a backing whose position `q`
+//! does not hold `DeviceId(q)`, a later round with another universe
+//! size or payload, and restored counts for ids outside the universe
+//! are refused with [`FlError::InvalidConfig`] naming the field, before
+//! any state changes. The reference selector serves arbitrary
+//! universes.
 //!
 //! Devices that disappear from the selectable set (battery depletion)
 //! are parked when popped and re-inserted if they ever return; their
@@ -79,8 +84,9 @@ use crate::utility::{utility, AppearanceCounters, DecayCoefficient};
 
 /// Every device ranked by `(delay_bits, id)`. Positive-finite f64
 /// delays compare identically to their bit patterns, so ranks give
-/// exact delay order with ties broken by ascending id. Ranks and group
-/// ends fit `u32` because the build refuses ids `>= u32::MAX`.
+/// exact delay order with ties broken by ascending id. Ranks fit `u32`
+/// because the build refuses ids `>= u32::MAX`. A run of equal delays
+/// (a delay group) is found by searching `delay_at`, not stored.
 #[derive(Debug, Clone)]
 struct Ranks {
     /// Rank by id.
@@ -89,39 +95,48 @@ struct Ranks {
     id_at: Vec<u32>,
     /// Cached Eq.-9 delay (seconds) at each rank, ascending.
     delay_at: Vec<f64>,
-    /// First rank past the run of equal delays each rank belongs to.
-    group_end: Vec<u32>,
 }
 
 impl Ranks {
     /// Ranks the ids `0..keys.len()` from their `(delay_bits, id)`
-    /// keys, sorted ascending.
-    fn new(keys: &[(u64, u32)]) -> Self {
-        let total = keys.len();
+    /// keys, sorted ascending. The keys are dropped before `rank` is
+    /// allocated, so the build never holds them beside the whole index.
+    fn new(keys: Vec<(u64, u32)>) -> Self {
         let id_at: Vec<u32> = keys.iter().map(|&(_, id)| id).collect();
         let delay_at: Vec<f64> = keys.iter().map(|&(bits, _)| f64::from_bits(bits)).collect();
-        let mut rank = vec![0; total];
+        drop(keys);
+        let mut rank = vec![0; id_at.len()];
         for (r, &id) in id_at.iter().enumerate() {
             rank[id as usize] = r as u32;
         }
-        let mut group_end = vec![total as u32; total];
-        for r in (0..total.saturating_sub(1)).rev() {
-            if delay_at[r].to_bits() == delay_at[r + 1].to_bits() {
-                group_end[r] = group_end[r + 1];
-            } else {
-                group_end[r] = r as u32 + 1;
-            }
-        }
-        Self { rank, id_at, delay_at, group_end }
+        Self { rank, id_at, delay_at }
     }
 
     fn len(&self) -> usize {
         self.id_at.len()
     }
 
+    /// The first rank past the delay group rank `r` belongs to. It
+    /// gallops over `delay_at` — probes at `r + 1`, `r + 2`, `r + 4`, …
+    /// until one leaves the group — then binary-searches the last gap:
+    /// one compare when the next rank's delay differs, O(log L) inside
+    /// a group of L equal delays.
+    fn group_end(&self, r: usize) -> usize {
+        let bits = self.delay_at[r].to_bits();
+        let (mut inside, mut step) = (r, 1);
+        let outside = loop {
+            let probe = inside + step;
+            if probe >= self.delay_at.len() || self.delay_at[probe].to_bits() != bits {
+                break probe.min(self.delay_at.len());
+            }
+            inside = probe;
+            step *= 2;
+        };
+        inside + 1 + self.delay_at[inside + 1..outside].partition_point(|d| d.to_bits() == bits)
+    }
+
     fn memory_bytes(&self) -> usize {
-        (self.rank.capacity() + self.id_at.capacity() + self.group_end.capacity())
-            * core::mem::size_of::<u32>()
+        (self.rank.capacity() + self.id_at.capacity()) * core::mem::size_of::<u32>()
             + self.delay_at.capacity() * core::mem::size_of::<f64>()
     }
 }
@@ -139,13 +154,22 @@ struct RankSet {
 
 impl RankSet {
     fn new(universe: usize) -> Self {
-        let words = universe.div_ceil(64);
-        Self {
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
-            len: 0,
-            floor: universe,
+        Self::from_words(universe, vec![0; universe.div_ceil(64)])
+    }
+
+    /// The set of the ranks whose bits are set in `words`, which cover
+    /// `universe` ranks.
+    fn from_words(universe: usize, words: Vec<u64>) -> Self {
+        let mut summary = vec![0; words.len().div_ceil(64)];
+        let (mut len, mut floor) = (0, universe);
+        for (w, &word) in words.iter().enumerate() {
+            if word != 0 {
+                summary[w / 64] |= 1 << (w % 64);
+                len += word.count_ones() as usize;
+                floor = floor.min(w * 64 + word.trailing_zeros() as usize);
+            }
         }
+        Self { words, summary, len, floor }
     }
 
     fn contains(&self, r: usize) -> bool {
@@ -226,6 +250,9 @@ impl UtilityIndex {
     /// Alg. 2's initialization phase: ranks every device of `devices`'
     /// universe by its Eq.-9 delay at `payload`, puts each count of
     /// `restored` at its id's rank, and places every id at its count.
+    /// Fresh ids (count 0, non-zero utility) are set straight into
+    /// bucket 0's bitset, one word at a time; restored counts and
+    /// zero-utility ids go through [`place`](Self::place).
     ///
     /// # Errors
     ///
@@ -251,8 +278,8 @@ impl UtilityIndex {
         }
         let refuse = |reason| FlError::InvalidConfig { field: "devices", reason };
         let mut keys = Vec::with_capacity(universe);
-        for (q, d) in devices.iter_universe().enumerate() {
-            let id = d.id().0;
+        for (q, (id, delay)) in devices.universe_delays(payload).enumerate() {
+            let id = id.0;
             if id >= u32::MAX as usize {
                 return Err(refuse(format!(
                     "device id {id} does not fit the utility index's u32 ranks \
@@ -266,10 +293,10 @@ impl UtilityIndex {
                      needs ids at their positions"
                 )));
             }
-            keys.push((d.total_delay_at_max(payload).get().to_bits(), id as u32));
+            keys.push((delay.get().to_bits(), id as u32));
         }
         keys.sort_unstable();
-        let ranks = Ranks::new(&keys);
+        let ranks = Ranks::new(keys);
         let mut count_at = vec![0; universe];
         for &(q, a) in &restored.counters {
             count_at[ranks.rank[q] as usize] = a;
@@ -282,8 +309,19 @@ impl UtilityIndex {
             zero: BTreeSet::new(),
             parked: Vec::new(),
         };
+        let mut fresh = vec![0; universe.div_ceil(64)];
         for r in 0..universe {
-            ix.place(r, eta);
+            let fresh_rank = ix.count_at[r] == 0
+                && utility(eta, 0, Seconds::new(ix.ranks.delay_at[r])) != 0.0;
+            if fresh_rank {
+                fresh[r / 64] |= 1 << (r % 64);
+            } else {
+                ix.place(r, eta);
+            }
+        }
+        let fresh = RankSet::from_words(universe, fresh);
+        if fresh.len > 0 {
+            ix.buckets.insert(0, fresh);
         }
         Ok(ix)
     }
@@ -395,7 +433,7 @@ impl UtilityIndex {
     /// utility equals the head's (`max_u`). Equal-utility entries
     /// are a contiguous run of delay groups from the head; each group's
     /// first set rank already has the group-minimal id, so the walk
-    /// jumps group to group from `group_end`.
+    /// jumps group to group from [`Ranks::group_end`].
     fn run_min(
         set: &RankSet,
         ranks: &Ranks,
@@ -406,7 +444,7 @@ impl UtilityIndex {
     ) -> usize {
         let mut best = head;
         let mut cur = head;
-        while let Some(r) = set.next_from(ranks.group_end[cur] as usize) {
+        while let Some(r) = set.next_from(ranks.group_end(cur)) {
             if utility(eta, a, Seconds::new(ranks.delay_at[r])) != max_u {
                 break;
             }
@@ -523,9 +561,10 @@ impl IndexedDecaySelector {
     }
 
     /// Resident bytes of the selector: counts restored but not yet
-    /// placed, the by-id rank table, the by-rank id, delay, group-end
-    /// and appearance-count tables, and one rank bitset (Q/8 bytes, plus
-    /// a summary word per 64 words) per live appearance bucket.
+    /// placed, the by-id rank table, the by-rank id, delay and
+    /// appearance-count tables (20 B per device together), and one rank
+    /// bitset (Q/8 bytes, plus a summary word per 64 words) per live
+    /// appearance bucket.
     /// Zero-set and parked ids count at their payload size.
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
@@ -1168,6 +1207,42 @@ mod tests {
         sel.assert_consistent();
         let per_device = sel.memory_bytes() as f64 / Q as f64;
         assert!(per_device <= 36.0, "{per_device:.2} B per device");
+    }
+
+    /// Ranks over an ascending delay column whose run `k` holds `runs[k]`
+    /// copies of the delay `k + 1` seconds.
+    fn ranks_with_runs(runs: &[usize]) -> Ranks {
+        let column = runs.iter().enumerate().flat_map(|(k, &len)| {
+            std::iter::repeat_n((k as f64 + 1.0).to_bits(), len)
+        });
+        Ranks::new(column.enumerate().map(|(id, bits)| (bits, id as u32)).collect())
+    }
+
+    /// The group jump by galloping search lands where a linear scan
+    /// does, from every rank of runs of length 1, 2, 3, 2^k and 2^k ± 1,
+    /// alone (an all-equal column), ending at the last rank, and mixed.
+    #[test]
+    fn group_end_matches_a_linear_scan() {
+        let mut lengths = vec![1, 2, 3];
+        for k in 2..=8 {
+            lengths.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        let mut columns: Vec<Vec<usize>> = lengths
+            .iter()
+            .flat_map(|&len| [vec![len], vec![1, len], vec![len, 1], vec![2, len, 3]])
+            .collect();
+        columns.push(lengths.clone());
+        columns.push(lengths.iter().rev().copied().collect());
+        for runs in &columns {
+            let ranks = ranks_with_runs(runs);
+            let delays = &ranks.delay_at;
+            for r in 0..ranks.len() {
+                let linear = (r + 1..ranks.len())
+                    .find(|&k| delays[k].to_bits() != delays[r].to_bits())
+                    .unwrap_or(ranks.len());
+                assert_eq!(ranks.group_end(r), linear, "runs {runs:?}, rank {r}");
+            }
+        }
     }
 
     #[test]

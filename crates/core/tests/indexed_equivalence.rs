@@ -13,10 +13,12 @@ use fl_sim::selection::{ClientSelector, DeviceSet, SelectionContext, validate_se
 use helcfl::indexed::IndexedDecaySelector;
 use helcfl::selection::GreedyDecaySelector;
 use helcfl::utility::DecayCoefficient;
+use mec_sim::channel::RadioEnvironment;
 use mec_sim::comm::Uplink;
 use mec_sim::cpu::DvfsCpu;
 use mec_sim::device::{Device, DeviceId};
-use mec_sim::fleet::AliveMask;
+use mec_sim::fleet::{AliveMask, Fleet};
+use mec_sim::population::Population;
 use mec_sim::units::{Bits, BitsPerSecond, Hertz, Watts};
 
 fn gen_devices(rng: &mut Rng, min: usize, max: usize) -> Vec<Device> {
@@ -68,11 +70,23 @@ fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: 
     drive(rng, case, eta, rounds, &devices);
 }
 
-/// The shared harness: churn, shifting targets and refunds over
-/// `devices` behind an alive mask, with the index's invariants checked
-/// after every round.
+/// The shared harness over a slice of `devices`, with targets below 9.
 fn drive(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: usize, devices: &[Device]) {
-    let q = devices.len();
+    drive_set(rng, case, eta, rounds, DeviceSet::from_slice(devices), 9);
+}
+
+/// Churn, targets in `1..max_target` and refunds over `universe`
+/// behind an alive mask, with the index's invariants checked after
+/// every round.
+fn drive_set(
+    rng: &mut Rng,
+    case: usize,
+    eta: DecayCoefficient,
+    rounds: usize,
+    universe: DeviceSet<'_>,
+    max_target: usize,
+) {
+    let q = universe.universe_len();
     let mut mask = AliveMask::all_alive(q);
     let mut indexed = IndexedDecaySelector::new(eta);
     let mut reference = GreedyDecaySelector::new(eta);
@@ -90,8 +104,8 @@ fn drive(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: usize, devic
                 mask.revive(victim);
             }
         }
-        let target = rng.range_usize(1, 9);
-        let devices = DeviceSetOf(devices).masked(&mask);
+        let target = rng.range_usize(1, max_target);
+        let devices = universe.with_mask(&mask);
         let ctx = SelectionContext { round, devices, payload: Bits::from_megabits(40.0), target };
         let a = indexed.select(&ctx).unwrap();
         let b = reference.select(&ctx).unwrap();
@@ -114,15 +128,6 @@ fn drive(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: usize, devic
             reference.counters().get(id),
             "case {case} device {id}: counters diverged"
         );
-    }
-}
-
-/// Tiny helper so the context construction above reads declaratively.
-struct DeviceSetOf<'a>(&'a [Device]);
-
-impl<'a> DeviceSetOf<'a> {
-    fn masked(self, mask: &'a AliveMask) -> DeviceSet<'a> {
-        DeviceSet::from_slice(self.0).with_mask(mask)
     }
 }
 
@@ -166,6 +171,20 @@ fn identical_devices_stay_equivalent() {
         let devices = gen_tied_devices(&mut rng, 5, 40, &templates);
         drive(&mut rng, case, eta, 150, &devices);
     }
+}
+
+/// A fleet of 5 000 identical devices: one delay group spans the
+/// universe, so every group jump gallops over thousands of equal
+/// delays, and targets up to 1 500 spread the counts over many buckets.
+#[test]
+fn identical_fleet_is_one_delay_group() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0008);
+    let templates = gen_templates(&mut rng, 1);
+    let devices = gen_tied_devices(&mut rng, 5_000, 5_001, &templates);
+    let population = Population::from_devices(devices, RadioEnvironment::paper_default());
+    let fleet = Fleet::from_population(&population).unwrap();
+    let eta = DecayCoefficient::new(rng.uniform(0.05, 0.95)).unwrap();
+    drive_set(&mut rng, 0, eta, 60, DeviceSet::from_fleet(&fleet), 1_500);
 }
 
 /// At most three distinct delays: long delay groups and walks over

@@ -110,12 +110,23 @@ impl<'a> DeviceSet<'a> {
         }
     }
 
-    /// Streams every device in the backing, ignoring the mask — what
-    /// the indexed Alg. 2 selector ranks once, dead devices included.
-    pub fn iter_universe(&self) -> impl Iterator<Item = Device> + 'a {
+    /// Every device in the backing, ignoring the mask, as its id and its
+    /// total delay at `f_max` (Eq. 9) for `payload`, in backing order —
+    /// what the indexed Alg. 2 selector ranks once, dead devices
+    /// included. A fleet's delays come from its record column
+    /// ([`Fleet::delays_at_max`]) with ids at their positions, and equal
+    /// [`Device::total_delay_at_max`] bit for bit, as a slice's do.
+    pub fn universe_delays(
+        &self,
+        payload: Bits,
+    ) -> impl Iterator<Item = (DeviceId, Seconds)> + 'a {
         match self.backing {
-            Backing::Slice(devices) => Either::A(devices.iter().copied()),
-            Backing::Fleet(fleet) => Either::B(fleet.iter()),
+            Backing::Slice(devices) => {
+                Either::A(devices.iter().map(move |d| (d.id(), d.total_delay_at_max(payload))))
+            }
+            Backing::Fleet(fleet) => {
+                Either::B(fleet.delays_at_max(payload).enumerate().map(|(q, t)| (DeviceId(q), t)))
+            }
         }
     }
 
@@ -558,7 +569,44 @@ mod tests {
         assert!(set.contains(DeviceId(2)));
         // The universe still exposes everything.
         assert_eq!(set.universe_len(), 6);
-        assert_eq!(set.iter_universe().count(), 6);
+        assert_eq!(set.universe_delays(Bits::from_megabits(40.0)).count(), 6);
+    }
+
+    /// `universe_delays` prices every position of every backing like
+    /// the device there, bit for bit, whatever the mask says.
+    #[test]
+    fn universe_delays_match_every_device_of_every_backing() {
+        let builder = PopulationBuilder::paper_default().num_devices(500).seed(17);
+        let pop = builder.build().unwrap();
+        let fleet = builder.build_fleet().unwrap();
+        let compacted = Fleet::from_population(&pop).unwrap();
+        let mut mask = AliveMask::all_alive(500);
+        for q in (0..500).step_by(3) {
+            mask.kill(q);
+        }
+        let payload = Bits::from_megabits(40.0);
+        let sets = [
+            DeviceSet::from_fleet(&fleet),
+            DeviceSet::from_fleet(&compacted),
+            DeviceSet::from_fleet(&fleet).with_mask(&mask),
+            DeviceSet::from_slice(pop.devices()),
+            DeviceSet::from_slice(pop.devices()).with_mask(&mask),
+        ];
+        for (k, set) in sets.iter().enumerate() {
+            let delays: Vec<(DeviceId, Seconds)> = set.universe_delays(payload).collect();
+            assert_eq!(delays.len(), 500, "set {k}");
+            for (q, (id, t)) in delays.into_iter().enumerate() {
+                let d = pop.devices()[q];
+                assert_eq!(id, d.id(), "set {k} position {q}");
+                let want = d.total_delay_at_max(payload).get().to_bits();
+                assert_eq!(t.get().to_bits(), want, "set {k} position {q}");
+            }
+        }
+        // A slice in another order yields its own ids in that order.
+        let reversed: Vec<Device> = pop.devices().iter().rev().copied().collect();
+        let ids: Vec<DeviceId> =
+            DeviceSet::from_slice(&reversed).universe_delays(payload).map(|(id, _)| id).collect();
+        assert_eq!(ids, reversed.iter().map(Device::id).collect::<Vec<_>>());
     }
 
     #[test]

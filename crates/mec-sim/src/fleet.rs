@@ -20,7 +20,9 @@
 //!
 //! [`Fleet::device`] reconstructs a bit-identical [`Device`] on demand
 //! through the validated constructors, so all delay/energy math keeps a
-//! single implementation.
+//! single implementation. The one column read, [`Fleet::delays_at_max`],
+//! prices Eq. 9 from the records through the same unit operations as
+//! [`Device::total_delay_at_max`], so its delays keep their bits.
 
 use crate::channel::RadioEnvironment;
 use crate::comm::Uplink;
@@ -28,7 +30,7 @@ use crate::cpu::{DvfsCpu, FrequencyRange};
 use crate::device::{Device, DeviceId};
 use crate::error::{MecError, Result};
 use crate::population::Population;
-use crate::units::{BitsPerSecond, Hertz, Watts};
+use crate::units::{Bits, BitsPerSecond, Cycles, Hertz, Seconds, Watts};
 
 /// One device's own parameters, packed to 20 bytes and read by copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,9 +235,16 @@ impl Fleet {
         ids.iter().zip(picked).map(|(id, record)| self.assemble(id.0, record)).collect()
     }
 
-    /// Iterates all devices in id order, reconstructing each on the fly.
-    pub fn iter(&self) -> impl Iterator<Item = Device> + '_ {
-        self.records.iter().enumerate().map(|(q, &record)| self.assemble(q, record))
+    /// Every device's total delay at `f_max` (Eq. 9) in id order, read
+    /// straight from the records: `work / f_max + payload / rate`, the
+    /// same operations as [`Device::total_delay_at_max`], so each delay
+    /// equals `self.device(q).total_delay_at_max(payload)` bit for bit
+    /// without assembling the device.
+    pub fn delays_at_max(&self, payload: Bits) -> impl Iterator<Item = Seconds> + '_ {
+        self.records.iter().map(move |&DeviceRecord { f_max, rate, num_samples }| {
+            let work = Cycles::new(self.cycles_per_sample * f64::from(num_samples));
+            work / Hertz::new(f_max) + payload / BitsPerSecond::new(rate)
+        })
     }
 
     /// Replaces device `q`'s dataset size (the partitioner's shard
@@ -356,7 +365,6 @@ mod tests {
         for (q, d) in pop.devices().iter().enumerate() {
             assert_eq!(fleet.device(q), *d, "device {q} did not round-trip");
         }
-        assert!(fleet.iter().eq(pop.devices().iter().copied()));
         assert_eq!(fleet.environment(), pop.environment());
     }
 
@@ -369,6 +377,25 @@ mod tests {
             let r = fleet.device(q);
             assert_eq!(r.total_delay_at_max(payload), d.total_delay_at_max(payload));
             assert_eq!(r.compute_delay_at_max(), d.compute_delay_at_max());
+        }
+    }
+
+    /// The column read prices every device exactly like the assembled
+    /// device does, for a fleet built directly and one compacted from a
+    /// population.
+    #[test]
+    fn column_delays_match_the_assembled_devices_bit_for_bit() {
+        let builder = PopulationBuilder::paper_default().num_devices(2_000).seed(31);
+        let compacted = Fleet::from_population(&builder.build().unwrap()).unwrap();
+        for fleet in [builder.build_fleet().unwrap(), compacted] {
+            for payload in [Bits::from_megabits(40.0), Bits::from_megabits(0.37)] {
+                let column: Vec<Seconds> = fleet.delays_at_max(payload).collect();
+                assert_eq!(column.len(), fleet.len());
+                for (q, t) in column.into_iter().enumerate() {
+                    let want = fleet.device(q).total_delay_at_max(payload);
+                    assert_eq!(t.get().to_bits(), want.get().to_bits(), "device {q}");
+                }
+            }
         }
     }
 
