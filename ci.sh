@@ -73,7 +73,7 @@ trap 'rm -rf "$smoke_dir"' EXIT
   grep -q local_update watch.txt
 )
 
-echo "==> observability gates: self-diff, flame, series, manifest refusal"
+echo "==> observability gates: self-diff, flame, series, manifest and attribute refusals"
 # The smoke trace from the telemetry section, compared against itself,
 # must be the identity: every phase and metric a zero delta, exit 0.
 # The folded-stack and timeseries exports must produce non-empty
@@ -108,6 +108,17 @@ echo "==> observability gates: self-diff, flame, series, manifest refusal"
     exit 1
   fi
   grep -q '"schema_version"' diff_refusal.txt
+  # The auditor requires every attribute its producers always write: a
+  # timeline whose makespan_s is not a number is refused by name, not
+  # skipped. Only the first makespan_s in the trace is tampered.
+  sed '0,/"makespan_s":[-+0-9.eE]*/s//"makespan_s":"x"/' "$trace" > bad_makespan.jsonl
+  grep -q '"makespan_s":"x"' bad_makespan.jsonl
+  if "$repo_root/target/release/helcfl-trace" audit bad_makespan.jsonl \
+      > /dev/null 2> audit_refusal.txt; then
+    echo "ERROR: audit accepted a non-numeric makespan_s" >&2
+    exit 1
+  fi
+  grep -q '"makespan_s"' audit_refusal.txt
 )
 
 echo "==> kernel gate: fresh --smoke bench vs committed baseline (SIMD + scalar)"

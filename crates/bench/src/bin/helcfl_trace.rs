@@ -94,13 +94,16 @@ fn cmd_tree(args: &Args) -> Result<(), String> {
     let limit = count(args, "--limit")?.unwrap_or(5);
     let round_filter = count(args, "--round")?;
 
-    let roots: Vec<_> = tree
-        .roots()
-        .filter(|s| match round_filter {
-            Some(n) => s.name == "round" && s.attr_u64("index") == Some(n as u64),
+    let mut roots = Vec::new();
+    for root in tree.roots() {
+        let wanted = match round_filter {
+            Some(n) => root.name == "round" && root.optional::<u64>("index")? == Some(n as u64),
             None => true,
-        })
-        .collect();
+        };
+        if wanted {
+            roots.push(root);
+        }
+    }
     if roots.is_empty() {
         return Err(match round_filter {
             Some(n) => format!("no round span with index {n}"),
@@ -184,8 +187,13 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
         let finished = trace.metrics.is_some();
         // Announce provenance as soon as the runner stamps it, so a
         // watcher knows *which* run it is tailing.
-        for manifest in trace.manifests.iter().skip(seen_manifests) {
-            println!("watch: {}", manifest.to_human_line());
+        for m in trace.manifests.iter().skip(seen_manifests) {
+            let id = &m.identity;
+            let resumed = m.start_round.map_or(String::new(), |r| format!(" start_round={r}"));
+            println!(
+                "watch: run_manifest scheme={} seed={} fleet={} mode={} threads={}{resumed}",
+                id.scheme, id.seed, id.fleet_size, m.trace_mode, m.threads
+            );
         }
         seen_manifests = seen_manifests.max(trace.manifests.len());
         if !trace.spans.is_empty() {
@@ -278,7 +286,7 @@ fn cmd_flame(args: &Args) -> Result<(), String> {
 fn cmd_series(args: &Args) -> Result<(), String> {
     let trace = Trace::load(trace_path(args))?;
     let tree = SpanTree::build(&trace)?;
-    let points = round_series(&trace, &tree);
+    let points = round_series(&trace, &tree)?;
     if points.is_empty() {
         return Err("no round spans — was a federated run traced?".to_string());
     }

@@ -241,11 +241,12 @@ impl CommonArgs {
     ///
     /// # Errors
     ///
-    /// Fails when the `--trace-out` file cannot be created.
+    /// Fails when the `--trace-out` or `HELCFL_TRACE` file cannot be
+    /// created.
     pub fn telemetry(&self, name: &str) -> std::io::Result<Telemetry> {
         match &self.trace_out {
             Some(path) => Telemetry::to_file(path),
-            None => Ok(Telemetry::from_env(name)),
+            None => Telemetry::from_env(name),
         }
     }
 }

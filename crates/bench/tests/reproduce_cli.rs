@@ -179,6 +179,17 @@ fn a_zero_checkpoint_interval_is_refused_by_name() {
     assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
 }
 
+/// `HELCFL_TRACE` follows `--trace-out`'s rule: a trace file that
+/// cannot be created stops the run. Here its parent is a regular file.
+#[test]
+fn an_uncreatable_trace_file_is_refused_by_name() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/trace.jsonl");
+    let env = [("HELCFL_TRACE", path)];
+    let stderr = refused("tracefile", &["--fast", "--setting", "iid"], &env);
+    assert!(stderr.contains("HELCFL_TRACE"), "stderr does not name the variable: {stderr}");
+    assert!(stderr.contains(path), "stderr does not name the path: {stderr}");
+}
+
 /// The two settings' runs share scheme, seed and config, which is all
 /// a ring's identity check sees, so only the run name keeps the Non-IID
 /// runs from resuming the IID histories. A rerun resumes every

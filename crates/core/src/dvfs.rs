@@ -28,57 +28,28 @@ use mec_sim::units::{Bits, Hertz, Seconds};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlackFrequencyPolicy;
 
-impl SlackFrequencyPolicy {
-    /// Runs Alg. 3 and returns its assignment as `(input index, f)`
-    /// pairs in the order Alg. 3 visited the devices: ascending compute
-    /// delay at `f_max`, then id, then input index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MecError::KeyOutOfRange`] (as [`FlError::Mec`]) naming
-    /// `device.id` when an id, or `input` when a position, does not
-    /// fit the cohort order's 32-bit keys (below
-    /// [`mec_sim::order::KEY_LIMIT`]). An empty selection yields an
-    /// empty assignment.
-    ///
-    /// [`MecError::KeyOutOfRange`]: mec_sim::MecError::KeyOutOfRange
-    /// [`FlError::Mec`]: fl_sim::error::FlError::Mec
-    pub fn determine(
-        &self,
-        selected: &[Device],
-        payload: Bits,
-    ) -> Result<Vec<(usize, Hertz)>> {
-        self.determine_traced(selected, payload, &Telemetry::disabled())
-    }
-
-    /// [`SlackFrequencyPolicy::determine`] with Alg.-3 internals
-    /// recorded into telemetry (all [`Class::Sim`]):
-    ///
-    /// * `dvfs.downscale` (histogram) — per-device `f / f_max`
-    ///   downscale factor (1.0 for the first user, lower when slack
-    ///   was harvested);
-    /// * `dvfs.clamped_min` / `dvfs.clamped_max` (counters) — how
-    ///   often the ideal frequency fell outside the DVFS range
-    ///   (DESIGN.md §7's deviation from the unclamped paper);
-    /// * `dvfs.assignments` (counter) — devices assigned in total.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SlackFrequencyPolicy::determine`].
-    pub fn determine_traced(
-        &self,
-        selected: &[Device],
-        payload: Bits,
-        tele: &Telemetry,
-    ) -> Result<Vec<(usize, Hertz)>> {
-        let mut assignment = Vec::with_capacity(selected.len());
-        assign(selected, payload, tele, |idx, f| assignment.push((idx, f)))?;
-        Ok(assignment)
-    }
-}
-
 /// Alg. 3: hands each device's input index and frequency to `emit`,
-/// in visiting order.
+/// in the order Alg. 3 visits the devices: ascending compute delay at
+/// `f_max`, then id, then input index. Records its internals into
+/// `tele` (all [`Class::Sim`]):
+///
+/// * `dvfs.downscale` (histogram) — per-device `f / f_max`
+///   downscale factor (1.0 for the first user, lower when slack
+///   was harvested);
+/// * `dvfs.clamped_min` / `dvfs.clamped_max` (counters) — how
+///   often the ideal frequency fell outside the DVFS range
+///   (DESIGN.md §7's deviation from the unclamped paper);
+/// * `dvfs.assignments` (counter) — devices assigned in total.
+///
+/// # Errors
+///
+/// Returns [`MecError::KeyOutOfRange`] (as [`FlError::Mec`]) naming
+/// `device.id` when an id, or `input` when a position, does not fit
+/// the cohort order's 32-bit keys (below
+/// [`mec_sim::order::KEY_LIMIT`]). An empty selection assigns nothing.
+///
+/// [`MecError::KeyOutOfRange`]: mec_sim::MecError::KeyOutOfRange
+/// [`FlError::Mec`]: fl_sim::error::FlError::Mec
 fn assign(
     selected: &[Device],
     payload: Bits,
@@ -289,15 +260,14 @@ mod tests {
         use mec_sim::order::KEY_LIMIT;
         use mec_sim::MecError;
         let mut devs = [device(0, 2.0, 500, 8.0), device(KEY_LIMIT - 1, 1.0, 500, 8.0)];
-        assert_eq!(SlackFrequencyPolicy.determine(&devs, payload()).unwrap().len(), 2);
+        assert_eq!(SlackFrequencyPolicy.frequencies(&devs, payload()).unwrap().len(), 2);
         for id in [KEY_LIMIT, usize::MAX] {
             devs[1] = device(id, 1.0, 500, 8.0);
-            let err = SlackFrequencyPolicy.determine(&devs, payload()).unwrap_err();
+            let err = SlackFrequencyPolicy.frequencies(&devs, payload()).unwrap_err();
             assert_eq!(
                 err,
                 FlError::Mec(MecError::KeyOutOfRange { field: "device.id", value: id })
             );
-            assert!(SlackFrequencyPolicy.frequencies(&devs, payload()).is_err());
         }
     }
 
@@ -305,6 +275,14 @@ mod tests {
     fn empty_selection_yields_empty_assignment() {
         let freqs = SlackFrequencyPolicy.frequencies(&[], payload()).unwrap();
         assert!(freqs.is_empty());
+    }
+
+    /// Alg. 3's `(input index, f)` pairs in visiting order.
+    fn visits(selected: &[Device], payload: Bits) -> Vec<(usize, Hertz)> {
+        let mut assignment = Vec::with_capacity(selected.len());
+        assign(selected, payload, &Telemetry::disabled(), |idx, f| assignment.push((idx, f)))
+            .unwrap();
+        assignment
     }
 
     /// Alg. 3 as it ran before its bit-key sort: a stable sort by
@@ -369,7 +347,7 @@ mod tests {
                     cohort.insert(at, renumbered);
                 }
             }
-            let got = SlackFrequencyPolicy.determine(&cohort, payload()).unwrap();
+            let got = visits(&cohort, payload());
             let want = stable_sort_alg3(&cohort, payload());
             let bits = |a: &[(usize, Hertz)]| {
                 a.iter().map(|&(i, f)| (i, f.get().to_bits())).collect::<Vec<_>>()
@@ -385,7 +363,7 @@ mod tests {
     #[test]
     fn assignment_indices_cover_input_order() {
         let devs = [device(5, 0.8, 500, 8.0), device(2, 2.0, 500, 8.0)];
-        let assignment = SlackFrequencyPolicy.determine(&devs, payload()).unwrap();
+        let assignment = visits(&devs, payload());
         let mut indices: Vec<usize> = assignment.iter().map(|(i, _)| *i).collect();
         indices.sort_unstable();
         assert_eq!(indices, vec![0, 1]);

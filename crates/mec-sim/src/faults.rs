@@ -1291,18 +1291,18 @@ mod tests {
             let trace = trace_of(|span| r.trace_into(span));
             let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
             let uploaded = r.outcomes().iter().filter(|o| o.uploaded).count() as u64;
-            assert_eq!(timeline.attr_u64("uploads"), Some(uploaded));
-            assert_eq!(timeline.attr_f64("makespan_s"), Some(r.round_time().get()));
-            assert_eq!(timeline.attr_f64("slack_total_s"), Some(r.total_slack().get()));
-            assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
-            assert_eq!(timeline.attr_f64("compute_energy_j"), Some(r.compute_energy().get()));
-            assert_eq!(timeline.attr_f64("wasted_energy_j"), Some(r.wasted_energy().get()));
-            assert_eq!(timeline.attr_u64("selected"), Some(3));
+            assert_eq!(timeline.require::<u64>("uploads"), Ok(uploaded));
+            assert_eq!(timeline.require::<f64>("makespan_s"), Ok(r.round_time().get()));
+            assert_eq!(timeline.require::<f64>("slack_total_s"), Ok(r.total_slack().get()));
+            assert_eq!(timeline.require::<f64>("energy_j"), Ok(r.total_energy().get()));
+            assert_eq!(timeline.require::<f64>("compute_energy_j"), Ok(r.compute_energy().get()));
+            assert_eq!(timeline.require::<f64>("wasted_energy_j"), Ok(r.wasted_energy().get()));
+            assert_eq!(timeline.require::<u64>("selected"), Ok(3));
             let delivered = r.outcomes().iter().filter(|o| o.delivered).count() as u64;
-            assert_eq!(timeline.attr_u64("delivered"), Some(delivered));
-            assert_eq!(timeline.attr_bool("fault_fired"), Some(r.faults_fired() > 0));
-            assert_eq!(timeline.attr_bool("deadline_fired"), Some(false));
-            assert_eq!(timeline.attr_bool("digest"), None);
+            assert_eq!(timeline.require::<u64>("delivered"), Ok(delivered));
+            assert_eq!(timeline.require::<bool>("fault_fired"), Ok(r.faults_fired() > 0));
+            assert_eq!(timeline.require::<bool>("deadline_fired"), Ok(false));
+            assert_eq!(timeline.optional::<bool>("digest"), Ok(None));
 
             // One device_activity child per outcome, each carrying the
             // outcome's own values.
@@ -1311,29 +1311,29 @@ mod tests {
             assert_eq!(activities.len(), 3);
             for a in &activities {
                 assert_eq!(a.parent, Some(timeline.id));
-                let id = a.attr_u64("device_id").unwrap() as usize;
+                let id = a.require::<u64>("device_id").unwrap() as usize;
                 let o = r.outcome(DeviceId(id)).unwrap();
-                assert_eq!(a.attr_str("device"), Some(o.device.to_string().as_str()));
-                assert_eq!(a.attr_f64("f_hz"), Some(o.frequency.get()));
-                assert_eq!(a.attr_f64("f_planned_hz"), Some(o.planned_frequency.get()));
-                assert_eq!(a.attr_f64("f_max_hz"), Some(o.f_max.get()));
-                assert_eq!(a.attr_f64("compute_finish_s"), Some(o.compute_finish.get()));
-                assert_eq!(a.attr_f64("upload_start_s"), Some(o.upload_start.get()));
-                assert_eq!(a.attr_f64("upload_end_s"), Some(o.upload_end.get()));
-                assert_eq!(a.attr_f64("compute_energy_j"), Some(o.compute_energy.get()));
-                assert_eq!(a.attr_f64("upload_energy_j"), Some(o.upload_energy.get()));
-                assert_eq!(a.attr_f64("wasted_energy_j"), Some(o.wasted_energy.get()));
-                assert_eq!(a.attr_bool("uploaded"), Some(o.uploaded));
-                assert_eq!(a.attr_bool("delivered"), Some(o.delivered));
-                assert_eq!(a.attr_str("fault"), o.fault.map(|f| f.kind()));
-                assert_eq!(a.attr_bool("exemplar"), None);
+                assert_eq!(a.require::<&str>("device"), Ok(o.device.to_string().as_str()));
+                assert_eq!(a.require::<f64>("f_hz"), Ok(o.frequency.get()));
+                assert_eq!(a.require::<f64>("f_planned_hz"), Ok(o.planned_frequency.get()));
+                assert_eq!(a.require::<f64>("f_max_hz"), Ok(o.f_max.get()));
+                assert_eq!(a.require::<f64>("compute_finish_s"), Ok(o.compute_finish.get()));
+                assert_eq!(a.require::<f64>("upload_start_s"), Ok(o.upload_start.get()));
+                assert_eq!(a.require::<f64>("upload_end_s"), Ok(o.upload_end.get()));
+                assert_eq!(a.require::<f64>("compute_energy_j"), Ok(o.compute_energy.get()));
+                assert_eq!(a.require::<f64>("upload_energy_j"), Ok(o.upload_energy.get()));
+                assert_eq!(a.require::<f64>("wasted_energy_j"), Ok(o.wasted_energy.get()));
+                assert_eq!(a.require::<bool>("uploaded"), Ok(o.uploaded));
+                assert_eq!(a.require::<bool>("delivered"), Ok(o.delivered));
+                assert_eq!(a.optional::<&str>("fault"), Ok(o.fault.map(|f| f.kind())));
+                assert_eq!(a.optional::<bool>("exemplar"), Ok(None));
                 // Every device runs at f_max, where the scaled and
                 // reference compute energies coincide unless a crash
                 // cut the work short.
                 if o.fault.is_none() {
                     assert_eq!(
-                        a.attr_f64("compute_energy_at_max_j"),
-                        a.attr_f64("compute_energy_j")
+                        a.require::<f64>("compute_energy_at_max_j"),
+                        a.require::<f64>("compute_energy_j")
                     );
                 }
             }
@@ -1351,13 +1351,13 @@ mod tests {
         let a0 = trace
             .spans
             .iter()
-            .find(|s| s.name == "device_activity" && s.attr_str("device") == Some("v0"))
+            .find(|s| s.name == "device_activity" && s.require::<&str>("device") == Ok("v0"))
             .unwrap();
-        assert_eq!(a0.attr_f64("f_hz"), Some(2.0e9));
-        assert_eq!(a0.attr_f64("compute_finish_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_start_s"), Some(2.5));
-        assert_eq!(a0.attr_f64("upload_end_s"), Some(7.5));
-        assert!(a0.attr_f64("compute_energy_j").unwrap() > 0.0);
+        assert_eq!(a0.require::<f64>("f_hz"), Ok(2.0e9));
+        assert_eq!(a0.require::<f64>("compute_finish_s"), Ok(2.5));
+        assert_eq!(a0.require::<f64>("upload_start_s"), Ok(2.5));
+        assert_eq!(a0.require::<f64>("upload_end_s"), Ok(7.5));
+        assert!(a0.require::<f64>("compute_energy_j").unwrap() > 0.0);
         assert_eq!(trace.spans.iter().filter(|s| s.name == "abort").count(), 0);
 
         // Fault mix: the crashed device never reached the channel.
@@ -1366,10 +1366,10 @@ mod tests {
         let crashed = trace
             .spans
             .iter()
-            .find(|s| s.name == "device_activity" && s.attr_u64("device_id") == Some(0))
+            .find(|s| s.name == "device_activity" && s.require::<u64>("device_id") == Ok(0))
             .unwrap();
-        assert_eq!(crashed.attr_bool("uploaded"), Some(false));
-        assert_eq!(crashed.attr_str("fault"), Some("crash-compute"));
+        assert_eq!(crashed.require::<bool>("uploaded"), Ok(false));
+        assert_eq!(crashed.require::<&str>("fault"), Ok("crash-compute"));
     }
 
     #[test]
@@ -1399,51 +1399,51 @@ mod tests {
 
             // Summary attrs match the full-fidelity ones; digest flag set.
             let timeline = trace.spans.iter().find(|s| s.name == "timeline").unwrap();
-            assert_eq!(timeline.attr_bool("digest"), Some(true));
+            assert_eq!(timeline.require::<bool>("digest"), Ok(true));
             let uploaded = r.outcomes().iter().filter(|o| o.uploaded).count() as u64;
-            assert_eq!(timeline.attr_u64("uploads"), Some(uploaded));
-            assert_eq!(timeline.attr_u64("selected"), Some(3));
-            assert_eq!(timeline.attr_u64("delivered"), Some(delivered));
-            assert_eq!(timeline.attr_f64("energy_j"), Some(r.total_energy().get()));
+            assert_eq!(timeline.require::<u64>("uploads"), Ok(uploaded));
+            assert_eq!(timeline.require::<u64>("selected"), Ok(3));
+            assert_eq!(timeline.require::<u64>("delivered"), Ok(delivered));
+            assert_eq!(timeline.require::<f64>("energy_j"), Ok(r.total_energy().get()));
 
             // The digest carries totals that agree with the round itself.
             let digest = trace.spans.iter().find(|s| s.name == "cohort_digest").unwrap();
             assert_eq!(digest.parent, Some(timeline.id));
-            assert_eq!(digest.attr_u64("devices"), Some(3));
-            assert_eq!(digest.attr_u64("exemplars"), Some(2));
-            assert_eq!(digest.attr_u64("uploads"), Some(uploaded));
-            assert_eq!(digest.attr_u64("delivered"), Some(delivered));
-            assert_eq!(digest.attr_u64("faults_fired"), Some(fired));
-            assert_eq!(digest.attr_f64("energy_sum_j"), Some(r.total_energy().get()));
+            assert_eq!(digest.require::<u64>("devices"), Ok(3));
+            assert_eq!(digest.require::<u64>("exemplars"), Ok(2));
+            assert_eq!(digest.require::<u64>("uploads"), Ok(uploaded));
+            assert_eq!(digest.require::<u64>("delivered"), Ok(delivered));
+            assert_eq!(digest.require::<u64>("faults_fired"), Ok(fired));
+            assert_eq!(digest.require::<f64>("energy_sum_j"), Ok(r.total_energy().get()));
             assert_eq!(
-                digest.attr_f64("compute_energy_sum_j"),
-                Some(r.compute_energy().get())
+                digest.require::<f64>("compute_energy_sum_j"),
+                Ok(r.compute_energy().get())
             );
             assert_eq!(
-                digest.attr_f64("wasted_energy_sum_j"),
-                Some(r.wasted_energy().get())
+                digest.require::<f64>("wasted_energy_sum_j"),
+                Ok(r.wasted_energy().get())
             );
-            assert_eq!(digest.attr_f64("slack_sum_s"), Some(r.total_slack().get()));
+            assert_eq!(digest.require::<f64>("slack_sum_s"), Ok(r.total_slack().get()));
             let release_max = r
                 .outcomes()
                 .iter()
                 .map(|o| o.release_time())
                 .fold(Seconds::ZERO, Seconds::max);
-            assert_eq!(digest.attr_f64("release_max_s"), Some(release_max.get()));
+            assert_eq!(digest.require::<f64>("release_max_s"), Ok(release_max.get()));
             let energy_hist =
-                Histogram::decode_compact(digest.attr_str("energy_hist").unwrap()).unwrap();
+                Histogram::decode_compact(digest.require::<&str>("energy_hist").unwrap()).unwrap();
             assert_eq!(energy_hist.count, 3);
             let slack_hist =
-                Histogram::decode_compact(digest.attr_str("slack_hist").unwrap()).unwrap();
+                Histogram::decode_compact(digest.require::<&str>("slack_hist").unwrap()).unwrap();
             assert_eq!(slack_hist.count, 3);
             let energies: Vec<f64> = r.outcomes().iter().map(|o| o.total_energy().get()).collect();
             let slacks: Vec<f64> = r.outcomes().iter().map(|o| o.slack().get()).collect();
             let lo = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(digest.attr_f64("energy_min_j"), Some(lo(&energies)));
-            assert_eq!(digest.attr_f64("energy_max_j"), Some(hi(&energies)));
-            assert_eq!(digest.attr_f64("slack_min_s"), Some(lo(&slacks)));
-            assert_eq!(digest.attr_f64("slack_max_s"), Some(hi(&slacks)));
+            assert_eq!(digest.require::<f64>("energy_min_j"), Ok(lo(&energies)));
+            assert_eq!(digest.require::<f64>("energy_max_j"), Ok(hi(&energies)));
+            assert_eq!(digest.require::<f64>("slack_min_s"), Ok(lo(&slacks)));
+            assert_eq!(digest.require::<f64>("slack_max_s"), Ok(hi(&slacks)));
 
             // Exactly two exemplars, fully attributed and inside the
             // digest extrema; their markers are the only fault / retry
@@ -1451,16 +1451,16 @@ mod tests {
             let activities: Vec<_> =
                 trace.spans.iter().filter(|s| s.name == "device_activity").collect();
             assert_eq!(activities.len(), 2);
-            let emin = digest.attr_f64("energy_min_j").unwrap();
-            let emax = digest.attr_f64("energy_max_j").unwrap();
+            let emin = digest.require::<f64>("energy_min_j").unwrap();
+            let emax = digest.require::<f64>("energy_max_j").unwrap();
             let mut exemplar_outcomes = Vec::new();
             for a in &activities {
-                assert_eq!(a.attr_bool("exemplar"), Some(true));
-                let id = a.attr_u64("device_id").unwrap() as usize;
+                assert_eq!(a.require::<bool>("exemplar"), Ok(true));
+                let id = a.require::<u64>("device_id").unwrap() as usize;
                 let o = r.outcome(DeviceId(id)).unwrap();
-                assert_eq!(a.attr_bool("delivered"), Some(o.delivered));
-                assert_eq!(a.attr_f64("upload_end_s"), Some(o.upload_end.get()));
-                assert_eq!(a.attr_f64("wasted_energy_j"), Some(o.wasted_energy.get()));
+                assert_eq!(a.require::<bool>("delivered"), Ok(o.delivered));
+                assert_eq!(a.require::<f64>("upload_end_s"), Ok(o.upload_end.get()));
+                assert_eq!(a.require::<f64>("wasted_energy_j"), Ok(o.wasted_energy.get()));
                 let e = o.total_energy().get();
                 assert!(e >= emin && e <= emax);
                 exemplar_outcomes.push(o);
@@ -1478,7 +1478,7 @@ mod tests {
                 t.spans
                     .iter()
                     .filter(|sp| sp.name == "device_activity")
-                    .map(|sp| sp.attr_u64("device_id").unwrap())
+                    .map(|sp| sp.require::<u64>("device_id").unwrap())
                     .collect::<Vec<_>>()
             };
             assert_eq!(ids(&trace), ids(&trace_of(|span| r.trace_digest_into(span, cfg))));

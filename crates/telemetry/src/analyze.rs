@@ -43,38 +43,30 @@ impl TraceSpan {
         self.t_us + self.dur_us
     }
 
-    /// Looks up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&JsonValue> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    /// The attribute `key` read as a `T` (see [`JsonValue::field`]).
+    ///
+    /// # Errors
+    ///
+    /// Refuses, naming this span and the key, an attribute that is
+    /// absent or not a `T`.
+    pub fn require<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
+        self.optional(key)?.ok_or_else(|| self.refusal::<T>(key))
     }
 
-    /// Numeric attribute, if present and a number.
-    pub fn attr_f64(&self, key: &str) -> Option<f64> {
-        self.attr(key).and_then(JsonValue::as_f64)
+    /// Like [`Self::require`], but an absent attribute reads as `None`
+    /// (see [`JsonValue::optional`]).
+    ///
+    /// # Errors
+    ///
+    /// Refuses, naming this span and the key, an attribute that is
+    /// present and not a `T`.
+    pub fn optional<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, String> {
+        let value = self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        value.map(|v| T::from_json(v).ok_or_else(|| self.refusal::<T>(key))).transpose()
     }
 
-    /// Integer attribute (see [`JsonValue::as_u64`]).
-    pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        self.attr(key).and_then(JsonValue::as_u64)
-    }
-
-    /// String attribute, if present and a string.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        self.attr(key).and_then(JsonValue::as_str)
-    }
-
-    /// Boolean attribute, if present and a boolean.
-    pub fn attr_bool(&self, key: &str) -> Option<bool> {
-        self.attr(key).and_then(JsonValue::as_bool)
-    }
-
-    /// The attribute `key` read as a `T` (see [`JsonValue::field`]):
-    /// the auditor's reading of an attribute the trace schema
-    /// requires, refused naming this span and the key.
-    pub(crate) fn require<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
-        self.attr(key).and_then(T::from_json).ok_or_else(|| {
-            format!("{} span {}: attr {}", self.name, self.id, FieldError::new(key, T::want()))
-        })
+    fn refusal<'a, T: FromJson<'a>>(&self, key: &str) -> String {
+        format!("{} span {}: attr {}", self.name, self.id, FieldError::new(key, T::want()))
     }
 }
 
@@ -601,8 +593,13 @@ pub struct RoundPoint {
 /// Extracts the per-round timeseries: one [`RoundPoint`] per `round`
 /// span, ordered by round index (rounds without an index sort last,
 /// then by start time and span id).
-pub fn round_series(trace: &Trace, tree: &SpanTree<'_>) -> Vec<RoundPoint> {
-    let mut points: Vec<RoundPoint> = trace
+///
+/// # Errors
+///
+/// Refuses a round whose `index` is present but not a non-negative
+/// integer, naming the span.
+pub fn round_series(trace: &Trace, tree: &SpanTree<'_>) -> Result<Vec<RoundPoint>, String> {
+    let mut points = trace
         .spans
         .iter()
         .filter(|s| s.name == "round")
@@ -611,15 +608,15 @@ pub fn round_series(trace: &Trace, tree: &SpanTree<'_>) -> Vec<RoundPoint> {
             for child in tree.children(span.id) {
                 *phases.entry(child.name.clone()).or_insert(0) += child.dur_us;
             }
-            RoundPoint {
-                index: span.attr_u64("index"),
+            Ok(RoundPoint {
+                index: span.optional("index")?,
                 span_id: span.id,
                 t_us: span.t_us,
                 dur_us: span.dur_us,
                 phases: phases.into_iter().collect(),
-            }
+            })
         })
-        .collect();
+        .collect::<Result<Vec<_>, String>>()?;
     points.sort_by(|a, b| {
         a.index
             .unwrap_or(u64::MAX)
@@ -627,7 +624,7 @@ pub fn round_series(trace: &Trace, tree: &SpanTree<'_>) -> Vec<RoundPoint> {
             .then(a.t_us.cmp(&b.t_us))
             .then(a.span_id.cmp(&b.span_id))
     });
-    points
+    Ok(points)
 }
 
 /// Minimum trailing samples before a value is judged by [`mad_flags`].
@@ -1057,7 +1054,7 @@ mod tests {
         .join("\n");
         let trace = Trace::parse(&text).unwrap();
         let tree = SpanTree::build(&trace).unwrap();
-        let series = round_series(&trace, &tree);
+        let series = round_series(&trace, &tree).unwrap();
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].index, Some(0));
         assert_eq!(series[0].phases, vec![("bookkeeping".to_string(), 7)]);

@@ -25,16 +25,21 @@
 //! (`uploaded`, `delivered`, `retries`), `wasted_energy_j`, and a
 //! `fault` kind; the timeline span gains `fault_fired`,
 //! `deadline_s`/`deadline_fired`, and `selected`/`delivered` counts.
-//! The auditor reads this one schema: a device span, cohort digest or
-//! timeline span without one of the attributes `FaultedRound` always
-//! emits is refused with the attribute named. On faulted rounds the
-//! contract shifts: slack and TDMA serialization apply only to devices
-//! that actually transmitted, the `E ∝ f²` equality applies only to
-//! undisturbed deliveries (faulted energies must merely stay under the
-//! at-`f_max` reference), wasted joules must reconcile with delivery
-//! outcomes, and delay-neutrality is checked **at plan time** — the
-//! DVFS assignment must have been sound before the fault hit; the
-//! degraded actual makespan is exempt.
+//! The auditor reads this one schema, through
+//! [`TraceSpan::require`] and [`TraceSpan::optional`]: an audited
+//! round without its `index`, or a device span, cohort digest, timeline
+//! or quorum span without one of the attributes its producer always
+//! writes, is refused with the span and attribute named, and so is any
+//! attribute of the wrong type. Only `deadline_s`, `digest`,
+//! `delay_neutral` and a device's `fault` may be absent.
+//!
+//! On faulted rounds the contract shifts: slack and TDMA serialization
+//! apply only to devices that actually transmitted, the `E ∝ f²`
+//! equality applies only to undisturbed deliveries (faulted energies
+//! must merely stay under the at-`f_max` reference), wasted joules must
+//! reconcile with delivery outcomes, and delay-neutrality is checked
+//! **at plan time** — the DVFS assignment must have been sound before
+//! the fault hit; the degraded actual makespan is exempt.
 //!
 //! Like [`crate::analyze`], everything here is a read-only consumer of
 //! a finished trace; auditing cannot perturb a run.
@@ -208,7 +213,7 @@ struct Activity {
 impl Activity {
     fn decode(span: &TraceSpan) -> Result<Self, String> {
         Ok(Self {
-            device: span.attr_str("device").unwrap_or("?").to_string(),
+            device: span.require::<&str>("device")?.to_string(),
             device_id: span.require::<u64>("device_id")?,
             f: span.require::<f64>("f_hz")?,
             f_planned: span.require::<f64>("f_planned_hz")?,
@@ -225,7 +230,7 @@ impl Activity {
             uploaded: span.require::<bool>("uploaded")?,
             delivered: span.require::<bool>("delivered")?,
             retries: span.require::<u64>("retries")?,
-            fault: span.attr_str("fault").map(str::to_string),
+            fault: span.optional::<&str>("fault")?.map(str::to_string),
         })
     }
 
@@ -445,8 +450,9 @@ fn replay_tdma(mut jobs: Vec<(f64, f64, u64)>) -> f64 {
 ///
 /// Returns `Err` when the trace is structurally unauditable — no
 /// spans, unresolvable parents, no `device_activity` spans (trace
-/// predates per-device emission), or activity spans with missing
-/// attributes. Violations are *not* errors; they land in the report.
+/// predates per-device emission), or an audited span with a required
+/// attribute missing or any attribute of the wrong type (named).
+/// Violations are *not* errors; they land in the report.
 pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
     if trace.spans.is_empty() {
         return Err("no spans at all — was tracing enabled?".to_string());
@@ -475,10 +481,10 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         ..AuditReport::default()
     };
     let mut totals = Counts::default();
+    let mut makespan_max = f64::NEG_INFINITY;
 
     for round in trace.spans.iter().filter(|s| s.name == "round") {
         report.rounds += 1;
-        let round_no = round.attr_u64("index");
         let mut activities = Vec::new();
         let mut timeline_span: Option<&TraceSpan> = None;
         let mut quorum_span: Option<&TraceSpan> = None;
@@ -511,18 +517,21 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         else {
             continue;
         };
+        let round_no = round.require::<u64>("index")?;
         report.rounds_audited += 1;
         report.devices_audited += activities.len();
         if digest.is_some() {
             report.rounds_digest += 1;
         }
-        let claims_neutrality = tl.attr_bool("delay_neutral").unwrap_or(false);
+        let claims_neutrality = tl.optional::<bool>("delay_neutral")?.unwrap_or(false);
         if claims_neutrality {
             report.rounds_delay_neutral += 1;
         }
-        let deadline = tl.attr_f64("deadline_s");
-        let deadline_fired = tl.attr_bool("deadline_fired").unwrap_or(false);
+        let deadline = tl.optional::<f64>("deadline_s")?;
+        let deadline_fired = tl.require::<bool>("deadline_fired")?;
         let fault_flag = tl.require::<bool>("fault_fired")?;
+        let makespan = tl.require::<f64>("makespan_s")?;
+        makespan_max = makespan_max.max(makespan);
         // The round's evidence: the digest when one exists, the device
         // spans otherwise. Every cohort-wide check below reads it.
         let cohort = digest.as_ref().map_or_else(|| Cohort::of_devices(&activities), |d| d.cohort);
@@ -536,17 +545,12 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         }
         totals.add(cohort.counts);
         let mut violation = |invariant, span, detail| {
-            report.violations.push(Violation {
-                invariant,
-                round: round_no.or(Some(round.id)),
-                span,
-                detail,
-            });
+            report.violations.push(Violation { invariant, round: Some(round_no), span, detail });
         };
 
         // The timeline's digest flag and the cohort_digest child must
         // come and go together.
-        let claims_digest = tl.attr_bool("digest").unwrap_or(false);
+        let claims_digest = tl.optional::<bool>("digest")?.unwrap_or(false);
         if claims_digest != digest.is_some() {
             violation(
                 "digest-consistency",
@@ -897,47 +901,43 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         // digest and the timeline attrs are computed from the same
         // resolved schedule, so disagreement means the emission broke).
         for (key, sum) in TIMELINE_SUMS.into_iter().zip(cohort.sums) {
-            if let Some(total) = tl.attr_f64(key) {
-                if !cfg.close(total, sum) {
-                    violation(
-                        "energy-consistency",
-                        Some(tl.id),
-                        format!(
-                            "timeline attr {key}={total:.9} does not match \
-                             the round sum {sum:.9}"
-                        ),
-                    );
-                }
-            }
-        }
-        if let Some(makespan) = tl.attr_f64("makespan_s") {
-            if !cfg.close(makespan, expected_makespan) {
+            let total = tl.require::<f64>(key)?;
+            if !cfg.close(total, sum) {
                 violation(
-                    "tdma-serialization",
+                    "energy-consistency",
                     Some(tl.id),
                     format!(
-                        "timeline attr makespan_s={makespan:.9} is not the \
-                         last channel release {expected_makespan:.9}",
+                        "timeline attr {key}={total:.9} does not match \
+                         the round sum {sum:.9}"
                     ),
                 );
             }
+        }
+        if !cfg.close(makespan, expected_makespan) {
+            violation(
+                "tdma-serialization",
+                Some(tl.id),
+                format!(
+                    "timeline attr makespan_s={makespan:.9} is not the \
+                     last channel release {expected_makespan:.9}",
+                ),
+            );
         }
         for src in std::iter::once(tl).chain(quorum_span) {
             for (key, expect) in
                 [("selected", cohort.counts.devices), ("delivered", cohort.counts.delivered)]
             {
-                if let Some(value) = src.attr_u64(key) {
-                    if value != expect {
-                        violation(
-                            "fault-consistency",
-                            Some(src.id),
-                            format!(
-                                "{} span claims {key}={value} but the \
-                                 device spans show {expect}",
-                                src.name
-                            ),
-                        );
-                    }
+                let value = src.require::<u64>(key)?;
+                if value != expect {
+                    violation(
+                        "fault-consistency",
+                        Some(src.id),
+                        format!(
+                            "{} span claims {key}={value} but the \
+                             device spans show {expect}",
+                            src.name
+                        ),
+                    );
                 }
             }
         }
@@ -951,15 +951,22 @@ pub fn audit(trace: &Trace, cfg: &AuditConfig) -> Result<AuditReport, String> {
         );
     }
 
-    audit_metrics(trace, cfg, &totals, &mut report);
+    audit_metrics(trace, cfg, &totals, makespan_max, &mut report);
     Ok(report)
 }
 
 /// Cross-checks the final metrics line against the span stream; its
 /// counts come from the summed round evidence (digest rounds contribute
 /// their aggregates) — the simulator records metrics from the full
-/// round state regardless of trace mode.
-fn audit_metrics(trace: &Trace, cfg: &AuditConfig, totals: &Counts, report: &mut AuditReport) {
+/// round state regardless of trace mode — and `makespan_max` is the
+/// latest audited timeline makespan.
+fn audit_metrics(
+    trace: &Trace,
+    cfg: &AuditConfig,
+    totals: &Counts,
+    makespan_max: f64,
+    report: &mut AuditReport,
+) {
     let Some(metrics) = &trace.metrics else {
         return;
     };
@@ -1027,21 +1034,15 @@ fn audit_metrics(trace: &Trace, cfg: &AuditConfig, totals: &Counts, report: &mut
     // The makespan histogram's max must agree with the timeline spans
     // (which already account for deadline clamping and non-uploading
     // crashers).
-    let span_max = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "timeline")
-        .filter_map(|s| s.attr_f64("makespan_s"))
-        .fold(f64::NEG_INFINITY, f64::max);
     let hist_max = metrics.histogram("round.makespan_s").map(|h| h.max);
-    if let Some(hist_max) = hist_max.filter(|m| m.is_finite() && span_max.is_finite()) {
+    if let Some(hist_max) = hist_max.filter(|m| m.is_finite() && makespan_max.is_finite()) {
         report.metrics_checked += 1;
-        if !cfg.close(hist_max, span_max) {
+        if !cfg.close(hist_max, makespan_max) {
             violation(
                 "metrics-consistency",
                 format!(
                     "round.makespan_s max={hist_max} but the latest \
-                     timeline makespan is {span_max}"
+                     timeline makespan is {makespan_max}"
                 ),
             );
         }

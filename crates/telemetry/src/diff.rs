@@ -517,7 +517,7 @@ pub fn diff_traces(
     let samples = |trace: &Trace| -> Result<BTreeMap<String, Vec<f64>>, String> {
         let tree = SpanTree::build(trace)?;
         let mut by_phase: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for point in round_series(trace, &tree) {
+        for point in round_series(trace, &tree)? {
             by_phase.entry("round".to_string()).or_default().push(point.dur_us as f64);
             for (name, total) in point.phases {
                 by_phase.entry(name).or_default().push(total as f64);

@@ -11,14 +11,18 @@
 //!   deterministic ([`Class::Sim`]) and wall-clock ([`Class::Runtime`])
 //!   halves so the engine's bit-identical guarantee survives
 //!   instrumentation.
-//! * **Sinks** ([`Sink`]) — *where does the trace land?* [`NullSink`]
-//!   (nothing), [`JsonlSink`] (streaming `results/trace_*.jsonl`),
-//!   [`StderrSink`] (human-readable), selected at runtime via the
-//!   `HELCFL_TRACE` environment variable.
+//! * **Sinks** ([`Sink`]) — *where does the trace land?* The handle
+//!   renders every record (span, point event, `run_manifest`, the
+//!   final `metrics` line) into one JSONL line, once; a sink only
+//!   takes the finished lines: [`JsonlSink`] (a file such as
+//!   `results/trace_*.jsonl`) or [`StderrSink`], selected at runtime
+//!   via the `HELCFL_TRACE` environment variable. A metrics-only
+//!   handle holds no sink.
 //!
 //! A run is observed through its trace alone: `helcfl-trace watch`
-//! tails a JSONL trace while the run writes it, and the wall-clock
-//! resource gauges land in the final metrics line.
+//! tails a JSONL trace while the run writes it (`helcfl-trace tree`
+//! renders a finished one), and the wall-clock resource gauges land in
+//! the final metrics line.
 //!
 //! The [`Telemetry`] handle ties them together and is designed to be
 //! passed by value everywhere: it is a clone-cheap
@@ -57,8 +61,11 @@ mod span;
 pub use manifest::{fnv1a_hex, RunIdentity, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{percentile_nearest_rank, Class, Histogram, Metric, MetricsRegistry};
 pub use report::TelemetryReport;
-pub use sink::{Event, EventKind, JsonlSink, MemorySink, NullSink, Sink, StderrSink};
+pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
 pub use span::{Span, Value};
+
+use json::{JsonObject, ToJson};
+use span::Record;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,18 +77,41 @@ use std::time::Instant;
 pub const TRACE_ENV: &str = "HELCFL_TRACE";
 
 pub(crate) struct Shared {
-    pub(crate) sink: Box<dyn Sink>,
     pub(crate) epoch: Instant,
-    /// When false, spans and events are inert (metrics-only mode);
-    /// the sink is never handed an [`Event`].
-    events: bool,
+    /// The trace stream; `None` in metrics-only mode, where spans and
+    /// events are inert.
+    trace: Option<Mutex<TraceOut>>,
     metrics: Mutex<MetricsRegistry>,
     next_id: AtomicU64,
+}
+
+/// The sink and the buffer every record is rendered into, reused so a
+/// record allocates nothing once warm.
+struct TraceOut {
+    sink: Box<dyn Sink>,
+    line: String,
 }
 
 impl Shared {
     pub(crate) fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Renders one record into the line buffer and hands the finished
+    /// line to the sink; a no-op in metrics-only mode.
+    pub(crate) fn write(&self, render: impl FnOnce(&mut String)) {
+        self.with_sink(|out| {
+            out.line.clear();
+            render(&mut out.line);
+            out.line.push('\n');
+            out.sink.write_line(&out.line);
+        });
+    }
+
+    fn with_sink(&self, f: impl FnOnce(&mut TraceOut)) {
+        if let Some(trace) = &self.trace {
+            f(&mut trace.lock().expect("trace lock poisoned"));
+        }
     }
 }
 
@@ -107,12 +137,12 @@ impl Telemetry {
     /// [`TelemetryReport`] still works, but the hot path never touches
     /// a clock for span timing.
     pub fn metrics_only() -> Self {
-        Self::build(Box::new(NullSink), false)
+        Self::build(None)
     }
 
-    /// Collects metrics and streams spans/events to `sink`.
+    /// Collects metrics and streams every record to `sink`.
     pub fn with_sink(sink: impl Sink + 'static) -> Self {
-        Self::build(Box::new(sink), true)
+        Self::build(Some(Box::new(sink)))
     }
 
     /// Streams JSONL trace events to the file at `path`.
@@ -129,42 +159,32 @@ impl Telemetry {
     /// | value            | behaviour                                   |
     /// |------------------|---------------------------------------------|
     /// | unset, ``, `off` | metrics only, no trace stream               |
-    /// | `stderr`         | human-readable lines on stderr              |
+    /// | `stderr`         | JSONL stream on stderr                      |
     /// | `jsonl`          | JSONL stream at `results/trace_<name>.jsonl`|
     /// | anything else    | JSONL stream at that path                   |
     ///
-    /// If the trace file cannot be created the handle degrades to
-    /// metrics-only with a warning on stderr rather than failing the
-    /// run.
-    pub fn from_env(name: &str) -> Self {
+    /// # Errors
+    ///
+    /// Refuses a trace file that cannot be created, naming
+    /// `HELCFL_TRACE` and the path.
+    pub fn from_env(name: &str) -> std::io::Result<Self> {
         let value = std::env::var(TRACE_ENV).unwrap_or_default();
-        match value.as_str() {
-            "" | "off" => Self::metrics_only(),
-            "stderr" => Self::with_sink(StderrSink),
-            "jsonl" => Self::trace_file(&format!("results/trace_{name}.jsonl")),
-            path => Self::trace_file(path),
-        }
+        let path = match value.as_str() {
+            "" | "off" => return Ok(Self::metrics_only()),
+            "stderr" => return Ok(Self::with_sink(StderrSink)),
+            "jsonl" => format!("results/trace_{name}.jsonl"),
+            path => path.to_string(),
+        };
+        Self::to_file(&path).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("{TRACE_ENV}: cannot create '{path}': {e}"))
+        })
     }
 
-    fn trace_file(path: &str) -> Self {
-        match Self::to_file(path) {
-            Ok(tele) => tele,
-            Err(err) => {
-                eprintln!(
-                    "warning: cannot create trace file '{path}': {err}; \
-                     continuing with metrics only"
-                );
-                Self::metrics_only()
-            }
-        }
-    }
-
-    fn build(sink: Box<dyn Sink>, events: bool) -> Self {
+    fn build(sink: Option<Box<dyn Sink>>) -> Self {
         Self {
             shared: Some(Arc::new(Shared {
-                sink,
                 epoch: Instant::now(),
-                events,
+                trace: sink.map(|sink| Mutex::new(TraceOut { sink, line: String::new() })),
                 metrics: Mutex::new(MetricsRegistry::new()),
                 next_id: AtomicU64::new(1),
             })),
@@ -178,13 +198,13 @@ impl Telemetry {
 
     /// True when spans and events reach a sink (not metrics-only).
     pub fn events_enabled(&self) -> bool {
-        self.shared.as_ref().is_some_and(|s| s.events)
+        self.shared.as_ref().is_some_and(|s| s.trace.is_some())
     }
 
     /// Starts a root span. Inert when events are off.
     pub fn span(&self, name: &'static str) -> Span {
         match &self.shared {
-            Some(shared) if shared.events => {
+            Some(shared) if shared.trace.is_some() => {
                 Span::start(Arc::clone(shared), name, None)
             }
             _ => Span::noop(),
@@ -199,7 +219,7 @@ impl Telemetry {
     /// statement.
     pub fn event(&self, name: &'static str) -> EventBuilder {
         match &self.shared {
-            Some(shared) if shared.events => EventBuilder {
+            Some(shared) if shared.trace.is_some() => EventBuilder {
                 inner: Some(EventInner {
                     shared: Arc::clone(shared),
                     name,
@@ -297,9 +317,7 @@ impl Telemetry {
     /// first span; inert in metrics-only and disabled modes.
     pub fn emit_manifest(&self, manifest: &RunManifest) {
         if let Some(shared) = &self.shared {
-            if shared.events {
-                shared.sink.emit_manifest(manifest);
-            }
+            shared.write(|out| out.push_str(&manifest.to_json_line()));
         }
     }
 
@@ -309,12 +327,13 @@ impl Telemetry {
     /// handle.
     pub fn finish(&self) {
         if let Some(shared) = &self.shared {
-            if shared.events {
-                let registry =
-                    shared.metrics.lock().expect("metrics lock poisoned").clone();
-                shared.sink.emit_metrics(&registry);
+            if shared.trace.is_some() {
+                let metrics = shared.metrics.lock().expect("metrics lock poisoned").to_json();
+                let mut line = JsonObject::new();
+                line.field("type", "metrics").object("metrics", metrics);
+                shared.write(|out| line.write_json(out));
             }
-            shared.sink.flush();
+            self.flush();
         }
     }
 
@@ -325,7 +344,7 @@ impl Telemetry {
     /// on a disabled handle.
     pub fn flush(&self) {
         if let Some(shared) = &self.shared {
-            shared.sink.flush();
+            shared.with_sink(|out| out.sink.flush());
         }
     }
 
@@ -336,7 +355,7 @@ impl Telemetry {
     /// completed round. Safe on a disabled handle.
     pub fn sync_flush(&self) {
         if let Some(shared) = &self.shared {
-            shared.sink.flush_sync();
+            shared.with_sink(|out| out.sink.flush_sync());
         }
     }
 }
@@ -346,7 +365,7 @@ impl std::fmt::Debug for Telemetry {
         match &self.shared {
             Some(shared) => f
                 .debug_struct("Telemetry")
-                .field("events", &shared.events)
+                .field("events", &shared.trace.is_some())
                 .finish_non_exhaustive(),
             None => f.write_str("Telemetry(disabled)"),
         }
@@ -385,15 +404,9 @@ impl Drop for EventBuilder {
         };
         let t_us =
             Instant::now().saturating_duration_since(shared.epoch).as_micros() as u64;
-        shared.sink.emit(&Event {
-            kind: EventKind::Point,
-            name,
-            id: shared.next_id(),
-            parent: None,
-            t_us,
-            dur_us: None,
-            attrs: &attrs,
-        });
+        let record =
+            Record { name, id: shared.next_id(), parent: None, t_us, dur_us: None, attrs: &attrs };
+        shared.write(|out| record.write_json_line(out));
     }
 }
 
@@ -494,9 +507,44 @@ mod tests {
         // The test runner may set HELCFL_TRACE; only assert the
         // unset/off behaviour when the variable is absent.
         if std::env::var(TRACE_ENV).unwrap_or_default().is_empty() {
-            let tele = Telemetry::from_env("unit_test");
+            let tele = Telemetry::from_env("unit_test").unwrap();
             assert!(tele.is_enabled());
             assert!(!tele.events_enabled());
         }
+    }
+
+    #[test]
+    fn every_record_reaches_the_sink_as_one_json_line() {
+        let manifest = RunManifest {
+            schema_version: MANIFEST_SCHEMA_VERSION,
+            identity: RunIdentity {
+                seed: 1,
+                scheme: "helcfl".to_string(),
+                config_fingerprint: "00".to_string(),
+                fleet_size: 3,
+            },
+            threads: 2,
+            trace_mode: "full".to_string(),
+            build_profile: "debug".to_string(),
+            resumed_from: None,
+            start_round: None,
+        };
+        let sink = MemorySink::new();
+        let tele = Telemetry::with_sink(sink.clone());
+        tele.emit_manifest(&manifest);
+        tele.event("pool_resolved").with("workers", 4u64).emit();
+        tele.counter_add(Class::Sim, "x", 2);
+        tele.finish();
+        let lines = sink.lines();
+        assert_eq!(lines[0], manifest.to_json_line());
+        assert!(lines[1].starts_with(r#"{"type":"event","name":"pool_resolved","id":1,"#), "{lines:?}");
+        assert!(lines[1].ends_with(r#""dur_us":null,"attrs":{"workers":4}}"#), "{lines:?}");
+        assert_eq!(
+            lines[2],
+            r#"{"type":"metrics","metrics":{"x":{"kind":"counter","class":"sim","value":2}}}"#
+        );
+        let trace = analyze::Trace::parse(&lines.join("\n")).unwrap();
+        assert_eq!(trace.manifests, [manifest]);
+        assert_eq!(trace.metrics.unwrap().counter("x"), 2);
     }
 }

@@ -127,29 +127,6 @@ impl RunManifest {
         o.finish()
     }
 
-    /// One-line human rendering (the stderr sink's format).
-    pub fn to_human_line(&self) -> String {
-        let mut line = format!(
-            "run_manifest scheme={} seed={} fleet={} mode={} threads={} \
-             config={} profile={} schema=v{}",
-            self.identity.scheme,
-            self.identity.seed,
-            self.identity.fleet_size,
-            self.trace_mode,
-            self.threads,
-            self.identity.config_fingerprint,
-            self.build_profile,
-            self.schema_version,
-        );
-        if let Some(resumed_from) = &self.resumed_from {
-            line.push_str(&format!(" resumed_from={resumed_from}"));
-        }
-        if let Some(start_round) = self.start_round {
-            line.push_str(&format!(" start_round={start_round}"));
-        }
-        line
-    }
-
     /// Decodes a parsed `run_manifest` JSON object.
     ///
     /// # Errors
@@ -322,10 +299,6 @@ mod tests {
         let uninterrupted = manifest();
         assert!(resumed.compatible(&uninterrupted).is_ok());
         assert!(uninterrupted.compatible(&resumed).is_ok());
-        // Both renderings surface the lineage.
-        let human = resumed.to_human_line();
-        assert!(human.contains("resumed_from=deadbeefdeadbeef"), "{human}");
-        assert!(human.contains("start_round=17"), "{human}");
         // A pre-lineage line (no fields) parses to None, not an error.
         assert_eq!(back.resumed_from.as_deref(), Some("deadbeefdeadbeef"));
         let old = manifest().to_json_line();
@@ -342,13 +315,5 @@ mod tests {
         assert_eq!(fnv1a_hex(b""), "cbf29ce484222325");
         assert_eq!(fnv1a_hex(b"a"), fnv1a_hex(b"a"));
         assert_ne!(fnv1a_hex(b"a"), fnv1a_hex(b"b"));
-    }
-
-    #[test]
-    fn human_line_carries_the_identity_fields() {
-        let line = manifest().to_human_line();
-        for needle in ["scheme=helcfl", "seed=42", "fleet=100", "mode=full"] {
-            assert!(line.contains(needle), "{line}");
-        }
     }
 }

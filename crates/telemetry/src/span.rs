@@ -9,12 +9,15 @@
 //!
 //! When telemetry is disabled or running metrics-only, spans are inert
 //! zero-allocation shells — the fast path is a single `Option` check.
+//!
+//! A finished span or point event is a [`Record`], which the handle
+//! renders as its one JSONL line.
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sink::{Event, EventKind};
+use crate::json::ToJson;
 use crate::Shared;
 
 /// An attribute value attached to a span or event.
@@ -32,7 +35,7 @@ pub enum Value {
     Str(String),
 }
 
-impl crate::json::ToJson for Value {
+impl ToJson for Value {
     fn write_json(&self, out: &mut String) {
         match self {
             Value::U64(v) => v.write_json(out),
@@ -40,18 +43,6 @@ impl crate::json::ToJson for Value {
             Value::F64(v) => v.write_json(out),
             Value::Bool(v) => v.write_json(out),
             Value::Str(v) => v.write_json(out),
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
         }
     }
 }
@@ -101,6 +92,57 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(v: String) -> Self {
         Value::Str(v)
+    }
+}
+
+/// One finished span (`dur_us` set) or point event (`dur_us` `None`).
+pub(crate) struct Record<'a> {
+    /// Static name, e.g. `"round"` or `"local_update"`.
+    pub(crate) name: &'a str,
+    /// Unique id within the run (monotonically assigned).
+    pub(crate) id: u64,
+    /// Id of the enclosing span, if any.
+    pub(crate) parent: Option<u64>,
+    /// Start time in microseconds since the telemetry epoch.
+    pub(crate) t_us: u64,
+    /// Duration in microseconds; `None` for a point event.
+    pub(crate) dur_us: Option<u64>,
+    /// Attached key/value attributes.
+    pub(crate) attrs: &'a [(&'static str, Value)],
+}
+
+impl Record<'_> {
+    /// Appends the record's JSONL object to `out`, member by member,
+    /// so every line renders into one reused buffer. The digest trace
+    /// of a large cohort renders each round inside the timed round
+    /// loop, where per-line allocations were most of its cost.
+    pub(crate) fn write_json_line(&self, out: &mut String) {
+        out.push_str(match self.dur_us {
+            Some(_) => r#"{"type":"span","name":"#,
+            None => r#"{"type":"event","name":"#,
+        });
+        self.name.write_json(out);
+        out.push_str(r#","id":"#);
+        self.id.write_json(out);
+        out.push_str(r#","parent":"#);
+        self.parent.write_json(out);
+        out.push_str(r#","t_us":"#);
+        self.t_us.write_json(out);
+        out.push_str(r#","dur_us":"#);
+        self.dur_us.write_json(out);
+        if !self.attrs.is_empty() {
+            out.push_str(r#","attrs":{"#);
+            for (i, (key, value)) in self.attrs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                key.write_json(out);
+                out.push(':');
+                value.write_json(out);
+            }
+            out.push('}');
+        }
+        out.push('}');
     }
 }
 
@@ -194,15 +236,15 @@ impl Drop for Span {
             .start
             .saturating_duration_since(inner.shared.epoch)
             .as_micros() as u64;
-        inner.shared.sink.emit(&Event {
-            kind: EventKind::Span,
+        let record = Record {
             name: inner.name,
             id: inner.id,
             parent: inner.parent,
             t_us,
             dur_us: Some(dur.as_micros() as u64),
             attrs: &inner.attrs,
-        });
+        };
+        inner.shared.write(|out| record.write_json_line(out));
     }
 }
 
@@ -217,5 +259,40 @@ impl fmt::Debug for Span {
                 .finish_non_exhaustive(),
             None => f.write_str("Span(noop)"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn records_render_every_value_kind_byte_for_byte() {
+        let attrs = [
+            ("n", Value::U64(3)),
+            ("d", Value::I64(-2)),
+            ("x", Value::F64(0.1)),
+            ("inf", Value::F64(f64::INFINITY)),
+            ("ok", Value::Bool(true)),
+            ("s", Value::Str("a\"b\\c\n".into())),
+        ];
+        let span =
+            Record { name: "round", id: 7, parent: Some(1), t_us: 1500, dur_us: Some(250), attrs: &attrs };
+        let render = |record: &Record<'_>| {
+            let mut line = String::new();
+            record.write_json_line(&mut line);
+            line
+        };
+        assert_eq!(
+            render(&span),
+            r#"{"type":"span","name":"round","id":7,"parent":1,"t_us":1500,"dur_us":250,"#
+                .to_string()
+                + r#""attrs":{"n":3,"d":-2,"x":0.1,"inf":null,"ok":true,"s":"a\"b\\c\n"}}"#
+        );
+        let point = Record { parent: None, dur_us: None, attrs: &[], ..span };
+        assert_eq!(
+            render(&point),
+            r#"{"type":"event","name":"round","id":7,"parent":null,"t_us":1500,"dur_us":null}"#
+        );
     }
 }

@@ -11,6 +11,7 @@
 
 use helcfl_telemetry::analyze::{SpanTree, Trace};
 use helcfl_telemetry::audit::{audit, AuditConfig};
+use helcfl_telemetry::json::JsonValue;
 
 /// One `device_activity` span line under `parent`: an undisturbed
 /// delivery, so its plan equals its actuals and nothing is wasted.
@@ -33,11 +34,21 @@ fn activity_line(
     )
 }
 
-/// A fault-free `timeline` span line claiming (or disclaiming)
-/// delay-neutrality.
-fn timeline_line(id: u64, parent: u64, neutral: bool) -> String {
+/// A fault-free `timeline` span line (span 3 under round 2) claiming
+/// (or disclaiming) delay-neutrality, whose totals and counts are those
+/// of `activities`, the round's `device_activity` lines: only the check
+/// a fixture perturbs can fire.
+fn timeline_line(neutral: bool, activities: &[String]) -> String {
+    let devices = Trace::parse(&activities.join("\n")).expect("activity lines parse").spans;
+    let attr = |d: &helcfl_telemetry::analyze::TraceSpan, key| d.require::<f64>(key).unwrap();
+    let sum = |key| devices.iter().map(|d| attr(d, key)).sum::<f64>();
+    let compute = sum("compute_energy_j");
+    let energy = compute + sum("upload_energy_j");
+    let slack = sum("upload_start_s") - sum("compute_finish_s");
+    let makespan = devices.iter().map(|d| attr(d, "upload_end_s")).fold(0.0, f64::max);
+    let n = devices.len();
     format!(
-        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral},"fault_fired":false}}}}"#
+        r#"{{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral},"fault_fired":false,"deadline_fired":false,"selected":{n},"delivered":{n},"makespan_s":{makespan},"energy_j":{energy},"compute_energy_j":{compute},"wasted_energy_j":0.0,"slack_total_s":{slack}}}}}"#
     )
 }
 
@@ -52,6 +63,15 @@ fn round_line(id: u64, index: u64) -> String {
 /// exactly as the streaming sink emits them.
 fn fixture(lines: &[String]) -> Trace {
     Trace::parse(&lines.join("\n")).expect("fixture must parse")
+}
+
+/// One fault-free round `index`: `activities` under the timeline span
+/// 3 that [`timeline_line`] derives from them, under round span 2.
+fn round_fixture(index: u64, neutral: bool, activities: &[String]) -> Trace {
+    let mut lines = activities.to_vec();
+    lines.push(timeline_line(neutral, activities));
+    lines.push(round_line(2, index));
+    fixture(&lines)
 }
 
 #[test]
@@ -86,12 +106,14 @@ fn tree_reconstructs_completion_ordered_stream() {
 /// the makespan matches the all-at-f_max replay. Nothing to report.
 #[test]
 fn audit_passes_on_consistent_slack_schedule() {
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
-        activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
-        timeline_line(3, 2, true),
-        round_line(2, 0),
-    ]);
+    let trace = round_fixture(
+        0,
+        true,
+        &[
+            activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
+            activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(report.passed(), "unexpected violations:\n{}", report.render());
     assert_eq!(report.rounds_audited, 1);
@@ -102,11 +124,13 @@ fn audit_passes_on_consistent_slack_schedule() {
 #[test]
 fn audit_flags_negative_slack() {
     // Upload starts 0.5 s before compute finishes.
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 2.0e9, 2.0e9, 3.0, 2.5, 7.5, 2.0, 2.0),
-        timeline_line(3, 2, true),
-        round_line(2, 7),
-    ]);
+    let trace = round_fixture(
+        7,
+        true,
+        &[
+            activity_line(4, 3, 0, 2.0e9, 2.0e9, 3.0, 2.5, 7.5, 2.0, 2.0),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.violations.len(), 1, "{}", report.render());
@@ -119,11 +143,13 @@ fn audit_flags_delay_extending_dvfs() {
     // A lone device halved to 1 GHz finishes at 5 s and uploads until
     // 10 s; at f_max it would have finished at 2.5 s and been done by
     // 7.5 s. A policy claiming delay-neutrality may not do this.
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 1.0e9, 2.0e9, 5.0, 5.0, 10.0, 0.5, 2.0),
-        timeline_line(3, 2, true),
-        round_line(2, 3),
-    ]);
+    let trace = round_fixture(
+        3,
+        true,
+        &[
+            activity_line(4, 3, 0, 1.0e9, 2.0e9, 5.0, 5.0, 10.0, 0.5, 2.0),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.violations.len(), 1, "{}", report.render());
@@ -140,11 +166,13 @@ fn audit_flags_delay_extending_dvfs() {
 fn audit_exempts_rounds_that_disclaim_delay_neutrality() {
     // The identical schedule is legitimate for a policy (FEDL) that
     // trades delay for energy and never claimed the bound.
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 1.0e9, 2.0e9, 5.0, 5.0, 10.0, 0.5, 2.0),
-        timeline_line(3, 2, false),
-        round_line(2, 3),
-    ]);
+    let trace = round_fixture(
+        3,
+        false,
+        &[
+            activity_line(4, 3, 0, 1.0e9, 2.0e9, 5.0, 5.0, 10.0, 0.5, 2.0),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.rounds_audited, 1);
@@ -155,12 +183,14 @@ fn audit_exempts_rounds_that_disclaim_delay_neutrality() {
 fn audit_flags_overlapping_tdma_uploads() {
     // Device 1 starts uploading at 6 s while device 0 holds the
     // channel until 7.5 s.
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
-        activity_line(5, 3, 1, 2.0e9, 2.0e9, 6.0, 6.0, 11.0, 2.0, 2.0),
-        timeline_line(3, 2, true),
-        round_line(2, 11),
-    ]);
+    let trace = round_fixture(
+        11,
+        true,
+        &[
+            activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
+            activity_line(5, 3, 1, 2.0e9, 2.0e9, 6.0, 6.0, 11.0, 2.0, 2.0),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.violations.len(), 1, "{}", report.render());
@@ -175,11 +205,13 @@ fn audit_flags_energy_inconsistent_with_f_squared() {
     // and the E_f ≤ E_max saving bound. (Neutrality is disclaimed —
     // a lone slowed device extends its round by construction and
     // would drown the energy signal in a delay violation.)
-    let trace = fixture(&[
-        activity_line(4, 3, 0, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 3.0, 2.4),
-        timeline_line(3, 2, false),
-        round_line(2, 5),
-    ]);
+    let trace = round_fixture(
+        5,
+        false,
+        &[
+            activity_line(4, 3, 0, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 3.0, 2.4),
+        ],
+    );
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.violations.len(), 2, "{}", report.render());
@@ -260,18 +292,16 @@ fn fault_timeline_line(
     slack: f64,
 ) -> String {
     format!(
-        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral},"fault_fired":{fault_fired},"selected":{selected},"delivered":{delivered},"makespan_s":{makespan},"energy_j":{energy},"compute_energy_j":{compute},"wasted_energy_j":{wasted},"slack_total_s":{slack}}}}}"#
+        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":{neutral},"fault_fired":{fault_fired},"deadline_fired":false,"selected":{selected},"delivered":{delivered},"makespan_s":{makespan},"energy_j":{energy},"compute_energy_j":{compute},"wasted_energy_j":{wasted},"slack_total_s":{slack}}}}}"#
     )
 }
 
 /// A straggler doubles its compute time mid-round: the actual makespan
 /// (20 s) blows past the all-at-f_max replay (12.5 s), but the DVFS
 /// *plan* (device 1 at 0.8 GHz finishing exactly at the channel-free
-/// instant) was sound. A neutrality-claiming faulted round is audited
-/// at plan time and passes; the degraded actual is exempt.
-#[test]
-fn audit_exempts_faulted_rounds_from_actual_delay_neutrality() {
-    let trace = fixture(&[
+/// instant) was sound.
+fn straggler_round() -> Vec<String> {
+    vec![
         fault_activity_line(&FaultActivity {
             id: 4,
             parent: 3,
@@ -316,7 +346,14 @@ fn audit_exempts_faulted_rounds_from_actual_delay_neutrality() {
         }),
         fault_timeline_line(3, 2, true, true, 2, 2, 20.0, 4.096, 2.096, 0.0, 0.0),
         round_line(2, 4),
-    ]);
+    ]
+}
+
+/// A neutrality-claiming faulted round is audited at plan time and
+/// passes; the degraded actual is exempt.
+#[test]
+fn audit_exempts_faulted_rounds_from_actual_delay_neutrality() {
+    let trace = fixture(&straggler_round());
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(report.passed(), "unexpected violations:\n{}", report.render());
     assert_eq!(report.rounds_faulted, 1);
@@ -405,7 +442,7 @@ fn audit_flags_wasted_energy_that_ignores_a_failed_delivery() {
 /// `digest:true` flag that announces the cohort_digest child.
 fn digest_timeline_line(id: u64, parent: u64, energy: f64) -> String {
     format!(
-        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":true,"fault_fired":false,"digest":true,"uploads":2,"makespan_s":12.5,"slack_total_s":0.0,"energy_j":{energy},"compute_energy_j":2.384}}}}"#
+        r#"{{"type":"span","name":"timeline","id":{id},"parent":{parent},"t_us":0,"dur_us":10,"attrs":{{"policy":"test","delay_neutral":true,"fault_fired":false,"digest":true,"deadline_fired":false,"uploads":2,"selected":2,"delivered":2,"makespan_s":12.5,"slack_total_s":0.0,"energy_j":{energy},"compute_energy_j":2.384,"wasted_energy_j":0.0}}}}"#
     )
 }
 
@@ -549,13 +586,13 @@ fn audit_flags_a_digest_flag_without_a_digest_span() {
     // timeline says digest:true but no cohort_digest child exists; the
     // round otherwise audits cleanly as a full trace, so the flag lie
     // is the only violation.
-    let trace = fixture(&[
+    let activities = [
         activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
         activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
-        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"policy":"test","delay_neutral":true,"fault_fired":false,"digest":true}}"#
-            .to_string(),
-        round_line(2, 7),
-    ]);
+    ];
+    let timeline = timeline_line(true, &activities)
+        .replace(r#""fault_fired":false"#, r#""fault_fired":false,"digest":true"#);
+    let trace = fixture(&[&activities[..], &[timeline, round_line(2, 7)]].concat());
     let report = audit(&trace, &AuditConfig::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.violations.len(), 1, "{}", report.render());
@@ -572,7 +609,7 @@ fn audit_flags_timeline_totals_that_disagree_with_devices() {
     // The timeline span over-reports total energy by 1 J.
     let lines = [
         activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
-        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"fault_fired":false,"energy_j":4.0,"compute_energy_j":2.0,"slack_total_s":0.0,"makespan_s":7.5}}"#
+        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"fault_fired":false,"deadline_fired":false,"selected":1,"delivered":1,"energy_j":4.0,"compute_energy_j":2.0,"wasted_energy_j":0.0,"slack_total_s":0.0,"makespan_s":7.5}}"#
             .to_string(),
         round_line(2, 9),
     ];
@@ -592,7 +629,7 @@ fn audit_refuses_a_device_span_without_delivered_by_name() {
     let full = activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0);
     let stripped = full.replace(r#","delivered":true"#, "");
     assert_ne!(stripped, full, "the fixture must carry `delivered`");
-    let trace = fixture(&[stripped, timeline_line(3, 2, true), round_line(2, 0)]);
+    let trace = fixture(&[stripped, timeline_line(true, &[full]), round_line(2, 0)]);
     let err = audit(&trace, &AuditConfig::default()).unwrap_err();
     assert!(err.contains(r#""delivered""#), "{err}");
 }
@@ -630,14 +667,21 @@ fn audit_with_metrics(changed: &[(&str, String)]) -> helcfl_telemetry::audit::Au
     }
     let members: Vec<String> =
         entries.iter().map(|(name, entry)| format!(r#""{name}":{entry}"#)).collect();
-    let trace = fixture(&[
+    let activities = [
         activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
         activity_line(5, 3, 1, 0.8e9, 2.0e9, 7.5, 7.5, 12.5, 0.384, 2.4),
-        r#"{"type":"span","name":"timeline","id":3,"parent":2,"t_us":0,"dur_us":10,"attrs":{"delay_neutral":true,"fault_fired":false,"makespan_s":12.5}}"#
-            .to_string(),
-        round_line(2, 0),
-        format!(r#"{{"type":"metrics","metrics":{{{}}}}}"#, members.join(",")),
-    ]);
+    ];
+    let trace = fixture(
+        &[
+            &activities[..],
+            &[
+                timeline_line(true, &activities),
+                round_line(2, 0),
+                format!(r#"{{"type":"metrics","metrics":{{{}}}}}"#, members.join(",")),
+            ],
+        ]
+        .concat(),
+    );
     audit(&trace, &AuditConfig::default()).unwrap()
 }
 
@@ -694,4 +738,59 @@ fn audit_flags_a_makespan_maximum_off_the_timeline() {
         &[("round.makespan_s", histogram(1, 0, r#""3":1"#, 11.0, 11.0))],
         "round.makespan_s max=11 but the latest timeline makespan is 12.5",
     );
+}
+
+/// The auditor reads one trace schema: every attribute its producers
+/// always write — on device spans, the cohort digest, the timeline and
+/// quorum spans, and the round's `index` — is refused, naming its span
+/// and key, when it is dropped or holds another JSON type. The
+/// optional ones may be dropped but are refused when mistyped.
+#[test]
+fn audit_refuses_each_dropped_or_mistyped_attribute_by_name() {
+    const OPTIONAL: [&str; 4] = ["deadline_s", "digest", "delay_neutral", "fault"];
+    // Written for readers other than the auditor.
+    const UNREAD: [(&str, &str); 2] = [("timeline", "policy"), ("timeline", "uploads")];
+    let mut faulted = straggler_round();
+    faulted[2] = faulted[2].replace(r#""fault_fired":true"#, r#""fault_fired":true,"deadline_s":30.0"#);
+    faulted.insert(
+        3,
+        r#"{"type":"span","name":"quorum","id":6,"parent":2,"t_us":10,"dur_us":1,"attrs":{"selected":2,"delivered":2}}"#
+            .to_string(),
+    );
+    let digest = [
+        activity_line(4, 3, 0, 2.0e9, 2.0e9, 2.5, 2.5, 7.5, 2.0, 2.0),
+        cohort_digest_line(5, 3, 1, 3.0, "u0,n0,i0,x0,0:1,1:1", "u2,n0,i0,x0"),
+        digest_timeline_line(3, 2, 4.384),
+        round_line(2, 0),
+    ];
+    let cfg = AuditConfig::default();
+    let mut checked = std::collections::BTreeSet::new();
+    for base in [fixture(&faulted), fixture(&digest)] {
+        assert!(audit(&base, &cfg).unwrap().passed());
+        for (i, span) in base.spans.iter().enumerate() {
+            for (j, (key, value)) in span.attrs.iter().enumerate() {
+                if UNREAD.contains(&(span.name.as_str(), key.as_str())) {
+                    continue;
+                }
+                let named = format!("{} span {}: attr field {key:?}", span.name, span.id);
+                let mut dropped = base.clone();
+                dropped.spans[i].attrs.remove(j);
+                match audit(&dropped, &cfg) {
+                    Ok(_) => assert!(OPTIONAL.contains(&key.as_str()), "{named}: audited without it"),
+                    Err(err) => assert!(err.contains(&named), "{named}: {err}"),
+                }
+                let mut mistyped = base.clone();
+                mistyped.spans[i].attrs[j].1 = match value {
+                    JsonValue::Bool(_) => JsonValue::String("wrong".into()),
+                    _ => JsonValue::Bool(true),
+                };
+                let err = audit(&mistyped, &cfg).unwrap_err();
+                assert!(err.contains(&named), "{named}: {err}");
+                checked.insert(format!("{}.{key}", span.name));
+            }
+        }
+    }
+    // 18 device attributes (with `fault`), 16 digest aggregates, 12 on
+    // the timeline, 2 on the quorum span and the round `index`.
+    assert_eq!(checked.len(), 18 + 16 + 12 + 2 + 1, "{checked:?}");
 }
