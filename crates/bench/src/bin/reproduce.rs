@@ -23,8 +23,11 @@
 //!
 //! Tracing: `HELCFL_TRACE=jsonl reproduce` streams every federated
 //! run's spans to `results/trace_reproduce.jsonl` (or pass
-//! `--trace-out PATH`); `HELCFL_TRACE=stderr` prints them live. Either
-//! way a metrics summary lands on stderr after the runs.
+//! `--trace-out PATH`), and a metrics summary lands on stderr after
+//! the runs. `HELCFL_TRACE=stderr` prints the spans live instead, as
+//! pure JSONL: the progress lines and the summary are left out (the
+//! trace's final metrics line holds the same numbers), so
+//! `helcfl-trace` reads the captured stderr as it is.
 //!
 //! Checkpointing: `HELCFL_CHECKPOINT=dir[:interval]` gives each planned
 //! run the ring `dir/<setting>_<run>`, so a rerun resumes every
@@ -563,7 +566,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let views = Views::new(args.scenario(), args.fast, args.settings());
     let tele = args.telemetry("reproduce")?;
     let plan = views.plan();
-    eprintln!("reproduce: {} distinct runs", plan.len());
+    helcfl_telemetry::note!("reproduce: {} distinct runs", plan.len());
     let mut runs = Vec::with_capacity(plan.len());
     for run in plan {
         let started = Instant::now();
@@ -576,7 +579,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let mut setup = views.scenario.setup(run.setting)?;
         let history = run.scheme.run_traced(&mut setup, &config, &tele)?;
         write_history(Path::new("results"), &name, &history)?;
-        eprintln!(
+        helcfl_telemetry::note!(
             "  ran {name:<32} in {:.1}s (best accuracy {:.4})",
             started.elapsed().as_secs_f64(),
             history.best_accuracy()
@@ -600,7 +603,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         view(&views, &set);
     }
     if tele.is_enabled() {
-        eprintln!("\n{}", tele.report());
+        helcfl_telemetry::note!("\n{}", tele.report());
     }
     tele.finish();
     Ok(())

@@ -2,8 +2,9 @@
 //! committed golden histories, every planned run writes a file of its
 //! own, the DVFS and `f_max` arms differ in energy only,
 //! `HELCFL_CHECKPOINT` gives every planned run a ring of its own (and
-//! a malformed value is refused by name), and a run set killed twice
-//! resumes to the uninterrupted CSVs.
+//! a malformed value is refused by name), a run set killed twice
+//! resumes to the uninterrupted CSVs, and `HELCFL_TRACE=stderr` leaves
+//! a stderr that `helcfl-trace check` reads unfiltered.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -188,6 +189,33 @@ fn an_uncreatable_trace_file_is_refused_by_name() {
     let stderr = refused("tracefile", &["--fast", "--setting", "iid"], &env);
     assert!(stderr.contains("HELCFL_TRACE"), "stderr does not name the variable: {stderr}");
     assert!(stderr.contains(path), "stderr does not name the path: {stderr}");
+}
+
+/// With `HELCFL_TRACE=stderr` the run's stderr is the trace and
+/// nothing else: captured unfiltered, `helcfl-trace check` passes it.
+/// The traced lineup still learns the golden histories.
+#[test]
+fn a_stderr_trace_is_pure_jsonl_that_helcfl_trace_checks() {
+    let dir = scratch_dir("stderr_trace");
+    let stderr = reproduce(&dir, &["--setting", "iid"], &[("HELCFL_TRACE", "stderr")]);
+    let stray: Vec<&str> = stderr.lines().filter(|l| !l.starts_with('{')).take(3).collect();
+    assert!(stray.is_empty(), "non-JSONL lines on a traced stderr: {stray:?}");
+    let trace = dir.join("stderr.jsonl");
+    fs::write(&trace, &stderr).unwrap();
+    let check = Command::new(env!("CARGO_BIN_EXE_helcfl-trace")).arg("check").arg(&trace).output();
+    let check = check.unwrap();
+    assert!(
+        check.status.success(),
+        "helcfl-trace check refused the captured stderr: {}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+    for scheme in ["helcfl", "classic", "fedcs", "fedl", "sl"] {
+        let want = read(&golden.join(format!("history_fast_iid_{scheme}.csv")));
+        let got = read(&dir.join("results").join(format!("iid_{scheme}.csv")));
+        assert!(got == want, "{scheme}: a traced history diverged from the golden CSV");
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The two settings' runs share scheme, seed and config, which is all

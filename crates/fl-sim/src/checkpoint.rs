@@ -554,7 +554,7 @@ impl CheckpointWriter {
             if let Ok(f) = File::open(&dest) {
                 let _ = f.sync_all();
             }
-            eprintln!(
+            helcfl_telemetry::note!(
                 "helcfl chaos: torn checkpoint write at round {} ({})",
                 ckpt.round,
                 dest.display()
@@ -623,7 +623,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedCheckpoint>> {
     }
     if let Some(best) = valid.into_iter().max_by_key(|l| l.checkpoint.round) {
         for (p, r) in &invalid {
-            eprintln!(
+            helcfl_telemetry::note!(
                 "helcfl checkpoint: ignoring invalid slot {} ({r}); \
                  falling back to {} (round {})",
                 p.display(),
@@ -652,7 +652,7 @@ pub fn chaos_kill_if_scheduled(round: usize) {
     if round_from_env(CHAOS_KILL_ENV) != Some(round) {
         return;
     }
-    eprintln!("helcfl chaos: SIGKILL at round {round}");
+    helcfl_telemetry::note!("helcfl chaos: SIGKILL at round {round}");
     let pid = std::process::id().to_string();
     let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
     std::process::abort();

@@ -537,7 +537,7 @@ pub fn run_federated_traced(
         }
         selector.restore(&ck.selector)?;
         start_round = ck.round + 1;
-        eprintln!(
+        helcfl_telemetry::note!(
             "helcfl checkpoint: resuming after round {} from {} (checksum {})",
             ck.round,
             loaded.path.display(),
@@ -864,7 +864,7 @@ pub fn run_federated_traced(
                         // A sick disk must not kill the run: the last
                         // good checkpoint survives (the ring slot did
                         // not advance) and training continues.
-                        eprintln!(
+                        helcfl_telemetry::note!(
                             "helcfl checkpoint: write failed after round {round}, \
                              run continues without it: {e}"
                         );

@@ -45,6 +45,13 @@ impl Uplink {
         Ok(Self { power, rate })
     }
 
+    /// An uplink whose power and rate already passed [`Uplink::new`]'s
+    /// check where they were stored.
+    #[inline]
+    pub(crate) fn prechecked(power: Watts, rate: BitsPerSecond) -> Self {
+        Self { power, rate }
+    }
+
     /// Transmit power `p_q`.
     #[inline]
     pub fn power(&self) -> Watts {

@@ -51,6 +51,14 @@ impl FrequencyRange {
         Ok(Self { min, max })
     }
 
+    /// A range whose bounds already passed [`FrequencyRange::new`]'s
+    /// check where they were stored (a [`Fleet`](crate::fleet::Fleet)
+    /// record writer).
+    #[inline]
+    pub(crate) fn prechecked(min: Hertz, max: Hertz) -> Self {
+        Self { min, max }
+    }
+
     /// The lower bound `f_min`.
     #[inline]
     pub fn min(&self) -> Hertz {
@@ -102,6 +110,13 @@ impl DvfsCpu {
             return Err(MecError::NonPositiveParameter { name: "alpha", value: alpha });
         }
         Ok(Self { range, alpha })
+    }
+
+    /// A CPU whose α already passed [`DvfsCpu::new`]'s check where it
+    /// was stored.
+    #[inline]
+    pub(crate) fn prechecked(range: FrequencyRange, alpha: f64) -> Self {
+        Self { range, alpha }
     }
 
     /// Creates a CPU with the paper's α = 2×10^-28.

@@ -73,6 +73,20 @@ impl Device {
         Ok(Self { id, cpu, cycles_per_sample, num_samples, uplink })
     }
 
+    /// A device whose parts already passed [`Device::new`]'s checks
+    /// where they were stored (a [`Fleet`](crate::fleet::Fleet) record
+    /// writer).
+    #[inline]
+    pub(crate) fn prechecked(
+        id: DeviceId,
+        cpu: DvfsCpu,
+        cycles_per_sample: f64,
+        num_samples: usize,
+        uplink: Uplink,
+    ) -> Self {
+        Self { id, cpu, cycles_per_sample, num_samples, uplink }
+    }
+
     /// The device identifier.
     #[inline]
     pub fn id(&self) -> DeviceId {

@@ -10,19 +10,28 @@
 //! record instead of three arrays. Device ids are implicit: device `q`
 //! lives at index `q`.
 //!
-//! Invariants (checked at construction):
+//! Invariants, checked where a record is written (by
+//! `PopulationBuilder::build_fleet`, [`Fleet::from_population`] and
+//! [`Fleet::set_num_samples`]) by building the record's device through
+//! the public validated constructors ([`FrequencyRange::new`],
+//! [`DvfsCpu::new`], [`Uplink::new`], [`Device::new`]), so a bad value
+//! is refused with their error:
 //!
 //! - every per-device `f_max` is finite and ≥ the shared `f_min`;
 //! - every per-device uplink rate is strictly positive and finite;
 //! - every per-device sample count is strictly positive;
-//! - the shared scalars pass the same validation as the corresponding
-//!   [`DvfsCpu`]/[`Uplink`] constructors.
+//! - the shared scalars pass the same constructors' checks.
 //!
-//! [`Fleet::device`] reconstructs a bit-identical [`Device`] on demand
-//! through the validated constructors, so all delay/energy math keeps a
-//! single implementation. The one column read, [`Fleet::delays_at_max`],
-//! prices Eq. 9 from the records through the same unit operations as
-//! [`Device::total_delay_at_max`], so its delays keep their bits.
+//! [`Fleet::device`] and [`Fleet::gather`] therefore assemble each
+//! [`Device`] straight from the shared scalars and its record, with no
+//! check per device, so a round's cohort costs a copy per pick rather
+//! than four constructor checks. Debug builds rebuild every assembled
+//! device through the validated constructors and compare. The device is
+//! bit-identical to the one those constructors build, so all
+//! delay/energy math keeps a single implementation. The one column
+//! read, [`Fleet::delays_at_max`], prices Eq. 9 from the records
+//! through the same unit operations as [`Device::total_delay_at_max`],
+//! so its delays keep their bits.
 
 use crate::channel::RadioEnvironment;
 use crate::comm::Uplink;
@@ -72,8 +81,9 @@ pub struct Fleet {
 
 impl Fleet {
     /// Assembles a fleet from per-device records (the
-    /// `PopulationBuilder` fast path). Validates the shared scalars and
-    /// every record through the same rules as the device constructors.
+    /// `PopulationBuilder` fast path and [`Fleet::from_population`]).
+    /// Validates every record, and the shared scalars with it, by
+    /// building the record's device through the validated constructors.
     ///
     /// # Errors
     ///
@@ -91,22 +101,11 @@ impl Fleet {
         if records.is_empty() {
             return Err(MecError::EmptyDeviceSet);
         }
-        // Validate the shared scalars once through the real constructors.
-        DvfsCpu::new(FrequencyRange::new(f_min, f_min)?, alpha)?;
-        if !(cycles_per_sample > 0.0 && cycles_per_sample.is_finite()) {
-            return Err(MecError::NonPositiveParameter {
-                name: "cycles_per_sample",
-                value: cycles_per_sample,
-            });
+        let fleet = Self { f_min, alpha, cycles_per_sample, transmit_power, environment, records };
+        for (q, &record) in fleet.records.iter().enumerate() {
+            fleet.validated(q, record)?;
         }
-        for r in &records {
-            FrequencyRange::new(f_min, Hertz::new(r.f_max))?;
-            Uplink::new(transmit_power, BitsPerSecond::new(r.rate))?;
-            if r.num_samples == 0 {
-                return Err(MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
-            }
-        }
-        Ok(Self { f_min, alpha, cycles_per_sample, transmit_power, environment, records })
+        Ok(fleet)
     }
 
     /// Compacts an existing [`Population`] into fleet form.
@@ -163,14 +162,14 @@ impl Fleet {
                 num_samples,
             });
         }
-        Ok(Self {
+        Self::from_records(
             f_min,
             alpha,
             cycles_per_sample,
             transmit_power,
-            environment: *population.environment(),
+            *population.environment(),
             records,
-        })
+        )
     }
 
     /// Number of devices `Q`.
@@ -191,8 +190,8 @@ impl Fleet {
         &self.environment
     }
 
-    /// Reconstructs device `q` through the validated constructors —
-    /// bit-identical to the `Population` device it was built from.
+    /// Device `q`, assembled from its record: bit-identical to the
+    /// `Population` device it was built from.
     ///
     /// # Panics
     ///
@@ -201,21 +200,37 @@ impl Fleet {
         self.assemble(q, self.records[q])
     }
 
-    /// Builds device `q` from its record and the shared scalars.
+    /// Builds device `q` from its record and the shared scalars: the one
+    /// path behind [`Fleet::device`] and [`Fleet::gather`]. Nothing is
+    /// checked here, because every record was checked when written.
+    #[inline]
     fn assemble(&self, q: usize, record: DeviceRecord) -> Device {
-        let range = FrequencyRange::new(self.f_min, Hertz::new(record.f_max))
-            .expect("validated at construction");
-        let cpu = DvfsCpu::new(range, self.alpha).expect("validated at construction");
-        let uplink = Uplink::new(self.transmit_power, BitsPerSecond::new(record.rate))
-            .expect("validated at construction");
+        let DeviceRecord { f_max, rate, num_samples } = record;
+        let range = FrequencyRange::prechecked(self.f_min, Hertz::new(f_max));
+        let device = Device::prechecked(
+            DeviceId(q),
+            DvfsCpu::prechecked(range, self.alpha),
+            self.cycles_per_sample,
+            num_samples as usize,
+            Uplink::prechecked(self.transmit_power, BitsPerSecond::new(rate)),
+        );
+        debug_assert_eq!(Ok(device), self.validated(q, record), "device {q}");
+        device
+    }
+
+    /// Device `q` built from `record` through the public validated
+    /// constructors: the check every record writer runs, and the oracle
+    /// `assemble` is compared against in debug builds.
+    fn validated(&self, q: usize, record: DeviceRecord) -> Result<Device> {
+        let DeviceRecord { f_max, rate, num_samples } = record;
+        let range = FrequencyRange::new(self.f_min, Hertz::new(f_max))?;
         Device::new(
             DeviceId(q),
-            cpu,
+            DvfsCpu::new(range, self.alpha)?,
             self.cycles_per_sample,
-            record.num_samples as usize,
-            uplink,
+            num_samples as usize,
+            Uplink::new(self.transmit_power, BitsPerSecond::new(rate))?,
         )
-        .expect("validated at construction")
     }
 
     /// Materializes the selected cohort as `Device`s, in `ids` order —
@@ -224,7 +239,7 @@ impl Fleet {
     ///
     /// Two passes: the first only copies each pick's record, so no
     /// iteration waits on another and the cache misses of many picks
-    /// are in flight at once; the second builds the devices from that
+    /// are in flight at once; the second assembles the devices from that
     /// cache-resident copy.
     ///
     /// # Panics
@@ -258,10 +273,9 @@ impl Fleet {
     ///
     /// Panics if `q >= self.len()`.
     pub fn set_num_samples(&mut self, q: usize, num_samples: u32) -> Result<()> {
-        if num_samples == 0 {
-            return Err(MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
-        }
-        self.records[q].num_samples = num_samples;
+        let record = DeviceRecord { num_samples, ..self.records[q] };
+        self.validated(q, record)?;
+        self.records[q] = record;
         Ok(())
     }
 
@@ -495,6 +509,146 @@ mod tests {
         assert!(build(1e9, 2e6, 0).is_err(), "zero samples");
         let empty = Fleet::from_records(f_min, 2e-28, 1e7, w, env, vec![]);
         assert_eq!(empty.unwrap_err(), MecError::EmptyDeviceSet);
+    }
+
+    /// Every `device(q)` and every `gather` pick equals, field for field
+    /// and bit for bit, the device the validated constructors build from
+    /// the same record.
+    fn assert_assembly_matches_constructors(fleet: &Fleet, what: &str) {
+        let constructed = |q: usize| fleet.validated(q, fleet.records[q]).unwrap();
+        let fields = |d: &Device| {
+            let (cpu, up) = (d.cpu(), d.uplink());
+            let bits = [cpu.range().min().get(), cpu.range().max().get(), cpu.alpha()]
+                .into_iter()
+                .chain([d.cycles_per_sample(), up.power().get(), up.rate().get()])
+                .map(f64::to_bits);
+            (d.id(), d.num_samples(), bits.collect::<Vec<_>>())
+        };
+        // Reversed, with repeats, so a pick's position differs from its id.
+        let ids: Vec<DeviceId> =
+            (0..fleet.len()).rev().chain([0, fleet.len() - 1, 0]).map(DeviceId).collect();
+        let picks = fleet.gather(&ids);
+        assert_eq!(picks.len(), ids.len());
+        for (pick, id) in picks.iter().zip(&ids) {
+            assert_eq!(fields(pick), fields(&constructed(id.0)), "{what}: gather {id}");
+        }
+        for q in 0..fleet.len() {
+            assert_eq!(fields(&fleet.device(q)), fields(&constructed(q)), "{what}: {q}");
+        }
+    }
+
+    #[test]
+    fn assembled_devices_equal_the_validated_constructors() {
+        let builder = PopulationBuilder::paper_default().num_devices(500).seed(2022);
+        let built = builder.build_fleet().unwrap();
+        assert_assembly_matches_constructors(&built, "build_fleet");
+
+        let compacted = Fleet::from_population(&builder.seed(4).build().unwrap()).unwrap();
+        assert_assembly_matches_constructors(&compacted, "from_population");
+
+        let mut resized = built;
+        for (q, n) in [(0, 1), (7, u32::MAX), (499, 12_345), (7, 3)] {
+            resized.set_num_samples(q, n).unwrap();
+        }
+        assert_eq!(resized.device(7).num_samples(), 3);
+        assert_assembly_matches_constructors(&resized, "set_num_samples");
+
+        let (f_min, tiny) = (Hertz::from_ghz(0.3), f64::from_bits(1));
+        let extremes = vec![
+            DeviceRecord { f_max: f_min.get(), rate: 1e6, num_samples: 500 },
+            DeviceRecord { f_max: 2e9, rate: 8e6, num_samples: u32::MAX },
+            DeviceRecord { f_max: 1.5e9, rate: tiny, num_samples: 1 },
+            DeviceRecord { f_max: 1e9, rate: f64::MIN_POSITIVE, num_samples: 2 },
+            DeviceRecord { f_max: f64::MAX, rate: f64::MAX, num_samples: u32::MAX },
+        ];
+        let env = RadioEnvironment::paper_default();
+        let extreme = Fleet::from_records(f_min, 2e-28, 1e7, Watts::new(0.2), env, extremes);
+        let extreme = extreme.unwrap();
+        assert_assembly_matches_constructors(&extreme, "extreme records");
+        assert_eq!(extreme.device(0).cpu().range().span(), Hertz::ZERO);
+        assert_eq!(extreme.device(1).num_samples(), u32::MAX as usize);
+    }
+
+    /// `from_records`, the writer behind `build_fleet`, refuses each bad
+    /// value with the validated constructors' error naming it, wherever
+    /// the bad record sits.
+    #[test]
+    fn from_records_refuses_each_bad_value_by_name() {
+        let env = RadioEnvironment::paper_default();
+        let (f_min, w) = (Hertz::from_ghz(0.3), Watts::new(0.2));
+        let good = DeviceRecord { f_max: 2e9, rate: 1e6, num_samples: 500 };
+        let refuse = |bad: DeviceRecord| {
+            let records = vec![good, good, bad, good];
+            Fleet::from_records(f_min, 2e-28, 1e7, w, env, records).unwrap_err()
+        };
+        for f_max in [f64::NAN, f64::INFINITY, 1e8, -2e9] {
+            let err = refuse(DeviceRecord { f_max, ..good });
+            assert!(
+                matches!(err, MecError::InvalidFrequencyRange { min, max }
+                    if min == f_min && max.get().to_bits() == f_max.to_bits()),
+                "f_max {f_max}: {err}"
+            );
+        }
+        for rate in [0.0, -1e6, f64::NAN, f64::INFINITY] {
+            let err = refuse(DeviceRecord { rate, ..good });
+            assert!(matches!(err, MecError::NonPositiveParameter { name: "rate", .. }), "{err}");
+            assert!(err.to_string().contains("`rate`"), "{err}");
+        }
+        let err = refuse(DeviceRecord { num_samples: 0, ..good });
+        assert_eq!(err, MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
+
+        // The shared scalars are refused by name too.
+        let shared = |alpha: f64, pi: f64, power: f64| {
+            Fleet::from_records(f_min, alpha, pi, Watts::new(power), env, vec![good]).unwrap_err()
+        };
+        for (err, name) in [
+            (shared(0.0, 1e7, 0.2), "alpha"),
+            (shared(2e-28, f64::NAN, 0.2), "cycles_per_sample"),
+            (shared(2e-28, 1e7, 0.0), "power"),
+        ] {
+            assert!(matches!(err, MecError::NonPositiveParameter { name: n, .. } if n == name));
+        }
+    }
+
+    /// The public route to `from_records` refuses what it cannot store.
+    #[test]
+    fn build_fleet_refuses_bad_records_by_name() {
+        let builder = PopulationBuilder::paper_default().num_devices(50).seed(6);
+        let err = builder.clone().default_samples(0).build_fleet().unwrap_err();
+        assert_eq!(err, MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
+        let err = builder.clone().f_min(Hertz::ZERO).build_fleet().unwrap_err();
+        assert!(matches!(err, MecError::InvalidFrequencyRange { min, .. } if min == Hertz::ZERO));
+        let err = builder.transmit_power(Watts::ZERO).build_fleet().unwrap_err();
+        assert!(matches!(err, MecError::NonPositiveParameter { name: "power", .. }), "{err}");
+    }
+
+    /// A population's devices passed the validated constructors already;
+    /// what `from_population` itself refuses is a dataset size its `u32`
+    /// record cannot hold, by name, while `u32::MAX` itself is stored.
+    #[test]
+    fn from_population_refuses_an_unstorable_sample_count_by_name() {
+        let pop = PopulationBuilder::paper_default().num_devices(3).seed(8).build().unwrap();
+        let mut devices = pop.devices().to_vec();
+        devices[2].set_num_samples(u32::MAX as usize).unwrap();
+        let widest = Population::from_devices(devices.clone(), *pop.environment());
+        let fleet = Fleet::from_population(&widest).unwrap();
+        assert_eq!(fleet.device(2), devices[2]);
+        devices[2].set_num_samples(u32::MAX as usize + 1).unwrap();
+        let err = Fleet::from_population(&Population::from_devices(devices, *pop.environment()));
+        assert!(matches!(err, Err(MecError::NonPositiveParameter { name, .. })
+            if name.starts_with("num_samples")), "{err:?}");
+    }
+
+    /// `set_num_samples` refuses a zero size by name and leaves the
+    /// record as it was.
+    #[test]
+    fn set_num_samples_refuses_zero_and_keeps_the_record() {
+        let mut fleet = PopulationBuilder::paper_default().num_devices(4).build_fleet().unwrap();
+        let before = fleet.device(3);
+        let err = fleet.set_num_samples(3, 0).unwrap_err();
+        assert_eq!(err, MecError::NonPositiveParameter { name: "num_samples", value: 0.0 });
+        assert!(err.to_string().contains("`num_samples`"));
+        assert_eq!(fleet.device(3), before);
     }
 
     #[test]

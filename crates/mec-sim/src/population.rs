@@ -199,13 +199,14 @@ impl PopulationBuilder {
         if self.num_devices == 0 {
             return Err(MecError::EmptyDeviceSet);
         }
-        if self.distance_range_m.0 <= 0.0 || self.distance_range_m.0 > self.distance_range_m.1 {
-            return Err(MecError::NonPositiveParameter {
-                name: "distance_range_m",
-                value: self.distance_range_m.0,
-            });
+        // Written so that a NaN or infinite bound fails too: the draws
+        // need finite intervals.
+        let (near, far) = self.distance_range_m;
+        if !(near > 0.0 && near <= far && far.is_finite()) {
+            return Err(MecError::NonPositiveParameter { name: "distance_range_m", value: near });
         }
-        if self.f_max_low > self.f_max_high || self.f_max_low < self.f_min {
+        let (low, high) = (self.f_max_low, self.f_max_high);
+        if !(low >= self.f_min && low <= high && high.is_finite()) {
             return Err(MecError::InvalidFrequencyRange {
                 min: self.f_max_low,
                 max: self.f_max_high,
@@ -387,6 +388,25 @@ mod tests {
             .f_max_interval(Hertz::from_ghz(0.5), Hertz::from_ghz(2.0))
             .build()
             .is_err());
+    }
+
+    /// A non-finite draw interval is refused, not handed to the RNG.
+    #[test]
+    fn non_finite_draw_intervals_are_refused() {
+        let base = PopulationBuilder::paper_default().num_devices(5);
+        let (ghz, inf, nan) = (Hertz::from_ghz(1.0), f64::INFINITY, f64::NAN);
+        for (low, high) in [(ghz, Hertz::new(inf)), (Hertz::new(nan), ghz), (ghz, Hertz::new(nan))] {
+            let builder = base.clone().f_max_interval(low, high);
+            for err in [builder.build().unwrap_err(), builder.build_fleet().unwrap_err()] {
+                assert!(matches!(err, MecError::InvalidFrequencyRange { .. }), "{err}");
+            }
+        }
+        for (near, far) in [(100.0, inf), (nan, 300.0), (100.0, nan)] {
+            let builder = base.clone().distance_range_m(near, far);
+            for err in [builder.build().unwrap_err(), builder.build_fleet().unwrap_err()] {
+                assert!(matches!(err, MecError::NonPositiveParameter { name: "distance_range_m", .. }));
+            }
+        }
     }
 
     #[test]

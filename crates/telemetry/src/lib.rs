@@ -67,7 +67,7 @@ pub use span::{Span, Value};
 use json::{JsonObject, ToJson};
 use span::Record;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -75,6 +75,27 @@ use std::time::Instant;
 /// [`Telemetry::from_env`]: `off`/empty → metrics only, `stderr`,
 /// `jsonl`, or a file path.
 pub const TRACE_ENV: &str = "HELCFL_TRACE";
+
+/// Set, for the rest of the process, once a [`StderrSink`] exists.
+pub(crate) static STDERR_TRACED: AtomicBool = AtomicBool::new(false);
+
+/// Prints one human line (progress, a summary, a warning) on stderr,
+/// unless a [`StderrSink`] streams the trace there: that stream stays pure
+/// JSONL, so `helcfl-trace` reads a captured stderr unfiltered.
+/// Formats like `eprintln!`.
+#[macro_export]
+macro_rules! note {
+    ($($arg:tt)*) => {
+        $crate::note_line(format_args!($($arg)*))
+    };
+}
+
+#[doc(hidden)]
+pub fn note_line(line: std::fmt::Arguments<'_>) {
+    if !STDERR_TRACED.load(Ordering::Relaxed) {
+        eprintln!("{line}");
+    }
+}
 
 pub(crate) struct Shared {
     pub(crate) epoch: Instant,
@@ -171,7 +192,7 @@ impl Telemetry {
         let value = std::env::var(TRACE_ENV).unwrap_or_default();
         let path = match value.as_str() {
             "" | "off" => return Ok(Self::metrics_only()),
-            "stderr" => return Ok(Self::with_sink(StderrSink)),
+            "stderr" => return Ok(Self::with_sink(StderrSink::new())),
             "jsonl" => format!("results/trace_{name}.jsonl"),
             path => path.to_string(),
         };

@@ -79,13 +79,41 @@ impl Sink for JsonlSink {
 }
 
 /// Streams lines to stderr (`HELCFL_TRACE=stderr`): the same JSONL a
-/// trace file holds, for watching a run live.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrSink;
+/// trace file holds, for watching a run live. The process's own
+/// progress and summary lines ([`note!`](crate::note!)) are then
+/// dropped, so a captured stderr reads as a trace file does.
+///
+/// Buffered like [`JsonlSink`] and flushed at every round barrier: an
+/// unbuffered write per line would land inside the round's span, where
+/// `helcfl-trace check` counts its time against the round's coverage.
+#[derive(Debug)]
+pub struct StderrSink {
+    out: BufWriter<std::io::Stderr>,
+}
+
+impl StderrSink {
+    /// A sink on this process's stderr. From here on, for the rest of
+    /// the process, [`note!`](crate::note!) prints nothing.
+    pub fn new() -> Self {
+        crate::STDERR_TRACED.store(true, std::sync::atomic::Ordering::Relaxed);
+        Self { out: BufWriter::with_capacity(64 * 1024, std::io::stderr()) }
+    }
+}
+
+impl Default for StderrSink {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Sink for StderrSink {
     fn write_line(&mut self, line: &str) {
-        eprint!("{line}");
+        // A closed stderr should not kill a simulation; drop the line.
+        let _ = self.out.write_all(line.as_bytes());
+    }
+
+    fn flush(&mut self) {
+        let _ = self.out.flush();
     }
 }
 
