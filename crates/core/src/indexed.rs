@@ -11,19 +11,37 @@
 //! every device is *ranked* once by `(T_q, id)` and devices are
 //! bucketed by their appearance counter `A_q`, each bucket a bitset
 //! over ranks. Within a bucket the η^{A_q} factor is a shared
-//! constant, so the bucket's *head* (first set rank, minimum delay) is
-//! its maximum-utility member — a round's top-N is a k-way merge across
-//! bucket heads with the lazy α_q = η^{A_q} decay applied on pop.
-//! Counter increments and `on_delivery_failure` refunds are O(1) bit
-//! moves between buckets; nothing is ever rescanned.
+//! constant, cached with the bucket, so the bucket's *head* (first set
+//! rank, minimum delay) is its maximum-utility member — a round's top-N
+//! is a k-way merge across bucket heads. Counter increments and
+//! `on_delivery_failure` refunds are O(1) bit moves between buckets;
+//! nothing is ever rescanned.
+//!
+//! ## The round's cost
+//!
+//! The live buckets sit in one small vector, ascending by count: a
+//! water level spans a few counts (three at `Q = 10^6`, target 1 000,
+//! after 500 rounds; seven after 10 000), so a count is found by a
+//! binary search of a few entries. The merge holds one candidate per
+//! live bucket and names its bucket by its position in that vector, so
+//! a pick is an arg-max over the B candidates, one bit cleared, and the
+//! popped bucket's next candidate: no search at all. A bucket the merge
+//! empties keeps its position until the merge ends. Each winner is
+//! chained to the previous winner from its bucket; after the merge,
+//! each bucket's winners move to bucket `A + 1` as one run, with one
+//! bucket search and one `η^{A+1}` per run, and the buckets left empty
+//! are dropped. A round of N picks costs O(N · B) candidate
+//! comparisons, O(N) bit operations and head walks, and O(B log B)
+//! for the runs.
 //!
 //! ## Exactness
 //!
 //! The index reproduces the reference selector *pick for pick, bit for
 //! bit*:
 //!
-//! - utilities are evaluated through the same [`utility`] function, so
-//!   float behavior is byte-identical;
+//! - utilities are the same `η^{A_q} / T_q` division [`utility`]
+//!   makes, from the same [`DecayCoefficient::pow`], so float behavior
+//!   is byte-identical;
 //! - IEEE division is monotone in the divisor, so for a fixed bucket
 //!   the minimum-delay entry really is an arg-max of `u`;
 //! - equal utilities break ties by ascending id, exactly like the
@@ -32,7 +50,7 @@
 //!   jumping from each group's end (found by a galloping search over
 //!   the delay column) to the next set rank, cross-bucket ties compare
 //!   the per-bucket run minima, and fully-underflowed utilities
-//!   (`η^{A_q} == 0.0`) live in a dedicated id-ordered set;
+//!   (`η^{A_q} / T_q == 0.0`) live in a dedicated id-ordered set;
 //! - a popped winner is *not* re-inserted until the round's merge
 //!   completes, mirroring the reference's frozen round-start
 //!   utilities.
@@ -46,7 +64,8 @@
 //! A fleet's delays are read from its record column, without
 //! assembling a single `Device`, and the sorted keys are dropped before
 //! the rank table is allocated: the index keeps 20 B per device (rank,
-//! id, delay and count) plus one bitset per live bucket. The index then
+//! id, delay and count) plus one bitset per live bucket (Q/8 bytes and
+//! a summary word per 64 words). The index then
 //! serves that universe and that payload for the rest of the run. A set
 //! backed by neither a fleet nor a mask, a backing whose position `q`
 //! does not hold `DeviceId(q)`, a later round with another universe
@@ -221,9 +240,48 @@ impl RankSet {
         Some(h)
     }
 
-    fn memory_bytes(&self) -> usize {
-        core::mem::size_of::<Self>()
-            + (self.words.capacity() + self.summary.capacity()) * core::mem::size_of::<u64>()
+    /// Heap bytes of the two levels.
+    fn heap_bytes(&self) -> usize {
+        (self.words.capacity() + self.summary.capacity()) * core::mem::size_of::<u64>()
+    }
+}
+
+/// The placed devices of one appearance count, as a set of ranks.
+#[derive(Debug, Clone)]
+struct Bucket {
+    count: u32,
+    /// `η^count`, the numerator of every member's utility.
+    alpha: f64,
+    set: RankSet,
+    /// The last winner the current round's merge took from this
+    /// bucket, as a position in the round's winner list, which chains
+    /// each winner to the one before it from the same bucket; `None`
+    /// between rounds.
+    last_won: Option<usize>,
+}
+
+impl Bucket {
+    /// The bucket's candidate for the next pick: its head's utility
+    /// and the rank of the minimum id among its entries of that
+    /// utility. Equal-utility entries are a contiguous run of delay
+    /// groups from the head; each group's first set rank already has
+    /// the group-minimal id, so the walk jumps group to group from
+    /// [`Ranks::group_end`].
+    fn candidate(&mut self, ranks: &Ranks) -> (f64, usize) {
+        let head = self.set.head().expect("a live bucket is never empty");
+        let alpha = self.alpha;
+        let max_u = alpha / ranks.delay_at[head];
+        let (mut best, mut cur) = (head, head);
+        while let Some(r) = self.set.next_from(ranks.group_end(cur)) {
+            if alpha / ranks.delay_at[r] != max_u {
+                break;
+            }
+            if ranks.id_at[r] < ranks.id_at[best] {
+                best = r;
+            }
+            cur = r;
+        }
+        (max_u, best)
     }
 }
 
@@ -238,7 +296,10 @@ struct UtilityIndex {
     /// Appearance count at each rank, for every device (placed, parked
     /// or in the zero set).
     count_at: Vec<u32>,
-    buckets: BTreeMap<u32, RankSet>,
+    /// The live buckets, ascending by count: a handful at a time, so a
+    /// count is found by a search of this small vector, and the merge
+    /// names a bucket by its position.
+    buckets: Vec<Bucket>,
     /// Ids whose utility underflowed to exactly 0.0 — globally tied,
     /// ordered by id like the reference's tie-break.
     zero: BTreeSet<usize>,
@@ -305,7 +366,7 @@ impl UtilityIndex {
             payload,
             ranks,
             count_at,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
             zero: BTreeSet::new(),
             parked: Vec::new(),
         };
@@ -321,7 +382,8 @@ impl UtilityIndex {
         }
         let fresh = RankSet::from_words(universe, fresh);
         if fresh.len > 0 {
-            ix.buckets.insert(0, fresh);
+            let alpha = eta.pow(0);
+            ix.buckets.insert(0, Bucket { count: 0, alpha, set: fresh, last_won: None });
         }
         Ok(ix)
     }
@@ -353,31 +415,41 @@ impl UtilityIndex {
         Ok(())
     }
 
-    /// Inserts the id at rank `r` into the structure for its
-    /// appearance count, recomputing Eq. 20 to decide between a bucket
-    /// and the zero set (`powi` is not guaranteed monotone in the
-    /// exponent, so membership is always decided fresh). The id must
-    /// not be placed or parked already.
-    fn place(&mut self, r: usize, eta: DecayCoefficient) {
-        let a = self.count_at[r];
-        if utility(eta, a, Seconds::new(self.ranks.delay_at[r])) == 0.0 {
-            self.zero.insert(self.ranks.id_at[r] as usize);
-        } else {
-            let universe = self.ranks.len();
-            self.buckets.entry(a).or_insert_with(|| RankSet::new(universe)).insert(r);
-        }
+    /// The position of bucket `a`, whose members' utility numerator is
+    /// `alpha`, inserted empty if it is not live.
+    fn bucket(&mut self, a: u32, alpha: f64) -> usize {
+        self.buckets.binary_search_by_key(&a, |b| b.count).unwrap_or_else(|k| {
+            let set = RankSet::new(self.ranks.len());
+            self.buckets.insert(k, Bucket { count: a, alpha, set, last_won: None });
+            k
+        })
     }
 
-    /// Removes rank `r` from bucket `a`, dropping the bucket once
-    /// empty; returns whether the bucket is still live.
-    fn pop(&mut self, a: u32, r: usize) -> bool {
-        let set = self.buckets.get_mut(&a).expect("placed id has a bucket");
-        set.remove(r);
-        if set.len == 0 {
-            self.buckets.remove(&a);
-            return false;
+    /// Inserts the id at rank `r` into the structure for its
+    /// appearance count. The id must not be placed or parked already.
+    fn place(&mut self, r: usize, eta: DecayCoefficient) {
+        self.place_run(self.count_at[r], [r], eta);
+    }
+
+    /// Sets the count of every rank of `run` to `a` and inserts its id
+    /// into bucket `a` or the zero set, with one bucket search and one
+    /// `η^a` for the whole run. Membership is decided per id by the
+    /// same `η^a / T_q` division [`utility`] makes: `powi` is not
+    /// guaranteed monotone in the exponent, so a count's zero set is
+    /// never inferred from another's. No id of `run` may be placed or
+    /// parked already.
+    fn place_run(&mut self, a: u32, run: impl IntoIterator<Item = usize>, eta: DecayCoefficient) {
+        let alpha = eta.pow(a);
+        let mut bucket = None;
+        for r in run {
+            self.count_at[r] = a;
+            if alpha / self.ranks.delay_at[r] == 0.0 {
+                self.zero.insert(self.ranks.id_at[r] as usize);
+            } else {
+                let k = *bucket.get_or_insert_with(|| self.bucket(a, alpha));
+                self.buckets[k].set.insert(r);
+            }
         }
-        true
     }
 
     /// Rolls back one appearance of `q` (saturating at zero, ignoring
@@ -393,11 +465,15 @@ impl UtilityIndex {
             return 0;
         }
         // A parked id is in neither its bucket nor the zero set.
-        let in_bucket = self.buckets.get(&before).is_some_and(|set| set.contains(r));
-        if in_bucket {
-            self.pop(before, r);
+        let in_bucket = self.buckets.binary_search_by_key(&before, |b| b.count);
+        let in_bucket = in_bucket.ok().filter(|&k| self.buckets[k].set.contains(r));
+        if let Some(k) = in_bucket {
+            self.buckets[k].set.remove(r);
+            if self.buckets[k].set.len == 0 {
+                self.buckets.remove(k);
+            }
         }
-        let placed = in_bucket || self.zero.remove(&q);
+        let placed = in_bucket.is_some() || self.zero.remove(&q);
         self.count_at[r] -= 1;
         if placed {
             self.place(r, eta);
@@ -415,53 +491,13 @@ impl UtilityIndex {
         counts
     }
 
-    /// Bucket `a`'s candidate for the next pick: its head's utility,
-    /// `a`, and the rank of the minimum id among its entries of that
-    /// utility.
-    fn candidate(
-        set: &mut RankSet,
-        ranks: &Ranks,
-        a: u32,
-        eta: DecayCoefficient,
-    ) -> (f64, u32, usize) {
-        let head = set.head().expect("bucket is never empty");
-        let u = utility(eta, a, Seconds::new(ranks.delay_at[head]));
-        (u, a, Self::run_min(set, ranks, head, a, eta, u))
-    }
-
-    /// Rank of the minimum id among this bucket's entries whose
-    /// utility equals the head's (`max_u`). Equal-utility entries
-    /// are a contiguous run of delay groups from the head; each group's
-    /// first set rank already has the group-minimal id, so the walk
-    /// jumps group to group from [`Ranks::group_end`].
-    fn run_min(
-        set: &RankSet,
-        ranks: &Ranks,
-        head: usize,
-        a: u32,
-        eta: DecayCoefficient,
-        max_u: f64,
-    ) -> usize {
-        let mut best = head;
-        let mut cur = head;
-        while let Some(r) = set.next_from(ranks.group_end(cur)) {
-            if utility(eta, a, Seconds::new(ranks.delay_at[r])) != max_u {
-                break;
-            }
-            if ranks.id_at[r] < ranks.id_at[best] {
-                best = r;
-            }
-            cur = r;
-        }
-        best
-    }
-
     /// Panics unless every id is in exactly one place — parked, in the
     /// zero set, or set in the bucket of its count and no other — and
-    /// the buckets agree with themselves: no bucket is empty and
-    /// bucket populations sum to the ids neither parked nor in the zero
-    /// set. Holds between rounds.
-    fn assert_consistent(&self) {
+    /// the buckets agree with themselves: they ascend strictly by
+    /// count, no bucket is empty, and bucket populations sum to the ids
+    /// neither parked nor in the zero set, and each caches `η^count`.
+    /// Holds between rounds.
+    fn assert_consistent(&self, eta: DecayCoefficient) {
         let parked: BTreeSet<usize> = self.parked.iter().copied().collect();
         assert_eq!(parked.len(), self.parked.len(), "an id is parked twice");
         for (id, &r) in self.ranks.rank.iter().enumerate() {
@@ -470,13 +506,18 @@ impl UtilityIndex {
             let (zero, parked) = (self.zero.contains(&id), parked.contains(&id));
             assert!(!(zero && parked), "parked id {id} in the zero set");
             let a = self.count_at[r];
-            for (&b, set) in &self.buckets {
-                let want = a == b && !zero && !parked;
+            for Bucket { count: b, set, .. } in &self.buckets {
+                let want = a == *b && !zero && !parked;
                 assert_eq!(set.contains(r), want, "id {id} (count {a}) vs bucket {b}");
             }
         }
+        for pair in self.buckets.windows(2) {
+            assert!(pair[0].count < pair[1].count, "buckets out of count order");
+        }
         let mut members = 0;
-        for (&a, set) in &self.buckets {
+        for Bucket { count: a, alpha, set, last_won } in &self.buckets {
+            assert_eq!(*last_won, None, "bucket {a} holds winners between rounds");
+            assert_eq!(alpha.to_bits(), eta.pow(*a).to_bits(), "bucket {a} caches a stale η^{a}");
             assert!(set.len > 0, "bucket {a} is empty");
             let ones: usize = set.words.iter().map(|w| w.count_ones() as usize).sum();
             assert_eq!(ones, set.len, "bucket {a} miscounts its members");
@@ -494,7 +535,8 @@ impl UtilityIndex {
     fn memory_bytes(&self) -> usize {
         self.ranks.memory_bytes()
             + self.count_at.capacity() * core::mem::size_of::<u32>()
-            + self.buckets.values().map(RankSet::memory_bytes).sum::<usize>()
+            + self.buckets.capacity() * core::mem::size_of::<Bucket>()
+            + self.buckets.iter().map(|b| b.set.heap_bytes()).sum::<usize>()
             + self.zero.len() * core::mem::size_of::<usize>()
             + self.parked.capacity() * core::mem::size_of::<usize>()
     }
@@ -505,8 +547,10 @@ impl UtilityIndex {
 /// replacement for the reference
 /// [`GreedyDecaySelector`](crate::selection::GreedyDecaySelector)
 /// backed by the bucketed-utility index — same name (`"helcfl"`), same
-/// picks, same telemetry, O(N · B) comparisons of cached bucket
-/// candidates per round instead of O(Q log Q). It serves fleet- and
+/// picks, same telemetry. A round of N picks over B live buckets costs
+/// O(N · B) comparisons of cached bucket candidates, with no map
+/// search per pick, and one bucket search per bucket's run of winners,
+/// instead of the reference's O(Q + N log N). It serves fleet- and
 /// mask-backed sets with one universe and one payload for the whole run
 /// (see the [module docs](self)).
 ///
@@ -562,9 +606,9 @@ impl IndexedDecaySelector {
 
     /// Resident bytes of the selector: counts restored but not yet
     /// placed, the by-id rank table, the by-rank id, delay and
-    /// appearance-count tables (20 B per device together), and one rank
-    /// bitset (Q/8 bytes, plus a summary word per 64 words) per live
-    /// appearance bucket.
+    /// appearance-count tables (20 B per device together), the bucket
+    /// vector, and one rank bitset (Q/8 bytes, plus a summary word per
+    /// 64 words) per live appearance bucket.
     /// Zero-set and parked ids count at their payload size.
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
@@ -580,7 +624,7 @@ impl IndexedDecaySelector {
     pub fn assert_consistent(&self) {
         if let Some(ix) = &self.index {
             assert!(self.restored.counters.is_empty(), "restored counts left unplaced");
-            ix.assert_consistent();
+            ix.assert_consistent(self.eta);
         }
         assert_eq!(self.coverage, self.counters().coverage(), "coverage mirror");
     }
@@ -621,15 +665,21 @@ impl IndexedDecaySelector {
 
         let n = ctx.target.min(ctx.devices.len()).max(1);
         let mut selected = Vec::with_capacity(n);
-        let mut won = Vec::with_capacity(n); // ranks of `selected`
-        let eta_f = self.eta.get();
-        // Each live bucket's candidate, `(u, bucket, run-min rank)`.
-        // Winners re-enter only after the merge, so a pick changes only
-        // the bucket it popped from: that entry alone is re-evaluated.
-        let mut candidates: Vec<(f64, u32, usize)> = ix
-            .buckets
-            .iter_mut()
-            .map(|(&a, set)| UtilityIndex::candidate(set, &ix.ranks, a, self.eta))
+        // Each bucket winner's rank, chained to the previous winner
+        // from its bucket (see `Bucket::last_won`), and the ranks of
+        // the winners taken from the zero set.
+        let mut won: Vec<(usize, Option<usize>)> = Vec::with_capacity(n);
+        let mut zero_won = Vec::new();
+        // Each live bucket's candidate, `(u, bucket position, run-min
+        // rank)`. Winners re-enter only after the merge, and a bucket
+        // the merge empties stays in place until it ends, so positions
+        // hold and a pick changes only the bucket it popped from: that
+        // entry alone is re-evaluated.
+        let mut candidates: Vec<(f64, usize, usize)> = (ix.buckets.iter_mut().enumerate())
+            .map(|(k, b)| {
+                let (u, r) = b.candidate(&ix.ranks);
+                (u, k, r)
+            })
             .collect();
         while selected.len() < n {
             // Arg-max utility, equal utilities by ascending id; the
@@ -643,23 +693,26 @@ impl IndexedDecaySelector {
                     b
                 }
             });
-            // The winner's id, rank and appearance count: a bucket
-            // winner's count is its bucket's.
-            let (id, r, a) = match best {
+            // The winner's id, rank, appearance count and bucket
+            // position (`None` from the zero set): a bucket winner's
+            // count is its bucket's.
+            let (id, r, a, from) = match best {
                 Some(k) => {
-                    let (_, a, r) = candidates[k];
-                    if ix.pop(a, r) {
-                        let set = ix.buckets.get_mut(&a).expect("bucket is live");
-                        candidates[k] = UtilityIndex::candidate(set, &ix.ranks, a, self.eta);
+                    let (_, b, r) = candidates[k];
+                    let bucket = &mut ix.buckets[b];
+                    bucket.set.remove(r);
+                    if bucket.set.len > 0 {
+                        let (u, next) = bucket.candidate(&ix.ranks);
+                        candidates[k] = (u, b, next);
                     } else {
                         candidates.swap_remove(k);
                     }
-                    (ix.ranks.id_at[r] as usize, r, a)
+                    (ix.ranks.id_at[r] as usize, r, bucket.count, Some(b))
                 }
                 None => match ix.zero.pop_first() {
                     Some(id) => {
                         let r = ix.ranks.rank[id] as usize;
-                        (id, r, ix.count_at[r])
+                        (id, r, ix.count_at[r], None)
                     }
                     None => {
                         return Err(FlError::InvalidSelection {
@@ -675,22 +728,36 @@ impl IndexedDecaySelector {
             }
             if tele.is_enabled() {
                 // Same pre-increment α_q = η^{A_q} the reference logs.
-                tele.record(Class::Sim, "selection.alpha", eta_f.powi(a as i32));
+                let alpha = from.map_or_else(|| self.eta.pow(a), |b| ix.buckets[b].alpha);
+                tele.record(Class::Sim, "selection.alpha", alpha);
             }
             if a == 0 {
                 self.coverage += 1;
             }
             selected.push(DeviceId(id));
-            won.push(r);
+            match from {
+                Some(b) => won.push((r, ix.buckets[b].last_won.replace(won.len()))),
+                None => zero_won.push(r),
+            }
         }
         // Deferred increment and re-placement: winners move to bucket
         // A_q + 1 only after the merge, so this round's picks competed
         // on utilities frozen at round start — exactly like the
-        // reference's single scored snapshot.
-        for &r in &won {
-            ix.count_at[r] += 1;
-            ix.place(r, self.eta);
+        // reference's single scored snapshot. Each bucket's winners
+        // move as one run, from the highest count down: a run inserts
+        // no bucket below its own, so the positions still to visit
+        // hold. The buckets the merge emptied are dropped last, unless
+        // a run refilled them.
+        for k in (0..ix.buckets.len()).rev() {
+            if let Some(last) = ix.buckets[k].last_won.take() {
+                let run = std::iter::successors(Some(last), |&w| won[w].1).map(|w| won[w].0);
+                ix.place_run(ix.buckets[k].count + 1, run, self.eta);
+            }
         }
+        for r in zero_won {
+            ix.place_run(ix.count_at[r] + 1, [r], self.eta);
+        }
+        ix.buckets.retain(|b| b.set.len > 0);
         if tele.is_enabled() {
             tele.with_metrics(|m| {
                 m.counter_add(Class::Sim, "selection.rounds", 1);
@@ -1209,7 +1276,7 @@ mod tests {
         }
         sel.assert_consistent();
         let buckets = &sel.index.as_ref().unwrap().buckets;
-        assert_eq!(buckets.keys().next(), Some(&17), "buckets 0-16 emptied");
+        assert_eq!(buckets[0].count, 17, "buckets 0-16 emptied");
         let per_device = sel.memory_bytes() as f64 / Q as f64;
         assert!(per_device <= 20.75, "{per_device:.3} B per device");
     }

@@ -38,6 +38,13 @@ impl DecayCoefficient {
     pub fn get(self) -> f64 {
         self.0
     }
+
+    /// Eq. 20's decay factor `η^{appearances}`, the numerator of
+    /// [`utility`].
+    #[inline]
+    pub fn pow(self, appearances: u32) -> f64 {
+        self.0.powi(appearances as i32)
+    }
 }
 
 impl Default for DecayCoefficient {
@@ -68,7 +75,7 @@ impl Default for DecayCoefficient {
 /// ```
 pub fn utility(eta: DecayCoefficient, appearances: u32, total_delay: Seconds) -> f64 {
     debug_assert!(total_delay.get() > 0.0, "delays must be positive");
-    eta.get().powi(appearances as i32) / total_delay.get()
+    eta.pow(appearances) / total_delay.get()
 }
 
 /// Per-user appearance counters `α_q` (Alg. 2 line 5 initializes them

@@ -12,14 +12,15 @@ use detrand::Rng;
 use fl_sim::selection::{ClientSelector, DeviceSet, SelectionContext, validate_selection};
 use helcfl::indexed::IndexedDecaySelector;
 use helcfl::selection::GreedyDecaySelector;
-use helcfl::utility::DecayCoefficient;
+use helcfl::utility::{utility, DecayCoefficient};
 use mec_sim::channel::RadioEnvironment;
 use mec_sim::comm::Uplink;
 use mec_sim::cpu::DvfsCpu;
 use mec_sim::device::{Device, DeviceId};
 use mec_sim::fleet::{AliveMask, Fleet};
 use mec_sim::population::Population;
-use mec_sim::units::{Bits, BitsPerSecond, Hertz, Watts};
+use mec_sim::units::{Bits, BitsPerSecond, Hertz, Seconds, Watts};
+use std::collections::BTreeSet;
 
 fn gen_devices(rng: &mut Rng, min: usize, max: usize) -> Vec<Device> {
     let n = rng.range_usize(min, max);
@@ -72,12 +73,12 @@ fn drive_equivalence(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: 
 
 /// The shared harness over a slice of `devices`, with targets below 9.
 fn drive(rng: &mut Rng, case: usize, eta: DecayCoefficient, rounds: usize, devices: &[Device]) {
-    drive_set(rng, case, eta, rounds, DeviceSet::from_slice(devices), 9);
+    drive_set(rng, case, eta, rounds, DeviceSet::from_slice(devices), 9, |_, _| ());
 }
 
 /// Churn, targets in `1..max_target` and refunds over `universe`
 /// behind an alive mask, with the index's invariants checked after
-/// every round.
+/// every round; `observe` then sees the selector and the mask.
 fn drive_set(
     rng: &mut Rng,
     case: usize,
@@ -85,6 +86,7 @@ fn drive_set(
     rounds: usize,
     universe: DeviceSet<'_>,
     max_target: usize,
+    mut observe: impl FnMut(&IndexedDecaySelector, &AliveMask),
 ) {
     let q = universe.universe_len();
     let mut mask = AliveMask::all_alive(q);
@@ -120,6 +122,7 @@ fn drive_set(
             reference.on_delivery_failure(&failed);
         }
         indexed.assert_consistent();
+        observe(&indexed, &mask);
     }
     let counts = indexed.counters();
     for id in 0..q {
@@ -184,7 +187,7 @@ fn identical_fleet_is_one_delay_group() {
     let population = Population::from_devices(devices, RadioEnvironment::paper_default());
     let fleet = Fleet::from_population(&population).unwrap();
     let eta = DecayCoefficient::new(rng.uniform(0.05, 0.95)).unwrap();
-    drive_set(&mut rng, 0, eta, 60, DeviceSet::from_fleet(&fleet), 1_500);
+    drive_set(&mut rng, 0, eta, 60, DeviceSet::from_fleet(&fleet), 1_500, |_, _| ());
 }
 
 /// At most three distinct delays: long delay groups and walks over
@@ -226,4 +229,61 @@ fn subnormal_utilities_tie_across_delay_groups() {
         let devices = gen_devices(&mut rng, 20, 40);
         drive(&mut rng, case, eta, 200, &devices);
     }
+}
+
+/// A copy of `d` whose `T_q` is `d`'s scaled by about `10^decades`:
+/// `10^decades` times the work per sample, and the uplink rate divided
+/// by it.
+fn scaled(d: &Device, decades: f64) -> Device {
+    let scale = 10f64.powf(decades);
+    let up = d.uplink();
+    let uplink = Uplink::new(up.power(), BitsPerSecond::new(up.rate().get() / scale)).unwrap();
+    Device::new(d.id(), *d.cpu(), scale * d.cycles_per_sample(), d.num_samples(), uplink)
+        .unwrap()
+}
+
+/// An aged index: many buckets live at once while the utilities at
+/// the top have underflowed into the zero set, under churn and
+/// refunds, with picks equal to the reference's and the index's
+/// invariants checked after every round.
+///
+/// Eq. 20 is `u_q = η^{A_q} / T_q = 10^{-35 φ_q}` at `η = 10^-35`,
+/// with the potential `φ_q = A_q + log10(T_q) / 35`. Delays spread
+/// over 280 decades (`T_q ≈ 10^{±140}` s) put the devices' starting
+/// potentials 8 apart, so a round's water level spans 9 counts: 9
+/// buckets live at once. Utilities leave the normal range at
+/// `φ ≈ 8.8` and underflow to exactly zero past `φ ≈ 9.24`, which the
+/// level reaches after about 9 appearances per device, while the
+/// buckets below it are still live (19 of the 200 rounds). The rest
+/// of the run then drains every device into the zero set.
+#[test]
+fn aged_index_with_many_buckets_and_a_zero_set_stays_equivalent() {
+    let mut rng = Rng::seed_from_u64(0x1d00_0009);
+    let eta = DecayCoefficient::new(1.0e-35).unwrap();
+    let payload = Bits::from_megabits(40.0);
+    let devices: Vec<Device> = (0..3_000)
+        .map(|id| scaled(&gen_device(&mut rng, id), rng.uniform(-140.0, 140.0)))
+        .collect();
+    let delays: Vec<Seconds> = devices.iter().map(|d| d.total_delay_at_max(payload)).collect();
+    // Rounds after which the alive devices alone occupy at least 8
+    // buckets while at least one of them sits in the zero set.
+    let mut aged_rounds = 0;
+    let mut most_buckets = 0;
+    drive_set(&mut rng, 0, eta, 200, DeviceSet::from_slice(&devices), 400, |indexed, mask| {
+        let counts = indexed.counters();
+        let mut live = BTreeSet::new();
+        let mut zero = 0;
+        for q in (0..devices.len()).filter(|&q| mask.is_alive(q)) {
+            if utility(eta, counts.get(q), delays[q]) == 0.0 {
+                zero += 1;
+            } else {
+                live.insert(counts.get(q));
+            }
+        }
+        most_buckets = most_buckets.max(live.len());
+        if live.len() >= 8 && zero > 0 {
+            aged_rounds += 1;
+        }
+    });
+    assert!(aged_rounds >= 10, "{aged_rounds} aged rounds (at most {most_buckets} buckets)");
 }
