@@ -7,6 +7,42 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> doc references: every cited source file exists, every cited line is in range"
+# DESIGN.md and README.md cite source files in backticks by a path
+# suffix (`runner.rs`, `crates/core/tests/water_filling.rs`), and may
+# add a line (`checkpoint.rs:120`). A suffix must end a tracked file's
+# path at a `/`; a cited line must name one file and lie within it. A
+# rename or a deletion that leaves a doc pointing at nothing fails
+# here. bench_suite/README.md is not scanned: the benchmark package's
+# files change only together with the benchmark itself, so a stale
+# reference there could not be mended alongside the code it cites.
+tracked_rs="$(git ls-files '*.rs')"
+stale_refs=0
+for doc in DESIGN.md README.md; do
+  while IFS=: read -r doc_line ref; do
+    ref="${ref//\`/}"
+    path="${ref%%:*}"
+    files="$(awk -v p="$path" '$0 == p || substr($0, length($0) - length(p)) == "/" p' \
+      <<< "$tracked_rs")"
+    if [[ -z "$files" ]]; then
+      echo "ERROR: $doc:$doc_line cites \`$ref\`: no tracked file ends in $path" >&2
+      stale_refs=1
+    elif [[ "$ref" == *:* ]]; then
+      cited="${ref##*:}"
+      if [[ "$(wc -l <<< "$files")" -ne 1 ]]; then
+        echo "ERROR: $doc:$doc_line cites \`$ref\`: $path names several files" >&2
+        stale_refs=1
+      elif (( cited < 1 || cited > $(wc -l < "$files") )); then
+        echo "ERROR: $doc:$doc_line cites \`$ref\`: $files has $(wc -l < "$files") lines" >&2
+        stale_refs=1
+      fi
+    fi
+  done < <(grep -noE '`[A-Za-z0-9_./-]+\.rs(:[0-9]+)?`' "$doc")
+done
+if (( stale_refs )); then
+  exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

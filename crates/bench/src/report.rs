@@ -64,15 +64,20 @@ pub fn table1_cell(value: Option<Seconds>) -> String {
 
 /// Writes one history's per-round records into `dir` as `<name>.csv`
 /// (spreadsheets) and `<name>.jsonl` (one machine-readable JSON object
-/// per round, concatenation-friendly with the telemetry trace files).
+/// per round, [`TrainingHistory::to_jsonl`]).
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates filesystem errors, and refuses (as
+/// [`io::ErrorKind::InvalidData`]) a history holding a NaN or an
+/// infinity, naming the file, the round and the member.
 pub fn write_history(dir: &Path, name: &str, history: &TrainingHistory) -> io::Result<()> {
+    let jsonl = history
+        .to_jsonl()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{name}.jsonl: {e}")))?;
     fs::create_dir_all(dir)?;
     fs::write(dir.join(format!("{name}.csv")), history.to_csv())?;
-    fs::write(dir.join(format!("{name}.jsonl")), history.to_jsonl())
+    fs::write(dir.join(format!("{name}.jsonl")), jsonl)
 }
 
 /// Downsamples an accuracy curve to at most `n` points for console

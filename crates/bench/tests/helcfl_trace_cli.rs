@@ -158,6 +158,30 @@ fn diff_refuses_mismatched_seeds_unless_overridden() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Seeds past 2^53 are told apart: a manifest's seed is read as the
+/// exact integer it was written as, not rounded through an `f64`
+/// (which made this seed and the next one the same experiment).
+#[test]
+fn diff_refuses_seeds_that_differ_only_beyond_2_pow_53() {
+    let dir = scratch("diff_big_seed");
+    let base = dir.join("base.jsonl");
+    let cand = dir.join("cand.jsonl");
+    let seed = 0xDEAD_BEEF_CAFE_F00D_u64;
+    fs::write(&base, manifested_trace(seed)).unwrap();
+    fs::write(&cand, manifested_trace(seed + 1)).unwrap();
+    let output = trace_cli()
+        .args(["diff", base.to_str().unwrap(), cand.to_str().unwrap()])
+        .output()
+        .expect("run helcfl-trace");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "seeds {seed} and {} must refuse to diff", seed + 1);
+    assert!(
+        stderr.contains(&format!("seed differs: baseline {seed}, candidate {}", seed + 1)),
+        "refusal does not name both seeds: {stderr}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// `diff --json` emits one parseable JSON document.
 #[test]
 fn diff_json_output_is_valid_json() {

@@ -180,6 +180,17 @@ fn a_zero_checkpoint_interval_is_refused_by_name() {
     assert!(stderr.contains("HELCFL_CHECKPOINT"), "stderr does not name the variable: {stderr}");
 }
 
+/// A chaos round that does not parse stops the run by the variable's
+/// name before anything trains: ignored, a typo would run a chaos test
+/// with no chaos in it.
+#[test]
+fn a_malformed_chaos_round_is_refused_by_name() {
+    for var in ["HELCFL_CHAOS_KILL_AT", "HELCFL_CHAOS_TORN_AT"] {
+        let stderr = refused("chaos", &["--fast", "--setting", "iid"], &[(var, "4x")]);
+        assert!(stderr.contains(&format!("`{var}`: `4x` is not a round number")), "{stderr}");
+    }
+}
+
 /// `HELCFL_TRACE` follows `--trace-out`'s rule: a trace file that
 /// cannot be created stops the run. Here its parent is a regular file.
 #[test]

@@ -15,11 +15,13 @@
 //! index (see [`crate::seeds`]), so the completed-round index is their
 //! entire cursor.
 //!
-//! Every scalar that must survive bit-exactly is serialized as the hex
-//! of its IEEE-754 bit pattern (`f64::to_bits` / `f32::to_bits`), and
-//! `u64` values as 16-digit hex, so the JSON round trip can never
-//! round. A checkpoint file is two JSON lines: the payload and a
-//! trailer carrying the payload's FNV-1a checksum.
+//! Every number is a plain JSON number that the one JSON reader
+//! ([`helcfl_telemetry::json`]) reads back exactly: `f64`'s `Display`
+//! is its shortest round-tripping text, and the `f32` model is written
+//! widened to `f64`. The history and the Sim metrics keep the `.jsonl`
+//! round shape and the trace metrics line's. JSON holds no NaN or
+//! infinity, so a save that meets one is refused, naming the field. A
+//! file is two JSON lines: the payload and its FNV-1a checksum trailer.
 //!
 //! Durability protocol (crash-safe on POSIX semantics):
 //!
@@ -51,10 +53,9 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use helcfl_telemetry::json::{self, FieldError, FromJson, JsonObject, JsonValue};
-use helcfl_telemetry::{fnv1a_hex, Histogram, Metric, RunIdentity};
-use mec_sim::device::DeviceId;
-use mec_sim::units::{Joules, Seconds};
+use helcfl_telemetry::json::{self, FieldError, JsonObject, JsonValue};
+use helcfl_telemetry::{fnv1a_hex, Class, Metric, MetricsRegistry, RunIdentity};
+use mec_sim::units::Joules;
 
 use crate::error::{FlError, Result};
 use crate::history::RoundRecord;
@@ -62,12 +63,11 @@ use crate::selection::SelectorSnapshot;
 
 /// Schema version written into (and demanded from) checkpoint files.
 ///
-/// Version 3: the file holds only state that cannot be derived (see the
-/// module docs). Version 2 also stored cumulative time and energy, the
-/// evaluated accuracies, the battery capacity, the dead devices and a
-/// fault count, and version 1 lacked the fault series in its Sim
-/// metrics; both are refused.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
+/// Version 4 writes plain numbers and the shared round and metric
+/// shapes (see the module docs). Version 3 wrote hex bit patterns,
+/// version 2 also stored derivable state, and version 1 lacked the
+/// fault series; all three are refused.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
 
 /// Environment variable enabling checkpointing: `dir` or
 /// `dir:interval` (checkpoint every `interval` rounds, default 1).
@@ -83,6 +83,62 @@ pub const CHAOS_KILL_ENV: &str = "HELCFL_CHAOS_KILL_AT";
 /// (bypassing the temp+rename protocol) and the process aborts.
 /// Exercises the loader's ring fallback. Test-only.
 pub const CHAOS_TORN_ENV: &str = "HELCFL_CHAOS_TORN_AT";
+
+/// The chaos harness's schedule, read once when a run starts from
+/// [`CHAOS_KILL_ENV`] and [`CHAOS_TORN_ENV`] (`None` when unset).
+#[derive(Debug, Clone, Copy)]
+pub struct ChaosSchedule {
+    /// Round at whose end the process SIGKILLs itself.
+    pub kill_at: Option<usize>,
+    /// Round whose checkpoint write is torn.
+    pub torn_at: Option<usize>,
+}
+
+impl ChaosSchedule {
+    /// Reads both variables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`] naming the variable when its
+    /// value is not a round number (or not valid Unicode), so a typo
+    /// cannot run a chaos test with no chaos in it.
+    pub fn from_env() -> Result<Self> {
+        let round = |name| env_value(name)?.map(|v| chaos_round(name, &v)).transpose();
+        Ok(Self { kill_at: round(CHAOS_KILL_ENV)?, torn_at: round(CHAOS_TORN_ENV)? })
+    }
+
+    /// If [`Self::kill_at`] names this round, the process SIGKILLs
+    /// itself (`kill -9`, with `abort` as the fallback when no `kill`
+    /// binary exists). The runner calls it at the end of every round.
+    pub fn kill_if_scheduled(&self, round: usize) {
+        if self.kill_at != Some(round) {
+            return;
+        }
+        helcfl_telemetry::note!("helcfl chaos: SIGKILL at round {round}");
+        let pid = std::process::id().to_string();
+        let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
+        std::process::abort();
+    }
+}
+
+/// The environment variable `name`'s value, `None` when it is unset.
+fn env_value(name: &'static str) -> Result<Option<String>> {
+    match std::env::var(name) {
+        Ok(value) => Ok(Some(value)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            Err(FlError::InvalidConfig { field: name, reason: "is not valid Unicode".into() })
+        }
+    }
+}
+
+/// Parses the value of the chaos variable `name`: a round number.
+fn chaos_round(name: &'static str, value: &str) -> Result<usize> {
+    value.trim().parse().map_err(|_| FlError::InvalidConfig {
+        field: name,
+        reason: format!("`{value}` is not a round number"),
+    })
+}
 
 /// Where and how often the runner checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,14 +168,7 @@ impl CheckpointConfig {
     /// for a value that is not valid Unicode or that
     /// [`checkpoint_from_env_value`] refuses.
     pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(CHECKPOINT_ENV) {
-            Ok(value) => checkpoint_from_env_value(&value).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => Err(FlError::InvalidConfig {
-                field: CHECKPOINT_ENV,
-                reason: "is not valid Unicode".into(),
-            }),
-        }
+        env_value(CHECKPOINT_ENV)?.map(|v| checkpoint_from_env_value(&v)).transpose()
     }
 }
 
@@ -173,44 +222,48 @@ pub struct RunCheckpoint {
     /// Next telemetry span id, so a resumed trace tail continues the
     /// uninterrupted run's id sequence.
     pub next_span_id: u64,
-    /// Sim-class metrics (name → metric), bit-exact.
-    pub sim_metrics: Vec<(String, Metric)>,
+    /// The Sim-class metrics, bit-exact.
+    pub sim_metrics: MetricsRegistry,
     /// Every completed round's record, in order.
     pub history: Vec<RoundRecord>,
-}
-
-fn hex_u64(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn hex_f32(v: f32) -> String {
-    format!("{:08x}", v.to_bits())
 }
 
 impl RunCheckpoint {
     /// Serializes the checkpoint payload as one JSON line (no
     /// checksum trailer; see [`RunCheckpoint::to_file_bytes`]).
-    pub fn to_json_line(&self) -> String {
+    ///
+    /// # Errors
+    ///
+    /// Names the first float that is NaN or infinite (a model
+    /// parameter, a battery charge, a Sim gauge or a history member),
+    /// which JSON cannot hold.
+    pub fn to_json_line(&self) -> core::result::Result<String, String> {
+        let model = finite_all("model", self.model.iter().map(|&p| f64::from(p)))?;
+        let charges = self.battery_remaining.iter().flatten().map(|c| c.get());
+        let charges = finite_all("battery_remaining", charges)?;
+        for (name, _, metric) in self.sim_metrics.iter() {
+            if let Metric::Gauge(v) = metric {
+                let refuse = |e| format!("sim_metrics: metric {name:?}: {e}");
+                json::finite("value", *v).map_err(refuse)?;
+            }
+        }
+        let mut history = Vec::with_capacity(self.history.len());
+        for (i, r) in self.history.iter().enumerate() {
+            let mut o = JsonObject::new();
+            r.write_json(&mut o).map_err(|e| format!("history[{i}]: {e}"))?;
+            history.push(o);
+        }
         let id = &self.identity;
         let mut o = JsonObject::new();
         o.field("type", "helcfl_checkpoint")
             .field("schema_version", CHECKPOINT_SCHEMA_VERSION)
-            .field("seed", hex_u64(id.seed))
+            .field("seed", id.seed)
             .field("scheme", id.scheme.as_str())
             .field("config_fingerprint", id.config_fingerprint.as_str())
             .field("fleet_size", id.fleet_size)
             .field("round", self.round)
-            .field("model", self.model.iter().map(|&p| hex_f32(p)).collect::<Vec<_>>())
-            .field(
-                "battery_remaining",
-                self.battery_remaining
-                    .as_ref()
-                    .map(|v| v.iter().map(|r| hex_f64(r.get())).collect::<Vec<_>>()),
-            )
+            .field("model", model)
+            .field("battery_remaining", self.battery_remaining.is_some().then_some(charges))
             .field("selector_counters_len", self.selector.counters_len)
             .field(
                 "selector_counters",
@@ -220,42 +273,33 @@ impl RunCheckpoint {
                     .map(|&(q, c)| vec![q as u64, u64::from(c)])
                     .collect::<Vec<_>>(),
             )
-            .field(
-                "selector_rng",
-                self.selector
-                    .rng_state
-                    .map(|s| s.iter().map(|&w| hex_u64(w)).collect::<Vec<_>>()),
-            )
-            .field("next_span_id", hex_u64(self.next_span_id))
-            .field(
-                "sim_metrics",
-                self.sim_metrics.iter().map(|(n, m)| metric_to_json(n, m)).collect::<Vec<_>>(),
-            )
-            .field("history", self.history.iter().map(record_to_json).collect::<Vec<_>>());
-        o.finish()
+            .field("selector_rng", self.selector.rng_state.map(Vec::from))
+            .field("next_span_id", self.next_span_id)
+            .object("sim_metrics", self.sim_metrics.to_json())
+            .field("history", history);
+        Ok(o.finish())
     }
 
     /// The complete on-disk representation: the payload line plus a
     /// `checkpoint_checksum` trailer line carrying the payload's
     /// FNV-1a hash.
-    pub fn to_file_bytes(&self) -> String {
-        let payload = self.to_json_line();
+    ///
+    /// # Errors
+    ///
+    /// Every [`Self::to_json_line`] refusal.
+    pub fn to_file_bytes(&self) -> core::result::Result<String, String> {
+        let payload = self.to_json_line()?;
         let checksum = fnv1a_hex(payload.as_bytes());
-        format!("{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n")
+        Ok(format!("{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n"))
     }
 
     /// Parses a checkpoint payload object (checksum already verified).
     fn from_json(v: &JsonValue) -> core::result::Result<Self, String> {
         let fleet_size = v.field("fleet_size")?;
         let round = v.field("round")?;
-        let model = v
-            .field::<Vec<Hex>>("model")?
-            .into_iter()
-            .map(|p| p.f32("model"))
-            .collect::<core::result::Result<Vec<_>, _>>()?;
         let battery_remaining: Option<Vec<Joules>> = v
-            .field::<Option<Vec<Hex>>>("battery_remaining")?
-            .map(|charges| charges.into_iter().map(|c| Joules::new(c.f64())).collect());
+            .field::<Option<Vec<f64>>>("battery_remaining")?
+            .map(|charges| charges.into_iter().map(Joules::new).collect());
         if let Some(rem) = &battery_remaining {
             if rem.len() != fleet_size {
                 return Err(format!(
@@ -264,25 +308,23 @@ impl RunCheckpoint {
                 ));
             }
         }
-        let rng_state = match v.field::<Option<Vec<Hex>>>("selector_rng")? {
+        let rng_state = match v.field::<Option<Vec<u64>>>("selector_rng")? {
             None => None,
             Some(words) => Some(
-                <[Hex; 4]>::try_from(words)
-                    .map_err(|_| FieldError::new("selector_rng", "four hex words or null"))?
-                    .map(|w| w.0),
+                <[u64; 4]>::try_from(words)
+                    .map_err(|_| FieldError::new("selector_rng", "four integers or null"))?,
             ),
         };
-        let sim_metrics = v
-            .field::<&[JsonValue]>("sim_metrics")?
-            .iter()
-            .enumerate()
-            .map(|(i, m)| metric_from_json(m).map_err(|e| format!("sim_metrics[{i}]: {e}")))
-            .collect::<core::result::Result<Vec<_>, _>>()?;
+        let sim_metrics = MetricsRegistry::from_json(v.field("sim_metrics")?)
+            .map_err(|e| format!("sim_metrics: {e}"))?;
+        if let Some((name, ..)) = sim_metrics.iter().find(|(_, class, _)| *class != Class::Sim) {
+            return Err(format!("sim_metrics: metric {name:?}: field \"class\" must be \"sim\""));
+        }
         let history = v
             .field::<&[JsonValue]>("history")?
             .iter()
             .enumerate()
-            .map(|(i, r)| record_from_json(r).map_err(|e| format!("history[{i}]: {e}")))
+            .map(|(i, r)| RoundRecord::from_json(r).map_err(|e| format!("history[{i}]: {e}")))
             .collect::<core::result::Result<Vec<_>, _>>()?;
         if history.last().map(|r: &RoundRecord| r.round) != Some(round) {
             return Err(format!(
@@ -292,156 +334,33 @@ impl RunCheckpoint {
         }
         Ok(Self {
             identity: RunIdentity {
-                seed: v.field::<Hex>("seed")?.0,
+                seed: v.field("seed")?,
                 scheme: v.field::<&str>("scheme")?.to_string(),
                 config_fingerprint: v.field::<&str>("config_fingerprint")?.to_string(),
                 fleet_size,
             },
             round,
-            model,
+            model: v.field("model")?,
             battery_remaining,
             selector: SelectorSnapshot {
                 counters_len: v.field("selector_counters_len")?,
                 counters: v.field("selector_counters")?,
                 rng_state,
             },
-            next_span_id: v.field::<Hex>("next_span_id")?.0,
+            next_span_id: v.field("next_span_id")?,
             sim_metrics,
             history,
         })
     }
 }
 
-fn metric_to_json(name: &str, metric: &Metric) -> JsonObject {
-    let mut o = JsonObject::new();
-    o.field("name", name);
-    match metric {
-        Metric::Counter(v) => {
-            o.field("kind", "counter").field("value", hex_u64(*v));
-        }
-        Metric::Gauge(v) => {
-            o.field("kind", "gauge").field("value", hex_f64(*v));
-        }
-        Metric::Histogram(h) => {
-            o.field("kind", "histogram")
-                .field("count", hex_u64(h.count))
-                .field("underflow", hex_u64(h.underflow))
-                .field("negative", hex_u64(h.negative))
-                .field("infinite", hex_u64(h.infinite))
-                .field("nan", hex_u64(h.nan))
-                .field("min", hex_f64(h.min))
-                .field("max", hex_f64(h.max))
-                .field(
-                    "buckets",
-                    h.buckets
-                        .iter()
-                        .map(|(&e, &c)| vec![i64::from(e).to_string(), hex_u64(c)])
-                        .collect::<Vec<_>>(),
-                );
-        }
-    }
-    o
-}
-
-fn metric_from_json(v: &JsonValue) -> core::result::Result<(String, Metric), FieldError> {
-    let name = v.field::<&str>("name")?.to_string();
-    let metric = match v.field("kind")? {
-        "counter" => Metric::Counter(v.field::<Hex>("value")?.0),
-        "gauge" => Metric::Gauge(v.field::<Hex>("value")?.f64()),
-        "histogram" => {
-            let mut h = Histogram::new();
-            h.count = v.field::<Hex>("count")?.0;
-            h.underflow = v.field::<Hex>("underflow")?.0;
-            h.negative = v.field::<Hex>("negative")?.0;
-            h.infinite = v.field::<Hex>("infinite")?.0;
-            h.nan = v.field::<Hex>("nan")?.0;
-            h.min = v.field::<Hex>("min")?.f64();
-            h.max = v.field::<Hex>("max")?.f64();
-            for (exponent, count) in v.field::<Vec<(&str, Hex)>>("buckets")? {
-                let exponent = exponent
-                    .parse::<i16>()
-                    .map_err(|_| FieldError::new("buckets", "keyed by i16 exponents"))?;
-                h.buckets.insert(exponent, count.0);
-            }
-            Metric::Histogram(h)
-        }
-        _ => return Err(FieldError::new("kind", "\"counter\", \"gauge\" or \"histogram\"")),
-    };
-    Ok((name, metric))
-}
-
-fn record_to_json(r: &RoundRecord) -> JsonObject {
-    let mut o = JsonObject::new();
-    o.field("round", r.round)
-        .field("selected", r.selected.iter().map(|id| id.0).collect::<Vec<_>>())
-        .field("delivered", r.delivered.iter().map(|id| id.0).collect::<Vec<_>>())
-        .field("alive_devices", r.alive_devices)
-        .field("round_time", hex_f64(r.round_time.get()))
-        .field("eq10_time", hex_f64(r.eq10_time.get()))
-        .field("round_energy", hex_f64(r.round_energy.get()))
-        .field("compute_energy", hex_f64(r.compute_energy.get()))
-        .field("slack", hex_f64(r.slack.get()))
-        .field("wasted_energy", hex_f64(r.wasted_energy.get()))
-        .field("faults", r.faults)
-        .field("aggregated", r.aggregated)
-        .field("train_loss", hex_f32(r.train_loss))
-        .field("test_accuracy", r.test_accuracy.map(hex_f64))
-        .field("cumulative_time", hex_f64(r.cumulative_time.get()))
-        .field("cumulative_energy", hex_f64(r.cumulative_energy.get()));
-    o
-}
-
-fn record_from_json(v: &JsonValue) -> core::result::Result<RoundRecord, FieldError> {
-    let ids = |key| Ok(v.field::<Vec<usize>>(key)?.into_iter().map(DeviceId).collect());
-    let seconds = |key| Ok(Seconds::new(v.field::<Hex>(key)?.f64()));
-    let joules = |key| Ok(Joules::new(v.field::<Hex>(key)?.f64()));
-    Ok(RoundRecord {
-        round: v.field("round")?,
-        selected: ids("selected")?,
-        delivered: ids("delivered")?,
-        alive_devices: v.field("alive_devices")?,
-        round_time: seconds("round_time")?,
-        eq10_time: seconds("eq10_time")?,
-        round_energy: joules("round_energy")?,
-        compute_energy: joules("compute_energy")?,
-        slack: seconds("slack")?,
-        wasted_energy: joules("wasted_energy")?,
-        faults: v.field("faults")?,
-        aggregated: v.field("aggregated")?,
-        train_loss: v.field::<Hex>("train_loss")?.f32("train_loss")?,
-        test_accuracy: v.field::<Option<Hex>>("test_accuracy")?.map(Hex::f64),
-        cumulative_time: seconds("cumulative_time")?,
-        cumulative_energy: joules("cumulative_energy")?,
-    })
-}
-
-/// A `u64` or a float's bit pattern, as the hex string the writer
-/// stores (see the module docs): the checkpoint's one hex decode.
-#[derive(Debug, Clone, Copy)]
-struct Hex(u64);
-
-impl FromJson<'_> for Hex {
-    fn want() -> String {
-        "a hex string".into()
-    }
-
-    fn from_json(v: &JsonValue) -> Option<Self> {
-        u64::from_str_radix(v.as_str()?, 16).ok().map(Hex)
-    }
-}
-
-impl Hex {
-    fn f64(self) -> f64 {
-        f64::from_bits(self.0)
-    }
-
-    /// The `f32` these bits encode; `key` names the field when they
-    /// are wider than 32.
-    fn f32(self, key: &str) -> core::result::Result<f32, FieldError> {
-        u32::try_from(self.0)
-            .map(f32::from_bits)
-            .map_err(|_| FieldError::new(key, "a hex string of at most 32 bits"))
-    }
+/// `values` as JSON numbers, refused by `key` at the first NaN or
+/// infinity.
+fn finite_all(
+    key: &str,
+    values: impl Iterator<Item = f64>,
+) -> core::result::Result<Vec<f64>, FieldError> {
+    values.map(|v| json::finite(key, v)).collect()
 }
 
 // --- file I/O --------------------------------------------------------
@@ -519,14 +438,16 @@ fn write_atomic(tmp: &Path, dest: &Path, body: &str) -> Result<()> {
 pub struct CheckpointWriter {
     dir: PathBuf,
     next_slot: usize,
+    torn_at: Option<usize>,
 }
 
 impl CheckpointWriter {
     /// A writer whose first save lands in `first_slot` (resume passes
     /// the slot *not* holding the checkpoint it loaded; fresh runs
-    /// start at 0).
-    pub fn new(dir: PathBuf, first_slot: usize) -> Self {
-        Self { dir, next_slot: first_slot % 2 }
+    /// start at 0). `torn_at` is [`ChaosSchedule::torn_at`]: the round
+    /// whose save is torn on purpose (`None` outside the harness).
+    pub fn new(dir: PathBuf, first_slot: usize, torn_at: Option<usize>) -> Self {
+        Self { dir, next_slot: first_slot % 2, torn_at }
     }
 
     /// Durably writes `ckpt` (temp file + fsync + atomic rename +
@@ -534,17 +455,21 @@ impl CheckpointWriter {
     ///
     /// # Errors
     ///
-    /// Reports I/O failures with the offending path; the ring slot is
-    /// not advanced on failure, so the last good checkpoint is never
-    /// sacrificed to a sick disk.
+    /// Reports I/O failures with the offending path, and refuses a
+    /// checkpoint holding a NaN or an infinity, naming the field
+    /// ([`RunCheckpoint::to_json_line`]); the ring slot is not
+    /// advanced on failure, so the last good checkpoint is never
+    /// sacrificed to a sick disk or an unwritable value.
     pub fn save(&mut self, ckpt: &RunCheckpoint) -> Result<PathBuf> {
         let slot = self.next_slot;
         let dest = self.dir.join(format!("checkpoint_{slot}.json"));
+        let body = ckpt
+            .to_file_bytes()
+            .map_err(|e| ckpt_err(&dest, format!("cannot write checkpoint: {e}")))?;
         fs::create_dir_all(&self.dir).map_err(|e| {
             ckpt_err(&self.dir, format!("cannot create checkpoint directory: {e}"))
         })?;
-        let body = ckpt.to_file_bytes();
-        if round_from_env(CHAOS_TORN_ENV) == Some(ckpt.round) {
+        if self.torn_at == Some(ckpt.round) {
             // Chaos hook: a torn in-place write — half the body lands
             // in the slot file with no rename protecting it, then the
             // process dies. The loader must refuse this slot by
@@ -639,28 +564,12 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedCheckpoint>> {
     }
 }
 
-fn round_from_env(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse::<usize>().ok()
-}
-
-/// Chaos-harness hook: if [`CHAOS_KILL_ENV`] names this round, the
-/// process SIGKILLs itself (a real, uncatchable kill — delivered via
-/// `kill -9`, with `abort` as the fallback when no `kill` binary
-/// exists). Called by the runner at the end of every round; inert
-/// unless the environment variable is set.
-pub fn chaos_kill_if_scheduled(round: usize) {
-    if round_from_env(CHAOS_KILL_ENV) != Some(round) {
-        return;
-    }
-    helcfl_telemetry::note!("helcfl chaos: SIGKILL at round {round}");
-    let pid = std::process::id().to_string();
-    let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
-    std::process::abort();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helcfl_telemetry::Histogram;
+    use mec_sim::device::DeviceId;
+    use mec_sim::units::Seconds;
     use std::collections::BTreeMap;
 
     fn sample_checkpoint(round: usize) -> RunCheckpoint {
@@ -676,7 +585,8 @@ mod tests {
             eq10_time: Seconds::new(11.5),
             round_energy: Joules::new(0.1 + r as f64),
             compute_energy: Joules::new(0.07),
-            slack: Seconds::new(0.5),
+            // A subnormal: the smallest magnitudes still come back.
+            slack: Seconds::new(f64::MIN_POSITIVE / 3.0),
             wasted_energy: Joules::new(0.01),
             faults: 1,
             aggregated: r.is_multiple_of(2),
@@ -685,6 +595,23 @@ mod tests {
             cumulative_time: Seconds::new(12.25 * r as f64),
             cumulative_energy: Joules::new(0.2 * r as f64),
         };
+        let mut sim_metrics = MetricsRegistry::new();
+        sim_metrics.insert(Class::Sim, "round.completed", Metric::Counter(round as u64));
+        sim_metrics.insert(Class::Sim, "eval.accuracy", Metric::Gauge(0.1 + 0.2));
+        sim_metrics.insert(
+            Class::Sim,
+            "round.train_loss",
+            Metric::Histogram(Histogram {
+                count: 13,
+                underflow: 1,
+                negative: 0,
+                infinite: 0,
+                nan: 2,
+                min: -0.0,
+                max: 1.75,
+                buckets,
+            }),
+        );
         RunCheckpoint {
             identity: RunIdentity {
                 seed: 0xDEAD_BEEF_CAFE_F00D,
@@ -693,7 +620,10 @@ mod tests {
                 fleet_size: 5,
             },
             round,
-            model: vec![0.5, -1.25, 3.0e-7, f32::MIN_POSITIVE],
+            // The last is the one f32 whose own shortest text, read
+            // through f64, comes back one bit off: written widened to
+            // f64, it round-trips.
+            model: vec![0.5, -1.25, 3.0e-7, f32::MIN_POSITIVE, f32::from_bits(0x15ae_43fd)],
             battery_remaining: Some(
                 (0..5).map(|q| Joules::new(10.0 - q as f64 * 0.3)).collect(),
             ),
@@ -703,23 +633,7 @@ mod tests {
                 rng_state: Some([1, u64::MAX, 0x1234, 7]),
             },
             next_span_id: 91,
-            sim_metrics: vec![
-                ("round.completed".into(), Metric::Counter(round as u64)),
-                ("eval.accuracy".into(), Metric::Gauge(0.1 + 0.2)),
-                (
-                    "round.train_loss".into(),
-                    Metric::Histogram(Histogram {
-                        count: 13,
-                        underflow: 1,
-                        negative: 0,
-                        infinite: 0,
-                        nan: 2,
-                        min: -0.0,
-                        max: 1.75,
-                        buckets,
-                    }),
-                ),
-            ],
+            sim_metrics,
             history: (1..=round).map(record).collect(),
         }
     }
@@ -735,12 +649,20 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
         let ck = sample_checkpoint(3);
-        let (parsed, checksum) = parse_checkpoint_file(&ck.to_file_bytes()).unwrap();
+        let (parsed, checksum) = parse_checkpoint_file(&ck.to_file_bytes().unwrap()).unwrap();
         assert_eq!(parsed, ck);
         assert_eq!(checksum.len(), 16);
-        // Bit-exactness probes: values JSON text formatting would
-        // round or normalize survive via their bit patterns.
+        // Bit-exactness probes: integers beyond 2^53, the smallest
+        // floats, a negative zero and a sum no short decimal names.
+        assert_eq!(parsed.identity.seed, 0xDEAD_BEEF_CAFE_F00D);
+        assert_eq!(parsed.selector.rng_state.map(|w| w[1]), Some(u64::MAX));
         assert_eq!(parsed.model[3].to_bits(), f32::MIN_POSITIVE.to_bits());
+        assert_eq!(parsed.model[4].to_bits(), 0x15ae_43fd);
+        assert_eq!(parsed.history[0].slack.get().to_bits(), (f64::MIN_POSITIVE / 3.0).to_bits());
+        let Some(Metric::Histogram(h)) = parsed.sim_metrics.get("round.train_loss") else {
+            panic!("histogram lost")
+        };
+        assert_eq!(h.min.to_bits(), (-0.0f64).to_bits());
         assert_eq!(
             parsed.history[1].test_accuracy.map(f64::to_bits),
             Some((0.1f64 + 0.3 * 2.0).to_bits())
@@ -779,7 +701,7 @@ mod tests {
     #[test]
     fn writer_alternates_slots_and_loader_picks_the_newest() {
         let dir = scratch_dir("ring");
-        let mut w = CheckpointWriter::new(dir.clone(), 0);
+        let mut w = CheckpointWriter::new(dir.clone(), 0, None);
         let p1 = w.save(&sample_checkpoint(1)).unwrap();
         let p2 = w.save(&sample_checkpoint(2)).unwrap();
         assert!(p1.ends_with("checkpoint_0.json"));
@@ -797,7 +719,7 @@ mod tests {
     #[test]
     fn truncated_bitflipped_and_wrong_schema_files_are_refused_by_name() {
         let ck = sample_checkpoint(2);
-        let good = ck.to_file_bytes();
+        let good = ck.to_file_bytes().unwrap();
 
         // Truncated: the trailer (or part of the payload) never hit
         // the disk.
@@ -815,18 +737,13 @@ mod tests {
         assert!(err.contains("checksum mismatch"), "unexpected refusal: {err}");
 
         // Wrong schema version with a *valid* checksum: refused for
-        // the version, not the hash — a stale version-1 or version-2
-        // file as much as one from the future.
+        // the version, not the hash — a stale version-1, -2 or -3 (hex
+        // bit patterns) file as much as one from the future.
         let current = format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}");
         assert!(good.contains(&current));
-        for version in [1, 2, 999] {
+        for version in [1, 2, 3, 999] {
             let other = good.replacen(&current, &format!("\"schema_version\":{version}"), 1);
-            let payload = other.lines().next().unwrap();
-            let retrailed = format!(
-                "{payload}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{}\"}}\n",
-                fnv1a_hex(payload.as_bytes())
-            );
-            let err = parse_checkpoint_file(&retrailed).unwrap_err();
+            let err = parse_checkpoint_file(&file(other.lines().next().unwrap())).unwrap_err();
             assert!(
                 err.contains(&format!("unsupported checkpoint schema version {version}")),
                 "unexpected refusal: {err}"
@@ -847,7 +764,7 @@ mod tests {
     #[test]
     fn torn_newest_slot_falls_back_to_the_previous_good_checkpoint() {
         let dir = scratch_dir("fallback");
-        let mut w = CheckpointWriter::new(dir.clone(), 0);
+        let mut w = CheckpointWriter::new(dir.clone(), 0, None);
         w.save(&sample_checkpoint(1)).unwrap();
         w.save(&sample_checkpoint(2)).unwrap();
         // Tear the newest slot (slot 1, round 2) mid-file.
@@ -887,7 +804,7 @@ mod tests {
             let err = write_atomic(
                 Path::new("/dev/full"),
                 Path::new("/dev/full"),
-                &sample_checkpoint(1).to_file_bytes(),
+                &sample_checkpoint(1).to_file_bytes().unwrap(),
             )
             .unwrap_err();
             let msg = err.to_string();
@@ -899,7 +816,7 @@ mod tests {
         }
         // A checkpoint directory that cannot exist (a file stands in
         // its way) is a named error, not a panic.
-        let mut w = CheckpointWriter::new(PathBuf::from("/dev/null/ck"), 0);
+        let mut w = CheckpointWriter::new(PathBuf::from("/dev/null/ck"), 0, None);
         let err = w.save(&sample_checkpoint(1)).unwrap_err();
         assert!(
             err.to_string().contains("checkpoint"),
@@ -912,11 +829,11 @@ mod tests {
     #[test]
     fn ring_slot_does_not_advance_on_failed_saves() {
         let dir = scratch_dir("sick");
-        let mut w = CheckpointWriter::new(dir.clone(), 0);
+        let mut w = CheckpointWriter::new(dir.clone(), 0, None);
         w.save(&sample_checkpoint(1)).unwrap();
         // Redirect the writer at an impossible directory: failures
         // must not rotate the ring...
-        let mut sick = CheckpointWriter { dir: PathBuf::from("/dev/null/ck"), next_slot: w.next_slot };
+        let mut sick = CheckpointWriter { dir: PathBuf::from("/dev/null/ck"), ..w };
         assert!(sick.save(&sample_checkpoint(2)).is_err());
         assert_eq!(sick.next_slot, w.next_slot);
         // ...so the last good checkpoint is still loadable.
@@ -932,6 +849,7 @@ mod tests {
             JsonValue::Null => "null".into(),
             JsonValue::Bool(b) => b.to_json(),
             JsonValue::Number(n) => n.to_json(),
+            JsonValue::Integer(n) => n.to_json(),
             JsonValue::String(s) => s.to_json(),
             JsonValue::Array(items) => format!("[{}]", list(items.iter().map(render).collect())),
             JsonValue::Object(members) => format!(
@@ -959,42 +877,55 @@ mod tests {
             .collect()
     }
 
+    /// The value at `path` inside `v`: object members by key, array
+    /// entries by index.
+    fn at<'v>(v: &'v mut JsonValue, path: &[&str]) -> &'v mut JsonValue {
+        path.iter().fold(v, |v, step| match v {
+            JsonValue::Object(members) => {
+                &mut members.iter_mut().find(|(k, _)| k == step).expect("member").1
+            }
+            JsonValue::Array(items) => &mut items[step.parse::<usize>().expect("index")],
+            other => panic!("{step}: not a container: {other:?}"),
+        })
+    }
+
+    /// A payload line as a checkpoint file with a valid checksum.
+    fn file(line: &str) -> String {
+        let checksum = fnv1a_hex(line.as_bytes());
+        format!("{line}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n")
+    }
+
     #[test]
     fn every_missing_or_ill_typed_payload_field_is_refused_by_name() {
-        let payload = json::parse(&sample_checkpoint(2).to_json_line()).unwrap();
-        let file = |payload: &JsonValue| {
-            let line = render(payload);
-            let checksum = fnv1a_hex(line.as_bytes());
-            format!("{line}\n{{\"type\":\"checkpoint_checksum\",\"fnv1a\":\"{checksum}\"}}\n")
-        };
-        assert!(parse_checkpoint_file(&file(&payload)).is_ok());
-        // The payload's own fields, then those of a round record and of
-        // each metric kind, each corrupted inside an intact payload.
-        let mut cases = corruptions(&payload);
-        for (list, index) in [("history", 0), ("sim_metrics", 0), ("sim_metrics", 1), ("sim_metrics", 2)]
-        {
-            let Some(JsonValue::Array(items)) = payload.get(list) else { unreachable!() };
-            for (key, without, wrong) in corruptions(&items[index]) {
+        let payload = json::parse(&sample_checkpoint(2).to_json_line().unwrap()).unwrap();
+        assert!(parse_checkpoint_file(&file(&render(&payload))).is_ok());
+        // The payload's own fields, then those of a round record, of
+        // each metric entry and of the histogram, each corrupted inside
+        // an intact payload.
+        let mut cases = Vec::new();
+        for path in [
+            &[][..],
+            &["history", "0"],
+            &["sim_metrics", "round.completed"],
+            &["sim_metrics", "eval.accuracy"],
+            &["sim_metrics", "round.train_loss"],
+            &["sim_metrics", "round.train_loss", "value"],
+        ] {
+            for (key, without, wrong) in corruptions(at(&mut payload.clone(), path)) {
                 let nest = |entry: JsonValue| {
                     let mut p = payload.clone();
-                    let JsonValue::Object(members) = &mut p else { unreachable!() };
-                    let Some((_, JsonValue::Array(items))) =
-                        members.iter_mut().find(|(k, _)| k == list)
-                    else {
-                        unreachable!()
-                    };
-                    items[index] = entry;
+                    *at(&mut p, path) = entry;
                     p
                 };
                 cases.push((key, nest(without), nest(wrong)));
             }
         }
-        // 15 payload fields, 16 in a round record, 3 + 3 + 10 in the
-        // counter, gauge and histogram.
-        assert_eq!(cases.len(), 15 + 16 + 3 + 3 + 10);
+        // 15 payload fields, 16 in a round record, 3 in each of the
+        // three metric entries and 8 in the histogram.
+        assert_eq!(cases.len(), 15 + 16 + 3 * 3 + 8);
         for (key, without, wrong) in cases {
             for corrupt in [without, wrong] {
-                let err = parse_checkpoint_file(&file(&corrupt)).unwrap_err();
+                let err = parse_checkpoint_file(&file(&render(&corrupt))).unwrap_err();
                 assert!(
                     err.contains(&format!("\"{key}\"")) || err.contains(&format!("`{key}`")),
                     "{key}: {err}"
@@ -1004,10 +935,69 @@ mod tests {
     }
 
     #[test]
+    fn integers_beyond_their_type_and_runtime_metrics_are_refused_by_name() {
+        let good = sample_checkpoint(2).to_json_line().unwrap();
+        let seed = "\"seed\":16045690984503111693";
+        for (from, to, says) in [
+            // 2^64: one past u64::MAX.
+            (seed, "\"seed\":18446744073709551616", "\"seed\" must be an integer in [0, 2^64)"),
+            ("\"next_span_id\":91", "\"next_span_id\":1e2", "field \"next_span_id\""),
+            ("[1,18446744073709551615,", "[1,18446744073709551616,", "field \"selector_rng\""),
+            ("\"class\":\"sim\"", "\"class\":\"runtime\"", "field \"class\" must be \"sim\""),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let err = parse_checkpoint_file(&file(&good.replacen(from, to, 1))).unwrap_err();
+            assert!(err.contains(says), "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_value_is_refused_at_save_by_name_and_the_ring_holds() {
+        let dir = scratch_dir("nonfinite");
+        let mut w = CheckpointWriter::new(dir.clone(), 0, None);
+        w.save(&sample_checkpoint(1)).unwrap();
+        let mut nan_model = sample_checkpoint(2);
+        nan_model.model[1] = f32::NAN;
+        let mut inf_charge = sample_checkpoint(2);
+        inf_charge.battery_remaining.as_mut().unwrap()[2] = Joules::new(f64::INFINITY);
+        let mut inf_gauge = sample_checkpoint(2);
+        inf_gauge.sim_metrics.insert(Class::Sim, "eval.accuracy", Metric::Gauge(f64::NEG_INFINITY));
+        let mut nan_history = sample_checkpoint(2);
+        nan_history.history[1].round_energy = Joules::new(f64::NAN);
+        for (ck, says) in [
+            (nan_model, "field \"model\" must be finite (JSON cannot hold NaN)"),
+            (inf_charge, "field \"battery_remaining\" must be finite (JSON cannot hold inf)"),
+            (inf_gauge, "sim_metrics: metric \"eval.accuracy\": field \"value\" must be finite"),
+            (nan_history, "history[1]: field \"round_energy_j\" must be finite"),
+        ] {
+            let err = w.save(&ck).unwrap_err().to_string();
+            assert!(err.contains(says), "{err}");
+        }
+        // Nothing was written and the ring did not advance.
+        assert!(!dir.join("checkpoint_1.json").exists());
+        assert_eq!(w.save(&sample_checkpoint(2)).unwrap(), dir.join("checkpoint_1.json"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chaos_rounds_are_read_or_refused_by_variable() {
+        assert_eq!(chaos_round(CHAOS_KILL_ENV, " 7 ").unwrap(), 7);
+        for bad in ["", "seven", "-1", "7.0", "0x7"] {
+            match chaos_round(CHAOS_TORN_ENV, bad) {
+                Err(FlError::InvalidConfig { field, reason }) => {
+                    assert_eq!(field, CHAOS_TORN_ENV);
+                    assert!(reason.contains(&format!("`{bad}` is not a round number")), "{reason}");
+                }
+                other => panic!("{bad:?} was not refused: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn fresh_histories_with_no_rounds_are_rejected() {
         let mut ck = sample_checkpoint(2);
         ck.history.pop();
-        let err = parse_checkpoint_file(&ck.to_file_bytes()).unwrap_err();
+        let err = parse_checkpoint_file(&ck.to_file_bytes().unwrap()).unwrap_err();
         assert!(err.contains("history ends at round"), "{err}");
     }
 }

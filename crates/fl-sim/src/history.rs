@@ -1,8 +1,7 @@
 //! Per-round records and training-history queries backing every table
 //! and figure of the evaluation.
 
-
-use helcfl_telemetry::json::JsonObject;
+use helcfl_telemetry::json::{FieldError, JsonObject, JsonValue};
 use mec_sim::device::DeviceId;
 use mec_sim::units::{Joules, Seconds};
 
@@ -51,6 +50,67 @@ pub struct RoundRecord {
     pub cumulative_time: Seconds,
     /// Cumulative training energy through this round.
     pub cumulative_energy: Joules,
+}
+
+impl RoundRecord {
+    /// Appends the record's members to `o`: the one JSON shape of a
+    /// round, in `results/<run>.jsonl` ([`TrainingHistory::to_jsonl`])
+    /// and in checkpoints. [`Self::from_json`] reads every number back
+    /// bit for bit (the `f32` loss is written widened to `f64`).
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming the first NaN or infinite member.
+    pub fn write_json(&self, o: &mut JsonObject) -> Result<(), FieldError> {
+        let ids = |ids: &[DeviceId]| ids.iter().map(|id| id.0).collect::<Vec<_>>();
+        o.field("round", self.round)
+            .field("selected", ids(&self.selected))
+            .field("delivered", ids(&self.delivered))
+            .field("alive_devices", self.alive_devices)
+            .finite("round_time_s", self.round_time.get())?
+            .finite("eq10_time_s", self.eq10_time.get())?
+            .finite("round_energy_j", self.round_energy.get())?
+            .finite("compute_energy_j", self.compute_energy.get())?
+            .finite("slack_s", self.slack.get())?
+            .finite("wasted_energy_j", self.wasted_energy.get())?
+            .field("faults", self.faults)
+            .field("aggregated", self.aggregated)
+            .finite("train_loss", f64::from(self.train_loss))?
+            .finite("test_accuracy", self.test_accuracy)?
+            .finite("cumulative_time_s", self.cumulative_time.get())?
+            .finite("cumulative_energy_j", self.cumulative_energy.get())?;
+        Ok(())
+    }
+
+    /// Reads the members [`Self::write_json`] writes, ignoring others
+    /// (a `.jsonl` line's `type` and `scheme`).
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming the first missing or ill-typed member.
+    pub fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        let ids = |key| Ok(v.field::<Vec<usize>>(key)?.into_iter().map(DeviceId).collect());
+        let seconds = |key| v.field(key).map(Seconds::new);
+        let joules = |key| v.field(key).map(Joules::new);
+        Ok(Self {
+            round: v.field("round")?,
+            selected: ids("selected")?,
+            delivered: ids("delivered")?,
+            alive_devices: v.field("alive_devices")?,
+            round_time: seconds("round_time_s")?,
+            eq10_time: seconds("eq10_time_s")?,
+            round_energy: joules("round_energy_j")?,
+            compute_energy: joules("compute_energy_j")?,
+            slack: seconds("slack_s")?,
+            wasted_energy: joules("wasted_energy_j")?,
+            faults: v.field("faults")?,
+            aggregated: v.field("aggregated")?,
+            train_loss: v.field("train_loss")?,
+            test_accuracy: v.field("test_accuracy")?,
+            cumulative_time: seconds("cumulative_time_s")?,
+            cumulative_energy: joules("cumulative_energy_j")?,
+        })
+    }
 }
 
 /// The full trajectory of one training run.
@@ -196,37 +256,23 @@ impl TrainingHistory {
         out
     }
 
-    /// Serializes the history as JSON Lines: one
-    /// `{"type":"round",...}` object per record, carrying the same
-    /// fields as [`TrainingHistory::to_csv`] plus the selected device
-    /// ids. Figure CSVs and raw traces can then come from the same
-    /// run: bench binaries append this to their `--trace-out` stream.
-    pub fn to_jsonl(&self) -> String {
+    /// Serializes the history as JSON Lines, the `results/<run>.jsonl`
+    /// file: per record, `"type":"round"` and the scheme, then
+    /// [`RoundRecord::write_json`]'s members.
+    ///
+    /// # Errors
+    ///
+    /// Names the round and the member holding a NaN or an infinity.
+    pub fn to_jsonl(&self) -> Result<String, String> {
         let mut out = String::new();
         for r in &self.records {
             let mut o = JsonObject::new();
-            o.field("type", "round")
-                .field("scheme", self.scheme.as_str())
-                .field("round", r.round)
-                .field("selected", r.selected.iter().map(|id| id.0).collect::<Vec<_>>())
-                .field("delivered", r.delivered.iter().map(|id| id.0).collect::<Vec<_>>())
-                .field("alive_devices", r.alive_devices)
-                .field("round_time_s", r.round_time.get())
-                .field("eq10_time_s", r.eq10_time.get())
-                .field("round_energy_j", r.round_energy.get())
-                .field("compute_energy_j", r.compute_energy.get())
-                .field("slack_s", r.slack.get())
-                .field("wasted_energy_j", r.wasted_energy.get())
-                .field("faults", r.faults)
-                .field("aggregated", r.aggregated)
-                .field("train_loss", f64::from(r.train_loss))
-                .field("test_accuracy", r.test_accuracy)
-                .field("cumulative_time_s", r.cumulative_time.get())
-                .field("cumulative_energy_j", r.cumulative_energy.get());
+            o.field("type", "round").field("scheme", self.scheme.as_str());
+            r.write_json(&mut o).map_err(|e| format!("round {}: {e}", r.round))?;
             out.push_str(&o.finish());
             out.push('\n');
         }
-        out
+        Ok(out)
     }
 }
 
@@ -297,23 +343,31 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_the_parser() {
         let h = history();
-        let jsonl = h.to_jsonl();
+        let jsonl = h.to_jsonl().unwrap();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         for (line, r) in lines.iter().zip(h.records()) {
             let v = helcfl_telemetry::json::parse(line).unwrap();
             assert_eq!(v.get("type").and_then(|x| x.as_str()), Some("round"));
             assert_eq!(v.get("scheme").and_then(|x| x.as_str()), Some("test"));
-            assert_eq!(
-                v.get("round").and_then(|x| x.as_f64()),
-                Some(r.round as f64)
-            );
-            assert_eq!(
-                v.get("test_accuracy").and_then(|x| x.as_f64()),
-                r.test_accuracy
-            );
+            assert_eq!(RoundRecord::from_json(&v).as_ref(), Ok(r));
         }
-        assert!(TrainingHistory::new("empty").to_jsonl().is_empty());
+        assert!(TrainingHistory::new("empty").to_jsonl().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_non_finite_member_is_refused_by_round_and_name() {
+        let mut h = history();
+        let mut r = record(5, None, 50.0, 25.0);
+        r.train_loss = f32::NAN;
+        h.push(r);
+        let err = h.to_jsonl().unwrap_err();
+        assert_eq!(err, r#"round 5: field "train_loss" must be finite (JSON cannot hold NaN)"#);
+        let mut r = record(6, Some(f64::INFINITY), 60.0, 30.0);
+        assert_eq!(r.write_json(&mut JsonObject::new()).unwrap_err().key, "test_accuracy");
+        r.test_accuracy = None;
+        r.slack = Seconds::new(f64::NEG_INFINITY);
+        assert_eq!(r.write_json(&mut JsonObject::new()).unwrap_err().key, "slack_s");
     }
 
     #[test]

@@ -438,6 +438,7 @@ pub fn run_federated_traced(
     tele: &Telemetry,
 ) -> Result<TrainingHistory> {
     config.validate()?;
+    let chaos = checkpoint::ChaosSchedule::from_env()?;
     let target = selection_target(setup.population.len(), config.fraction)?;
     let fault_plan = FaultPlan::new(config.faults, config.seed)?;
     let mut server = Flcc::new(&config.model_dims, derive(config.seed, SeedDomain::Model))?;
@@ -547,7 +548,10 @@ pub fn run_federated_traced(
     // A resume's next save must not overwrite the checkpoint it just
     // loaded; fresh runs start the ring at slot 0.
     let mut ckpt_writer = ckpt_config
-        .map(|cc| CheckpointWriter::new(cc.dir.clone(), resumed.as_ref().map_or(0, |l| 1 - l.slot)));
+        .map(|cc| {
+            let first_slot = resumed.as_ref().map_or(0, |l| 1 - l.slot);
+            CheckpointWriter::new(cc.dir.clone(), first_slot, chaos.torn_at)
+        });
     // Provenance first: the run_manifest line heads the trace stream so
     // every reader (diff, audit, watch) knows what produced the bytes
     // that follow. events_enabled gates it exactly like spans.
@@ -592,8 +596,8 @@ pub fn run_federated_traced(
         // resumed trace tail lines up byte-for-byte (timestamps
         // aside).
         tele.with_metrics(|m| {
-            for (name, metric) in &loaded.checkpoint.sim_metrics {
-                m.insert(Class::Sim, name, metric.clone());
+            for (name, class, metric) in loaded.checkpoint.sim_metrics.iter() {
+                m.insert(class, name, metric.clone());
             }
         });
         tele.restore_next_span_id(loaded.checkpoint.next_span_id);
@@ -851,12 +855,7 @@ pub fn run_federated_traced(
                         .map(|bs| bs.iter().map(Battery::remaining).collect()),
                     selector: selector.snapshot(),
                     next_span_id: tele.peek_next_span_id(),
-                    sim_metrics: tele
-                        .snapshot()
-                        .iter()
-                        .filter(|(_, class, _)| *class == Class::Sim)
-                        .map(|(name, _, metric)| (name.to_string(), metric.clone()))
-                        .collect(),
+                    sim_metrics: tele.snapshot().deterministic(),
                     history: history.records().to_vec(),
                 };
                 if let Some(writer) = ckpt_writer.as_mut() {
@@ -878,7 +877,7 @@ pub fn run_federated_traced(
         // Chaos hook (inert unless HELCFL_CHAOS_KILL_AT is set):
         // placed after the cadence so a scheduled kill lands exactly
         // where a real crash between rounds would.
-        checkpoint::chaos_kill_if_scheduled(round);
+        chaos.kill_if_scheduled(round);
         if halt_now {
             break;
         }

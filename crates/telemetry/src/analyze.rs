@@ -98,9 +98,6 @@ pub struct Trace {
     /// holds several (one per `finish()` call), the last one wins — it
     /// is the most complete snapshot.
     pub metrics: Option<MetricsRegistry>,
-    /// Lines of other tolerated types (e.g. `"round"` records appended
-    /// by `TrainingHistory::to_jsonl`).
-    pub other_lines: usize,
     /// Run-provenance manifests, in file order. One per traced run; a
     /// multi-run file (e.g. `reproduce` tracing its whole run set into
     /// one file) holds several.
@@ -211,9 +208,6 @@ impl Trace {
                 self.metrics = Some(MetricsRegistry::from_json(metrics)?);
             }
             "run_manifest" => self.manifests.push(RunManifest::from_json(&value)?),
-            // "round" lines come from TrainingHistory::to_jsonl()
-            // when a history is appended to a trace stream.
-            "round" => self.other_lines += 1,
             other => return Err(format!("unknown type {other:?}")),
         }
         Ok(())
@@ -353,6 +347,9 @@ impl<'a> SpanTree<'a> {
                     let _ = write!(out, " {key}={s}");
                 }
                 JsonValue::Number(n) => {
+                    let _ = write!(out, " {key}={n}");
+                }
+                JsonValue::Integer(n) => {
                     let _ = write!(out, " {key}={n}");
                 }
                 JsonValue::Bool(b) => {
@@ -698,7 +695,8 @@ pub struct CoverageReport {
     pub spans: usize,
     /// Point events in the trace.
     pub events: usize,
-    /// Metrics / history lines.
+    /// 1 when the trace holds a metrics line (the last one is read),
+    /// else 0.
     pub metrics_lines: usize,
     /// `round` spans seen.
     pub rounds: usize,
@@ -715,7 +713,7 @@ impl CoverageReport {
     /// output.
     pub fn summary(&self) -> String {
         format!(
-            "{} spans, {} events, {} metrics/round lines, {} rounds \
+            "{} spans, {} events, {} metrics lines, {} rounds \
              ({} coverage-judged, {} warnings{})",
             self.spans,
             self.events,
@@ -748,7 +746,7 @@ pub fn check_coverage(trace: &Trace) -> Result<CoverageReport, String> {
     let mut report = CoverageReport {
         spans: trace.spans.len(),
         events: trace.events.len(),
-        metrics_lines: trace.other_lines + usize::from(trace.metrics.is_some()),
+        metrics_lines: usize::from(trace.metrics.is_some()),
         rounds: 0,
         judged: 0,
         warnings: Vec::new(),
@@ -806,14 +804,12 @@ mod tests {
             r#"{"type":"event","name":"pool_resolved","id":1,"parent":null,"t_us":5,"dur_us":null,"attrs":{"workers":4}}"#.to_string(),
             span_line(3, "selection", Some(2), 10, 7),
             span_line(2, "round", None, 9, 100),
-            r#"{"type":"round","round":1}"#.to_string(),
             r#"{"type":"metrics","metrics":{"round.completed":{"kind":"counter","class":"sim","value":1}}}"#.to_string(),
         ]
         .join("\n");
         let trace = Trace::parse(&text).unwrap();
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.events.len(), 1);
-        assert_eq!(trace.other_lines, 1);
         let metrics = trace.metrics.as_ref().unwrap();
         assert_eq!(metrics.get("round.completed"), Some(&Metric::Counter(1)));
         assert_eq!(trace.span(2).unwrap().name, "round");
@@ -879,6 +875,11 @@ mod tests {
         assert!(Trace::parse(&dup).unwrap_err().contains("duplicate span id 2"));
         let unknown = r#"{"type":"mystery"}"#;
         assert!(Trace::parse(unknown).unwrap_err().contains("unknown type"));
+        // No producer writes history records into a trace: a `round`
+        // line (`TrainingHistory::to_jsonl`'s shape) is refused too.
+        let round = [span_line(2, "round", None, 9, 100), r#"{"type":"round","round":1}"#.into()];
+        let err = Trace::parse(&round.join("\n")).unwrap_err();
+        assert_eq!(err, r#"line 2: unknown type "round""#);
         let nofield = r#"{"type":"span","name":"x","id":1,"t_us":0}"#;
         assert!(Trace::parse(nofield).unwrap_err().contains("dur_us"));
     }

@@ -170,6 +170,21 @@ impl JsonObject {
         self
     }
 
+    /// Appends `"key": value` like [`Self::field`], refusing a NaN or
+    /// an infinity by `key` as [`finite`] does (`None` is `null`).
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming `key` when `value` is not finite.
+    pub fn finite(
+        &mut self,
+        key: &str,
+        value: impl Into<Option<f64>>,
+    ) -> Result<&mut Self, FieldError> {
+        let value = value.into().map(|v| finite(key, v)).transpose()?;
+        Ok(self.field(key, value))
+    }
+
     /// Appends a member whose value is a nested object.
     pub fn object(&mut self, key: &str, nested: JsonObject) -> &mut Self {
         if !self.buf.is_empty() {
@@ -193,6 +208,21 @@ impl ToJson for JsonObject {
     }
 }
 
+/// `value` if it is finite. JSON holds no NaN or infinity ([`ToJson`]
+/// writes `null`), so a writer whose reader must get every number back
+/// refuses one by `key`.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming `key` when `value` is NaN or infinite.
+pub fn finite(key: &str, value: f64) -> Result<f64, FieldError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(FieldError::new(key, format!("finite (JSON cannot hold {value})")))
+    }
+}
+
 // ---------------------------------------------------------------------
 // Parsing — a strict, allocation-light recursive-descent reader, and
 // the one typed field reader every consumer of outside JSON goes
@@ -206,8 +236,11 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A number with a sign, a fraction or an exponent, or an integer
+    /// literal beyond `u64`: the correctly rounded `f64`.
     Number(f64),
+    /// A non-negative integer literal that fits a `u64`, held exactly.
+    Integer(u64),
     /// A string with escapes resolved.
     String(String),
     /// An ordered array.
@@ -227,19 +260,14 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number (an integer literal
+    /// rounds to the nearest `f64`, as `str::parse` would).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(n) => Some(*n),
+            JsonValue::Integer(n) => Some(*n as f64),
             _ => None,
         }
-    }
-
-    /// The value as a count: a non-negative whole number, saturating at
-    /// `u64::MAX` (the `u64` rule of [`JsonValue::field`]).
-    pub fn as_u64(&self) -> Option<u64> {
-        let v = self.as_f64()?;
-        (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
     }
 
     /// The string value, if this is a string.
@@ -298,7 +326,7 @@ impl JsonValue {
 pub struct FieldError {
     /// The refused field's key.
     pub key: String,
-    /// What its value must be, e.g. `a non-negative integer`.
+    /// What its value must be, e.g. `an integer in [0, 2^32)`.
     pub want: String,
 }
 
@@ -334,7 +362,7 @@ pub trait FromJson<'a>: Sized {
 
 /// Implements [`FromJson`] from a `want` text and a reading closure.
 macro_rules! from_json {
-    ($($t:ty, $want:literal, $read:expr;)*) => {$(
+    ($($t:ty, $want:expr, $read:expr;)*) => {$(
         impl<'a> FromJson<'a> for $t {
             fn want() -> String {
                 $want.to_string()
@@ -348,20 +376,26 @@ macro_rules! from_json {
     )*};
 }
 
-/// 2^53: every integer up to it is an exact `f64`, so a count above it
-/// may not have survived the round trip through a JSON number.
-const EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
-
 from_json! {
-    // Span ids, µs times, counters and histogram tallies: whole and
-    // non-negative, saturating at u64::MAX.
-    u64, "a non-negative integer", JsonValue::as_u64;
-    u32, "an integer in [0, 2^32)", |v| v.as_u64().and_then(|n| u32::try_from(n).ok());
-    // Lengths and indices must also be exact.
-    usize, "a non-negative integer at most 2^53", |v| {
-        v.as_u64().filter(|&n| n as f64 <= EXACT_INT_MAX).and_then(|n| usize::try_from(n).ok())
+    // Seeds, span ids, µs times, counters, lengths and indices: an
+    // integer literal read exactly, refused beyond the type's range.
+    u64, "an integer in [0, 2^64)", |v| match v {
+        JsonValue::Integer(n) => Some(*n),
+        _ => None,
+    };
+    u32, "an integer in [0, 2^32)", |v| u64::from_json(v).and_then(|n| n.try_into().ok());
+    usize, format!("an integer in [0, 2^{})", usize::BITS), |v| {
+        u64::from_json(v).and_then(|n| n.try_into().ok())
     };
     f64, "a number", JsonValue::as_f64;
+    // An `f32` is written widened to `f64`, so it reads back exactly;
+    // a number no `f32` equals (an integer literal included) is
+    // refused, not rounded.
+    f32, "a number an f32 holds exactly", |v| {
+        let x = v.as_f64()?;
+        let literal = u64::from_json(v).is_none_or(|n| x as u128 == u128::from(n));
+        (literal && f64::from(x as f32) == x).then_some(x as f32)
+    };
     bool, "a boolean", JsonValue::as_bool;
     &'a str, "a string", JsonValue::as_str;
     &'a [JsonValue], "an array", |v| match v {
@@ -685,6 +719,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII");
+        // A plain non-negative integer stays exact; `u64::from_str`
+        // refuses a sign, a fraction, an exponent and overflow.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Integer(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("unparseable number at byte {start}"))
@@ -785,8 +824,15 @@ mod tests {
     fn parse_accepts_standard_forms() {
         assert_eq!(parse("null").unwrap(), JsonValue::Null);
         assert_eq!(parse(" true ").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse("0").unwrap(), JsonValue::Number(0.0));
+        assert_eq!(parse("0").unwrap(), JsonValue::Integer(0));
+        assert_eq!(parse("-0").unwrap(), JsonValue::Number(-0.0));
         assert_eq!(parse("-1.5e3").unwrap(), JsonValue::Number(-1500.0));
+        assert_eq!(parse("1e3").unwrap(), JsonValue::Number(1000.0));
+        // Past u64 an integer literal is only a number.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            JsonValue::Number(18_446_744_073_709_551_616.0)
+        );
         assert_eq!(parse("[]").unwrap(), JsonValue::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), JsonValue::Object(vec![]));
         assert_eq!(
@@ -809,16 +855,27 @@ mod tests {
     #[test]
     fn field_reads_each_type_by_its_rule_and_refuses_by_key() {
         let v = parse(
-            r#"{"n":3,"big":4294967296,"exact":9007199254740992,"inexact":9007199254740994,
+            r#"{"n":3,"big":4294967296,"odd":9007199254740993,"max":18446744073709551615,
+                "over":18446744073709551616,"whole":3.0,"exp":1e3,"tenth":0.1,
+                "f32":7.038531e-26,"wide":7.038530691851209e-26,
                 "neg":-1,"half":1.5,"x":0.25,"t":true,"s":"hi","a":[1,2],"o":{"k":1},
                 "p":[7,"q"],"z":null}"#,
         )
         .unwrap();
         assert_eq!(v.field::<u64>("n"), Ok(3));
-        assert_eq!(v.field::<u64>("inexact"), Ok(9_007_199_254_740_994));
+        // Integers are exact: 2^53 + 1 and u64::MAX have no f64.
+        assert_eq!(v.field::<u64>("odd"), Ok((1 << 53) + 1));
+        assert_eq!(v.field::<usize>("odd"), Ok((1 << 53) + 1));
+        assert_eq!(v.field::<u64>("max"), Ok(u64::MAX));
         assert_eq!(v.field::<u32>("n"), Ok(3));
-        assert_eq!(v.field::<usize>("exact"), Ok(1 << 53));
+        assert_eq!(v.field::<f64>("n"), Ok(3.0));
+        assert_eq!(v.field::<f64>("odd"), Ok(9_007_199_254_740_992.0));
         assert_eq!(v.field::<f64>("x"), Ok(0.25));
+        assert_eq!(v.field::<f32>("x"), Ok(0.25));
+        assert_eq!(v.field::<f32>("n"), Ok(3.0));
+        // An f32 written widened to f64 comes back bit for bit; its own
+        // shortest text, read through f64, would round to the next f32.
+        assert_eq!(v.field::<f32>("wide").map(f32::to_bits), Ok(0x15ae_43fd));
         assert_eq!(v.field::<bool>("t"), Ok(true));
         assert_eq!(v.field::<&str>("s"), Ok("hi"));
         assert_eq!(v.field::<&[JsonValue]>("a").map(<[_]>::len), Ok(2));
@@ -832,7 +889,15 @@ mod tests {
         assert_eq!(v.optional::<u64>("n"), Ok(Some(3)));
         for (key, err) in [
             ("big", v.field::<u32>("big").unwrap_err()),
-            ("inexact", v.field::<usize>("inexact").unwrap_err()),
+            ("over", v.field::<u64>("over").unwrap_err()),
+            ("over", v.field::<usize>("over").unwrap_err()),
+            // A count is an integer literal, not a whole number.
+            ("whole", v.field::<u64>("whole").unwrap_err()),
+            ("exp", v.field::<usize>("exp").unwrap_err()),
+            // No f32 equals these: refused, not rounded.
+            ("tenth", v.field::<f32>("tenth").unwrap_err()),
+            ("f32", v.field::<f32>("f32").unwrap_err()),
+            ("max", v.field::<f32>("max").unwrap_err()),
             ("neg", v.field::<u64>("neg").unwrap_err()),
             ("half", v.field::<usize>("half").unwrap_err()),
             ("s", v.field::<f64>("s").unwrap_err()),

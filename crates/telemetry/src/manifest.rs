@@ -255,6 +255,22 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_round_trip_exactly_and_stay_apart() {
+        for seed in [(1u64 << 53) + 1, 0xDEAD_BEEF_CAFE_F00D, u64::MAX - 1] {
+            let mut m = manifest();
+            m.identity.seed = seed;
+            let back = RunManifest::from_json(&parse(&m.to_json_line()).unwrap()).unwrap();
+            assert_eq!(back.identity.seed, seed);
+            // Through an f64 the next seed read back as the same one.
+            let mut next = m.clone();
+            next.identity.seed = seed + 1;
+            let next = RunManifest::from_json(&parse(&next.to_json_line()).unwrap()).unwrap();
+            let err = back.compatible(&next).unwrap_err();
+            assert_eq!(err, format!("seed differs: baseline {seed}, candidate {}", seed + 1));
+        }
+    }
+
+    #[test]
     fn identity_mismatches_are_refused_by_name() {
         let base = manifest();
         type Mutator = Box<dyn Fn(&mut RunManifest)>;

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{FieldError, JsonObject, JsonValue};
+use crate::json::{FieldError, FromJson, JsonObject, JsonValue};
 
 /// Determinism class of a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,28 +124,41 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, sample: f64) {
+        if let Some(exp_bits) = self.classify(sample) {
+            *self.buckets.entry(exp_bits as i16 - 1023).or_insert(0) += 1;
+        }
+    }
+
+    /// The one classification of a sample, shared by [`Self::record`]
+    /// and [`Self::record_batch`]: counts it, tallies a NaN, an
+    /// infinity, an underflow or a negative, widens `min`/`max` for a
+    /// finite one, and returns a positive normal's raw exponent field
+    /// (1..=2046) for the caller to bucket.
+    #[inline(always)]
+    fn classify(&mut self, sample: f64) -> Option<usize> {
         self.count += 1;
         if sample.is_nan() {
             self.nan += 1;
-            return;
+            return None;
         }
         if sample.is_infinite() {
             self.infinite += 1;
-            return;
+            return None;
         }
         // Finite from here on: min/max cover every finite sample.
         self.min = self.min.min(sample);
         self.max = self.max.max(sample);
         let bits = sample.to_bits();
-        let exp_bits = (bits >> 52) & 0x7ff;
+        let exp_bits = ((bits >> 52) & 0x7ff) as usize;
         if exp_bits == 0 {
             // ±0.0 and subnormals share the zero exponent field.
             self.underflow += 1;
+            None
         } else if bits >> 63 == 1 {
             self.negative += 1;
+            None
         } else {
-            let exponent = exp_bits as i16 - 1023;
-            *self.buckets.entry(exponent).or_insert(0) += 1;
+            Some(exp_bits)
         }
     }
 
@@ -167,25 +180,8 @@ impl Histogram {
         let mut scratch = [0u64; 2046];
         let (mut lo, mut hi) = (scratch.len(), 0);
         for sample in samples {
-            self.count += 1;
-            if sample.is_nan() {
-                self.nan += 1;
-                continue;
-            }
-            if sample.is_infinite() {
-                self.infinite += 1;
-                continue;
-            }
-            self.min = self.min.min(sample);
-            self.max = self.max.max(sample);
-            let bits = sample.to_bits();
-            let exp_bits = (bits >> 52) & 0x7ff;
-            if exp_bits == 0 {
-                self.underflow += 1;
-            } else if bits >> 63 == 1 {
-                self.negative += 1;
-            } else {
-                let i = exp_bits as usize - 1;
+            if let Some(exp_bits) = self.classify(sample) {
+                let i = exp_bits - 1;
                 scratch[i] += 1;
                 lo = lo.min(i);
                 hi = hi.max(i);
@@ -338,7 +334,7 @@ impl Histogram {
         for (exponent, n) in v.field::<&[(String, JsonValue)]>("buckets")? {
             let refuse = |want| FieldError::new("buckets", want);
             let exponent = exponent.parse().map_err(|_| refuse("keyed by i16 exponents"))?;
-            let n = n.as_u64().ok_or_else(|| refuse("a map to non-negative integers"))?;
+            let n = u64::from_json(n).ok_or_else(|| refuse("a map to integers in [0, 2^64)"))?;
             buckets.insert(exponent, n);
         }
         Ok(Self {
